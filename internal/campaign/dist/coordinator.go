@@ -88,6 +88,10 @@ type coordinator struct {
 	nextID int
 	err    error
 
+	// logMu serializes writes to cfg.Log: every worker's handler logs, and
+	// the writer is the caller's (a plain buffer in tests).
+	logMu sync.Mutex
+
 	wg sync.WaitGroup
 }
 
@@ -123,6 +127,9 @@ func Serve(cfg Config) (*campaign.Summary, error) {
 	}
 	em.StartRun(cfg.ExpectWorkers)
 
+	// The table itself refuses leases from the moment Interrupt closes;
+	// this goroutine only wakes what is parked when nothing else moves.
+	c.table.interrupt = cfg.Campaign.Interrupt
 	stop := make(chan struct{})
 	if cfg.Campaign.Interrupt != nil {
 		go func() {
@@ -211,7 +218,9 @@ func (c *coordinator) fail(err error) {
 
 func (c *coordinator) logf(format string, args ...any) {
 	if c.cfg.Log != nil {
+		c.logMu.Lock()
 		fmt.Fprintf(c.cfg.Log, format+"\n", args...)
+		c.logMu.Unlock()
 	}
 }
 

@@ -27,8 +27,13 @@ type leaseTable struct {
 	reissue []span            // revoked spans, sorted by lo
 	out     map[int]leaseInfo // outstanding leases, keyed by lo
 
-	draining bool
-	failed   bool
+	// interrupt, when non-nil, requests a drain by closing. grant polls it
+	// under the lock, so no lease is granted once it has closed, whatever
+	// the scheduler does with the goroutine that calls drain to wake the
+	// waiters.
+	interrupt <-chan struct{}
+	draining  bool
+	failed    bool
 }
 
 type leaseInfo struct {
@@ -57,6 +62,11 @@ func (t *leaseTable) grant(worker int) (span, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for {
+		select {
+		case <-t.interrupt:
+			t.draining = true
+		default:
+		}
 		if t.failed || t.draining || t.frontier >= t.end {
 			return span{}, false
 		}

@@ -168,21 +168,27 @@ func TestAppendJSONMatchesMarshal(t *testing.T) {
 // of reinitialized, a payload literal escaping through an interface call,
 // a per-connection struct escaping its pool.
 func TestProbeAllocBudget(t *testing.T) {
-	tg := Target{Profile: "freebsd4", Impairment: "swap-heavy", Test: "single", Seed: 7}
-	arena := NewProbeArena()
-	var res TargetResult
-	for i := 0; i < 3; i++ { // warm the arena's slabs, pools and scratch
-		if arena.ProbeTargetInto(&res, tg, 8, 0); res.Err != "" {
-			t.Fatalf("probe errored: %s", res.Err)
+	for _, tg := range []Target{
+		{Profile: "freebsd4", Impairment: "swap-heavy", Test: "single", Seed: 7},
+		// A routed graph rebuilt per probe — routers, link bundles, three
+		// cross-traffic flows — draws everything from the same pools.
+		{Profile: "freebsd4", Impairment: "clean", Test: "single", Seed: 7, Topology: "multihop"},
+	} {
+		arena := NewProbeArena()
+		var res TargetResult
+		for i := 0; i < 3; i++ { // warm the arena's slabs, pools and scratch
+			if arena.ProbeTargetInto(&res, tg, 8, 0); res.Err != "" {
+				t.Fatalf("probe errored: %s", res.Err)
+			}
 		}
-	}
-	allocs := testing.AllocsPerRun(10, func() {
-		if arena.ProbeTargetInto(&res, tg, 8, 0); res.Err != "" {
-			t.Fatalf("probe errored: %s", res.Err)
+		allocs := testing.AllocsPerRun(10, func() {
+			if arena.ProbeTargetInto(&res, tg, 8, 0); res.Err != "" {
+				t.Fatalf("probe errored: %s", res.Err)
+			}
+		})
+		const budget = 10
+		if allocs > budget {
+			t.Fatalf("steady-state probe of %q allocates %.0f objects, budget %d", tg.Topology, allocs, budget)
 		}
-	})
-	const budget = 10
-	if allocs > budget {
-		t.Fatalf("steady-state probe allocates %.0f objects, budget %d", allocs, budget)
 	}
 }

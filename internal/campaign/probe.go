@@ -97,6 +97,8 @@ type ProbeArena struct {
 	// carry a topology (resp. scenario), so classic probes consume the
 	// stream exactly as they did before either dimension existed.
 	rng, impRng, topoRng, scnRng *sim.Rand
+	// topoSpec is the storage the target's topology is built into.
+	topoSpec simnet.TopologySpec
 	// backends is the scratch the load-balanced pool's profiles are
 	// copied into before per-target mutation (the prototypes are shared).
 	backends []host.Profile
@@ -251,7 +253,7 @@ func probeTargetInto(res *TargetResult, t Target, samples int, attempt int, aren
 	if t.Topology != "" {
 		if arena != nil {
 			arena.topoRng = rng.ForkInto(arena.topoRng, 2)
-			cfg.Topology = topo.Build(arena.topoRng)
+			cfg.Topology = topo.buildInto(&arena.topoSpec, arena.topoRng)
 		} else {
 			cfg.Topology = topo.Build(rng.Fork(2))
 		}

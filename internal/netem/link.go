@@ -21,6 +21,16 @@ type LinkConfig struct {
 // Link is a FIFO store-and-forward link: frames serialize at the line rate,
 // wait out the propagation delay, and arrive downstream in order. A link by
 // itself never reorders.
+//
+// A bounded link's occupancy — frames queued or in transmission — is the
+// number of accepted frames whose departure the loop has not yet passed.
+// Nothing happens at a departure except that the count falls, so instead of
+// scheduling an event for it the link keeps the (departure, sequence) key
+// that event would have had and, on the next arrival, discards the keys
+// behind the loop's execution frontier (sim.Loop.Passed). Departures are
+// FIFO and the frontier never retreats, so the keys form a queue whose
+// passed entries are always a prefix; what is left is the occupancy the
+// event-per-departure form would read at the same point of the same run.
 type Link struct {
 	cfg   LinkConfig
 	loop  *sim.Loop
@@ -28,25 +38,25 @@ type Link struct {
 	stats Counters
 
 	busyUntil sim.Time // when the transmitter frees up
-	queued    int      // frames queued or in transmission
 
-	// departFn and deliverFn are scheduled via AtArg with the frame as
-	// argument, so per-frame forwarding allocates no closures.
-	departFn  func(any)
+	// departs holds the departure keys not yet seen to have passed; its
+	// storage is kept across Reinit.
+	departs sim.Queue[departKey]
+
+	// deliverFn is scheduled via AtArg with the frame as argument, so
+	// per-frame forwarding allocates no closures.
 	deliverFn func(any)
+}
+
+// departKey is the loop key of one frame's end of transmission.
+type departKey struct {
+	at  sim.Time
+	seq uint64
 }
 
 // NewLink returns a link feeding next.
 func NewLink(loop *sim.Loop, cfg LinkConfig, next Node) *Link {
 	l := &Link{cfg: cfg, loop: loop, next: next}
-	l.departFn = func(any) {
-		// Clamped, not plain decrement: a timeline that lifts the queue
-		// bound mid-flow (SetQueueLimit to 0) leaves already-scheduled
-		// departures behind, and occupancy must not go negative.
-		if l.queued > 0 {
-			l.queued--
-		}
-	}
 	l.deliverFn = func(arg any) {
 		l.stats.Out++
 		l.next.Input(arg.(*Frame))
@@ -60,7 +70,8 @@ func NewLink(loop *sim.Loop, cfg LinkConfig, next Node) *Link {
 func (l *Link) Reinit(cfg LinkConfig, next Node) {
 	l.cfg, l.next = cfg, next
 	l.stats = Counters{}
-	l.busyUntil, l.queued = 0, 0
+	l.busyUntil = 0
+	l.departs.Reset()
 }
 
 // Stats returns a snapshot of the link's counters.
@@ -82,10 +93,10 @@ func (l *Link) SetRate(bps int64) { l.cfg.RateBps = bps }
 
 // SetQueueLimit retargets the droptail capacity mid-flow, the hook for
 // bufferbloat ramps. Occupancy is tracked only while a bound is in force
-// (unbounded operation elides the departure events that maintain it), so a
-// bound imposed mid-flow counts frames arriving after the edge — the
-// approximation errs toward admitting in-flight traffic, never toward
-// spurious drops of it.
+// (unbounded operation records no departures), so a bound imposed mid-flow
+// counts frames arriving after the edge — the approximation errs toward
+// admitting in-flight traffic, never toward spurious drops of it. Frames
+// accepted under an earlier bound still count until they depart.
 func (l *Link) SetQueueLimit(n int) { l.cfg.QueueLimit = n }
 
 // TxTime returns the serialization delay of n bytes at the link rate.
@@ -99,7 +110,7 @@ func (l *Link) TxTime(n int) time.Duration {
 // Input implements Node.
 func (l *Link) Input(f *Frame) {
 	l.stats.In++
-	if l.cfg.QueueLimit > 0 && l.queued >= l.cfg.QueueLimit {
+	if l.cfg.QueueLimit > 0 && l.occupancy() >= l.cfg.QueueLimit {
 		l.stats.Dropped++
 		return
 	}
@@ -111,15 +122,24 @@ func (l *Link) Input(f *Frame) {
 	departure := start.Add(l.TxTime(f.Len()))
 	l.busyUntil = departure
 	arrival := departure.Add(l.cfg.PropDelay)
-	// The departure event only maintains the queue occupancy counter; an
-	// unbounded link never reads it, so elide the event — one heap
-	// operation per frame instead of two on the campaign's hot path.
-	// busyUntil alone carries the serialization state either way, and
-	// removing an event never perturbs the relative order of the rest
-	// (ties break by scheduling order, which is preserved).
+	// Only a bounded link reads occupancy, so only it records departures.
+	// The key takes the sequence number ahead of the delivery event's: a
+	// departure at the very instant of a later event is then ordered
+	// against it exactly as a scheduled departure event would have been.
 	if l.cfg.QueueLimit > 0 {
-		l.queued++
-		l.loop.AtArg(departure, l.departFn, nil)
+		l.departs.Push(departKey{at: departure, seq: l.loop.ReserveSeq()})
 	}
 	l.loop.AtArg(arrival, l.deliverFn, f)
+}
+
+// occupancy drops the departures the loop has passed and returns how many
+// frames are still queued or in transmission.
+func (l *Link) occupancy() int {
+	for l.departs.Len() > 0 {
+		if d := l.departs.Front(); !l.loop.Passed(d.at, d.seq) {
+			break
+		}
+		l.departs.Pop()
+	}
+	return l.departs.Len()
 }

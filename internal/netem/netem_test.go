@@ -457,6 +457,17 @@ func BenchmarkLinkForwarding(b *testing.B) {
 	}
 }
 
+func BenchmarkBoundedLinkForwarding(b *testing.B) {
+	loop := sim.NewLoop()
+	l := NewLink(loop, LinkConfig{RateBps: 1_000_000_000, PropDelay: time.Millisecond, QueueLimit: 32}, Discard)
+	f := frame(1, 512)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		l.Input(f)
+		loop.RunUntilIdle(0)
+	}
+}
+
 func BenchmarkStripedTrunk(b *testing.B) {
 	loop := sim.NewLoop()
 	tr := NewStripedTrunk(loop, TrunkConfig{FanOut: 2, BurstProb: 0.3, MeanBurstBytes: 2500}, sim.NewRand(1, 1), Discard)

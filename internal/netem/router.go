@@ -23,9 +23,15 @@ import (
 type Router struct {
 	stats  Counters
 	routes []route
-	groups [][]Node
+	// groups[g] is group g's range of the one ports slice, so a rebuilt
+	// table reuses a single allocation however many groups it has.
+	groups []portGroup
+	ports  []Node
 	rr     []uint32
 }
+
+// portGroup is ports[lo:hi].
+type portGroup struct{ lo, hi int }
 
 // route maps one destination address to a port-group index. Tables are tiny
 // (one entry per endpoint), so a linear scan beats a map on the hot path.
@@ -43,17 +49,21 @@ func (r *Router) Reinit() {
 	r.stats = Counters{}
 	r.routes = r.routes[:0]
 	r.groups = r.groups[:0]
+	r.ports = r.ports[:0]
 	r.rr = r.rr[:0]
 }
 
 // AddGroup registers a port group of parallel equal-cost egress ports and
 // returns its index for AddRoute. Multi-port groups forward round-robin,
-// starting at the first port.
+// starting at the first port. The ports are copied; the caller keeps its
+// slice.
 func (r *Router) AddGroup(ports ...Node) int {
 	if len(ports) == 0 {
 		panic("netem: router port group needs at least one port")
 	}
-	r.groups = append(r.groups, ports)
+	lo := len(r.ports)
+	r.ports = append(r.ports, ports...)
+	r.groups = append(r.groups, portGroup{lo, len(r.ports)})
 	r.rr = append(r.rr, 0)
 	return len(r.groups) - 1
 }
@@ -102,7 +112,7 @@ func (r *Router) Input(f *Frame) {
 	for i := range r.routes {
 		if r.routes[i].dst == k.Dst {
 			g := r.routes[i].group
-			ports := r.groups[g]
+			ports := r.ports[r.groups[g].lo:r.groups[g].hi]
 			port := ports[0]
 			if len(ports) > 1 {
 				port = ports[int(r.rr[g])%len(ports)]

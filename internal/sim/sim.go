@@ -104,12 +104,23 @@ type slotState struct {
 // Loop is a discrete-event scheduler. It is not safe for concurrent use;
 // the entire simulation, including all network elements and the prober,
 // runs single-threaded on one Loop.
+//
+// Events run in (time, sequence) key order, and the loop keeps the key it
+// has run up to as an execution frontier that never moves backwards. That
+// invariant is what lets an element replace an event whose only job is to
+// mark a moment's passing with the key alone (ReserveSeq, Passed).
 type Loop struct {
 	now    Time
 	events []event // inline 4-ary min-heap ordered by (at, seq)
 	seq    uint64
 	ran    uint64
 	dead   int // cancelled events still occupying heap entries
+
+	// frontAt/frontSeq is the execution frontier: every (at, seq) key
+	// strictly below it belongs to an event that has already run, or would
+	// have had it been scheduled. See Passed.
+	frontAt  Time
+	frontSeq uint64
 
 	resched     uint64
 	compactions uint64
@@ -161,6 +172,7 @@ func (l *Loop) Reset() {
 		l.freeSlot = append(l.freeSlot, int32(i))
 	}
 	l.now, l.seq, l.ran, l.dead = 0, 0, 0, 0
+	l.frontAt, l.frontSeq = 0, 0
 	l.resched, l.compactions, l.peakHeap = 0, 0, 0
 }
 
@@ -326,6 +338,33 @@ func (l *Loop) push(t Time, fn func(), afn func(any), arg any) Timer {
 	return Timer{l: l, slot: slot, gen: l.slots[slot].gen}
 }
 
+// ReserveSeq consumes and returns the sequence number the next scheduled
+// event would have been given. An element that used to schedule an event
+// only to notice a moment passing can keep the (at, seq) key instead and
+// ask Passed about it later: every other event keeps the sequence number,
+// and so the execution order, it had when that event existed.
+func (l *Loop) ReserveSeq() uint64 {
+	s := l.seq
+	l.seq++
+	return s
+}
+
+// Passed reports whether an event keyed (at, seq), with seq from ReserveSeq,
+// would already have run. It compares the key against the execution
+// frontier, which only ever moves forward: Step sets it to the key of the
+// event it runs — so inside a callback, and between Steps, exactly the keys
+// ordered before the last event run have passed — and a completed
+// RunUntil(t) moves it to (t, next sequence number), past every key reserved
+// so far at or before t and short of any reserved afterwards. The frontier
+// is therefore right for a caller outside any event (Probe.SendView feeds
+// frames between Steps) as well as inside one.
+func (l *Loop) Passed(at Time, seq uint64) bool {
+	if at != l.frontAt {
+		return at < l.frontAt
+	}
+	return seq < l.frontSeq
+}
+
 // less orders events by timestamp, then scheduling order. The key is unique
 // per event, so heap pop order is a total order identical to the previous
 // container/heap implementation's.
@@ -413,12 +452,13 @@ func (l *Loop) popMin() {
 func (l *Loop) Step() bool {
 	for len(l.events) > 0 {
 		root := &l.events[0]
-		at, fn, afn, arg := root.at, root.fn, root.afn, root.arg
+		at, seq, fn, afn, arg := root.at, root.seq, root.fn, root.afn, root.arg
 		l.popMin()
 		if fn == nil && afn == nil {
 			continue // cancelled
 		}
 		l.now = at
+		l.frontAt, l.frontSeq = at, seq
 		if fn != nil {
 			fn()
 		} else {
@@ -451,12 +491,14 @@ func (l *Loop) StepBefore(t Time) bool {
 
 // RunUntil executes events up to and including virtual time t, then advances
 // the clock to exactly t. Events scheduled during execution are honored if
-// they fall within the horizon.
+// they fall within the horizon. Completing moves the execution frontier (see
+// Passed) to t as well, unless t is already behind the clock.
 func (l *Loop) RunUntil(t Time) {
 	for l.StepBefore(t) {
 	}
-	if l.now < t {
+	if t >= l.now {
 		l.now = t
+		l.frontAt, l.frontSeq = t, l.seq
 	}
 }
 

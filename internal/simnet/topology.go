@@ -186,6 +186,9 @@ type graphScratch struct {
 	toward []int
 	// prev and queue are the BFS scratch.
 	prev, queue []int
+	// ab and ba collect one bundle's links per direction before the
+	// routers copy them into their port tables.
+	ab, ba []netem.Node
 }
 
 // buildGraph wires a routed topology. Construction order — and therefore
@@ -214,14 +217,13 @@ func (n *Net) buildGraph(cfg Config, rng *sim.Rand, tap func(*trace.Capture, net
 		b := t.mustRouter(l.B, "link")
 		lc := l.config()
 		par := l.parallel()
-		ab := make([]netem.Node, par)
-		ba := make([]netem.Node, par)
+		g.ab, g.ba = g.ab[:0], g.ba[:0]
 		for p := 0; p < par; p++ {
-			ab[p] = n.getLink(lc, n.Routers[b])
-			ba[p] = n.getLink(lc, n.Routers[a])
+			g.ab = append(g.ab, n.getLink(lc, n.Routers[b]))
+			g.ba = append(g.ba, n.getLink(lc, n.Routers[a]))
 		}
-		g.groupAB = append(g.groupAB, n.Routers[a].AddGroup(ab...))
-		g.groupBA = append(g.groupBA, n.Routers[b].AddGroup(ba...))
+		g.groupAB = append(g.groupAB, n.Routers[a].AddGroup(g.ab...))
+		g.groupBA = append(g.groupBA, n.Routers[b].AddGroup(g.ba...))
 	}
 	n.computeNextHops(t)
 

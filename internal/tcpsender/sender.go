@@ -141,17 +141,20 @@ type Sender struct {
 	rtoTimer   sim.Timer
 	rtoBackoff time.Duration
 
-	// Per-connection scratch: decoded-packet cell, payload buffer, cached
-	// RTO callback and optional arena, so steady-state transmission and
-	// receive do not allocate per segment.
-	arena      *netem.Arena
-	rxPkt      packet.Packet
-	payloadBuf []byte
-	rtoFn      func()
+	// Per-connection scratch: decoded-packet cell, cached RTO callback and
+	// optional arena, so steady-state transmission and receive do not
+	// allocate per segment.
+	arena *netem.Arena
+	rxPkt packet.Packet
+	rtoFn func()
 
 	// Spurious-retransmit detection state.
-	minRTT       time.Duration
-	sendTimes    map[uint32]sim.Time // first-transmission time per segment seq
+	minRTT time.Duration
+	// sendTimes holds the first-transmission time of every segment not yet
+	// cumulatively acknowledged, in sequence order: entries are only ever
+	// pushed at sndNxt, which never retreats, so the oldest is at the front
+	// and an acknowledgment retires a prefix.
+	sendTimes    sim.Queue[sentAt]
 	lastRexmitAt sim.Time
 	lastRexmit   uint32
 	rexmitLive   bool
@@ -162,6 +165,12 @@ type Sender struct {
 	onDone   func()
 }
 
+// sentAt records when the segment starting at seq was first transmitted.
+type sentAt struct {
+	seq uint32
+	at  sim.Time
+}
+
 // New builds a sender from local to remote:port, transmitting via out.
 func New(loop *sim.Loop, cfg Config, local, remote netip.Addr, ids *netem.FrameIDs, rng *sim.Rand, out netem.Node) *Sender {
 	cfg = cfg.Defaults()
@@ -170,7 +179,6 @@ func New(loop *sim.Loop, cfg Config, local, remote netip.Addr, ids *netem.FrameI
 		lport: 41000, out: out, ids: ids, rng: rng,
 		dupThresh: cfg.DupThresh,
 		minRTT:    time.Hour, // until measured
-		sendTimes: make(map[uint32]sim.Time),
 	}
 	s.rtoFn = s.onRTO
 	return s
@@ -178,7 +186,7 @@ func New(loop *sim.Loop, cfg Config, local, remote netip.Addr, ids *netem.FrameI
 
 // Reset returns the sender to the state New(loop, cfg, local, remote, ids,
 // rng, out) would produce, reusing the struct's scratch buffers, send-times
-// map and cached RTO callback — the pooling hook scenario owners use to
+// queue and cached RTO callback — the pooling hook scenario owners use to
 // reuse cross-traffic senders across topology rebuilds. The caller must
 // have Reset the shared loop first (which invalidates any pending RTO
 // timer; the zero Timer left here is inert) and is expected to re-point the
@@ -195,7 +203,7 @@ func (s *Sender) Reset(cfg Config, local, remote netip.Addr, rng *sim.Rand, out 
 	s.rtoTimer = sim.Timer{}
 	s.rtoBackoff = 0
 	s.minRTT = time.Hour
-	clear(s.sendTimes)
+	s.sendTimes.Reset()
 	s.lastRexmitAt, s.lastRexmit, s.rexmitLive = 0, 0, false
 	s.started, s.finished = 0, 0
 	s.stats = Stats{}
@@ -327,16 +335,17 @@ func (s *Sender) newAck(ack uint32) {
 	acked := int(ack - s.sndUna)
 
 	// RTT sample from a first-transmission segment (Karn's rule: skip
-	// anything retransmitted).
-	if t0, ok := s.sendTimes[s.sndUna]; ok {
-		if !s.rexmitLive || packet.SeqLT(s.sndUna, s.lastRexmit) {
-			s.observeRTT(s.loop.Now().Sub(t0))
+	// anything retransmitted). Every recorded segment below sndUna was
+	// retired by an earlier ACK, so the segment starting at sndUna is
+	// recorded exactly when it is the oldest entry.
+	if s.sendTimes.Len() > 0 {
+		if first := s.sendTimes.Front(); first.seq == s.sndUna &&
+			(!s.rexmitLive || packet.SeqLT(s.sndUna, s.lastRexmit)) {
+			s.observeRTT(s.loop.Now().Sub(first.at))
 		}
 	}
-	for seq := range s.sendTimes {
-		if packet.SeqLT(seq, ack) {
-			delete(s.sendTimes, seq)
-		}
+	for s.sendTimes.Len() > 0 && packet.SeqLT(s.sendTimes.Front().seq, ack) {
+		s.sendTimes.Pop()
 	}
 
 	// Spurious fast-retransmit detection: the ACK covering the
@@ -457,7 +466,7 @@ func (s *Sender) trySend() {
 		if rem := s.end - s.sndNxt; rem < n {
 			n = rem
 		}
-		s.sendTimes[s.sndNxt] = s.loop.Now()
+		s.sendTimes.Push(sentAt{seq: s.sndNxt, at: s.loop.Now()})
 		s.sendData(s.sndNxt, n)
 		s.sndNxt += n
 	}
@@ -469,14 +478,36 @@ func (s *Sender) trySend() {
 // sendData transmits payload bytes [seq, seq+n). Content avoids '\n' so
 // the receiving stack's request-triggered application stays dormant.
 func (s *Sender) sendData(seq, n uint32) {
-	if cap(s.payloadBuf) < int(n) {
-		s.payloadBuf = make([]byte, n)
+	s.transmit(packet.FlagACK|packet.FlagPSH, seq, s.rcvNxt, payload(seq, n), nil)
+}
+
+// maxPayload is the most TCP payload an IPv4 datagram carries: no segment,
+// whatever the configured MSS, can be transmitted with more.
+const maxPayload = 0xffff - 40
+
+// pattern is the payload byte stream — byte 'a' + q%25 at sequence number q —
+// laid out around the one place it is not 25-periodic: sequence numbers wrap
+// at 2^32, and 2^32 mod 25 = 21, so 'a'+20 at sequence 2^32-1 is followed by
+// 'a'+0, not 'a'+21. pattern[maxPayload+j] is the byte at sequence j and
+// pattern[maxPayload-k] the byte at sequence 2^32-k, so any segment's
+// payload, wrapping or not, is one contiguous slice.
+var pattern = func() []byte {
+	p := make([]byte, 2*maxPayload+25)
+	for i := range p {
+		q := uint32(i - maxPayload) // negative offsets wrap like sequence numbers
+		p[i] = 'a' + byte(q%25)
 	}
-	payload := s.payloadBuf[:n]
-	for i := range payload {
-		payload[i] = 'a' + byte((seq+uint32(i))%25)
+	return p
+}()
+
+// payload returns the n <= maxPayload bytes starting at sequence number seq,
+// as a read-only slice of pattern.
+func payload(seq, n uint32) []byte {
+	off := maxPayload + seq%25
+	if k := -seq; k < n {
+		off = maxPayload - k // the segment crosses the wrap k bytes in
 	}
-	s.transmit(packet.FlagACK|packet.FlagPSH, seq, s.rcvNxt, payload, nil)
+	return pattern[off : off+n]
 }
 
 func (s *Sender) transmit(flags uint8, seq, ack uint32, payload []byte, opts []packet.TCPOption) {
@@ -507,18 +538,4 @@ func (s *Sender) armRTO() {
 
 func (s *Sender) stopRTO() {
 	s.rtoTimer.Stop()
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

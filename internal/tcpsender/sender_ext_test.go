@@ -215,3 +215,27 @@ func TestRTOBackoffBounded(t *testing.T) {
 		t.Fatal("bytes acked through a black hole")
 	}
 }
+
+// BenchmarkSenderTransfer times a 256 KiB transfer into a host stack over a
+// clean point-to-point scenario — the cost of one background flow — and
+// reports it per acknowledged segment.
+func BenchmarkSenderTransfer(b *testing.B) {
+	sc := cleanScenario(5)
+	sc.DisableCaptures = true
+	var segs int
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		n := simnet.New(sc)
+		s := tcpsender.New(n.Loop, tcpsender.Config{Bytes: 256 << 10}, n.ProbeAddr(), n.ServerAddr(), n.IDs, sim.NewRand(7, 7), nil)
+		s.SetOutput(n.AttachEndpoint(s))
+		b.StartTimer()
+		s.Start()
+		n.Loop.RunUntil(sim.Time(30 * time.Second))
+		if !s.Done() {
+			b.Fatalf("transfer incomplete: %+v", s.Stats())
+		}
+		segs += s.Stats().BytesAcked / 1460
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(segs), "ns/segment")
+}

@@ -1,6 +1,7 @@
 package tcpstack
 
 import (
+	"bytes"
 	"net/netip"
 
 	"reorder/internal/packet"
@@ -78,11 +79,8 @@ func (s *Stack) processData(c *conn, p *packet.Packet) {
 		// In-order (seq <= rcvNxt < end): advance and merge the OOO queue.
 		c.rcvNxt = end
 		filled := s.mergeOOO(c)
-		for _, b := range p.Payload {
-			if b == '\n' {
-				c.reqNewline = true
-				break
-			}
+		if bytes.IndexByte(p.Payload, '\n') >= 0 {
+			c.reqNewline = true
 		}
 		s.appDeliver(c)
 		if filled {
