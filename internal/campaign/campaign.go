@@ -160,33 +160,25 @@ func Run(cfg Config) (*Summary, error) {
 	}
 	// Replayed results re-enter the aggregator through shard 0; shard
 	// ownership only matters for live workers.
-	for _, r := range em.Replayed() {
-		agg.Shard(0).Add(r)
+	replayed := em.Replayed()
+	for i := range replayed {
+		agg.Shard(0).Add(&replayed[i])
 	}
 	start, end := em.Start(), em.End()
 
 	// Each worker owns one ProbeArena: the scenario and prober are built
 	// once and re-seeded per target, which removes scenario construction
 	// from the per-target cost without changing a byte of output (arena
-	// reuse is observably identical to fresh construction). Workers also
-	// own a CSV row encoder when a CSV sink is configured.
+	// reuse is observably identical to fresh construction).
 	workers := make([]campaignWorker, sched.Workers())
 	for i := range workers {
 		workers[i].arena = NewProbeArena()
-		if em.HasCSV() {
-			workers[i].csvEnc = NewCSVRowEncoder()
-			if hasTopology(cfg.Targets) {
-				workers[i].csvEnc.IncludeTopology()
-			}
-			if hasScenario(cfg.Targets) {
-				workers[i].csvEnc.IncludeScenario()
-			}
-		}
 		if cfg.Obs != nil {
 			workers[i].obs = cfg.Obs.Worker(i)
 			workers[i].arena.SetObserver(workers[i].obs)
 		}
 	}
+	withTopo, withScn := hasTopology(cfg.Targets), hasScenario(cfg.Targets)
 	em.StartRun(sched.Workers())
 
 	// The batch pipeline: a worker claims a span, checks a spanBatch out
@@ -235,10 +227,8 @@ func Run(cfg Config) (*Summary, error) {
 				b.json = res.AppendJSON(b.json)
 				b.json = append(b.json, '\n')
 			}
-			if em.HasCSV() && b.err == nil {
-				// The first render failure sticks: emitting a batch
-				// with a silently missing row must be impossible.
-				b.csv, b.err = w.csvEnc.AppendRow(b.csv, res)
+			if em.HasCSV() {
+				b.csv = appendCSVRow(b.csv, res, withTopo, withScn)
 			}
 			if w.obs != nil {
 				w.obs.RenderedJSONBytes.Add(uint64(len(b.json) - j0))
@@ -253,9 +243,6 @@ func Run(cfg Config) (*Summary, error) {
 			b := pipe.take(lo)
 			if b == nil || b.hi != hi {
 				return fmt.Errorf("campaign: internal: no batch for span [%d,%d)", lo, hi)
-			}
-			if b.err != nil {
-				return b.err
 			}
 			// Extra sinks get per-result copies inside EmitSpan: batch
 			// slots are pooled and overwritten by later spans, and the
@@ -283,9 +270,8 @@ func Run(cfg Config) (*Summary, error) {
 
 // campaignWorker is one worker's private probing and rendering state.
 type campaignWorker struct {
-	arena  *ProbeArena
-	csvEnc *CSVRowEncoder
-	batch  *spanBatch
+	arena *ProbeArena
+	batch *spanBatch
 
 	// obs is this worker's telemetry shard (nil when disabled); spanSimNs
 	// accumulates the current span's simulated time for its trace event.
@@ -300,7 +286,6 @@ type spanBatch struct {
 	results []TargetResult
 	json    []byte // newline-terminated records, span order
 	csv     []byte // encoded rows, span order
-	err     error  // deferred render failure, surfaced at emit
 }
 
 // batchPipeline hands spanBatches from workers to the collector: a free
@@ -327,7 +312,7 @@ func (p *batchPipeline) get(n int) *spanBatch {
 		b.results = make([]TargetResult, n)
 	}
 	b.results = b.results[:n]
-	b.json, b.csv, b.err = b.json[:0], b.csv[:0], nil
+	b.json, b.csv = b.json[:0], b.csv[:0]
 	return b
 }
 
@@ -367,9 +352,10 @@ type sinkSet struct {
 // openSinks assembles the configured sinks. When resuming, the JSONL file
 // — already truncated to exactly the checkpointed records — is opened for
 // append, while the CSV file is rebuilt from the replayed prefix: CSV rows
-// are not safely line-countable, so rewriting is how its content is
-// guaranteed to equal an uninterrupted run's.
-func openSinks(cfg Config, replayed []*TargetResult) (sinkSet, error) {
+// are not safely line-countable (a quoted field may hold a newline), so
+// rewriting is how its content is guaranteed to equal an uninterrupted
+// run's. The prefix is rendered into one buffer and written in chunks.
+func openSinks(cfg Config, replayed []TargetResult) (sinkSet, error) {
 	var sinks sinkSet
 	fail := func(err error) (sinkSet, error) {
 		closeAll(sinks.all)
@@ -397,9 +383,8 @@ func openSinks(cfg Config, replayed []*TargetResult) (sinkSet, error) {
 		}
 		cs := NewCSVSink(f)
 		if withTopo {
-			// Enable the topology column before the replay emits below so
-			// the rebuilt prefix carries the same header and row shape as
-			// the live rows that follow.
+			// Enable the topology column before the rebuild below so the
+			// header carries the same shape as the rows.
 			cs.IncludeTopology()
 		}
 		if withScn {
@@ -407,9 +392,14 @@ func openSinks(cfg Config, replayed []*TargetResult) (sinkSet, error) {
 		}
 		sinks.csv = cs
 		sinks.all = append(sinks.all, cs)
-		for _, r := range replayed {
-			if err := cs.Emit(r); err != nil {
-				return fail(err)
+		var rows []byte
+		for i := range replayed {
+			rows = appendCSVRow(rows, &replayed[i], withTopo, withScn)
+			if len(rows) >= csvRebuildChunk || i == len(replayed)-1 {
+				if err := cs.EmitBatch(rows); err != nil {
+					return fail(err)
+				}
+				rows = rows[:0]
 			}
 		}
 	}
@@ -417,6 +407,12 @@ func openSinks(cfg Config, replayed []*TargetResult) (sinkSet, error) {
 	sinks.all = append(sinks.all, cfg.Sinks...)
 	return sinks, nil
 }
+
+// csvRebuildChunk is how many rendered bytes the resume's CSV rebuild
+// gathers before a write: large enough that the rebuild costs a handful of
+// syscalls per thousand rows, small enough to stay a rounding error beside
+// the replayed slab.
+const csvRebuildChunk = 64 << 10
 
 // closeAll closes every sink, returning the first error.
 func closeAll(sinks []Sink) error {

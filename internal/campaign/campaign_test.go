@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -279,28 +280,34 @@ func TestCampaignResumeStopAfterWindows(t *testing.T) {
 	}
 }
 
+// recordLines renders one record per target as the JSONL sink would: the
+// target's identity fields plus Index and Attempts, nothing measured.
+func recordLines(targets []Target) []byte {
+	results := make([]TargetResult, len(targets))
+	for i := range targets {
+		tg := &targets[i]
+		results[i] = TargetResult{
+			Index: tg.Index, Name: tg.Name, Profile: tg.Profile, Impairment: tg.Impairment,
+			Test: tg.Test, Seed: tg.Seed, Attempts: 1, Topology: tg.Topology, Scenario: tg.Scenario,
+		}
+	}
+	return renderRecords(results)
+}
+
 // TestReplayOutputLongRecord guards the resume path against records longer
 // than any scanner buffer: a multi-megabyte JSONL line must replay, and a
 // corrupt record must be reported by index.
 func TestReplayOutputLongRecord(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "out.jsonl")
-	huge := &TargetResult{Index: 0, Name: strings.Repeat("x", 2<<20), Test: "single", Attempts: 1}
-	f, err := os.Create(path)
-	if err != nil {
+	targets := []Target{
+		{Index: 0, Name: strings.Repeat("x", 2<<20), Test: "single"},
+		{Index: 1, Name: "small", Test: "single"},
+	}
+	if err := os.WriteFile(path, recordLines(targets), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	sink := NewJSONLSink(f)
-	if err := sink.Emit(huge); err != nil {
-		t.Fatal(err)
-	}
-	if err := sink.Emit(&TargetResult{Index: 1, Name: "small", Test: "single", Attempts: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := sink.Close(); err != nil {
-		t.Fatal(err)
-	}
-	got, err := replayOutput(path, 2)
+	got, err := replayOutput(path, targets, 2)
 	if err != nil {
 		t.Fatalf("replay of >1MiB record failed: %v", err)
 	}
@@ -309,10 +316,11 @@ func TestReplayOutputLongRecord(t *testing.T) {
 	}
 
 	// A corrupt record reports its index.
-	if err := os.WriteFile(path, []byte("{\"index\":0,\"attempts\":1}\nnot json\n"), 0o644); err != nil {
+	content := append(recordLines(targets[:1]), "not json\n"...)
+	if err := os.WriteFile(path, content, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, err = replayOutput(path, 2)
+	_, err = replayOutput(path, targets, 2)
 	if err == nil || !strings.Contains(err.Error(), "record 1") {
 		t.Fatalf("corrupt record not reported by index: %v", err)
 	}
@@ -324,11 +332,14 @@ func TestReplayOutputLongRecord(t *testing.T) {
 func TestReplayOutputUnterminatedTail(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "out.jsonl")
-	content := []byte("{\"index\":0,\"attempts\":1}\n{\"index\":1,\"atte")
+	targets := []Target{{Index: 0, Name: "a", Test: "single"}, {Index: 1, Name: "b", Test: "single"}}
+	lines := recordLines(targets)
+	first := lines[:bytes.IndexByte(lines, '\n')+1]
+	content := lines[:len(first)+16] // the second record cut mid-key
 	if err := os.WriteFile(path, content, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := replayOutput(path, 2); err == nil {
+	if _, err := replayOutput(path, targets, 2); err == nil {
 		t.Fatal("checkpoint claiming more records than terminated lines not rejected")
 	}
 	// Restore (replayOutput may have truncated) and replay just the intact
@@ -336,7 +347,7 @@ func TestReplayOutputUnterminatedTail(t *testing.T) {
 	if err := os.WriteFile(path, content, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got, err := replayOutput(path, 1)
+	got, err := replayOutput(path, targets, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,8 +358,35 @@ func TestReplayOutputUnterminatedTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(data) != "{\"index\":0,\"attempts\":1}\n" {
+	if !bytes.Equal(data, first) {
 		t.Fatalf("partial tail not truncated: %q", data)
+	}
+}
+
+// TestResumeRefusesOversizedCheckpoint: a checkpoint with the right
+// fingerprint and more results than the campaign has targets is refused
+// by NewEmitter in one line naming both numbers — it used to reach a
+// make() sized by Done and die with "makeslice: cap out of range".
+func TestResumeRefusesOversizedCheckpoint(t *testing.T) {
+	targets, err := Enumerate(smallSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, done := range []int{len(targets) + 1, 1 << 50} {
+		dir := t.TempDir()
+		ckpt := filepath.Join(dir, "ckpt.json")
+		if err := (Checkpoint{Fingerprint: Fingerprint(targets, 4), Done: done}).Save(ckpt); err != nil {
+			t.Fatal(err)
+		}
+		_, err = NewEmitter(Config{
+			Targets: targets, Samples: 4,
+			OutputPath: filepath.Join(dir, "out.jsonl"), CheckpointPath: ckpt, Resume: true,
+		})
+		if err == nil || strings.Contains(err.Error(), "\n") ||
+			!strings.Contains(err.Error(), strconv.Itoa(done)) ||
+			!strings.Contains(err.Error(), strconv.Itoa(len(targets))+" targets") {
+			t.Fatalf("done=%d: oversized checkpoint not refused with both numbers: %v", done, err)
+		}
 	}
 }
 

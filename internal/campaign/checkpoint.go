@@ -15,6 +15,14 @@ import (
 // emitted, in index order, to the output stream. The JSONL output itself
 // is the state — resume replays its prefix into the aggregator — so the
 // checkpoint stays a few dozen bytes no matter the campaign size.
+//
+// Both files are input to a resume and are validated as such: the
+// fingerprint must be this campaign's, Done must not exceed the target
+// count, and the JSONL must hold Done newline-terminated records of which
+// record i is, byte for byte, what this build renders for some result of
+// target i — AppendJSON's canonical form, the target's own identity fields,
+// index i. Anything else is refused with the record's index; bytes past
+// the acknowledged records are truncated and re-probed.
 type Checkpoint struct {
 	// Fingerprint ties the checkpoint to one (targets, samples) pair so a
 	// checkpoint can never silently resume a different campaign.
@@ -133,10 +141,12 @@ func LoadCheckpoint(path string) (Checkpoint, error) {
 }
 
 // replayOutput reads the first done records back from the JSONL output of
-// an interrupted campaign and truncates anything past them (a crash may
-// have written results the checkpoint never acknowledged; they are
-// re-probed, deterministically, to the same bytes).
-func replayOutput(path string, done int) ([]*TargetResult, error) {
+// an interrupted campaign — record i decoded against targets[i], see
+// recordDecoder — and truncates anything past them (a crash may have
+// written results the checkpoint never acknowledged; they are re-probed,
+// deterministically, to the same bytes). The caller has checked
+// done <= len(targets); the results share one slab.
+func replayOutput(path string, targets []Target, done int) ([]TargetResult, error) {
 	if done == 0 {
 		return nil, nil
 	}
@@ -149,15 +159,27 @@ func replayOutput(path string, done int) ([]*TargetResult, error) {
 	}
 	defer f.Close()
 
-	results := make([]*TargetResult, 0, done)
+	results := make([]TargetResult, done)
+	n := 0
 	var offset int64
-	// bufio.Reader rather than a Scanner: a Scanner caps the line length
-	// (64 KiB default, whatever the buffer is configured to at most), and
-	// a resume must never fail permanently just because one record grew
-	// past an arbitrary cap.
+	// A bufio.Reader with a spill buffer rather than a Scanner: a Scanner
+	// caps the line length (64 KiB default, whatever the buffer is
+	// configured to at most), and a resume must never fail permanently
+	// just because one record grew past an arbitrary cap.
 	br := bufio.NewReaderSize(f, 64*1024)
-	for len(results) < done {
-		line, err := br.ReadBytes('\n')
+	var spill []byte
+	// A record is a few hundred bytes; sized so the scratch does not grow.
+	dec := recordDecoder{scratch: make([]byte, 0, 1024)}
+	for n < done {
+		line, err := br.ReadSlice('\n')
+		if err == bufio.ErrBufferFull {
+			spill = append(spill[:0], line...)
+			for err == bufio.ErrBufferFull {
+				line, err = br.ReadSlice('\n')
+				spill = append(spill, line...)
+			}
+			line = spill
+		}
 		if err == io.EOF {
 			// An unterminated tail can only be an unacknowledged partial
 			// write (a checkpoint is saved only after the sink flushed the
@@ -166,23 +188,22 @@ func replayOutput(path string, done int) ([]*TargetResult, error) {
 			break
 		}
 		if err != nil {
-			return nil, fmt.Errorf("campaign: %s record %d: %w", path, len(results), err)
+			return nil, fmt.Errorf("campaign: %s record %d: %w", path, n, err)
 		}
-		rec := line[:len(line)-1]
-		r := &TargetResult{}
-		if err := json.Unmarshal(rec, r); err != nil {
-			return nil, fmt.Errorf("campaign: %s record %d: %w", path, len(results), err)
+		r := &results[n]
+		if err := dec.decode(line[:len(line)-1], &targets[n], r); err != nil {
+			return nil, fmt.Errorf("campaign: %s record %d %w", path, n, err)
 		}
-		if r.Index != len(results) {
+		if r.Index != n {
 			return nil, fmt.Errorf("campaign: %s record %d has index %d; output does not match checkpoint",
-				path, len(results), r.Index)
+				path, n, r.Index)
 		}
-		results = append(results, r)
+		n++
 		offset += int64(len(line))
 	}
-	if len(results) < done {
+	if n < done {
 		return nil, fmt.Errorf("campaign: %s has %d records but checkpoint says %d emitted",
-			path, len(results), done)
+			path, n, done)
 	}
 	if err := os.Truncate(path, offset); err != nil {
 		return nil, err

@@ -114,8 +114,9 @@ func Serve(cfg Config) (*campaign.Summary, error) {
 		return nil, err
 	}
 	agg := campaign.NewAggregator(1)
-	for _, r := range em.Replayed() {
-		agg.Shard(0).Add(r)
+	replayed := em.Replayed()
+	for i := range replayed {
+		agg.Shard(0).Add(&replayed[i])
 	}
 	c := &coordinator{
 		cfg:   cfg,

@@ -5,6 +5,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -486,6 +487,33 @@ func TestRejects(t *testing.T) {
 	<-done
 	if serveErr != nil {
 		t.Fatal(serveErr)
+	}
+}
+
+// TestServeRefusesOversizedCheckpoint: a checkpoint claiming more results
+// than the campaign has targets is refused by the coordinator before it
+// sizes anything from the count or accepts a worker, like campaign.Run.
+func TestServeRefusesOversizedCheckpoint(t *testing.T) {
+	targets := testTargets(t)
+	out, csv, ckpt := outPaths(t.TempDir())
+	ck := campaign.Checkpoint{Fingerprint: campaign.Fingerprint(targets, 4), Done: 1 << 50}
+	if err := ck.Save(ckpt); err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	_, err = Serve(Config{
+		Campaign: campaign.Config{
+			Targets: targets, Samples: 4,
+			OutputPath: out, CSVPath: csv, CheckpointPath: ckpt, Resume: true,
+		},
+		Listener: ln,
+	})
+	if err == nil || !strings.Contains(err.Error(), "1125899906842624") || !strings.Contains(err.Error(), "24 targets") {
+		t.Fatalf("oversized checkpoint not refused with both numbers: %v", err)
 	}
 }
 

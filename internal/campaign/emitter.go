@@ -21,7 +21,7 @@ type Emitter struct {
 	cfg        Config
 	fp         uint64
 	start, end int
-	replayed   []*TargetResult
+	replayed   []TargetResult
 	sinks      sinkSet
 	ck         Checkpoint
 	emitted    int
@@ -39,7 +39,7 @@ func NewEmitter(cfg Config) (*Emitter, error) {
 	}
 	fp := Fingerprint(cfg.Targets, cfg.Samples)
 	start := 0
-	var replayed []*TargetResult
+	var replayed []TargetResult
 	if cfg.Resume && cfg.CheckpointPath == "" {
 		// Without this guard a forgotten -checkpoint would silently fall
 		// through to a fresh run and truncate the prior output.
@@ -52,7 +52,12 @@ func NewEmitter(cfg Config) (*Emitter, error) {
 				return nil, fmt.Errorf("campaign: checkpoint %s is for a different campaign (fingerprint %x != %x)",
 					cfg.CheckpointPath, ck.Fingerprint, fp)
 			}
-			replayed, err = replayOutput(cfg.OutputPath, ck.Done)
+			// Checked before anything is sized from it: the file is input.
+			if ck.Done > len(cfg.Targets) {
+				return nil, fmt.Errorf("campaign: checkpoint %s says %d results emitted but the campaign has %d targets",
+					cfg.CheckpointPath, ck.Done, len(cfg.Targets))
+			}
+			replayed, err = replayOutput(cfg.OutputPath, cfg.Targets, ck.Done)
 			if err != nil {
 				return nil, err
 			}
@@ -103,8 +108,9 @@ func (e *Emitter) Fingerprint() uint64 { return e.fp }
 // workers must probe with for their fingerprints to match.
 func (e *Emitter) Samples() int { return e.cfg.Samples }
 
-// Replayed returns the results replayed from the output prefix on resume.
-func (e *Emitter) Replayed() []*TargetResult { return e.replayed }
+// Replayed returns the results replayed from the output prefix on resume,
+// in index order.
+func (e *Emitter) Replayed() []TargetResult { return e.replayed }
 
 // HasJSONL reports whether a JSONL sink is configured — whether EmitSpan
 // expects rendered JSONL bytes.

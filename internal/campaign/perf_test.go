@@ -192,3 +192,113 @@ func TestProbeAllocBudget(t *testing.T) {
 		}
 	}
 }
+
+// cleanSurvey probes n targets whose records carry no error or exclusion
+// text — the common case of a survey prefix, where replay should cost no
+// allocation per record.
+func cleanSurvey(tb testing.TB, n int) ([]Target, []TargetResult) {
+	tb.Helper()
+	spec := EnumSpec{Impairments: []string{"clean", "swap-light"}, Tests: []string{"single", "syn", "transfer"}}
+	spec.Seeds = n/(len(Profiles())*len(spec.Impairments)*len(spec.Tests)) + 1
+	targets, err := Enumerate(spec)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	targets = targets[:n]
+	results := make([]TargetResult, n)
+	arena := NewProbeArena()
+	for i := range targets {
+		if arena.ProbeTargetInto(&results[i], targets[i], 4, 0); results[i].Err != "" || results[i].DCTExcluded != "" {
+			tb.Fatalf("survey record %d is not clean: %+v", i, results[i])
+		}
+	}
+	return targets, results
+}
+
+// TestCSVRowAllocBudget pins the CSV renderer at zero allocations per row
+// once the destination has grown: it is on the per-target path of every
+// campaign with a CSV sink, live and replayed.
+func TestCSVRowAllocBudget(t *testing.T) {
+	_, results := mixedCampaign(t)
+	enc := NewCSVRowEncoder()
+	enc.IncludeTopology()
+	enc.IncludeScenario()
+	var buf []byte
+	render := func() {
+		buf = buf[:0]
+		for i := range results {
+			buf, _ = enc.AppendRow(buf, &results[i]) // AppendRow's error is always nil
+		}
+	}
+	render()
+	if allocs := testing.AllocsPerRun(10, render); allocs != 0 {
+		t.Fatalf("rendering %d CSV rows allocates %.0f objects, want 0", len(results), allocs)
+	}
+}
+
+// TestReplayAllocBudget pins replay at a constant number of allocations —
+// the slab, the file, the reader and the decoder's scratch — however many
+// records it reads: zero per record.
+func TestReplayAllocBudget(t *testing.T) {
+	targets, results := cleanSurvey(t, 1000)
+	path := writeRecords(t, results)
+	allocs := testing.AllocsPerRun(5, func() {
+		got, err := replayOutput(path, targets, len(targets))
+		if err != nil || len(got) != len(targets) {
+			t.Fatalf("replayed %d of %d records: %v", len(got), len(targets), err)
+		}
+	})
+	const budget = 8
+	if allocs > budget {
+		t.Fatalf("replaying %d records allocates %.0f objects, budget %d", len(targets), allocs, budget)
+	}
+}
+
+// BenchmarkReplay measures a resume's set-up — checkpoint load, fingerprint,
+// JSONL replay and, with a CSV sink, the CSV rebuild — per replayed record.
+func BenchmarkReplay(b *testing.B) {
+	const records = 4096
+	targets, results := cleanSurvey(b, records)
+	jsonl := writeRecords(b, results)
+	dir := filepath.Dir(jsonl)
+	ckpt := filepath.Join(dir, "ckpt.json")
+	if err := (Checkpoint{Fingerprint: Fingerprint(targets, 4), Done: records}).Save(ckpt); err != nil {
+		b.Fatal(err)
+	}
+	for _, bc := range []struct{ name, csv string }{
+		{"jsonl", ""},
+		{"jsonl+csv", filepath.Join(dir, "out.csv")},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				em, err := NewEmitter(Config{
+					Targets: targets, Samples: 4, OutputPath: jsonl, CSVPath: bc.csv,
+					CheckpointPath: ckpt, Resume: true,
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(em.Replayed()) != records {
+					b.Fatalf("replayed %d of %d records", len(em.Replayed()), records)
+				}
+				if _, err := em.Finish(nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/records, "ns/record")
+		})
+	}
+}
+
+// BenchmarkCSVRow measures the CSV renderer over a mixed campaign's records.
+func BenchmarkCSVRow(b *testing.B) {
+	_, results := mixedCampaign(b)
+	var buf []byte
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf = appendCSVRow(buf[:0], &results[i%len(results)], true, true)
+	}
+	b.SetBytes(int64(len(buf)))
+}

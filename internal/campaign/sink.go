@@ -2,16 +2,19 @@ package campaign
 
 import (
 	"bufio"
-	"bytes"
-	"encoding/csv"
 	"io"
 	"strconv"
+	"unicode"
+	"unicode/utf8"
 )
 
 // Sink is a streaming consumer of per-target results. The campaign feeds
 // sinks strictly in target-index order, one result at a time, so a sink
 // never needs to buffer or sort; memory stays constant however large the
-// campaign is.
+// campaign is. A resumed campaign feeds a sink only the results past the
+// checkpoint: the built-in files are continued (JSONL, after its prefix
+// was validated — see Checkpoint) or rebuilt from the replayed prefix
+// (CSV), but a caller-provided sink does not see replayed results again.
 type Sink interface {
 	Emit(r *TargetResult) error
 	// Flush forces buffered results to the underlying writer. The
@@ -25,7 +28,8 @@ type Sink interface {
 
 // JSONLSink streams one JSON object per line. Field order is fixed by the
 // TargetResult struct, which makes the stream byte-reproducible and
-// therefore checkpoint-resumable. Records are encoded through
+// therefore checkpoint-resumable: a resume accepts the file's records only
+// in exactly this form. Records are encoded through
 // TargetResult.AppendJSON into a reused buffer rather than reflective
 // json.Marshal, so emitting is allocation-free at steady state.
 type JSONLSink struct {
@@ -76,42 +80,37 @@ func (s *JSONLSink) Close() error {
 	return err
 }
 
-// CSVSink streams results as CSV in the same writer idiom as the
-// experiment reports (internal/experiments/csv.go): shortest-roundtrip
-// floats, one documented column set. The header is written before the
-// first row; on resume the campaign rebuilds the file from the replayed
-// prefix rather than appending.
+// CSVSink streams results as CSV in the same idiom as the experiment
+// reports (internal/experiments/csv.go): shortest-roundtrip floats, one
+// documented column set, encoding/csv's quoting. The header is written
+// before the first row; on resume the campaign rebuilds the file from the
+// replayed prefix rather than appending.
 type CSVSink struct {
-	w         io.Writer // underlying writer, for pre-encoded batch writes
-	cw        *csv.Writer
+	bw        *bufio.Writer
 	c         io.Closer
+	buf       []byte // reused per Emit
 	wroteHead bool
 	withTopo  bool
 	withScn   bool
-	row       []string // reused per record; csv.Writer copies it out on Write
 }
 
 // csvHeader is the column set, aligned with TargetResult's JSON fields.
 // Like the JSONL record it is append-only: new columns go at the end so
 // old campaign outputs stay parseable by position.
-var csvHeader = []string{
-	"index", "name", "profile", "impairment", "test", "seed", "attempts",
-	"error", "dct_excluded", "fwd_valid", "fwd_reordered", "fwd_rate",
-	"rev_valid", "rev_reordered", "rev_rate", "any_reordering", "rtt_us",
-	"seq_ratio", "seq_received", "seq_max_extent", "seq_n_reordering",
-	"seq_dupthresh_exposure",
-}
+const csvHeader = "index,name,profile,impairment,test,seed,attempts," +
+	"error,dct_excluded,fwd_valid,fwd_reordered,fwd_rate," +
+	"rev_valid,rev_reordered,rev_rate,any_reordering,rtt_us," +
+	"seq_ratio,seq_received,seq_max_extent,seq_n_reordering," +
+	"seq_dupthresh_exposure"
 
 // NewCSVSink wraps w. If w is an io.Closer it is closed by Close.
 func NewCSVSink(w io.Writer) *CSVSink {
-	s := &CSVSink{w: w, cw: csv.NewWriter(w)}
+	s := &CSVSink{bw: bufio.NewWriter(w)}
 	if c, ok := w.(io.Closer); ok {
 		s.c = c
 	}
 	return s
 }
-
-func fmtFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
 // IncludeTopology adds the append-only "topology" column to the header and
 // every row. The campaign enables it exactly when the target list has
@@ -125,37 +124,111 @@ func (s *CSVSink) IncludeTopology() { s.withTopo = true }
 // Call before the first Emit.
 func (s *CSVSink) IncludeScenario() { s.withScn = true }
 
-// appendCSVFields builds r's row in csvHeader order (plus the optional
-// trailing topology and scenario columns). Shared by the serial sink and
-// the worker-side row encoder so both render identical bytes.
-func appendCSVFields(row []string, r *TargetResult, withTopo, withScn bool) []string {
-	row = append(row,
-		strconv.Itoa(r.Index), r.Name, r.Profile, r.Impairment, r.Test,
-		strconv.FormatUint(r.Seed, 10), strconv.Itoa(r.Attempts),
-		r.Err, r.DCTExcluded,
-		strconv.Itoa(r.FwdValid), strconv.Itoa(r.FwdReordered), fmtFloat(r.FwdRate),
-		strconv.Itoa(r.RevValid), strconv.Itoa(r.RevReordered), fmtFloat(r.RevRate),
-		strconv.FormatBool(r.AnyReordering), strconv.FormatInt(r.RTTMicros, 10),
-		fmtFloat(r.SeqRatio), strconv.Itoa(r.SeqReceived),
-		strconv.Itoa(r.SeqMaxExtent), strconv.Itoa(r.SeqNReordering),
-		fmtFloat(r.SeqDupthreshExposure),
-	)
+// appendCSVRow appends r's row in csvHeader order (plus the optional
+// trailing topology and scenario columns) and its line terminator. It is
+// the one CSV renderer — the serial sink, the worker-side row encoder and
+// the resume rebuild all call it — and its bytes equal encoding/csv's over
+// the same fields, which FuzzCSVRow holds it to.
+func appendCSVRow(dst []byte, r *TargetResult, withTopo, withScn bool) []byte {
+	dst = strconv.AppendInt(dst, int64(r.Index), 10)
+	dst = append(dst, ',')
+	dst = appendCSVString(dst, r.Name)
+	dst = append(dst, ',')
+	dst = appendCSVString(dst, r.Profile)
+	dst = append(dst, ',')
+	dst = appendCSVString(dst, r.Impairment)
+	dst = append(dst, ',')
+	dst = appendCSVString(dst, r.Test)
+	dst = append(dst, ',')
+	dst = strconv.AppendUint(dst, r.Seed, 10)
+	dst = append(dst, ',')
+	dst = strconv.AppendInt(dst, int64(r.Attempts), 10)
+	dst = append(dst, ',')
+	dst = appendCSVString(dst, r.Err)
+	dst = append(dst, ',')
+	dst = appendCSVString(dst, r.DCTExcluded)
+	dst = append(dst, ',')
+	dst = strconv.AppendInt(dst, int64(r.FwdValid), 10)
+	dst = append(dst, ',')
+	dst = strconv.AppendInt(dst, int64(r.FwdReordered), 10)
+	dst = append(dst, ',')
+	dst = appendCSVFloat(dst, r.FwdRate)
+	dst = append(dst, ',')
+	dst = strconv.AppendInt(dst, int64(r.RevValid), 10)
+	dst = append(dst, ',')
+	dst = strconv.AppendInt(dst, int64(r.RevReordered), 10)
+	dst = append(dst, ',')
+	dst = appendCSVFloat(dst, r.RevRate)
+	dst = append(dst, ',')
+	dst = strconv.AppendBool(dst, r.AnyReordering)
+	dst = append(dst, ',')
+	dst = strconv.AppendInt(dst, r.RTTMicros, 10)
+	dst = append(dst, ',')
+	dst = appendCSVFloat(dst, r.SeqRatio)
+	dst = append(dst, ',')
+	dst = strconv.AppendInt(dst, int64(r.SeqReceived), 10)
+	dst = append(dst, ',')
+	dst = strconv.AppendInt(dst, int64(r.SeqMaxExtent), 10)
+	dst = append(dst, ',')
+	dst = strconv.AppendInt(dst, int64(r.SeqNReordering), 10)
+	dst = append(dst, ',')
+	dst = appendCSVFloat(dst, r.SeqDupthreshExposure)
 	if withTopo {
-		row = append(row, r.Topology)
+		dst = append(dst, ',')
+		dst = appendCSVString(dst, r.Topology)
 	}
 	if withScn {
-		row = append(row, r.Scenario)
+		dst = append(dst, ',')
+		dst = appendCSVString(dst, r.Scenario)
 	}
-	return row
+	return append(dst, '\n')
+}
+
+// appendCSVFloat renders the shortest representation that round-trips; no
+// form of it ('g': digits, sign, '.', 'e', NaN, Inf) ever needs quoting.
+func appendCSVFloat(dst []byte, v float64) []byte {
+	return strconv.AppendFloat(dst, v, 'g', -1, 64)
+}
+
+// appendCSVString appends one field under encoding/csv's writer rules: a
+// field is quoted when it holds a comma, quote, CR or LF, starts with a
+// space (unicode.IsSpace of the first rune), or is exactly `\.` (Postgres'
+// end-of-data marker); inside quotes only '"' changes, doubled.
+func appendCSVString(dst []byte, s string) []byte {
+	if !csvNeedsQuotes(s) {
+		return append(dst, s...)
+	}
+	dst = append(dst, '"')
+	for i := 0; i < len(s); i++ {
+		if s[i] == '"' {
+			dst = append(dst, '"')
+		}
+		dst = append(dst, s[i])
+	}
+	return append(dst, '"')
+}
+
+func csvNeedsQuotes(s string) bool {
+	if s == "" {
+		return false
+	}
+	if s == `\.` {
+		return true
+	}
+	for i := 0; i < len(s); i++ {
+		switch s[i] {
+		case ',', '"', '\r', '\n':
+			return true
+		}
+	}
+	r, _ := utf8.DecodeRuneInString(s)
+	return unicode.IsSpace(r)
 }
 
 // Emit implements Sink.
 func (s *CSVSink) Emit(r *TargetResult) error {
-	if err := s.writeHeader(); err != nil {
-		return err
-	}
-	s.row = appendCSVFields(s.row[:0], r, s.withTopo, s.withScn)
-	return s.cw.Write(s.row)
+	s.buf = appendCSVRow(s.buf[:0], r, s.withTopo, s.withScn)
+	return s.EmitBatch(s.buf)
 }
 
 // writeHeader writes the column header once.
@@ -164,47 +237,35 @@ func (s *CSVSink) writeHeader() error {
 		return nil
 	}
 	s.wroteHead = true
-	if !s.withTopo && !s.withScn {
-		return s.cw.Write(csvHeader)
-	}
-	head := append([]string(nil), csvHeader...)
+	head := csvHeader
 	if s.withTopo {
-		head = append(head, "topology")
+		head += ",topology"
 	}
 	if s.withScn {
-		head = append(head, "scenario")
+		head += ",scenario"
 	}
-	return s.cw.Write(head)
+	_, err := s.bw.WriteString(head + "\n")
+	return err
 }
 
 // EmitBatch writes a batch of rows pre-encoded by a CSVRowEncoder in one
-// Write, emitting the header first if no row preceded it. Encoder and
-// sink share one encoding (encoding/csv over appendCSVFields), so mixing
-// EmitBatch with per-record Emit — as a resume does when it rebuilds the
-// replayed prefix — yields the same bytes as an all-Emit stream.
+// Write, emitting the header first if no row preceded it. Encoder and sink
+// share one renderer (appendCSVRow), so mixing EmitBatch with per-record
+// Emit yields the same bytes as an all-Emit stream.
 func (s *CSVSink) EmitBatch(rows []byte) error {
 	if err := s.writeHeader(); err != nil {
 		return err
 	}
-	// Order the raw write after anything buffered in the csv writer.
-	s.cw.Flush()
-	if err := s.cw.Error(); err != nil {
-		return err
-	}
-	_, err := s.w.Write(rows)
+	_, err := s.bw.Write(rows)
 	return err
 }
 
 // Flush implements Sink.
-func (s *CSVSink) Flush() error {
-	s.cw.Flush()
-	return s.cw.Error()
-}
+func (s *CSVSink) Flush() error { return s.bw.Flush() }
 
 // Close implements Sink.
 func (s *CSVSink) Close() error {
-	s.cw.Flush()
-	err := s.cw.Error()
+	err := s.bw.Flush()
 	if s.c != nil {
 		if cerr := s.c.Close(); err == nil {
 			err = cerr
@@ -214,25 +275,17 @@ func (s *CSVSink) Close() error {
 }
 
 // CSVRowEncoder renders TargetResults to CSV row bytes — byte-identical
-// to CSVSink.Emit, because it runs the same fields through the same
-// encoding/csv writer — into a reusable buffer. Campaign workers each own
-// one and render rows as results complete; the in-order collector then
-// flushes whole spans with CSVSink.EmitBatch. Not safe for concurrent
-// use: one worker, one encoder.
+// to CSVSink.Emit, because both call appendCSVRow — appended to a buffer
+// the caller owns. Distributed workers each hold one and render rows as
+// results complete; the in-order collector then flushes whole spans with
+// CSVSink.EmitBatch.
 type CSVRowEncoder struct {
-	buf      bytes.Buffer
-	cw       *csv.Writer
-	row      []string
 	withTopo bool
 	withScn  bool
 }
 
-// NewCSVRowEncoder returns an encoder with its own scratch writer.
-func NewCSVRowEncoder() *CSVRowEncoder {
-	e := &CSVRowEncoder{}
-	e.cw = csv.NewWriter(&e.buf)
-	return e
-}
+// NewCSVRowEncoder returns an encoder for the classic column set.
+func NewCSVRowEncoder() *CSVRowEncoder { return &CSVRowEncoder{} }
 
 // IncludeTopology mirrors CSVSink.IncludeTopology; the campaign sets both
 // from the same predicate so worker rows match the sink's header.
@@ -242,17 +295,10 @@ func (e *CSVRowEncoder) IncludeTopology() { e.withTopo = true }
 func (e *CSVRowEncoder) IncludeScenario() { e.withScn = true }
 
 // AppendRow appends r's encoded CSV row (with line terminator) to dst.
+// Rendering cannot fail: the error is always nil, and is in the signature
+// for the callers outside this package that check it.
 func (e *CSVRowEncoder) AppendRow(dst []byte, r *TargetResult) ([]byte, error) {
-	e.buf.Reset()
-	e.row = appendCSVFields(e.row[:0], r, e.withTopo, e.withScn)
-	if err := e.cw.Write(e.row); err != nil {
-		return dst, err
-	}
-	e.cw.Flush()
-	if err := e.cw.Error(); err != nil {
-		return dst, err
-	}
-	return append(dst, e.buf.Bytes()...), nil
+	return appendCSVRow(dst, r, e.withTopo, e.withScn), nil
 }
 
 // FuncSink adapts a function to the Sink interface, for tests and
