@@ -283,14 +283,28 @@ func TestSchedulerStopDuringRetryBackoff(t *testing.T) {
 // dispatch under rate limiting degrades to single-index spans, but the
 // cancel path must hold regardless of the configured batch).
 func TestSchedulerStopBlockedInTokenTake(t *testing.T) {
-	// One token up front, then one every 10 minutes: every worker but the
-	// first parks inside take.
+	// One token up front, then one every 10 minutes. The run is cancelled by
+	// the emit of index 0, so that index must be the one the token goes to:
+	// workers holding any other index wait, before they reach take, until
+	// index 0 has run. After that every one of them parks inside take, and
+	// only the cancellation can get it out.
 	s := NewScheduler(SchedulerConfig{Workers: 4, RatePerSec: 1.0 / 600, Burst: 1, Batch: 16})
 	sentinel := errors.New("emit failed")
+	firstRan := make(chan struct{})
 	began := time.Now()
-	err := s.Run(0, 100,
-		func(worker, index, attempt int) error { return nil },
-		func(index int) error { return sentinel })
+	err := s.RunSpans(0, 100,
+		func(worker, lo, hi int) {
+			if lo != 0 {
+				<-firstRan
+			}
+		},
+		func(worker, index, attempt int) error {
+			if index == 0 {
+				close(firstRan)
+			}
+			return nil
+		},
+		func(lo, hi int) error { return sentinel })
 	if !errors.Is(err, sentinel) {
 		t.Fatalf("err = %v, want %v", err, sentinel)
 	}

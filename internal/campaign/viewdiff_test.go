@@ -16,15 +16,19 @@ import (
 // JSONL and CSV with zero-copy views enabled (the default) and with
 // netem.DebugForceMaterialize driving every frame through the eager
 // encode/decode wire path. Any divergence means a view lied about what the
-// wire would have carried.
+// wire would have carried. The catalog is run point-to-point and over the
+// multihop topology, whose three background flows build their segments on
+// payload bytes shared with the sender's pattern table (NewTCPFrameShared):
+// forced materialization encodes every one of those from the shared bytes.
 func TestViewDifferentialCatalog(t *testing.T) {
 	targets, err := Enumerate(EnumSpec{
 		// Full impairment catalog and all four tests (nil selects all);
 		// profiles cover counter/zero/random IPIDs plus the load-balanced
 		// pool, so the dual-test prevalidation and LB paths run too.
-		Profiles: []string{"freebsd4", "linux24", "openbsd3", LBPool},
-		Seeds:    1,
-		BaseSeed: 977,
+		Profiles:   []string{"freebsd4", "linux24", "openbsd3", LBPool},
+		Topologies: []string{"", "multihop"},
+		Seeds:      1,
+		BaseSeed:   977,
 	})
 	if err != nil {
 		t.Fatal(err)

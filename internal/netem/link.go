@@ -31,6 +31,15 @@ type LinkConfig struct {
 // FIFO and the frontier never retreats, so the keys form a queue whose
 // passed entries are always a prefix; what is left is the occupancy the
 // event-per-departure form would read at the same point of the same run.
+//
+// Deliveries are FIFO too — arrival times on one link never decrease — so
+// they take one heap entry per link, not one per frame in flight: the lane.
+// Only the frame due next is on the loop, riding in its event's argument;
+// frames accepted behind it wait in a queue with the (arrival, sequence) key
+// their own delivery event would have had, and the head, as it fires,
+// re-arms the next one under that key (sim.Loop.AtReserved). Each delivery
+// therefore runs at the key, and so in the order against every other event,
+// that scheduling it at Input would have given it.
 type Link struct {
 	cfg   LinkConfig
 	loop  *sim.Loop
@@ -43,8 +52,15 @@ type Link struct {
 	// storage is kept across Reinit.
 	departs sim.Queue[departKey]
 
-	// deliverFn is scheduled via AtArg with the frame as argument, so
-	// per-frame forwarding allocates no closures.
+	// armed is set while a delivery of this link is on the loop; followers
+	// are the frames accepted since, oldest first. A link that never holds a
+	// second frame in flight never touches followers. Storage is kept across
+	// Reinit.
+	armed     bool
+	followers sim.Queue[delivery]
+
+	// deliverFn is scheduled with the frame as argument, so per-frame
+	// forwarding allocates no closures.
 	deliverFn func(any)
 }
 
@@ -54,10 +70,29 @@ type departKey struct {
 	seq uint64
 }
 
+// delivery is a frame waiting its turn in the lane, with the loop key of its
+// arrival downstream.
+type delivery struct {
+	f   *Frame
+	at  sim.Time
+	seq uint64
+}
+
 // NewLink returns a link feeding next.
 func NewLink(loop *sim.Loop, cfg LinkConfig, next Node) *Link {
 	l := &Link{cfg: cfg, loop: loop, next: next}
+	// The head of the lane fires. The next frame is armed before this one
+	// goes downstream, so that a node feeding this link again from inside
+	// the delivery finds the lane in order; its key is ahead of the one
+	// running because it was reserved later for an arrival no earlier.
 	l.deliverFn = func(arg any) {
+		if l.followers.Len() > 0 {
+			d := l.followers.Front()
+			l.followers.Pop()
+			l.loop.AtReserved(d.at, d.seq, l.deliverFn, d.f)
+		} else {
+			l.armed = false
+		}
 		l.stats.Out++
 		l.next.Input(arg.(*Frame))
 	}
@@ -65,13 +100,17 @@ func NewLink(loop *sim.Loop, cfg LinkConfig, next Node) *Link {
 }
 
 // Reinit reconfigures a pooled link exactly as NewLink would, reusing the
-// struct and its cached callbacks. The loop must be the one the link was
-// built on (pools are per-scenario).
+// struct, its cached callbacks and its queue storage. The loop must be the
+// one the link was built on (pools are per-scenario), and Reset if the link
+// still had frames in flight: they are discarded here, as Loop.Reset
+// discards the delivery on the loop.
 func (l *Link) Reinit(cfg LinkConfig, next Node) {
 	l.cfg, l.next = cfg, next
 	l.stats = Counters{}
 	l.busyUntil = 0
 	l.departs.Reset()
+	l.armed = false
+	l.followers.Reset()
 }
 
 // Stats returns a snapshot of the link's counters.
@@ -129,7 +168,13 @@ func (l *Link) Input(f *Frame) {
 	if l.cfg.QueueLimit > 0 {
 		l.departs.Push(departKey{at: departure, seq: l.loop.ReserveSeq()})
 	}
-	l.loop.AtArg(arrival, l.deliverFn, f)
+	seq := l.loop.ReserveSeq()
+	if l.armed {
+		l.followers.Push(delivery{f: f, at: arrival, seq: seq})
+		return
+	}
+	l.armed = true
+	l.loop.AtReserved(arrival, seq, l.deliverFn, f)
 }
 
 // occupancy drops the departures the loop has passed and returns how many

@@ -28,6 +28,15 @@ import (
 // them into a new frame (see Corrupter). When wire bytes exist they are
 // authoritative; receivers prefer the view only because it is the same
 // datagram already decoded.
+//
+// Who owns the bytes: wire bytes are always the frame's own (arena or heap,
+// written once by Materialize or by the element that built the frame). A
+// view's payload is a copy in arena storage when the frame came from
+// NewTCPFrame or NewICMPFrame — the caller may reuse its buffer at once —
+// and the sender's own storage when it came from NewTCPFrameShared, whose
+// caller promises never to write those bytes again. Consumers cannot tell
+// the two apart and must not try: the immutability rule above is what makes
+// sharing safe in both directions.
 type Frame struct {
 	ID   uint64
 	Data []byte   // wire bytes; nil until materialized for view-built frames

@@ -1,6 +1,7 @@
 package netem
 
 import (
+	"fmt"
 	"net/netip"
 	"testing"
 	"time"
@@ -466,6 +467,43 @@ func BenchmarkBoundedLinkForwarding(b *testing.B) {
 		l.Input(f)
 		loop.RunUntilIdle(0)
 	}
+}
+
+// BenchmarkLinkBacklog is the per-frame cost of a link by how many frames it
+// holds in flight — the routed topologies' bottleneck links hold tens, a
+// point-to-point path one — and of the Router→Link hop those topologies are
+// made of. Each iteration feeds a burst and drains it; ns/frame is reported.
+func BenchmarkLinkBacklog(b *testing.B) {
+	run := func(b *testing.B, burst int, loop *sim.Loop, in Node, f *Frame) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for k := 0; k < burst; k++ {
+				in.Input(f)
+			}
+			loop.RunUntilIdle(0)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*burst), "ns/frame")
+	}
+	// 512 bytes serialize in ~4µs, so a burst of 32 is in flight together
+	// for the whole millisecond of propagation.
+	cfg := LinkConfig{RateBps: 1_000_000_000, PropDelay: time.Millisecond, QueueLimit: 32}
+	for _, burst := range []int{1, 32} {
+		b.Run(fmt.Sprintf("inflight-%d", burst), func(b *testing.B) {
+			loop := sim.NewLoop()
+			run(b, burst, loop, NewLink(loop, cfg, Discard), frame(1, 512))
+		})
+	}
+	b.Run("router-hop-inflight-32", func(b *testing.B) {
+		loop := sim.NewLoop()
+		ip := &packet.IPv4Header{Src: netip.MustParseAddr("10.0.0.1"), Dst: netip.MustParseAddr("10.0.0.2")}
+		f, err := (*Arena)(nil).NewTCPFrame(1, 0, ip, &packet.TCPHeader{SrcPort: 1, DstPort: 2}, make([]byte, 472))
+		if err != nil {
+			b.Fatal(err)
+		}
+		r := NewRouter()
+		r.AddRoute(ip.Dst, r.AddGroup(NewLink(loop, cfg, Discard)))
+		run(b, 32, loop, r, f)
+	})
 }
 
 func BenchmarkStripedTrunk(b *testing.B) {

@@ -2,6 +2,8 @@ package netem
 
 import (
 	"net/netip"
+
+	"reorder/internal/packet"
 )
 
 // Router is a graph-topology forwarding node: frames are classified by
@@ -99,18 +101,25 @@ func (r *Router) SetRoute(dst netip.Addr, group int) {
 // with no matching route (or no classifiable destination).
 func (r *Router) Stats() Counters { return r.stats }
 
-// Input implements Node. Classification uses the frame's cached flow key
-// when a view is attached (no wire-byte materialization), falling back to a
-// PeekFlow over the wire bytes.
+// Input implements Node. Routing needs the destination address alone, which
+// a frame with a view attached has already parsed (no flow key is assembled,
+// no wire bytes are materialized); byte-form frames fall back to a PeekFlow
+// over the wire bytes.
 func (r *Router) Input(f *Frame) {
 	r.stats.In++
-	k, ok := f.Flow()
-	if !ok {
-		r.stats.Dropped++
-		return
+	var dst netip.Addr
+	if f.view != nil {
+		dst = f.view.IP.Dst
+	} else {
+		k, ok := packet.PeekFlow(f.Data)
+		if !ok {
+			r.stats.Dropped++
+			return
+		}
+		dst = k.Dst
 	}
 	for i := range r.routes {
-		if r.routes[i].dst == k.Dst {
+		if r.routes[i].dst == dst {
 			g := r.routes[i].group
 			ports := r.ports[r.groups[g].lo:r.groups[g].hi]
 			port := ports[0]

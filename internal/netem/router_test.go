@@ -44,6 +44,43 @@ func TestRouterForwardsByDestination(t *testing.T) {
 	}
 }
 
+// TestRouterRoutesViewAndByteFormsAlike: a view-built frame is routed on the
+// destination its view carries, TCP or ICMP, with no wire bytes produced;
+// the same datagram in byte form takes the same port.
+func TestRouterRoutesViewAndByteFormsAlike(t *testing.T) {
+	a := netip.AddrFrom4([4]byte{10, 0, 1, 1})
+	b := netip.AddrFrom4([4]byte{10, 0, 2, 1})
+	r := NewRouter()
+	loop := sim.NewLoop()
+	sa, sb := &collector{loop: loop}, &collector{loop: loop}
+	r.AddRoute(a, r.AddGroup(sa))
+	r.AddRoute(b, r.AddGroup(sb))
+
+	arena := &Arena{}
+	src := netip.AddrFrom4([4]byte{10, 0, 0, 1})
+	tcp, err := arena.NewTCPFrame(1, 0, &packet.IPv4Header{Src: src, Dst: b}, &packet.TCPHeader{SrcPort: 5000, DstPort: 80}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	echo, err := arena.NewICMPFrame(2, 0, &packet.IPv4Header{Src: src, Dst: a}, &packet.ICMPEcho{Type: packet.ICMPEchoRequest, Ident: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Input(tcp)
+	r.Input(echo)
+	if tcp.Data != nil || echo.Data != nil || arena.Materialized() != 0 {
+		t.Fatal("routing a view-built frame materialized wire bytes")
+	}
+	r.Input(&Frame{ID: 3, Data: tcp.Materialize()})
+	r.Input(&Frame{ID: 4, Data: echo.Materialize()})
+	if got := sa.ids(); len(got) != 2 || got[0] != 2 || got[1] != 4 {
+		t.Fatalf("route a received %v, want [2 4]", got)
+	}
+	if got := sb.ids(); len(got) != 2 || got[0] != 1 || got[1] != 3 {
+		t.Fatalf("route b received %v, want [1 3]", got)
+	}
+}
+
 func TestRouterDropsUnroutable(t *testing.T) {
 	r := NewRouter()
 	r.AddRoute(netip.AddrFrom4([4]byte{10, 0, 1, 1}), r.AddGroup(Discard))

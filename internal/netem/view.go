@@ -29,7 +29,8 @@ type FrameView struct {
 	ICMP packet.ICMPEcho  // valid when IP.Protocol == packet.ProtoICMP
 
 	// Payload is the transport payload (TCP data; for ICMP see
-	// ICMP.Payload), arena-owned.
+	// ICMP.Payload): arena-owned, or the sender's own read-only bytes when
+	// the frame was built with NewTCPFrameShared. Read-only either way.
 	Payload []byte
 
 	wireLen int
@@ -96,6 +97,23 @@ func (v *FrameView) ToPacket(p *packet.Packet) {
 // yield, so consumers of the view see exactly what decoders would. Callers
 // may reuse ip, tcp and payload immediately.
 func (a *Arena) NewTCPFrame(id uint64, born sim.Time, ip *packet.IPv4Header, tcp *packet.TCPHeader, payload []byte) (*Frame, error) {
+	return a.newTCPFrame(id, born, ip, tcp, payload, false)
+}
+
+// NewTCPFrameShared is NewTCPFrame for a payload that is never written
+// again, by the caller or anyone else, for as long as the frame may be
+// reachable (a slice of a table filled once at start-up): the view refers
+// to those bytes instead of copying them. Nothing downstream can tell the
+// difference, because frame contents are immutable once attached — elements
+// that alter bytes build a new frame from a copy — and that same rule is
+// what keeps the caller's bytes intact.
+func (a *Arena) NewTCPFrameShared(id uint64, born sim.Time, ip *packet.IPv4Header, tcp *packet.TCPHeader, payload []byte) (*Frame, error) {
+	return a.newTCPFrame(id, born, ip, tcp, payload, true)
+}
+
+// newTCPFrame builds the frame for both constructors; shared says whether
+// the view may keep payload itself.
+func (a *Arena) newTCPFrame(id uint64, born sim.Time, ip *packet.IPv4Header, tcp *packet.TCPHeader, payload []byte, shared bool) (*Frame, error) {
 	optLen, err := tcp.OptionsWireLen()
 	if err != nil {
 		return nil, err
@@ -123,7 +141,11 @@ func (a *Arena) NewTCPFrame(id uint64, born sim.Time, ip *packet.IPv4Header, tcp
 	v.TCP.Seq, v.TCP.Ack = tcp.Seq, tcp.Ack
 	v.TCP.Flags, v.TCP.Window, v.TCP.Urgent = tcp.Flags, tcp.Window, tcp.Urgent
 	v.TCP.Checksum = 0
-	v.Payload = a.CopyBytes(payload)
+	if shared && len(payload) > 0 {
+		v.Payload = payload
+	} else {
+		v.Payload = a.CopyBytes(payload)
+	}
 	v.wireLen = total
 	return a.viewFrame(id, born, v), nil
 }

@@ -74,6 +74,51 @@ func TestMaterializeMatchesAppendTCP(t *testing.T) {
 	}
 }
 
+// TestSharedPayloadFrame pins what NewTCPFrameShared changes and what it
+// does not: the view refers to the caller's bytes instead of an arena copy
+// (an empty payload is nil either way), wire bytes are the same as the
+// copying constructor's in both view and forced-materialize form, and those
+// wire bytes are the arena's own, so nothing downstream holds the caller's
+// storage through Data.
+func TestSharedPayloadFrame(t *testing.T) {
+	ip, tcp, payload := tcpFrameArgs()
+	want, err := packet.AppendTCP(nil, ip, tcp, payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := &Arena{}
+	f, err := a.NewTCPFrameShared(1, 0, ip, tcp, payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := f.View(); &v.Payload[0] != &payload[0] || len(v.Payload) != len(payload) {
+		t.Fatal("shared frame copied its payload")
+	}
+	if got := f.Materialize(); !bytes.Equal(got, want) {
+		t.Fatalf("materialized bytes differ from eager encode:\n got %x\nwant %x", got, want)
+	}
+	if !bytes.Equal(payload, []byte("hello wire")) {
+		t.Fatal("materializing wrote to the shared payload")
+	}
+	if empty, err := a.NewTCPFrameShared(2, 0, ip, tcp, payload[:0]); err != nil || empty.View().Payload != nil {
+		t.Fatalf("empty shared payload = %v, %v; want nil like NewTCPFrame", empty.View().Payload, err)
+	}
+
+	DebugForceMaterialize = true
+	defer func() { DebugForceMaterialize = false }()
+	g, err := a.NewTCPFrameShared(3, 0, ip, tcp, payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.View() != nil || !bytes.Equal(g.Data, want) {
+		t.Fatal("forced materialization of a shared frame differs from eager encode")
+	}
+	g.Data[len(g.Data)-1] ^= 0xff // the arena's bytes, not the caller's
+	if !bytes.Equal(payload, []byte("hello wire")) {
+		t.Fatal("byte-form frame aliases the shared payload")
+	}
+}
+
 // TestViewToPacketMatchesDecode checks the receiver-side shortcut: copying
 // a view into a scratch packet must agree field-for-field with DecodeInto
 // over the materialized bytes.

@@ -90,8 +90,14 @@ type event struct {
 	fn   func()
 	afn  func(any)
 	arg  any
-	slot int32
+	slot int32 // Timer slot, or noSlot for an event scheduled by AtReserved
 }
+
+// noSlot is the slot shared by every event no Timer refers to (AtReserved).
+// No Timer is ever issued for it and it is never on the free list, so the
+// heap index the sifts write there is never read: an event without a handle
+// takes no slot of its own and costs the sifts no branch.
+const noSlot = 0
 
 // slotState backs one Timer handle. heapIdx tracks where the event
 // currently sits in the heap (-1 once it has fired or drained); gen
@@ -107,8 +113,17 @@ type slotState struct {
 //
 // Events run in (time, sequence) key order, and the loop keeps the key it
 // has run up to as an execution frontier that never moves backwards. That
-// invariant is what lets an element replace an event whose only job is to
-// mark a moment's passing with the key alone (ReserveSeq, Passed).
+// invariant is what ReserveSeq, Passed and AtReserved rest on. They are for
+// elements whose events retire in FIFO order (a link's departures and
+// deliveries), which need not keep one heap entry per queued item: the
+// element takes each item's sequence number with ReserveSeq at the point it
+// would have scheduled the event, keeps the (at, seq) key in a queue of its
+// own, and then either only asks whether the key's moment has gone by
+// (Passed — when nothing happens at it but bookkeeping) or puts just the
+// head of its queue on the loop under that original key (AtReserved),
+// re-arming the next head when it fires. Every event, the element's and
+// everyone else's, then has the key, and so the place in the execution
+// order, it had when each item was scheduled on its own.
 type Loop struct {
 	now    Time
 	events []event // inline 4-ary min-heap ordered by (at, seq)
@@ -152,7 +167,8 @@ func (l *Loop) Stats() LoopStats {
 }
 
 // NewLoop returns a Loop with the clock at time zero and no pending events.
-func NewLoop() *Loop { return &Loop{} }
+// The zero Loop is not usable: the slot table starts with noSlot in place.
+func NewLoop() *Loop { return &Loop{slots: []slotState{noSlot: {heapIdx: -1}}} }
 
 // Reset returns the loop to its initial state — clock at zero, no pending
 // events, counters cleared — while keeping the heap and slot-table capacity
@@ -167,7 +183,7 @@ func (l *Loop) Reset() {
 	}
 	l.events = l.events[:0]
 	l.freeSlot = l.freeSlot[:0]
-	for i := range l.slots {
+	for i := noSlot + 1; i < len(l.slots); i++ {
 		l.slots[i].heapIdx = -1
 		l.freeSlot = append(l.freeSlot, int32(i))
 	}
@@ -292,6 +308,8 @@ func (l *Loop) maybeCompact() {
 	for i := range l.events {
 		ev := &l.events[i]
 		if ev.fn == nil && ev.afn == nil {
+			// Only a Timer can stop an event, so a dead entry's slot is
+			// its own, never noSlot.
 			s := &l.slots[ev.slot]
 			s.heapIdx = -1
 			s.gen++
@@ -339,10 +357,7 @@ func (l *Loop) push(t Time, fn func(), afn func(any), arg any) Timer {
 }
 
 // ReserveSeq consumes and returns the sequence number the next scheduled
-// event would have been given. An element that used to schedule an event
-// only to notice a moment passing can keep the (at, seq) key instead and
-// ask Passed about it later: every other event keeps the sequence number,
-// and so the execution order, it had when that event existed.
+// event would have been given, for a key to hand to Passed or AtReserved.
 func (l *Loop) ReserveSeq() uint64 {
 	s := l.seq
 	l.seq++
@@ -363,6 +378,34 @@ func (l *Loop) Passed(at Time, seq uint64) bool {
 		return at < l.frontAt
 	}
 	return seq < l.frontSeq
+}
+
+// AtReserved arranges for fn(arg) to run at time at under a sequence number
+// taken earlier with ReserveSeq, exactly where an AtArg at the moment of the
+// reservation would have put it. It returns no Timer — the event cannot be
+// stopped or rescheduled — and so takes no slot: nothing comes off the free
+// list and nothing goes back when it fires.
+//
+// Scheduling late is only sound while the key is still ahead of execution:
+// a key the frontier has passed would run out of order and turn the clock
+// back, which is a bug in the caller, never a matter of input, and panics. A
+// FIFO element that re-arms from inside its own event always has a later
+// sequence number at a time no earlier than the one running, so it cannot
+// get here.
+func (l *Loop) AtReserved(at Time, seq uint64, fn func(any), arg any) {
+	if fn == nil {
+		panic("sim: AtReserved called with nil callback")
+	}
+	if l.Passed(at, seq) {
+		panic(fmt.Sprintf("sim: AtReserved key (%d, %d) is behind the execution frontier (%d, %d)",
+			int64(at), seq, int64(l.frontAt), l.frontSeq))
+	}
+	i := int32(len(l.events))
+	l.events = append(l.events, event{at: at, seq: seq, afn: fn, arg: arg, slot: noSlot})
+	if n := len(l.events); n > l.peakHeap {
+		l.peakHeap = n
+	}
+	l.siftUp(i)
 }
 
 // less orders events by timestamp, then scheduling order. The key is unique
@@ -439,6 +482,9 @@ func (l *Loop) popMin() {
 	l.events = l.events[:n]
 	if n > 0 {
 		l.siftDown(0)
+	}
+	if slot == noSlot {
+		return
 	}
 	s := &l.slots[slot]
 	s.heapIdx = -1

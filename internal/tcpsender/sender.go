@@ -490,7 +490,8 @@ const maxPayload = 0xffff - 40
 // at 2^32, and 2^32 mod 25 = 21, so 'a'+20 at sequence 2^32-1 is followed by
 // 'a'+0, not 'a'+21. pattern[maxPayload+j] is the byte at sequence j and
 // pattern[maxPayload-k] the byte at sequence 2^32-k, so any segment's
-// payload, wrapping or not, is one contiguous slice.
+// payload, wrapping or not, is one contiguous slice. It is read-only after
+// this initializer: frames in every simulation of the process share it.
 var pattern = func() []byte {
 	p := make([]byte, 2*maxPayload+25)
 	for i := range p {
@@ -510,13 +511,15 @@ func payload(seq, n uint32) []byte {
 	return pattern[off : off+n]
 }
 
+// transmit sends one segment. payload is nil or a slice of pattern, which
+// nothing ever writes, so the frame shares it instead of copying it.
 func (s *Sender) transmit(flags uint8, seq, ack uint32, payload []byte, opts []packet.TCPOption) {
 	hdr := &packet.TCPHeader{
 		SrcPort: s.lport, DstPort: s.cfg.Port,
 		Seq: seq, Ack: ack, Flags: flags, Window: 65535, Options: opts,
 	}
 	ip := &packet.IPv4Header{Src: s.local, Dst: s.remote, ID: s.rng.Uint16(), Flags: packet.FlagDF}
-	f, err := s.arena.NewTCPFrame(s.ids.Next(), s.loop.Now(), ip, hdr, payload)
+	f, err := s.arena.NewTCPFrameShared(s.ids.Next(), s.loop.Now(), ip, hdr, payload)
 	if err != nil {
 		panic("tcpsender: encode: " + err.Error())
 	}

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"reorder/internal/campaign"
 	"reorder/internal/host"
 	"reorder/internal/sim"
 	"reorder/internal/simnet"
@@ -238,4 +239,70 @@ func BenchmarkSenderTransfer(b *testing.B) {
 		segs += s.Stats().BytesAcked / 1460
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(segs), "ns/segment")
+}
+
+// TestSharedPayloadsLeaveThePatternIntact runs senders — the cross-traffic
+// flows of every catalog topology that has them, and one more attached at
+// the probe's end of the path — through the elements that touch bytes, and
+// checks the table their frames share is as the initializer left it. The
+// attached sender's segments cross the probe's access path, so they are the
+// ones the middlebox re-encodes, the corrupter damages (a copy of) and the
+// fragmenting hop encodes and then refuses (senders set DF, so the transfer
+// stalls there); the flows' segments meet routers, droptail links and a
+// receiving stack. Captures are on, so every frame is materialized as well.
+func TestSharedPayloadsLeaveThePatternIntact(t *testing.T) {
+	before := tcpsender.PatternSum()
+	scenarios := map[string]campaign.Scenario{}
+	for _, s := range campaign.Scenarios() {
+		scenarios[s.Name] = s
+	}
+	cases := []struct {
+		name     string
+		scenario string
+		forward  simnet.PathSpec
+		stalls   bool // the attached sender's data cannot get through
+		touched  func(simnet.Stats) bool
+	}{
+		{"header-rewrite", "header-rewrite", simnet.PathSpec{}, false, func(s simnet.Stats) bool { return s.MiddleboxRewritten > 0 }},
+		{"corrupt-storm", "corrupt-storm", simnet.PathSpec{}, false, func(s simnet.Stats) bool { return s.ElemSwapped > 0 }},
+		{"fragmenting hop", "", simnet.PathSpec{MTU: 576}, true, func(s simnet.Stats) bool { return s.ElemDropped > 0 }},
+	}
+	flows := 0
+	for _, topo := range campaign.Topologies() {
+		for _, tc := range cases {
+			rng := sim.NewRand(41, 0x7a)
+			spec := topo.Build(rng)
+			if spec == nil || len(spec.Flows) == 0 {
+				continue
+			}
+			sc := simnet.Config{Seed: 41, Server: host.Linux24(), Topology: spec, Forward: tc.forward}
+			if tc.scenario != "" {
+				sc.Scenario = scenarios[tc.scenario].Build(rng)
+			}
+			n := simnet.New(sc)
+			s := tcpsender.New(n.Loop, tcpsender.Config{Bytes: 64 << 10}, n.ProbeAddr(), n.ServerAddr(), n.IDs, sim.NewRand(41, 7), nil)
+			s.SetOutput(n.AttachEndpoint(s))
+			s.Start()
+			n.Loop.RunUntil(sim.Time(2 * time.Second))
+
+			if got := s.Stats().BytesAcked; got == 0 && !tc.stalls {
+				t.Errorf("%s under %s: the attached sender moved no data", topo.Name, tc.name)
+			}
+			for i, bg := range n.Senders {
+				flows++
+				if got := bg.Stats().BytesAcked; got == 0 {
+					t.Errorf("%s under %s: background flow %d moved no data", topo.Name, tc.name, i)
+				}
+			}
+			if st := n.Stats(); !tc.touched(st) || st.Materialized == 0 {
+				t.Errorf("%s under %s: no frame was touched: %+v", topo.Name, tc.name, st)
+			}
+		}
+	}
+	if flows == 0 {
+		t.Fatal("no catalog topology has background flows")
+	}
+	if after := tcpsender.PatternSum(); after != before {
+		t.Fatal("the shared payload table was written to")
+	}
 }
