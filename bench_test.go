@@ -1,24 +1,19 @@
-// Benchmarks regenerating every table and figure of the paper's evaluation
-// (see DESIGN.md's experiment index), plus ablations of the design choices
-// the implementation makes. The figures-of-merit are reported as custom
+// Benchmarks regenerating every table and figure of the paper's evaluation,
+// plus ablations of the design choices the implementation makes. The figures-of-merit are reported as custom
 // metrics (rates, fractions) alongside the usual time/op; wall-clock here
 // measures simulation throughput, since all experiments run in virtual
 // time.
 package reorder_test
 
 import (
-	"fmt"
-	"runtime"
 	"testing"
 	"time"
 
 	"reorder"
-	"reorder/internal/campaign"
 	"reorder/internal/core"
 	"reorder/internal/experiments"
 	"reorder/internal/host"
 	"reorder/internal/netem"
-	"reorder/internal/obs"
 	"reorder/internal/simnet"
 )
 
@@ -125,7 +120,7 @@ func BenchmarkBaselines(b *testing.B) {
 	b.ReportMetric(frac, "bursts-reordered-frac")
 }
 
-// --- Ablations (DESIGN.md §5) ---
+// --- Ablations ---
 
 // runSCT measures sample efficiency of the single connection test variant
 // against a delayed-ACK-heavy stack.
@@ -156,8 +151,8 @@ func BenchmarkAblationSCTSendOrder(b *testing.B) {
 }
 
 // BenchmarkAblationValidationProbes measures the IPID prevalidation
-// false-accept rate on random-IPID hosts as the probe count varies — the
-// window-size trade-off DESIGN.md calls out.
+// false-accept rate on random-IPID hosts as the probe count varies: the
+// window-size trade-off.
 func BenchmarkAblationValidationProbes(b *testing.B) {
 	for _, probes := range []int{4, 8, 16} {
 		b.Run(byteCount(probes), func(b *testing.B) {
@@ -253,191 +248,6 @@ func BenchmarkProberThroughput(b *testing.B) {
 		if _, err := p.DualConnectionTest(reorder.DCTOptions{Samples: 10}); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// benchCampaignTargets enumerates a fixed work list for the campaign
-// benchmarks: every profile and test over two impairments, 144 targets.
-func benchCampaignTargets(b *testing.B) []campaign.Target {
-	b.Helper()
-	targets, err := campaign.Enumerate(campaign.EnumSpec{
-		Impairments: []string{"clean", "swap-heavy"},
-		Seeds:       2,
-		BaseSeed:    11,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	return targets
-}
-
-// BenchmarkCampaignThroughput measures orchestrator speed end to end —
-// scheduling, probing, sharded aggregation and summary merge — as
-// targets per second of wall clock, the scaling figure the campaign
-// subsystem exists to improve.
-func BenchmarkCampaignThroughput(b *testing.B) {
-	targets := benchCampaignTargets(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	var sum *campaign.Summary
-	for i := 0; i < b.N; i++ {
-		var err error
-		sum, err = campaign.Run(campaign.Config{Targets: targets, Samples: 8, Workers: 16})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(len(targets)*b.N)/b.Elapsed().Seconds(), "targets/s")
-	b.ReportMetric(sum.FractionWithReordering(), "targets-reordering-frac")
-}
-
-// BenchmarkCampaignThroughputObserved is BenchmarkCampaignThroughput with
-// the telemetry registry attached: every scheduler claim, probe, sim event
-// and sink write lands in a per-worker shard. The delta against the bare
-// benchmark is the total cost of observability, budgeted at <3%.
-func BenchmarkCampaignThroughputObserved(b *testing.B) {
-	targets := benchCampaignTargets(b)
-	reg := obs.NewCampaign(16)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := campaign.Run(campaign.Config{Targets: targets, Samples: 8, Workers: 16, Obs: reg}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(len(targets)*b.N)/b.Elapsed().Seconds(), "targets/s")
-	snap := reg.Snapshot()
-	b.ReportMetric(float64(snap.Workers.SimEvents)/float64(snap.Workers.Targets), "sim-events/target")
-}
-
-// BenchmarkCampaignWorkers sweeps the pool size, exposing how far the
-// per-target hermetic design scales before contention or core count caps
-// it.
-func BenchmarkCampaignWorkers(b *testing.B) {
-	targets := benchCampaignTargets(b)
-	for _, workers := range []int{1, 4, 16} {
-		b.Run(map[int]string{1: "workers-1", 4: "workers-4", 16: "workers-16"}[workers], func(b *testing.B) {
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := campaign.Run(campaign.Config{Targets: targets, Samples: 8, Workers: workers}); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(len(targets)*b.N)/b.Elapsed().Seconds(), "targets/s")
-		})
-	}
-}
-
-// BenchmarkCampaignBatch sweeps the dispatch span size at a fixed pool,
-// isolating what batching buys: span claims, completion reports and sink
-// writes are paid per batch, so targets/s should rise from batch-1
-// (per-target channel discipline, the pre-batching behaviour) and flatten
-// once orchestration is amortized. Output is byte-identical across the
-// sweep (pinned by TestCampaignBatchMatrixGolden).
-func BenchmarkCampaignBatch(b *testing.B) {
-	targets := benchCampaignTargets(b)
-	for _, batch := range []int{1, 8, 64} {
-		b.Run(fmt.Sprintf("batch-%d", batch), func(b *testing.B) {
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := campaign.Run(campaign.Config{Targets: targets, Samples: 8, Workers: 8, Batch: batch}); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(len(targets)*b.N)/b.Elapsed().Seconds(), "targets/s")
-		})
-	}
-}
-
-// BenchmarkCampaignParallel measures parallel scaling: the 8-worker
-// campaign at GOMAXPROCS 1, 4 and 8. Probes are hermetic and workers
-// share nothing but the span cursor, the window gate and per-span
-// handoffs, so targets/s should track available cores; the GOMAXPROCS-1
-// leg doubles as the orchestration-overhead floor (it is the same work on
-// one core). On machines with fewer cores the higher legs simply repeat
-// the 1-core figure.
-func BenchmarkCampaignParallel(b *testing.B) {
-	targets := benchCampaignTargets(b)
-	for _, procs := range []int{1, 4, 8} {
-		b.Run(fmt.Sprintf("gomaxprocs-%d", procs), func(b *testing.B) {
-			prev := runtime.GOMAXPROCS(procs)
-			defer runtime.GOMAXPROCS(prev)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := campaign.Run(campaign.Config{Targets: targets, Samples: 8, Workers: 8, Batch: 16}); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(len(targets)*b.N)/b.Elapsed().Seconds(), "targets/s")
-		})
-	}
-}
-
-// BenchmarkCampaignProbe isolates one hermetic target probe the way a
-// campaign worker runs it — scenario re-seeding in a reused arena plus one
-// measurement — the steady-state unit cost every campaign scales from.
-// Results are byte-identical to fresh construction (pinned by
-// TestArenaReuseMatchesFreshProbes).
-func BenchmarkCampaignProbe(b *testing.B) {
-	tg := campaign.Target{Profile: "freebsd4", Impairment: "swap-heavy", Test: "single", Seed: 7}
-	arena := campaign.NewProbeArena()
-	if res := arena.ProbeTarget(tg, 8, 0); res.Err != "" {
-		b.Fatal(res.Err) // warm the arena outside the timed loop
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if res := arena.ProbeTarget(tg, 8, 0); res.Err != "" {
-			b.Fatal(res.Err)
-		}
-	}
-}
-
-// BenchmarkCampaignProbeCold is the pre-arena unit cost — a fresh scenario
-// constructed and discarded per target — kept as the baseline the fast
-// path is measured against.
-func BenchmarkCampaignProbeCold(b *testing.B) {
-	tg := campaign.Target{Profile: "freebsd4", Impairment: "swap-heavy", Test: "single", Seed: 7}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if res := campaign.ProbeTarget(tg, 8, 0); res.Err != "" {
-			b.Fatal(res.Err)
-		}
-	}
-}
-
-// BenchmarkCampaignAggregator measures aggregation memory at scale: per-
-// target allocated bytes must stay flat from 10k to 100k targets, the
-// constant-memory contract of the histogram shards (the former raw sample
-// pools grew 8+ bytes per target per pooled statistic). The workload is
-// campaign.SyntheticResults, shared with cmd/bench so the two record
-// comparable numbers.
-func BenchmarkCampaignAggregator(b *testing.B) {
-	for _, n := range []int{10_000, 100_000} {
-		b.Run(fmt.Sprintf("targets-%d", n), func(b *testing.B) {
-			results := campaign.SyntheticResults(n)
-			var before, after runtime.MemStats
-			runtime.GC()
-			runtime.ReadMemStats(&before)
-			b.ReportAllocs()
-			b.ResetTimer()
-			var sum *campaign.Summary
-			for i := 0; i < b.N; i++ {
-				agg := campaign.NewAggregator(16)
-				for j, r := range results {
-					agg.Shard(j % 16).Add(r)
-				}
-				sum = agg.Summary()
-			}
-			b.StopTimer()
-			runtime.ReadMemStats(&after)
-			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(n*b.N), "B/target")
-			b.ReportMetric(float64(n*b.N)/b.Elapsed().Seconds(), "targets/s")
-			if sum.Targets != n {
-				b.Fatalf("summary covered %d targets, want %d", sum.Targets, n)
-			}
-		})
 	}
 }
 

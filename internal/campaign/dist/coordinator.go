@@ -141,7 +141,12 @@ func Serve(cfg Config) (*campaign.Summary, error) {
 			}
 		}()
 	}
+	// The accept loop holds a count of its own, so that the Add for a
+	// connection accepted as the campaign ends never starts from zero beside
+	// the Wait below.
+	c.wg.Add(1)
 	go func() {
+		defer c.wg.Done()
 		backoff := 10 * time.Millisecond
 		for {
 			conn, aerr := cfg.Listener.Accept()

@@ -3,7 +3,9 @@ package campaign_test
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"path/filepath"
@@ -53,19 +55,21 @@ func runGoldenDist(t *testing.T, workers, spanSize int, split bool) ([]byte, []b
 		if err != nil {
 			t.Fatal(err)
 		}
-		addr := ln.Addr().String()
+		// Every worker's connection is dialled before Serve starts and
+		// handed over as WorkerConfig.Conn, so whether a slow worker gets
+		// its hello in before a 24-target campaign ends decides nothing: it
+		// has no listener to retry against once Serve has closed it.
+		werrs := make([]error, workers)
 		var wg sync.WaitGroup
 		for i := 0; i < workers; i++ {
+			conn, err := dist.Dial(ln.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				if werr := dist.RunWorker(dist.WorkerConfig{
-					Connect: addr,
-					Targets: targets,
-					Samples: 4,
-				}); werr != nil {
-					t.Error(werr)
-				}
+				werrs[i] = dist.RunWorker(dist.WorkerConfig{Conn: conn, Targets: targets, Samples: 4})
 			}()
 		}
 		_, err = dist.Serve(dist.Config{
@@ -85,6 +89,19 @@ func runGoldenDist(t *testing.T, workers, spanSize int, split bool) ([]byte, []b
 		wg.Wait()
 		if err != nil {
 			t.Fatal(err)
+		}
+		for i, werr := range werrs {
+			// A connection Serve never accepted dies with its listener. The
+			// campaign finished without that worker and the bytes are the
+			// contract; anything but a lost connection is still a failure.
+			var op *net.OpError
+			switch {
+			case werr == nil:
+			case errors.Is(werr, io.EOF) || errors.As(werr, &op):
+				t.Logf("worker %d was never needed: %v", i, werr)
+			default:
+				t.Errorf("worker %d: %v", i, werr)
+			}
 		}
 	}
 	jsonl, err := os.ReadFile(out)

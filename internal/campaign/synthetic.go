@@ -1,10 +1,9 @@
 package campaign
 
 // SyntheticResults builds n deterministic TargetResults without probing,
-// so aggregation benchmarks (bench_test.go's BenchmarkCampaignAggregator
-// and cmd/bench's trajectory recorder) isolate aggregation cost from probe
-// cost while measuring the identical workload. A cheap LCG keeps the
-// stream deterministic and allocation-free.
+// so the repository benchmark's aggregation legs (benchmark/layers.go)
+// isolate aggregation cost from probe cost. A cheap LCG keeps the stream
+// deterministic and allocation-free.
 func SyntheticResults(n int) []*TargetResult {
 	tests := []string{"single", "dual", "syn", "transfer"}
 	results := make([]*TargetResult, n)

@@ -1,8 +1,7 @@
 // Package experiments contains one runner per table and figure of the
 // paper's evaluation (§IV), each reproducing the corresponding workload on
 // the simulated substrate and returning a typed report that the command-
-// line tools print and the benchmarks regenerate. DESIGN.md maps experiment
-// IDs (E1..E7) to these runners.
+// line tools print and the benchmarks regenerate.
 package experiments
 
 import (

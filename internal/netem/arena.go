@@ -67,6 +67,7 @@ func (a *Arena) NewFrame(id uint64, data []byte, born sim.Time) *Frame {
 	}
 	f.ID, f.Data, f.Born = id, data, born
 	f.view, f.arena = nil, a
+	f.dst, f.wireLen = 0, 0
 	return f
 }
 

@@ -10,6 +10,9 @@
 package netem
 
 import (
+	"encoding/binary"
+	"net/netip"
+
 	"reorder/internal/packet"
 	"reorder/internal/sim"
 )
@@ -44,6 +47,13 @@ type Frame struct {
 
 	view  *FrameView
 	arena *Arena // materialization allocator; nil falls back to the heap
+
+	// The routing header: the two words a forwarding hop reads, copied out
+	// of the view when one is attached (viewFrame) so that a Router or a
+	// Link touches the frame and nothing behind it. Both are zero, and
+	// unread, for a frame without a view.
+	dst     uint32 // view.IP.Dst, big-endian
+	wireLen uint32 // view.wireLen
 }
 
 // Len returns the frame's wire length in bytes, without materializing.
@@ -51,10 +61,32 @@ func (f *Frame) Len() int {
 	if f.Data != nil {
 		return len(f.Data)
 	}
+	return int(f.wireLen)
+}
+
+// dst4 returns the frame's IPv4 destination as a big-endian word: the
+// routing header's when the frame has a view, else read from the wire bytes.
+// ok is false only for byte-form frames too short, or not IPv4, to classify.
+func (f *Frame) dst4() (dst uint32, ok bool) {
 	if f.view != nil {
-		return f.view.wireLen
+		return f.dst, true
 	}
-	return 0
+	return peekDst(f.Data)
+}
+
+// peekDst is dst4 for wire bytes, kept out of line so that dst4 inlines.
+func peekDst(data []byte) (uint32, bool) {
+	k, ok := packet.PeekFlow(data)
+	if !ok {
+		return 0, false
+	}
+	return addrWord(k.Dst), true
+}
+
+// addrWord returns an IPv4 address as a big-endian word.
+func addrWord(a netip.Addr) uint32 {
+	b := a.As4()
+	return binary.BigEndian.Uint32(b[:])
 }
 
 // View returns the frame's decoded header view, or nil for frames that

@@ -1,10 +1,6 @@
 package netem
 
-import (
-	"net/netip"
-
-	"reorder/internal/packet"
-)
+import "net/netip"
 
 // Router is a graph-topology forwarding node: frames are classified by
 // destination address against a per-destination forwarding table and handed
@@ -37,9 +33,25 @@ type portGroup struct{ lo, hi int }
 
 // route maps one destination address to a port-group index. Tables are tiny
 // (one entry per endpoint), so a linear scan beats a map on the hot path.
+// The scan compares key, the address as the word a frame's routing header
+// carries; dst is kept for SetRoute to find the entry again.
 type route struct {
-	dst   netip.Addr
+	key   uint64
 	group int
+	dst   netip.Addr
+}
+
+// noRouteKey is the key of a route to an address that is not IPv4. Every
+// frame is IPv4 and its destination word widens to less than this, so such a
+// route stays in the table and never matches.
+const noRouteKey = 1 << 32
+
+func newRoute(dst netip.Addr, group int) route {
+	key := uint64(noRouteKey)
+	if dst.Is4() {
+		key = uint64(addrWord(dst))
+	}
+	return route{key: key, group: group, dst: dst}
 }
 
 // NewRouter returns an empty router; frames drop until routes are added.
@@ -77,7 +89,7 @@ func (r *Router) AddRoute(dst netip.Addr, group int) {
 	if group < 0 || group >= len(r.groups) {
 		panic("netem: router route references unknown port group")
 	}
-	r.routes = append(r.routes, route{dst: dst, group: group})
+	r.routes = append(r.routes, newRoute(dst, group))
 }
 
 // SetRoute repoints the route for dst at a different port group — a route
@@ -94,7 +106,7 @@ func (r *Router) SetRoute(dst netip.Addr, group int) {
 			return
 		}
 	}
-	r.routes = append(r.routes, route{dst: dst, group: group})
+	r.routes = append(r.routes, newRoute(dst, group))
 }
 
 // Stats returns a snapshot of the router's counters. Dropped counts frames
@@ -102,29 +114,23 @@ func (r *Router) SetRoute(dst netip.Addr, group int) {
 func (r *Router) Stats() Counters { return r.stats }
 
 // Input implements Node. Routing needs the destination address alone, which
-// a frame with a view attached has already parsed (no flow key is assembled,
-// no wire bytes are materialized); byte-form frames fall back to a PeekFlow
-// over the wire bytes.
+// a frame with a view attached carries in its routing header (the view is
+// not loaded, no wire bytes are materialized); byte-form frames fall back to
+// a PeekFlow over the wire bytes.
 func (r *Router) Input(f *Frame) {
 	r.stats.In++
-	var dst netip.Addr
-	if f.view != nil {
-		dst = f.view.IP.Dst
-	} else {
-		k, ok := packet.PeekFlow(f.Data)
-		if !ok {
-			r.stats.Dropped++
-			return
-		}
-		dst = k.Dst
+	dst, ok := f.dst4()
+	if !ok {
+		r.stats.Dropped++
+		return
 	}
 	for i := range r.routes {
-		if r.routes[i].dst == dst {
+		if r.routes[i].key == uint64(dst) {
 			g := r.routes[i].group
 			ports := r.ports[r.groups[g].lo:r.groups[g].hi]
 			port := ports[0]
 			if len(ports) > 1 {
-				port = ports[int(r.rr[g])%len(ports)]
+				port = ports[r.rr[g]%uint32(len(ports))]
 				r.rr[g]++
 			}
 			r.stats.Out++

@@ -146,6 +146,43 @@ func TestRouterSprayCounterSharedAcrossFlows(t *testing.T) {
 	}
 }
 
+// TestRouterNonIPv4RouteNeverMatches: frames are IPv4, so a route to any
+// other kind of address — IPv6, the IPv4-mapped form of a real destination,
+// the zero Addr — matches nothing, in view form or byte form, the all-zero
+// destination included; it is still a table entry SetRoute finds again.
+func TestRouterNonIPv4RouteNeverMatches(t *testing.T) {
+	dst := netip.AddrFrom4([4]byte{10, 0, 1, 1})
+	mapped := netip.AddrFrom16(dst.As16())
+	r := NewRouter()
+	sink := &collector{loop: sim.NewLoop()}
+	g := r.AddGroup(sink)
+	for _, a := range []netip.Addr{mapped, netip.IPv6Loopback(), {}} {
+		r.AddRoute(a, g)
+	}
+	arena := &Arena{}
+	src := netip.AddrFrom4([4]byte{10, 0, 0, 1})
+	for i, to := range []netip.Addr{dst, netip.AddrFrom4([4]byte{})} {
+		f, err := arena.NewTCPFrame(uint64(i+1), 0, &packet.IPv4Header{Src: src, Dst: to}, &packet.TCPHeader{SrcPort: 5000, DstPort: 80}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Input(f)
+		r.Input(&Frame{ID: f.ID, Data: f.Materialize()})
+	}
+	if st := r.Stats(); st.In != 4 || st.Dropped != 4 || len(sink.frames) != 0 {
+		t.Fatalf("a non-IPv4 route matched a frame: stats %+v, %d delivered", st, len(sink.frames))
+	}
+	r.SetRoute(mapped, g)
+	if len(r.routes) != 3 {
+		t.Fatalf("SetRoute on an existing non-IPv4 route grew the table to %d entries, want 3", len(r.routes))
+	}
+	r.SetRoute(dst, g)
+	r.Input(tcpFrame(t, 9, dst))
+	if got := sink.ids(); len(got) != 1 || got[0] != 9 {
+		t.Fatalf("the IPv4 route received %v, want [9]", got)
+	}
+}
+
 func TestRouterReinit(t *testing.T) {
 	dst := netip.AddrFrom4([4]byte{10, 0, 1, 1})
 	r := NewRouter()

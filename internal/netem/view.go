@@ -173,15 +173,18 @@ func (a *Arena) NewICMPFrame(id uint64, born sim.Time, ip *packet.IPv4Header, ec
 	return a.viewFrame(id, born, v), nil
 }
 
-// viewFrame wraps a completed view in a frame, honoring the differential
-// force-materialize debug mode.
+// viewFrame wraps a completed view in a frame and writes the frame's routing
+// header from it (the builders have checked that the destination is IPv4),
+// honoring the differential force-materialize debug mode.
 func (a *Arena) viewFrame(id uint64, born sim.Time, v *FrameView) *Frame {
 	f := a.NewFrame(id, nil, born)
 	f.view = v
 	if DebugForceMaterialize {
 		f.Materialize()
 		f.view = nil
+		return f
 	}
+	f.dst, f.wireLen = addrWord(v.IP.Dst), uint32(v.wireLen)
 	return f
 }
 

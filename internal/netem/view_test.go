@@ -2,6 +2,7 @@ package netem
 
 import (
 	"bytes"
+	"encoding/binary"
 	"net/netip"
 	"testing"
 	"time"
@@ -254,4 +255,111 @@ func popcount8(b byte) int {
 		n++
 	}
 	return n
+}
+
+// TestRoutingHeaderAgreesWithTheDatagram: whatever built a frame — each view
+// constructor, the encoded fallback for option sets the view cannot hold, a
+// fragmenting, rewriting or corrupting hop, forced materialization — what a
+// forwarding hop reads off it (Len, and the destination Router matches on)
+// is what the datagram itself says: the view's destination and the length of
+// the wire bytes.
+func TestRoutingHeaderAgreesWithTheDatagram(t *testing.T) {
+	check := func(t *testing.T, f *Frame) {
+		t.Helper()
+		if v := f.View(); v != nil {
+			if f.dst != addrWord(v.IP.Dst) || int(f.wireLen) != v.WireLen() {
+				t.Fatalf("header (%#x, %d) differs from the view's (%v, %d)", f.dst, f.wireLen, v.IP.Dst, v.WireLen())
+			}
+		} else if f.dst != 0 || f.wireLen != 0 {
+			t.Fatalf("frame without a view carries a routing header (%#x, %d)", f.dst, f.wireLen)
+		}
+		before := f.Len()
+		data := f.Materialize()
+		if before != len(data) || f.Len() != len(data) {
+			t.Fatalf("Len = %d before materializing, %d after; wire bytes are %d", before, f.Len(), len(data))
+		}
+		_, wantOK := packet.PeekFlow(data)
+		dst, ok := f.dst4()
+		if ok != wantOK && f.View() == nil {
+			t.Fatalf("dst4 ok = %v, PeekFlow over the bytes says %v", ok, wantOK)
+		}
+		if ok && dst != binary.BigEndian.Uint32(data[16:20]) {
+			t.Fatalf("dst4 = %#x, the wire bytes say %x", dst, data[16:20])
+		}
+	}
+	through := func(build func(next Node) Node, in *Frame) []*Frame {
+		var out []*Frame
+		build(NodeFunc(func(f *Frame) { out = append(out, f) })).Input(in)
+		if len(out) == 0 {
+			t.Fatal("the element forwarded nothing")
+		}
+		return out
+	}
+	ip, tcp, payload := tcpFrameArgs()
+	echo := &packet.ICMPEcho{Type: packet.ICMPEchoRequest, Ident: 7, Seq: 1, Payload: []byte("ping")}
+	for _, force := range []bool{false, true} {
+		DebugForceMaterialize = force
+		a := &Arena{}
+		for name, build := range map[string]func() (*Frame, error){
+			"NewTCPFrame":       func() (*Frame, error) { return a.NewTCPFrame(1, 0, ip, tcp, payload) },
+			"NewTCPFrameShared": func() (*Frame, error) { return a.NewTCPFrameShared(2, 0, ip, tcp, payload) },
+			"NewICMPFrame":      func() (*Frame, error) { return a.NewICMPFrame(3, 0, ip, echo) },
+			"encoded fallback": func() (*Frame, error) {
+				many := *tcp
+				many.Options = []packet.TCPOption{packet.MSSOption(1460), packet.SACKPermittedOption(),
+					packet.WindowScaleOption(7), {Kind: packet.OptNOP}, {Kind: packet.OptNOP}}
+				f, err := a.NewTCPFrame(4, 0, ip, &many, payload)
+				if err == nil && f.View() != nil {
+					t.Fatal("five options fitted the view: the fallback was not exercised")
+				}
+				return f, err
+			},
+		} {
+			f, err := build()
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if !force && name != "encoded fallback" && f.View() == nil {
+				t.Fatalf("%s built no view", name)
+			}
+			check(t, f)
+		}
+
+		big, err := a.NewTCPFrame(5, 0, &packet.IPv4Header{Src: viewSrc, Dst: viewDst, ID: 5}, tcp, make([]byte, 1400))
+		if err != nil {
+			t.Fatal(err)
+		}
+		frags := through(func(next Node) Node { return NewFragmenter(576, next) }, big)
+		if len(frags) < 3 {
+			t.Fatalf("fragmenter emitted %d frames, want >= 3", len(frags))
+		}
+		for _, f := range frags {
+			check(t, f)
+		}
+
+		f, _ := a.NewTCPFrame(6, 0, ip, tcp, payload)
+		loop := sim.NewLoop()
+		for _, f := range through(func(next Node) Node {
+			return NewMiddlebox(MiddleboxConfig{TTLClamp: 8, WindowClamp: 1024, RewriteTOS: true, TOS: 1},
+				loop, sim.NewRand(1, 1), a, &FrameIDs{}, next)
+		}, f) {
+			if f.ID == 6 && !force && f.View().IP.TTL != 8 {
+				t.Fatal("the middlebox did not rewrite the frame")
+			}
+			check(t, f)
+		}
+
+		// Damage anywhere, the destination and the version nibble included.
+		for seed := uint64(1); seed <= 64; seed++ {
+			f, _ := a.NewTCPFrame(7, 0, ip, tcp, nil)
+			check(t, through(func(next Node) Node { return NewCorrupter(1, sim.NewRand(seed, 2), a, next) }, f)[0])
+		}
+
+		// A recycled frame cell must not keep the header of its last use.
+		a.Reset()
+		if f := a.NewFrame(8, nil, 0); f.Len() != 0 {
+			t.Fatalf("an empty frame in a recycled cell has Len %d", f.Len())
+		}
+	}
+	DebugForceMaterialize = false
 }

@@ -188,3 +188,73 @@ func TestRescheduleSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("steady-state reschedule allocates %.1f objects per cycle, want 0", allocs)
 	}
 }
+
+// TestRunningEventsOwnTimerIsSpent: the running event's heap entry stays in
+// the heap while its callback runs, but its Timer must not see that. Inside
+// the callback the Timer is neither pending nor stoppable, Len does not count
+// the event, and rescheduling the Timer schedules a fresh event — which
+// takes over the entry — exactly as if the event had been removed first.
+func TestRunningEventsOwnTimerIsSpent(t *testing.T) {
+	l := NewLoop()
+	other := l.Schedule(2*time.Millisecond, func() {})
+	var own, again Timer
+	ranAgain := false
+	own = l.Schedule(time.Millisecond, func() {
+		if own.Pending() || own.Stop() {
+			t.Error("the running event's Timer is still pending or stoppable")
+		}
+		if l.Len() != 1 {
+			t.Errorf("Len inside the callback = %d, want 1: the running event is not pending work", l.Len())
+		}
+		if at, ok := l.NextEventAt(); !ok || at != Time(2*time.Millisecond) {
+			t.Errorf("NextEventAt inside the callback = %v, %v; want the other event's 2ms", at, ok)
+		}
+		again = l.Reschedule(own, l.Now(), func() { ranAgain = true })
+		if !again.Pending() || own.Pending() || l.Len() != 2 {
+			t.Errorf("after rescheduling the spent Timer: new pending %v, old pending %v, Len %d; want true, false, 2",
+				again.Pending(), own.Pending(), l.Len())
+		}
+		if st := l.Stats(); st.Rescheduled != 0 {
+			t.Errorf("rescheduling a spent Timer counted as %d in-place reschedules, want 0", st.Rescheduled)
+		}
+	})
+	if !l.Step() || !l.Step() || !ranAgain {
+		t.Fatal("the event scheduled from the callback did not run next")
+	}
+	if !other.Pending() || l.Len() != 1 {
+		t.Fatalf("the bystander: pending %v, Len %d; want true, 1", other.Pending(), l.Len())
+	}
+}
+
+// TestScheduleFromCallbackSteadyStateAllocs pins the paths that take over or
+// pass by the running event's heap entry at zero allocations: a callback that
+// schedules the next event with a Timer (AtArg, into the vacant root), one
+// that moves another Timer (Reschedule, around the vacant root) and then
+// schedules, and one that schedules nothing.
+func TestScheduleFromCallbackSteadyStateAllocs(t *testing.T) {
+	l := NewLoop()
+	noop := func(any) {}
+	var rto Timer
+	var chain func(any)
+	n := 0
+	chain = func(any) {
+		switch n++; n % 4 {
+		case 0: // schedules nothing: the chain ends, the entry is removed
+		case 1:
+			l.AtArg(l.Now().Add(time.Microsecond), chain, nil)
+		default:
+			rto = l.RescheduleArg(rto, l.Now().Add(time.Second), noop, nil)
+			l.AtArg(l.Now(), chain, nil)
+		}
+	}
+	round := func() {
+		n = 0
+		l.AtArg(l.Now(), chain, nil)
+		for l.StepBefore(l.Now().Add(time.Millisecond)) {
+		}
+	}
+	round()
+	if avg := testing.AllocsPerRun(100, round); avg != 0 {
+		t.Fatalf("scheduling from a callback allocates %.2f per round, want 0", avg)
+	}
+}

@@ -13,6 +13,18 @@
 // a campaign pumps millions of events per second through the probe engine.
 // Timer handles are generation-counted indexes into a free-listed slot
 // table, so cancelling is O(1) without keeping per-event pointers alive.
+//
+// Most events schedule their successor — a link delivery arms the next one,
+// a segment's arrival sends an ACK — so the queue does not remove an event
+// before running it. While a callback runs, its event's entry is still at
+// the root of the heap, vacant: it has given up its Timer slot, Len and the
+// counters no longer include it, and the first event the callback schedules
+// is stored over it and sifted down, one pass where a removal followed by an
+// insert would make two. A callback that schedules nothing has the entry
+// removed when it returns. Anything that needs the true root from inside a
+// callback — Step, StepBefore, RunUntil and its relatives, NextEventAt,
+// Reset, a compaction — removes the vacant entry first, so none of this is
+// visible through the exported surface.
 package sim
 
 import (
@@ -109,7 +121,9 @@ type slotState struct {
 
 // Loop is a discrete-event scheduler. It is not safe for concurrent use;
 // the entire simulation, including all network elements and the prober,
-// runs single-threaded on one Loop.
+// runs single-threaded on one Loop. Its methods may be called from inside a
+// callback it is running, Step and Reset included; see the package comment
+// for the vacant root that makes scheduling from a callback cheap.
 //
 // Events run in (time, sequence) key order, and the loop keeps the key it
 // has run up to as an execution frontier that never moves backwards. That
@@ -130,6 +144,12 @@ type Loop struct {
 	seq    uint64
 	ran    uint64
 	dead   int // cancelled events still occupying heap entries
+
+	// vacant is 1 while the event at events[0] is running, 0 otherwise. The
+	// running event's entry is left in the heap, no longer a logical entry
+	// of it, until an event scheduled from the callback takes its place or
+	// the callback returns; its stale key still orders before every other.
+	vacant int
 
 	// frontAt/frontSeq is the execution frontier: every (at, seq) key
 	// strictly below it belongs to an event that has already run, or would
@@ -176,6 +196,7 @@ func NewLoop() *Loop { return &Loop{slots: []slotState{noSlot: {heapIdx: -1}}} }
 // bumped), so handles from the previous run can never cancel events of the
 // next one. A Reset loop is indistinguishable from a NewLoop one.
 func (l *Loop) Reset() {
+	l.settle()
 	for i := range l.events {
 		ev := &l.events[i]
 		l.slots[ev.slot].gen++
@@ -199,7 +220,7 @@ func (l *Loop) Now() Time { return l.now }
 // entries have not yet been drained are not counted: Len answers "how much
 // work is still scheduled", which is what idle detection and pending-event
 // assertions mean by it.
-func (l *Loop) Len() int { return len(l.events) - l.dead }
+func (l *Loop) Len() int { return len(l.events) - l.dead - l.vacant }
 
 // Processed returns the total number of callbacks executed so far.
 func (l *Loop) Processed() uint64 { return l.ran }
@@ -280,16 +301,26 @@ func (l *Loop) reschedule(tm Timer, t Time, fn func(), afn func(any), arg any) T
 	if t < l.now {
 		t = l.now
 	}
-	ev := &l.events[s.heapIdx]
+	i := s.heapIdx
+	ev := &l.events[i]
 	if ev.fn == nil && ev.afn == nil {
 		l.dead-- // reviving a stopped entry in place
 	}
 	s.gen++ // invalidate stale handles, as Stop+At would
-	ev.at, ev.seq = t, l.seq
+	seq := l.seq
 	l.seq++
-	ev.fn, ev.afn, ev.arg = fn, afn, arg
-	l.siftDown(s.heapIdx)
-	l.siftUp(s.heapIdx)
+	// The entry becomes a hole and is written once, where the hole stops.
+	// The new sequence number is the highest yet, so the key has grown
+	// unless the time has come forward, and the hole moves one way only.
+	var j int32
+	if t < ev.at {
+		j = l.holeUp(i, t, seq)
+	} else {
+		j = l.holeDown(i, int32(len(l.events)), t, seq)
+	}
+	ev = &l.events[j]
+	ev.at, ev.seq, ev.fn, ev.afn, ev.arg, ev.slot = t, seq, fn, afn, arg, tm.slot
+	s.heapIdx = j
 	l.resched++
 	return Timer{l: l, slot: tm.slot, gen: s.gen}
 }
@@ -300,9 +331,10 @@ func (l *Loop) reschedule(tm Timer, t Time, fn func(), afn func(any), arg any) T
 // for dead weight. Rebuilding never changes execution order: pop order is a
 // pure function of the (at, seq) keys, which compaction preserves.
 func (l *Loop) maybeCompact() {
-	if l.dead < 64 || l.dead*2 < len(l.events) {
+	if l.dead < 64 || l.dead*2 < len(l.events)-l.vacant {
 		return
 	}
+	l.settle()
 	l.compactions++
 	kept := l.events[:0]
 	for i := range l.events {
@@ -327,12 +359,17 @@ func (l *Loop) maybeCompact() {
 	for i := range kept {
 		l.slots[kept[i].slot].heapIdx = int32(i)
 	}
-	for i := int32(len(kept)-2) / heapArity; i >= 0; i-- {
-		l.siftDown(i)
+	n := int32(len(kept))
+	for i := (n - 2) / heapArity; n > 1 && i >= 0; i-- { // parents only
+		ev := kept[i]
+		if j := l.holeDown(i, n, ev.at, ev.seq); j != i {
+			kept[j] = ev
+			l.slots[ev.slot].heapIdx = j
+		}
 	}
 }
 
-// push allocates a slot and sifts the new event into the heap.
+// push allocates a slot and stores the new event where it belongs.
 func (l *Loop) push(t Time, fn func(), afn func(any), arg any) Timer {
 	if t < l.now {
 		t = l.now
@@ -345,15 +382,14 @@ func (l *Loop) push(t Time, fn func(), afn func(any), arg any) Timer {
 		slot = int32(len(l.slots))
 		l.slots = append(l.slots, slotState{})
 	}
-	i := int32(len(l.events))
-	l.events = append(l.events, event{at: t, seq: l.seq, fn: fn, afn: afn, arg: arg, slot: slot})
+	seq := l.seq
 	l.seq++
-	if n := len(l.events); n > l.peakHeap {
-		l.peakHeap = n
-	}
-	l.slots[slot].heapIdx = i
-	l.siftUp(i)
-	return Timer{l: l, slot: slot, gen: l.slots[slot].gen}
+	i := l.open(t, seq)
+	ev := &l.events[i]
+	ev.at, ev.seq, ev.fn, ev.afn, ev.arg, ev.slot = t, seq, fn, afn, arg, slot
+	s := &l.slots[slot]
+	s.heapIdx = i
+	return Timer{l: l, slot: slot, gen: s.gen}
 }
 
 // ReserveSeq consumes and returns the sequence number the next scheduled
@@ -400,89 +436,124 @@ func (l *Loop) AtReserved(at Time, seq uint64, fn func(any), arg any) {
 		panic(fmt.Sprintf("sim: AtReserved key (%d, %d) is behind the execution frontier (%d, %d)",
 			int64(at), seq, int64(l.frontAt), l.frontSeq))
 	}
-	i := int32(len(l.events))
-	l.events = append(l.events, event{at: at, seq: seq, afn: fn, arg: arg, slot: noSlot})
-	if n := len(l.events); n > l.peakHeap {
-		l.peakHeap = n
-	}
-	l.siftUp(i)
-}
-
-// less orders events by timestamp, then scheduling order. The key is unique
-// per event, so heap pop order is a total order identical to the previous
-// container/heap implementation's.
-func (l *Loop) less(i, j int32) bool {
-	a, b := &l.events[i], &l.events[j]
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
-}
-
-func (l *Loop) swap(i, j int32) {
-	l.events[i], l.events[j] = l.events[j], l.events[i]
-	l.slots[l.events[i].slot].heapIdx = i
-	l.slots[l.events[j].slot].heapIdx = j
+	ev := &l.events[l.open(at, seq)]
+	ev.at, ev.seq, ev.fn, ev.afn, ev.arg, ev.slot = at, seq, nil, fn, arg, noSlot
 }
 
 const heapArity = 4
 
-func (l *Loop) siftUp(i int32) {
-	for i > 0 {
-		parent := (i - 1) / heapArity
-		if !l.less(i, parent) {
-			break
-		}
-		l.swap(i, parent)
-		i = parent
-	}
+// before orders two (at, seq) keys: by timestamp, then scheduling order. Keys
+// are unique per event, so this is a total order.
+func before(at Time, seq uint64, bat Time, bseq uint64) bool {
+	return at < bat || (at == bat && seq < bseq)
 }
 
-func (l *Loop) siftDown(i int32) {
-	n := int32(len(l.events))
+// The queue never swaps and never writes an entry it is about to move. An
+// insert carries its (at, seq) key in registers and moves a hole — up from a
+// new last index, down from a vacant root — shifting each entry it passes
+// one level the other way; the caller then stores the event's fields once,
+// at the index the hole came to rest. Pop order is the total order of the
+// keys whatever the shape of the heap.
+
+// open makes room for an event keyed (at, seq) and returns the index the
+// caller must store it at. The first event scheduled while the root is
+// vacant takes the root's place, so the pop that preceded it and this insert
+// cost one sift-down between them.
+func (l *Loop) open(at Time, seq uint64) int32 {
+	if l.vacant != 0 {
+		// The heap is back to a size it had when the running event was
+		// still queued, which peakHeap saw then.
+		l.vacant = 0
+		return l.holeDown(0, int32(len(l.events)), at, seq)
+	}
+	n := len(l.events)
+	if n < cap(l.events) {
+		// The entry exposed holds no references (removeRoot, maybeCompact
+		// and Reset clear what they drop) and the caller overwrites it.
+		l.events = l.events[:n+1]
+	} else {
+		l.events = append(l.events, event{})
+	}
+	if n+1 > l.peakHeap {
+		l.peakHeap = n + 1
+	}
+	return l.holeUp(int32(n), at, seq)
+}
+
+// holeUp moves a hole at i towards the root until its parent's key is not
+// after (at, seq), and returns where it stopped. A vacant root's stale key
+// is that of the running event, which is before every key in the heap, so a
+// hole never climbs into it.
+func (l *Loop) holeUp(i int32, at Time, seq uint64) int32 {
+	for i > 0 {
+		p := (i - 1) / heapArity
+		pe := &l.events[p]
+		if before(pe.at, pe.seq, at, seq) {
+			break
+		}
+		l.events[i] = *pe
+		l.slots[pe.slot].heapIdx = i
+		i = p
+	}
+	return i
+}
+
+// holeDown moves a hole at i in the heap events[:n] away from the root
+// until no child's key is before (at, seq), and returns where it stopped.
+func (l *Loop) holeDown(i, n int32, at Time, seq uint64) int32 {
+	evs := l.events[:n]
 	for {
 		first := heapArity*i + 1
 		if first >= n {
-			return
+			return i
 		}
-		min := first
-		last := first + heapArity
-		if last > n {
-			last = n
-		}
+		last := min(first+heapArity, n)
+		m := first
+		mat, mseq := evs[first].at, evs[first].seq
 		for c := first + 1; c < last; c++ {
-			if l.less(c, min) {
-				min = c
+			if cat, cseq := evs[c].at, evs[c].seq; before(cat, cseq, mat, mseq) {
+				m, mat, mseq = c, cat, cseq
 			}
 		}
-		if !l.less(min, i) {
-			return
+		if before(at, seq, mat, mseq) {
+			return i
 		}
-		l.swap(i, min)
-		i = min
+		evs[i] = evs[m]
+		l.slots[evs[i].slot].heapIdx = i
+		i = m
 	}
 }
 
-// popMin removes the earliest event without copying it out; callers that
-// need its fields read them off the root first. Releases the event's slot.
-func (l *Loop) popMin() {
-	root := &l.events[0]
-	if root.fn == nil && root.afn == nil {
-		l.dead-- // draining a cancelled entry
-	}
-	slot := root.slot
+// removeRoot takes the root entry out of the heap: the last entry fills the
+// hole it leaves, sifted down from the root. The root's slot is the
+// caller's business.
+func (l *Loop) removeRoot() {
 	n := int32(len(l.events)) - 1
+	last := &l.events[n]
 	if n > 0 {
-		l.events[0] = l.events[n]
-		l.slots[l.events[0].slot].heapIdx = 0
+		i := l.holeDown(0, n, last.at, last.seq)
+		l.events[i] = *last
+		l.slots[last.slot].heapIdx = i
 	}
-	// Release only the reference-holding fields of the vacated entry; the
-	// stale scalars are overwritten by the next push into this index.
-	l.events[n].fn, l.events[n].afn, l.events[n].arg = nil, nil, nil
+	// Release only the reference-holding fields of the dropped entry; the
+	// stale scalars are overwritten by the next insert at this index.
+	last.fn, last.afn, last.arg = nil, nil, nil
 	l.events = l.events[:n]
-	if n > 0 {
-		l.siftDown(0)
+}
+
+// settle removes a vacant root, so that events[0] is the earliest entry
+// again. Everything that reads or rebuilds the heap from outside a plain
+// insert calls it first.
+func (l *Loop) settle() {
+	if l.vacant != 0 {
+		l.vacant = 0
+		l.removeRoot()
 	}
+}
+
+// releaseSlot returns an event's Timer slot to the free list and invalidates
+// every handle to it.
+func (l *Loop) releaseSlot(slot int32) {
 	if slot == noSlot {
 		return
 	}
@@ -492,28 +563,53 @@ func (l *Loop) popMin() {
 	l.freeSlot = append(l.freeSlot, slot)
 }
 
+// peek returns the timestamp of the earliest live event, settling a vacant
+// root and draining cancelled events from the head of the heap as it looks.
+func (l *Loop) peek() (Time, bool) {
+	l.settle()
+	for len(l.events) > 0 {
+		ev := &l.events[0]
+		if ev.fn != nil || ev.afn != nil {
+			return ev.at, true
+		}
+		l.dead--
+		l.releaseSlot(ev.slot)
+		l.removeRoot()
+	}
+	return 0, false
+}
+
+// run executes the live event at the root, which peek has just found. The
+// event's Timer slot is released before the callback — so inside it the
+// event's own Timer is neither pending nor stoppable, and the slot is the
+// first a new Timer takes — but its heap entry stays where it is, vacant,
+// for the first event the callback schedules to take over (see open); only
+// a callback that schedules nothing pays for the removal.
+func (l *Loop) run() {
+	root := &l.events[0]
+	at, seq, fn, afn, arg := root.at, root.seq, root.fn, root.afn, root.arg
+	l.releaseSlot(root.slot)
+	l.vacant = 1
+	l.now = at
+	l.frontAt, l.frontSeq = at, seq
+	if fn != nil {
+		fn()
+	} else {
+		afn(arg)
+	}
+	l.ran++
+	l.settle()
+}
+
 // Step executes the earliest pending event, advancing the clock to its
 // timestamp. It reports whether an event was executed. Cancelled events are
 // skipped without being counted.
 func (l *Loop) Step() bool {
-	for len(l.events) > 0 {
-		root := &l.events[0]
-		at, seq, fn, afn, arg := root.at, root.seq, root.fn, root.afn, root.arg
-		l.popMin()
-		if fn == nil && afn == nil {
-			continue // cancelled
-		}
-		l.now = at
-		l.frontAt, l.frontSeq = at, seq
-		if fn != nil {
-			fn()
-		} else {
-			afn(arg)
-		}
-		l.ran++
-		return true
+	if _, ok := l.peek(); !ok {
+		return false
 	}
-	return false
+	l.run()
+	return true
 }
 
 // StepBefore executes the earliest pending event if it is due at or before
@@ -521,18 +617,11 @@ func (l *Loop) Step() bool {
 // drivers pump the loop with — one heap-root inspection per event instead
 // of two.
 func (l *Loop) StepBefore(t Time) bool {
-	for len(l.events) > 0 {
-		ev := &l.events[0]
-		if ev.fn == nil && ev.afn == nil {
-			l.popMin() // drain cancelled entries at the root
-			continue
-		}
-		if ev.at > t {
-			return false
-		}
-		return l.Step()
+	if at, ok := l.peek(); !ok || at > t {
+		return false
 	}
-	return false
+	l.run()
+	return true
 }
 
 // RunUntil executes events up to and including virtual time t, then advances
@@ -570,16 +659,3 @@ func (l *Loop) RunUntilIdle(maxEvents uint64) {
 // Synchronous drivers (the probe transport) use it to decide whether pumping
 // the loop can make progress before a deadline.
 func (l *Loop) NextEventAt() (Time, bool) { return l.peek() }
-
-// peek returns the timestamp of the earliest live event, draining cancelled
-// events from the head of the heap as it looks.
-func (l *Loop) peek() (Time, bool) {
-	for len(l.events) > 0 {
-		ev := &l.events[0]
-		if ev.fn != nil || ev.afn != nil {
-			return ev.at, true
-		}
-		l.popMin()
-	}
-	return 0, false
-}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 	"time"
 )
@@ -225,13 +226,54 @@ func TestRandBoolEdges(t *testing.T) {
 	}
 }
 
+// BenchmarkLoopScheduleStep times the three things the queue does for a
+// simulation, each over a heap preloaded to a stated depth with far-future
+// events: an event scheduled from outside and run (schedule-step), an event
+// whose callback re-arms the next one — a link's delivery lane, the pattern
+// that takes over the running event's heap entry — and a timer moved in
+// place (reschedule).
 func BenchmarkLoopScheduleStep(b *testing.B) {
-	l := NewLoop()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		l.Schedule(time.Microsecond, func() {})
-		l.Step()
+	const far = Time(time.Hour)
+	noop := func() {}
+	preload := func(depth int) *Loop {
+		l := NewLoop()
+		for i := 0; i < depth; i++ {
+			l.At(far+Time(i), noop)
+		}
+		return l
 	}
+	b.Run("schedule-step", func(b *testing.B) {
+		l := preload(0)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			l.Schedule(time.Microsecond, noop)
+			l.Step()
+		}
+	})
+	for _, depth := range []int{8, 17} {
+		b.Run(fmt.Sprintf("from-callback/d%d", depth), func(b *testing.B) {
+			l := preload(depth - 1)
+			var rearm func(any)
+			rearm = func(any) {
+				l.AtReserved(l.Now().Add(time.Microsecond), l.ReserveSeq(), rearm, nil)
+			}
+			rearm(nil)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				l.Step()
+			}
+		})
+	}
+	b.Run("reschedule", func(b *testing.B) {
+		l := preload(8)
+		tm := l.At(far, noop)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			tm = l.Reschedule(tm, far+Time(i&1023), noop)
+		}
+	})
 }
 
 // Property: however events are scheduled (random times, nested scheduling,
