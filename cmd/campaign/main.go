@@ -189,12 +189,6 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	if *workerMode {
-		if *connect == "" {
-			return fmt.Errorf("campaign: -worker requires -connect")
-		}
-		if *coordinate != "" || *spawnN > 0 {
-			return fmt.Errorf("campaign: -worker is mutually exclusive with -coordinate/-spawn")
-		}
 		// Ctrl+C reaches the whole process group; the coordinator owns the
 		// drain, so the worker ignores the interrupt and finishes its
 		// in-flight span instead of dying with the lease.
@@ -206,9 +200,6 @@ func run(args []string, stdout io.Writer) error {
 			Obs:              obs.NewCampaign(1),
 			ReconnectBackoff: *reconnBackoff,
 		})
-	}
-	if *connect != "" {
-		return fmt.Errorf("campaign: -connect requires -worker")
 	}
 	distMode := *coordinate != "" || *spawnN > 0
 
@@ -525,6 +516,9 @@ func validateFlags(fs *flag.FlagSet, scenarios, connect string, worker bool, spa
 	}
 	if connect != "" && !worker {
 		return fmt.Errorf("campaign: -connect requires -worker")
+	}
+	if worker && connect == "" {
+		return fmt.Errorf("campaign: -worker requires -connect")
 	}
 	for _, s := range splitList(scenarios) {
 		if !knownScenario(s) {

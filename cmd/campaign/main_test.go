@@ -156,10 +156,19 @@ func TestRunBadDistFlags(t *testing.T) {
 		{"zero reconnect-backoff", []string{"-worker", "-connect", "sock", "-reconnect-backoff", "0s"}},
 		{"negative reconnect-backoff", []string{"-worker", "-connect", "sock", "-reconnect-backoff", "-5ms"}},
 		{"faultnet without coordinator", []string{"-faultnet", "7"}},
+		{"worker with spawn", []string{"-worker", "-connect", "sock", "-spawn", "2"}},
+		{"worker with coordinate", []string{"-worker", "-connect", "sock", "-coordinate", "sock2"}},
+		{"connect without worker", []string{"-connect", "sock"}},
 	}
 	for _, tc := range cases {
 		if err := run(tc.args, &bytes.Buffer{}); err == nil {
 			t.Errorf("%s accepted", tc.name)
 		}
+	}
+	// The mode conflict must win over anything enumeration would report:
+	// it is checked before the target list is built.
+	err := run([]string{"-worker", "-profiles", "bogus"}, &bytes.Buffer{})
+	if err == nil || !strings.Contains(err.Error(), "-worker requires -connect") {
+		t.Errorf("-worker without -connect: got %v, want the mode error before enumeration", err)
 	}
 }

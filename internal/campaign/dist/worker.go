@@ -61,6 +61,10 @@ type permanentError struct{ err error }
 func (e *permanentError) Error() string { return e.err.Error() }
 func (e *permanentError) Unwrap() error { return e.err }
 
+// errAttemptFailed tells the scheduler's retry loop an attempt failed; the
+// failure itself is recorded in the result.
+var errAttemptFailed = errors.New("dist: probe attempt failed")
+
 // RunWorker connects to a coordinator and probes leased spans until
 // drained. Each leased span runs the normal arena-pooled probe pipeline;
 // results are rendered with the same AppendJSON/CSVRowEncoder bytes a
@@ -206,9 +210,31 @@ func (st *workerState) runSession(conn net.Conn) (welcomed bool, err error) {
 		}
 	}
 	st.sessions++
-	retries := m.Retries
-	backoff := time.Duration(m.BackoffNs)
-	limiter := newWorkerBucket(m.Rate, m.Burst)
+	// One index at a time through the scheduler's own retry loop: attempts
+	// land in the result's Attempts field, so retry behavior is part of the
+	// byte contract and must not exist twice. A terminally failing target
+	// is not an error — its result records the failure, exactly as in a
+	// single-process run. The burst is this worker's whole-token share of
+	// the campaign's.
+	sched := campaign.NewScheduler(campaign.SchedulerConfig{
+		Workers: 1, Retries: m.Retries, Backoff: time.Duration(m.BackoffNs),
+		RatePerSec: m.Rate, Burst: int(m.Burst), Obs: cfg.Obs.SchedObs(),
+	})
+	probe := func(_, index, attempt int) error {
+		var probeStart time.Time
+		if st.wobs != nil {
+			st.wobs.Attempts.Inc()
+			probeStart = time.Now()
+		}
+		st.arena.ProbeTargetInto(&st.res, cfg.Targets[index], cfg.Samples, attempt)
+		if st.wobs != nil {
+			st.wobs.ProbeNanos.Observe(time.Since(probeStart).Nanoseconds())
+		}
+		if st.res.Err != "" {
+			return errAttemptFailed
+		}
+		return nil
+	}
 
 	// Heartbeats ride a separate goroutine through the wire's write lock,
 	// so a long probe span cannot starve liveness. A failed heartbeat send
@@ -294,7 +320,7 @@ func (st *workerState) runSession(conn net.Conn) (welcomed bool, err error) {
 			st.delta.Reset()
 			st.jsonBuf, st.csvBuf = st.jsonBuf[:0], st.csvBuf[:0]
 			for i := m.Lo; i < m.Hi; i++ {
-				probeTarget(st.arena, st.wobs, cfg, &st.res, i, retries, backoff, limiter)
+				sched.RunIndex(i, probe)
 				st.delta.Add(&st.res)
 				j0, c0 := len(st.jsonBuf), len(st.csvBuf)
 				if wantJSONL {
@@ -333,81 +359,4 @@ func (st *workerState) runSession(conn net.Conn) (welcomed bool, err error) {
 			return true, fmt.Errorf("dist: unexpected message %q awaiting lease", m.Type)
 		}
 	}
-}
-
-// probeTarget drives one index through its attempts, mirroring the
-// scheduler's retry semantics exactly: attempt+1 lands in the result's
-// Attempts field, so retry behavior is part of the byte contract. A
-// terminally failing target is not an error — its result records the
-// failure, exactly as in a single-process run.
-func probeTarget(arena *campaign.ProbeArena, wobs *obs.Worker, cfg WorkerConfig,
-	res *campaign.TargetResult, index, retries int, backoff time.Duration, limiter *workerBucket) {
-	b := backoff
-	for attempt := 0; ; attempt++ {
-		if waited := limiter.take(); waited > 0 && cfg.Obs != nil {
-			cfg.Obs.Sched.RateWaitNanos.AddInt(waited.Nanoseconds())
-		}
-		var probeStart time.Time
-		if wobs != nil {
-			wobs.Attempts.Inc()
-			probeStart = time.Now()
-		}
-		arena.ProbeTargetInto(res, cfg.Targets[index], cfg.Samples, attempt)
-		if wobs != nil {
-			wobs.ProbeNanos.Observe(time.Since(probeStart).Nanoseconds())
-		}
-		if res.Err == "" || attempt >= retries {
-			return
-		}
-		if cfg.Obs != nil {
-			cfg.Obs.Sched.Retries.Inc()
-		}
-		if b > 0 {
-			time.Sleep(b)
-			if cfg.Obs != nil {
-				cfg.Obs.Sched.BackoffNanos.AddInt(b.Nanoseconds())
-			}
-			b *= 2
-		}
-	}
-}
-
-// workerBucket is the worker's slice of the campaign rate budget: a plain
-// blocking token bucket (this is a politeness limiter on a worker's own
-// probes — none of the scheduler's stop-channel plumbing applies). take
-// returns how long it blocked.
-type workerBucket struct {
-	rate, burst, tokens float64
-	last                time.Time
-}
-
-func newWorkerBucket(rate, burst float64) *workerBucket {
-	if rate <= 0 {
-		return nil
-	}
-	if burst < 1 {
-		burst = 1
-	}
-	return &workerBucket{rate: rate, burst: burst, tokens: burst, last: time.Now()}
-}
-
-func (b *workerBucket) take() time.Duration {
-	if b == nil {
-		return 0
-	}
-	now := time.Now()
-	b.tokens += now.Sub(b.last).Seconds() * b.rate
-	if b.tokens > b.burst {
-		b.tokens = b.burst
-	}
-	b.last = now
-	if b.tokens >= 1 {
-		b.tokens--
-		return 0
-	}
-	wait := time.Duration((1 - b.tokens) / b.rate * float64(time.Second))
-	time.Sleep(wait)
-	b.tokens = 0
-	b.last = time.Now()
-	return wait
 }

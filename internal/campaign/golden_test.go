@@ -119,3 +119,36 @@ func TestCampaignBatchMatrixGolden(t *testing.T) {
 	check("window-tight", 4, 8, 5, false)
 	check("window-huge", 4, 8, 4096, true)
 }
+
+// TestDimensionGolden gives the topology and scenario dimensions the
+// absolute pins smallSpec gives the point-to-point list: output hashes, the
+// checkpoint fingerprint and the derived seeds of scenarioCampaign's mixed
+// list, captured at commit fd31ffa. The invariance tests over that list
+// compare runs with each other, so a seed-mixer or probe-path slip that
+// moved every run alike would pass them; this one it fails.
+func TestDimensionGolden(t *testing.T) {
+	const (
+		wantJSONL = "266213bf83830fb090fde03b628f8f11093b08b598c0cbef8792c20198a34105"
+		wantCSV   = "4a7e1e761378d7fa55b03bb99798ab2688c9aa8806f38b9558fae970d3c0beeb"
+		wantFP    = uint64(2003458685380848907)
+		wantFirst = uint64(16739018349071812674) // static point-to-point: the pre-dimension string
+		wantLast  = uint64(2468963930487377175)  // diamond + route-flap: both optional segments
+	)
+	targets := scenarioTargets(t)
+	jsonl, csv := scenarioCampaign(t, 4, 8, false)
+	if got := sha256Hex(jsonl); got != wantJSONL {
+		t.Errorf("JSONL sha256 %s, want %s", got, wantJSONL)
+	}
+	if got := sha256Hex(csv); got != wantCSV {
+		t.Errorf("CSV sha256 %s, want %s", got, wantCSV)
+	}
+	if got := Fingerprint(targets, 4); got != wantFP {
+		t.Errorf("fingerprint %d, want %d", got, wantFP)
+	}
+	if got := targets[0].Seed; got != wantFirst {
+		t.Errorf("first seed %d, want %d", got, wantFirst)
+	}
+	if got := targets[len(targets)-1].Seed; got != wantLast {
+		t.Errorf("last seed %d, want %d", got, wantLast)
+	}
+}

@@ -168,18 +168,11 @@ func (a *ProbeArena) harvest() {
 	o.Materialized.Add(ns.Materialized)
 }
 
-// ProbeTarget is the package-level ProbeTarget probing through the arena.
+// ProbeTarget probes t through the arena into a fresh result.
 func (a *ProbeArena) ProbeTarget(t Target, samples int, attempt int) *TargetResult {
 	res := &TargetResult{}
-	probeTargetInto(res, t, samples, attempt, a)
+	a.ProbeTargetInto(res, t, samples, attempt)
 	return res
-}
-
-// ProbeTargetInto probes t through the arena into a caller-owned result,
-// overwriting it completely — the allocation-free form the campaign's
-// batch pipeline uses with ring-slot results.
-func (a *ProbeArena) ProbeTargetInto(res *TargetResult, t Target, samples int, attempt int) {
-	probeTargetInto(res, t, samples, attempt, a)
 }
 
 // ProbeTarget runs one target's measurement hermetically: the scenario,
@@ -187,14 +180,17 @@ func (a *ProbeArena) ProbeTargetInto(res *TargetResult, t Target, samples int, a
 // number alone, so a probe's outcome is independent of scheduling, worker
 // count and whatever else the campaign is doing. Errors are recorded in
 // the result rather than returned: a campaign always yields one record
-// per target.
+// per target. A fresh arena's first probe is fresh construction —
+// simnet.New, sim.NewRand, Fork — which makes this the reference every
+// reused arena is held to.
 func ProbeTarget(t Target, samples int, attempt int) *TargetResult {
-	res := &TargetResult{}
-	probeTargetInto(res, t, samples, attempt, nil)
-	return res
+	return NewProbeArena().ProbeTarget(t, samples, attempt)
 }
 
-func probeTargetInto(res *TargetResult, t Target, samples int, attempt int, arena *ProbeArena) {
+// ProbeTargetInto probes t through the arena into a caller-owned result,
+// overwriting it completely — the allocation-free form the campaign's
+// batch pipeline uses with ring-slot results.
+func (a *ProbeArena) ProbeTargetInto(res *TargetResult, t Target, samples int, attempt int) {
 	if samples <= 0 {
 		samples = 8
 	}
@@ -227,36 +223,23 @@ func probeTargetInto(res *TargetResult, t Target, samples int, attempt int, aren
 
 	// Retries re-derive the stream so a fresh attempt sees fresh ports,
 	// ISNs and path draws — deterministically, since the attempt sequence
-	// of a target is itself deterministic. An arena reseeds its retained
-	// streams; the standalone path allocates fresh ones.
-	var rng *sim.Rand
-	if arena != nil {
-		if arena.rng == nil {
-			arena.rng = sim.NewRand(t.Seed, 0xca3^uint64(attempt))
-		} else {
-			arena.rng.Reseed(t.Seed, 0xca3^uint64(attempt))
-		}
-		rng = arena.rng
+	// of a target is itself deterministic. The arena's retained streams
+	// are reseeded, or created on its first probe.
+	if a.rng == nil {
+		a.rng = sim.NewRand(t.Seed, 0xca3^uint64(attempt))
 	} else {
-		rng = sim.NewRand(t.Seed, 0xca3^uint64(attempt))
+		a.rng.Reseed(t.Seed, 0xca3^uint64(attempt))
 	}
+	rng := a.rng
 	cfg.Seed = rng.Uint64()
-	if arena != nil {
-		arena.impRng = rng.ForkInto(arena.impRng, 1)
-		cfg.Forward, cfg.Reverse = imp.Build(arena.impRng)
-	} else {
-		cfg.Forward, cfg.Reverse = imp.Build(rng.Fork(1))
-	}
+	a.impRng = rng.ForkInto(a.impRng, 1)
+	cfg.Forward, cfg.Reverse = imp.Build(a.impRng)
 	// Topology targets consume one extra fork (label 2); point-to-point
 	// targets skip it entirely, keeping their stream — and therefore their
 	// bytes — identical to pre-topology campaigns.
 	if t.Topology != "" {
-		if arena != nil {
-			arena.topoRng = rng.ForkInto(arena.topoRng, 2)
-			cfg.Topology = topo.buildInto(&arena.topoSpec, arena.topoRng)
-		} else {
-			cfg.Topology = topo.Build(rng.Fork(2))
-		}
+		a.topoRng = rng.ForkInto(a.topoRng, 2)
+		cfg.Topology = topo.buildInto(&a.topoSpec, a.topoRng)
 	} else if debugDegenerateTopology {
 		// Test hook: route the point-to-point case through the graph
 		// constructor's empty-spec branch without touching the stream, so
@@ -266,12 +249,8 @@ func probeTargetInto(res *TargetResult, t Target, samples int, attempt int, aren
 	// Scenario targets consume one more fork (label 3), again skipped
 	// entirely for static targets so their stream stays frozen.
 	if t.Scenario != "" {
-		if arena != nil {
-			arena.scnRng = rng.ForkInto(arena.scnRng, 3)
-			cfg.Scenario = scn.Build(arena.scnRng)
-		} else {
-			cfg.Scenario = scn.Build(rng.Fork(3))
-		}
+		a.scnRng = rng.ForkInto(a.scnRng, 3)
+		cfg.Scenario = scn.Build(a.scnRng)
 	} else if debugZeroSchedule {
 		// Test hook: attach a schedule of pure no-op edges without touching
 		// the stream, pinning that timeline timers alone are byte-inert.
@@ -280,12 +259,8 @@ func probeTargetInto(res *TargetResult, t Target, samples int, attempt int, aren
 	// The load-balanced pool's backend prototypes are shared; copy before
 	// the per-target ObjectSize mutation below.
 	if len(cfg.Backends) > 0 {
-		if arena != nil {
-			cfg.Backends = append(arena.backends[:0], cfg.Backends...)
-			arena.backends = cfg.Backends
-		} else {
-			cfg.Backends = append([]host.Profile(nil), cfg.Backends...)
-		}
+		cfg.Backends = append(a.backends[:0], cfg.Backends...)
+		a.backends = cfg.Backends
 	}
 	// Size served objects so one transfer test stays around `samples`
 	// segments, like the survey's root web objects.
@@ -297,33 +272,25 @@ func probeTargetInto(res *TargetResult, t Target, samples int, attempt int, aren
 	// Taps are pass-throughs, so this changes no measurement outcome.
 	cfg.DisableCaptures = true
 
-	// The target stream is consumed in the same order on both paths:
-	// scenario seed, path-spec fork, prober seed.
-	var n *simnet.Net
-	var prober *core.Prober
-	switch {
-	case arena == nil:
-		n = simnet.New(cfg)
-		prober = core.NewProber(n.Probe(), n.ServerAddr(), rng.Uint64())
-	case arena.net == nil:
-		arena.net = simnet.New(cfg)
-		arena.prober = core.NewProber(arena.net.Probe(), arena.net.ServerAddr(), rng.Uint64())
-		n, prober = arena.net, arena.prober
-		if arena.obs != nil {
-			arena.obs.ArenaBuilds.Inc()
+	// First use constructs, reuse resets; both consume the target stream
+	// in the same order: scenario seed, path-spec fork, prober seed.
+	if a.net == nil {
+		a.net = simnet.New(cfg)
+		a.prober = core.NewProber(a.net.Probe(), a.net.ServerAddr(), rng.Uint64())
+		if a.obs != nil {
+			a.obs.ArenaBuilds.Inc()
 		}
-	default:
-		arena.net.Reset(cfg)
-		arena.prober.Reset(rng.Uint64())
-		n, prober = arena.net, arena.prober
-		if arena.obs != nil {
-			arena.obs.ArenaResets.Inc()
+	} else {
+		a.net.Reset(cfg)
+		a.prober.Reset(rng.Uint64())
+		if a.obs != nil {
+			a.obs.ArenaResets.Inc()
 		}
 	}
 
-	runProbeTest(res, t.Test, samples, prober)
-	if arena != nil && arena.obs != nil {
-		arena.harvest()
+	runProbeTest(res, t.Test, samples, a.prober)
+	if a.obs != nil {
+		a.harvest()
 	}
 }
 

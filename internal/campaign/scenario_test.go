@@ -195,9 +195,9 @@ func TestFingerprintScenarioDistinct(t *testing.T) {
 	}
 }
 
-// scenarioCampaign runs a mixed static+scenario campaign and returns its
-// JSONL and CSV bytes.
-func scenarioCampaign(t *testing.T, workers, batch int, split bool) ([]byte, []byte) {
+// scenarioTargets is the mixed list scenarioCampaign probes: both
+// dimensions, each with its empty default beside named entries.
+func scenarioTargets(t *testing.T) []Target {
 	t.Helper()
 	targets, err := Enumerate(EnumSpec{
 		Profiles:    []string{"freebsd4"},
@@ -210,6 +210,14 @@ func scenarioCampaign(t *testing.T, workers, batch int, split bool) ([]byte, []b
 	if err != nil {
 		t.Fatal(err)
 	}
+	return targets
+}
+
+// scenarioCampaign runs a mixed static+scenario campaign and returns its
+// JSONL and CSV bytes.
+func scenarioCampaign(t *testing.T, workers, batch int, split bool) ([]byte, []byte) {
+	t.Helper()
+	targets := scenarioTargets(t)
 	dir := t.TempDir()
 	out := filepath.Join(dir, "out.jsonl")
 	csv := filepath.Join(dir, "out.csv")

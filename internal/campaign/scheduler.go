@@ -75,6 +75,10 @@ type Scheduler struct {
 	// adaptive records whether Window was left to the scheduler.
 	adaptive bool
 
+	// limiter paces every attempt the scheduler launches; nil when
+	// RatePerSec is unset.
+	limiter *tokenBucket
+
 	// sleep and now are wall-clock hooks, replaceable by tests. A nil
 	// sleep means real time, waited interruptibly against the run's stop
 	// channel; a test-injected sleep is called directly.
@@ -106,7 +110,7 @@ func NewScheduler(cfg SchedulerConfig) *Scheduler {
 	if cfg.Burst <= 0 {
 		cfg.Burst = cfg.Workers
 	}
-	s := &Scheduler{cfg: cfg, now: time.Now}
+	s := &Scheduler{cfg: cfg, now: time.Now, limiter: newTokenBucket(cfg.RatePerSec, float64(cfg.Burst))}
 	if cfg.Window <= 0 {
 		// Adaptive: cap at the old static default — scaled up when an
 		// explicit batch needs the headroom to keep every worker holding
@@ -293,8 +297,6 @@ func (s *Scheduler) RunSpans(start, end int,
 	if start >= end {
 		return nil
 	}
-	limiter := newTokenBucket(s.cfg.RatePerSec, float64(s.cfg.Burst), s.now)
-
 	spanSize := s.spanSizeFor(end - start)
 	window := s.maxWindow
 	minWindow := window
@@ -384,7 +386,7 @@ func (s *Scheduler) RunSpans(start, end int,
 					if !g.wait(i) {
 						return
 					}
-					s.runJob(worker, i, job, limiter, stop)
+					s.runJob(worker, i, job, stop)
 					select {
 					case <-stop:
 						return
@@ -467,13 +469,23 @@ func clampInt(v, lo, hi int) int {
 	return v
 }
 
+// RunIndex drives one index through its attempts on the calling goroutine,
+// as worker 0: the rate limit, retry budget and backoff RunSpans applies
+// to every index, without its pool, window or ordering. A distributed
+// worker, whose dispatch the coordinator owns, probes each leased index
+// through it, so the attempt count — part of the output bytes — is decided
+// in one place.
+func (s *Scheduler) RunIndex(index int, job func(worker, index, attempt int) error) {
+	s.runJob(0, index, job, nil)
+}
+
 // runJob drives one index through its attempts. Rate-limit and backoff
 // waits abort when stop closes, so a cancelled run (emit failure) is not
-// held hostage by slow politeness timers.
-func (s *Scheduler) runJob(worker, index int, job func(worker, index, attempt int) error, limiter *tokenBucket, stop <-chan struct{}) {
+// held hostage by slow politeness timers; a nil stop never aborts.
+func (s *Scheduler) runJob(worker, index int, job func(worker, index, attempt int) error, stop <-chan struct{}) {
 	backoff := s.cfg.Backoff
 	for attempt := 0; ; attempt++ {
-		if !limiter.take(s, stop) {
+		if !s.limiter.take(s, stop) {
 			return
 		}
 		err := job(worker, index, attempt)
@@ -500,21 +512,22 @@ func (s *Scheduler) runJob(worker, index int, job func(worker, index, attempt in
 	}
 }
 
-// tokenBucket is a blocking wall-clock rate limiter.
+// tokenBucket is a blocking wall-clock rate limiter on the scheduler's
+// clock. It starts full; last stays zero until the first take, whose
+// oversized refill the burst cap absorbs.
 type tokenBucket struct {
 	mu     sync.Mutex
 	rate   float64 // tokens per second; <= 0 disables limiting
 	burst  float64
 	tokens float64
 	last   time.Time
-	now    func() time.Time
 }
 
-func newTokenBucket(rate, burst float64, now func() time.Time) *tokenBucket {
+func newTokenBucket(rate, burst float64) *tokenBucket {
 	if rate <= 0 {
 		return nil
 	}
-	return &tokenBucket{rate: rate, burst: burst, tokens: burst, last: now(), now: now}
+	return &tokenBucket{rate: rate, burst: burst, tokens: burst}
 }
 
 // take blocks until a token is available, waiting through the
@@ -526,7 +539,7 @@ func (tb *tokenBucket) take(s *Scheduler, stop <-chan struct{}) bool {
 	}
 	for {
 		tb.mu.Lock()
-		now := tb.now()
+		now := s.now()
 		tb.tokens += now.Sub(tb.last).Seconds() * tb.rate
 		if tb.tokens > tb.burst {
 			tb.tokens = tb.burst

@@ -179,7 +179,7 @@ func TestTokenBucket(t *testing.T) {
 		slept += d
 		now = now.Add(d)
 	}
-	tb := newTokenBucket(10, 1, s.now) // 10 tokens/s, burst 1
+	tb := newTokenBucket(10, 1) // 10 tokens/s, burst 1
 
 	tb.take(s, nil) // the initial burst token: no wait
 	if slept != 0 {
@@ -192,7 +192,7 @@ func TestTokenBucket(t *testing.T) {
 		t.Fatalf("three takes slept %v, want %v", slept, want)
 	}
 
-	if tb := newTokenBucket(0, 4, s.now); tb != nil {
+	if tb := newTokenBucket(0, 4); tb != nil {
 		t.Fatal("rate 0 should disable the limiter")
 	}
 }

@@ -87,7 +87,7 @@ func Profiles() []string {
 
 // resolveProfile maps a profile name to the scenario skeleton it implies.
 // The returned config's Backends share the cached prototype slice; callers
-// that modify backend profiles must copy it (see probeTarget).
+// that modify backend profiles must copy it (see ProbeTargetInto).
 func resolveProfile(name string) (simnet.Config, error) {
 	if name == LBPool {
 		return simnet.Config{Backends: lbBackends}, nil
@@ -281,7 +281,7 @@ func Enumerate(spec EnumSpec) ([]Target, error) {
 								Profile:    p,
 								Impairment: im,
 								Test:       te,
-								Seed:       deriveScenarioSeed(spec.BaseSeed, p, im, topo, scn, s),
+								Seed:       deriveSeed(spec.BaseSeed, p, im, topo, scn, s),
 								Topology:   topo,
 								Scenario:   scn,
 							}
@@ -302,39 +302,23 @@ func Enumerate(spec EnumSpec) ([]Target, error) {
 // results stay pairable for agreement analysis. Mixing the profile in
 // keeps different hosts from drawing identical paths, so a campaign's
 // pooled statistics reflect as many independent path instances as it has
-// profile×impairment×replica combinations.
-func deriveSeed(base uint64, profile, impairment string, replica int) uint64 {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%d|%s|%s|%d", base, profile, impairment, replica)
-	return h.Sum64()
-}
-
-// deriveTopoSeed extends deriveSeed with the topology dimension. The
-// point-to-point case ("") hashes the exact pre-topology string, so every
-// historical target list re-derives byte-identically.
-func deriveTopoSeed(base uint64, profile, impairment, topology string, replica int) uint64 {
-	if topology == "" {
-		return deriveSeed(base, profile, impairment, replica)
+// profile×impairment×replica combinations. The topology and scenario are
+// mixed in the same way, so targets on different graphs or under
+// different fault schedules draw different path instances. The hashed
+// string is frozen, and each optional segment is written only when
+// present: "base|profile|impairment|[topology|[#scenario|]]replica", the
+// topology segment written (possibly empty) whenever a scenario follows
+// it. A target without either hashes the exact pre-dimension string, so
+// every historical target list re-derives byte-identically.
+func deriveSeed(base uint64, profile, impairment, topology, scenario string, replica int) uint64 {
+	dims := ""
+	if scenario != "" {
+		dims = topology + "|#" + scenario + "|"
+	} else if topology != "" {
+		dims = topology + "|"
 	}
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%d|%s|%s|%s|%d", base, profile, impairment, topology, replica)
-	return h.Sum64()
-}
-
-// deriveScenarioSeed extends deriveTopoSeed with the scenario dimension,
-// with the same backward-compatible layering: a scenario-less target hashes
-// the exact pre-scenario string, so historical target lists re-derive
-// byte-identically. Like topology (and unlike test), the scenario is mixed
-// in — targets under different fault schedules draw different path
-// instances — while the four techniques at one
-// profile×impairment×topology×scenario×replica still probe the identical
-// instance, keeping results pairable for agreement analysis.
-func deriveScenarioSeed(base uint64, profile, impairment, topology, scenario string, replica int) uint64 {
-	if scenario == "" {
-		return deriveTopoSeed(base, profile, impairment, topology, replica)
-	}
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%d|%s|%s|%s|#%s|%d", base, profile, impairment, topology, scenario, replica)
+	fmt.Fprintf(h, "%d|%s|%s|%s%d", base, profile, impairment, dims, replica)
 	return h.Sum64()
 }
 

@@ -34,9 +34,9 @@ import (
 )
 
 // Transport is the probe host's raw-packet interface (what sting obtained
-// with packet filters and firewall rules). Implementations: the simulated
-// probe NIC (internal/simnet) and the Linux raw-socket shim
-// (internal/livewire).
+// with packet filters and firewall rules). The simulated probe NIC
+// (internal/simnet) implements it; it is the seam a live raw-socket backend
+// plugs into.
 type Transport interface {
 	// LocalAddr is the probe's source address.
 	LocalAddr() netip.Addr
@@ -61,8 +61,8 @@ type Transport interface {
 // transport implements it, the prober sends parsed headers instead of
 // encoding wire bytes and consumes received frames' decoded views instead
 // of re-decoding, eliminating the per-segment codec round trip entirely.
-// Raw-socket transports (internal/livewire) simply don't implement it and
-// keep the byte path.
+// A raw-socket transport simply doesn't implement it and keeps the byte
+// path.
 type FrameTransport interface {
 	Transport
 	// SendView injects one IPv4+TCP datagram given as parsed headers plus

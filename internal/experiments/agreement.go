@@ -59,24 +59,27 @@ func RunAgreement(survey *SurveyReport, confidence float64) *AgreementReport {
 	if confidence == 0 {
 		confidence = 0.999
 	}
-	rep := &AgreementReport{Confidence: confidence}
-	type dirSel struct {
-		name   string
-		series func(*HostRecord, string) []float64
-	}
-	dirs := []dirSel{
-		{"forward", func(h *HostRecord, t string) []float64 { return h.FwdSeries[t] }},
-		{"reverse", func(h *HostRecord, t string) []float64 { return h.RevSeries[t] }},
-	}
-	for _, d := range dirs {
-		for i, a := range TestNames {
-			for _, b := range TestNames[i+1:] {
-				if d.name == "forward" && (a == "transfer" || b == "transfer") {
+	return &AgreementReport{Confidence: confidence, Pairs: agreementPairs(TestNames, survey.Hosts, confidence)}
+}
+
+// agreementPairs walks every technique pair in each direction and counts
+// the hosts whose two rate series the paired-difference test cannot tell
+// apart. A host is comparable for a pair when both series have at least
+// three rounds.
+func agreementPairs(tests []string, hosts []*HostRecord, confidence float64) []AgreementPair {
+	var pairs []AgreementPair
+	for _, dir := range []string{"forward", "reverse"} {
+		for i, a := range tests {
+			for _, b := range tests[i+1:] {
+				if dir == "forward" && (a == "transfer" || b == "transfer") {
 					continue // the transfer test has no forward direction
 				}
-				pair := AgreementPair{TestA: a, TestB: b, Direction: d.name}
-				for _, h := range survey.Hosts {
-					sa, sb := d.series(h, a), d.series(h, b)
+				pair := AgreementPair{TestA: a, TestB: b, Direction: dir}
+				for _, h := range hosts {
+					sa, sb := h.FwdSeries[a], h.FwdSeries[b]
+					if dir == "reverse" {
+						sa, sb = h.RevSeries[a], h.RevSeries[b]
+					}
 					n := min(len(sa), len(sb))
 					if n < 3 {
 						continue
@@ -86,16 +89,9 @@ func RunAgreement(survey *SurveyReport, confidence float64) *AgreementReport {
 						pair.NullOK++
 					}
 				}
-				rep.Pairs = append(rep.Pairs, pair)
+				pairs = append(pairs, pair)
 			}
 		}
 	}
-	return rep
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
+	return pairs
 }

@@ -24,18 +24,15 @@ func TestChaosInducedDisagreement(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Sanity: the static control measured and the adversarial cells exist.
-	if c, ok := rep.Cell("", "single"); !ok || c.Targets == 0 {
+	if c, ok := rep.Cell("", "", "single"); !ok || c.Targets == 0 {
 		t.Fatalf("static control cell missing or empty: %+v", c)
 	}
-	rst, ok := rep.Cell("rst-inject", "syn")
-	if !ok || rst.Targets == 0 {
+	// rst-inject runs point-to-point; route-flap pairs with the diamond.
+	if rst, ok := rep.Cell("rst-inject", "", "syn"); !ok || rst.Targets == 0 {
 		t.Fatalf("rst-inject/syn cell missing or empty: %+v", rst)
 	}
-	if rst.Topology != "" {
-		t.Fatalf("rst-inject paired with topology %q, want p2p", rst.Topology)
-	}
-	if flap, ok := rep.Cell("route-flap", "single"); !ok || flap.Topology != "diamond" {
-		t.Fatalf("route-flap not paired with the diamond topology: %+v", flap)
+	if _, ok := rep.Cell("route-flap", "diamond", "single"); !ok {
+		t.Fatalf("route-flap not paired with the diamond topology: %+v", rep.Groups)
 	}
 
 	d := rep.Disagreements()
@@ -69,7 +66,7 @@ func TestChaosStaticControlAgrees(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range rep.Agreement[""] {
+	for _, p := range rep.Groups[0].Pairs {
 		if p.Hosts > 0 && p.NullOK == 0 {
 			t.Fatalf("static control rejected the null for %s vs %s (%s)", p.TestA, p.TestB, p.Direction)
 		}

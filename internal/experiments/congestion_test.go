@@ -27,13 +27,13 @@ func TestCongestionExperiment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Cells) != 6 { // 2 topologies x 3 tests
-		t.Fatalf("cells = %d, want 6", len(rep.Cells))
+	if len(rep.Groups) != 2 || len(rep.Groups[0].Cells) != 3 || len(rep.Groups[1].Cells) != 3 {
+		t.Fatalf("want 2 topologies x 3 tests, got %+v", rep.Groups)
 	}
 	// The point-to-point control has no routers, no cross traffic and a
 	// clean path: reordering incidence must be zero.
-	for _, test := range congestionTests {
-		c, ok := rep.Cell("p2p", test)
+	for _, test := range []string{"single", "dual", "transfer"} {
+		c, ok := rep.Cell("", "p2p", test)
 		if !ok {
 			t.Fatalf("missing p2p/%s cell", test)
 		}
@@ -44,15 +44,15 @@ func TestCongestionExperiment(t *testing.T) {
 	// The shared parallel bundle must show congestion-induced reordering in
 	// at least one technique's cells.
 	saw := false
-	for _, test := range congestionTests {
-		if c, ok := rep.Cell("parallel-x2", test); ok && c.Targets > 0 && c.Reordering > 0 {
+	for _, test := range []string{"single", "dual", "transfer"} {
+		if c, ok := rep.Cell("", "parallel-x2", test); ok && c.Targets > 0 && c.Reordering > 0 {
 			saw = true
 		}
 	}
 	if !saw {
 		t.Fatal("no technique observed congestion-induced reordering on parallel-x2")
 	}
-	if len(rep.Agreement["parallel-x2"]) == 0 {
+	if len(rep.Groups[1].Pairs) == 0 {
 		t.Fatal("no agreement pairs for parallel-x2")
 	}
 	var sb strings.Builder
@@ -65,7 +65,7 @@ func TestCongestionExperiment(t *testing.T) {
 }
 
 func TestCongestionDeterministic(t *testing.T) {
-	run := func(workers int) *CongestionReport {
+	run := func(workers int) *PairedReport {
 		rep, err := RunCongestion(CongestionConfig{
 			Topologies: []string{"bottleneck"},
 			Replicas:   3,

@@ -167,22 +167,47 @@ type elemRng[E any] struct {
 	rng *sim.Rand
 }
 
-// topoPool holds free and in-use topology objects by type. Reset moves
-// every in-use object back to its free list before rebuilding.
+// pool retains one type of topology object across Resets. Every getter has
+// one shape: take a free entry (the zero E when there is none), fork its
+// stream — ForkInto reseeds a retained stream and forks a missing one, one
+// draw from the parent either way — then Reinit the element or construct
+// it, and keep it on the in-use list for the next recycle.
+type pool[E any] struct{ free, used []E }
+
+func (p *pool[E]) take() (e E, ok bool) {
+	if k := len(p.free); k > 0 {
+		e, p.free = p.free[k-1], p.free[:k-1]
+		return e, true
+	}
+	return e, false
+}
+
+func (p *pool[E]) keep(e E) E {
+	p.used = append(p.used, e)
+	return e
+}
+
+func (p *pool[E]) recycle() {
+	p.free = append(p.free, p.used...)
+	p.used = p.used[:0]
+}
+
+// topoPool holds the topology objects by type. Reset recycles every pool
+// before rebuilding.
 type topoPool struct {
-	freeLinks, usedLinks             []*netem.Link
-	freeDelays, usedDelays           []elemRng[*netem.Delay]
-	freeLosses, usedLosses           []elemRng[*netem.Loss]
-	freeSwappers, usedSwappers       []elemRng[*netem.Swapper]
-	freeCorrupters, usedCorrupters   []elemRng[*netem.Corrupter]
-	freeTrunks, usedTrunks           []elemRng[*netem.StripedTrunk]
-	freeMultiPaths, usedMultiPaths   []elemRng[*netem.MultiPath]
-	freeARQs, usedARQs               []elemRng[*netem.ARQLink]
-	freePriorities, usedPriorities   []*netem.PriorityQueue
-	freeFragmenters, usedFragmenters []*netem.Fragmenter
-	freeRouters, usedRouters         []*netem.Router
-	freeSenders, usedSenders         []senderEntry
-	freeMiddleboxes, usedMiddleboxes []elemRng[*netem.Middlebox]
+	links       pool[*netem.Link]
+	delays      pool[elemRng[*netem.Delay]]
+	losses      pool[elemRng[*netem.Loss]]
+	swappers    pool[elemRng[*netem.Swapper]]
+	corrupters  pool[elemRng[*netem.Corrupter]]
+	trunks      pool[elemRng[*netem.StripedTrunk]]
+	multiPaths  pool[elemRng[*netem.MultiPath]]
+	arqs        pool[elemRng[*netem.ARQLink]]
+	priorities  pool[*netem.PriorityQueue]
+	fragmenters pool[*netem.Fragmenter]
+	routers     pool[*netem.Router]
+	senders     pool[senderEntry]
+	middleboxes pool[elemRng[*netem.Middlebox]]
 
 	// schedule and scnSteps persist the scenario timeline machinery; one
 	// schedule per net, reinitialized per scenario-bearing build.
@@ -215,32 +240,19 @@ type topoPool struct {
 
 // recycle moves every in-use element to its free list.
 func (p *topoPool) recycle() {
-	p.freeLinks = append(p.freeLinks, p.usedLinks...)
-	p.usedLinks = p.usedLinks[:0]
-	p.freeDelays = append(p.freeDelays, p.usedDelays...)
-	p.usedDelays = p.usedDelays[:0]
-	p.freeLosses = append(p.freeLosses, p.usedLosses...)
-	p.usedLosses = p.usedLosses[:0]
-	p.freeSwappers = append(p.freeSwappers, p.usedSwappers...)
-	p.usedSwappers = p.usedSwappers[:0]
-	p.freeCorrupters = append(p.freeCorrupters, p.usedCorrupters...)
-	p.usedCorrupters = p.usedCorrupters[:0]
-	p.freeTrunks = append(p.freeTrunks, p.usedTrunks...)
-	p.usedTrunks = p.usedTrunks[:0]
-	p.freeMultiPaths = append(p.freeMultiPaths, p.usedMultiPaths...)
-	p.usedMultiPaths = p.usedMultiPaths[:0]
-	p.freeARQs = append(p.freeARQs, p.usedARQs...)
-	p.usedARQs = p.usedARQs[:0]
-	p.freePriorities = append(p.freePriorities, p.usedPriorities...)
-	p.usedPriorities = p.usedPriorities[:0]
-	p.freeFragmenters = append(p.freeFragmenters, p.usedFragmenters...)
-	p.usedFragmenters = p.usedFragmenters[:0]
-	p.freeRouters = append(p.freeRouters, p.usedRouters...)
-	p.usedRouters = p.usedRouters[:0]
-	p.freeSenders = append(p.freeSenders, p.usedSenders...)
-	p.usedSenders = p.usedSenders[:0]
-	p.freeMiddleboxes = append(p.freeMiddleboxes, p.usedMiddleboxes...)
-	p.usedMiddleboxes = p.usedMiddleboxes[:0]
+	p.links.recycle()
+	p.delays.recycle()
+	p.losses.recycle()
+	p.swappers.recycle()
+	p.corrupters.recycle()
+	p.trunks.recycle()
+	p.multiPaths.recycle()
+	p.arqs.recycle()
+	p.priorities.recycle()
+	p.fragmenters.recycle()
+	p.routers.recycle()
+	p.senders.recycle()
+	p.middleboxes.recycle()
 	if len(p.usedHosts) > 0 && p.freeHosts == nil {
 		p.freeHosts = make(map[string][]elemRng[*host.Host])
 	}
@@ -420,20 +432,20 @@ func (n *Net) getTap(c *trace.Capture, next netem.Node) netem.Node {
 // a fresh build. Either way it consumes one draw of rng (the host's build
 // fork).
 func (n *Net) getHost(p host.Profile, addr netip.Addr, rng *sim.Rand, label uint64, out netem.Node) *host.Host {
+	var hr elemRng[*host.Host]
 	if free := n.pool.freeHosts[p.Name]; len(free) > 0 {
-		hr := free[len(free)-1]
+		hr = free[len(free)-1]
 		n.pool.freeHosts[p.Name] = free[:len(free)-1]
-		rng.ForkInto(hr.rng, label)
-		hr.el.ResetAt(p, addr, hr.rng, out)
-		hr.el.SetArena(n.arena)
-		n.pool.usedHosts = append(n.pool.usedHosts, hr)
-		return hr.el
 	}
-	child := rng.Fork(label)
-	h := host.New(n.Loop, p, addr, child, n.IDs, out)
-	h.SetArena(n.arena)
-	n.pool.usedHosts = append(n.pool.usedHosts, elemRng[*host.Host]{el: h, rng: child})
-	return h
+	hr.rng = rng.ForkInto(hr.rng, label)
+	if hr.el != nil {
+		hr.el.ResetAt(p, addr, hr.rng, out)
+	} else {
+		hr.el = host.New(n.Loop, p, addr, hr.rng, n.IDs, out)
+	}
+	hr.el.SetArena(n.arena)
+	n.pool.usedHosts = append(n.pool.usedHosts, hr)
+	return hr.el
 }
 
 // buildPath composes a direction's elements ending at dst and returns the
@@ -482,173 +494,125 @@ func (n *Net) buildPath(rng *sim.Rand, spec PathSpec, dst netem.Node, d *dirElem
 	return d.link
 }
 
-// The pooled element getters below all follow one shape: pop a free
-// element and Reinit it (reseeding its retained stream exactly as a fresh
-// fork would draw), or construct one and remember it; either way the
-// element lands on the in-use list for the next recycle.
-
 func (n *Net) getLink(cfg netem.LinkConfig, next netem.Node) *netem.Link {
-	var l *netem.Link
-	if k := len(n.pool.freeLinks); k > 0 {
-		l = n.pool.freeLinks[k-1]
-		n.pool.freeLinks = n.pool.freeLinks[:k-1]
+	l, ok := n.pool.links.take()
+	if ok {
 		l.Reinit(cfg, next)
 	} else {
 		l = netem.NewLink(n.Loop, cfg, next)
 	}
-	n.pool.usedLinks = append(n.pool.usedLinks, l)
-	return l
+	return n.pool.links.keep(l)
 }
 
 func (n *Net) getDelay(base, jitter time.Duration, rng *sim.Rand, label uint64, next netem.Node) *netem.Delay {
-	if k := len(n.pool.freeDelays); k > 0 {
-		p := n.pool.freeDelays[k-1]
-		n.pool.freeDelays = n.pool.freeDelays[:k-1]
-		rng.ForkInto(p.rng, label)
-		p.el.Reinit(base, jitter, p.rng, next)
-		n.pool.usedDelays = append(n.pool.usedDelays, p)
-		return p.el
+	e, ok := n.pool.delays.take()
+	e.rng = rng.ForkInto(e.rng, label)
+	if ok {
+		e.el.Reinit(base, jitter, e.rng, next)
+	} else {
+		e.el = netem.NewDelay(n.Loop, base, jitter, e.rng, next)
 	}
-	child := rng.Fork(label)
-	d := netem.NewDelay(n.Loop, base, jitter, child, next)
-	n.pool.usedDelays = append(n.pool.usedDelays, elemRng[*netem.Delay]{el: d, rng: child})
-	return d
+	return n.pool.delays.keep(e).el
 }
 
 func (n *Net) getLoss(prob float64, rng *sim.Rand, label uint64, next netem.Node) *netem.Loss {
-	if k := len(n.pool.freeLosses); k > 0 {
-		p := n.pool.freeLosses[k-1]
-		n.pool.freeLosses = n.pool.freeLosses[:k-1]
-		rng.ForkInto(p.rng, label)
-		p.el.Reinit(prob, p.rng, next)
-		n.pool.usedLosses = append(n.pool.usedLosses, p)
-		return p.el
+	e, ok := n.pool.losses.take()
+	e.rng = rng.ForkInto(e.rng, label)
+	if ok {
+		e.el.Reinit(prob, e.rng, next)
+	} else {
+		e.el = netem.NewLoss(prob, e.rng, next)
 	}
-	child := rng.Fork(label)
-	l := netem.NewLoss(prob, child, next)
-	n.pool.usedLosses = append(n.pool.usedLosses, elemRng[*netem.Loss]{el: l, rng: child})
-	return l
+	return n.pool.losses.keep(e).el
 }
 
 func (n *Net) getSwapper(probFn func(sim.Time) float64, prob float64, rng *sim.Rand, label uint64, next netem.Node) *netem.Swapper {
-	if k := len(n.pool.freeSwappers); k > 0 {
-		p := n.pool.freeSwappers[k-1]
-		n.pool.freeSwappers = n.pool.freeSwappers[:k-1]
-		rng.ForkInto(p.rng, label)
-		p.el.Reinit(probFn, prob, p.rng, next)
-		n.pool.usedSwappers = append(n.pool.usedSwappers, p)
-		return p.el
+	e, ok := n.pool.swappers.take()
+	e.rng = rng.ForkInto(e.rng, label)
+	switch {
+	case ok:
+		e.el.Reinit(probFn, prob, e.rng, next)
+	case probFn != nil:
+		e.el = netem.NewSwapperFunc(n.Loop, probFn, e.rng, next)
+	default:
+		e.el = netem.NewSwapper(n.Loop, prob, e.rng, next)
 	}
-	child := rng.Fork(label)
-	var s *netem.Swapper
-	if probFn != nil {
-		s = netem.NewSwapperFunc(n.Loop, probFn, child, next)
-	} else {
-		s = netem.NewSwapper(n.Loop, prob, child, next)
-	}
-	n.pool.usedSwappers = append(n.pool.usedSwappers, elemRng[*netem.Swapper]{el: s, rng: child})
-	return s
+	return n.pool.swappers.keep(e).el
 }
 
 func (n *Net) getCorrupter(prob float64, rng *sim.Rand, label uint64, next netem.Node) *netem.Corrupter {
-	if k := len(n.pool.freeCorrupters); k > 0 {
-		p := n.pool.freeCorrupters[k-1]
-		n.pool.freeCorrupters = n.pool.freeCorrupters[:k-1]
-		rng.ForkInto(p.rng, label)
-		p.el.Reinit(prob, p.rng, n.arena, next)
-		n.pool.usedCorrupters = append(n.pool.usedCorrupters, p)
-		return p.el
+	e, ok := n.pool.corrupters.take()
+	e.rng = rng.ForkInto(e.rng, label)
+	if ok {
+		e.el.Reinit(prob, e.rng, n.arena, next)
+	} else {
+		e.el = netem.NewCorrupter(prob, e.rng, n.arena, next)
 	}
-	child := rng.Fork(label)
-	c := netem.NewCorrupter(prob, child, n.arena, next)
-	n.pool.usedCorrupters = append(n.pool.usedCorrupters, elemRng[*netem.Corrupter]{el: c, rng: child})
-	return c
+	return n.pool.corrupters.keep(e).el
 }
 
 func (n *Net) getTrunk(cfg netem.TrunkConfig, rng *sim.Rand, label uint64, next netem.Node) *netem.StripedTrunk {
-	if k := len(n.pool.freeTrunks); k > 0 {
-		p := n.pool.freeTrunks[k-1]
-		n.pool.freeTrunks = n.pool.freeTrunks[:k-1]
-		rng.ForkInto(p.rng, label)
-		p.el.Reinit(cfg, p.rng, next)
-		n.pool.usedTrunks = append(n.pool.usedTrunks, p)
-		return p.el
+	e, ok := n.pool.trunks.take()
+	e.rng = rng.ForkInto(e.rng, label)
+	if ok {
+		e.el.Reinit(cfg, e.rng, next)
+	} else {
+		e.el = netem.NewStripedTrunk(n.Loop, cfg, e.rng, next)
 	}
-	child := rng.Fork(label)
-	t := netem.NewStripedTrunk(n.Loop, cfg, child, next)
-	n.pool.usedTrunks = append(n.pool.usedTrunks, elemRng[*netem.StripedTrunk]{el: t, rng: child})
-	return t
+	return n.pool.trunks.keep(e).el
 }
 
 func (n *Net) getMultiPath(cfg netem.MultiPathConfig, rng *sim.Rand, label uint64, next netem.Node) *netem.MultiPath {
-	if k := len(n.pool.freeMultiPaths); k > 0 {
-		p := n.pool.freeMultiPaths[k-1]
-		n.pool.freeMultiPaths = n.pool.freeMultiPaths[:k-1]
-		rng.ForkInto(p.rng, label)
-		p.el.Reinit(cfg, p.rng, next)
-		n.pool.usedMultiPaths = append(n.pool.usedMultiPaths, p)
-		return p.el
+	e, ok := n.pool.multiPaths.take()
+	e.rng = rng.ForkInto(e.rng, label)
+	if ok {
+		e.el.Reinit(cfg, e.rng, next)
+	} else {
+		e.el = netem.NewMultiPath(n.Loop, cfg, e.rng, next)
 	}
-	child := rng.Fork(label)
-	m := netem.NewMultiPath(n.Loop, cfg, child, next)
-	n.pool.usedMultiPaths = append(n.pool.usedMultiPaths, elemRng[*netem.MultiPath]{el: m, rng: child})
-	return m
+	return n.pool.multiPaths.keep(e).el
 }
 
 func (n *Net) getARQ(cfg netem.ARQConfig, rng *sim.Rand, label uint64, next netem.Node) *netem.ARQLink {
-	if k := len(n.pool.freeARQs); k > 0 {
-		p := n.pool.freeARQs[k-1]
-		n.pool.freeARQs = n.pool.freeARQs[:k-1]
-		rng.ForkInto(p.rng, label)
-		p.el.Reinit(cfg, p.rng, next)
-		n.pool.usedARQs = append(n.pool.usedARQs, p)
-		return p.el
+	e, ok := n.pool.arqs.take()
+	e.rng = rng.ForkInto(e.rng, label)
+	if ok {
+		e.el.Reinit(cfg, e.rng, next)
+	} else {
+		e.el = netem.NewARQLink(n.Loop, cfg, e.rng, next)
 	}
-	child := rng.Fork(label)
-	l := netem.NewARQLink(n.Loop, cfg, child, next)
-	n.pool.usedARQs = append(n.pool.usedARQs, elemRng[*netem.ARQLink]{el: l, rng: child})
-	return l
+	return n.pool.arqs.keep(e).el
 }
 
 func (n *Net) getMiddlebox(cfg netem.MiddleboxConfig, rng *sim.Rand, label uint64, next netem.Node) *netem.Middlebox {
-	if k := len(n.pool.freeMiddleboxes); k > 0 {
-		p := n.pool.freeMiddleboxes[k-1]
-		n.pool.freeMiddleboxes = n.pool.freeMiddleboxes[:k-1]
-		rng.ForkInto(p.rng, label)
-		p.el.Reinit(cfg, n.Loop, p.rng, n.arena, n.IDs, next)
-		n.pool.usedMiddleboxes = append(n.pool.usedMiddleboxes, p)
-		return p.el
+	e, ok := n.pool.middleboxes.take()
+	e.rng = rng.ForkInto(e.rng, label)
+	if ok {
+		e.el.Reinit(cfg, n.Loop, e.rng, n.arena, n.IDs, next)
+	} else {
+		e.el = netem.NewMiddlebox(cfg, n.Loop, e.rng, n.arena, n.IDs, next)
 	}
-	child := rng.Fork(label)
-	m := netem.NewMiddlebox(cfg, n.Loop, child, n.arena, n.IDs, next)
-	n.pool.usedMiddleboxes = append(n.pool.usedMiddleboxes, elemRng[*netem.Middlebox]{el: m, rng: child})
-	return m
+	return n.pool.middleboxes.keep(e).el
 }
 
 func (n *Net) getPriority(cfg netem.PriorityConfig, next netem.Node) *netem.PriorityQueue {
-	var q *netem.PriorityQueue
-	if k := len(n.pool.freePriorities); k > 0 {
-		q = n.pool.freePriorities[k-1]
-		n.pool.freePriorities = n.pool.freePriorities[:k-1]
+	q, ok := n.pool.priorities.take()
+	if ok {
 		q.Reinit(cfg, next)
 	} else {
 		q = netem.NewPriorityQueue(n.Loop, cfg, next)
 	}
-	n.pool.usedPriorities = append(n.pool.usedPriorities, q)
-	return q
+	return n.pool.priorities.keep(q)
 }
 
 func (n *Net) getFragmenter(mtu int, next netem.Node) *netem.Fragmenter {
-	var f *netem.Fragmenter
-	if k := len(n.pool.freeFragmenters); k > 0 {
-		f = n.pool.freeFragmenters[k-1]
-		n.pool.freeFragmenters = n.pool.freeFragmenters[:k-1]
+	f, ok := n.pool.fragmenters.take()
+	if ok {
 		f.Reinit(mtu, next)
 	} else {
 		f = netem.NewFragmenter(mtu, next)
 	}
-	n.pool.usedFragmenters = append(n.pool.usedFragmenters, f)
-	return f
+	return n.pool.fragmenters.keep(f)
 }
 
 // Probe returns the probe-side transport.

@@ -32,40 +32,40 @@ func (s *Stats) add(c netem.Counters) {
 func (n *Net) Stats() Stats {
 	var s Stats
 	p := &n.pool
-	for _, e := range p.usedLinks {
+	for _, e := range p.links.used {
 		s.add(e.Stats())
 	}
-	for _, e := range p.usedDelays {
+	for _, e := range p.delays.used {
 		s.add(e.el.Stats())
 	}
-	for _, e := range p.usedLosses {
+	for _, e := range p.losses.used {
 		s.add(e.el.Stats())
 	}
-	for _, e := range p.usedSwappers {
+	for _, e := range p.swappers.used {
 		s.add(e.el.Stats())
 	}
-	for _, e := range p.usedCorrupters {
+	for _, e := range p.corrupters.used {
 		s.add(e.el.Stats())
 	}
-	for _, e := range p.usedTrunks {
+	for _, e := range p.trunks.used {
 		s.add(e.el.Stats())
 	}
-	for _, e := range p.usedMultiPaths {
+	for _, e := range p.multiPaths.used {
 		s.add(e.el.Stats())
 	}
-	for _, e := range p.usedARQs {
+	for _, e := range p.arqs.used {
 		s.add(e.el.Stats())
 	}
-	for _, e := range p.usedPriorities {
+	for _, e := range p.priorities.used {
 		s.add(e.Stats())
 	}
-	for _, e := range p.usedFragmenters {
+	for _, e := range p.fragmenters.used {
 		s.add(e.Stats())
 	}
-	for _, e := range p.usedRouters {
+	for _, e := range p.routers.used {
 		s.add(e.Stats())
 	}
-	for _, e := range p.usedMiddleboxes {
+	for _, e := range p.middleboxes.used {
 		s.add(e.el.Stats())
 		mb := e.el.MiddleboxStats()
 		s.MiddleboxInjected += mb.Injected

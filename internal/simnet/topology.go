@@ -379,35 +379,29 @@ func (n *Net) computeNextHops(t *TopologySpec) {
 
 // getRouter returns a pooled router, Reinit'd for a fresh table.
 func (n *Net) getRouter() *netem.Router {
-	var r *netem.Router
-	if k := len(n.pool.freeRouters); k > 0 {
-		r = n.pool.freeRouters[k-1]
-		n.pool.freeRouters = n.pool.freeRouters[:k-1]
+	r, ok := n.pool.routers.take()
+	if ok {
 		r.Reinit()
 	} else {
 		r = netem.NewRouter()
 	}
-	n.pool.usedRouters = append(n.pool.usedRouters, r)
-	return r
+	return n.pool.routers.keep(r)
 }
 
 // getSender returns a pooled cross-traffic sender reset for cfg (reseeding
 // its retained stream exactly as a fresh fork would draw) and schedules its
 // Start at the flow's configured virtual time.
 func (n *Net) getSender(cfg tcpsender.Config, local, remote netip.Addr, rng *sim.Rand, label uint64, out netem.Node, start time.Duration) *tcpsender.Sender {
-	var e senderEntry
-	if k := len(n.pool.freeSenders); k > 0 {
-		e = n.pool.freeSenders[k-1]
-		n.pool.freeSenders = n.pool.freeSenders[:k-1]
-		rng.ForkInto(e.rng, label)
+	e, ok := n.pool.senders.take()
+	e.rng = rng.ForkInto(e.rng, label)
+	if ok {
 		e.el.Reset(cfg, local, remote, e.rng, out)
 	} else {
-		child := rng.Fork(label)
-		s := tcpsender.New(n.Loop, cfg, local, remote, n.IDs, child, out)
-		e = senderEntry{el: s, rng: child, startFn: s.Start}
+		e.el = tcpsender.New(n.Loop, cfg, local, remote, n.IDs, e.rng, out)
+		e.startFn = e.el.Start
 	}
 	e.el.SetArena(n.arena)
-	n.pool.usedSenders = append(n.pool.usedSenders, e)
+	n.pool.senders.keep(e)
 	n.Senders = append(n.Senders, e.el)
 	n.Loop.At(sim.Time(0).Add(start), e.startFn)
 	return e.el

@@ -79,7 +79,7 @@ func TestViewDifferentialCorruptPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	fired := false
-	for _, c := range n.pool.usedCorrupters {
+	for _, c := range n.pool.corrupters.used {
 		if c.el.Stats().Swapped > 0 {
 			fired = true
 		}

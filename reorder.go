@@ -18,8 +18,8 @@
 //	...
 //	fmt.Printf("forward reordering: %.2f%%\n", res.Forward().Rate()*100)
 //
-// On a Linux host with raw-socket privileges and a network vantage point,
-// the same Prober runs over internal/livewire instead of the simulator.
+// The Prober drives any core.Transport: that interface is the seam a live
+// raw-socket backend plugs into in place of the simulator.
 package reorder
 
 import (
