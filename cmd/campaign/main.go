@@ -1,13 +1,16 @@
-// Command campaign runs a production-scale measurement campaign: the four
-// techniques against an enumerated (or file-loaded) population of
-// thousands of simulated targets, probed by a bounded worker pool with
-// retry, rate limiting, streaming JSONL/CSV output and checkpoint/resume.
-// The default enumeration — every host profile × every path impairment ×
-// every test × 7 seeds — is a 2016-target survey; results for a fixed
-// -seed are byte-reproducible at any worker count.
+// Command campaign runs production-scale measurement campaigns: the four
+// techniques against an enumerated (or file-loaded) population of thousands
+// of simulated targets, one command per mode (see commands). Each command's
+// flag set is composed from the groups below and holds only the flags that
+// command reads, so a combination that makes no sense is "flag provided but
+// not defined", not a run-time check. The default enumeration — every host
+// profile × every path impairment × every test × 7 seeds — is a 2016-target
+// survey; results for a fixed -seed are byte-reproducible at any worker
+// count, under run or serve.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -16,7 +19,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -29,82 +31,127 @@ import (
 	"reorder/internal/obs"
 )
 
+var commands = []cli.Command{
+	{Name: "run", Summary: "probe the target list in this process: worker pool, retry, rate limit, JSONL/CSV, checkpoint/resume", Setup: setupRun},
+	{Name: "serve", Summary: "the same campaign, probed by worker processes (-coordinate addr and/or -spawn n)", Setup: setupServe},
+	{Name: "worker", Summary: "probe the spans leased by the serve at -connect", Setup: setupWorker},
+	{Name: "congestion", Summary: "experiment: clean-path probes over routed topologies, techniques cross-checked",
+		Setup: setupPaired("topology", "topology graphs from the catalog (default: all, \"p2p\" control included)",
+			func(p *pairedFlags) (*experiments.PairedReport, error) {
+				return experiments.RunCongestion(experiments.CongestionConfig{
+					Topologies: p.list, Replicas: p.seeds, Samples: p.samples, Workers: p.workers, Seed: p.baseSeed})
+			})},
+	{Name: "chaos", Summary: "experiment: probes under every fault schedule, techniques cross-checked",
+		Setup: setupPaired("scenario", "fault schedules from the catalog (default: all; the static control always rides along)",
+			func(p *pairedFlags) (*experiments.PairedReport, error) {
+				return experiments.RunChaos(experiments.ChaosConfig{
+					Scenarios: p.list, Replicas: p.seeds, Samples: p.samples, Workers: p.workers, Seed: p.baseSeed})
+			})},
+	{Name: "catalogs", Summary: "print the profile, impairment, topology and scenario catalogs", Setup: setupCatalogs},
+	{Name: "targets", Summary: "print the enumerated target list (the -targets file format)", Setup: setupTargets},
+}
+
+var run = cli.Dispatch("campaign", commands)
+
 func main() { cli.Main(run) }
 
-func run(args []string, stdout io.Writer) error {
-	fs := flag.NewFlagSet("campaign", flag.ContinueOnError)
-	var (
-		profiles      = fs.String("profiles", "", "comma-separated host profiles (default: all)")
-		impairments   = fs.String("impairments", "", "comma-separated path impairments (default: all)")
-		tests         = fs.String("tests", "", "comma-separated techniques (default: single,dual,syn,transfer)")
-		seeds         = fs.Int("seeds", 0, "seed replicas per profile×impairment×test combination (0 = auto: 7, or 2 with -quick)")
-		baseSeed      = fs.Uint64("seed", 719, "base seed; fixes every scenario draw in the campaign")
-		topologies    = fs.String("topology", "", "comma-separated topology graphs from the catalog (\"p2p\" is the point-to-point control); adds a topology dimension to the enumeration")
-		scenarioList  = fs.String("scenario", "", "comma-separated fault schedules from the scenario catalog; adds a time-varying/adversarial dimension to the enumeration")
-		congestion    = fs.Bool("congestion", false, "run the congestion experiment instead of a raw campaign: clean-path probes over routed topologies, techniques cross-checked for agreement")
-		chaos         = fs.Bool("chaos", false, "run the chaos experiment instead of a raw campaign: probes under every fault schedule, techniques cross-checked for agreement")
-		listCatalogs  = fs.Bool("list", false, "print the profile, impairment, topology and scenario catalogs and exit")
-		targetsPath   = fs.String("targets", "", "targets file (profile impairment test seed [topology [scenario]] per line); overrides enumeration")
-		samples       = fs.Int("samples", 8, "samples per measurement")
-		workers       = fs.Int("workers", 16, "concurrent probe workers")
-		retries       = fs.Int("retries", 1, "extra attempts for a failed target")
-		backoff       = fs.Duration("backoff", 50*time.Millisecond, "delay before first retry (doubles per attempt)")
-		rate          = fs.Float64("rate", 0, "max probe launches per second (0 = unlimited)")
-		window        = fs.Int("window", 0, "max targets probed ahead of the in-order emit frontier; bounds re-sequencing memory (0 = adaptive from observed completion spread, capped at max(4×workers, 64))")
-		batch         = fs.Int("batch", 0, "targets per dispatch span: workers claim contiguous runs of this many targets and results flush to the sinks in whole pre-encoded batches (0 = adaptive; output is byte-identical at any batch size)")
-		out           = fs.String("out", "", "stream per-target results as JSONL to this path")
-		csvPath       = fs.String("csv", "", "stream per-target results as CSV to this path")
-		ckpt          = fs.String("checkpoint", "", "checkpoint file enabling -resume")
-		resume        = fs.Bool("resume", false, "resume an interrupted campaign from -checkpoint")
-		forceRestart  = fs.Bool("force-restart", false, "archive existing -out/-csv/-checkpoint files (to <path>.oldN) and start fresh; the escape hatch when -resume refuses a changed config")
-		stopAfter     = fs.Int("stop-after", 0, "stop cleanly after this many results (0 = run to completion)")
-		listTargets   = fs.Bool("list-targets", false, "print the enumerated target list and exit")
-		progress      = fs.Duration("progress", 0, "print progress to stderr at this interval, with cumulative and EWMA instantaneous rates (0 = off)")
-		quick         = fs.Bool("quick", false, "small campaign (2 seeds, single+syn) for smoke runs")
-		cpuProfile    = fs.String("cpuprofile", "", "write a CPU profile of the campaign to this path")
-		memProfile    = fs.String("memprofile", "", "write an allocation profile (taken at completion) to this path")
-		listen        = fs.String("listen", "", "serve live telemetry over HTTP on this address (/metrics, /campaign/progress, /debug/pprof); \":0\" picks a free port")
-		tracePath     = fs.String("trace", "", "write a structured JSONL run trace (span lifecycle, retries, checkpoints) to this path")
-		statsReport   = fs.Bool("stats", false, "append a telemetry report (scheduler, probe latency, sim, netem, sinks) to the summary")
-		workerMode    = fs.Bool("worker", false, "run as a distributed campaign worker: probe spans leased by the coordinator at -connect (enumeration flags must match the coordinator's)")
-		connect       = fs.String("connect", "", "coordinator address for -worker (host:port, or a unix socket path)")
-		coordinate    = fs.String("coordinate", "", "run as a distributed campaign coordinator listening on this address; workers connect with -worker -connect")
-		spawnN        = fs.Int("spawn", 0, "coordinate and fork this many local worker processes over an auto-created unix socket (combine with -coordinate to also accept remote workers)")
-		expectN       = fs.Int("expect", 0, "worker processes expected to connect; sizes the per-worker rate-budget split and dispatch window (default: -spawn count, else 1)")
-		leaseTimeout  = fs.Duration("lease-timeout", 0, "re-issue a silent worker's leased spans after this long (default 15s)")
-		maxRespawn    = fs.Int("max-respawn", 2, "total respawns of crashed -spawn workers before the coordinator drains (0 = never respawn)")
-		reconnBackoff = fs.Duration("reconnect-backoff", 100*time.Millisecond, "worker base delay between reconnect attempts after a lost coordinator connection (doubles with jitter per consecutive failure)")
-		faultSeed     = fs.Uint64("faultnet", 0, "inject seeded control-plane faults (resets, stalls, dup/truncated lines, accept failures) into coordinator connections — chaos rehearsal for the dist plane; 0 = off")
-	)
-	if err := cli.Parse(fs, args); err != nil {
-		return err
-	}
-	if err := validateFlags(fs, *scenarioList, *connect, *workerMode, *spawnN, *coordinate, *maxRespawn, *faultSeed); err != nil {
-		return err
-	}
-	if *listCatalogs {
-		printCatalogs(stdout)
-		return nil
-	}
+// listFlag is a comma-separated name list.
+type listFlag []string
 
-	// Profiling hooks, so field campaigns can be profiled the way the
-	// benchmarks were (go tool pprof <binary> <profile>).
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
+func (l *listFlag) String() string { return strings.Join(*l, ",") }
+func (l *listFlag) Set(s string) error {
+	*l = strings.FieldsFunc(s, func(r rune) bool { return r == ',' || r == ' ' })
+	return nil
+}
+
+// positiveDuration is a duration flag that refuses zero and negative values.
+type positiveDuration time.Duration
+
+func (d *positiveDuration) String() string { return time.Duration(*d).String() }
+func (d *positiveDuration) Set(s string) error {
+	v, err := time.ParseDuration(s)
+	if err == nil && v <= 0 {
+		err = errors.New("must be positive (omit it for the default)")
+	}
+	*d = positiveDuration(v)
+	return err
+}
+
+// enumFlags say what the target list is (run, serve, worker, targets); the
+// dimension flags bind straight to the EnumSpec they fill.
+type enumFlags struct {
+	spec  campaign.EnumSpec
+	path  string
+	quick bool
+}
+
+func (e *enumFlags) define(fs *flag.FlagSet) {
+	fs.Var((*listFlag)(&e.spec.Profiles), "profiles", "comma-separated host profiles (default: all)")
+	fs.Var((*listFlag)(&e.spec.Impairments), "impairments", "comma-separated path impairments (default: all)")
+	fs.Var((*listFlag)(&e.spec.Tests), "tests", "comma-separated techniques (default: single,dual,syn,transfer)")
+	fs.IntVar(&e.spec.Seeds, "seeds", 0, "seed replicas per profile×impairment×test combination (0 = auto: 7, or 2 with -quick)")
+	fs.Uint64Var(&e.spec.BaseSeed, "seed", 719, "base seed; fixes every scenario draw in the campaign")
+	fs.Var((*listFlag)(&e.spec.Topologies), "topology", "comma-separated topology graphs from the catalog (\"p2p\" is the point-to-point control); adds a topology dimension to the enumeration")
+	fs.Var((*listFlag)(&e.spec.Scenarios), "scenario", "comma-separated fault schedules from the scenario catalog; adds a time-varying/adversarial dimension to the enumeration")
+	fs.StringVar(&e.path, "targets", "", "targets file (profile impairment test seed [topology [scenario]] per line); overrides enumeration")
+	fs.BoolVar(&e.quick, "quick", false, "small campaign (2 seeds, single+syn) for smoke runs")
+}
+
+// targets loads the targets file or expands the enumeration.
+func (e *enumFlags) targets() ([]campaign.Target, error) {
+	if e.path != "" {
+		f, err := os.Open(e.path)
+		if err != nil {
+			return nil, err
+		}
+		defer f.Close()
+		return campaign.LoadTargets(f)
+	}
+	// -quick shrinks only the dimensions the user did not set
+	// explicitly, so e.g. `-quick -seeds 5` keeps 5 seed replicas.
+	spec := e.spec
+	if spec.Seeds == 0 {
+		spec.Seeds = 7
+		if e.quick {
+			spec.Seeds = 2
+		}
+	}
+	if e.quick && len(spec.Tests) == 0 {
+		spec.Tests = []string{"single", "syn"}
+	}
+	return campaign.Enumerate(spec)
+}
+
+// samplesVar defines -samples, which with the target list makes up the
+// fingerprint a serve and its workers must agree on.
+func samplesVar(fs *flag.FlagSet, n *int) {
+	fs.IntVar(n, "samples", 8, "samples per measurement")
+}
+
+// profileFlags let field campaigns be profiled the way the benchmarks were
+// (go tool pprof <binary> <profile>).
+type profileFlags struct{ cpu, mem string }
+
+func (p *profileFlags) define(fs *flag.FlagSet) {
+	fs.StringVar(&p.cpu, "cpuprofile", "", "write a CPU profile of the command to this path")
+	fs.StringVar(&p.mem, "memprofile", "", "write an allocation profile (taken at completion) to this path")
+}
+
+// around runs body under the requested profiles.
+func (p *profileFlags) around(body func() error) error {
+	if p.cpu != "" {
+		f, err := os.Create(p.cpu)
 		if err != nil {
 			return err
 		}
+		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
-			f.Close()
 			return err
 		}
-		defer func() {
-			pprof.StopCPUProfile()
-			f.Close()
-		}()
+		defer pprof.StopCPUProfile()
 	}
-	if *memProfile != "" {
-		f, err := os.Create(*memProfile)
+	if p.mem != "" {
+		f, err := os.Create(p.mem)
 		if err != nil {
 			return err
 		}
@@ -116,164 +163,258 @@ func run(args []string, stdout io.Writer) error {
 			f.Close()
 		}()
 	}
+	return body()
+}
 
-	if *congestion {
-		rep, err := experiments.RunCongestion(experiments.CongestionConfig{
-			Topologies: splitList(*topologies),
-			Replicas:   *seeds,
-			Samples:    *samples,
-			Workers:    *workers,
-			Seed:       *baseSeed,
-		})
-		if err != nil {
-			return err
-		}
-		rep.WriteText(stdout)
-		return nil
-	}
-	if *chaos {
-		rep, err := experiments.RunChaos(experiments.ChaosConfig{
-			Scenarios: splitList(*scenarioList),
-			Replicas:  *seeds,
-			Samples:   *samples,
-			Workers:   *workers,
-			Seed:      *baseSeed,
-		})
-		if err != nil {
-			return err
-		}
-		rep.WriteText(stdout)
-		return nil
-	}
+// campaignFlags is the campaign itself — everything run and serve share;
+// the two differ only in who probes. Pace (politeness and dispatch; no output
+// byte depends on it), sink and checkpoint flags bind to the Config they fill.
+type campaignFlags struct {
+	enumFlags
+	profileFlags
+	cfg          campaign.Config
+	forceRestart bool
 
-	var targets []campaign.Target
-	if *targetsPath != "" {
-		f, err := os.Open(*targetsPath)
-		if err != nil {
-			return err
-		}
-		targets, err = campaign.LoadTargets(f)
-		f.Close()
-		if err != nil {
-			return err
-		}
-	} else {
-		spec := campaign.EnumSpec{
-			Profiles:    splitList(*profiles),
-			Impairments: splitList(*impairments),
-			Tests:       splitList(*tests),
-			Seeds:       *seeds,
-			BaseSeed:    *baseSeed,
-			Topologies:  splitList(*topologies),
-			Scenarios:   splitList(*scenarioList),
-		}
-		// -quick shrinks only the dimensions the user did not set
-		// explicitly, so e.g. `-quick -seeds 5` keeps 5 seed replicas.
-		if spec.Seeds == 0 {
-			spec.Seeds = 7
-			if *quick {
-				spec.Seeds = 2
-			}
-		}
-		if *quick && spec.Tests == nil {
-			spec.Tests = []string{"single", "syn"}
-		}
-		var err error
-		targets, err = campaign.Enumerate(spec)
-		if err != nil {
-			return err
-		}
-	}
-	if *listTargets {
-		return campaign.WriteTargets(stdout, targets)
-	}
+	// Telemetry surfaces; the registry behind them exists only on request.
+	progress      time.Duration
+	listen, trace string
+	stats         bool
+}
 
-	if *workerMode {
+func (c *campaignFlags) define(fs *flag.FlagSet) {
+	c.enumFlags.define(fs)
+	samplesVar(fs, &c.cfg.Samples)
+	c.profileFlags.define(fs)
+	fs.IntVar(&c.cfg.Retries, "retries", 1, "extra attempts for a failed target")
+	fs.DurationVar(&c.cfg.Backoff, "backoff", 50*time.Millisecond, "delay before first retry (doubles per attempt)")
+	fs.Float64Var(&c.cfg.RatePerSec, "rate", 0, "max probe launches per second (0 = unlimited)")
+	fs.IntVar(&c.cfg.Window, "window", 0, "max targets probed (serve: leased) ahead of the in-order emit frontier; bounds re-sequencing memory (0 = run: adaptive from observed completion spread, capped at max(4×workers, 64); serve: max(64, 4×batch×expect))")
+	fs.IntVar(&c.cfg.Batch, "batch", 0, "targets per dispatch span (serve: per lease); results flush to the sinks in whole pre-encoded batches (0 = run: adaptive; serve: 32; output is byte-identical at any batch size)")
+	fs.StringVar(&c.cfg.OutputPath, "out", "", "stream per-target results as JSONL to this path")
+	fs.StringVar(&c.cfg.CSVPath, "csv", "", "stream per-target results as CSV to this path")
+	fs.StringVar(&c.cfg.CheckpointPath, "checkpoint", "", "checkpoint file enabling -resume")
+	fs.BoolVar(&c.cfg.Resume, "resume", false, "resume an interrupted campaign from -checkpoint (run and serve resume each other's)")
+	fs.BoolVar(&c.forceRestart, "force-restart", false, "archive existing -out/-csv/-checkpoint files (to <path>.oldN) and start fresh; the escape hatch when -resume refuses a changed config")
+	fs.IntVar(&c.cfg.StopAfter, "stop-after", 0, "stop cleanly after this many results (0 = run to completion)")
+	fs.DurationVar(&c.progress, "progress", 0, "print progress to stderr at this interval, with cumulative and EWMA instantaneous rates (0 = off)")
+	fs.StringVar(&c.listen, "listen", "", "serve live telemetry over HTTP on this address (/metrics, /campaign/progress, /debug/pprof); \":0\" picks a free port")
+	fs.StringVar(&c.trace, "trace", "", "write a structured JSONL run trace (span lifecycle, retries, checkpoints) to this path")
+	fs.BoolVar(&c.stats, "stats", false, "append a telemetry report (scheduler, probe latency, sim, netem, sinks) to the summary")
+}
+
+func setupRun(fs *flag.FlagSet) func(io.Writer) error {
+	var c campaignFlags
+	c.define(fs)
+	workers := fs.Int("workers", 16, "concurrent probe workers")
+	return func(stdout io.Writer) error {
+		return c.execute(stdout, *workers, fmt.Sprintf("%d workers", *workers), campaign.Run)
+	}
+}
+
+// distFlags are the coordinator's side of the distributed plane.
+type distFlags struct {
+	addr                           string
+	spawn, maxRespawn              uint
+	expect                         int
+	leaseTimeout, reconnectBackoff time.Duration
+	faultSeed                      uint64
+}
+
+func (d *distFlags) define(fs *flag.FlagSet) {
+	fs.StringVar(&d.addr, "coordinate", "", "listen for workers on this address (host:port, or a unix socket path); they connect with `campaign worker -connect`")
+	fs.UintVar(&d.spawn, "spawn", 0, "fork this many local worker processes over an auto-created unix socket (combine with -coordinate to also accept remote workers)")
+	fs.IntVar(&d.expect, "expect", 0, "worker processes expected to connect; sizes the per-worker rate-budget split and dispatch window (default: -spawn count, else 1)")
+	d.leaseTimeout = 15 * time.Second
+	fs.Var((*positiveDuration)(&d.leaseTimeout), "lease-timeout", "re-issue a silent worker's leased spans after this long")
+	fs.UintVar(&d.maxRespawn, "max-respawn", 2, "total respawns of crashed -spawn workers before the coordinator drains (0 = never respawn)")
+	reconnectBackoffVar(fs, &d.reconnectBackoff)
+	fs.Uint64Var(&d.faultSeed, "faultnet", 0, "inject seeded control-plane faults (resets, stalls, dup/truncated lines, accept failures) into worker connections — chaos rehearsal for the dist plane; 0 = off")
+}
+
+// reconnectBackoffVar is the one flag serve and worker both own: serve
+// reads it only to forward it to the workers it spawns.
+func reconnectBackoffVar(fs *flag.FlagSet, d *time.Duration) {
+	*d = 100 * time.Millisecond
+	fs.Var((*positiveDuration)(d), "reconnect-backoff", "worker base delay between reconnect attempts after a lost coordinator connection (doubles with jitter per consecutive failure)")
+}
+
+func setupServe(fs *flag.FlagSet) func(io.Writer) error {
+	var c campaignFlags
+	var d distFlags
+	c.define(fs)
+	d.define(fs)
+	return func(stdout io.Writer) error {
+		if d.addr == "" && d.spawn == 0 {
+			return fmt.Errorf("campaign serve: needs workers: -coordinate addr (they connect) and/or -spawn n (forks them)")
+		}
+		expect := d.expect
+		if expect <= 0 {
+			expect = max(int(d.spawn), 1)
+		}
+		return c.execute(stdout, expect, fmt.Sprintf("%d worker procs expected", expect),
+			func(cfg campaign.Config) (*campaign.Summary, error) { return d.serve(cfg, expect, fs) })
+	}
+}
+
+func setupWorker(fs *flag.FlagSet) func(io.Writer) error {
+	var e enumFlags
+	e.define(fs)
+	var cfg dist.WorkerConfig
+	samplesVar(fs, &cfg.Samples)
+	fs.StringVar(&cfg.Connect, "connect", "", "coordinator address (host:port, or a unix socket path)")
+	reconnectBackoffVar(fs, &cfg.ReconnectBackoff)
+	return func(io.Writer) (err error) {
+		if cfg.Connect == "" {
+			return fmt.Errorf("campaign worker: -connect is required (the address of a `campaign serve`)")
+		}
+		if cfg.Targets, err = e.targets(); err != nil {
+			return err
+		}
 		// Ctrl+C reaches the whole process group; the coordinator owns the
 		// drain, so the worker ignores the interrupt and finishes its
 		// in-flight span instead of dying with the lease.
 		signal.Ignore(os.Interrupt)
-		return dist.RunWorker(dist.WorkerConfig{
-			Connect:          *connect,
-			Targets:          targets,
-			Samples:          *samples,
-			Obs:              obs.NewCampaign(1),
-			ReconnectBackoff: *reconnBackoff,
-		})
+		cfg.Obs = obs.NewCampaign(1)
+		return dist.RunWorker(cfg)
 	}
-	distMode := *coordinate != "" || *spawnN > 0
+}
 
-	if *forceRestart {
-		if *resume {
-			return fmt.Errorf("campaign: -force-restart and -resume are mutually exclusive (restart archives the old state; resume continues it)")
+// workerArgv derives a spawned worker's argv from the flags set on serve:
+// exactly those the worker command also defines, so the child enumerates
+// the same target list (the fingerprint handshake proves it) and a flag
+// added to a shared group is forwarded by construction.
+func workerArgv(serve *flag.FlagSet, addr string) []string {
+	worker := flag.NewFlagSet("worker", flag.ContinueOnError)
+	setupWorker(worker)
+	argv := []string{"worker", "-connect=" + addr}
+	serve.Visit(func(f *flag.Flag) {
+		if worker.Lookup(f.Name) != nil {
+			argv = append(argv, "-"+f.Name+"="+f.Value.String())
 		}
-		for _, p := range []string{*ckpt, *out, *csvPath} {
-			if p == "" {
-				continue
-			}
-			archived, err := archiveFile(p)
-			if err != nil {
+	})
+	return argv
+}
+
+// pairedFlags are the two agreement experiments' shared knobs.
+type pairedFlags struct {
+	list                    listFlag
+	seeds, samples, workers int
+	baseSeed                uint64
+	profileFlags
+}
+
+// setupPaired is both experiments' setup: they differ in the dimension
+// they sweep (the -dim list) and the experiment that sweeps it.
+func setupPaired(dim, usage string, experiment func(p *pairedFlags) (*experiments.PairedReport, error)) func(*flag.FlagSet) func(io.Writer) error {
+	return func(fs *flag.FlagSet) func(io.Writer) error {
+		var p pairedFlags
+		fs.Var(&p.list, dim, "comma-separated "+usage)
+		fs.IntVar(&p.seeds, "seeds", 0, "seed replicas per cell (0 = the experiment's default, 8)")
+		fs.Uint64Var(&p.baseSeed, "seed", 719, "base seed; fixes every scenario draw in the experiment")
+		samplesVar(fs, &p.samples)
+		fs.IntVar(&p.workers, "workers", 16, "concurrent probe workers")
+		p.profileFlags.define(fs)
+		return func(stdout io.Writer) error {
+			return p.around(func() error {
+				rep, err := experiment(&p)
+				if err != nil {
+					return err
+				}
+				rep.WriteText(stdout)
+				return nil
+			})
+		}
+	}
+}
+
+// setupCatalogs lists every enumerable dimension, one catalog per block.
+func setupCatalogs(*flag.FlagSet) func(io.Writer) error {
+	return func(stdout io.Writer) error {
+		for _, c := range []struct {
+			title string
+			names []string
+		}{{"profiles", campaign.Profiles()}, {"impairments", campaign.ImpairmentNames()},
+			{"topologies", campaign.TopologyNames()}, {"scenarios", campaign.ScenarioNames()}} {
+			fmt.Fprintf(stdout, "%s:\n  %s\n", c.title, strings.Join(c.names, "\n  "))
+		}
+		return nil
+	}
+}
+
+func setupTargets(fs *flag.FlagSet) func(io.Writer) error {
+	var e enumFlags
+	e.define(fs)
+	return func(stdout io.Writer) error {
+		targets, err := e.targets()
+		if err != nil {
+			return err
+		}
+		return campaign.WriteTargets(stdout, targets)
+	}
+}
+
+// execute runs the campaign through engine — campaign.Run or the coordinator
+// — with what the two share around it: profiles, the target list, a forced
+// restart's archiving, telemetry, the two-stage interrupt, the summary.
+// workers sizes the telemetry registry and, under run, the pool; desc
+// describes them in the throughput line.
+func (c *campaignFlags) execute(stdout io.Writer, workers int, desc string,
+	engine func(campaign.Config) (*campaign.Summary, error)) error {
+	if c.forceRestart && c.cfg.Resume {
+		return fmt.Errorf("campaign: -force-restart and -resume are mutually exclusive (restart archives the old state; resume continues it)")
+	}
+	return c.around(func() error { return c.executeProfiled(stdout, workers, desc, engine) })
+}
+
+func (c *campaignFlags) executeProfiled(stdout io.Writer, workers int, desc string,
+	engine func(campaign.Config) (*campaign.Summary, error)) error {
+	cfg := c.cfg
+	cfg.Workers = workers
+	var err error
+	if cfg.Targets, err = c.targets(); err != nil {
+		return err
+	}
+	if c.forceRestart {
+		for _, p := range []string{cfg.CheckpointPath, cfg.OutputPath, cfg.CSVPath} {
+			if err := archiveFile(p); err != nil {
 				return err
 			}
-			if archived != "" {
-				fmt.Fprintf(os.Stderr, "campaign: archived %s -> %s\n", p, archived)
-			}
 		}
 	}
 
-	cfg := campaign.Config{
-		Targets:        targets,
-		Samples:        *samples,
-		Workers:        *workers,
-		Retries:        *retries,
-		Backoff:        *backoff,
-		RatePerSec:     *rate,
-		Window:         *window,
-		Batch:          *batch,
-		OutputPath:     *out,
-		CSVPath:        *csvPath,
-		CheckpointPath: *ckpt,
-		Resume:         *resume,
-		StopAfter:      *stopAfter,
-	}
 	// The telemetry registry exists only when a surface asked for it —
 	// a plain run keeps the zero-instrumentation fast path.
-	var reg *obs.Campaign
-	if *listen != "" || *tracePath != "" || *statsReport || *progress > 0 {
-		reg = obs.NewCampaign(cfg.Workers)
-		cfg.Obs = reg
+	if c.listen != "" || c.trace != "" || c.stats || c.progress > 0 {
+		cfg.Obs = obs.NewCampaign(workers)
 	}
-	if *listen != "" {
-		srv, err := obs.Serve(*listen, reg)
+	if c.listen != "" {
+		srv, err := obs.Serve(c.listen, cfg.Obs)
 		if err != nil {
 			return err
 		}
 		defer srv.Close()
 		fmt.Fprintf(os.Stderr, "campaign: telemetry on http://%s/metrics\n", srv.Addr())
 	}
-	var trace *obs.Trace
-	if *tracePath != "" {
-		f, err := os.Create(*tracePath)
+	if c.trace != "" {
+		f, err := os.Create(c.trace)
 		if err != nil {
 			return err
 		}
-		trace = obs.NewTrace(f)
-		cfg.Trace = trace
+		cfg.Trace = obs.NewTrace(f)
 	}
-	if *progress > 0 {
+	if c.progress > 0 {
 		// Progress callbacks are span-granular and serial; the interval
 		// gates printing. The instantaneous rate is the registry's EWMA,
 		// the cumulative average is computed from the run clock.
-		interval := *progress
 		began := time.Now()
 		var lastPrint time.Time
 		cfg.Progress = func(done, total int) {
 			now := time.Now()
-			if now.Sub(lastPrint) < interval && done != total {
+			if now.Sub(lastPrint) < c.progress && done != total {
 				return
 			}
 			lastPrint = now
-			_, _, inst := reg.Progress()
+			_, _, inst := cfg.Obs.Progress()
 			avg := float64(done) / now.Sub(began).Seconds()
 			fmt.Fprintf(os.Stderr, "campaign: %d/%d targets (avg %.0f/s, inst %.0f/s)\n",
 				done, total, avg, inst)
@@ -307,56 +448,8 @@ func run(args []string, stdout io.Writer) error {
 	cfg.Interrupt = interrupt
 
 	began := time.Now()
-	var sum *campaign.Summary
-	var err error
-	workersDesc := fmt.Sprintf("%d workers", cfg.Workers)
-	if distMode {
-		expect := *expectN
-		if expect <= 0 {
-			expect = *spawnN
-		}
-		if expect <= 0 {
-			expect = 1
-		}
-		// Workers re-enumerate the target list from their own flags (the
-		// fingerprint handshake proves both sides agree), so the child argv
-		// carries exactly the enumeration knobs — never the coordinator-owned
-		// sink, checkpoint or schedule flags.
-		var childArgs []string
-		if *targetsPath != "" {
-			childArgs = append(childArgs, "-targets", *targetsPath)
-		} else {
-			if *profiles != "" {
-				childArgs = append(childArgs, "-profiles", *profiles)
-			}
-			if *impairments != "" {
-				childArgs = append(childArgs, "-impairments", *impairments)
-			}
-			if *tests != "" {
-				childArgs = append(childArgs, "-tests", *tests)
-			}
-			if *seeds != 0 {
-				childArgs = append(childArgs, "-seeds", strconv.Itoa(*seeds))
-			}
-			childArgs = append(childArgs, "-seed", strconv.FormatUint(*baseSeed, 10))
-			if *topologies != "" {
-				childArgs = append(childArgs, "-topology", *topologies)
-			}
-			if *scenarioList != "" {
-				childArgs = append(childArgs, "-scenario", *scenarioList)
-			}
-			if *quick {
-				childArgs = append(childArgs, "-quick")
-			}
-		}
-		childArgs = append(childArgs, "-samples", strconv.Itoa(*samples))
-		childArgs = append(childArgs, "-reconnect-backoff", reconnBackoff.String())
-		sum, err = runCoordinator(cfg, *coordinate, *spawnN, expect, *batch, *window, *leaseTimeout, *maxRespawn, *faultSeed, childArgs)
-		workersDesc = fmt.Sprintf("%d worker procs expected", expect)
-	} else {
-		sum, err = campaign.Run(cfg)
-	}
-	if cerr := trace.Close(); cerr != nil && err == nil {
+	sum, err := engine(cfg)
+	if cerr := cfg.Trace.Close(); cerr != nil && err == nil {
 		err = cerr
 	}
 	if err != nil {
@@ -366,25 +459,24 @@ func run(args []string, stdout io.Writer) error {
 	// stdout stays byte-reproducible for a fixed seed.
 	elapsed := time.Since(began)
 	fmt.Fprintf(os.Stderr, "campaign: %d targets in %v (%.0f targets/s, %s)\n",
-		sum.Targets, elapsed.Round(time.Millisecond), float64(sum.Targets)/elapsed.Seconds(), workersDesc)
+		sum.Targets, elapsed.Round(time.Millisecond), float64(sum.Targets)/elapsed.Seconds(), desc)
 	sum.WriteText(stdout)
-	if *statsReport {
+	if c.stats {
 		// Opt-in: the telemetry block carries wall-clock timings, so the
 		// default stdout stays byte-reproducible for a fixed seed.
-		reg.Snapshot().WriteText(stdout)
+		cfg.Obs.Snapshot().WriteText(stdout)
 	}
 	return nil
 }
 
-// runCoordinator runs the distributed-campaign coordinator: listen (on an
-// auto-created unix socket when no address was given), fork local workers
-// under a respawning supervisor when asked, serve the lease protocol, and
-// reap the children. Worker failures after a successful run are advisory —
-// their leases were re-issued and the output is complete. Exhausting the
-// respawn budget folds into the ordinary interrupt path: the coordinator
-// drains, checkpoints, and the run resumes later.
-func runCoordinator(cfg campaign.Config, addr string, spawnN, expect, spanSize, window int,
-	leaseTimeout time.Duration, maxRespawn int, faultSeed uint64, childArgs []string) (*campaign.Summary, error) {
+// serve runs the coordinator: listen (on an auto-created unix socket when no
+// address was given), fork local workers under a respawning supervisor when
+// asked, serve the lease protocol, reap the children. Worker failures after
+// a successful run are advisory — their leases were re-issued and the output
+// is complete. Exhausting the respawn budget folds into the interrupt path:
+// the coordinator drains, checkpoints, and the run resumes later.
+func (d *distFlags) serve(cfg campaign.Config, expect int, fs *flag.FlagSet) (*campaign.Summary, error) {
+	addr := d.addr
 	if addr == "" {
 		dir, err := os.MkdirTemp("", "campaign-dist-")
 		if err != nil {
@@ -399,21 +491,20 @@ func runCoordinator(cfg campaign.Config, addr string, spawnN, expect, spanSize, 
 	}
 	defer ln.Close()
 	fmt.Fprintf(os.Stderr, "campaign: coordinating on %s\n", addr)
-	if faultSeed != 0 {
+	if d.faultSeed != 0 {
 		// Chaos rehearsal: every worker connection runs through the seeded
 		// fault injector. The self-healing machinery (reconnects, lease
 		// re-issue, respawn) must still produce byte-identical output.
-		ln = faultnet.Wrap(ln, faultnet.Chaos(faultSeed))
-		fmt.Fprintf(os.Stderr, "campaign: faultnet enabled (seed %d)\n", faultSeed)
+		ln = faultnet.Wrap(ln, faultnet.Chaos(d.faultSeed))
+		fmt.Fprintf(os.Stderr, "campaign: faultnet enabled (seed %d)\n", d.faultSeed)
 	}
 	var sup *dist.Supervisor
-	if spawnN > 0 {
+	if d.spawn > 0 {
 		exe, err := os.Executable()
 		if err != nil {
 			return nil, err
 		}
-		args := append([]string{"-worker", "-connect", addr}, childArgs...)
-		sup, err = dist.Supervise(spawnN, exe, args, maxRespawn, os.Stderr, cfg.Obs)
+		sup, err = dist.Supervise(int(d.spawn), exe, workerArgv(fs, addr), int(d.maxRespawn), os.Stderr, cfg.Obs)
 		if err != nil {
 			return nil, err
 		}
@@ -439,9 +530,7 @@ func runCoordinator(cfg campaign.Config, addr string, spawnN, expect, spanSize, 
 	sum, err := dist.Serve(dist.Config{
 		Campaign:      cfg,
 		Listener:      ln,
-		SpanSize:      spanSize,
-		Window:        window,
-		LeaseTimeout:  leaseTimeout,
+		LeaseTimeout:  d.leaseTimeout,
 		ExpectWorkers: expect,
 		Log:           os.Stderr,
 	})
@@ -457,113 +546,22 @@ func runCoordinator(cfg campaign.Config, addr string, spawnN, expect, spanSize, 
 	return sum, err
 }
 
-// archiveFile moves path aside to the first free <path>.oldN name, so a
-// forced restart preserves the previous campaign's output instead of
-// truncating it. It returns the archive name, or "" if path did not exist.
-func archiveFile(path string) (string, error) {
-	if _, err := os.Stat(path); os.IsNotExist(err) {
-		return "", nil
+// archiveFile moves path (if set and present) aside to the first free
+// <path>.oldN name, so a forced restart preserves the previous campaign's
+// output instead of truncating it.
+func archiveFile(path string) error {
+	if _, err := os.Stat(path); path == "" || os.IsNotExist(err) {
+		return nil
 	} else if err != nil {
-		return "", err
+		return err
 	}
 	for n := 1; ; n++ {
 		cand := fmt.Sprintf("%s.old%d", path, n)
 		if _, err := os.Stat(cand); os.IsNotExist(err) {
-			return cand, os.Rename(path, cand)
+			fmt.Fprintf(os.Stderr, "campaign: archived %s -> %s\n", path, cand)
+			return os.Rename(path, cand)
 		} else if err != nil {
-			return "", err
+			return err
 		}
 	}
-}
-
-// validateFlags rejects contradictory or unknown flag values up front, with
-// one-line errors, before any targets are enumerated or files touched.
-func validateFlags(fs *flag.FlagSet, scenarios, connect string, worker bool, spawnN int, coordinate string,
-	maxRespawn int, faultSeed uint64) error {
-	var badLease, badReconn bool
-	fs.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "lease-timeout":
-			if d, err := time.ParseDuration(f.Value.String()); err == nil && d <= 0 {
-				badLease = true
-			}
-		case "reconnect-backoff":
-			if d, err := time.ParseDuration(f.Value.String()); err == nil && d <= 0 {
-				badReconn = true
-			}
-		}
-	})
-	if badLease {
-		return fmt.Errorf("campaign: -lease-timeout must be positive (omit it for the 15s default)")
-	}
-	if badReconn {
-		return fmt.Errorf("campaign: -reconnect-backoff must be positive (omit it for the 100ms default)")
-	}
-	if maxRespawn < 0 {
-		return fmt.Errorf("campaign: -max-respawn must be non-negative")
-	}
-	if faultSeed != 0 && coordinate == "" && spawnN == 0 {
-		return fmt.Errorf("campaign: -faultnet only applies to a coordinator (-coordinate or -spawn)")
-	}
-	if spawnN < 0 {
-		return fmt.Errorf("campaign: -spawn must be non-negative")
-	}
-	if spawnN > 0 && connect != "" {
-		return fmt.Errorf("campaign: -spawn (coordinate and fork workers) and -connect (be a worker) are mutually exclusive")
-	}
-	if worker && (coordinate != "" || spawnN > 0) {
-		return fmt.Errorf("campaign: -worker is mutually exclusive with -coordinate/-spawn")
-	}
-	if connect != "" && !worker {
-		return fmt.Errorf("campaign: -connect requires -worker")
-	}
-	if worker && connect == "" {
-		return fmt.Errorf("campaign: -worker requires -connect")
-	}
-	for _, s := range splitList(scenarios) {
-		if !knownScenario(s) {
-			return fmt.Errorf("campaign: unknown scenario %q (see -list for the catalog)", s)
-		}
-	}
-	return nil
-}
-
-// knownScenario reports catalog membership; "" is the static control.
-func knownScenario(name string) bool {
-	if name == "" {
-		return true
-	}
-	for _, s := range campaign.ScenarioNames() {
-		if s == name {
-			return true
-		}
-	}
-	return false
-}
-
-// printCatalogs lists every enumerable dimension, one catalog per block.
-func printCatalogs(w io.Writer) {
-	block := func(title string, names []string) {
-		fmt.Fprintf(w, "%s:\n", title)
-		for _, n := range names {
-			fmt.Fprintf(w, "  %s\n", n)
-		}
-	}
-	block("profiles", campaign.Profiles())
-	block("impairments", campaign.ImpairmentNames())
-	block("topologies", campaign.TopologyNames())
-	block("scenarios", campaign.ScenarioNames())
-}
-
-func splitList(s string) []string {
-	if s == "" {
-		return nil
-	}
-	var out []string
-	for _, part := range strings.Split(s, ",") {
-		if part = strings.TrimSpace(part); part != "" {
-			out = append(out, part)
-		}
-	}
-	return out
 }

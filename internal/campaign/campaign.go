@@ -174,11 +174,10 @@ func Run(cfg Config) (*Summary, error) {
 	for i := range workers {
 		workers[i].arena = NewProbeArena()
 		if cfg.Obs != nil {
-			workers[i].obs = cfg.Obs.Worker(i)
-			workers[i].arena.SetObserver(workers[i].obs)
+			workers[i].arena.SetObserver(cfg.Obs.Worker(i))
 		}
 	}
-	withTopo, withScn := hasTopology(cfg.Targets), hasScenario(cfg.Targets)
+	step := NewProbeStep(cfg.Targets, cfg.Samples, cfg.Retries, em.HasJSONL(), em.HasCSV())
 	em.StartRun(sched.Workers())
 
 	// The batch pipeline: a worker claims a span, checks a spanBatch out
@@ -203,36 +202,12 @@ func Run(cfg Config) (*Summary, error) {
 			w := &workers[worker]
 			b := w.batch
 			res := &b.results[index-b.lo]
-			var probeStart time.Time
-			if w.obs != nil {
-				w.obs.Attempts.Inc()
-				probeStart = time.Now()
-			}
-			w.arena.ProbeTargetInto(res, cfg.Targets[index], cfg.Samples, attempt)
-			if w.obs != nil {
-				w.obs.ProbeNanos.Observe(time.Since(probeStart).Nanoseconds())
-				w.spanSimNs += w.arena.LastSimNanos()
-			}
-			if res.Err != "" && attempt < cfg.Retries {
+			final := step.Attempt(w.arena, index, attempt, res, agg.Shard(worker), &b.json, &b.csv)
+			w.spanSimNs += w.arena.LastSimNanos()
+			if !final {
 				cfg.Trace.Retry(worker, index, attempt,
 					w.arena.LastSimNanos(), cfg.Backoff.Nanoseconds()<<uint(attempt), res.Err)
 				return fmt.Errorf("campaign: target %d: %s", index, res.Err)
-			}
-			agg.Shard(worker).Add(res)
-			if w.obs != nil {
-				w.obs.Targets.Inc()
-			}
-			j0, c0 := len(b.json), len(b.csv)
-			if em.HasJSONL() {
-				b.json = res.AppendJSON(b.json)
-				b.json = append(b.json, '\n')
-			}
-			if em.HasCSV() {
-				b.csv = appendCSVRow(b.csv, res, withTopo, withScn)
-			}
-			if w.obs != nil {
-				w.obs.RenderedJSONBytes.Add(uint64(len(b.json) - j0))
-				w.obs.RenderedCSVBytes.Add(uint64(len(b.csv) - c0))
 			}
 			if index == b.hi-1 {
 				cfg.Trace.SpanDone(worker, b.lo, b.hi, w.spanSimNs, int64(len(b.json)+len(b.csv)))
@@ -273,9 +248,8 @@ type campaignWorker struct {
 	arena *ProbeArena
 	batch *spanBatch
 
-	// obs is this worker's telemetry shard (nil when disabled); spanSimNs
-	// accumulates the current span's simulated time for its trace event.
-	obs       *obs.Worker
+	// spanSimNs accumulates the current span's simulated time for its
+	// trace event (0 without an observer on the arena).
 	spanSimNs int64
 }
 

@@ -17,21 +17,19 @@ type Config struct {
 	// retries/backoff/rate (communicated to workers — the coordinator owns
 	// every probe-affecting knob so distributed output matches
 	// single-process bytes), sinks, checkpoint/resume, telemetry,
-	// Interrupt. Extra in-process Sinks are not supported in distributed
-	// mode: the coordinator handles rendered bytes, not decoded results.
+	// Interrupt. Batch is the lease granularity in targets (default 32;
+	// forced to 1 when RatePerSec is set, so the per-worker token buckets
+	// pace individual probes just as the in-process scheduler does) and
+	// Window bounds how far leases may run ahead of the emit frontier — the
+	// re-sequencing stash never holds more than this many targets (default
+	// max(64, 4×Batch×ExpectWorkers)). Extra in-process Sinks are not
+	// supported in distributed mode: the coordinator handles rendered bytes,
+	// not decoded results.
 	Campaign campaign.Config
 
 	// Listener accepts worker connections; Serve closes it. See Listen.
 	Listener net.Listener
 
-	// SpanSize is the lease granularity in targets (default 32; forced to
-	// 1 when RatePerSec is set, so the per-worker token buckets pace
-	// individual probes just as the in-process scheduler does).
-	SpanSize int
-	// Window bounds how far leases may run ahead of the emit frontier —
-	// the re-sequencing stash never holds more than this many targets
-	// (default max(64, 4×SpanSize×ExpectWorkers)).
-	Window int
 	// LeaseTimeout expires a silent worker's leases back to the re-issue
 	// queue (default 15s). Workers heartbeat far more often; only a dead
 	// or wedged worker trips this.
@@ -48,17 +46,14 @@ func (cfg Config) withDefaults() Config {
 	if cfg.ExpectWorkers <= 0 {
 		cfg.ExpectWorkers = 1
 	}
-	if cfg.SpanSize <= 0 {
-		cfg.SpanSize = 32
+	if cfg.Campaign.Batch <= 0 {
+		cfg.Campaign.Batch = 32
 	}
 	if cfg.Campaign.RatePerSec > 0 {
-		cfg.SpanSize = 1
+		cfg.Campaign.Batch = 1
 	}
-	if cfg.Window <= 0 {
-		cfg.Window = 4 * cfg.SpanSize * cfg.ExpectWorkers
-		if cfg.Window < 64 {
-			cfg.Window = 64
-		}
+	if cfg.Campaign.Window <= 0 {
+		cfg.Campaign.Window = max(64, 4*cfg.Campaign.Batch*cfg.ExpectWorkers)
 	}
 	if cfg.LeaseTimeout <= 0 {
 		cfg.LeaseTimeout = 15 * time.Second
@@ -122,7 +117,7 @@ func Serve(cfg Config) (*campaign.Summary, error) {
 		cfg:   cfg,
 		em:    em,
 		agg:   agg,
-		table: newLeaseTable(em.Start(), em.End(), cfg.SpanSize, cfg.Window),
+		table: newLeaseTable(em.Start(), em.End(), cfg.Campaign.Batch, cfg.Campaign.Window),
 		stash: map[int]*pendingSpan{},
 		conns: map[int]net.Conn{},
 	}
@@ -342,12 +337,6 @@ func (c *coordinator) handle(conn net.Conn) {
 				c.fail(err)
 				return
 			}
-		case MsgFail:
-			// The worker hit a non-retryable local failure (e.g. a render
-			// error). Re-issuing its span would just fail again on the
-			// next worker, so this is run-fatal.
-			c.fail(fmt.Errorf("dist: worker %d failed: %s", id, m.Reason))
-			return
 		case MsgBye:
 			c.absorbObs(id, m)
 			clean = true

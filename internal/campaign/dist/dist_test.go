@@ -122,8 +122,8 @@ func TestServeMatchesRun(t *testing.T) {
 				OutputPath:     out,
 				CSVPath:        csv,
 				CheckpointPath: ckpt,
+				Batch:          5, // deliberately misaligned with the 24-target range
 			},
-			SpanSize:      5, // deliberately misaligned with the 24-target range
 			ExpectWorkers: workers,
 		}, targets, workers)
 		if err != nil {
@@ -185,8 +185,8 @@ func TestServeScenarioMatchesRun(t *testing.T) {
 			OutputPath:     out,
 			CSVPath:        csv,
 			CheckpointPath: ckpt,
+			Batch:          5,
 		},
-		SpanSize:      5,
 		ExpectWorkers: 2,
 	}, targets, 2); err != nil {
 		t.Fatal(err)
@@ -255,9 +255,9 @@ func TestWorkerCrashReissue(t *testing.T) {
 				OutputPath:     out,
 				CSVPath:        csv,
 				CheckpointPath: ckpt,
+				Batch:          4,
 			},
 			Listener: ln,
-			SpanSize: 4,
 			Log:      &log,
 		})
 	}()
@@ -322,9 +322,9 @@ func TestDrainResume(t *testing.T) {
 						once.Do(func() { close(interrupt) })
 					}
 				},
+				Batch:  3,
+				Window: 6,
 			},
-			SpanSize:      3,
-			Window:        6,
 			ExpectWorkers: 2,
 		}, targets, 2)
 		if err != nil {
@@ -343,10 +343,8 @@ func TestDrainResume(t *testing.T) {
 			Resume:         true,
 		}
 		if resumeDist {
-			sum, err = serveDist(t, Config{
-				Campaign: resumeCfg,
-				SpanSize: 3,
-			}, targets, 1)
+			resumeCfg.Batch = 3
+			sum, err = serveDist(t, Config{Campaign: resumeCfg}, targets, 1)
 		} else {
 			sum, err = campaign.Run(resumeCfg)
 		}
@@ -638,7 +636,7 @@ func FuzzRecv(f *testing.F) {
 			}
 			switch m.Type {
 			case MsgHello, MsgWelcome, MsgReject, MsgLease, MsgSpan, MsgDrain,
-				MsgReport, MsgHeartbeat, MsgBye, MsgFail:
+				MsgReport, MsgHeartbeat, MsgBye:
 			default:
 				t.Fatalf("recv accepted unknown type %q", m.Type)
 			}

@@ -66,7 +66,6 @@ const (
 	MsgReport    = "report"
 	MsgHeartbeat = "heartbeat"
 	MsgBye       = "bye"
-	MsgFail      = "fail"
 )
 
 // Msg is the protocol's single header shape: one JSON object per line,
@@ -82,7 +81,7 @@ type Msg struct {
 	Fingerprint uint64 `json:"fingerprint,omitempty"`
 	Worker      int    `json:"worker,omitempty"`
 
-	// reject / fail
+	// reject
 	Reason string `json:"reason,omitempty"`
 
 	// welcome: the probe-affecting config the coordinator owns. Retries
@@ -190,7 +189,7 @@ func (w *wire) recv() (*Msg, error) {
 	}
 	switch m.Type {
 	case MsgHello, MsgWelcome, MsgReject, MsgLease, MsgSpan, MsgDrain,
-		MsgReport, MsgHeartbeat, MsgBye, MsgFail:
+		MsgReport, MsgHeartbeat, MsgBye:
 	default:
 		return nil, fmt.Errorf("dist: unknown message type %q", m.Type)
 	}

@@ -12,8 +12,8 @@ import (
 )
 
 // Spawn forks n local worker processes running binary with args (the
-// caller builds the argv — typically its own enumeration flags plus
-// -worker -connect). Worker stderr is forwarded to stderr; stdout is
+// caller builds the argv — cmd/campaign derives its `worker` command line
+// from the flags set on `serve`). Worker stderr is forwarded to stderr; stdout is
 // discarded (workers print nothing on success). On a partial failure the
 // already-started workers are killed.
 func Spawn(n int, binary string, args []string, stderr io.Writer) ([]*exec.Cmd, error) {
@@ -31,19 +31,6 @@ func Spawn(n int, binary string, args []string, stderr io.Writer) ([]*exec.Cmd, 
 		cmds = append(cmds, cmd)
 	}
 	return cmds, nil
-}
-
-// WaitWorkers reaps spawned workers, returning the first failure. Workers
-// exit nonzero on their own errors, so a silent crash surfaces here even
-// though the coordinator already re-issued its leases.
-func WaitWorkers(cmds []*exec.Cmd) error {
-	var first error
-	for i, cmd := range cmds {
-		if err := cmd.Wait(); err != nil && first == nil {
-			first = fmt.Errorf("dist: worker %d: %w", i, err)
-		}
-	}
-	return first
 }
 
 // Supervisor keeps a fixed-size fleet of spawned worker processes alive:

@@ -53,9 +53,8 @@ type WorkerConfig struct {
 	WriteTimeout time.Duration
 }
 
-// permanentError marks worker failures that reconnecting cannot fix —
-// rejection, config mismatch, or a local render failure that would recur
-// on any re-issued lease.
+// permanentError marks worker failures that reconnecting cannot fix:
+// rejection, config mismatch, or a lease outside the target range.
 type permanentError struct{ err error }
 
 func (e *permanentError) Error() string { return e.err.Error() }
@@ -66,10 +65,10 @@ func (e *permanentError) Unwrap() error { return e.err }
 var errAttemptFailed = errors.New("dist: probe attempt failed")
 
 // RunWorker connects to a coordinator and probes leased spans until
-// drained. Each leased span runs the normal arena-pooled probe pipeline;
-// results are rendered with the same AppendJSON/CSVRowEncoder bytes a
-// local run would sink, and each report carries an exact aggregator-shard
-// delta for the span. Retries, backoff and the rate budget come from the
+// drained. Each leased index runs campaign.ProbeStep — the step a local
+// run's pool workers run, so the rendered bytes are the ones a local run
+// would sink — and each report carries an exact aggregator-shard delta for
+// the span. Retries, backoff and the rate budget come from the
 // coordinator's welcome so output bytes cannot depend on worker-local
 // flags.
 //
@@ -105,8 +104,7 @@ func RunWorker(cfg WorkerConfig) error {
 		delta: campaign.NewShard(),
 	}
 	if cfg.Obs != nil {
-		st.wobs = cfg.Obs.Worker(0)
-		st.arena.SetObserver(st.wobs)
+		st.arena.SetObserver(cfg.Obs.Worker(0))
 	}
 
 	if cfg.Conn != nil {
@@ -168,7 +166,6 @@ type workerState struct {
 	cfg   WorkerConfig
 	fp    uint64
 	arena *campaign.ProbeArena
-	wobs  *obs.Worker
 	delta *campaign.Shard
 
 	jsonBuf, csvBuf []byte
@@ -220,17 +217,9 @@ func (st *workerState) runSession(conn net.Conn) (welcomed bool, err error) {
 		Workers: 1, Retries: m.Retries, Backoff: time.Duration(m.BackoffNs),
 		RatePerSec: m.Rate, Burst: int(m.Burst), Obs: cfg.Obs.SchedObs(),
 	})
+	step := campaign.NewProbeStep(cfg.Targets, cfg.Samples, m.Retries, m.WantJSONL, m.WantCSV)
 	probe := func(_, index, attempt int) error {
-		var probeStart time.Time
-		if st.wobs != nil {
-			st.wobs.Attempts.Inc()
-			probeStart = time.Now()
-		}
-		st.arena.ProbeTargetInto(&st.res, cfg.Targets[index], cfg.Samples, attempt)
-		if st.wobs != nil {
-			st.wobs.ProbeNanos.Observe(time.Since(probeStart).Nanoseconds())
-		}
-		if st.res.Err != "" {
+		if !step.Attempt(st.arena, index, attempt, &st.res, st.delta, &st.jsonBuf, &st.csvBuf) {
 			return errAttemptFailed
 		}
 		return nil
@@ -258,24 +247,6 @@ func (st *workerState) runSession(conn net.Conn) (welcomed bool, err error) {
 			}
 		}
 	}()
-
-	var csvEnc *campaign.CSVRowEncoder
-	if m.WantCSV {
-		csvEnc = campaign.NewCSVRowEncoder()
-		for i := range cfg.Targets {
-			if cfg.Targets[i].Topology != "" {
-				csvEnc.IncludeTopology()
-				break
-			}
-		}
-		for i := range cfg.Targets {
-			if cfg.Targets[i].Scenario != "" {
-				csvEnc.IncludeScenario()
-				break
-			}
-		}
-	}
-	wantJSONL := m.WantJSONL
 
 	// Spans reported on this session. Within one session the coordinator
 	// never sends the same span twice (a completed span is retired, and
@@ -321,27 +292,6 @@ func (st *workerState) runSession(conn net.Conn) (welcomed bool, err error) {
 			st.jsonBuf, st.csvBuf = st.jsonBuf[:0], st.csvBuf[:0]
 			for i := m.Lo; i < m.Hi; i++ {
 				sched.RunIndex(i, probe)
-				st.delta.Add(&st.res)
-				j0, c0 := len(st.jsonBuf), len(st.csvBuf)
-				if wantJSONL {
-					st.jsonBuf = st.res.AppendJSON(st.jsonBuf)
-					st.jsonBuf = append(st.jsonBuf, '\n')
-				}
-				if csvEnc != nil {
-					st.csvBuf, err = csvEnc.AppendRow(st.csvBuf, &st.res)
-					if err != nil {
-						// A row the worker cannot render faithfully would
-						// fail again on any re-issued lease; tell the
-						// coordinator the run is unservable.
-						w.send(&Msg{Type: MsgFail, Reason: err.Error()})
-						return true, &permanentError{err}
-					}
-				}
-				if st.wobs != nil {
-					st.wobs.Targets.Inc()
-					st.wobs.RenderedJSONBytes.Add(uint64(len(st.jsonBuf) - j0))
-					st.wobs.RenderedCSVBytes.Add(uint64(len(st.csvBuf) - c0))
-				}
 			}
 			snap := st.delta.Snapshot()
 			rep := &Msg{

@@ -81,9 +81,9 @@ func runGoldenDist(t *testing.T, workers, spanSize int, split bool) ([]byte, []b
 				CheckpointPath: ckpt,
 				StopAfter:      ph[0],
 				Resume:         ph[1] == 1,
+				Batch:          spanSize,
 			},
 			Listener:      ln,
-			SpanSize:      spanSize,
 			ExpectWorkers: workers,
 		})
 		wg.Wait()

@@ -294,6 +294,64 @@ func (a *ProbeArena) ProbeTargetInto(res *TargetResult, t Target, samples int, a
 	}
 }
 
+// ProbeStep is the per-target step every campaign worker runs — a pool
+// worker in Run, a distributed worker on a leased span: probe one attempt
+// and, when it is the target's last, fold the result into the worker's
+// aggregator shard and render the records the sinks asked for. One step for
+// both modes is what keeps their bytes identical. It is immutable and shared
+// by all workers of a run.
+type ProbeStep struct {
+	targets           []Target
+	samples, retries  int
+	jsonl, csv        bool
+	withTopo, withScn bool // optional CSV columns, decided by the target list
+}
+
+// NewProbeStep returns the step for a run over targets. retries must be the
+// budget of the scheduler driving the attempts; jsonl and csv say which
+// records to render.
+func NewProbeStep(targets []Target, samples, retries int, jsonl, csv bool) *ProbeStep {
+	return &ProbeStep{
+		targets: targets, samples: samples, retries: retries, jsonl: jsonl, csv: csv,
+		withTopo: hasTopology(targets), withScn: hasScenario(targets),
+	}
+}
+
+// Attempt probes target index through arena into res, reporting to the
+// arena's observer. It returns false when the attempt failed with retry
+// budget left: nothing is recorded and the caller's scheduler retries.
+// Otherwise res is final — added to shard, its JSONL record and CSV row
+// appended to *json and *csv — and Attempt returns true.
+func (s *ProbeStep) Attempt(arena *ProbeArena, index, attempt int, res *TargetResult, shard *Shard, json, csv *[]byte) bool {
+	o := arena.obs
+	var probeStart time.Time
+	if o != nil {
+		o.Attempts.Inc()
+		probeStart = time.Now()
+	}
+	arena.ProbeTargetInto(res, s.targets[index], s.samples, attempt)
+	if o != nil {
+		o.ProbeNanos.Observe(time.Since(probeStart).Nanoseconds())
+	}
+	if res.Err != "" && attempt < s.retries {
+		return false
+	}
+	shard.Add(res)
+	j0, c0 := len(*json), len(*csv)
+	if s.jsonl {
+		*json = append(res.AppendJSON(*json), '\n')
+	}
+	if s.csv {
+		*csv = appendCSVRow(*csv, res, s.withTopo, s.withScn)
+	}
+	if o != nil {
+		o.Targets.Inc()
+		o.RenderedJSONBytes.Add(uint64(len(*json) - j0))
+		o.RenderedCSVBytes.Add(uint64(len(*csv) - c0))
+	}
+	return true
+}
+
 // runProbeTest executes the target's technique against a built scenario and
 // fills the measurement fields of res; split out of probeTargetInto so the
 // arena can harvest end-of-probe telemetry on every exit path.

@@ -262,33 +262,17 @@ func (g *gate) stop() {
 	g.mu.Unlock()
 }
 
-// Run executes jobs for indices [start, end). job is called as
+// RunSpans executes jobs for indices [start, end). job is called as
 // job(worker, index, attempt); a non-nil return triggers a retry after
 // backoff, up to the configured retry budget, after which the job counts
-// as done regardless (the job records its own terminal error). emit is
-// called serially, in ascending index order, once per finished index; a
-// non-nil emit error cancels the run and is returned. A nil emit is
-// allowed when only job side effects matter.
-func (s *Scheduler) Run(start, end int, job func(worker, index, attempt int) error, emit func(index int) error) error {
-	return s.RunSpans(start, end, nil, job, func(lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			if emit != nil {
-				if err := emit(i); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	})
-}
-
-// RunSpans is the span-granular form of Run: workers claim contiguous
-// index spans off a shared cursor, begin (optional) is called on the
-// worker when it claims a span — callers use it to set up per-span state
-// such as encode buffers — and emitSpan is called serially with each
-// completed span in ascending index order (spans partition [start,end), so
-// consecutive calls are contiguous). job semantics match Run. An emitSpan
-// error cancels the run and is returned.
+// as done regardless (the job records its own terminal error). Workers
+// claim contiguous index spans off a shared cursor; begin (optional) is
+// called on the worker when it claims a span — callers use it to set up
+// per-span state such as encode buffers — and emitSpan is called serially
+// with each completed span in ascending index order (spans partition
+// [start,end), so consecutive calls are contiguous). An emitSpan error
+// cancels the run and is returned; a nil emitSpan is allowed when only job
+// side effects matter.
 func (s *Scheduler) RunSpans(start, end int,
 	begin func(worker, lo, hi int),
 	job func(worker, index, attempt int) error,
@@ -440,10 +424,12 @@ func (s *Scheduler) RunSpans(start, end int,
 		for emitErr == nil && len(pending) > 0 && pending[0].lo == next {
 			q := pending[0]
 			pending = pending[:copy(pending, pending[1:])]
-			if err := emitSpan(q.lo, q.hi); err != nil {
-				emitErr = err
-				cancel()
-				break
+			if emitSpan != nil {
+				if err := emitSpan(q.lo, q.hi); err != nil {
+					emitErr = err
+					cancel()
+					break
+				}
 			}
 			next = q.hi
 			advanced = true

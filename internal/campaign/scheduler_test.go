@@ -10,6 +10,18 @@ import (
 	"time"
 )
 
+// perIndex adapts a per-index emit callback to RunSpans' span form.
+func perIndex(emit func(index int) error) func(lo, hi int) error {
+	return func(lo, hi int) error {
+		for i := lo; i < hi; i++ {
+			if err := emit(i); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+}
+
 // TestSchedulerOrderedEmit checks that completions are re-sequenced into
 // strict index order regardless of worker interleaving.
 func TestSchedulerOrderedEmit(t *testing.T) {
@@ -18,7 +30,7 @@ func TestSchedulerOrderedEmit(t *testing.T) {
 	var mu sync.Mutex
 	done := make([]bool, n)
 	var emitted []int
-	err := s.Run(0, n,
+	err := s.RunSpans(0, n, nil,
 		func(worker, index, attempt int) error {
 			// Uneven simulated work so completion order scrambles.
 			time.Sleep(time.Duration(index%7) * time.Millisecond / 4)
@@ -27,13 +39,13 @@ func TestSchedulerOrderedEmit(t *testing.T) {
 			mu.Unlock()
 			return nil
 		},
-		func(index int) error {
+		perIndex(func(index int) error {
 			if !done[index] {
 				t.Errorf("emit(%d) before its job finished", index)
 			}
 			emitted = append(emitted, index)
 			return nil
-		})
+		}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +67,7 @@ func TestSchedulerRetryBackoff(t *testing.T) {
 	s.sleep = func(d time.Duration) { slept = append(slept, d) }
 
 	attempts := 0
-	err := s.Run(0, 1,
+	err := s.RunSpans(0, 1, nil,
 		func(worker, index, attempt int) error {
 			attempts++
 			if attempt < 2 {
@@ -86,12 +98,12 @@ func TestSchedulerRetriesExhausted(t *testing.T) {
 	s := NewScheduler(SchedulerConfig{Workers: 2, Retries: 2})
 	attempts := make([]int, 3)
 	emitted := 0
-	err := s.Run(0, 3,
+	err := s.RunSpans(0, 3, nil,
 		func(worker, index, attempt int) error {
 			attempts[index]++
 			return errors.New("always fails")
 		},
-		func(index int) error { emitted++; return nil })
+		perIndex(func(index int) error { emitted++; return nil }))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +140,7 @@ func TestSchedulerDispatchWindow(t *testing.T) {
 		}
 		close(release)
 	}()
-	err := s.Run(0, 100,
+	err := s.RunSpans(0, 100, nil,
 		func(worker, index, attempt int) error {
 			mu.Lock()
 			if index > maxStarted {
@@ -140,7 +152,7 @@ func TestSchedulerDispatchWindow(t *testing.T) {
 			}
 			return nil
 		},
-		func(index int) error { emitted++; return nil })
+		perIndex(func(index int) error { emitted++; return nil }))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,14 +166,14 @@ func TestSchedulerDispatchWindow(t *testing.T) {
 func TestSchedulerEmitError(t *testing.T) {
 	s := NewScheduler(SchedulerConfig{Workers: 4})
 	sentinel := errors.New("sink full")
-	err := s.Run(0, 64,
+	err := s.RunSpans(0, 64, nil,
 		func(worker, index, attempt int) error { return nil },
-		func(index int) error {
+		perIndex(func(index int) error {
 			if index == 5 {
 				return sentinel
 			}
 			return nil
-		})
+		}))
 	if !errors.Is(err, sentinel) {
 		t.Fatalf("err = %v, want %v", err, sentinel)
 	}
@@ -206,9 +218,9 @@ func TestSchedulerCancelInterruptsRateWait(t *testing.T) {
 	s := NewScheduler(SchedulerConfig{Workers: 4, RatePerSec: 0.5, Burst: 1})
 	sentinel := errors.New("sink failed")
 	began := time.Now()
-	err := s.Run(0, 10,
+	err := s.RunSpans(0, 10, nil,
 		func(worker, index, attempt int) error { return nil },
-		func(index int) error { return sentinel })
+		perIndex(func(index int) error { return sentinel }))
 	if !errors.Is(err, sentinel) {
 		t.Fatalf("err = %v, want %v", err, sentinel)
 	}
@@ -226,17 +238,17 @@ func TestSchedulerEmitErrorMidBatch(t *testing.T) {
 	sentinel := errors.New("sink full mid-batch")
 	var jobs atomic.Int64
 	began := time.Now()
-	err := s.Run(0, 10_000,
+	err := s.RunSpans(0, 10_000, nil,
 		func(worker, index, attempt int) error {
 			jobs.Add(1)
 			return nil
 		},
-		func(index int) error {
+		perIndex(func(index int) error {
 			if index == 13 { // mid-span for every batch size > 1
 				return sentinel
 			}
 			return nil
-		})
+		}))
 	if !errors.Is(err, sentinel) {
 		t.Fatalf("err = %v, want %v", err, sentinel)
 	}
@@ -260,7 +272,7 @@ func TestSchedulerStopDuringRetryBackoff(t *testing.T) {
 	s := NewScheduler(SchedulerConfig{Workers: 2, Retries: 3, Backoff: time.Minute, Batch: 1})
 	sentinel := errors.New("emit failed")
 	began := time.Now()
-	err := s.Run(0, 8,
+	err := s.RunSpans(0, 8, nil,
 		func(worker, index, attempt int) error {
 			if index == 0 {
 				// Give the other worker time to enter its backoff sleep.
@@ -269,7 +281,7 @@ func TestSchedulerStopDuringRetryBackoff(t *testing.T) {
 			}
 			return errors.New("always failing: park in backoff")
 		},
-		func(index int) error { return sentinel })
+		perIndex(func(index int) error { return sentinel }))
 	if !errors.Is(err, sentinel) {
 		t.Fatalf("err = %v, want %v", err, sentinel)
 	}
@@ -395,7 +407,7 @@ func TestSchedulerAdaptiveWindowBounds(t *testing.T) {
 	var mu sync.Mutex
 	frontier := 0
 	worst := 0
-	err := s.Run(0, 500,
+	err := s.RunSpans(0, 500, nil,
 		func(worker, index, attempt int) error {
 			mu.Lock()
 			if ahead := index - frontier; ahead > worst {
@@ -407,12 +419,12 @@ func TestSchedulerAdaptiveWindowBounds(t *testing.T) {
 			}
 			return nil
 		},
-		func(index int) error {
+		perIndex(func(index int) error {
 			mu.Lock()
 			frontier = index + 1
 			mu.Unlock()
 			return nil
-		})
+		}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -435,7 +447,7 @@ func TestSchedulerRateLimit(t *testing.T) {
 		now = now.Add(d)
 		mu.Unlock()
 	}
-	err := s.Run(0, 5, func(worker, index, attempt int) error { return nil }, nil)
+	err := s.RunSpans(0, 5, nil, func(worker, index, attempt int) error { return nil }, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

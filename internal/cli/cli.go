@@ -2,7 +2,8 @@
 // Every cmd/*/main.go is a thin shell: the logic lives in a testable
 // run(args, stdout) error function, adapted to process-exit semantics by
 // Main, with flag parsing routed through Parse so -h exits 0 with usage
-// and flag diagnostics are printed exactly once.
+// and flag diagnostics are printed exactly once. A command with several
+// modes is a table of Commands behind Dispatch, one flag set per mode.
 package cli
 
 import (
@@ -11,6 +12,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 )
 
 // ErrUsage signals a flag-parse failure whose diagnostic the flag package
@@ -54,6 +56,64 @@ func Main(run func(args []string, stdout io.Writer) error) {
 	default:
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
+	}
+}
+
+// Command is one subcommand of a multi-mode binary. Setup defines the
+// command's flags on fs — its own set, so the flags a mode accepts are
+// exactly the ones it reads — and returns the function that runs the command
+// once they are parsed.
+type Command struct {
+	Name    string
+	Summary string
+	Setup   func(fs *flag.FlagSet) func(stdout io.Writer) error
+}
+
+// Dispatch returns the run function of a binary whose first argument names
+// one of cmds. Anything else in that position — nothing, a flag, an unknown
+// name — prints the command list to stderr and is a usage error; help, -h
+// and -help print it and exit clean. Arguments after the command's flags are
+// refused: they would end flag parsing and silently drop every flag behind
+// them.
+func Dispatch(prog string, cmds []Command) func(args []string, stdout io.Writer) error {
+	return func(args []string, stdout io.Writer) error {
+		name := ""
+		if len(args) > 0 {
+			name = args[0]
+		}
+		for _, c := range cmds {
+			if c.Name != name {
+				continue
+			}
+			fs := flag.NewFlagSet(prog+" "+name, flag.ContinueOnError)
+			run := c.Setup(fs)
+			if err := Parse(fs, args[1:]); err != nil {
+				return err
+			}
+			if fs.NArg() > 0 {
+				return Usagef("%s: unexpected argument %q", fs.Name(), fs.Arg(0))
+			}
+			return run(stdout)
+		}
+		help := name == "help" || name == "-h" || name == "-help" || name == "--help"
+		switch {
+		case help:
+		case name == "":
+			fmt.Fprintf(os.Stderr, "%s: no command given\n", prog)
+		case strings.HasPrefix(name, "-"):
+			fmt.Fprintf(os.Stderr, "%s: flag %s before a command; flags follow the command name\n", prog, name)
+		default:
+			fmt.Fprintf(os.Stderr, "%s: unknown command %q\n", prog, name)
+		}
+		fmt.Fprintf(os.Stderr, "usage: %s <command> [flags]\n\ncommands:\n", prog)
+		for _, c := range cmds {
+			fmt.Fprintf(os.Stderr, "  %-12s%s\n", c.Name, c.Summary)
+		}
+		fmt.Fprintf(os.Stderr, "\n`%s <command> -h` lists a command's flags\n", prog)
+		if help {
+			return flag.ErrHelp
+		}
+		return ErrUsage
 	}
 }
 

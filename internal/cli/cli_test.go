@@ -51,3 +51,48 @@ func TestWriteCSVFile(t *testing.T) {
 		t.Fatalf("wrote %q", data)
 	}
 }
+
+// TestDispatch checks the subcommand router: the named command gets its own
+// flag set and the arguments after its name; anything else in the command
+// position is a usage error (or a clean exit for help), as is an argument
+// left over after the command's flags.
+func TestDispatch(t *testing.T) {
+	stderr := os.Stderr
+	null, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	os.Stderr = null
+	defer func() { os.Stderr = stderr; null.Close() }()
+
+	var got string
+	run := Dispatch("prog", []Command{
+		{Name: "echo", Summary: "record -word", Setup: func(fs *flag.FlagSet) func(io.Writer) error {
+			word := fs.String("word", "", "what to record")
+			return func(io.Writer) error { got = fs.Name() + ":" + *word; return nil }
+		}},
+		{Name: "other", Summary: "takes no flags", Setup: func(*flag.FlagSet) func(io.Writer) error {
+			return func(io.Writer) error { return nil }
+		}},
+	})
+	if err := run([]string{"echo", "-word", "hi"}, io.Discard); err != nil || got != "prog echo:hi" {
+		t.Fatalf("echo -word hi -> %v, recorded %q", err, got)
+	}
+	for _, tc := range []struct {
+		args []string
+		want error
+	}{
+		{nil, ErrUsage},
+		{[]string{"-word", "hi"}, ErrUsage},
+		{[]string{"nope"}, ErrUsage},
+		{[]string{"other", "-word", "hi"}, ErrUsage},
+		{[]string{"echo", "stray", "-word", "hi"}, ErrUsage},
+		{[]string{"help"}, flag.ErrHelp},
+		{[]string{"-h"}, flag.ErrHelp},
+		{[]string{"echo", "-h"}, flag.ErrHelp},
+	} {
+		if err := run(tc.args, io.Discard); !errors.Is(err, tc.want) {
+			t.Errorf("%q -> %v, want %v", tc.args, err, tc.want)
+		}
+	}
+}

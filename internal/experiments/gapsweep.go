@@ -5,7 +5,6 @@ import (
 	"io"
 	"time"
 
-	"reorder/internal/campaign"
 	"reorder/internal/core"
 	"reorder/internal/host"
 	"reorder/internal/netem"
@@ -119,41 +118,28 @@ func RunGapSweep(cfg GapSweepConfig) (*GapSweepReport, error) {
 	}
 	gaps := cfg.gaps()
 	points := make([]GapPoint, len(gaps))
-	errs := make([]error, len(gaps))
-	sched := campaign.NewScheduler(campaign.SchedulerConfig{Workers: cfg.Workers})
-	if err := sched.RunSpans(0, len(gaps),
-		nil,
-		func(_, i, _ int) error {
-			n := simnet.New(simnet.Config{
-				Seed:   cfg.Seed + uint64(i),
-				Server: host.FreeBSD4(),
-				// A fast probe access link: minimum-sized sample packets must
-				// reach the trunk still back-to-back, or serialization delay
-				// floors the effective gap (the §IV-C size effect itself).
-				Forward: simnet.PathSpec{LinkRate: 1_000_000_000, Trunk: trunk},
-			})
-			prober := core.NewProber(n.Probe(), n.ServerAddr(), cfg.Seed+uint64(i)*31)
-			res, err := prober.DualConnectionTest(core.DCTOptions{
-				Samples: cfg.SamplesPerPoint,
-				Gap:     gaps[i],
-			})
-			if err != nil {
-				errs[i] = err
-				return nil
-			}
-			f := res.Forward()
-			points[i] = GapPoint{Gap: gaps[i], Rate: f.Rate(), Valid: f.Valid()}
-			return nil
-		},
-		func(lo, hi int) error {
-			for i := lo; i < hi; i++ {
-				if errs[i] != nil {
-					return errs[i]
-				}
-			}
-			return nil
-		},
-	); err != nil {
+	err := forEach(cfg.Workers, len(gaps), func(i int) error {
+		n := simnet.New(simnet.Config{
+			Seed:   cfg.Seed + uint64(i),
+			Server: host.FreeBSD4(),
+			// A fast probe access link: minimum-sized sample packets must
+			// reach the trunk still back-to-back, or serialization delay
+			// floors the effective gap (the §IV-C size effect itself).
+			Forward: simnet.PathSpec{LinkRate: 1_000_000_000, Trunk: trunk},
+		})
+		prober := core.NewProber(n.Probe(), n.ServerAddr(), cfg.Seed+uint64(i)*31)
+		res, err := prober.DualConnectionTest(core.DCTOptions{
+			Samples: cfg.SamplesPerPoint,
+			Gap:     gaps[i],
+		})
+		if err != nil {
+			return err
+		}
+		f := res.Forward()
+		points[i] = GapPoint{Gap: gaps[i], Rate: f.Rate(), Valid: f.Valid()}
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
 	return &GapSweepReport{Points: points}, nil

@@ -5,7 +5,6 @@ import (
 	"io"
 	"time"
 
-	"reorder/internal/campaign"
 	"reorder/internal/core"
 	"reorder/internal/host"
 	"reorder/internal/netem"
@@ -140,9 +139,7 @@ func RunMechanisms(cfg MechanismsConfig) (*MechanismsReport, error) {
 			}
 		}},
 	}
-	// Flatten the mechanism × gap grid so the scheduler can span-dispatch
-	// it; each cell writes only its own slot, and the in-order emit pass
-	// surfaces the lowest-index failure deterministically.
+	// Flatten the mechanism × gap grid so forEach can span-dispatch it.
 	type cell struct{ mech, gi int }
 	cells := make([]cell, 0, len(mechanisms)*len(cfg.Gaps))
 	for mi := range mechanisms {
@@ -151,37 +148,24 @@ func RunMechanisms(cfg MechanismsConfig) (*MechanismsReport, error) {
 		}
 	}
 	points := make([]GapPoint, len(cells))
-	errs := make([]error, len(cells))
-	sched := campaign.NewScheduler(campaign.SchedulerConfig{Workers: cfg.Workers})
-	if err := sched.RunSpans(0, len(cells),
-		nil,
-		func(_, index, _ int) error {
-			c := cells[index]
-			m, gap := mechanisms[c.mech], cfg.Gaps[c.gi]
-			n := simnet.New(simnet.Config{
-				Seed:    cfg.Seed + uint64(c.gi)*101,
-				Server:  host.FreeBSD4(),
-				Forward: m.path(),
-			})
-			prober := core.NewProber(n.Probe(), n.ServerAddr(), cfg.Seed+uint64(c.gi))
-			res, err := prober.DualConnectionTest(core.DCTOptions{Samples: cfg.SamplesPerPoint, Gap: gap})
-			if err != nil {
-				errs[index] = fmt.Errorf("mechanism %s gap %v: %w", m.name, gap, err)
-				return nil
-			}
-			f := res.Forward()
-			points[index] = GapPoint{Gap: gap, Rate: f.Rate(), Valid: f.Valid()}
-			return nil
-		},
-		func(lo, hi int) error {
-			for i := lo; i < hi; i++ {
-				if errs[i] != nil {
-					return errs[i]
-				}
-			}
-			return nil
-		},
-	); err != nil {
+	err := forEach(cfg.Workers, len(cells), func(index int) error {
+		c := cells[index]
+		m, gap := mechanisms[c.mech], cfg.Gaps[c.gi]
+		n := simnet.New(simnet.Config{
+			Seed:    cfg.Seed + uint64(c.gi)*101,
+			Server:  host.FreeBSD4(),
+			Forward: m.path(),
+		})
+		prober := core.NewProber(n.Probe(), n.ServerAddr(), cfg.Seed+uint64(c.gi))
+		res, err := prober.DualConnectionTest(core.DCTOptions{Samples: cfg.SamplesPerPoint, Gap: gap})
+		if err != nil {
+			return fmt.Errorf("mechanism %s gap %v: %w", m.name, gap, err)
+		}
+		f := res.Forward()
+		points[index] = GapPoint{Gap: gap, Rate: f.Rate(), Valid: f.Valid()}
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
 	rep := &MechanismsReport{}

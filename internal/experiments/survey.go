@@ -293,16 +293,35 @@ func RunSurvey(cfg SurveyConfig) *SurveyReport {
 	rep := &SurveyReport{Config: cfg}
 	hosts := synthesizePopulation(cfg)
 	recs := make([]*HostRecord, len(hosts))
-	sched := campaign.NewScheduler(campaign.SchedulerConfig{Workers: cfg.Workers})
-	// Each job writes only its own slot, so no locking is needed; a nil
-	// emit skips the in-order delivery machinery.
-	_ = sched.Run(0, len(hosts), func(worker, i, attempt int) error {
+	_ = forEach(cfg.Workers, len(hosts), func(i int) error {
 		recs[i] = surveyOneHost(hosts[i], cfg)
 		return nil
-	}, nil)
+	})
 	rep.Hosts = recs
 	sort.Slice(rep.Hosts, func(i, j int) bool { return rep.Hosts[i].Name < rep.Hosts[j].Name })
 	return rep
+}
+
+// forEach runs fn(i) for every i in [0, n) on the campaign scheduler's
+// worker pool (workers 0 = its default) and returns the lowest-index error.
+// Each call owns slot i of whatever the caller collects into, so results
+// need no locking and reports are identical at any worker count.
+func forEach(workers, n int, fn func(i int) error) error {
+	errs := make([]error, n)
+	sched := campaign.NewScheduler(campaign.SchedulerConfig{Workers: workers})
+	return sched.RunSpans(0, n, nil,
+		func(_, i, _ int) error {
+			errs[i] = fn(i)
+			return nil
+		},
+		func(lo, hi int) error {
+			for i := lo; i < hi; i++ {
+				if errs[i] != nil {
+					return errs[i]
+				}
+			}
+			return nil
+		})
 }
 
 func surveyOneHost(sh surveyHost, cfg SurveyConfig) *HostRecord {

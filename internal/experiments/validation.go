@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 
-	"reorder/internal/campaign"
 	"reorder/internal/core"
 	"reorder/internal/host"
 	"reorder/internal/simnet"
@@ -154,24 +153,16 @@ func RunValidation(cfg ValidationConfig) *ValidationReport {
 	}
 
 	rep := &ValidationReport{Runs: make([]ValidationRun, len(specs))}
-	sched := campaign.NewScheduler(campaign.SchedulerConfig{Workers: cfg.Workers})
-	// Job results land at their own index, so emit order is irrelevant;
-	// RunSpans still requires an emit hook, hence the no-op.
-	err := sched.RunSpans(0, len(specs), nil,
-		func(worker, i, attempt int) error {
-			sp := specs[i]
-			if sp.test == "transfer" {
-				rep.Runs[i] = validateTransferRun(sp.rev, cfg.Samples, sp.seed)
-			} else {
-				rep.Runs[i] = validateRun(sp.test, sp.fwd, sp.rev, cfg.Samples, sp.seed)
-			}
-			return nil
-		},
-		func(lo, hi int) error { return nil })
-	if err != nil {
-		// Jobs never return errors; a scheduler failure here is a bug.
-		panic("experiments: validation scheduler failed: " + err.Error())
-	}
+	// Runs never fail: a failed measurement is recorded in its own run.
+	_ = forEach(cfg.Workers, len(specs), func(i int) error {
+		sp := specs[i]
+		if sp.test == "transfer" {
+			rep.Runs[i] = validateTransferRun(sp.rev, cfg.Samples, sp.seed)
+		} else {
+			rep.Runs[i] = validateRun(sp.test, sp.fwd, sp.rev, cfg.Samples, sp.seed)
+		}
+		return nil
+	})
 	for _, r := range rep.Runs {
 		rep.TotalSamples += 2 * r.Samples // one verdict per direction
 	}
