@@ -188,8 +188,8 @@ func (c *campaignFlags) define(fs *flag.FlagSet) {
 	fs.IntVar(&c.cfg.Retries, "retries", 1, "extra attempts for a failed target")
 	fs.DurationVar(&c.cfg.Backoff, "backoff", 50*time.Millisecond, "delay before first retry (doubles per attempt)")
 	fs.Float64Var(&c.cfg.RatePerSec, "rate", 0, "max probe launches per second (0 = unlimited)")
-	fs.IntVar(&c.cfg.Window, "window", 0, "max targets probed (serve: leased) ahead of the in-order emit frontier; bounds re-sequencing memory (0 = run: adaptive from observed completion spread, capped at max(4×workers, 64); serve: max(64, 4×batch×expect))")
-	fs.IntVar(&c.cfg.Batch, "batch", 0, "targets per dispatch span (serve: per lease); results flush to the sinks in whole pre-encoded batches (0 = run: adaptive; serve: 32; output is byte-identical at any batch size)")
+	fs.IntVar(&c.cfg.Window, "window", 0, "max targets probed (serve: leased) ahead of the in-order emit frontier; bounds re-sequencing memory and caps -batch at window/workers (0 = max(64, 4×batch×workers); serve: workers is -expect)")
+	fs.IntVar(&c.cfg.Batch, "batch", 0, "targets per dispatch span (serve: per lease); results flush to the sinks in whole pre-encoded batches (0 = min(32, targets/(2×workers)); always 1 under -rate; serve: workers is -expect; output is byte-identical at any batch size)")
 	fs.StringVar(&c.cfg.OutputPath, "out", "", "stream per-target results as JSONL to this path")
 	fs.StringVar(&c.cfg.CSVPath, "csv", "", "stream per-target results as CSV to this path")
 	fs.StringVar(&c.cfg.CheckpointPath, "checkpoint", "", "checkpoint file enabling -resume")

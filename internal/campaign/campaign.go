@@ -7,10 +7,13 @@
 // The moving parts:
 //
 //   - Scheduler: a bounded worker pool with per-job retry/backoff and a
-//     token-bucket launch rate limiter. Jobs are dispatched in index order
-//     and their completions are re-sequenced so downstream consumers see
-//     results in index order regardless of which worker finished first —
-//     a reordering buffer for the reordering-measurement campaign.
+//     token-bucket launch rate limiter.
+//   - SpanTable: the one span dispatcher, shared by the pool and the
+//     distributed coordinator. Index spans are granted in order under a
+//     window above the emit frontier and their completions re-sequenced,
+//     so downstream consumers see results in index order regardless of
+//     which worker finished first — a reordering buffer for the
+//     reordering-measurement campaign.
 //   - Target: one unit of work — a host profile, a named path impairment,
 //     a measurement technique and a seed. Targets are enumerated as a
 //     cross product (profiles × impairments × tests × seeds) or loaded
@@ -60,16 +63,15 @@ type Config struct {
 	// Burst is the token-bucket capacity (default Workers).
 	Burst int
 	// Window bounds how far dispatch may run ahead of the in-order emit
-	// frontier: it caps the re-sequencing buffer when one slow target
+	// frontier: it caps the stash of completed spans when one slow target
 	// holds the frontier, trading sink latency for memory. Zero selects
-	// the scheduler's adaptive window, which tracks the observed
-	// completion spread up to the old static default (max(4×Workers, 64))
-	// — see SchedulerConfig.Window.
+	// max(64, 4×span×Workers) — see SchedulerConfig.Window.
 	Window int
 	// Batch is the dispatch span size: workers claim contiguous runs of
 	// this many targets at a time and results flush to the sinks in
 	// whole pre-encoded batches, so orchestration cost is paid per batch
-	// instead of per target (0 = adaptive; see SchedulerConfig.Batch).
+	// instead of per target (0 = min(32, targets/(2×Workers)); see
+	// SchedulerConfig.Batch).
 	// Output bytes are identical at any batch size.
 	Batch int
 
@@ -180,23 +182,33 @@ func Run(cfg Config) (*Summary, error) {
 	step := NewProbeStep(cfg.Targets, cfg.Samples, cfg.Retries, em.HasJSONL(), em.HasCSV())
 	em.StartRun(sched.Workers())
 
-	// The batch pipeline: a worker claims a span, checks a spanBatch out
-	// of the pool, renders each result into the batch's JSONL/CSV buffers
-	// as it completes, and the in-order collector flushes whole batches
-	// with one Write per sink. Memory is bounded by the dispatch window —
-	// at most MaxWindow results are ever probed-but-unemitted — so a
-	// million-target campaign holds the same few batches in flight as a
-	// thousand-target one.
-	pipe := &batchPipeline{batches: make(map[int]*spanBatch)}
-
-	err = sched.RunSpans(start, end,
-		func(worker, lo, hi int) {
-			b := pipe.get(hi - lo)
-			b.lo, b.hi = lo, hi
+	// The batch pipeline: a worker granted a span checks a spanBatch out of
+	// the pool and renders each result into the batch's JSONL/CSV buffers
+	// as it completes; the batch rides through the span table as the span's
+	// payload, and whichever worker completes the frontier span flushes the
+	// contiguous batches with one Write per sink each. Memory is bounded by
+	// the dispatch window — at most MaxWindow results are ever
+	// probed-but-unemitted — so a million-target campaign holds the same
+	// few batches in flight as a thousand-target one.
+	pool := &batchPool{}
+	table := NewSpanTable(start, end, sched.cfg, func(sp Span, b *spanBatch) error {
+		// Extra sinks get per-result copies inside EmitSpan: batch slots
+		// are pooled and overwritten by later spans, and the Sink contract
+		// has always allowed retaining the record.
+		if err := em.EmitSpan(sp.Lo, sp.Hi, b.json, b.csv, b.results); err != nil {
+			return err
+		}
+		pool.put(b)
+		return nil
+	})
+	err = runPool(sched, table,
+		func(worker int, sp Span) *spanBatch {
+			b := pool.get(sp.Hi - sp.Lo)
+			b.lo, b.hi = sp.Lo, sp.Hi
 			workers[worker].batch = b
 			workers[worker].spanSimNs = 0
-			pipe.publish(b)
-			cfg.Trace.SpanClaim(worker, lo, hi)
+			cfg.Trace.SpanClaim(worker, sp.Lo, sp.Hi)
+			return b
 		},
 		func(worker, index, attempt int) error {
 			w := &workers[worker]
@@ -212,20 +224,6 @@ func Run(cfg Config) (*Summary, error) {
 			if index == b.hi-1 {
 				cfg.Trace.SpanDone(worker, b.lo, b.hi, w.spanSimNs, int64(len(b.json)+len(b.csv)))
 			}
-			return nil
-		},
-		func(lo, hi int) error {
-			b := pipe.take(lo)
-			if b == nil || b.hi != hi {
-				return fmt.Errorf("campaign: internal: no batch for span [%d,%d)", lo, hi)
-			}
-			// Extra sinks get per-result copies inside EmitSpan: batch
-			// slots are pooled and overwritten by later spans, and the
-			// Sink contract has always allowed retaining the record.
-			if err := em.EmitSpan(lo, hi, b.json, b.csv, b.results); err != nil {
-				return err
-			}
-			pipe.put(b)
 			return nil
 		})
 	// A quiesced run stopped claiming spans before the cursor reached end;
@@ -254,7 +252,7 @@ type campaignWorker struct {
 }
 
 // spanBatch carries one dispatch span's results and their pre-encoded sink
-// bytes from the worker that produced them to the in-order collector.
+// bytes from the worker that produced them to the in-order emit.
 type spanBatch struct {
 	lo, hi  int
 	results []TargetResult
@@ -262,17 +260,15 @@ type spanBatch struct {
 	csv     []byte // encoded rows, span order
 }
 
-// batchPipeline hands spanBatches from workers to the collector: a free
-// list for reuse plus a small lo-keyed map of in-flight batches. Two short
-// critical sections per span — not per target — is its entire footprint.
-type batchPipeline struct {
-	mu      sync.Mutex
-	free    []*spanBatch
-	batches map[int]*spanBatch
+// batchPool is the free list of spanBatches: one short critical section at
+// each end of a span — not per target — is its entire footprint.
+type batchPool struct {
+	mu   sync.Mutex
+	free []*spanBatch
 }
 
 // get checks a batch for n results out of the pool, reset for filling.
-func (p *batchPipeline) get(n int) *spanBatch {
+func (p *batchPool) get(n int) *spanBatch {
 	p.mu.Lock()
 	var b *spanBatch
 	if k := len(p.free); k > 0 {
@@ -290,24 +286,8 @@ func (p *batchPipeline) get(n int) *spanBatch {
 	return b
 }
 
-// publish makes the batch findable by the collector under its span start.
-func (p *batchPipeline) publish(b *spanBatch) {
-	p.mu.Lock()
-	p.batches[b.lo] = b
-	p.mu.Unlock()
-}
-
-// take claims the batch published for the span starting at lo.
-func (p *batchPipeline) take(lo int) *spanBatch {
-	p.mu.Lock()
-	b := p.batches[lo]
-	delete(p.batches, lo)
-	p.mu.Unlock()
-	return b
-}
-
 // put returns an emitted batch to the free list.
-func (p *batchPipeline) put(b *spanBatch) {
+func (p *batchPool) put(b *spanBatch) {
 	p.mu.Lock()
 	p.free = append(p.free, b)
 	p.mu.Unlock()

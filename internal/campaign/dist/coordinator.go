@@ -17,14 +17,13 @@ type Config struct {
 	// retries/backoff/rate (communicated to workers — the coordinator owns
 	// every probe-affecting knob so distributed output matches
 	// single-process bytes), sinks, checkpoint/resume, telemetry,
-	// Interrupt. Batch is the lease granularity in targets (default 32;
-	// forced to 1 when RatePerSec is set, so the per-worker token buckets
-	// pace individual probes just as the in-process scheduler does) and
-	// Window bounds how far leases may run ahead of the emit frontier — the
-	// re-sequencing stash never holds more than this many targets (default
-	// max(64, 4×Batch×ExpectWorkers)). Extra in-process Sinks are not
-	// supported in distributed mode: the coordinator handles rendered bytes,
-	// not decoded results.
+	// Interrupt. Batch is the lease granularity in targets and Window bounds
+	// how far leases may run ahead of the emit frontier — the stash of
+	// reported spans never holds more than this many targets; zero resolves
+	// either through the rule campaign.Run uses, with ExpectWorkers as the
+	// worker count (see campaign.SchedulerConfig). Extra in-process Sinks
+	// are not supported in distributed mode: the coordinator handles
+	// rendered bytes, not decoded results.
 	Campaign campaign.Config
 
 	// Listener accepts worker connections; Serve closes it. See Listen.
@@ -46,26 +45,16 @@ func (cfg Config) withDefaults() Config {
 	if cfg.ExpectWorkers <= 0 {
 		cfg.ExpectWorkers = 1
 	}
-	if cfg.Campaign.Batch <= 0 {
-		cfg.Campaign.Batch = 32
-	}
-	if cfg.Campaign.RatePerSec > 0 {
-		cfg.Campaign.Batch = 1
-	}
-	if cfg.Campaign.Window <= 0 {
-		cfg.Campaign.Window = max(64, 4*cfg.Campaign.Batch*cfg.ExpectWorkers)
-	}
 	if cfg.LeaseTimeout <= 0 {
 		cfg.LeaseTimeout = 15 * time.Second
 	}
 	return cfg
 }
 
-// pendingSpan is a reported-but-not-yet-emitted span: the worker's
-// verbatim rendered bytes plus its exact aggregator delta, stashed until
-// the emit frontier reaches lo.
-type pendingSpan struct {
-	hi          int
+// reportedSpan is a span's payload in the table: the worker's verbatim
+// rendered bytes plus its exact aggregator delta, held until the emit
+// frontier reaches the span.
+type reportedSpan struct {
 	jsonb, csvb []byte
 	shard       *campaign.ShardSnapshot
 	worker      int
@@ -75,13 +64,11 @@ type coordinator struct {
 	cfg   Config
 	em    *campaign.Emitter
 	agg   *campaign.Aggregator
-	table *leaseTable
+	table *campaign.SpanTable[reportedSpan]
 
 	mu     sync.Mutex
-	stash  map[int]*pendingSpan
 	conns  map[int]net.Conn
 	nextID int
-	err    error
 
 	// logMu serializes writes to cfg.Log: every worker's handler logs, and
 	// the writer is the caller's (a plain buffer in tests).
@@ -91,7 +78,7 @@ type coordinator struct {
 }
 
 // Serve runs a distributed campaign to completion (or drain, or failure)
-// and returns the merged summary. It owns the full collector side: the
+// and returns the merged summary. It owns the full emit side: the
 // same Emitter a single-process run uses consumes re-sequenced span
 // bytes, so JSONL/CSV/checkpoint output is byte-identical to
 // campaign.Run over the same config, and a run interrupted here resumes
@@ -113,29 +100,18 @@ func Serve(cfg Config) (*campaign.Summary, error) {
 	for i := range replayed {
 		agg.Shard(0).Add(&replayed[i])
 	}
-	c := &coordinator{
-		cfg:   cfg,
-		em:    em,
-		agg:   agg,
-		table: newLeaseTable(em.Start(), em.End(), cfg.Campaign.Batch, cfg.Campaign.Window),
-		stash: map[int]*pendingSpan{},
-		conns: map[int]net.Conn{},
-	}
+	c := &coordinator{cfg: cfg, em: em, agg: agg, conns: map[int]net.Conn{}}
+	ccfg := cfg.Campaign
+	c.table = campaign.NewSpanTable(em.Start(), em.End(), campaign.SchedulerConfig{
+		Workers:    cfg.ExpectWorkers,
+		RatePerSec: ccfg.RatePerSec,
+		Window:     ccfg.Window,
+		Batch:      ccfg.Batch,
+		Obs:        ccfg.Obs.SchedObs(),
+		Quiesce:    ccfg.Interrupt,
+	}, c.emit)
 	em.StartRun(cfg.ExpectWorkers)
 
-	// The table itself refuses leases from the moment Interrupt closes;
-	// this goroutine only wakes what is parked when nothing else moves.
-	c.table.interrupt = cfg.Campaign.Interrupt
-	stop := make(chan struct{})
-	if cfg.Campaign.Interrupt != nil {
-		go func() {
-			select {
-			case <-cfg.Campaign.Interrupt:
-				c.table.drain()
-			case <-stop:
-			}
-		}()
-	}
 	// The accept loop holds a count of its own, so that the Add for a
 	// connection accepted as the campaign ends never starts from zero beside
 	// the Wait below.
@@ -157,7 +133,7 @@ func Serve(cfg Config) (*campaign.Summary, error) {
 					}
 					c.logf("dist: transient accept failure (retrying in %v): %v", backoff, aerr)
 					select {
-					case <-stop:
+					case <-c.table.Done():
 						return
 					case <-time.After(backoff):
 					}
@@ -166,11 +142,9 @@ func Serve(cfg Config) (*campaign.Summary, error) {
 					}
 					continue
 				}
-				select {
-				case <-stop:
-				default:
-					c.fail(fmt.Errorf("dist: accept: %w", aerr))
-				}
+				// Our own Close below comes after the run has settled,
+				// when Fail is a no-op.
+				c.table.Fail(fmt.Errorf("dist: accept: %w", aerr))
 				return
 			}
 			backoff = 10 * time.Millisecond
@@ -179,15 +153,19 @@ func Serve(cfg Config) (*campaign.Summary, error) {
 		}
 	}()
 
-	c.table.waitSettled()
-	close(stop)
-	c.table.drain() // release handlers still blocked in grant
+	runErr := c.table.Wait()
 	cfg.Listener.Close()
+	if runErr != nil {
+		// A failed run severs every worker so their handlers unwind; any
+		// other end leaves them to take their drain and say bye.
+		c.mu.Lock()
+		for _, conn := range c.conns {
+			conn.Close()
+		}
+		c.mu.Unlock()
+	}
 	c.wg.Wait()
 
-	c.mu.Lock()
-	runErr := c.err
-	c.mu.Unlock()
 	interrupted, err := em.Finish(runErr)
 	if err != nil {
 		cfg.Campaign.Trace.RunEnd(em.Emitted(), interrupted, err.Error())
@@ -197,24 +175,6 @@ func Serve(cfg Config) (*campaign.Summary, error) {
 	sum := agg.Summary()
 	sum.Interrupted = interrupted
 	return sum, nil
-}
-
-// fail records the first fatal error, wakes the lease table, and severs
-// every worker so their handlers unwind.
-func (c *coordinator) fail(err error) {
-	c.mu.Lock()
-	if c.err == nil {
-		c.err = err
-	}
-	conns := make([]net.Conn, 0, len(c.conns))
-	for _, conn := range c.conns {
-		conns = append(conns, conn)
-	}
-	c.mu.Unlock()
-	c.table.fail()
-	for _, conn := range conns {
-		conn.Close()
-	}
 }
 
 func (c *coordinator) logf(format string, args ...any) {
@@ -265,7 +225,7 @@ func (c *coordinator) handle(conn net.Conn) {
 		c.mu.Lock()
 		delete(c.conns, id)
 		c.mu.Unlock()
-		n := c.table.revoke(id)
+		n := c.table.Revoke(id)
 		if n > 0 {
 			if d := c.cfg.Campaign.Obs.DistObs(); d != nil {
 				d.LeaseReissues.Add(uint64(n))
@@ -310,18 +270,15 @@ func (c *coordinator) handle(conn net.Conn) {
 			// grant blocks with no deadline pending — a worker waiting for
 			// work holds no leases, so its silence risks nothing.
 			conn.SetReadDeadline(time.Time{})
-			sp, ok := c.table.grant(id)
+			sp, ok := c.table.Grant(id)
 			if !ok {
 				w.send(&Msg{Type: MsgDrain})
 				c.awaitBye(w, conn, id)
 				clean = true
 				return
 			}
-			if sched := c.cfg.Campaign.Obs.SchedObs(); sched != nil {
-				sched.SpanClaims.Inc()
-			}
-			c.cfg.Campaign.Trace.SpanClaim(id, sp.lo, sp.hi)
-			if err := w.send(&Msg{Type: MsgSpan, Lo: sp.lo, Hi: sp.hi}); err != nil {
+			c.cfg.Campaign.Trace.SpanClaim(id, sp.Lo, sp.Hi)
+			if err := w.send(&Msg{Type: MsgSpan, Lo: sp.Lo, Hi: sp.Hi}); err != nil {
 				return
 			}
 		case MsgReport:
@@ -333,10 +290,11 @@ func (c *coordinator) handle(conn net.Conn) {
 			if rerr != nil {
 				return
 			}
-			if err := c.report(m, jsonb, csvb, id); err != nil {
-				c.fail(err)
-				return
-			}
+			// First completion wins: a stale duplicate of a re-issued
+			// lease is dropped, and the handler that reports the frontier
+			// span emits it and every reported span contiguous with it.
+			c.table.Complete(campaign.Span{Lo: m.Lo, Hi: m.Hi},
+				reportedSpan{jsonb: jsonb, csvb: csvb, shard: m.Shard, worker: id})
 		case MsgBye:
 			c.absorbObs(id, m)
 			clean = true
@@ -380,43 +338,15 @@ func (c *coordinator) absorbObs(id int, m *Msg) {
 	}
 }
 
-// report settles one completed span: first completion wins (duplicates
-// from re-issued leases are dropped), the payload is stashed by lo, and
-// every span now contiguous with the emit frontier is merged into the
-// aggregator and emitted — shard deltas fold exactly at emit time, so
-// the summary always covers precisely the emitted prefix, including
-// after a drain.
-func (c *coordinator) report(m *Msg, jsonb, csvb []byte, worker int) error {
-	if !c.table.complete(m.Lo, m.Hi) {
-		return nil // stale duplicate of a re-issued lease
+// emit is the table's in-order drain: shard deltas fold into the
+// aggregator exactly at emit time, so the summary always covers precisely
+// the emitted prefix, including after a drain.
+func (c *coordinator) emit(sp campaign.Span, p reportedSpan) error {
+	if p.shard == nil {
+		return fmt.Errorf("dist: worker %d report for [%d,%d) missing shard snapshot", p.worker, sp.Lo, sp.Hi)
 	}
-	if m.Shard == nil {
-		return fmt.Errorf("dist: worker %d report for [%d,%d) missing shard snapshot", worker, m.Lo, m.Hi)
+	if err := c.agg.Shard(0).MergeSnapshot(*p.shard); err != nil {
+		return fmt.Errorf("dist: worker %d span [%d,%d): %w", p.worker, sp.Lo, sp.Hi, err)
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.err != nil {
-		return c.err
-	}
-	c.stash[m.Lo] = &pendingSpan{hi: m.Hi, jsonb: jsonb, csvb: csvb, shard: m.Shard, worker: worker}
-	advanced := false
-	for {
-		lo := c.em.Emitted()
-		p := c.stash[lo]
-		if p == nil {
-			break
-		}
-		if err := c.agg.Shard(0).MergeSnapshot(*p.shard); err != nil {
-			return fmt.Errorf("dist: worker %d span [%d,%d): %w", p.worker, lo, p.hi, err)
-		}
-		if err := c.em.EmitSpan(lo, p.hi, p.jsonb, p.csvb, nil); err != nil {
-			return err
-		}
-		delete(c.stash, lo)
-		advanced = true
-	}
-	if advanced {
-		c.table.advance(c.em.Emitted())
-	}
-	return nil
+	return c.em.EmitSpan(sp.Lo, sp.Hi, p.jsonb, p.csvb, nil)
 }

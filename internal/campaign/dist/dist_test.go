@@ -515,71 +515,6 @@ func TestServeRefusesOversizedCheckpoint(t *testing.T) {
 	}
 }
 
-// TestLeaseTable unit-tests the dispatch invariants: lowest-lo re-issue
-// first, window gating, first-completion-wins, revoke requeueing.
-func TestLeaseTable(t *testing.T) {
-	tb := newLeaseTable(0, 20, 5, 10)
-	s1, ok := tb.grant(1)
-	if !ok || s1 != (span{0, 5}) {
-		t.Fatalf("grant 1 = %+v %v", s1, ok)
-	}
-	s2, ok := tb.grant(2)
-	if !ok || s2 != (span{5, 10}) {
-		t.Fatalf("grant 2 = %+v %v", s2, ok)
-	}
-	// Window is 10 above frontier 0: [10,15) must block until an advance.
-	granted := make(chan span)
-	go func() {
-		sp, ok := tb.grant(3)
-		if !ok {
-			t.Error("grant 3 drained unexpectedly")
-		}
-		granted <- sp
-	}()
-	select {
-	case sp := <-granted:
-		t.Fatalf("grant beyond window returned %+v before advance", sp)
-	case <-time.After(50 * time.Millisecond):
-	}
-	if !tb.complete(0, 5) {
-		t.Fatal("first completion rejected")
-	}
-	tb.advance(5)
-	if sp := <-granted; sp != (span{10, 15}) {
-		t.Fatalf("post-advance grant = %+v", sp)
-	}
-	// Worker 2 dies holding [5,10): it must come back before the cursor.
-	tb.revoke(2)
-	s4, ok := tb.grant(4)
-	if !ok || s4 != (span{5, 10}) {
-		t.Fatalf("re-issue grant = %+v %v, want [5,10)", s4, ok)
-	}
-	// The dead worker's late report must lose to the re-issued lease.
-	if !tb.complete(5, 10) {
-		t.Fatal("re-issued completion rejected")
-	}
-	if tb.complete(5, 10) {
-		t.Fatal("duplicate completion accepted")
-	}
-	tb.advance(10)
-	if s5, ok := tb.grant(5); !ok || s5 != (span{15, 20}) {
-		t.Fatalf("tail grant = %+v %v", s5, ok)
-	}
-	tb.complete(10, 15)
-	tb.complete(15, 20)
-	tb.advance(20)
-	if _, ok := tb.grant(6); ok {
-		t.Fatal("grant after completion should drain")
-	}
-	settled := make(chan struct{})
-	go func() { tb.waitSettled(); close(settled) }()
-	select {
-	case <-settled:
-	case <-time.After(time.Second):
-		t.Fatal("waitSettled hung on a finished table")
-	}
-}
-
 // fakeConn adapts a byte buffer to net.Conn for wire parsing tests.
 type fakeConn struct {
 	*bytes.Reader

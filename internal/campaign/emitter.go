@@ -6,7 +6,7 @@ import (
 	"time"
 )
 
-// Emitter is the collector side of a campaign: everything downstream of
+// Emitter is the emit side of a campaign: everything downstream of
 // the in-order emit frontier — resume/replay, sink lifecycle, checkpoint
 // cadence, drain checkpointing, progress and telemetry notification —
 // factored out of Run so the distributed coordinator (internal/campaign/
@@ -15,8 +15,9 @@ import (
 // not an aspiration but a consequence: there is one emit path.
 //
 // The caller feeds it contiguous spans in index order via EmitSpan and
-// finishes with Finish. Emitter is not safe for concurrent use; the
-// single in-order collector goroutine is its contract.
+// finishes with Finish. Emitter is not safe for concurrent use: its
+// contract is serial calls, from any goroutine, each ordered after the
+// last — what a SpanTable's emit callback gets.
 type Emitter struct {
 	cfg        Config
 	fp         uint64
@@ -130,10 +131,9 @@ func (e *Emitter) StartRun(workers int) {
 // both in index order (either may be nil when the matching sink is not
 // configured). results feeds caller-provided extra sinks and may be nil
 // when there are none; each record is copied before Emit because callers
-// pool result slots. Spans must arrive exactly at the frontier — the
-// scheduler's in-order collector and the coordinator's re-sequencer both
-// guarantee this, and the check makes a violation loud rather than a
-// silent output corruption.
+// pool result slots. Spans must arrive exactly at the frontier — the span
+// table's in-order drain guarantees this, and the check makes a violation
+// loud rather than a silent output corruption.
 func (e *Emitter) EmitSpan(lo, hi int, jsonb, csvb []byte, results []TargetResult) error {
 	if lo != e.emitted || hi < lo {
 		return fmt.Errorf("campaign: internal: emit of span [%d,%d) at frontier %d", lo, hi, e.emitted)

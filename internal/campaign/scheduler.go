@@ -1,8 +1,8 @@
 package campaign
 
 import (
+	"math"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"reorder/internal/obs"
@@ -23,23 +23,20 @@ type SchedulerConfig struct {
 	// Burst is the bucket capacity (default Workers).
 	Burst int
 	// Window bounds how far job execution may run ahead of the in-order
-	// emit frontier. It is what makes the re-sequencing buffer — and any
-	// per-index state the caller retains until emit — genuinely bounded
+	// emit frontier: a span is granted only while it fits under
+	// frontier+Window. It is what makes the stash of completed spans — and
+	// any per-index state the caller retains until emit — genuinely bounded
 	// when one slow job holds the frontier while thousands of later jobs
-	// finish. Zero selects the adaptive window: it starts near 2×Workers
-	// and tracks an EWMA of the observed completion spread, growing (up to
-	// the old static default, max(4×Workers, 64)) only when stragglers
-	// actually scatter completions — so a campaign of uniform-speed
-	// targets keeps sink latency low, and one with slow spec-stack
-	// targets widens just enough to keep the pool busy.
+	// finish. Zero selects max(64, 4×span×Workers); see dispatch, the one
+	// rule that resolves Window and Batch.
 	Window int
-	// Batch is the span size: workers claim [lo,hi) index spans of this
-	// many jobs off a shared cursor, so scheduling overhead (cursor
-	// claims, completion reports, re-sequencing) is paid per span rather
-	// than per job. Zero selects an adaptive size from the run length and
-	// worker count; rate-limited runs always dispatch singly so the token
-	// bucket stays the pacing authority. Batching never changes outputs —
-	// only how work is sliced.
+	// Batch is the span size: workers are granted [lo,hi) index spans of
+	// this many jobs, so scheduling overhead (grant, completion, in-order
+	// drain) is paid per span rather than per job. Zero selects
+	// min(32, n/(2×Workers)); an explicit Window caps it at Window/Workers,
+	// and rate-limited runs always dispatch singly so the token bucket
+	// stays the pacing authority. Batching never changes outputs — only
+	// how work is sliced.
 	Batch int
 	// Obs, when non-nil, receives scheduler telemetry: span claims, window
 	// stalls, retries, backoff and rate-limiter wait time. All counts are
@@ -61,19 +58,14 @@ const DefaultWorkers = 16
 // by worker, for sharded aggregation) need no locking: each index is
 // processed by exactly one worker, and the emit callbacks run serially.
 //
-// Dispatch is span-granular: workers claim contiguous [lo,hi) spans off an
-// atomic cursor and report whole completed spans, so the per-job cost of
-// the orchestrator is a few arithmetic operations plus 1/spanSize channel
-// operations — the difference between a campaign bottlenecked on channel
-// hops and one bottlenecked on the probes themselves.
+// Dispatch is span-granular and lives in SpanTable: a worker takes the
+// table's lock once to be granted a contiguous [lo,hi) span and once to
+// complete it, and the worker that completes the span at the emit frontier
+// emits it itself — so the per-job cost of the orchestrator is a few
+// arithmetic operations plus 2/spanSize short critical sections, with no
+// hand-off to a collector goroutine.
 type Scheduler struct {
 	cfg SchedulerConfig
-
-	// maxWindow is the ceiling the (possibly adaptive) window may reach;
-	// callers sizing per-index rings use MaxWindow.
-	maxWindow int
-	// adaptive records whether Window was left to the scheduler.
-	adaptive bool
 
 	// limiter paces every attempt the scheduler launches; nil when
 	// RatePerSec is unset.
@@ -110,266 +102,75 @@ func NewScheduler(cfg SchedulerConfig) *Scheduler {
 	if cfg.Burst <= 0 {
 		cfg.Burst = cfg.Workers
 	}
-	s := &Scheduler{cfg: cfg, now: time.Now, limiter: newTokenBucket(cfg.RatePerSec, float64(cfg.Burst))}
-	if cfg.Window <= 0 {
-		// Adaptive: cap at the old static default — scaled up when an
-		// explicit batch needs the headroom to keep every worker holding
-		// a full span — with a floor near 2×Workers so the pool never
-		// starves.
-		s.adaptive = true
-		s.maxWindow = 4 * cfg.Workers
-		if s.maxWindow < 64 {
-			s.maxWindow = 64
-		}
-		if cfg.Batch > 0 && s.maxWindow < 2*cfg.Batch*cfg.Workers {
-			s.maxWindow = 2 * cfg.Batch * cfg.Workers
-		}
-	} else {
-		if cfg.Window < cfg.Workers {
-			cfg.Window = cfg.Workers // never starve the pool
-			s.cfg.Window = cfg.Window
-		}
-		s.maxWindow = cfg.Window
-	}
-	return s
+	return &Scheduler{cfg: cfg, now: time.Now, limiter: newTokenBucket(cfg.RatePerSec, float64(cfg.Burst))}
 }
 
 // Workers returns the effective pool size.
 func (s *Scheduler) Workers() int { return s.cfg.Workers }
 
-// MaxWindow returns the largest value the dispatch window can take during
-// a run: callers that keep per-index state until emit (re-sequencing
-// rings, pre-encoded batch slots) can size a ring of exactly this many
-// entries and never collide.
-func (s *Scheduler) MaxWindow() int { return s.maxWindow }
-
-// spanSizeFor returns the dispatch span size for a run of n jobs: the
-// configured batch (capped at the window, the progress invariant), or an
-// adaptive default sized so a window's worth of spans keeps every worker
-// busy; always 1 under rate limiting so the token bucket paces individual
-// launches.
-func (s *Scheduler) spanSizeFor(n int) int {
-	if s.cfg.RatePerSec > 0 {
-		return 1
-	}
-	size := s.cfg.Batch
-	if size <= 0 {
-		// Adaptive: big enough to amortize the per-span bookkeeping,
-		// small enough that a run splits into several spans per worker
-		// (tail balance) and the window never idles the pool.
-		size = n / (2 * s.cfg.Workers)
-		if max := s.maxWindow / s.cfg.Workers; size > max {
-			size = max
-		}
-	}
-	if size > s.maxWindow {
-		size = s.maxWindow
-	}
-	if size < 1 {
-		size = 1
-	}
-	return size
-}
-
-// span is one claimed slice of the index range.
-type span struct{ lo, hi int }
-
-// gate enforces the dispatch window: a worker may run index i only once
-// i < frontier+window. The fast path is two atomic loads; workers park on
-// the condition variable only when the window is actually exhausted.
-//
-// The hot atomics are padded onto their own cache lines: every worker
-// reads frontier and window before every job while the collector stores
-// them after every span, and the claim cursor (dispatchState) is hammered
-// by CAS from all workers — sharing a line between any of these (or with
-// the mutex word) would turn each store into a fleet-wide invalidation.
-type gate struct {
-	_        [64]byte
-	frontier atomic.Int64 // next index to emit (all before are emitted)
-	_        [56]byte
-	window   atomic.Int64
-	_        [56]byte
-
-	mu      sync.Mutex
-	cond    *sync.Cond
-	waiting int
-	stopped bool
-
-	// obs and now record stall telemetry on the slow path only; the
-	// two-atomic-load fast path never touches them.
-	obs *obs.Scheduler
-	now func() time.Time
-}
-
-// dispatchState holds the shared claim cursor on its own cache line.
-type dispatchState struct {
-	_      [64]byte
-	cursor atomic.Int64
-	_      [56]byte
-}
-
-func newGate(start, window int) *gate {
-	g := &gate{}
-	g.frontier.Store(int64(start))
-	g.window.Store(int64(window))
-	g.cond = sync.NewCond(&g.mu)
-	return g
-}
-
-// wait blocks until index may run (or the run stops, returning false).
-func (g *gate) wait(index int) bool {
-	if int64(index) < g.frontier.Load()+g.window.Load() {
-		return true
-	}
-	var parkedAt time.Time
-	g.mu.Lock()
-	for int64(index) >= g.frontier.Load()+g.window.Load() && !g.stopped {
-		if g.obs != nil && parkedAt.IsZero() {
-			parkedAt = g.now()
-			g.obs.WindowStalls.Inc()
-		}
-		g.waiting++
-		g.cond.Wait()
-		g.waiting--
-	}
-	stopped := g.stopped
-	g.mu.Unlock()
-	if !parkedAt.IsZero() {
-		g.obs.WindowStallNanos.AddInt(g.now().Sub(parkedAt).Nanoseconds())
-	}
-	return !stopped
-}
-
-// advance publishes a new frontier (and optionally a new window), waking
-// parked workers when any are waiting.
-func (g *gate) advance(frontier, window int) {
-	g.mu.Lock()
-	g.frontier.Store(int64(frontier))
-	if window > 0 {
-		g.window.Store(int64(window))
-	}
-	if g.waiting > 0 {
-		g.cond.Broadcast()
-	}
-	g.mu.Unlock()
-}
-
-// stop releases every parked worker with a failure indication.
-func (g *gate) stop() {
-	g.mu.Lock()
-	g.stopped = true
-	g.cond.Broadcast()
-	g.mu.Unlock()
+// MaxWindow returns the largest dispatch window a run of any length can
+// get: callers that keep per-index state until emit (re-sequencing rings,
+// pre-encoded batch slots) can size a ring of exactly this many entries and
+// never collide.
+func (s *Scheduler) MaxWindow() int {
+	_, window := s.cfg.dispatch(math.MaxInt)
+	return window
 }
 
 // RunSpans executes jobs for indices [start, end). job is called as
 // job(worker, index, attempt); a non-nil return triggers a retry after
 // backoff, up to the configured retry budget, after which the job counts
-// as done regardless (the job records its own terminal error). Workers
-// claim contiguous index spans off a shared cursor; begin (optional) is
-// called on the worker when it claims a span — callers use it to set up
-// per-span state such as encode buffers — and emitSpan is called serially
-// with each completed span in ascending index order (spans partition
-// [start,end), so consecutive calls are contiguous). An emitSpan error
-// cancels the run and is returned; a nil emitSpan is allowed when only job
-// side effects matter.
+// as done regardless (the job records its own terminal error). Workers are
+// granted contiguous index spans by a SpanTable; begin (optional) is called
+// on the worker when it is granted a span — callers use it to set up
+// per-span state such as encode buffers — and emitSpan is called serially,
+// by whichever worker completed the span at the emit frontier, with each
+// completed span in ascending index order (spans partition [start,end), so
+// consecutive calls are contiguous). An emitSpan error cancels the run and
+// is returned; a nil emitSpan is allowed when only job side effects matter.
 func (s *Scheduler) RunSpans(start, end int,
 	begin func(worker, lo, hi int),
 	job func(worker, index, attempt int) error,
 	emitSpan func(lo, hi int) error,
 ) error {
-	if start >= end {
-		return nil
-	}
-	spanSize := s.spanSizeFor(end - start)
-	window := s.maxWindow
-	minWindow := window
-	if s.adaptive {
-		minWindow = 2 * s.cfg.Workers
-		if minWindow < 16 {
-			minWindow = 16
+	t := NewSpanTable(start, end, s.cfg, func(sp Span, _ struct{}) error {
+		if emitSpan == nil {
+			return nil
 		}
-		// A window below a full round of spans would idle workers
-		// regardless of spread; start there and grow on evidence.
-		if floor := spanSize * s.cfg.Workers; minWindow < floor {
-			minWindow = floor
+		return emitSpan(sp.Lo, sp.Hi)
+	})
+	return runPool(s, t, func(worker int, sp Span) struct{} {
+		if begin != nil {
+			begin(worker, sp.Lo, sp.Hi)
 		}
-		if minWindow > s.maxWindow {
-			minWindow = s.maxWindow
-		}
-		window = minWindow
-	}
+		return struct{}{}
+	}, job)
+}
 
-	g := newGate(start, window)
-	g.obs, g.now = s.cfg.Obs, s.now
-	ds := &dispatchState{}
-	cursor := &ds.cursor
-	cursor.Store(int64(start))
-	doneCh := make(chan span, s.cfg.Workers)
-	stop := make(chan struct{})
-	var stopOnce sync.Once
-	cancel := func() {
-		stopOnce.Do(func() {
-			close(stop)
-			g.stop()
-		})
-	}
-
-	claim := func() (span, bool) {
-		select {
-		case <-s.cfg.Quiesce:
-			return span{}, false // draining: finish in-flight spans only
-		default:
-		}
-		for {
-			lo := cursor.Load()
-			if lo >= int64(end) {
-				return span{}, false
-			}
-			hi := lo + int64(spanSize)
-			// Shrink near the tail so the last few spans spread over
-			// the pool instead of parking on one worker.
-			if remaining := int64(end) - lo; remaining < int64(spanSize*s.cfg.Workers) {
-				size := remaining / int64(s.cfg.Workers)
-				if size < 1 {
-					size = 1
-				}
-				hi = lo + size
-			}
-			if hi > int64(end) {
-				hi = int64(end)
-			}
-			if cursor.CompareAndSwap(lo, hi) {
-				if s.cfg.Obs != nil {
-					s.cfg.Obs.SpanClaims.Inc()
-				}
-				return span{int(lo), int(hi)}, true
-			}
-		}
-	}
-
+// runPool drives t to its end with s's worker pool: each worker loops
+// grant, begin, every index of the span through runJob, complete — begin's
+// return value is the span's payload, handed to t's emit when the span's
+// turn comes. It returns once every worker has, with the run's failure.
+func runPool[P any](s *Scheduler, t *SpanTable[P],
+	begin func(worker int, sp Span) P,
+	job func(worker, index, attempt int) error,
+) error {
+	t.now = s.now // one clock hook: the table's stall timing follows the scheduler's
+	// In-process a run settles with jobs still in flight only by failing,
+	// so Done doubles as the signal that aborts their politeness waits.
+	stop := t.Done()
 	var wg sync.WaitGroup
 	for w := 0; w < s.cfg.Workers; w++ {
 		wg.Add(1)
 		go func(worker int) {
 			defer wg.Done()
 			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				sp, ok := claim()
+				sp, ok := t.Grant(worker)
 				if !ok {
 					return
 				}
-				if begin != nil {
-					begin(worker, sp.lo, sp.hi)
-				}
-				for i := sp.lo; i < sp.hi; i++ {
-					if !g.wait(i) {
-						return
-					}
+				p := begin(worker, sp)
+				for i := sp.Lo; i < sp.Hi; i++ {
 					s.runJob(worker, i, job, stop)
 					select {
 					case <-stop:
@@ -377,82 +178,12 @@ func (s *Scheduler) RunSpans(start, end int,
 					default:
 					}
 				}
-				select {
-				case doneCh <- sp:
-				case <-stop:
-					return
-				}
+				t.Complete(sp, p)
 			}
 		}(w)
 	}
-	go func() {
-		wg.Wait()
-		close(doneCh)
-	}()
-
-	// Re-sequence completions: workers finish spans in arbitrary order,
-	// sinks must see index order. Spans partition the range, so a small
-	// list ordered by lo (at most window/spanSize + workers entries)
-	// re-sequences them; the gate caps how far execution runs ahead, so
-	// the list — and any per-index state the caller retains until emit —
-	// stays bounded for any campaign size.
-	var pending []span
-	next := start
-	var emitErr error
-	// spreadEwma tracks how far beyond the frontier completed spans land,
-	// the dispersion the adaptive window sizes against.
-	var spreadEwma float64
-	for sp := range doneCh {
-		// Insert keeping pending sorted by lo.
-		at := len(pending)
-		for i, q := range pending {
-			if sp.lo < q.lo {
-				at = i
-				break
-			}
-		}
-		pending = append(pending, span{})
-		copy(pending[at+1:], pending[at:])
-		pending[at] = sp
-
-		if s.adaptive {
-			spread := float64(sp.hi - next)
-			spreadEwma += 0.125 * (spread - spreadEwma)
-		}
-
-		advanced := false
-		for emitErr == nil && len(pending) > 0 && pending[0].lo == next {
-			q := pending[0]
-			pending = pending[:copy(pending, pending[1:])]
-			if emitSpan != nil {
-				if err := emitSpan(q.lo, q.hi); err != nil {
-					emitErr = err
-					cancel()
-					break
-				}
-			}
-			next = q.hi
-			advanced = true
-		}
-		if advanced && emitErr == nil {
-			if s.adaptive {
-				window = clampInt(s.cfg.Workers+2*int(spreadEwma), minWindow, s.maxWindow)
-			}
-			g.advance(next, window)
-		}
-	}
-	cancel()
-	return emitErr
-}
-
-func clampInt(v, lo, hi int) int {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
+	wg.Wait()
+	return t.Wait()
 }
 
 // RunIndex drives one index through its attempts on the calling goroutine,

@@ -117,47 +117,82 @@ func TestSchedulerRetriesExhausted(t *testing.T) {
 	}
 }
 
-// TestSchedulerDispatchWindow checks the bounded re-sequencing contract:
-// while a slow job holds the emit frontier, job execution never runs more
-// than Window indices ahead, so completed-but-unemitted state (and any
-// per-index ring the caller keys on MaxWindow) stays bounded.
-func TestSchedulerDispatchWindow(t *testing.T) {
+// noBegin is runPool's begin for tests that keep no per-span state.
+func noBegin(int, Span) struct{} { return struct{}{} }
+
+// heldFrontier runs [0,100) on four workers under a window of 8 (spans of
+// 2) with index 0 blocked, and returns once the other three workers have
+// run everything the window admits and are parked in Grant. The caller
+// decides what happens next and closes release; run returns the indices
+// emitted and runPool's result.
+func heldFrontier(t *testing.T, cfg SchedulerConfig, emitErr error) (release chan struct{}, run func() (emitted int, err error)) {
 	const window = 8
-	s := NewScheduler(SchedulerConfig{Workers: 4, Window: window})
-	release := make(chan struct{})
-	var mu sync.Mutex
-	maxStarted := 0
+	cfg.Workers, cfg.Window = 4, window
+	s := NewScheduler(cfg)
+	release = make(chan struct{})
+	var maxStarted atomic.Int64
 	emitted := 0
-	// Index 0 holds the frontier; after the pool has had ample time to
-	// overreach (wrongly) past the window, check and release.
+	tb := NewSpanTable(0, 100, s.cfg, func(sp Span, _ struct{}) error {
+		emitted += sp.Hi - sp.Lo
+		return emitErr
+	})
+	result := make(chan error)
 	go func() {
-		time.Sleep(50 * time.Millisecond)
-		mu.Lock()
-		got := maxStarted
-		mu.Unlock()
-		if got >= window {
-			t.Errorf("execution reached index %d with frontier held; window is %d", got, window)
-		}
-		close(release)
-	}()
-	err := s.RunSpans(0, 100, nil,
-		func(worker, index, attempt int) error {
-			mu.Lock()
-			if index > maxStarted {
-				maxStarted = index
+		result <- runPool(s, tb, noBegin, func(worker, index, attempt int) error {
+			for {
+				cur := maxStarted.Load()
+				if int64(index) <= cur || maxStarted.CompareAndSwap(cur, int64(index)) {
+					break
+				}
 			}
-			mu.Unlock()
 			if index == 0 {
 				<-release // hold the emit frontier
 			}
 			return nil
-		},
-		perIndex(func(index int) error { emitted++; return nil }))
-	if err != nil {
-		t.Fatal(err)
+		})
+	}()
+	awaitParked(tb, 3)
+	if got := maxStarted.Load(); got != window-1 {
+		t.Errorf("execution reached index %d with the frontier held at 0; window is %d", got, window)
 	}
-	if emitted != 100 {
-		t.Fatalf("emitted %d of 100", emitted)
+	return release, func() (int, error) { err := <-result; return emitted, err }
+}
+
+// TestSchedulerDispatchWindow checks the bounded re-sequencing contract:
+// while a slow job holds the emit frontier, job execution runs exactly
+// Window indices ahead and no further, so completed-but-unemitted state
+// (and any per-index ring the caller keys on MaxWindow) stays bounded.
+func TestSchedulerDispatchWindow(t *testing.T) {
+	release, run := heldFrontier(t, SchedulerConfig{}, nil)
+	close(release)
+	if emitted, err := run(); err != nil || emitted != 100 {
+		t.Fatalf("err %v, emitted %d of 100", err, emitted)
+	}
+}
+
+// TestSchedulerEmitErrorWithParkedWorkers fails the emit of the frontier
+// span while the rest of the pool is parked in Grant: the error surfaces
+// and every worker returns (runPool joins them all before it does).
+func TestSchedulerEmitErrorWithParkedWorkers(t *testing.T) {
+	sentinel := errors.New("sink full")
+	release, run := heldFrontier(t, SchedulerConfig{}, sentinel)
+	close(release)
+	if emitted, err := run(); !errors.Is(err, sentinel) || emitted != 2 {
+		t.Fatalf("err %v after %d emitted, want %v after the frontier span's 2", err, emitted, sentinel)
+	}
+}
+
+// TestSchedulerQuiesceWithParkedWorkers closes Quiesce while one worker
+// holds the frontier span and the rest are parked in Grant. Nothing wakes
+// them until that span completes; then it and the three stashed behind it
+// emit, no further span is granted, and every worker returns.
+func TestSchedulerQuiesceWithParkedWorkers(t *testing.T) {
+	quiesce := make(chan struct{})
+	release, run := heldFrontier(t, SchedulerConfig{Quiesce: quiesce}, nil)
+	close(quiesce)
+	close(release)
+	if emitted, err := run(); err != nil || emitted != 8 {
+		t.Fatalf("err %v, emitted %d; want the window's 8 indices and no more", err, emitted)
 	}
 }
 
@@ -334,8 +369,8 @@ func TestSchedulerSpanCoverage(t *testing.T) {
 	rng := rand.New(rand.NewPCG(7, 11))
 	for trial := 0; trial < 40; trial++ {
 		workers := 1 + rng.IntN(8)
-		window := rng.IntN(3) * (1 + rng.IntN(20)) // 0 = adaptive, else 1..40 (clamped)
-		batch := rng.IntN(4) * (1 + rng.IntN(30))  // 0 = adaptive, else 1..90
+		window := rng.IntN(3) * (1 + rng.IntN(20)) // 0 = the rule's default, else 1..40
+		batch := rng.IntN(4) * (1 + rng.IntN(30))  // 0 = the rule's default, else 1..90
 		start := rng.IntN(5)
 		end := start + rng.IntN(400)
 		s := NewScheduler(SchedulerConfig{Workers: workers, Window: window, Batch: batch})
@@ -397,12 +432,12 @@ func TestSchedulerSpanCoverage(t *testing.T) {
 	}
 }
 
-// TestSchedulerAdaptiveWindowBounds drives a run with wildly uneven job
-// latencies under the adaptive window and checks the structural
-// guarantees the ring-buffer callers rely on: execution never runs more
-// than MaxWindow ahead of the emit frontier, and everything completes.
-func TestSchedulerAdaptiveWindowBounds(t *testing.T) {
-	s := NewScheduler(SchedulerConfig{Workers: 8}) // Window 0: adaptive
+// TestSchedulerWindowBounds drives a run with wildly uneven job latencies
+// under the default window and checks the structural guarantees the
+// ring-buffer callers rely on: execution never runs more than MaxWindow
+// ahead of the emit frontier, and everything completes.
+func TestSchedulerWindowBounds(t *testing.T) {
+	s := NewScheduler(SchedulerConfig{Workers: 8}) // Window 0: the dispatch rule's
 	maxW := s.MaxWindow()
 	var mu sync.Mutex
 	frontier := 0

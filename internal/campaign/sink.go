@@ -57,7 +57,7 @@ func (s *JSONLSink) Emit(r *TargetResult) error {
 }
 
 // EmitBatch writes a batch of pre-encoded, newline-terminated records in
-// one Write — the in-order collector's half of the campaign's batched
+// one Write — the in-order emit's half of the campaign's batched
 // pipeline (workers render records with TargetResult.AppendJSON as they
 // finish; the serial path just concatenates). Bytes must match what Emit
 // would produce for the same results, which AppendJSON guarantees.
@@ -277,7 +277,7 @@ func (s *CSVSink) Close() error {
 // CSVRowEncoder renders TargetResults to CSV row bytes — byte-identical
 // to CSVSink.Emit, because both call appendCSVRow — appended to a buffer
 // the caller owns. Distributed workers each hold one and render rows as
-// results complete; the in-order collector then flushes whole spans with
+// results complete; the in-order emit then flushes whole spans with
 // CSVSink.EmitBatch.
 type CSVRowEncoder struct {
 	withTopo bool

@@ -34,8 +34,8 @@ import (
 	"reorder/internal/stats"
 )
 
-// Counter is a monotonic event count: one writer (the owning worker or the
-// serial collector), any number of concurrent readers. Aligned atomics make
+// Counter is a monotonic event count: one writer at a time (the owning
+// worker or the serial in-order emit), any number of concurrent readers. Aligned atomics make
 // reads race-free under the race detector without any locking.
 type Counter struct{ v atomic.Uint64 }
 
@@ -180,15 +180,15 @@ func MergeRecorders(rs ...*Recorder) *stats.Histogram {
 // Scheduler is the orchestrator's telemetry: dispatch and politeness
 // machinery, shared by all workers. Every field is low-frequency (per span,
 // per stall, per retry — never per target on the fast path), so one shared
-// cache-line-padded block suffices; the padding keeps these atomics off the
-// lines the scheduler's own hot gate/cursor atomics live on.
+// cache-line-padded block suffices.
 type Scheduler struct {
 	_ [64]byte
-	// SpanClaims counts dispatch spans claimed off the shared cursor.
+	// SpanClaims counts dispatch spans the span table granted.
 	SpanClaims Counter
-	// WindowStalls counts workers parking on the dispatch-window gate, and
-	// WindowStallNanos the wall time they spent parked: how often the
-	// in-order emit frontier (one slow target) held the pool back.
+	// WindowStalls counts workers — pool goroutines, or a coordinator's
+	// remote workers — parking because the next span lay beyond the dispatch
+	// window, and WindowStallNanos the wall time they spent parked: how
+	// often the in-order emit frontier (one slow target) held them back.
 	WindowStalls     Counter
 	WindowStallNanos Counter
 	// Retries counts failed attempts that were retried; BackoffNanos is
@@ -268,8 +268,9 @@ type Dist struct {
 	_             [64]byte
 }
 
-// Sinks is the serial collector's telemetry: batch flushes, durable bytes,
-// checkpointing. Written only by the collector goroutine.
+// Sinks is the in-order emit's telemetry: batch flushes, durable bytes,
+// checkpointing. Written by one goroutine at a time: emits are serial, on
+// whichever goroutine completed the span at the emit frontier.
 type Sinks struct {
 	_ [64]byte
 	// JSONLBatches/JSONLBytes and CSVBatches/CSVBytes count batched writes
@@ -296,7 +297,7 @@ type Campaign struct {
 
 	workers []*Worker
 
-	// Progress state, published by the serial collector via NoteProgress
+	// Progress state, published by the serial in-order emit via NoteProgress
 	// and read by the HTTP endpoint: emitted targets, campaign size, and
 	// an EWMA of the instantaneous emit rate.
 	done     atomic.Int64
@@ -373,8 +374,8 @@ func (c *Campaign) StartRun(done, total int) {
 // jittering per span.
 const ewmaTau = 5 * time.Second
 
-// NoteProgress publishes the emit frontier. Called by the serial collector
-// after each in-order span emit; it also advances the instantaneous-rate
+// NoteProgress publishes the emit frontier. Called serially, after each
+// in-order span emit; it also advances the instantaneous-rate
 // EWMA from the time and count deltas since the previous note.
 func (c *Campaign) NoteProgress(done, total int) {
 	if c == nil {

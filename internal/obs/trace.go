@@ -19,7 +19,7 @@ import (
 // Events are span-granular, never per-frame, so a trace stays a few
 // kilobytes per thousand targets and tracing costs the hot path nothing.
 // All methods are safe for concurrent use (workers trace claims and
-// completions; the collector traces emits and checkpoints) and safe on a
+// completions; the in-order emit traces emits and checkpoints) and safe on a
 // nil *Trace, so call sites need no gating.
 type Trace struct {
 	mu    sync.Mutex
@@ -123,7 +123,7 @@ func (t *Trace) SpanDone(worker, lo, hi int, simNs, renderedBytes int64) {
 	t.end()
 }
 
-// SpanEmit records the in-order collector emitting span [lo,hi); done is
+// SpanEmit records the in-order emit of span [lo,hi); done is
 // the new emit frontier.
 func (t *Trace) SpanEmit(lo, hi, done int) {
 	if t == nil {
