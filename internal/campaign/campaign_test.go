@@ -2,6 +2,8 @@ package campaign
 
 import (
 	"bytes"
+	"fmt"
+	"hash/fnv"
 	"math"
 	"os"
 	"path/filepath"
@@ -11,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"reorder/internal/sim"
 	"reorder/internal/stats"
 )
 
@@ -703,5 +706,50 @@ func TestSummaryWriteTextDeterministic(t *testing.T) {
 	sum.WriteText(&b)
 	if a.String() != b.String() || a.Len() == 0 {
 		t.Fatal("summary rendering unstable or empty")
+	}
+}
+
+// fingerprintReference is Fingerprint as it was first written — every line
+// formatted into hash/fnv's New64a — kept as the definition of the frozen
+// byte stream the in-place fold must reproduce.
+func fingerprintReference(targets []Target, samples int) uint64 {
+	h := fnv.New64a()
+	fmt.Fprintf(h, "format=%d\nsamples=%d\n", recordFormat, samples)
+	for _, t := range targets {
+		fmt.Fprintf(h, "%s|%s|%s|%d", t.Profile, t.Impairment, t.Test, t.Seed)
+		if t.Topology != "" {
+			fmt.Fprintf(h, "|%s", t.Topology)
+		}
+		if t.Scenario != "" {
+			fmt.Fprintf(h, "|#%s", t.Scenario)
+		}
+		fmt.Fprint(h, "\n")
+	}
+	return h.Sum64()
+}
+
+// TestFingerprintMatchesReference holds the in-place fold to the reference
+// over seeded lists with and without the optional segments, seeds at both
+// ends of the digit range and sample counts of either sign.
+func TestFingerprintMatchesReference(t *testing.T) {
+	rng := sim.NewRand(20, 0xf1)
+	pick := func(names []string) string { return names[rng.IntN(len(names))] }
+	topologies := append([]string{"", ""}, TopologyNames()...)
+	scenarios := append([]string{"", ""}, ScenarioNames()...)
+	for n := 0; n < 200; n++ {
+		targets := make([]Target, rng.IntN(40))
+		for i := range targets {
+			targets[i] = Target{
+				Profile: pick(Profiles()), Impairment: pick(ImpairmentNames()), Test: pick(Tests),
+				Seed: rng.Uint64() >> uint(rng.IntN(64)), Topology: pick(topologies), Scenario: pick(scenarios),
+			}
+		}
+		if n == 0 {
+			targets = append(targets, Target{Seed: 0}, Target{Seed: math.MaxUint64, Topology: "t", Scenario: "s"})
+		}
+		samples := rng.IntN(64) - 8
+		if got, want := Fingerprint(targets, samples), fingerprintReference(targets, samples); got != want {
+			t.Fatalf("list %d (%d targets, samples %d): Fingerprint %#x, reference %#x", n, len(targets), samples, got, want)
+		}
 	}
 }

@@ -208,7 +208,7 @@ func (d *recordDecoder) decode(line []byte, t *Target, r *TargetResult) error {
 		d.lit(`,"seed":`) && d.readUint(&r.Seed) && d.sameTarget(r.Seed == t.Seed) &&
 		d.lit(`,"attempts":`) && d.readInt(&r.Attempts) &&
 		(!d.lit(`,"error":`) || d.readString(&r.Err)) &&
-		(!d.lit(`,"dct_excluded":`) || d.readString(&r.DCTExcluded)) &&
+		(!d.lit(`,"dct_excluded":`) || d.readExcluded(&r.DCTExcluded)) &&
 		d.lit(`,"fwd_valid":`) && d.readInt(&r.FwdValid) &&
 		d.lit(`,"fwd_reordered":`) && d.readInt(&r.FwdReordered) &&
 		d.lit(`,"fwd_rate":`) && d.readFloat(&r.FwdRate) &&
@@ -337,6 +337,22 @@ func (d *recordDecoder) readFloat(v *float64) bool {
 	f, err := strconv.ParseFloat(string(tok), 64)
 	*v = f
 	return err == nil
+}
+
+// readExcluded is readString for dct_excluded. This build writes one of two
+// values there, and a replayed record naming one takes the constant and
+// allocates nothing; anything else is read as any other string, to be
+// accepted or refused by the same round trip.
+func (d *recordDecoder) readExcluded(v *string) bool {
+	switch {
+	case d.lit(`"` + dctExcludedZeroIPID + `"`):
+		*v = dctExcludedZeroIPID
+	case d.lit(`"` + dctExcludedNonMonotonic + `"`):
+		*v = dctExcludedNonMonotonic
+	default:
+		return d.readString(v)
+	}
+	return true
 }
 
 // readString consumes a JSON string written by appendJSONString and

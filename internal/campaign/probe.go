@@ -5,6 +5,8 @@ import (
 
 	"reorder/internal/core"
 	"reorder/internal/host"
+	"reorder/internal/ipid"
+	"reorder/internal/metrics"
 	"reorder/internal/obs"
 	"reorder/internal/sim"
 	"reorder/internal/simnet"
@@ -70,6 +72,13 @@ type TargetResult struct {
 	Scenario string `json:"scenario,omitempty"`
 }
 
+// The two reasons IPID prevalidation rules the dual test out, as
+// DCTExcluded records them.
+const (
+	dctExcludedZeroIPID     = "zero-ipid"
+	dctExcludedNonMonotonic = "non-monotonic"
+)
+
 // PathRate is the target's overall reordering rate: valid samples from
 // both directions pooled, as the survey's per-path statistic pools them.
 func (r *TargetResult) PathRate() (float64, bool) {
@@ -97,8 +106,16 @@ type ProbeArena struct {
 	// carry a topology (resp. scenario), so classic probes consume the
 	// stream exactly as they did before either dimension existed.
 	rng, impRng, topoRng, scnRng *sim.Rand
-	// topoSpec is the storage the target's topology is built into.
+	// topoSpec, paths and scn are the storage the target's topology,
+	// impairment and scenario are built into; result, seqRep and ipidRep
+	// are the storage the technique measures into. All of it is valid until
+	// the next probe through this arena.
 	topoSpec simnet.TopologySpec
+	paths    pathStore
+	scn      scenarioStore
+	result   core.Result
+	seqRep   metrics.Report
+	ipidRep  ipid.Report
 	// backends is the scratch the load-balanced pool's profiles are
 	// copied into before per-target mutation (the prototypes are shared).
 	backends []host.Profile
@@ -189,7 +206,10 @@ func ProbeTarget(t Target, samples int, attempt int) *TargetResult {
 
 // ProbeTargetInto probes t through the arena into a caller-owned result,
 // overwriting it completely — the allocation-free form the campaign's
-// batch pipeline uses with ring-slot results.
+// batch pipeline uses with ring-slot results. Everything the probe builds
+// and measures on the way — path, topology and scenario specs, the
+// technique's samples and reports — lives in the arena and is valid only
+// until the next probe through it; res keeps none of it.
 func (a *ProbeArena) ProbeTargetInto(res *TargetResult, t Target, samples int, attempt int) {
 	if samples <= 0 {
 		samples = 8
@@ -233,7 +253,7 @@ func (a *ProbeArena) ProbeTargetInto(res *TargetResult, t Target, samples int, a
 	rng := a.rng
 	cfg.Seed = rng.Uint64()
 	a.impRng = rng.ForkInto(a.impRng, 1)
-	cfg.Forward, cfg.Reverse = imp.Build(a.impRng)
+	cfg.Forward, cfg.Reverse = imp.buildInto(&a.paths, a.impRng)
 	// Topology targets consume one extra fork (label 2); point-to-point
 	// targets skip it entirely, keeping their stream — and therefore their
 	// bytes — identical to pre-topology campaigns.
@@ -250,7 +270,7 @@ func (a *ProbeArena) ProbeTargetInto(res *TargetResult, t Target, samples int, a
 	// entirely for static targets so their stream stays frozen.
 	if t.Scenario != "" {
 		a.scnRng = rng.ForkInto(a.scnRng, 3)
-		cfg.Scenario = scn.Build(a.scnRng)
+		cfg.Scenario = scn.buildInto(&a.scn, a.scnRng)
 	} else if debugZeroSchedule {
 		// Test hook: attach a schedule of pure no-op edges without touching
 		// the stream, pinning that timeline timers alone are byte-inert.
@@ -288,7 +308,7 @@ func (a *ProbeArena) ProbeTargetInto(res *TargetResult, t Target, samples int, a
 		}
 	}
 
-	runProbeTest(res, t.Test, samples, a.prober)
+	a.runProbeTest(res, t.Test, samples)
 	if a.obs != nil {
 		a.harvest()
 	}
@@ -352,34 +372,35 @@ func (s *ProbeStep) Attempt(arena *ProbeArena, index, attempt int, res *TargetRe
 	return true
 }
 
-// runProbeTest executes the target's technique against a built scenario and
-// fills the measurement fields of res; split out of probeTargetInto so the
-// arena can harvest end-of-probe telemetry on every exit path.
-func runProbeTest(res *TargetResult, test string, samples int, prober *core.Prober) {
+// runProbeTest executes the target's technique against the built scenario,
+// measuring into the arena's result storage, and fills the measurement
+// fields of res; split out of ProbeTargetInto so the arena can harvest
+// end-of-probe telemetry on every exit path.
+func (a *ProbeArena) runProbeTest(res *TargetResult, test string, samples int) {
 	var err error
-	var out *core.Result
+	prober, out := a.prober, &a.result
 	switch test {
 	case "single":
-		out, err = prober.SingleConnectionTest(core.SCTOptions{Samples: samples, Reversed: true})
+		err = prober.SingleConnectionTestInto(out, core.SCTOptions{Samples: samples, Reversed: true})
 	case "dual":
-		rep, verr := prober.ValidateIPID(core.IPIDCheckOptions{Probes: 12})
+		rep := &a.ipidRep
+		err = prober.ValidateIPIDInto(rep, core.IPIDCheckOptions{Probes: 12})
 		switch {
-		case verr != nil:
-			err = verr
+		case err != nil:
 		case !rep.Usable():
 			if rep.Constant {
-				res.DCTExcluded = "zero-ipid"
+				res.DCTExcluded = dctExcludedZeroIPID
 			} else {
-				res.DCTExcluded = "non-monotonic"
+				res.DCTExcluded = dctExcludedNonMonotonic
 			}
 			return
 		default:
-			out, err = prober.DualConnectionTest(core.DCTOptions{Samples: samples})
+			err = prober.DualConnectionTestInto(out, core.DCTOptions{Samples: samples})
 		}
 	case "syn":
-		out, err = prober.SYNTest(core.SYNOptions{Samples: samples})
+		err = prober.SYNTestInto(out, core.SYNOptions{Samples: samples})
 	case "transfer":
-		out, err = prober.DataTransferTest(core.TransferOptions{IdleTimeout: 500 * time.Millisecond})
+		err = prober.DataTransferTestInto(out, core.TransferOptions{IdleTimeout: 500 * time.Millisecond})
 	default:
 		res.Err = "campaign: unknown test " + test
 		return
@@ -394,7 +415,7 @@ func runProbeTest(res *TargetResult, test string, samples int, prober *core.Prob
 	res.RevValid, res.RevReordered, res.RevRate = rev.Valid(), rev.Reordered, rev.Rate()
 	res.AnyReordering = out.AnyReordering()
 	res.RTTMicros = out.MeanRTT().Microseconds()
-	if sm := out.SequenceMetrics(); sm != nil {
+	if sm := out.SequenceMetricsInto(&a.seqRep); sm != nil {
 		res.SeqRatio = sm.Ratio()
 		res.SeqReceived = sm.Received
 		res.SeqMaxExtent = sm.MaxExtent()
@@ -403,5 +424,4 @@ func runProbeTest(res *TargetResult, test string, samples int, prober *core.Prob
 			res.SeqDupthreshExposure = float64(res.SeqNReordering) / float64(sm.Received)
 		}
 	}
-	return
 }

@@ -169,6 +169,29 @@ func TestReplayRefusals(t *testing.T) {
 	}
 }
 
+// TestReplayForeignExclusion: dct_excluded takes the build's two constants
+// without allocating, and a canonical record carrying any other value — one
+// a different build wrote — still replays to exactly that value.
+func TestReplayForeignExclusion(t *testing.T) {
+	tg := Target{Name: "n", Profile: "linux24", Impairment: "clean", Test: "dual"}
+	var dec recordDecoder
+	for _, why := range []string{dctExcludedZeroIPID, dctExcludedNonMonotonic, "zero-ipid-v2", "zero", `quoted "why"`, ""} {
+		want := TargetResult{Name: tg.Name, Profile: tg.Profile, Impairment: tg.Impairment, Test: tg.Test,
+			Attempts: 1, DCTExcluded: why}
+		var got TargetResult
+		if err := dec.decode(want.AppendJSON(nil), &tg, &got); err != nil || got != want {
+			t.Fatalf("dct_excluded %q replayed as %+v, %v", why, got, err)
+		}
+	}
+	bad := (&TargetResult{Name: tg.Name, Profile: tg.Profile, Impairment: tg.Impairment, Test: tg.Test,
+		Attempts: 1, DCTExcluded: dctExcludedZeroIPID}).AppendJSON(nil)
+	bad = bytes.Replace(bad, []byte(`"zero-ipid"`), []byte(`"zero-ipid",`), 1)
+	var got TargetResult
+	if err := dec.decode(bad, &tg, &got); err != errNotCanonical {
+		t.Fatalf("decode(%s) = %v, want %v", bad, err, errNotCanonical)
+	}
+}
+
 func jsonString(s string) string { return string(appendJSONString(nil, s)) }
 
 // TestReplayInvalidUTF8Refused pins the one record AppendJSON writes and

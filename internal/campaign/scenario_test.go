@@ -5,8 +5,14 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+	"time"
+
+	"reorder/internal/netem"
+	"reorder/internal/sim"
+	"reorder/internal/simnet"
 )
 
 // TestScenarioZeroScheduleGoldenSeam pins the tentpole's compatibility
@@ -274,5 +280,101 @@ func TestScenarioCampaignSchedulingInvariance(t *testing.T) {
 	jsonl, csv := scenarioCampaign(t, 4, 8, true)
 	if !bytes.Equal(jsonl, refJSONL) || !bytes.Equal(csv, refCSV) {
 		t.Fatal("resumed scenario campaign differs from uninterrupted run")
+	}
+}
+
+// TestScenarioBuildIntoMatchesBuild holds a scenario built into reused
+// storage to a freshly built one: every catalog entry, a hundred seeds, into
+// a store that last held the longest timeline in the catalog and a
+// middlebox, so a step or a config left over from it would show.
+func TestScenarioBuildIntoMatchesBuild(t *testing.T) {
+	longest, withBox := scenarios[0], scenarios[0]
+	for _, sc := range scenarios {
+		spec := sc.Build(sim.NewRand(1, 1))
+		if len(spec.Steps) > len(longest.Build(sim.NewRand(1, 1)).Steps) {
+			longest = sc
+		}
+		if spec.Middlebox != nil && len(spec.Steps) > 0 {
+			withBox = sc
+		}
+	}
+	var st scenarioStore
+	for _, sc := range scenarios {
+		for seed := uint64(0); seed < 100; seed++ {
+			withBox.buildInto(&st, sim.NewRand(seed, 9))
+			if n := len(longest.buildInto(&st, sim.NewRand(seed, 9)).Steps); n != 28 {
+				t.Fatalf("longest timeline (%s) has %d steps, not the 28 the arena's scratch is sized by", longest.Name, n)
+			}
+			want := sc.Build(sim.NewRand(seed, 3))
+			got := sc.buildInto(&st, sim.NewRand(seed, 3))
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s seed %d: built into reused storage\n%+v\nfresh\n%+v", sc.Name, seed, got, want)
+			}
+		}
+	}
+	if spec := (Scenario{}).buildInto(&st, sim.NewRand(1, 1)); spec != nil {
+		t.Fatalf("the static scenario builds %+v, want nil", spec)
+	}
+}
+
+// TestBuildReturnsCallerOwnedSpecs: what the allocating Build of an
+// impairment, a scenario or a topology returns outlives the next Build —
+// two consecutive specs share no storage.
+func TestBuildReturnsCallerOwnedSpecs(t *testing.T) {
+	for _, im := range impairments {
+		f1, r1 := im.Build(sim.NewRand(1, 1))
+		wantF, wantR := f1, r1
+		var trunk netem.TrunkConfig
+		var multi []time.Duration
+		var arq netem.ARQConfig
+		if f1.Trunk != nil {
+			trunk = *f1.Trunk
+		}
+		if f1.MultiPath != nil {
+			multi = append(multi, f1.MultiPath.Delays...)
+		}
+		if f1.ARQ != nil {
+			arq = *f1.ARQ
+		}
+		f2, _ := im.Build(sim.NewRand(2, 2))
+		if f1.Trunk != nil && (f1.Trunk == f2.Trunk || r1.Trunk == f1.Trunk || *f1.Trunk != trunk) {
+			t.Fatalf("%s: consecutive trunk configs alias", im.Name)
+		}
+		if f1.MultiPath != nil && (f1.MultiPath == f2.MultiPath || &f1.MultiPath.Delays[0] == &f2.MultiPath.Delays[0] ||
+			!reflect.DeepEqual(f1.MultiPath.Delays, multi)) {
+			t.Fatalf("%s: consecutive multipath configs alias", im.Name)
+		}
+		if f1.ARQ != nil && (f1.ARQ == f2.ARQ || *f1.ARQ != arq) {
+			t.Fatalf("%s: consecutive ARQ configs alias", im.Name)
+		}
+		if !reflect.DeepEqual(f1, wantF) || !reflect.DeepEqual(r1, wantR) {
+			t.Fatalf("%s: the second Build rewrote the first path specs", im.Name)
+		}
+	}
+	for _, sc := range scenarios {
+		s1 := sc.Build(sim.NewRand(1, 1))
+		want := *s1
+		want.Steps = append([]simnet.TimelineStep(nil), s1.Steps...)
+		if s1.Middlebox != nil {
+			mb := *s1.Middlebox
+			want.Middlebox = &mb
+		}
+		s2 := sc.Build(sim.NewRand(2, 2))
+		if s1 == s2 || (s1.Middlebox != nil && s1.Middlebox == s2.Middlebox) ||
+			(len(s1.Steps) > 0 && &s1.Steps[0] == &s2.Steps[0]) {
+			t.Fatalf("%s: consecutive scenario specs alias", sc.Name)
+		}
+		if !reflect.DeepEqual(*s1, want) {
+			t.Fatalf("%s: the second Build rewrote the first spec", sc.Name)
+		}
+	}
+	for _, tp := range topologies {
+		t1, t2 := tp.Build(sim.NewRand(1, 1)), tp.Build(sim.NewRand(2, 2))
+		if t1 == nil {
+			continue // point-to-point
+		}
+		if t1 == t2 || (len(t1.Flows) > 0 && &t1.Flows[0] == &t2.Flows[0]) {
+			t.Fatalf("%s: consecutive topology specs alias", tp.Name)
+		}
 	}
 }

@@ -106,6 +106,20 @@ type Impairment struct {
 	Name string
 	// Build derives the directional path specs from a per-target stream.
 	Build func(rng *sim.Rand) (fwd, rev simnet.PathSpec)
+
+	// buildInto is Build with the mechanism configs the specs point at
+	// (trunk, multipath, ARQ) written into caller-owned storage: the specs
+	// are valid until st's next build.
+	buildInto func(st *pathStore, rng *sim.Rand) (fwd, rev simnet.PathSpec)
+}
+
+// pathStore is the storage behind one target's path specs: every
+// mechanism config a PathSpec refers to by pointer or slice.
+type pathStore struct {
+	trunk  [2]netem.TrunkConfig // forward, reverse
+	multi  netem.MultiPathConfig
+	delays [2]time.Duration
+	arq    netem.ARQConfig
 }
 
 // fastPath is the base spec shared by all impairments: a fast access link
@@ -118,63 +132,72 @@ func fastPath() simnet.PathSpec {
 // can enumerate: the §V reordering mechanisms plus clean and lossy
 // controls. All are deterministic functions of the passed stream.
 func Impairments() []Impairment {
-	return []Impairment{
-		{Name: "clean", Build: func(rng *sim.Rand) (simnet.PathSpec, simnet.PathSpec) {
+	ims := []Impairment{
+		{Name: "clean", buildInto: func(st *pathStore, rng *sim.Rand) (simnet.PathSpec, simnet.PathSpec) {
 			return fastPath(), fastPath()
 		}},
-		{Name: "swap-light", Build: func(rng *sim.Rand) (simnet.PathSpec, simnet.PathSpec) {
+		{Name: "swap-light", buildInto: func(st *pathStore, rng *sim.Rand) (simnet.PathSpec, simnet.PathSpec) {
 			fwd, rev := fastPath(), fastPath()
 			fwd.SwapProb = 0.02 + rng.Float64()*0.02
 			rev.SwapProb = fwd.SwapProb * 0.35
 			return fwd, rev
 		}},
-		{Name: "swap-heavy", Build: func(rng *sim.Rand) (simnet.PathSpec, simnet.PathSpec) {
+		{Name: "swap-heavy", buildInto: func(st *pathStore, rng *sim.Rand) (simnet.PathSpec, simnet.PathSpec) {
 			fwd, rev := fastPath(), fastPath()
 			fwd.SwapProb = 0.10 + rng.Float64()*0.10
 			rev.SwapProb = fwd.SwapProb * 0.35
 			return fwd, rev
 		}},
-		{Name: "trunk", Build: func(rng *sim.Rand) (simnet.PathSpec, simnet.PathSpec) {
+		{Name: "trunk", buildInto: func(st *pathStore, rng *sim.Rand) (simnet.PathSpec, simnet.PathSpec) {
 			fwd, rev := fastPath(), fastPath()
 			prob := 0.05 + rng.ExpFloat64()*0.10
 			if prob > 0.5 {
 				prob = 0.5
 			}
 			mean := 600 + rng.ExpFloat64()*900
-			fwd.Trunk = &netem.TrunkConfig{FanOut: 2, RateBps: 622_000_000, BurstProb: prob, MeanBurstBytes: mean}
-			rev.Trunk = &netem.TrunkConfig{FanOut: 2, RateBps: 622_000_000, BurstProb: prob * 0.35, MeanBurstBytes: mean}
+			st.trunk[0] = netem.TrunkConfig{FanOut: 2, RateBps: 622_000_000, BurstProb: prob, MeanBurstBytes: mean}
+			st.trunk[1] = netem.TrunkConfig{FanOut: 2, RateBps: 622_000_000, BurstProb: prob * 0.35, MeanBurstBytes: mean}
+			fwd.Trunk, rev.Trunk = &st.trunk[0], &st.trunk[1]
 			return fwd, rev
 		}},
-		{Name: "multipath", Build: func(rng *sim.Rand) (simnet.PathSpec, simnet.PathSpec) {
+		{Name: "multipath", buildInto: func(st *pathStore, rng *sim.Rand) (simnet.PathSpec, simnet.PathSpec) {
 			fwd, rev := fastPath(), fastPath()
 			spread := time.Duration(50+rng.IntN(200)) * time.Microsecond
-			fwd.MultiPath = &netem.MultiPathConfig{
-				Delays: []time.Duration{time.Millisecond, time.Millisecond + spread},
-			}
+			st.delays = [2]time.Duration{time.Millisecond, time.Millisecond + spread}
+			st.multi = netem.MultiPathConfig{Delays: st.delays[:]}
+			fwd.MultiPath = &st.multi
 			return fwd, rev
 		}},
-		{Name: "arq", Build: func(rng *sim.Rand) (simnet.PathSpec, simnet.PathSpec) {
+		{Name: "arq", buildInto: func(st *pathStore, rng *sim.Rand) (simnet.PathSpec, simnet.PathSpec) {
 			fwd, rev := fastPath(), fastPath()
 			fwd.LinkRate = 1_000_000_000
-			fwd.ARQ = &netem.ARQConfig{
+			st.arq = netem.ARQConfig{
 				FrameErrorRate:  0.05 + rng.Float64()*0.10,
 				RetransmitDelay: 2 * time.Millisecond,
 			}
+			fwd.ARQ = &st.arq
 			return fwd, rev
 		}},
-		{Name: "lossy", Build: func(rng *sim.Rand) (simnet.PathSpec, simnet.PathSpec) {
+		{Name: "lossy", buildInto: func(st *pathStore, rng *sim.Rand) (simnet.PathSpec, simnet.PathSpec) {
 			fwd, rev := fastPath(), fastPath()
 			fwd.Loss = 0.01 + rng.Float64()*0.02
 			rev.Loss = fwd.Loss
 			return fwd, rev
 		}},
-		{Name: "jitter", Build: func(rng *sim.Rand) (simnet.PathSpec, simnet.PathSpec) {
+		{Name: "jitter", buildInto: func(st *pathStore, rng *sim.Rand) (simnet.PathSpec, simnet.PathSpec) {
 			fwd, rev := fastPath(), fastPath()
 			fwd.Jitter = time.Duration(1+rng.IntN(4)) * time.Millisecond
 			rev.Jitter = fwd.Jitter
 			return fwd, rev
 		}},
 	}
+	for i := range ims {
+		im := ims[i]
+		ims[i].Build = func(rng *sim.Rand) (simnet.PathSpec, simnet.PathSpec) {
+			return im.buildInto(new(pathStore), rng)
+		}
+	}
+	return ims
 }
 
 // impairments caches the registry: the Build closures are stateless (all

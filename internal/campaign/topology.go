@@ -31,7 +31,8 @@ type Topology struct {
 // routers, links and cross hosts alias the registry's) and dst.Flows is
 // reused for the per-target flows, whose start (0–20ms) and size
 // (256–512 KiB) are drawn flow by flow, size first, so replicas sample
-// different contention phases against the probe.
+// different contention phases against the probe. The spec is valid until
+// dst's next build.
 func (tp Topology) buildInto(dst *simnet.TopologySpec, rng *sim.Rand) *simnet.TopologySpec {
 	if tp.shape == nil {
 		return nil

@@ -129,7 +129,7 @@ func (p *Prober) BurstTest(o BurstOptions) (*BurstResult, error) {
 		defer c.reset()
 		conns[i] = c
 	}
-	if rep := p.validateIPID(conns[0], conns[1], DCTOptions{ValidationProbes: o.ValidationProbes, ReplyTimeout: o.ReplyTimeout}); !rep.Usable() {
+	if rep := p.validateIPID(&p.ipidRep, conns[0], conns[1], DCTOptions{ValidationProbes: o.ValidationProbes, ReplyTimeout: o.ReplyTimeout}); !rep.Usable() {
 		return nil, ErrIPIDUnusable
 	}
 

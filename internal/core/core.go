@@ -192,11 +192,32 @@ func (r *Result) count(dir func(Sample) Verdict) DirCount {
 // SequenceMetrics analyzes the transfer test's arrival sequence with the
 // IPPM-style metrics (reordered ratio, extents, n-reordering). It returns
 // nil for tests that do not produce an arrival sequence.
-func (r *Result) SequenceMetrics() *metrics.Report {
+func (r *Result) SequenceMetrics() *metrics.Report { return r.SequenceMetricsInto(new(metrics.Report)) }
+
+// SequenceMetricsInto is SequenceMetrics into caller-owned storage: rep is
+// overwritten and returned (nil, rep untouched, when there is no arrival
+// sequence), valid until rep's next use.
+func (r *Result) SequenceMetricsInto(rep *metrics.Report) *metrics.Report {
 	if len(r.Arrivals) == 0 {
 		return nil
 	}
-	return metrics.Analyze(r.Arrivals)
+	return metrics.AnalyzeInto(rep, r.Arrivals)
+}
+
+// begin overwrites r as the empty result of one run of test against
+// target, keeping the Samples and Arrivals storage for the run to fill.
+func (r *Result) begin(test string, target netip.Addr) {
+	*r = Result{Test: test, Target: target, Samples: r.Samples[:0], Arrivals: r.Arrivals[:0]}
+}
+
+// fresh runs a storage-taking technique into a new Result — the allocating
+// form of every test, whose result is the caller's for good.
+func fresh[O any](into func(*Result, O) error, o O) (*Result, error) {
+	res := new(Result)
+	if err := into(res, o); err != nil {
+		return nil, err
+	}
+	return res, nil
 }
 
 // MeanRTT returns the mean round-trip time over samples that measured one.

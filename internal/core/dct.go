@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"time"
 
 	"reorder/internal/ipid"
@@ -55,33 +56,38 @@ func (o DCTOptions) defaults() DCTOptions {
 // IPIDs or whose connections terminate on different machines behind a load
 // balancer (Fig 3).
 func (p *Prober) DualConnectionTest(o DCTOptions) (*Result, error) {
+	return fresh(p.DualConnectionTestInto, o)
+}
+
+// DualConnectionTestInto is DualConnectionTest into caller-owned storage:
+// res is overwritten completely, its Samples storage reused. The result is
+// valid until the next probe into res; on error it is empty.
+func (p *Prober) DualConnectionTestInto(res *Result, o DCTOptions) error {
 	o = o.defaults()
+	res.begin("dual", p.target)
 
 	ca, err := p.connect(o.Port, defaultConnect())
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer ca.reset()
 	cb, err := p.connect(o.Port, defaultConnect())
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer cb.reset()
 
-	if !o.SkipValidation {
-		rep := p.validateIPID(ca, cb, o)
-		if !rep.Usable() {
-			return nil, ErrIPIDUnusable
-		}
+	if !o.SkipValidation && !p.validateIPID(&p.ipidRep, ca, cb, o).Usable() {
+		return ErrIPIDUnusable
 	}
 
-	res := &Result{Test: "dual", Target: p.target}
+	res.Samples = slices.Grow(res.Samples, o.Samples)
 	for i := 0; i < o.Samples; i++ {
 		s := p.dctSample(ca, cb, o)
 		s.Gap = o.Gap
 		res.Samples = append(res.Samples, s)
 	}
-	return res, nil
+	return nil
 }
 
 // ping sends the connection's out-of-window probe: one byte one past the
@@ -220,6 +226,16 @@ type IPIDCheckOptions struct {
 // small positive steps dominated by within-connection differences. The
 // returned report's Usable method gates the dual connection test.
 func (p *Prober) ValidateIPID(o IPIDCheckOptions) (*ipid.Report, error) {
+	rep := new(ipid.Report)
+	if err := p.ValidateIPIDInto(rep, o); err != nil {
+		return nil, err
+	}
+	return rep, nil
+}
+
+// ValidateIPIDInto is ValidateIPID into caller-owned storage: rep is
+// overwritten completely, valid until the next validation into it.
+func (p *Prober) ValidateIPIDInto(rep *ipid.Report, o IPIDCheckOptions) error {
 	if o.Probes == 0 {
 		o.Probes = 12
 	}
@@ -231,21 +247,22 @@ func (p *Prober) ValidateIPID(o IPIDCheckOptions) (*ipid.Report, error) {
 	}
 	ca, err := p.connect(o.Port, defaultConnect())
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer ca.reset()
 	cb, err := p.connect(o.Port, defaultConnect())
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer cb.reset()
-	return p.validateIPID(ca, cb, DCTOptions{ValidationProbes: o.Probes, ReplyTimeout: o.ReplyTimeout}), nil
+	p.validateIPID(rep, ca, cb, DCTOptions{ValidationProbes: o.Probes, ReplyTimeout: o.ReplyTimeout})
+	return nil
 }
 
-// validateIPID runs the elicitation over existing connections. The
-// observation slice is prober-owned scratch (ipid.Validate does not retain
-// it).
-func (p *Prober) validateIPID(ca, cb *conn, o DCTOptions) *ipid.Report {
+// validateIPID runs the elicitation over existing connections into rep.
+// The observation slice is prober-owned scratch (ipid.ValidateInto does not
+// retain it).
+func (p *Prober) validateIPID(rep *ipid.Report, ca, cb *conn, o DCTOptions) *ipid.Report {
 	obs := p.obsScratch[:0]
 	conns := [2]*conn{ca, cb}
 	for i := 0; i < o.ValidationProbes; i++ {
@@ -259,5 +276,5 @@ func (p *Prober) validateIPID(ca, cb *conn, o DCTOptions) *ipid.Report {
 		p.release(pkt)
 	}
 	p.obsScratch = obs
-	return ipid.Validate(obs)
+	return ipid.ValidateInto(rep, obs)
 }

@@ -1,9 +1,10 @@
 package core
 
 import (
+	"encoding/binary"
 	"errors"
-	"fmt"
 	"net/netip"
+	"strconv"
 	"time"
 
 	"reorder/internal/ipid"
@@ -21,6 +22,22 @@ var (
 	// ErrNoData means the data transfer test received no data at all.
 	ErrNoData = errors.New("core: target served no data")
 )
+
+// handshakeError is ErrHandshake naming the endpoint that did not answer.
+// Its message is formatted when it is read, so a failed probe costs the
+// error and — for whoever records it — the one string.
+type handshakeError struct {
+	target netip.Addr
+	port   uint16
+}
+
+func (e *handshakeError) Error() string {
+	b := append(make([]byte, 0, 96), ErrHandshake.Error()...)
+	b = e.target.AppendTo(append(b, ": "...))
+	return string(strconv.AppendUint(append(b, " port "...), uint64(e.port), 10))
+}
+
+func (e *handshakeError) Unwrap() error { return ErrHandshake }
 
 // Prober runs measurement techniques against one target over a Transport.
 // It is not safe for concurrent use; run one test at a time.
@@ -46,6 +63,18 @@ type Prober struct {
 	ackIDs     []uint64
 	synReplies []*packet.Packet
 	obsScratch []ipid.Observation
+
+	// Technique scratch, emptied by the technique that uses it: the SYN's
+	// option list and MSS bytes (connect), the dual test's prevalidation
+	// report, and the transfer test's request bytes, arrival sequence,
+	// retransmission filter and rank table.
+	synOpts  []packet.TCPOption
+	mssData  [2]byte
+	ipidRep  ipid.Report
+	reqBuf   []byte
+	arrivals []uint32
+	seen     map[uint32]bool
+	sorted   []uint32
 }
 
 // rx pairs a decoded packet with its network frame ID.
@@ -87,6 +116,16 @@ func (p *Prober) Reset(seed uint64) {
 	p.buf = p.buf[:0]
 }
 
+// pktCell is a pooled decoded packet born with the storage a TCP segment
+// decodes into — the header and room for the options a handshake or a SACK
+// carries — so which cell a segment lands in never decides whether
+// decoding it allocates.
+type pktCell struct {
+	pkt  packet.Packet
+	tcp  packet.TCPHeader
+	opts [4]packet.TCPOption
+}
+
 // getPkt checks a decoded-packet cell out of the pool.
 func (p *Prober) getPkt() *packet.Packet {
 	if n := len(p.pktPool); n > 0 {
@@ -94,7 +133,10 @@ func (p *Prober) getPkt() *packet.Packet {
 		p.pktPool = p.pktPool[:n-1]
 		return q
 	}
-	return new(packet.Packet)
+	c := new(pktCell)
+	c.tcp.Options = c.opts[:0]
+	c.pkt.TCP = &c.tcp
+	return &c.pkt
 }
 
 // release returns a packet obtained from awaitTCP (or buffered by it) to
@@ -252,13 +294,15 @@ func (p *Prober) connect(rport uint16, cc connectConfig) (*conn, error) {
 		iss:    p.rng.Uint32(),
 		window: cc.window,
 	}
-	var opts []packet.TCPOption
+	opts := p.synOpts[:0]
 	if cc.mss != 0 {
-		opts = append(opts, packet.MSSOption(cc.mss))
+		binary.BigEndian.PutUint16(p.mssData[:], cc.mss)
+		opts = append(opts, packet.TCPOption{Kind: packet.OptMSS, Data: p.mssData[:]})
 	}
 	if cc.sackOK {
 		opts = append(opts, packet.SACKPermittedOption())
 	}
+	p.synOpts = opts
 	for try := 0; try <= cc.retries; try++ {
 		c.sendSeg(packet.FlagSYN, c.iss, 0, nil, opts)
 		pkt, _, ok := p.awaitTCP(cc.timeout, func(q *packet.Packet) bool {
@@ -275,7 +319,7 @@ func (p *Prober) connect(rport uint16, cc connectConfig) (*conn, error) {
 		return c, nil
 	}
 	p.connPool = append(p.connPool, c)
-	return nil, fmt.Errorf("%w: %s port %d", ErrHandshake, p.target, rport)
+	return nil, &handshakeError{target: p.target, port: rport}
 }
 
 // sendSeg transmits one raw segment on the connection and returns its frame

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"time"
 
 	"reorder/internal/packet"
@@ -64,22 +65,29 @@ func (o SCTOptions) defaults() SCTOptions {
 // acknowledgment pattern distinguishes delivery order, and the arrival
 // order of the acknowledgments exposes reverse-path exchanges.
 func (p *Prober) SingleConnectionTest(o SCTOptions) (*Result, error) {
+	return fresh(p.SingleConnectionTestInto, o)
+}
+
+// SingleConnectionTestInto is SingleConnectionTest into caller-owned
+// storage: res is overwritten completely, its Samples storage reused. The
+// result is valid until the next probe into res; on error it is empty.
+func (p *Prober) SingleConnectionTestInto(res *Result, o SCTOptions) error {
 	o = o.defaults()
+	res.begin("single", p.target)
 	c, err := p.connect(o.Port, defaultConnect())
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer c.reset()
 
-	res := &Result{Test: "single", Target: p.target}
-	res.Samples = make([]Sample, 0, o.Samples)
+	res.Samples = slices.Grow(res.Samples, o.Samples)
 	base := c.iss + 1 // the next byte the server expects from us
 	for i := 0; i < o.Samples; i++ {
 		s := p.sctSample(c, &base, o)
 		s.Gap = o.Gap
 		res.Samples = append(res.Samples, s)
 	}
-	return res, nil
+	return nil
 }
 
 // sctSample runs one prepare/measure/repair cycle. base is the server's

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"time"
 
 	"reorder/internal/packet"
@@ -55,9 +56,15 @@ func (o SYNOptions) defaults() SYNOptions {
 // after the SYN/ACK, so the arrival order of the two replies exposes
 // reverse-path exchanges. After each sample the connection is completed and
 // reset, per the paper's SYN-flood etiquette.
-func (p *Prober) SYNTest(o SYNOptions) (*Result, error) {
+func (p *Prober) SYNTest(o SYNOptions) (*Result, error) { return fresh(p.SYNTestInto, o) }
+
+// SYNTestInto is SYNTest into caller-owned storage: res is overwritten
+// completely, its Samples storage reused. The result is valid until the
+// next probe into res.
+func (p *Prober) SYNTestInto(res *Result, o SYNOptions) error {
 	o = o.defaults()
-	res := &Result{Test: "syn", Target: p.target}
+	res.begin("syn", p.target)
+	res.Samples = slices.Grow(res.Samples, o.Samples)
 	for i := 0; i < o.Samples; i++ {
 		s := p.synSample(o)
 		s.Gap = o.Gap
@@ -66,7 +73,7 @@ func (p *Prober) SYNTest(o SYNOptions) (*Result, error) {
 			p.tp.Sleep(o.Pace)
 		}
 	}
-	return res, nil
+	return nil
 }
 
 func (p *Prober) synSample(o SYNOptions) Sample {

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sort"
+	"slices"
 	"time"
 
 	"reorder/internal/packet"
@@ -60,23 +60,35 @@ func (o TransferOptions) defaults() TransferOptions {
 // acknowledges the largest sequence number received even across holes, so
 // loss does not stall or reshape the sending pattern.
 func (p *Prober) DataTransferTest(o TransferOptions) (*Result, error) {
+	return fresh(p.DataTransferTestInto, o)
+}
+
+// DataTransferTestInto is DataTransferTest into caller-owned storage: res
+// is overwritten completely, its Samples and Arrivals storage reused. The
+// result is valid until the next probe into res; on error it is empty.
+func (p *Prober) DataTransferTestInto(res *Result, o TransferOptions) error {
 	o = o.defaults()
+	res.begin("transfer", p.target)
 	cc := defaultConnect()
 	cc.mss = o.MSS
 	cc.window = o.Window
 	c, err := p.connect(o.Port, cc)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer c.reset()
 
-	c.sendSeg(packet.FlagACK|packet.FlagPSH, c.iss+1, c.rcvNxt, []byte(o.Request), nil)
+	p.reqBuf = append(p.reqBuf[:0], o.Request...)
+	c.sendSeg(packet.FlagACK|packet.FlagPSH, c.iss+1, c.rcvNxt, p.reqBuf, nil)
 
-	var (
-		arrivals []uint32 // first-transmission data seqs in arrival order
-		seen     = map[uint32]bool{}
-		maxEnd   = c.rcvNxt
-	)
+	// arrivals (first-transmission data seqs in arrival order) and seen are
+	// prober-owned scratch, emptied here and bounded by MaxSegments.
+	if p.seen == nil {
+		p.seen = make(map[uint32]bool)
+	}
+	clear(p.seen)
+	arrivals, seen := p.arrivals[:0], p.seen
+	maxEnd := c.rcvNxt
 	for len(arrivals) < o.MaxSegments {
 		pkt, _, ok := c.awaitSeg(o.IdleTimeout, func(h *packet.TCPHeader) bool { return true })
 		if !ok {
@@ -104,14 +116,15 @@ func (p *Prober) DataTransferTest(o TransferOptions) (*Result, error) {
 		seen[seq] = true
 		arrivals = append(arrivals, seq)
 	}
+	p.arrivals = arrivals
 	if len(arrivals) == 0 {
-		return nil, ErrNoData
+		return ErrNoData
 	}
 
 	// Each adjacent pair of first-transmission arrivals is one sample: the
 	// server sent data in sequence order, so a lower sequence number
 	// arriving after a higher one is an exchange.
-	res := &Result{Test: "transfer", Target: p.target}
+	res.Samples = slices.Grow(res.Samples, len(arrivals)-1)
 	for i := 1; i < len(arrivals); i++ {
 		s := Sample{Forward: VerdictUnknown}
 		if packet.SeqLT(arrivals[i], arrivals[i-1]) {
@@ -121,23 +134,32 @@ func (p *Prober) DataTransferTest(o TransferOptions) (*Result, error) {
 		}
 		res.Samples = append(res.Samples, s)
 	}
-	res.Arrivals = arrivalPositions(arrivals)
-	return res, nil
+	res.Arrivals, p.sorted = appendArrivalPositions(res.Arrivals, p.sorted[:0], arrivals)
+	return nil
 }
 
-// arrivalPositions maps the arrival-ordered sequence numbers to send
-// positions (rank by sequence, since the server transmits sequentially),
-// the form the sequence metrics consume.
-func arrivalPositions(seqs []uint32) []int {
-	sorted := append([]uint32(nil), seqs...)
-	sort.Slice(sorted, func(i, j int) bool { return packet.SeqLT(sorted[i], sorted[j]) })
-	rank := make(map[uint32]int, len(sorted))
-	for i, s := range sorted {
-		rank[s] = i
+// seqOrder orders sequence numbers as the server sent them.
+func seqOrder(a, b uint32) int {
+	switch {
+	case packet.SeqLT(a, b):
+		return -1
+	case a == b:
+		return 0
 	}
-	pos := make([]int, len(seqs))
-	for i, s := range seqs {
-		pos[i] = rank[s]
+	return 1
+}
+
+// appendArrivalPositions maps the arrival-ordered, distinct sequence
+// numbers to send positions (rank by sequence, since the server transmits
+// sequentially), the form the sequence metrics consume, and appends them to
+// pos. sorted is scratch, returned for reuse.
+func appendArrivalPositions(pos []int, sorted, seqs []uint32) ([]int, []uint32) {
+	sorted = append(sorted, seqs...)
+	slices.SortFunc(sorted, seqOrder)
+	pos = slices.Grow(pos, len(seqs))
+	for _, s := range seqs {
+		rank, _ := slices.BinarySearchFunc(sorted, s, seqOrder)
+		pos = append(pos, rank)
 	}
-	return pos
+	return pos, sorted
 }

@@ -35,6 +35,7 @@ type Host struct {
 	addr    netip.Addr
 	profile string
 	gen     ipid.Generator
+	ipids   ipid.Store // gen's storage, re-initialized by every reset
 	ids     *netem.FrameIDs
 	out     netem.Node
 	icmp    ICMPConfig
@@ -66,7 +67,7 @@ func New(loop *sim.Loop, p Profile, addr netip.Addr, rng *sim.Rand, ids *netem.F
 		tokens:  float64(p.ICMP.RatePerSec),
 		ipidRng: rng.Fork(forkIPID),
 	}
-	h.gen = p.IPID(h.ipidRng)
+	h.gen = p.IPID(&h.ipids, h.ipidRng)
 	h.isnRng = rng.Fork(forkISN)
 	h.Stack = tcpstack.New(loop, p.TCP, addr, h.gen, ids, h.isnRng, out)
 	for _, port := range p.Ports {
@@ -95,11 +96,13 @@ func (h *Host) ResetAt(p Profile, addr netip.Addr, rng *sim.Rand, out netem.Node
 	h.icmp = p.ICMP
 	h.tokens = float64(p.ICMP.RatePerSec)
 	h.lastRefill = 0
-	h.reasm = nil
+	if h.reasm != nil {
+		h.reasm.Reset()
+	}
 	clear(h.udpApps)
 	h.echoesAnswered, h.echoesDropped = 0, 0
 	rng.ForkInto(h.ipidRng, forkIPID)
-	h.gen = p.IPID(h.ipidRng)
+	h.gen = p.IPID(&h.ipids, h.ipidRng)
 	rng.ForkInto(h.isnRng, forkISN)
 	h.Stack.ResetAt(p.TCP, addr, h.gen, out)
 	for _, port := range p.Ports {
@@ -132,7 +135,7 @@ func (h *Host) EchoesAnswered() uint64 { return h.echoesAnswered }
 // skip reassembly outright — a view frame is never a fragment, and a whole
 // datagram is a reassembler no-op). Byte-form frames are reassembled if
 // fragmented, as the host's IP layer would; the reassembler is built lazily
-// so fragment-free scenarios never pay for it.
+// so fragment-free scenarios never pay for it, and survives Reset, emptied.
 func (h *Host) Input(f *netem.Frame) {
 	if v := f.View(); v != nil {
 		if v.IP.Dst != h.addr {

@@ -16,9 +16,10 @@ type Profile struct {
 	Name string
 	// TCP is the stack configuration.
 	TCP tcpstack.Config
-	// IPID constructs the IPID policy; stochastic policies draw from the
-	// provided stream.
-	IPID func(rng *sim.Rand) ipid.Generator
+	// IPID initializes the IPID policy in the host's generator storage;
+	// stochastic policies draw from the provided stream. The generator is
+	// the host's until its next reset.
+	IPID func(s *ipid.Store, rng *sim.Rand) ipid.Generator
 	// ICMP is the echo responder behaviour.
 	ICMP ICMPConfig
 	// Ports are the listening TCP ports (80 for the web-serving hosts).
@@ -39,7 +40,7 @@ func FreeBSD4() Profile {
 			DelAckThreshold: 2, DelAckTimeout: 100 * time.Millisecond,
 			SYNPolicy: tcpstack.SYNPolicyRST,
 		},
-		IPID:  func(*sim.Rand) ipid.Generator { return ipid.NewGlobalCounter(1) },
+		IPID:  func(s *ipid.Store, _ *sim.Rand) ipid.Generator { return s.Global.Reset(1) },
 		Ports: []uint16{80},
 	}
 }
@@ -52,7 +53,7 @@ func Linux22() Profile {
 			DelAckThreshold: 2, DelAckTimeout: 200 * time.Millisecond,
 			SYNPolicy: tcpstack.SYNPolicyRST, SACK: true,
 		},
-		IPID:  func(*sim.Rand) ipid.Generator { return ipid.NewGlobalCounter(1) },
+		IPID:  func(s *ipid.Store, _ *sim.Rand) ipid.Generator { return s.Global.Reset(1) },
 		Ports: []uint16{80},
 	}
 }
@@ -63,7 +64,7 @@ func Linux22() Profile {
 func Linux24() Profile {
 	p := Linux22()
 	p.Name = "linux24"
-	p.IPID = func(*sim.Rand) ipid.Generator { return ipid.Zero{} }
+	p.IPID = func(*ipid.Store, *sim.Rand) ipid.Generator { return ipid.Zero{} }
 	return p
 }
 
@@ -76,7 +77,7 @@ func OpenBSD3() Profile {
 			DelAckThreshold: 2, DelAckTimeout: 200 * time.Millisecond,
 			SYNPolicy: tcpstack.SYNPolicyRST,
 		},
-		IPID:  func(rng *sim.Rand) ipid.Generator { return ipid.NewRandom(rng) },
+		IPID:  func(s *ipid.Store, rng *sim.Rand) ipid.Generator { return s.Random.Reset(rng) },
 		Ports: []uint16{80},
 	}
 }
@@ -90,7 +91,7 @@ func Solaris8() Profile {
 			DelAckThreshold: 2, DelAckTimeout: 50 * time.Millisecond,
 			SYNPolicy: tcpstack.SYNPolicySpec,
 		},
-		IPID:  func(*sim.Rand) ipid.Generator { return ipid.NewPerDestination(1) },
+		IPID:  func(s *ipid.Store, _ *sim.Rand) ipid.Generator { return s.PerDest.Reset(1) },
 		Ports: []uint16{80},
 	}
 }
@@ -104,7 +105,7 @@ func Windows2000() Profile {
 			DelAckThreshold: 2, DelAckTimeout: 200 * time.Millisecond,
 			SYNPolicy: tcpstack.SYNPolicyRST, SACK: true,
 		},
-		IPID:  func(*sim.Rand) ipid.Generator { return ipid.NewGlobalCounter(1) },
+		IPID:  func(s *ipid.Store, _ *sim.Rand) ipid.Generator { return s.Global.Reset(1) },
 		Ports: []uint16{80},
 	}
 }
@@ -119,7 +120,7 @@ func SpecStack() Profile {
 			DelAckThreshold: 2, DelAckTimeout: 500 * time.Millisecond,
 			SYNPolicy: tcpstack.SYNPolicySpec, SACK: true,
 		},
-		IPID:  func(*sim.Rand) ipid.Generator { return ipid.NewGlobalCounter(1) },
+		IPID:  func(s *ipid.Store, _ *sim.Rand) ipid.Generator { return s.Global.Reset(1) },
 		Ports: []uint16{80},
 	}
 }

@@ -25,6 +25,17 @@ type Generator interface {
 	Name() string
 }
 
+// Store is the storage a host keeps for its IPID policy: one generator of
+// each stateful kind, so a host reset to a profile re-initializes its
+// generator (Reset) instead of constructing one. A generator returned out
+// of a Store is valid until the store's next Reset of that kind.
+type Store struct {
+	Global  GlobalCounter
+	PerDest PerDestination
+	Random  Random
+	Small   SmallRandomIncrement
+}
+
 // GlobalCounter is the traditional policy: one counter shared by all
 // destinations, incremented per packet. This is the behaviour the dual
 // connection test depends on.
@@ -33,7 +44,14 @@ type GlobalCounter struct {
 }
 
 // NewGlobalCounter returns a counter starting at start.
-func NewGlobalCounter(start uint16) *GlobalCounter { return &GlobalCounter{next: start} }
+func NewGlobalCounter(start uint16) *GlobalCounter { return new(GlobalCounter).Reset(start) }
+
+// Reset restarts g at start — the state NewGlobalCounter returns — and
+// returns g.
+func (g *GlobalCounter) Reset(start uint16) *GlobalCounter {
+	g.next = start
+	return g
+}
 
 // Next implements Generator.
 func (g *GlobalCounter) Next(netip.Addr) uint16 {
@@ -55,8 +73,18 @@ type PerDestination struct {
 
 // NewPerDestination returns a per-destination counter policy. Each new
 // destination's counter starts at seed.
-func NewPerDestination(seed uint16) *PerDestination {
-	return &PerDestination{counters: make(map[netip.Addr]uint16), seed: seed}
+func NewPerDestination(seed uint16) *PerDestination { return new(PerDestination).Reset(seed) }
+
+// Reset forgets every destination, keeping the table's storage, and starts
+// new counters at seed — the state NewPerDestination returns — and returns
+// p.
+func (p *PerDestination) Reset(seed uint16) *PerDestination {
+	if p.counters == nil {
+		p.counters = make(map[netip.Addr]uint16)
+	}
+	clear(p.counters)
+	p.seed = seed
+	return p
 }
 
 // Next implements Generator.
@@ -79,7 +107,13 @@ type Random struct {
 }
 
 // NewRandom returns a pseudorandom IPID policy using the given stream.
-func NewRandom(rng *sim.Rand) *Random { return &Random{rng: rng} }
+func NewRandom(rng *sim.Rand) *Random { return new(Random).Reset(rng) }
+
+// Reset points r at rng — the state NewRandom returns — and returns r.
+func (r *Random) Reset(rng *sim.Rand) *Random {
+	r.rng = rng
+	return r
+}
 
 // Next implements Generator.
 func (r *Random) Next(netip.Addr) uint16 { return r.rng.Uint16() }
@@ -110,10 +144,17 @@ type SmallRandomIncrement struct {
 
 // NewSmallRandomIncrement returns a policy stepping by 1..max per packet.
 func NewSmallRandomIncrement(start uint16, max int, rng *sim.Rand) *SmallRandomIncrement {
+	return new(SmallRandomIncrement).Reset(start, max, rng)
+}
+
+// Reset restarts s at start, stepping by 1..max draws of rng — the state
+// NewSmallRandomIncrement returns — and returns s.
+func (s *SmallRandomIncrement) Reset(start uint16, max int, rng *sim.Rand) *SmallRandomIncrement {
 	if max < 1 {
 		max = 1
 	}
-	return &SmallRandomIncrement{next: start, max: max, rng: rng}
+	*s = SmallRandomIncrement{next: start, max: max, rng: rng}
+	return s
 }
 
 // Next implements Generator.

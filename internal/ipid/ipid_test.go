@@ -219,3 +219,52 @@ func TestQuickRandomAlmostNeverUsable(t *testing.T) {
 		t.Fatalf("random IPID streams accepted %d/200 times", accepted)
 	}
 }
+
+// TestResetMatchesFresh holds a generator re-initialized in a host's Store
+// to a freshly constructed one: after any amount of use, Reset yields the
+// same first 64 IDs toward two destinations, interleaved, that the New form
+// does — for every stateful policy, on streams seeded alike.
+func TestResetMatchesFresh(t *testing.T) {
+	draw := func(g Generator) [64]uint16 {
+		var ids [64]uint16
+		for i := range ids {
+			dst := dstA
+			if i%3 == 1 {
+				dst = dstB
+			}
+			ids[i] = g.Next(dst)
+		}
+		return ids
+	}
+	var st Store
+	for _, tc := range []struct {
+		name  string
+		fresh func(rng *sim.Rand) Generator
+		reset func(rng *sim.Rand) Generator
+	}{
+		{"global-counter",
+			func(*sim.Rand) Generator { return NewGlobalCounter(7) },
+			func(*sim.Rand) Generator { return st.Global.Reset(7) }},
+		{"per-destination",
+			func(*sim.Rand) Generator { return NewPerDestination(0xfff0) },
+			func(*sim.Rand) Generator { return st.PerDest.Reset(0xfff0) }},
+		{"random",
+			func(rng *sim.Rand) Generator { return NewRandom(rng) },
+			func(rng *sim.Rand) Generator { return st.Random.Reset(rng) }},
+		{"small-random-increment",
+			func(rng *sim.Rand) Generator { return NewSmallRandomIncrement(3, 9, rng) },
+			func(rng *sim.Rand) Generator { return st.Small.Reset(3, 9, rng) }},
+	} {
+		for round := uint64(0); round < 3; round++ {
+			want := draw(tc.fresh(sim.NewRand(5, round)))
+			g := tc.reset(sim.NewRand(5, round))
+			if got := draw(g); got != want {
+				t.Fatalf("%s round %d: reset generator yields %v, fresh %v", tc.name, round, got, want)
+			}
+			if g.Name() != tc.name {
+				t.Fatalf("%s: reset generator is named %q", tc.name, g.Name())
+			}
+			draw(g) // leave it used: the next round resets a dirty generator
+		}
+	}
+}

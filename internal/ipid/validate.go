@@ -46,8 +46,12 @@ func (r *Report) Usable() bool {
 // differences must dominate (a connection's counter advances by everything
 // the host sent in between, so it can never advance by less than a cross
 // step inside it).
-func Validate(obs []Observation) *Report {
-	r := &Report{Samples: len(obs)}
+func Validate(obs []Observation) *Report { return ValidateInto(new(Report), obs) }
+
+// ValidateInto is Validate into caller-owned storage: r is overwritten
+// completely and returned, valid until its next ValidateInto.
+func ValidateInto(r *Report, obs []Observation) *Report {
+	*r = Report{Samples: len(obs)}
 	if len(obs) < 2 {
 		return r
 	}

@@ -94,8 +94,17 @@ func (r *Report) String() string {
 }
 
 // Analyze computes all metrics over an arrival sequence of send positions.
-func Analyze(arrivals []int) *Report {
-	rep := &Report{Received: len(arrivals), Extents: make([]int, len(arrivals))}
+func Analyze(arrivals []int) *Report { return AnalyzeInto(new(Report), arrivals) }
+
+// AnalyzeInto is Analyze into caller-owned storage: rep is overwritten
+// completely, its Extents and NReordering slices reused, and returned. The
+// report is valid until rep's next AnalyzeInto.
+func AnalyzeInto(rep *Report, arrivals []int) *Report {
+	*rep = Report{
+		Received:    len(arrivals),
+		Extents:     resize(rep.Extents, len(arrivals)),
+		NReordering: rep.NReordering,
+	}
 	maxSeen := -1
 	for i, pos := range arrivals {
 		if pos+1 > rep.Sent {
@@ -122,13 +131,24 @@ func Analyze(arrivals []int) *Report {
 	}
 	// n-reordering histogram from the extents.
 	maxExt := rep.MaxExtent()
-	rep.NReordering = make([]int, maxExt)
+	rep.NReordering = resize(rep.NReordering, maxExt)
 	for _, e := range rep.Extents {
 		for n := 1; n <= e; n++ {
 			rep.NReordering[n-1]++
 		}
 	}
 	return rep
+}
+
+// resize returns s with length n and every element zero, reallocating only
+// to grow (and never nil, as the slices Analyze has always returned).
+func resize(s []int, n int) []int {
+	if s == nil || cap(s) < n {
+		return make([]int, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // FromSeqs converts TCP-style byte sequence numbers of equal-sized

@@ -1,7 +1,8 @@
 package netem
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"reorder/internal/sim"
 )
@@ -71,7 +72,7 @@ func (s *Schedule) Start() {
 	if len(s.steps) == 0 {
 		return
 	}
-	sort.SliceStable(s.steps, func(i, j int) bool { return s.steps[i].At < s.steps[j].At })
+	slices.SortStableFunc(s.steps, func(a, b ScheduleStep) int { return cmp.Compare(a.At, b.At) })
 	s.arm()
 }
 

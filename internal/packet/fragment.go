@@ -66,11 +66,12 @@ type reassemblyKey struct {
 }
 
 type reassembly struct {
-	holes    map[int]int // offset -> length of received ranges
-	data     []byte
-	header   []byte // first fragment's header, reused for the result
-	totalLen int    // payload length, known once the MF=0 fragment arrives
-	received int
+	holes     map[int]int // offset -> length of received ranges
+	data      []byte
+	header    [ipv4HeaderLen]byte // first fragment's header, reused for the result
+	hasHeader bool
+	totalLen  int // payload length, known once the MF=0 fragment arrives
+	received  int
 }
 
 // Reassembler reconstructs datagrams from fragments arriving in any order.
@@ -80,6 +81,10 @@ type reassembly struct {
 // long as IPIDs are unique among concurrent datagrams.
 type Reassembler struct {
 	pending map[reassemblyKey]*reassembly
+	// free holds finished, evicted and Reset reassemblies; a new datagram
+	// reuses one with its map and buffer, so a warmed reassembler allocates
+	// only the datagrams it returns.
+	free []*reassembly
 	// MaxPending bounds concurrent reassemblies; beyond it the oldest are
 	// dropped (simplified buffer management).
 	MaxPending int
@@ -88,6 +93,28 @@ type Reassembler struct {
 // NewReassembler returns an empty reassembler.
 func NewReassembler() *Reassembler {
 	return &Reassembler{pending: make(map[reassemblyKey]*reassembly), MaxPending: 256}
+}
+
+// Reset drops every incomplete datagram, keeping their storage: the state
+// NewReassembler returns, MaxPending aside.
+func (r *Reassembler) Reset() {
+	for _, ra := range r.pending {
+		r.free = append(r.free, ra)
+	}
+	clear(r.pending)
+}
+
+// start returns an empty reassembly, recycled when one is free.
+func (r *Reassembler) start() *reassembly {
+	n := len(r.free)
+	if n == 0 {
+		return &reassembly{holes: make(map[int]int), totalLen: -1}
+	}
+	ra := r.free[n-1]
+	r.free = r.free[:n-1]
+	clear(ra.holes)
+	ra.data, ra.hasHeader, ra.totalLen, ra.received = ra.data[:0], false, -1, 0
+	return ra
 }
 
 // IsFragment reports whether the datagram is an IP fragment (MF set or a
@@ -133,14 +160,17 @@ func (r *Reassembler) Input(data []byte) ([]byte, error) {
 		if len(r.pending) >= r.MaxPending {
 			r.evictOne()
 		}
-		ra = &reassembly{holes: make(map[int]int), totalLen: -1}
+		ra = r.start()
 		r.pending[key] = ra
 	}
 	payload := data[ipv4HeaderLen:totalLen]
-	if need := off + len(payload); need > len(ra.data) {
+	if have, need := len(ra.data), off+len(payload); need > cap(ra.data) {
 		grown := make([]byte, need)
 		copy(grown, ra.data)
 		ra.data = grown
+	} else if need > have {
+		ra.data = ra.data[:need]
+		clear(ra.data[have:]) // recycled storage: unreceived ranges read as zero
 	}
 	if _, dup := ra.holes[off]; !dup {
 		ra.received += len(payload)
@@ -152,20 +182,21 @@ func (r *Reassembler) Input(data []byte) ([]byte, error) {
 	}
 	if off == 0 {
 		// Keep the first fragment's header for the reassembled datagram.
-		hdr := make([]byte, ipv4HeaderLen)
-		copy(hdr, data[:ipv4HeaderLen])
-		ra.header = hdr
+		copy(ra.header[:], data)
+		ra.hasHeader = true
 	}
-	if ra.totalLen >= 0 && ra.received >= ra.totalLen && ra.contiguous() && ra.header != nil {
+	if ra.totalLen >= 0 && ra.received >= ra.totalLen && ra.contiguous() && ra.hasHeader {
 		delete(r.pending, key)
+		r.free = append(r.free, ra)
 		return assemble(ra)
 	}
 	return nil, nil
 }
 
 func (r *Reassembler) evictOne() {
-	for k := range r.pending {
+	for k, ra := range r.pending {
 		delete(r.pending, k)
+		r.free = append(r.free, ra)
 		return
 	}
 }
@@ -187,7 +218,7 @@ func (ra *reassembly) contiguous() bool {
 func assemble(ra *reassembly) ([]byte, error) {
 	total := ipv4HeaderLen + ra.totalLen
 	out := make([]byte, total)
-	copy(out, ra.header)
+	copy(out, ra.header[:])
 	copy(out[ipv4HeaderLen:], ra.data[:ra.totalLen])
 	binary.BigEndian.PutUint16(out[2:4], uint16(total))
 	binary.BigEndian.PutUint16(out[6:8], 0) // clear MF and offset

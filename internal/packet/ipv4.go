@@ -30,6 +30,14 @@ var (
 	ErrBadHeader   = errors.New("packet: malformed header")
 )
 
+// The checksum failures have constant text, and a corrupting path makes
+// them per-frame events every receiver drops unread: built once, not per
+// frame.
+var (
+	errIPv4Checksum = fmt.Errorf("%w: IPv4 header", ErrBadChecksum)
+	errTCPChecksum  = fmt.Errorf("%w: TCP segment", ErrBadChecksum)
+)
+
 // IPv4Header is a parsed IPv4 header. Options are not supported; no stack or
 // tool in this repository emits them, and the decoder rejects packets that
 // carry any (IHL > 5) to keep parsing honest rather than silently skipping.
@@ -89,7 +97,7 @@ func decodeIPv4(data []byte) (IPv4Header, []byte, error) {
 		return h, nil, fmt.Errorf("%w: IHL %d bytes (options unsupported)", ErrBadHeader, ihl)
 	}
 	if Checksum(data[:ipv4HeaderLen]) != 0 {
-		return h, nil, fmt.Errorf("%w: IPv4 header", ErrBadChecksum)
+		return h, nil, errIPv4Checksum
 	}
 	h.TOS = data[1]
 	h.TotalLen = binary.BigEndian.Uint16(data[2:4])

@@ -211,6 +211,18 @@ func decodeTCP(src, dst [4]byte, seg []byte) (*TCPHeader, []byte, error) {
 	return h, payload, nil
 }
 
+// dataOffsetError is ErrBadHeader for a TCP data offset that points outside
+// the segment. The offset is checked before the checksum can be, so on a
+// corrupting path this is a per-frame event the receiver drops unread: the
+// message is formatted only when it is read.
+type dataOffsetError int
+
+func (e dataOffsetError) Error() string {
+	return fmt.Sprintf("%v: TCP data offset %d", ErrBadHeader, int(e))
+}
+
+func (e dataOffsetError) Unwrap() error { return ErrBadHeader }
+
 // decodeTCPInto is decodeTCP writing into a caller-owned header, reusing
 // h.Options' backing storage. When copyData is false, option data aliases
 // seg instead of being copied.
@@ -220,10 +232,10 @@ func decodeTCPInto(h *TCPHeader, src, dst [4]byte, seg []byte, copyData bool) ([
 	}
 	dataOff := int(seg[12]>>4) * 4
 	if dataOff < tcpBaseHeaderLen || dataOff > len(seg) {
-		return nil, fmt.Errorf("%w: TCP data offset %d", ErrBadHeader, dataOff)
+		return nil, dataOffsetError(dataOff)
 	}
 	if transportChecksum(src, dst, ProtoTCP, seg) != 0 {
-		return nil, fmt.Errorf("%w: TCP segment", ErrBadChecksum)
+		return nil, errTCPChecksum
 	}
 	h.SrcPort = binary.BigEndian.Uint16(seg[0:2])
 	h.DstPort = binary.BigEndian.Uint16(seg[2:4])

@@ -29,7 +29,9 @@ type Probe struct {
 func (p *Probe) reset() {
 	p.inbox = p.inbox[:0]
 	p.inboxHead = 0
-	p.reasm = nil
+	if p.reasm != nil {
+		p.reasm.Reset()
+	}
 	p.egress = nil
 }
 

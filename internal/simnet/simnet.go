@@ -187,8 +187,13 @@ func (p *pool[E]) keep(e E) E {
 	return e
 }
 
+// recycle frees the in-use entries last-taken first, so the next build
+// takes them in the order this one did: rebuilding the same shape gives
+// every element the role it had, and whatever storage it grew for it.
 func (p *pool[E]) recycle() {
-	p.free = append(p.free, p.used...)
+	for i := len(p.used) - 1; i >= 0; i-- {
+		p.free = append(p.free, p.used[i])
+	}
 	p.used = p.used[:0]
 }
 
@@ -256,7 +261,8 @@ func (p *topoPool) recycle() {
 	if len(p.usedHosts) > 0 && p.freeHosts == nil {
 		p.freeHosts = make(map[string][]elemRng[*host.Host])
 	}
-	for _, h := range p.usedHosts {
+	for i := len(p.usedHosts) - 1; i >= 0; i-- { // last-taken first, as pool.recycle
+		h := p.usedHosts[i]
 		p.freeHosts[h.el.Profile()] = append(p.freeHosts[h.el.Profile()], h)
 	}
 	p.usedHosts = p.usedHosts[:0]
