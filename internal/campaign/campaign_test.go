@@ -375,7 +375,7 @@ func TestResumeRefusesOversizedCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, done := range []int{len(targets) + 1, 1 << 50} {
+	for _, done := range []int{len(targets) + 1, math.MaxInt} {
 		dir := t.TempDir()
 		ckpt := filepath.Join(dir, "ckpt.json")
 		if err := (Checkpoint{Fingerprint: Fingerprint(targets, 4), Done: done}).Save(ckpt); err != nil {

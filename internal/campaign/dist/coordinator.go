@@ -53,11 +53,11 @@ func (cfg Config) withDefaults() Config {
 
 // reportedSpan is a span's payload in the table: the worker's verbatim
 // rendered bytes plus its exact aggregator delta, held until the emit
-// frontier reaches the span.
+// frontier reaches the span. All three alias buf, a free-list buffer.
 type reportedSpan struct {
-	jsonb, csvb []byte
-	shard       *campaign.ShardSnapshot
-	worker      int
+	jsonb, csvb, shard []byte
+	buf                []byte
+	worker             int
 }
 
 type coordinator struct {
@@ -69,6 +69,13 @@ type coordinator struct {
 	mu     sync.Mutex
 	conns  map[int]net.Conn
 	nextID int
+
+	// free holds the buffers report payloads are read into. A buffer comes
+	// back when its span is emitted or dropped as a duplicate, so the list
+	// never holds more than the window's stash plus one per connection,
+	// each at most maxKeptBuf.
+	freeMu sync.Mutex
+	free   [][]byte
 
 	// logMu serializes writes to cfg.Log: every worker's handler logs, and
 	// the writer is the caller's (a plain buffer in tests).
@@ -257,6 +264,10 @@ func (c *coordinator) handle(conn net.Conn) {
 		return
 	}
 
+	// check is where each report's delta is proven sound before the span
+	// completes: a malformed one costs this connection, and the span is
+	// re-issued, instead of failing the run when it reaches the emit.
+	check := campaign.NewShard()
 	for {
 		conn.SetReadDeadline(time.Now().Add(c.cfg.LeaseTimeout))
 		m, err := w.recv()
@@ -282,19 +293,28 @@ func (c *coordinator) handle(conn net.Conn) {
 				return
 			}
 		case MsgReport:
-			jsonb, rerr := w.readPayload(m.JSONLen)
-			if rerr != nil {
+			buf := c.getBuf(m.JSONLen + m.CSVLen + m.ShardLen)
+			if err := w.readPayload(buf); err != nil {
 				return
 			}
-			csvb, rerr := w.readPayload(m.CSVLen)
-			if rerr != nil {
+			p := reportedSpan{
+				jsonb:  buf[:m.JSONLen],
+				csvb:   buf[m.JSONLen : m.JSONLen+m.CSVLen],
+				shard:  buf[m.JSONLen+m.CSVLen:],
+				buf:    buf,
+				worker: id,
+			}
+			check.Reset()
+			if err := check.MergeDelta(p.shard); err != nil {
+				c.logf("dist: worker %d report for [%d,%d) dropped: %v", id, m.Lo, m.Hi, err)
 				return
 			}
 			// First completion wins: a stale duplicate of a re-issued
 			// lease is dropped, and the handler that reports the frontier
 			// span emits it and every reported span contiguous with it.
-			c.table.Complete(campaign.Span{Lo: m.Lo, Hi: m.Hi},
-				reportedSpan{jsonb: jsonb, csvb: csvb, shard: m.Shard, worker: id})
+			if !c.table.Complete(campaign.Span{Lo: m.Lo, Hi: m.Hi}, p) {
+				c.putBuf(buf)
+			}
 		case MsgBye:
 			c.absorbObs(id, m)
 			clean = true
@@ -342,11 +362,41 @@ func (c *coordinator) absorbObs(id int, m *Msg) {
 // aggregator exactly at emit time, so the summary always covers precisely
 // the emitted prefix, including after a drain.
 func (c *coordinator) emit(sp campaign.Span, p reportedSpan) error {
-	if p.shard == nil {
-		return fmt.Errorf("dist: worker %d report for [%d,%d) missing shard snapshot", p.worker, sp.Lo, sp.Hi)
-	}
-	if err := c.agg.Shard(0).MergeSnapshot(*p.shard); err != nil {
+	defer c.putBuf(p.buf)
+	if err := c.agg.Shard(0).MergeDelta(p.shard); err != nil {
 		return fmt.Errorf("dist: worker %d span [%d,%d): %w", p.worker, sp.Lo, sp.Hi, err)
 	}
 	return c.em.EmitSpan(sp.Lo, sp.Hi, p.jsonb, p.csvb, nil)
+}
+
+// getBuf returns an n-byte buffer from the free list, growing one only
+// when none on the list is big enough.
+func (c *coordinator) getBuf(n int) []byte {
+	var b []byte
+	c.freeMu.Lock()
+	if k := len(c.free); k > 0 {
+		b = c.free[k-1]
+		c.free = c.free[:k-1]
+	}
+	c.freeMu.Unlock()
+	if cap(b) < n {
+		b = make([]byte, n)
+	}
+	return b[:n]
+}
+
+// maxKeptBuf bounds the buffers the free list keeps. A default span's
+// payloads come to tens of KB, so a megabyte still covers explicit batches
+// of a few thousand targets.
+const maxKeptBuf = 1 << 20
+
+// putBuf returns b to the free list unless it is bigger than maxKeptBuf:
+// one outsized report must not pin its buffer for the rest of the run.
+func (c *coordinator) putBuf(b []byte) {
+	if cap(b) > maxKeptBuf {
+		return
+	}
+	c.freeMu.Lock()
+	c.free = append(c.free, b)
+	c.freeMu.Unlock()
 }

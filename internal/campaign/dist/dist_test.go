@@ -2,9 +2,14 @@ package dist
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
+	"math"
 	"net"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -69,7 +74,12 @@ func runSingle(t *testing.T, targets []campaign.Target, dir string) *campaign.Su
 }
 
 // serveDist runs a coordinator over cfg with n in-process workers
-// connected via TCP loopback and returns the summary.
+// connected via TCP loopback and returns the summary. Every worker's
+// connection is dialled before Serve starts and handed over as
+// WorkerConfig.Conn, so whether a slow worker gets its hello in before a
+// short or drained campaign ends decides nothing: one that Serve never
+// answered — it read not a byte — dies with its connection, which is not a
+// failure of the run. Any error from a worker Serve did answer is.
 func serveDist(t *testing.T, cfg Config, targets []campaign.Target, n int) (*campaign.Summary, error) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -77,15 +87,20 @@ func serveDist(t *testing.T, cfg Config, targets []campaign.Target, n int) (*cam
 		t.Fatal(err)
 	}
 	cfg.Listener = ln
-	addr := ln.Addr().String()
 	var wg sync.WaitGroup
 	workerErrs := make([]error, n)
+	conns := make([]*countingConn, n)
 	for i := 0; i < n; i++ {
+		conn, err := Dial(ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		conns[i] = &countingConn{Conn: conn}
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			workerErrs[i] = RunWorker(WorkerConfig{
-				Connect: addr,
+				Conn:    conns[i],
 				Targets: targets,
 				Samples: cfg.Campaign.Samples,
 			})
@@ -94,11 +109,28 @@ func serveDist(t *testing.T, cfg Config, targets []campaign.Target, n int) (*cam
 	sum, err := Serve(cfg)
 	wg.Wait()
 	for i, werr := range workerErrs {
-		if werr != nil && err == nil {
+		switch {
+		case werr == nil || err != nil:
+		case conns[i].read == 0:
+			t.Logf("worker %d was never answered: %v", i, werr)
+		default:
 			t.Errorf("worker %d: %v", i, werr)
 		}
 	}
 	return sum, err
+}
+
+// countingConn counts the bytes read through it. Only the worker's
+// session goroutine reads, and serveDist looks after that goroutine ends.
+type countingConn struct {
+	net.Conn
+	read int
+}
+
+func (c *countingConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	c.read += n
+	return n, err
 }
 
 // TestServeMatchesRun is the core byte-identity check: a distributed run
@@ -474,10 +506,13 @@ func TestRejects(t *testing.T) {
 			t.Errorf("%s: got %q, want reject", name, m.Type)
 		}
 	}
+	fp := campaign.Fingerprint(targets, 4)
 	expectReject("garbage", "{{{ not json\n")
 	expectReject("bad-version", `{"type":"hello","version":99,"fingerprint":1}`+"\n")
-	expectReject("bad-fingerprint", `{"type":"hello","version":1,"fingerprint":12345}`+"\n")
-	expectReject("trailing-garbage", `{"type":"hello","version":1} {"x":1}`+"\n")
+	expectReject("v1-hello", fmt.Sprintf(`{"type":"hello","version":1,"fingerprint":%d}`+"\n", fp))
+	expectReject("bad-fingerprint", `{"type":"hello","version":2,"fingerprint":12345}`+"\n")
+	expectReject("trailing-garbage", `{"type":"hello","version":2} {"x":1}`+"\n")
+	expectReject("non-canonical", fmt.Sprintf(`{"type":"hello", "version":2,"fingerprint":%d}`+"\n", fp))
 
 	if err := RunWorker(WorkerConfig{Connect: addr, Targets: targets, Samples: 4}); err != nil {
 		t.Fatalf("honest worker: %v", err)
@@ -494,7 +529,7 @@ func TestRejects(t *testing.T) {
 func TestServeRefusesOversizedCheckpoint(t *testing.T) {
 	targets := testTargets(t)
 	out, csv, ckpt := outPaths(t.TempDir())
-	ck := campaign.Checkpoint{Fingerprint: campaign.Fingerprint(targets, 4), Done: 1 << 50}
+	ck := campaign.Checkpoint{Fingerprint: campaign.Fingerprint(targets, 4), Done: math.MaxInt}
 	if err := ck.Save(ckpt); err != nil {
 		t.Fatal(err)
 	}
@@ -510,7 +545,7 @@ func TestServeRefusesOversizedCheckpoint(t *testing.T) {
 		},
 		Listener: ln,
 	})
-	if err == nil || !strings.Contains(err.Error(), "1125899906842624") || !strings.Contains(err.Error(), "24 targets") {
+	if err == nil || !strings.Contains(err.Error(), strconv.Itoa(ck.Done)) || !strings.Contains(err.Error(), "24 targets") {
 		t.Fatalf("oversized checkpoint not refused with both numbers: %v", err)
 	}
 }
@@ -538,8 +573,20 @@ func TestRecvMalformed(t *testing.T) {
 		{"trailing-garbage", `{"type":"lease"} extra` + "\n"},
 		{"negative-span", `{"type":"span","lo":-3,"hi":4}` + "\n"},
 		{"inverted-span", `{"type":"span","lo":9,"hi":2}` + "\n"},
-		{"huge-payload", `{"type":"report","json_len":999999999999}` + "\n"},
+		{"huge-payload", `{"type":"report","json_len":999999999999,"shard_len":1}` + "\n"},
+		{"huge-shard", fmt.Sprintf(`{"type":"report","hi":1,"shard_len":%d}`+"\n", maxLineBytes+1)},
+		{"report-without-shard", `{"type":"report","lo":0,"hi":4,"json_len":10,"csv_len":3}` + "\n"},
 		{"wrong-shape", `[1,2,3]` + "\n"},
+		{"non-canonical", `{"type":"span","hi":8,"lo":3}` + "\n"},
+		{"unterminated", `{"type":"lease"}`},
+		{"oversized", `{"type":"reject","reason":"` + strings.Repeat("x", maxLineBytes) + `"}` + "\n"},
+	}
+	// Past math.MaxInt32 an int field is refused, never wrapped: by the
+	// parser where int is 32 bits, by the span and payload checks where
+	// it is 64.
+	for _, key := range []string{"lo", "json_len", "csv_len", "shard_len"} {
+		cases = append(cases, struct{ name, input string }{"above-maxint32-" + key,
+			fmt.Sprintf(`{"type":"report","%s":%d}`+"\n", key, uint64(math.MaxInt32)+1)})
 	}
 	for _, tc := range cases {
 		w := newWire(fakeConn{bytes.NewReader([]byte(tc.input))})
@@ -547,19 +594,25 @@ func TestRecvMalformed(t *testing.T) {
 			t.Errorf("%s: accepted as %+v", tc.name, m)
 		}
 	}
-	// And a sanity valid case so the matrix can't pass vacuously.
-	w := newWire(fakeConn{bytes.NewReader([]byte(`{"type":"span","lo":3,"hi":8}` + "\n"))})
-	m, err := w.recv()
-	if err != nil || m.Lo != 3 || m.Hi != 8 {
-		t.Fatalf("valid span rejected: %v %+v", err, m)
+	// And valid cases so the matrix can't pass vacuously.
+	w := newWire(fakeConn{bytes.NewReader([]byte(`{"type":"span","lo":3,"hi":8}` + "\n" +
+		fmt.Sprintf(`{"type":"span","lo":%d,"hi":%d}`+"\n", math.MaxInt32, math.MaxInt32)))})
+	for _, want := range [][2]int{{3, 8}, {math.MaxInt32, math.MaxInt32}} {
+		m, err := w.recv()
+		if err != nil || m.Lo != want[0] || m.Hi != want[1] {
+			t.Fatalf("valid span rejected: %v %+v", err, m)
+		}
 	}
 }
 
-// FuzzRecv asserts the parser never panics and never accepts a message
-// with an out-of-whitelist type, whatever bytes arrive.
+// FuzzRecv asserts the parser never panics, never accepts a message with
+// an out-of-whitelist type or impossible numbers, and accepts only the
+// canonical form: any line it accepts re-encodes to exactly its bytes.
 func FuzzRecv(f *testing.F) {
-	f.Add([]byte(`{"type":"hello","version":1,"fingerprint":42}` + "\n"))
-	f.Add([]byte(`{"type":"report","lo":0,"hi":5,"json_len":10,"csv_len":3}` + "\n"))
+	f.Add([]byte(`{"type":"hello","version":2,"fingerprint":42}` + "\n"))
+	f.Add([]byte(`{"type":"report","lo":0,"hi":5,"json_len":10,"csv_len":3,"shard_len":40}` + "\n"))
+	f.Add([]byte(`{"type":"welcome","worker":1,"samples":8,"rate":0.5,"burst":1e-7,"want_jsonl":true}` + "\n"))
+	f.Add([]byte(`{"type":"reject","reason":"say \"no\" <&"}` + "\n"))
 	f.Add([]byte("\n\n\n"))
 	f.Add([]byte(`{"type":"span","lo":1e99}` + "\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -575,9 +628,205 @@ func FuzzRecv(f *testing.F) {
 			default:
 				t.Fatalf("recv accepted unknown type %q", m.Type)
 			}
-			if m.JSONLen < 0 || m.CSVLen < 0 || m.Lo < 0 || m.Hi < m.Lo {
+			if m.JSONLen < 0 || m.CSVLen < 0 || m.ShardLen < 0 || m.Lo < 0 || m.Hi < m.Lo {
 				t.Fatalf("recv accepted malformed numeric fields: %+v", m)
+			}
+			line := bytes.TrimSuffix(w.line, []byte("\n"))
+			if again, err := appendMsg(nil, m); err != nil || !bytes.Equal(again, line) {
+				t.Fatalf("accepted %q, which re-encodes as %q (%v)", line, again, err)
 			}
 		}
 	})
+}
+
+// pipeListener hands Serve the server ends of in-memory net.Pipe
+// connections, so a test can script a peer byte by byte.
+type pipeListener struct {
+	conns chan net.Conn
+	done  chan struct{}
+	once  sync.Once
+}
+
+func newPipeListener() *pipeListener {
+	return &pipeListener{conns: make(chan net.Conn), done: make(chan struct{})}
+}
+
+// dial returns the client end of a connection Serve will accept.
+func (l *pipeListener) dial() net.Conn {
+	client, server := net.Pipe()
+	go func() {
+		select {
+		case l.conns <- server:
+		case <-l.done:
+			server.Close()
+		}
+	}()
+	return client
+}
+
+func (l *pipeListener) Accept() (net.Conn, error) {
+	select {
+	case c := <-l.conns:
+		return c, nil
+	case <-l.done:
+		return nil, net.ErrClosed
+	}
+}
+
+func (l *pipeListener) Close() error {
+	l.once.Do(func() { close(l.done) })
+	return nil
+}
+
+func (l *pipeListener) Addr() net.Addr { return pipeAddr{} }
+
+type pipeAddr struct{}
+
+func (pipeAddr) Network() string { return "pipe" }
+func (pipeAddr) String() string  { return "pipe" }
+
+// TestHostileReportCostsItsConnection: a report with no shard delta, or
+// with one whose histogram bins sum to one less than its count, drops the
+// connection that sent it and its span is re-issued — the run does not fail
+// at emit, and an honest worker finishes it byte-identical to campaign.Run.
+func TestHostileReportCostsItsConnection(t *testing.T) {
+	targets := testTargets(t)
+	refDir := t.TempDir()
+	runSingle(t, targets, refDir)
+	refJSONL, refCSV := readOut(t, refDir)
+
+	dir := t.TempDir()
+	out, csv, ckpt := outPaths(dir)
+	ln := newPipeListener()
+	var log bytes.Buffer
+	served := make(chan error, 1)
+	go func() {
+		_, err := Serve(Config{
+			Campaign: campaign.Config{
+				Targets: targets, Samples: 4, Batch: 4,
+				OutputPath: out, CSVPath: csv, CheckpointPath: ckpt,
+			},
+			Listener: ln,
+			Log:      &log,
+		})
+		served <- err
+	}()
+
+	// One measured target whose path-rate histogram claims two samples and
+	// bins one.
+	short := binary.AppendUvarint(nil, 1) // targets
+	short = append(short, 0, 1, 0, 0, 0)  // errors, measured, excluded, with-reordering, retried
+	short = binary.AppendUvarint(short, 2)
+	short = binary.LittleEndian.AppendUint64(short, math.Float64bits(0.25))
+	short = binary.LittleEndian.AppendUint64(short, math.Float64bits(0.25))
+	short = append(short, 1, 64, 1) // one bin: index 64, count 1
+	short = append(short, 0, 0, 0)  // rtts, extents, exposure
+	short = append(short, 0, 0)     // no exclusions, no tests
+
+	fp := campaign.Fingerprint(targets, 4)
+	for _, shard := range [][]byte{nil, short} {
+		conn := ln.dial()
+		w := newWire(conn)
+		if err := w.send(&Msg{Type: MsgHello, Version: ProtocolVersion, Fingerprint: fp}); err != nil {
+			t.Fatal(err)
+		}
+		if m, err := w.recv(); err != nil || m.Type != MsgWelcome {
+			t.Fatalf("handshake: %v %+v", err, m)
+		}
+		if err := w.send(&Msg{Type: MsgLease}); err != nil {
+			t.Fatal(err)
+		}
+		m, err := w.recv()
+		if err != nil || m.Type != MsgSpan {
+			t.Fatalf("lease: %v %+v", err, m)
+		}
+		// The coordinator may close before reading all of it; what matters
+		// is that it closes.
+		w.sendPayload(&Msg{Type: MsgReport, Lo: m.Lo, Hi: m.Hi, ShardLen: len(shard)}, nil, nil, shard)
+		if m, err := w.recv(); err == nil {
+			t.Errorf("shard %x: connection survived its report and got %+v", shard, m)
+		}
+		conn.Close()
+	}
+
+	if err := RunWorker(WorkerConfig{Conn: ln.dial(), Targets: targets, Samples: 4}); err != nil {
+		t.Fatalf("honest worker: %v", err)
+	}
+	if err := <-served; err != nil {
+		t.Fatalf("a hostile report failed the run: %v", err)
+	}
+	if n := strings.Count(log.String(), "lost — 1 leases re-issued"); n != 2 {
+		t.Errorf("%d hostile connections dropped with their lease re-issued, want 2:\n%s", n, log.String())
+	}
+	if !strings.Contains(log.String(), "dropped: campaign: shard delta") {
+		t.Errorf("coordinator log does not name the malformed delta:\n%s", log.String())
+	}
+	jsonl, csvb := readOut(t, dir)
+	if !bytes.Equal(jsonl, refJSONL) || !bytes.Equal(csvb, refCSV) {
+		t.Error("output differs from single-process run after hostile reports")
+	}
+}
+
+// TestDistSteadyStateAllocs pins what the benchmark's dist-unix-w2 counts,
+// allocations per target, where it is made: the survey list through Serve
+// and two in-process workers over a unix socket. Once warm, the lease
+// protocol, the framing, the payload buffers and the shard deltas make no
+// garbage per span; what a pass allocates is its set-up — sinks, sessions,
+// the summary, and the arenas, which build a host or a path the first time
+// they probe it — about 1 250 objects. The list is long enough to amortize
+// that the way the benchmark's 57 600 targets do, so one allocation per span
+// (1/32 per target) is close to failing the bound and two fail it.
+func TestDistSteadyStateAllocs(t *testing.T) {
+	targets, err := campaign.Enumerate(campaign.EnumSpec{Seeds: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sock := filepath.Join(t.TempDir(), "d.sock")
+	pass := func() {
+		ln, err := Listen("unix:" + sock)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		werrs := make([]error, 2)
+		for i := range werrs {
+			conn, err := Dial("unix:" + sock)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				werrs[i] = RunWorker(WorkerConfig{Conn: conn, Targets: targets, Samples: 8})
+			}()
+		}
+		_, err = Serve(Config{
+			Campaign: campaign.Config{
+				Targets: targets, Samples: 8, Retries: 1,
+				OutputPath: os.DevNull, CSVPath: os.DevNull,
+			},
+			Listener:      ln,
+			ExpectWorkers: 2,
+		})
+		wg.Wait()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, werr := range werrs {
+			if werr != nil {
+				t.Fatalf("worker %d: %v", i, werr)
+			}
+		}
+	}
+	pass()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	pass()
+	runtime.ReadMemStats(&after)
+	perTarget := float64(after.Mallocs-before.Mallocs) / float64(len(targets))
+	t.Logf("%d targets, %d allocations: %.4f per target", len(targets), after.Mallocs-before.Mallocs, perTarget)
+	if perTarget > 0.1 {
+		t.Errorf("a warm %d-target distributed pass allocates %.3f objects per target, want at most 0.1",
+			len(targets), perTarget)
+	}
 }

@@ -2,8 +2,8 @@
 // coordinator leases contiguous [lo,hi) target-index spans to workers over
 // a small line-delimited JSON protocol, workers run the normal arena-
 // pooled probe pipeline over their leases and stream back pre-rendered
-// JSONL/CSV span bytes plus exact aggregator-shard snapshots, and the
-// coordinator re-sequences spans by index through the same campaign
+// JSONL/CSV span bytes plus an exact binary aggregator-shard delta, and
+// the coordinator re-sequences spans by index through the same campaign
 // Emitter a single-process run uses. Determinism does the heavy lifting:
 // every probe is a pure function of (target, samples, attempt), shard
 // histograms merge by integer bin addition, and spans partition the index
@@ -11,17 +11,26 @@
 // any worker count, across worker crashes (leases expire and re-issue),
 // and across coordinator restarts (the ordinary checkpoint/resume path).
 //
-// The protocol is strict request/response per worker with asynchronous
-// heartbeats:
+// The protocol (version 2) is strict request/response per worker with
+// asynchronous heartbeats:
 //
 //	worker → hello{version, fingerprint}
 //	coord  → welcome{worker, samples, retries, backoff, rate, burst, want_*}
 //	         (or reject{reason}, closing)
 //	worker → lease{}                  request a span
 //	coord  → span{lo, hi}             or drain{} when no work remains
-//	worker → report{lo, hi, json_len, csv_len, shard} + raw payload bytes
+//	worker → report{lo, hi, json_len, csv_len, shard_len} + raw payloads
 //	worker → heartbeat{}              any time, keeps leases alive
 //	worker → bye{obs}                 after drain; connection closes
+//
+// Every message is one '\n'-terminated JSON header line. A report's line is
+// followed by json_len bytes of JSONL, csv_len bytes of CSV and shard_len
+// bytes of shard delta (campaign.Shard.AppendDelta), in that order. Headers
+// are canonical-only: keys in Msg's field order, zero values omitted,
+// numbers and strings as encoding/json writes them. A line that appendMsg
+// would not write byte for byte is refused, which is what lets the
+// once-per-span messages encode and parse by hand without allocating; only
+// reason and obs, once per session, go through encoding/json.
 //
 // Exactly-once emission needs no acknowledgements: a span is owned by its
 // index range, the first report of a span wins, and duplicates (a slow
@@ -31,27 +40,34 @@ package dist
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
 
-	"reorder/internal/campaign"
 	"reorder/internal/obs"
 )
 
 // ProtocolVersion gates hello: mixed-version fleets are refused rather
-// than debugged.
-const ProtocolVersion = 1
+// than debugged. Version 1 carried the shard as a JSON object in the
+// report header; its hello has the same shape, so a version-1 worker is
+// refused with a reject.
+const ProtocolVersion = 2
 
 const (
-	// maxLineBytes caps one header line: shard snapshots are a few KB, so
+	// maxLineBytes caps one header line: a bye's telemetry is a few KB, so
 	// a megabyte means a corrupt or hostile peer.
 	maxLineBytes = 1 << 20
-	// maxPayloadBytes caps one span's rendered bytes.
+	// maxPayloadBytes caps a span's JSONL and CSV payloads. Its shard
+	// delta is capped at maxLineBytes, the limit it had while it rode in
+	// the header line; a real one is a few KB.
 	maxPayloadBytes = 64 << 20
 )
 
@@ -68,45 +84,326 @@ const (
 	MsgBye       = "bye"
 )
 
+// msgTypes is the type whitelist.
+var msgTypes = [...]string{MsgHello, MsgWelcome, MsgReject, MsgLease, MsgSpan, MsgDrain,
+	MsgReport, MsgHeartbeat, MsgBye}
+
 // Msg is the protocol's single header shape: one JSON object per line,
-// fields populated by type. A report header is followed immediately by
-// JSONLen raw JSONL bytes and CSVLen raw CSV bytes — the worker's
-// pre-rendered sink output, passed through verbatim so the coordinator
-// never re-encodes (or risks re-encoding differently).
+// fields populated by type, each under the key named beside it and written
+// in this order. A report header is followed immediately by its three
+// payloads: the worker's pre-rendered sink output, passed through verbatim
+// so the coordinator never re-encodes (or risks re-encoding differently),
+// and the span's shard delta.
 type Msg struct {
-	Type string `json:"type"`
+	Type string // type
 
 	// hello / welcome
-	Version     int    `json:"version,omitempty"`
-	Fingerprint uint64 `json:"fingerprint,omitempty"`
-	Worker      int    `json:"worker,omitempty"`
+	Version     int    // version
+	Fingerprint uint64 // fingerprint
+	Worker      int    // worker
 
 	// reject
-	Reason string `json:"reason,omitempty"`
+	Reason string // reason
 
 	// welcome: the probe-affecting config the coordinator owns. Retries
 	// and backoff must come from here — output bytes record the attempt
 	// count, so a worker flag diverging from the coordinator's would
 	// silently break byte-identity.
-	Samples   int     `json:"samples,omitempty"`
-	Retries   int     `json:"retries,omitempty"`
-	BackoffNs int64   `json:"backoff_ns,omitempty"`
-	Rate      float64 `json:"rate,omitempty"`
-	Burst     float64 `json:"burst,omitempty"`
-	WantJSONL bool    `json:"want_jsonl,omitempty"`
-	WantCSV   bool    `json:"want_csv,omitempty"`
+	Samples   int     // samples
+	Retries   int     // retries
+	BackoffNs int64   // backoff_ns
+	Rate      float64 // rate
+	Burst     float64 // burst
+	WantJSONL bool    // want_jsonl
+	WantCSV   bool    // want_csv
 
 	// span / report
-	Lo int `json:"lo,omitempty"`
-	Hi int `json:"hi,omitempty"`
+	Lo int // lo
+	Hi int // hi
 
 	// report
-	JSONLen int                     `json:"json_len,omitempty"`
-	CSVLen  int                     `json:"csv_len,omitempty"`
-	Shard   *campaign.ShardSnapshot `json:"shard,omitempty"`
+	JSONLen  int // json_len
+	CSVLen   int // csv_len
+	ShardLen int // shard_len
 
 	// bye
-	Obs *obs.WorkerWire `json:"obs,omitempty"`
+	Obs *obs.WorkerWire // obs
+}
+
+// appendMsg appends m's header line, without its newline, to dst. The
+// bytes are what json.Marshal writes for Msg with every field but type
+// tagged omitempty under its key — the canonical form, and the only one
+// parseMsg accepts.
+func appendMsg(dst []byte, m *Msg) ([]byte, error) {
+	known := false
+	for _, t := range msgTypes {
+		known = known || m.Type == t
+	}
+	if !known {
+		return dst, fmt.Errorf("dist: unknown message type %q", m.Type)
+	}
+	dst = append(append(append(dst, `{"type":"`...), m.Type...), '"')
+	dst = appendInt(dst, `,"version":`, int64(m.Version))
+	if m.Fingerprint != 0 {
+		dst = strconv.AppendUint(append(dst, `,"fingerprint":`...), m.Fingerprint, 10)
+	}
+	dst = appendInt(dst, `,"worker":`, int64(m.Worker))
+	if m.Reason != "" {
+		b, err := json.Marshal(m.Reason)
+		if err != nil {
+			return dst, err
+		}
+		dst = append(append(dst, `,"reason":`...), b...)
+	}
+	dst = appendInt(dst, `,"samples":`, int64(m.Samples))
+	dst = appendInt(dst, `,"retries":`, int64(m.Retries))
+	dst = appendInt(dst, `,"backoff_ns":`, m.BackoffNs)
+	var err error
+	if dst, err = appendFloat(dst, `,"rate":`, m.Rate); err != nil {
+		return dst, err
+	}
+	if dst, err = appendFloat(dst, `,"burst":`, m.Burst); err != nil {
+		return dst, err
+	}
+	if m.WantJSONL {
+		dst = append(dst, `,"want_jsonl":true`...)
+	}
+	if m.WantCSV {
+		dst = append(dst, `,"want_csv":true`...)
+	}
+	dst = appendInt(dst, `,"lo":`, int64(m.Lo))
+	dst = appendInt(dst, `,"hi":`, int64(m.Hi))
+	dst = appendInt(dst, `,"json_len":`, int64(m.JSONLen))
+	dst = appendInt(dst, `,"csv_len":`, int64(m.CSVLen))
+	dst = appendInt(dst, `,"shard_len":`, int64(m.ShardLen))
+	if m.Obs != nil {
+		b, err := json.Marshal(m.Obs)
+		if err != nil {
+			return dst, err
+		}
+		dst = append(append(dst, `,"obs":`...), b...)
+	}
+	return append(dst, '}'), nil
+}
+
+func appendInt(dst []byte, key string, v int64) []byte {
+	if v == 0 {
+		return dst
+	}
+	return strconv.AppendInt(append(dst, key...), v, 10)
+}
+
+// appendFloat writes v as encoding/json does: shortest round-trip digits,
+// exponent form outside [1e-6, 1e21) with a two-digit-minimum exponent
+// trimmed to one. NaN and the infinities have no JSON form.
+func appendFloat(dst []byte, key string, v float64) ([]byte, error) {
+	if v == 0 {
+		return dst, nil
+	}
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return dst, fmt.Errorf("dist: %s%v has no JSON form", key[1:], v)
+	}
+	dst = append(dst, key...)
+	format := byte('f')
+	if abs := math.Abs(v); abs < 1e-6 || abs >= 1e21 {
+		format = 'e'
+	}
+	dst = strconv.AppendFloat(dst, v, format, -1, 64)
+	if n := len(dst); format == 'e' && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+		dst[n-2] = dst[n-1] // e-07 → e-7
+		dst = dst[:n-1]
+	}
+	return dst, nil
+}
+
+var errMalformed = errors.New("dist: malformed message")
+
+// parseMsg fills m from one header line, without its newline. It accepts
+// only the canonical form: it parses, re-appends m into canon and compares,
+// so a reordered, repeated, padded or zero-valued key, a number written
+// another way or an unknown key is refused, and whatever it accepts
+// re-encodes to exactly the line. canon is returned for reuse. A warmed
+// parse of a once-per-span message allocates nothing; the handshake's
+// reason and obs go through encoding/json.
+func parseMsg(m *Msg, line, canon []byte) ([]byte, error) {
+	*m = Msg{}
+	p, ok := bytes.CutPrefix(line, []byte(`{"type":"`))
+	end := bytes.IndexByte(p, '"')
+	if !ok || end < 0 {
+		return canon, errMalformed
+	}
+	for _, t := range msgTypes {
+		if string(p[:end]) == t {
+			m.Type = t
+		}
+	}
+	if m.Type == "" {
+		return canon, fmt.Errorf("dist: unknown message type %q", p[:end])
+	}
+	p = p[end+1:]
+	for len(p) > 0 && p[0] == ',' {
+		rest, ok := bytes.CutPrefix(p, []byte(`,"`))
+		end := bytes.IndexByte(rest, '"')
+		if !ok || end < 0 || end+1 >= len(rest) || rest[end+1] != ':' {
+			return canon, errMalformed
+		}
+		key := rest[:end]
+		p = rest[end+2:]
+		var err error
+		switch string(key) {
+		case "version":
+			err = parseInt(&p, &m.Version)
+		case "fingerprint":
+			err = parseUint(&p, &m.Fingerprint)
+		case "worker":
+			err = parseInt(&p, &m.Worker)
+		case "reason":
+			var tok []byte
+			if tok, err = cutString(&p); err == nil {
+				err = json.Unmarshal(tok, &m.Reason)
+			}
+		case "samples":
+			err = parseInt(&p, &m.Samples)
+		case "retries":
+			err = parseInt(&p, &m.Retries)
+		case "backoff_ns":
+			err = parseInt64(&p, &m.BackoffNs)
+		case "rate":
+			err = parseFloat(&p, &m.Rate)
+		case "burst":
+			err = parseFloat(&p, &m.Burst)
+		case "want_jsonl":
+			err = parseTrue(&p, &m.WantJSONL)
+		case "want_csv":
+			err = parseTrue(&p, &m.WantCSV)
+		case "lo":
+			err = parseInt(&p, &m.Lo)
+		case "hi":
+			err = parseInt(&p, &m.Hi)
+		case "json_len":
+			err = parseInt(&p, &m.JSONLen)
+		case "csv_len":
+			err = parseInt(&p, &m.CSVLen)
+		case "shard_len":
+			err = parseInt(&p, &m.ShardLen)
+		case "obs":
+			// The last key: its value runs to the closing brace.
+			if len(p) == 0 {
+				return canon, errMalformed
+			}
+			m.Obs = new(obs.WorkerWire)
+			err = json.Unmarshal(p[:len(p)-1], m.Obs)
+			p = p[len(p)-1:]
+		default:
+			return canon, fmt.Errorf("dist: unknown message key %q", key)
+		}
+		if err != nil {
+			return canon, fmt.Errorf("dist: malformed %s: %w", key, err)
+		}
+	}
+	if string(p) != "}" {
+		return canon, fmt.Errorf("dist: trailing garbage after message")
+	}
+	canon, err := appendMsg(canon[:0], m)
+	if err == nil && !bytes.Equal(canon, line) {
+		err = fmt.Errorf("dist: non-canonical message %q", line)
+	}
+	return canon, err
+}
+
+// parseInt reads an integer into *dst, refusing one an int cannot hold
+// (beyond math.MaxInt32 on a 32-bit platform) rather than wrapping it.
+func parseInt(p *[]byte, dst *int) error {
+	var v int64
+	if err := parseInt64(p, &v); err != nil {
+		return err
+	}
+	if v < math.MinInt || v > math.MaxInt {
+		return fmt.Errorf("%d out of the int range", v)
+	}
+	*dst = int(v)
+	return nil
+}
+
+func parseInt64(p *[]byte, dst *int64) error {
+	neg := len(*p) > 0 && (*p)[0] == '-'
+	if neg {
+		*p = (*p)[1:]
+	}
+	var u uint64
+	if err := parseUint(p, &u); err != nil {
+		return err
+	}
+	switch {
+	case neg && u <= 1<<63:
+		*dst = -int64(u)
+	case !neg && u <= math.MaxInt64:
+		*dst = int64(u)
+	default:
+		return errors.New("integer overflows 64 bits")
+	}
+	return nil
+}
+
+func parseUint(p *[]byte, dst *uint64) error {
+	b := *p
+	i := 0
+	var v uint64
+	for ; i < len(b) && '0' <= b[i] && b[i] <= '9'; i++ {
+		d := uint64(b[i] - '0')
+		if v > (math.MaxUint64-d)/10 {
+			return errors.New("integer overflows 64 bits")
+		}
+		v = v*10 + d
+	}
+	if i == 0 {
+		return errors.New("not a number")
+	}
+	*dst, *p = v, b[i:]
+	return nil
+}
+
+func parseFloat(p *[]byte, dst *float64) error {
+	b := *p
+	i := 0
+	for i < len(b) && strings.IndexByte("+-.0123456789eE", b[i]) >= 0 {
+		i++
+	}
+	v, err := strconv.ParseFloat(string(b[:i]), 64)
+	if err != nil {
+		return err
+	}
+	*dst, *p = v, b[i:]
+	return nil
+}
+
+// parseTrue reads a boolean that is set: false is the zero value, which the
+// canonical form omits.
+func parseTrue(p *[]byte, dst *bool) error {
+	rest, ok := bytes.CutPrefix(*p, []byte("true"))
+	if !ok {
+		return errors.New("not true")
+	}
+	*dst, *p = true, rest
+	return nil
+}
+
+// cutString cuts a JSON string token, quotes included, off the front of *p.
+func cutString(p *[]byte) ([]byte, error) {
+	b := *p
+	if len(b) == 0 || b[0] != '"' {
+		return nil, errors.New("not a string")
+	}
+	for i := 1; i < len(b); i++ {
+		switch b[i] {
+		case '\\':
+			i++
+		case '"':
+			*p = b[i+1:]
+			return b[:i+1], nil
+		}
+	}
+	return nil, errors.New("unterminated string")
 }
 
 // wire frames Msgs over a connection: newline-delimited JSON headers with
@@ -116,6 +413,10 @@ type Msg struct {
 type wire struct {
 	conn net.Conn
 	br   *bufio.Reader
+
+	line  []byte // readLine's reused buffer
+	canon []byte // parseMsg's reused re-encoding
+	msg   Msg    // what recv returns, valid until the next recv
 
 	// writeTimeout, when positive, bounds each framed send: a peer that
 	// stops reading (a stalled or half-dead worker) fails the write instead
@@ -137,108 +438,84 @@ func newWire(conn net.Conn) *wire {
 
 // send writes one header line and flushes.
 func (w *wire) send(m *Msg) error {
-	return w.sendPayload(m, nil, nil)
+	return w.sendPayload(m, nil, nil, nil)
 }
 
-// sendPayload writes a header line followed by the raw payload segments,
-// then flushes, all as one locked frame.
-func (w *wire) sendPayload(m *Msg, jsonb, csvb []byte) error {
-	b, err := json.Marshal(m)
-	if err != nil {
-		return err
-	}
+// sendPayload writes a header line followed by the raw payloads, then
+// flushes, all as one locked frame.
+func (w *wire) sendPayload(m *Msg, jsonb, csvb, shardb []byte) error {
 	w.wmu.Lock()
 	defer w.wmu.Unlock()
+	var err error
+	if w.enc, err = appendMsg(w.enc[:0], m); err != nil {
+		return err
+	}
+	w.enc = append(w.enc, '\n')
 	if w.writeTimeout > 0 {
 		w.conn.SetWriteDeadline(time.Now().Add(w.writeTimeout))
 	}
-	w.enc = append(w.enc[:0], b...)
-	w.enc = append(w.enc, '\n')
-	if _, err := w.bw.Write(w.enc); err != nil {
-		return err
-	}
-	if len(jsonb) > 0 {
-		if _, err := w.bw.Write(jsonb); err != nil {
-			return err
-		}
-	}
-	if len(csvb) > 0 {
-		if _, err := w.bw.Write(csvb); err != nil {
+	for _, b := range [...][]byte{w.enc, jsonb, csvb, shardb} {
+		if _, err := w.bw.Write(b); err != nil {
 			return err
 		}
 	}
 	return w.bw.Flush()
 }
 
-// recv reads one header line. Oversized lines, trailing garbage, invalid
-// JSON, unknown types and absurd payload lengths are all errors — the
-// protocol treats any malformed input as a broken peer and drops the
-// connection rather than resynchronizing.
+// recv reads one header line. The message is the wire's own and is valid
+// until the next recv. Oversized lines, non-canonical or unknown messages,
+// absurd payload lengths and a report without a shard delta are all
+// errors — the protocol treats any malformed input as a broken peer and
+// drops the connection rather than resynchronizing.
 func (w *wire) recv() (*Msg, error) {
 	line, err := w.readLine()
 	if err != nil {
 		return nil, err
 	}
-	var m Msg
-	dec := json.NewDecoder(strings.NewReader(line))
-	if err := dec.Decode(&m); err != nil {
-		return nil, fmt.Errorf("dist: malformed message: %v", err)
+	m := &w.msg
+	if w.canon, err = parseMsg(m, line, w.canon); err != nil {
+		return nil, err
 	}
-	if dec.More() {
-		return nil, fmt.Errorf("dist: trailing garbage after message")
+	for _, n := range [...]int{m.JSONLen, m.CSVLen} {
+		if n < 0 || n > maxPayloadBytes {
+			return nil, fmt.Errorf("dist: unreasonable payload lengths %d/%d", m.JSONLen, m.CSVLen)
+		}
 	}
-	switch m.Type {
-	case MsgHello, MsgWelcome, MsgReject, MsgLease, MsgSpan, MsgDrain,
-		MsgReport, MsgHeartbeat, MsgBye:
-	default:
-		return nil, fmt.Errorf("dist: unknown message type %q", m.Type)
-	}
-	if m.JSONLen < 0 || m.JSONLen > maxPayloadBytes || m.CSVLen < 0 || m.CSVLen > maxPayloadBytes {
-		return nil, fmt.Errorf("dist: unreasonable payload lengths %d/%d", m.JSONLen, m.CSVLen)
+	if m.ShardLen < 0 || m.ShardLen > maxLineBytes {
+		return nil, fmt.Errorf("dist: unreasonable shard delta length %d", m.ShardLen)
 	}
 	if m.Lo < 0 || m.Hi < m.Lo {
 		return nil, fmt.Errorf("dist: malformed span [%d,%d)", m.Lo, m.Hi)
 	}
-	return &m, nil
+	if m.Type == MsgReport && m.ShardLen == 0 {
+		return nil, fmt.Errorf("dist: report for [%d,%d) carries no shard delta", m.Lo, m.Hi)
+	}
+	return m, nil
 }
 
-// readLine reads one newline-terminated header, capped at maxLineBytes.
-func (w *wire) readLine() (string, error) {
-	var sb strings.Builder
+// readLine reads one newline-terminated header into the wire's reused
+// buffer and returns it without the newline, capped at maxLineBytes.
+func (w *wire) readLine() ([]byte, error) {
+	w.line = w.line[:0]
 	for {
 		frag, err := w.br.ReadSlice('\n')
-		sb.Write(frag)
+		if len(w.line)+len(frag) > maxLineBytes+1 {
+			return nil, fmt.Errorf("dist: header line exceeds %d bytes", maxLineBytes)
+		}
+		w.line = append(w.line, frag...)
 		if err == nil {
-			break
+			return w.line[:len(w.line)-1], nil
 		}
-		if err == bufio.ErrBufferFull {
-			if sb.Len() > maxLineBytes {
-				return "", fmt.Errorf("dist: header line exceeds %d bytes", maxLineBytes)
-			}
-			continue
+		if err != bufio.ErrBufferFull {
+			return nil, err
 		}
-		return "", err
 	}
-	if sb.Len() > maxLineBytes {
-		return "", fmt.Errorf("dist: header line exceeds %d bytes", maxLineBytes)
-	}
-	s := strings.TrimSuffix(sb.String(), "\n")
-	if strings.TrimSpace(s) == "" {
-		return "", fmt.Errorf("dist: empty header line")
-	}
-	return s, nil
 }
 
-// readPayload reads exactly n raw payload bytes following a header.
-func (w *wire) readPayload(n int) ([]byte, error) {
-	if n == 0 {
-		return nil, nil
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(w.br, buf); err != nil {
-		return nil, err
-	}
-	return buf, nil
+// readPayload fills buf with the raw payload bytes following a header.
+func (w *wire) readPayload(buf []byte) error {
+	_, err := io.ReadFull(w.br, buf)
+	return err
 }
 
 // Listen opens the coordinator's listener: a Unix socket when addr looks

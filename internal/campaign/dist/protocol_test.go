@@ -1,0 +1,164 @@
+package dist
+
+import (
+	"bytes"
+	"encoding/json"
+	"math"
+	"reflect"
+	"testing"
+
+	"reorder/internal/obs"
+	"reorder/internal/stats"
+)
+
+// jsonMsg is Msg as encoding/json would carry it: every field under its
+// key, omitted when zero. appendMsg must write exactly what json.Marshal
+// writes for it.
+type jsonMsg struct {
+	Type        string          `json:"type"`
+	Version     int             `json:"version,omitempty"`
+	Fingerprint uint64          `json:"fingerprint,omitempty"`
+	Worker      int             `json:"worker,omitempty"`
+	Reason      string          `json:"reason,omitempty"`
+	Samples     int             `json:"samples,omitempty"`
+	Retries     int             `json:"retries,omitempty"`
+	BackoffNs   int64           `json:"backoff_ns,omitempty"`
+	Rate        float64         `json:"rate,omitempty"`
+	Burst       float64         `json:"burst,omitempty"`
+	WantJSONL   bool            `json:"want_jsonl,omitempty"`
+	WantCSV     bool            `json:"want_csv,omitempty"`
+	Lo          int             `json:"lo,omitempty"`
+	Hi          int             `json:"hi,omitempty"`
+	JSONLen     int             `json:"json_len,omitempty"`
+	CSVLen      int             `json:"csv_len,omitempty"`
+	ShardLen    int             `json:"shard_len,omitempty"`
+	Obs         *obs.WorkerWire `json:"obs,omitempty"`
+}
+
+// codecCases are messages of every type, with the edge values of each
+// field: zero and extreme integers, floats on both sides of encoding/json's
+// exponent thresholds, and reasons that need escaping.
+func codecCases() []Msg {
+	wire := obs.WorkerWire{ProbeSumNs: 12345}
+	wire.Totals.Targets = 7
+	wire.ProbeLatency = stats.HistogramCounts{N: 3, MinBits: math.Float64bits(1.5), MaxBits: math.Float64bits(9), Bins: []uint64{2, 1, 40, 2}}
+	return []Msg{
+		{Type: MsgHello, Version: ProtocolVersion, Fingerprint: math.MaxUint64},
+		{Type: MsgHello, Version: math.MaxInt, Fingerprint: 1},
+		{Type: MsgHello, Version: math.MinInt},
+		{Type: MsgWelcome, Worker: math.MaxInt, Samples: 8, BackoffNs: math.MaxInt64, Rate: 0.5, Burst: 1, WantJSONL: true, WantCSV: true},
+		{Type: MsgWelcome, Samples: 4, Retries: 3, BackoffNs: math.MinInt64, Rate: 1e-7, Burst: 1e21},
+		{Type: MsgWelcome, Rate: 1e-6, Burst: 999999999999999900000},
+		{Type: MsgWelcome, Rate: 5e-324, Burst: math.MaxFloat64},
+		{Type: MsgWelcome, Rate: 123456.789, Burst: -0.25, WantCSV: true},
+		{Type: MsgWelcome, Rate: 1.5e-10, Burst: 3e300},
+		{Type: MsgReject, Reason: `protocol version 1, want 2`},
+		{Type: MsgReject, Reason: `say "no" <b>&amp; ünïcode ✓ \ back` + "\x01\n\t  "},
+		{Type: MsgLease},
+		{Type: MsgSpan, Hi: 1},
+		{Type: MsgSpan, Lo: 3, Hi: 8},
+		{Type: MsgSpan, Lo: math.MaxInt - 1, Hi: math.MaxInt},
+		{Type: MsgDrain},
+		{Type: MsgHeartbeat},
+		{Type: MsgReport, Lo: 32, Hi: 64, JSONLen: 20480, CSVLen: 6144, ShardLen: 311},
+		{Type: MsgReport, Hi: 1, ShardLen: 12},
+		{Type: MsgBye},
+		{Type: MsgBye, Obs: &wire},
+	}
+}
+
+// TestAppendMsgMatchesJSON holds the hand encoder to encoding/json, byte
+// for byte, and the parser to the encoder: every line parses back to the
+// message it came from.
+func TestAppendMsgMatchesJSON(t *testing.T) {
+	var got Msg
+	var canon []byte
+	for _, m := range codecCases() {
+		line, err := appendMsg(nil, &m)
+		if err != nil {
+			t.Fatalf("%+v: %v", m, err)
+		}
+		want, err := json.Marshal(jsonMsg(m))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(line, want) {
+			t.Errorf("appendMsg:\n %s\njson.Marshal:\n %s", line, want)
+		}
+		if canon, err = parseMsg(&got, line, canon); err != nil {
+			t.Errorf("%s: refused: %v", line, err)
+		} else if !reflect.DeepEqual(got, m) {
+			t.Errorf("%s: parsed as %+v", line, got)
+		}
+	}
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := appendMsg(nil, &Msg{Type: MsgWelcome, Rate: v}); err == nil {
+			t.Errorf("rate %v encoded", v)
+		}
+	}
+	if _, err := appendMsg(nil, &Msg{Type: "exploit"}); err == nil {
+		t.Error("unknown type encoded")
+	}
+}
+
+// TestParseRefusesNonCanonical: the parser accepts the encoder's form and
+// nothing else, however valid the JSON.
+func TestParseRefusesNonCanonical(t *testing.T) {
+	for _, line := range []string{
+		`{"type":"span","hi":8,"lo":3}`,            // key order
+		`{"type":"span","lo":3,"lo":3,"hi":8}`,     // repeated key
+		`{"type":"span","lo":0,"hi":8}`,            // zero value written
+		`{"type":"span", "lo":3,"hi":8}`,           // whitespace
+		`{"type":"span","lo":03,"hi":8}`,           // leading zero
+		`{"type":"span","lo":3.0,"hi":8}`,          // float for an int
+		`{"type":"span","lo":-0,"hi":8}`,           // negative zero
+		`{"type":"span","lo":3,"hi":8,}`,           // trailing comma
+		`{"type":"span","lo":3,"hi":8}}`,           // trailing brace
+		`{"type":"span","lo":3,"hi":8,"x":1}`,      // unknown key
+		`{"type":"welcome","rate":5e-1}`,           // float written another way
+		`{"type":"welcome","want_csv":false}`,      // false written
+		`{"type":"reject","reason":"\` + `u0041"}`, // an escape encoding/json does not write
+		`{"type":"reject","reason":"open}`,
+		`{"type":"bye","obs":null}`,
+		`{"type":"bye","obs":{"totals":{}}}`,
+		`{"type":"hello","fingerprint":18446744073709551616}`, // beyond uint64
+		`{"type":"span","lo":9223372036854775808}`,            // beyond int64
+		`{"type":"Lease"}`,
+		`{ "type":"lease"}`,
+		`{"type":"lease"`,
+		``,
+	} {
+		var m Msg
+		if _, err := parseMsg(&m, []byte(line), nil); err == nil {
+			t.Errorf("accepted %s as %+v", line, m)
+		}
+	}
+}
+
+// TestWireAllocs pins the per-span protocol cost the benchmark counts:
+// encoding and parsing every message sent once per span allocates nothing.
+func TestWireAllocs(t *testing.T) {
+	var m Msg
+	var enc, canon []byte
+	for _, src := range []Msg{
+		{Type: MsgLease},
+		{Type: MsgSpan, Lo: 1 << 20, Hi: 1<<20 + 32},
+		{Type: MsgReport, Lo: 1 << 20, Hi: 1<<20 + 32, JSONLen: 20480, CSVLen: 6144, ShardLen: 311},
+		{Type: MsgHeartbeat},
+		{Type: MsgDrain},
+	} {
+		round := func() {
+			var err error
+			if enc, err = appendMsg(enc[:0], &src); err != nil {
+				t.Fatal(err)
+			}
+			if canon, err = parseMsg(&m, enc, canon); err != nil {
+				t.Fatal(err)
+			}
+		}
+		round()
+		if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
+			t.Errorf("%s: appendMsg + parseMsg make %.1f allocations, want 0", src.Type, allocs)
+		}
+	}
+}

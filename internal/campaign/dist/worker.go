@@ -168,8 +168,8 @@ type workerState struct {
 	arena *campaign.ProbeArena
 	delta *campaign.Shard
 
-	jsonBuf, csvBuf []byte
-	res             campaign.TargetResult
+	jsonBuf, csvBuf, shardBuf []byte
+	res                       campaign.TargetResult
 
 	sessions int
 }
@@ -293,13 +293,12 @@ func (st *workerState) runSession(conn net.Conn) (welcomed bool, err error) {
 			for i := m.Lo; i < m.Hi; i++ {
 				sched.RunIndex(i, probe)
 			}
-			snap := st.delta.Snapshot()
-			rep := &Msg{
+			st.shardBuf = st.delta.AppendDelta(st.shardBuf[:0])
+			rep := Msg{
 				Type: MsgReport, Lo: m.Lo, Hi: m.Hi,
-				JSONLen: len(st.jsonBuf), CSVLen: len(st.csvBuf),
-				Shard: &snap,
+				JSONLen: len(st.jsonBuf), CSVLen: len(st.csvBuf), ShardLen: len(st.shardBuf),
 			}
-			if err := w.sendPayload(rep, st.jsonBuf, st.csvBuf); err != nil {
+			if err := w.sendPayload(&rep, st.jsonBuf, st.csvBuf, st.shardBuf); err != nil {
 				return true, err
 			}
 			reported[m.Lo] = m.Hi

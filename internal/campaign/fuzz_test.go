@@ -21,7 +21,7 @@ func FuzzLoadCheckpoint(f *testing.F) {
 	targets, results := mixedCampaign(f)
 	fp := Fingerprint(targets, 4)
 	jsonl := renderRecords(results)
-	for _, done := range []int{0, 1, 40, len(targets), len(targets) + 1, 1 << 50, -1} {
+	for _, done := range []int{0, 1, 40, len(targets), len(targets) + 1, math.MaxInt, -1} {
 		data, err := json.Marshal(Checkpoint{Fingerprint: fp, Done: done})
 		if err != nil {
 			f.Fatal(err)

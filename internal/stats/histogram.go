@@ -162,6 +162,9 @@ func (h *Histogram) Merge(o *Histogram) {
 // Count returns the number of samples absorbed.
 func (h *Histogram) Count() int { return int(h.n) }
 
+// NumBins returns the number of bins, one fewer than the edges.
+func (h *Histogram) NumBins() int { return len(h.counts) }
+
 // Min returns the exact smallest sample (0 when empty).
 func (h *Histogram) Min() float64 {
 	if h.n == 0 {

@@ -28,9 +28,18 @@ type HistogramCounts struct {
 // serializable snapshot. Bins holds (index, count) pairs for the nonempty
 // bins only.
 func (h *Histogram) CountsSnapshot() HistogramCounts {
-	c := HistogramCounts{N: h.n}
+	var c HistogramCounts
+	h.CountsInto(&c)
+	return c
+}
+
+// CountsInto is CountsSnapshot into caller-owned storage: c is overwritten
+// and its Bins slice reused, so a warmed encoder snapshots without
+// allocating.
+func (h *Histogram) CountsInto(c *HistogramCounts) {
+	*c = HistogramCounts{N: h.n, Bins: c.Bins[:0]}
 	if h.n == 0 {
-		return c
+		return
 	}
 	c.MinBits = math.Float64bits(h.min)
 	c.MaxBits = math.Float64bits(h.max)
@@ -39,7 +48,6 @@ func (h *Histogram) CountsSnapshot() HistogramCounts {
 			c.Bins = append(c.Bins, uint64(i), n)
 		}
 	}
-	return c
 }
 
 // MergeCounts folds a snapshot into h. Unlike Merge it cannot compare
