@@ -3,6 +3,7 @@ package campaign
 import (
 	"fmt"
 	"io"
+	"runtime"
 	"sort"
 
 	"reorder/internal/stats"
@@ -37,6 +38,23 @@ func NewAggregator(workers int) *Aggregator {
 // uses a given shard; the campaign scheduler guarantees this by passing
 // each worker its own index.
 func (a *Aggregator) Shard(w int) *Shard { return a.shards[w%len(a.shards)] }
+
+// AddAll folds results in — how a resume's replayed prefix re-enters the
+// statistics — in ranges spread over up to GOMAXPROCS of the shards in
+// parallel. It uses the shards as its own, so it must finish before any
+// worker adds; which shard a result lands in changes nothing in the
+// summary.
+func (a *Aggregator) AddAll(results []TargetResult) {
+	if len(results) == 0 {
+		return
+	}
+	forRanges(len(results), min(runtime.GOMAXPROCS(0), len(a.shards)), func(w, lo, hi int) {
+		s := a.shards[w]
+		for i := lo; i < hi; i++ {
+			s.Add(&results[i])
+		}
+	})
+}
 
 // Histogram bin layouts. Rates and exposures live in [0,1]; 256 bins give
 // ~0.4% quantile resolution. RTTs are scale-free, so geometric bins hold

@@ -160,12 +160,7 @@ func Run(cfg Config) (*Summary, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Replayed results re-enter the aggregator through shard 0; shard
-	// ownership only matters for live workers.
-	replayed := em.Replayed()
-	for i := range replayed {
-		agg.Shard(0).Add(&replayed[i])
-	}
+	agg.AddAll(em.Replayed())
 	start, end := em.Start(), em.End()
 
 	// Each worker owns one ProbeArena: the scenario and prober are built
@@ -308,7 +303,8 @@ type sinkSet struct {
 // append, while the CSV file is rebuilt from the replayed prefix: CSV rows
 // are not safely line-countable (a quoted field may hold a newline), so
 // rewriting is how its content is guaranteed to equal an uninterrupted
-// run's. The prefix is rendered into one buffer and written in chunks.
+// run's. The rows are rendered in parallel and written in order
+// (rebuildCSV).
 func openSinks(cfg Config, replayed []TargetResult) (sinkSet, error) {
 	var sinks sinkSet
 	fail := func(err error) (sinkSet, error) {
@@ -346,14 +342,9 @@ func openSinks(cfg Config, replayed []TargetResult) (sinkSet, error) {
 		}
 		sinks.csv = cs
 		sinks.all = append(sinks.all, cs)
-		var rows []byte
-		for i := range replayed {
-			rows = appendCSVRow(rows, &replayed[i], withTopo, withScn)
-			if len(rows) >= csvRebuildChunk || i == len(replayed)-1 {
-				if err := cs.EmitBatch(rows); err != nil {
-					return fail(err)
-				}
-				rows = rows[:0]
+		if resuming {
+			if err := rebuildCSV(cs, replayed, withTopo, withScn); err != nil {
+				return fail(err)
 			}
 		}
 	}
@@ -361,12 +352,6 @@ func openSinks(cfg Config, replayed []TargetResult) (sinkSet, error) {
 	sinks.all = append(sinks.all, cfg.Sinks...)
 	return sinks, nil
 }
-
-// csvRebuildChunk is how many rendered bytes the resume's CSV rebuild
-// gathers before a write: large enough that the rebuild costs a handful of
-// syscalls per thousand rows, small enough to stay a rounding error beside
-// the replayed slab.
-const csvRebuildChunk = 64 << 10
 
 // closeAll closes every sink, returning the first error.
 func closeAll(sinks []Sink) error {

@@ -1,10 +1,8 @@
 package campaign
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 )
@@ -167,75 +165,4 @@ func LoadCheckpoint(path string) (Checkpoint, error) {
 		return c, fmt.Errorf("campaign: checkpoint %s: negative done count", path)
 	}
 	return c, nil
-}
-
-// replayOutput reads the first done records back from the JSONL output of
-// an interrupted campaign — record i decoded against targets[i], see
-// recordDecoder — and truncates anything past them (a crash may have
-// written results the checkpoint never acknowledged; they are re-probed,
-// deterministically, to the same bytes). The caller has checked
-// done <= len(targets); the results share one slab.
-func replayOutput(path string, targets []Target, done int) ([]TargetResult, error) {
-	if done == 0 {
-		return nil, nil
-	}
-	if path == "" {
-		return nil, fmt.Errorf("campaign: resume requires OutputPath (the checkpoint replays from it)")
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-
-	results := make([]TargetResult, done)
-	n := 0
-	var offset int64
-	// A bufio.Reader with a spill buffer rather than a Scanner: a Scanner
-	// caps the line length (64 KiB default, whatever the buffer is
-	// configured to at most), and a resume must never fail permanently
-	// just because one record grew past an arbitrary cap.
-	br := bufio.NewReaderSize(f, 64*1024)
-	var spill []byte
-	// A record is a few hundred bytes; sized so the scratch does not grow.
-	dec := recordDecoder{scratch: make([]byte, 0, 1024)}
-	for n < done {
-		line, err := br.ReadSlice('\n')
-		if err == bufio.ErrBufferFull {
-			spill = append(spill[:0], line...)
-			for err == bufio.ErrBufferFull {
-				line, err = br.ReadSlice('\n')
-				spill = append(spill, line...)
-			}
-			line = spill
-		}
-		if err == io.EOF {
-			// An unterminated tail can only be an unacknowledged partial
-			// write (a checkpoint is saved only after the sink flushed the
-			// trailing newline): leave it past offset to be truncated and
-			// re-probed.
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("campaign: %s record %d: %w", path, n, err)
-		}
-		r := &results[n]
-		if err := dec.decode(line[:len(line)-1], &targets[n], r); err != nil {
-			return nil, fmt.Errorf("campaign: %s record %d %w", path, n, err)
-		}
-		if r.Index != n {
-			return nil, fmt.Errorf("campaign: %s record %d has index %d; output does not match checkpoint",
-				path, n, r.Index)
-		}
-		n++
-		offset += int64(len(line))
-	}
-	if n < done {
-		return nil, fmt.Errorf("campaign: %s has %d records but checkpoint says %d emitted",
-			path, n, done)
-	}
-	if err := os.Truncate(path, offset); err != nil {
-		return nil, err
-	}
-	return results, nil
 }

@@ -103,10 +103,7 @@ func Serve(cfg Config) (*campaign.Summary, error) {
 		return nil, err
 	}
 	agg := campaign.NewAggregator(1)
-	replayed := em.Replayed()
-	for i := range replayed {
-		agg.Shard(0).Add(&replayed[i])
-	}
+	agg.AddAll(em.Replayed())
 	c := &coordinator{cfg: cfg, em: em, agg: agg, conns: map[int]net.Conn{}}
 	ccfg := cfg.Campaign
 	c.table = campaign.NewSpanTable(em.Start(), em.End(), campaign.SchedulerConfig{

@@ -31,8 +31,8 @@ type Emitter struct {
 // NewEmitter validates the config, loads the checkpoint and replays the
 // emitted prefix when resuming, opens the sinks, and computes the run's
 // [Start, End) probe range. The replayed results are exposed via Replayed
-// so the caller can fold them into its aggregator — the emitter does not
-// own aggregation, only emission.
+// so the caller can fold them into its aggregator (Aggregator.AddAll) —
+// the emitter does not own aggregation, only emission.
 func NewEmitter(cfg Config) (*Emitter, error) {
 	cfg = cfg.defaults()
 	if len(cfg.Targets) == 0 {

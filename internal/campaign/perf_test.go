@@ -195,12 +195,14 @@ func allocMatrix() []Target {
 // grow to what the cell needs), then ten seeds measured one by one. Each
 // measurement probes its seed twice and counts the second: a seed that
 // needs a deeper event heap or a longer frame slab than any before it grows
-// them in the first, so what is counted is what every probe pays. A probe
-// that ends
-// without an error allocates nothing. One that ends with an error may
-// allocate its message — a failed handshake is the error and the string
-// read from it — and nothing else. With -v each cell logs its mean
-// allocations and bytes per probe, the README's matrix.
+// them in the first, so what is counted is what every probe pays. A
+// collection runs before each count, so that none finishes inside it: the
+// runtime's own goroutines allocate after a cycle, and at GOMAXPROCS=1 they
+// would run inside the counted probe. A probe that ends without an error
+// allocates nothing. One that ends with an error may allocate its message —
+// a failed handshake is the error and the string read from it — and nothing
+// else. With -v each cell logs its mean allocations and bytes per probe, the
+// README's matrix.
 func checkProbeAllocMatrix(t *testing.T, newArena func() *ProbeArena, probe func(*ProbeArena, *TargetResult, Target)) {
 	for _, tg := range allocMatrix() {
 		arena := newArena()
@@ -213,6 +215,7 @@ func checkProbeAllocMatrix(t *testing.T, newArena func() *ProbeArena, probe func
 		var total float64
 		var errored int
 		for i := 0; i < runs; i, tg.Seed = i+1, tg.Seed+1 {
+			runtime.GC()
 			allocs := testing.AllocsPerRun(1, next)
 			total += allocs
 			if res.Err != "" {
@@ -302,21 +305,57 @@ func TestCSVRowAllocBudget(t *testing.T) {
 	}
 }
 
-// TestReplayAllocBudget pins replay at a constant number of allocations —
-// the slab, the file, the reader and the decoder's scratch — however many
-// records it reads: zero per record.
+// TestReplayAllocBudget pins replay at a fixed number of allocations — the
+// slab, the file and its size, one store for the decoders' blocks and
+// scratch, one per decoder goroutine — however many records it reads: zero
+// per record, so the same at 1 000 and 16 000 records once the one object
+// per decoder is counted out (the longer file may get more decoders), and at
+// most 8 + 2·GOMAXPROCS in total. testing.AllocsPerRun would count at
+// GOMAXPROCS=1, where the replay decodes inline, so the count is taken at
+// the test's own setting.
 func TestReplayAllocBudget(t *testing.T) {
-	targets, results := cleanSurvey(t, 1000)
-	path := writeRecords(t, results)
-	allocs := testing.AllocsPerRun(5, func() {
-		got, err := replayOutput(path, targets, len(targets))
-		if err != nil || len(got) != len(targets) {
-			t.Fatalf("replayed %d of %d records: %v", len(got), len(targets), err)
+	baseT, baseR := cleanSurvey(t, 1000)
+	budget := 8 + 2*runtime.GOMAXPROCS(0)
+	var perReplay []uint64
+	for _, n := range []int{1000, 16000} {
+		targets, results := tile(baseT, baseR, n)
+		path := writeRecords(t, results)
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
 		}
-	})
-	const budget = 8
-	if allocs > budget {
-		t.Fatalf("replaying %d records allocates %.0f objects, budget %d", len(targets), allocs, budget)
+		decoders := replayDecoders(fi.Size())
+		replay := func() {
+			got, err := replayOutput(path, targets, n)
+			if err != nil || len(got) != n {
+				t.Fatalf("replayed %d of %d records: %v", len(got), n, err)
+			}
+		}
+		replay()
+		// The fewest of twenty runs. Each replay starts from nothing — a
+		// fresh slab, store and file — so an allocation of the replay's own
+		// shows in every run; a collection cycle the slab triggers wakes
+		// runtime goroutines that allocate a few objects of their own, and
+		// starting a goroutine finds the runtime's free list empty now and
+		// then, in some runs only.
+		allocs := uint64(math.MaxUint64)
+		for i := 0; i < 20; i++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			replay()
+			runtime.ReadMemStats(&after)
+			allocs = min(allocs, after.Mallocs-before.Mallocs)
+		}
+		t.Logf("GOMAXPROCS=%d: replaying %d records on %d decoders allocates %d objects",
+			runtime.GOMAXPROCS(0), n, decoders, allocs)
+		if allocs > uint64(budget) {
+			t.Errorf("replaying %d records allocates %d objects, budget %d", n, allocs, budget)
+		}
+		perReplay = append(perReplay, allocs-uint64(decoders))
+	}
+	if perReplay[0] != perReplay[1] {
+		t.Errorf("replay allocates %d objects besides its decoders for 1 000 records but %d for 16 000",
+			perReplay[0], perReplay[1])
 	}
 }
 

@@ -1,12 +1,15 @@
 package campaign
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -210,4 +213,306 @@ func TestReplayInvalidUTF8Refused(t *testing.T) {
 	if err := dec.decode(r.AppendJSON(nil), &tg, &got); err != errNotCanonical {
 		t.Fatalf("invalid UTF-8 in error: got %v, want %v", err, errNotCanonical)
 	}
+}
+
+// sequentialReplay is the replay loop the parallel pipeline replaced, kept
+// as its oracle: one bufio.Reader, a spill buffer for lines longer than it,
+// one decoder, the first failing record's error.
+func sequentialReplay(src io.Reader, name string, targets []Target, done int) ([]TargetResult, int64, error) {
+	results := make([]TargetResult, done)
+	n := 0
+	var offset int64
+	br := bufio.NewReaderSize(src, 64*1024)
+	var spill []byte
+	dec := recordDecoder{scratch: make([]byte, 0, 1024)}
+	for n < done {
+		line, err := br.ReadSlice('\n')
+		if err == bufio.ErrBufferFull {
+			spill = append(spill[:0], line...)
+			for err == bufio.ErrBufferFull {
+				line, err = br.ReadSlice('\n')
+				spill = append(spill, line...)
+			}
+			line = spill
+		}
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, 0, fmt.Errorf("campaign: %s record %d: %w", name, n, err)
+		}
+		r := &results[n]
+		if err := dec.decode(line[:len(line)-1], &targets[n], r); err != nil {
+			return nil, 0, fmt.Errorf("campaign: %s record %d %w", name, n, err)
+		}
+		if r.Index != n {
+			return nil, 0, fmt.Errorf("campaign: %s record %d has index %d; output does not match checkpoint",
+				name, n, r.Index)
+		}
+		n++
+		offset += int64(len(line))
+	}
+	if n < done {
+		return nil, 0, fmt.Errorf("campaign: %s has %d records but checkpoint says %d emitted",
+			name, n, done)
+	}
+	return results, offset, nil
+}
+
+// tiledCampaign repeats mixedCampaign's targets and records to n of each:
+// a prefix of every record shape long enough to span many replay blocks
+// and ranges, for the cost of 64 probes.
+func tiledCampaign(tb testing.TB, n int) ([]Target, []TargetResult) {
+	tb.Helper()
+	targets, results := mixedCampaign(tb)
+	return tile(targets, results, n)
+}
+
+// tile repeats a campaign's targets and records, renumbered, to n of each.
+func tile(baseT []Target, baseR []TargetResult, n int) ([]Target, []TargetResult) {
+	targets := make([]Target, n)
+	results := make([]TargetResult, n)
+	for i := range targets {
+		targets[i], results[i] = baseT[i%len(baseT)], baseR[i%len(baseR)]
+		targets[i].Index, results[i].Index = i, i
+	}
+	return targets, results
+}
+
+// replayOutcome is everything a replay returns, errors as text.
+type replayOutcome struct {
+	results []TargetResult
+	offset  int64
+	err     string
+}
+
+func outcome(results []TargetResult, offset int64, err error) replayOutcome {
+	if err != nil {
+		return replayOutcome{err: err.Error()}
+	}
+	return replayOutcome{results: results, offset: offset}
+}
+
+// checkReplayMatches replays data through the parallel pipeline at several
+// block sizes and decoder counts and holds each to the sequential loop.
+func checkReplayMatches(t *testing.T, data []byte, targets []Target, done int, blocks []int) {
+	t.Helper()
+	want := outcome(sequentialReplay(bytes.NewReader(data), "out.jsonl", targets, done))
+	for _, block := range blocks {
+		for decoders := 1; decoders <= 4; decoders++ {
+			got := outcome(replayRecords(bytes.NewReader(data), "out.jsonl", targets, done, block, decoders))
+			if got.err != want.err || got.offset != want.offset || !reflect.DeepEqual(got.results, want.results) {
+				t.Fatalf("block %d, %d decoders: replay returned (%d results, length %d, %q), the sequential loop (%d, %d, %q)",
+					block, decoders, len(got.results), got.offset, got.err, len(want.results), want.offset, want.err)
+			}
+		}
+	}
+}
+
+// TestReplayDecoders: however many cores there are, a prefix shorter than
+// two blocks gets one decoder, which runs inline, and a longer one one per
+// whole block up to GOMAXPROCS.
+func TestReplayDecoders(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(64))
+	for _, tc := range []struct {
+		size int64
+		want int
+	}{
+		{0, 1}, {300, 1}, {2*replayBlockBytes - 1, 1}, {2 * replayBlockBytes, 2},
+		{10*replayBlockBytes + 5, 10}, {1 << 30, 64},
+	} {
+		if got := replayDecoders(tc.size); got != tc.want {
+			t.Errorf("replayDecoders(%d) at GOMAXPROCS=64 = %d, want %d", tc.size, got, tc.want)
+		}
+	}
+}
+
+// TestReplayCorruptionsMatchSequential: wherever a prefix is damaged — at
+// either end of a block, in two blocks, in a record longer than a block,
+// short, or cut mid-record — the parallel replay fails with the sequential
+// loop's exact error (or succeeds with its results and length).
+func TestReplayCorruptionsMatchSequential(t *testing.T) {
+	const n, block = 400, 1024
+	targets, results := tiledCampaign(t, n)
+	long := 10 * block
+	targets[200].Name = strings.Repeat("l", long)
+	results[200].Name = targets[200].Name
+	data := renderRecords(results)
+	lineStart := func(i int) int {
+		at := 0
+		for ; i > 0; i-- {
+			at += bytes.IndexByte(data[at:], '\n') + 1
+		}
+		return at
+	}
+	// A first block holds the whole lines in its first size bytes.
+	firstBlockLines := func(size int) int {
+		return bytes.Count(data[:bytes.LastIndexByte(data[:size], '\n')+1], []byte{'\n'})
+	}
+	edge, bigEdge := firstBlockLines(block), firstBlockLines(64<<10)
+	// breakRecord makes record i non-canonical: a space after its first colon.
+	breakRecord := func(d []byte, i int) []byte {
+		at := lineStart(i) + len(`{"index":`)
+		return append(append(append([]byte(nil), d[:at]...), ' '), d[at:]...)
+	}
+	for _, tc := range []struct {
+		name string
+		data []byte
+		done int
+	}{
+		{"intact", data, n},
+		{"intact, fewer acknowledged", data, n - 7},
+		{"last record of a block", breakRecord(data, edge-1), n},
+		{"first record of a block", breakRecord(data, edge), n},
+		// The second block's decoder meets its bad record first, hundreds
+		// of records before the first block's does.
+		{"last record of a block and first of the next", breakRecord(breakRecord(data, bigEdge), bigEdge-1), n},
+		{"two bad records in different blocks", breakRecord(breakRecord(data, 300), 40), n},
+		{"a bad record longer than a block", breakRecord(data, 200), n},
+		{"bad records on both sides of a long one", breakRecord(breakRecord(data, 350), 201), n},
+		{"wrong index", bytes.Replace(data, []byte(`{"index":123,`), []byte(`{"index":124,`), 1), n},
+		{"short file", data[:lineStart(n-3)], n},
+		{"unterminated tail, acknowledged", data[:len(data)-5], n},
+		{"unterminated tail, not acknowledged", data[:len(data)-5], n - 1},
+		{"cut inside the long record", data[:lineStart(200)+long/2], n},
+		{"empty", nil, 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			checkReplayMatches(t, tc.data, targets, tc.done, []int{1, 100, block, 64 << 10})
+		})
+	}
+}
+
+// TestReplayParallelMatchesSequential resumes one mixed prefix at
+// GOMAXPROCS 1, 2, 4 and 7: the replayed records, the rebuilt CSV, the
+// summary and the truncated JSONL are the same at every setting and equal
+// what the sequential loop and a sequential CSV render and fold give.
+func TestReplayParallelMatchesSequential(t *testing.T) {
+	const n, done = 5000, 4900
+	targets, results := tiledCampaign(t, n)
+	data := append(renderRecords(results), `{"index":5000,"na`...)
+	fp := Fingerprint(targets, 4)
+
+	wantRes, wantLen, err := sequentialReplay(bytes.NewReader(data), "out.jsonl", targets, done)
+	if err != nil {
+		t.Fatal(err)
+	}
+	withTopo, withScn := hasTopology(targets), hasScenario(targets)
+	var csvWant bytes.Buffer
+	cs := NewCSVSink(&csvWant)
+	if withTopo {
+		cs.IncludeTopology()
+	}
+	if withScn {
+		cs.IncludeScenario()
+	}
+	for i := range wantRes {
+		if err := cs.Emit(&wantRes[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cs.Flush()
+	seqAgg := NewAggregator(1)
+	for i := range wantRes {
+		seqAgg.Shard(0).Add(&wantRes[i])
+	}
+	var sumWant bytes.Buffer
+	seqAgg.Summary().WriteText(&sumWant)
+
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 4, 7} {
+		runtime.GOMAXPROCS(procs)
+		dir := t.TempDir()
+		cfg := Config{
+			Targets: targets, Samples: 4, Resume: true,
+			OutputPath: filepath.Join(dir, "out.jsonl"), CSVPath: filepath.Join(dir, "out.csv"),
+			CheckpointPath: filepath.Join(dir, "ckpt"),
+		}
+		if err := os.WriteFile(cfg.OutputPath, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := (Checkpoint{Fingerprint: fp, Done: done}).Save(cfg.CheckpointPath); err != nil {
+			t.Fatal(err)
+		}
+		em, err := NewEmitter(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		agg := NewAggregator(4)
+		agg.AddAll(em.Replayed())
+		if _, err := em.Finish(nil); err != nil {
+			t.Fatal(err)
+		}
+		var sum bytes.Buffer
+		agg.Summary().WriteText(&sum)
+		csvGot, err := os.ReadFile(cfg.CSVPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		info, err := os.Stat(cfg.OutputPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch {
+		case !reflect.DeepEqual(em.Replayed(), wantRes):
+			t.Fatalf("GOMAXPROCS=%d: replayed records differ from the sequential loop's", procs)
+		case !bytes.Equal(csvGot, csvWant.Bytes()):
+			t.Fatalf("GOMAXPROCS=%d: rebuilt CSV differs from the sequential render", procs)
+		case sum.String() != sumWant.String():
+			t.Fatalf("GOMAXPROCS=%d: summary differs:\n%s\nsequential:\n%s", procs, sum.String(), sumWant.String())
+		case info.Size() != wantLen:
+			t.Fatalf("GOMAXPROCS=%d: JSONL truncated to %d bytes, the sequential loop to %d", procs, info.Size(), wantLen)
+		}
+	}
+}
+
+// TestRefusedResumeKeepsCSV: a resume refused by the replay writes
+// nothing — the CSV is rebuilt only from a prefix that verified.
+func TestRefusedResumeKeepsCSV(t *testing.T) {
+	targets, results := tiledCampaign(t, 2000)
+	dir := t.TempDir()
+	cfg := Config{
+		Targets: targets, Samples: 4, Resume: true,
+		OutputPath: filepath.Join(dir, "out.jsonl"), CSVPath: filepath.Join(dir, "out.csv"),
+		CheckpointPath: filepath.Join(dir, "ckpt"),
+	}
+	data := bytes.Replace(renderRecords(results), []byte(`{"index":1500,`), []byte(`{"index":1501,`), 1)
+	if err := os.WriteFile(cfg.OutputPath, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	csvBefore := []byte("the CSV of the interrupted run\n")
+	if err := os.WriteFile(cfg.CSVPath, csvBefore, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := (Checkpoint{Fingerprint: Fingerprint(targets, 4), Done: len(targets)}).Save(cfg.CheckpointPath); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewEmitter(cfg); err == nil || !strings.Contains(err.Error(), "record 1500 has index 1501") {
+		t.Fatalf("resume over a misnumbered record: %v", err)
+	}
+	for path, want := range map[string][]byte{cfg.OutputPath: data, cfg.CSVPath: csvBefore} {
+		if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("a refused resume changed %s (%v)", path, err)
+		}
+	}
+}
+
+// FuzzReplayPrefix holds the parallel replay to the sequential loop over
+// damaged prefixes — flipped bytes, cut lines, long lines — at any block
+// size and one to four decoders: the same records, error text and
+// truncated length. The seeds are a dozen records: the fuzzer minimizes
+// every input it finds interesting, a byte at a time.
+func FuzzReplayPrefix(f *testing.F) {
+	targets, results := tiledCampaign(f, 12)
+	data := renderRecords(results)
+	f.Add(data, uint8(12), uint16(300))
+	f.Add(data[:len(data)-40], uint8(12), uint16(1000))
+	f.Add(data[:len(data)-40], uint8(11), uint16(64))
+	f.Add(bytes.Replace(data, []byte(`"attempts":1`), []byte(`"attempts":2`), 1), uint8(6), uint16(100))
+	f.Add(bytes.Replace(data, []byte("\n"), []byte(","), 2), uint8(12), uint16(200))
+	long := append(append(append([]byte(nil), data[:1000]...), bytes.Repeat([]byte("x"), 1500)...), data[1000:]...)
+	f.Add(long, uint8(12), uint16(700))
+	f.Fuzz(func(t *testing.T, data []byte, done uint8, block uint16) {
+		checkReplayMatches(t, data, targets, 1+int(done)%len(targets), []int{16 + int(block)%1024})
+	})
 }

@@ -82,6 +82,7 @@ func malformedDeltas(tb testing.TB) map[string][]byte {
 		"counter overflow":   counters().u(0, 0, 0, 0).u(2).s("zero-ipid").u(math.MaxInt).s("zero-ipid").u(1).u(0),
 		"hist n beyond int":  counters().u(uint64(math.MaxInt)+1).f(0.5, 0.5).u(1, 0, uint64(math.MaxInt)+1).u(0, 0, 0, 0, 0),
 		"count mismatch":     counters().u(3).f(0.5, 0.5).u(1, 0, 2).u(0, 0, 0, 0, 0),
+		"bin counts wrap":    counters().u(1).f(0.5, 0.5).u(2, 0, 1<<63, 1, 1<<63+1).u(0, 0, 0, 0, 0),
 		"empty bin":          counters().u(1).f(0.5, 0.5).u(2, 0, 1, 1, 0).u(0, 0, 0, 0, 0),
 		"bin out of range":   counters().u(1).f(0.5, 0.5).u(1, 999, 1).u(0, 0, 0, 0, 0),
 		"pairs beyond bins":  counters().u(1).f(0.5, 0.5).u(257, 0, 1).u(0, 0, 0, 0, 0),

@@ -51,6 +51,12 @@ func (c *Campaign) AbsorbRemote(shard int, w WorkerWire) error {
 		return nil
 	}
 	wk := c.Worker(shard)
+	// The latency bins are the one part that can be malformed, and their
+	// fold validates before it changes anything: a refused snapshot
+	// leaves every counter as it was.
+	if err := wk.ProbeNanos.absorbCounts(w.ProbeLatency, w.ProbeSumNs); err != nil {
+		return err
+	}
 	wk.Targets.Add(w.Totals.Targets)
 	wk.Attempts.Add(w.Totals.Attempts)
 	wk.ArenaResets.Add(w.Totals.ArenaResets)
@@ -75,11 +81,12 @@ func (c *Campaign) AbsorbRemote(shard int, w WorkerWire) error {
 	c.Dist.Respawns.Add(w.Dist.Respawns)
 	c.Dist.LeaseReissues.Add(w.Dist.LeaseReissues)
 	c.Dist.AcceptRetries.Add(w.Dist.AcceptRetries)
-	return wk.ProbeNanos.absorbCounts(w.ProbeLatency, w.ProbeSumNs)
+	return nil
 }
 
-// absorbCounts folds an exact bin snapshot of another recorder in. The
-// caller serializes with the shard's writer (see AbsorbRemote).
+// absorbCounts folds an exact bin snapshot of another recorder in, or
+// refuses it and changes nothing. The caller serializes with the shard's
+// writer (see AbsorbRemote).
 func (r *Recorder) absorbCounts(c stats.HistogramCounts, sum uint64) error {
 	if c.N == 0 {
 		return nil
@@ -87,18 +94,27 @@ func (r *Recorder) absorbCounts(c stats.HistogramCounts, sum uint64) error {
 	if len(c.Bins) == 0 || len(c.Bins)%2 != 0 {
 		return fmt.Errorf("obs: recorder snapshot with malformed bin pairs (len %d)", len(c.Bins))
 	}
+	if c.N > math.MaxUint64-r.count.Load() {
+		return fmt.Errorf("obs: recorder snapshot of %d samples overflows the count", c.N)
+	}
 	var total uint64
 	for i := 0; i < len(c.Bins); i += 2 {
 		if c.Bins[i] >= recorderBins {
 			return fmt.Errorf("obs: recorder snapshot bin %d out of range", c.Bins[i])
+		}
+		// Bounded by what n leaves, so the sum cannot wrap back onto n.
+		if c.Bins[i+1] > c.N-total {
+			return fmt.Errorf("obs: recorder snapshot bin counts exceed header n=%d", c.N)
 		}
 		total += c.Bins[i+1]
 	}
 	if total != c.N {
 		return fmt.Errorf("obs: recorder snapshot bin counts sum to %d, header says %d", total, c.N)
 	}
+	// Recorded values are int64 nanoseconds; a float beyond that range has
+	// no int64 conversion to fold.
 	min, max := math.Float64frombits(c.MinBits), math.Float64frombits(c.MaxBits)
-	if math.IsNaN(min) || math.IsNaN(max) || min > max || min < 0 {
+	if math.IsNaN(min) || math.IsNaN(max) || min > max || min < 0 || max >= math.MaxInt64 {
 		return fmt.Errorf("obs: recorder snapshot with invalid min/max %v/%v", min, max)
 	}
 	for i := 0; i < len(c.Bins); i += 2 {

@@ -75,6 +75,10 @@ func (h *Histogram) MergeCounts(c HistogramCounts) error {
 		if n == 0 {
 			return fmt.Errorf("stats: histogram snapshot carries empty bin %d", idx)
 		}
+		// Bounded by what n leaves, so the sum cannot wrap back onto n.
+		if n > c.N-total {
+			return fmt.Errorf("stats: histogram snapshot bin counts exceed header n=%d", c.N)
+		}
 		total += n
 	}
 	if total != c.N {

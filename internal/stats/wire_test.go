@@ -74,12 +74,13 @@ func TestHistogramCountsEmpty(t *testing.T) {
 func TestHistogramMergeCountsRejectsMalformed(t *testing.T) {
 	edges := UniformEdges(0, 1, 4)
 	cases := []HistogramCounts{
-		{N: 0, Bins: []uint64{0, 1}}, // n=0 with bins
-		{N: 1},                       // n>0 without bins
-		{N: 1, Bins: []uint64{0}},    // odd pair list
-		{N: 1, Bins: []uint64{9, 1}}, // bin index out of range
-		{N: 2, Bins: []uint64{0, 1}}, // count mismatch
-		{N: 1, Bins: []uint64{0, 0}}, // zero-count pair
+		{N: 0, Bins: []uint64{0, 1}},                     // n=0 with bins
+		{N: 1},                                           // n>0 without bins
+		{N: 1, Bins: []uint64{0}},                        // odd pair list
+		{N: 1, Bins: []uint64{9, 1}},                     // bin index out of range
+		{N: 2, Bins: []uint64{0, 1}},                     // count mismatch
+		{N: 1, Bins: []uint64{0, 0}},                     // zero-count pair
+		{N: 1, Bins: []uint64{0, 1 << 63, 1, 1<<63 + 1}}, // bin counts wrap: they sum to n mod 2^64
 		{N: 1, MinBits: math.Float64bits(2), MaxBits: math.Float64bits(1), Bins: []uint64{0, 1}}, // min > max
 		{N: 1, MinBits: math.Float64bits(math.NaN()), MaxBits: 0, Bins: []uint64{0, 1}},          // NaN min
 		{N: 1, MinBits: 0, MaxBits: math.Float64bits(math.Inf(0) * 0), Bins: []uint64{0, 1}},     // NaN max
