@@ -186,7 +186,7 @@ func Run(cfg Config) (*Summary, error) {
 	// probed-but-unemitted — so a million-target campaign holds the same
 	// few batches in flight as a thousand-target one.
 	pool := &batchPool{}
-	table := NewSpanTable(start, end, sched.cfg, func(sp Span, b *spanBatch) error {
+	table := NewSpanTable(start, end, poolSpanCap, sched.cfg, func(sp Span, b *spanBatch) error {
 		// Extra sinks get per-result copies inside EmitSpan: batch slots
 		// are pooled and overwritten by later spans, and the Sink contract
 		// has always allowed retaining the record.

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -85,6 +86,93 @@ func TestEnumerate(t *testing.T) {
 	}
 	if seedOf("freebsd4", "trunk", "single") == seedOf("freebsd4", "arq", "single") {
 		t.Fatal("different impairments share a path seed")
+	}
+}
+
+// enumerateOracle is Enumerate in its plainest form: the list grows by
+// append, names and seed strings go through fmt, and every target hashes
+// its seed afresh. The spec's names must be valid.
+func enumerateOracle(spec EnumSpec) []Target {
+	if len(spec.Profiles) == 0 {
+		spec.Profiles = Profiles()
+	}
+	if len(spec.Impairments) == 0 {
+		spec.Impairments = ImpairmentNames()
+	}
+	if len(spec.Tests) == 0 {
+		spec.Tests = Tests
+	}
+	spec.Seeds = max(spec.Seeds, 1)
+	if len(spec.Topologies) == 0 {
+		spec.Topologies = []string{""}
+	}
+	if len(spec.Scenarios) == 0 {
+		spec.Scenarios = []string{""}
+	}
+	var targets []Target
+	for _, scn := range spec.Scenarios {
+		for _, topo := range spec.Topologies {
+			for _, p := range spec.Profiles {
+				for _, im := range spec.Impairments {
+					for _, te := range spec.Tests {
+						for s := 0; s < spec.Seeds; s++ {
+							t := Target{
+								Index: len(targets), Profile: p, Impairment: im, Test: te,
+								Seed:     deriveSeedOracle(spec.BaseSeed, p, im, topo, scn, s),
+								Topology: topo, Scenario: scn,
+							}
+							t.Name = fmt.Sprintf("%s/%s/%s/s%d", t.Profile, t.Impairment, t.Test, t.Seed)
+							if t.Topology != "" {
+								t.Name += "@" + t.Topology
+							}
+							if t.Scenario != "" {
+								t.Name += "#" + t.Scenario
+							}
+							targets = append(targets, t)
+						}
+					}
+				}
+			}
+		}
+	}
+	return targets
+}
+
+// deriveSeedOracle hashes the frozen seed string written with fmt.
+func deriveSeedOracle(base uint64, profile, impairment, topology, scenario string, replica int) uint64 {
+	dims := ""
+	if scenario != "" {
+		dims = topology + "|#" + scenario + "|"
+	} else if topology != "" {
+		dims = topology + "|"
+	}
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%d|%s|%s|%s%d", base, profile, impairment, dims, replica)
+	return h.Sum64()
+}
+
+// TestEnumerateMatchesOracle holds Enumerate to enumerateOracle: every
+// field of every target, hence the campaign fingerprint, over the default
+// spec, topology and scenario specs, and both extreme base seeds.
+func TestEnumerateMatchesOracle(t *testing.T) {
+	topo := smallSpec()
+	topo.Topologies = []string{"", "diamond", "bottleneck"}
+	scn := smallSpec()
+	scn.Seeds = 3
+	scn.Scenarios = []string{"", "rst-inject", "route-flap"}
+	both := scn
+	both.Topologies = []string{"", "diamond"}
+	for _, base := range []uint64{0, 42, math.MaxUint64} {
+		for _, spec := range []EnumSpec{{Seeds: 2}, topo, scn, both, {Scenarios: []string{"route-flap"}, Topologies: []string{"diamond"}}} {
+			spec.BaseSeed = base
+			got, err := Enumerate(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got, enumerateOracle(spec)) {
+				t.Fatalf("%+v: Enumerate differs from the oracle", spec)
+			}
+		}
 	}
 }
 

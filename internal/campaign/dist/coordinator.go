@@ -21,9 +21,10 @@ type Config struct {
 	// how far leases may run ahead of the emit frontier — the stash of
 	// reported spans never holds more than this many targets; zero resolves
 	// either through the rule campaign.Run uses, with ExpectWorkers as the
-	// worker count (see campaign.SchedulerConfig). Extra in-process Sinks
-	// are not supported in distributed mode: the coordinator handles
-	// rendered bytes, not decoded results.
+	// worker count and campaign.LeaseSpanCap (512) in place of the pool's
+	// 32 as the cap on an unset Batch (see campaign.SchedulerConfig). Extra
+	// in-process Sinks are not supported in distributed mode: the
+	// coordinator handles rendered bytes, not decoded results.
 	Campaign campaign.Config
 
 	// Listener accepts worker connections; Serve closes it. See Listen.
@@ -106,7 +107,7 @@ func Serve(cfg Config) (*campaign.Summary, error) {
 	agg.AddAll(em.Replayed())
 	c := &coordinator{cfg: cfg, em: em, agg: agg, conns: map[int]net.Conn{}}
 	ccfg := cfg.Campaign
-	c.table = campaign.NewSpanTable(em.Start(), em.End(), campaign.SchedulerConfig{
+	c.table = campaign.NewSpanTable(em.Start(), em.End(), campaign.LeaseSpanCap, campaign.SchedulerConfig{
 		Workers:    cfg.ExpectWorkers,
 		RatePerSec: ccfg.RatePerSec,
 		Window:     ccfg.Window,
@@ -382,9 +383,9 @@ func (c *coordinator) getBuf(n int) []byte {
 	return b[:n]
 }
 
-// maxKeptBuf bounds the buffers the free list keeps. A default span's
-// payloads come to tens of KB, so a megabyte still covers explicit batches
-// of a few thousand targets.
+// maxKeptBuf bounds the buffers the free list keeps. A default lease's
+// payloads come to about 225 KB at 512 targets, so a megabyte still covers
+// explicit batches of about two thousand.
 const maxKeptBuf = 1 << 20
 
 // putBuf returns b to the free list unless it is bigger than maxKeptBuf:

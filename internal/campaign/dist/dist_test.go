@@ -133,18 +133,30 @@ func (c *countingConn) Read(p []byte) (int, error) {
 	return n, err
 }
 
+// surveyTargets returns the first n targets of the survey enumeration.
+func surveyTargets(t *testing.T, n int) []campaign.Target {
+	t.Helper()
+	targets, err := campaign.Enumerate(campaign.EnumSpec{Seeds: (n + 287) / 288})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return targets[:n]
+}
+
 // TestServeMatchesRun is the core byte-identity check: a distributed run
 // at any worker count produces the same JSONL, CSV, checkpoint and
-// summary text as campaign.Run over the same config.
+// summary text as campaign.Run over the same config — with a span size
+// misaligned with the range, and with default leases on lists either side
+// of 2 × workers × LeaseSpanCap, where they reach the cap.
 func TestServeMatchesRun(t *testing.T) {
-	targets := testTargets(t)
-	refDir := t.TempDir()
-	refSum := runSingle(t, targets, refDir)
-	refJSONL, refCSV := readOut(t, refDir)
-	var refText bytes.Buffer
-	refSum.WriteText(&refText)
+	matches := func(name string, targets []campaign.Target, batch, workers int) {
+		t.Helper()
+		refDir := t.TempDir()
+		refSum := runSingle(t, targets, refDir)
+		refJSONL, refCSV := readOut(t, refDir)
+		var refText bytes.Buffer
+		refSum.WriteText(&refText)
 
-	for _, workers := range []int{1, 2, 4} {
 		dir := t.TempDir()
 		out, csv, ckpt := outPaths(dir)
 		sum, err := serveDist(t, Config{
@@ -154,31 +166,58 @@ func TestServeMatchesRun(t *testing.T) {
 				OutputPath:     out,
 				CSVPath:        csv,
 				CheckpointPath: ckpt,
-				Batch:          5, // deliberately misaligned with the 24-target range
+				Batch:          batch,
 			},
 			ExpectWorkers: workers,
 		}, targets, workers)
 		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+			t.Fatalf("%s: %v", name, err)
 		}
 		jsonl, csvb := readOut(t, dir)
 		if !bytes.Equal(jsonl, refJSONL) {
-			t.Errorf("workers=%d: JSONL differs from single-process run", workers)
+			t.Errorf("%s: JSONL differs from single-process run", name)
 		}
 		if !bytes.Equal(csvb, refCSV) {
-			t.Errorf("workers=%d: CSV differs from single-process run", workers)
+			t.Errorf("%s: CSV differs from single-process run", name)
 		}
 		var text bytes.Buffer
 		sum.WriteText(&text)
 		if !bytes.Equal(text.Bytes(), refText.Bytes()) {
-			t.Errorf("workers=%d: summary text differs from single-process run\n--- dist ---\n%s\n--- single ---\n%s",
-				workers, text.String(), refText.String())
+			t.Errorf("%s: summary text differs from single-process run\n--- dist ---\n%s\n--- single ---\n%s",
+				name, text.String(), refText.String())
 		}
 		refCkpt, _ := os.ReadFile(filepath.Join(refDir, "ckpt.json"))
 		distCkpt, _ := os.ReadFile(ckpt)
 		if !bytes.Equal(refCkpt, distCkpt) {
-			t.Errorf("workers=%d: final checkpoint differs from single-process run", workers)
+			t.Errorf("%s: final checkpoint differs from single-process run", name)
 		}
+	}
+	for _, workers := range []int{1, 2, 4} {
+		// Batch 5 is deliberately misaligned with the 24-target range.
+		matches(fmt.Sprintf("workers=%d", workers), testTargets(t), 5, workers)
+	}
+	for _, n := range []int{1, 2, 2047, 2048, 2049} {
+		matches(fmt.Sprintf("n=%d", n), surveyTargets(t, n), 0, 2)
+	}
+}
+
+// TestServeLeaseCount pins what LeaseSpanCap buys: Serve over the survey
+// list (57 600 targets) with two workers and no faults grants at most 130
+// leases — full 512-target ones, then the tail's shrinking spans — where
+// 32-target leases took 1 805.
+func TestServeLeaseCount(t *testing.T) {
+	targets := surveyTargets(t, 57_600)
+	reg := obs.NewCampaign(1)
+	if _, err := serveDist(t, Config{
+		Campaign:      campaign.Config{Targets: targets, Samples: 4, Obs: reg},
+		ExpectWorkers: 2,
+	}, targets, 2); err != nil {
+		t.Fatal(err)
+	}
+	got := reg.Snapshot().Scheduler.SpanClaims
+	t.Logf("%d targets, %d leases", len(targets), got)
+	if got > 130 {
+		t.Errorf("a %d-target pass over two workers granted %d leases, want at most 130", len(targets), got)
 	}
 }
 
@@ -234,8 +273,8 @@ func TestServeScenarioMatchesRun(t *testing.T) {
 
 // crashAfterLease connects as a protocol-correct worker, takes one lease,
 // and drops the connection without reporting — the crash the re-issue
-// queue exists for.
-func crashAfterLease(t *testing.T, addr string, targets []campaign.Target) {
+// queue exists for. It returns the lease it died holding.
+func crashAfterLease(t *testing.T, addr string, targets []campaign.Target) campaign.Span {
 	t.Helper()
 	conn, err := Dial(addr)
 	if err != nil {
@@ -252,70 +291,83 @@ func crashAfterLease(t *testing.T, addr string, targets []campaign.Target) {
 	if err := w.send(&Msg{Type: MsgLease}); err != nil {
 		t.Fatal(err)
 	}
-	if m, err := w.recv(); err != nil || m.Type != MsgSpan {
+	m, err := w.recv()
+	if err != nil || m.Type != MsgSpan {
 		t.Fatalf("crasher lease: %v %+v", err, m)
 	}
 	conn.Close() // dies holding the lease
+	return campaign.Span{Lo: m.Lo, Hi: m.Hi}
 }
 
 // TestWorkerCrashReissue kills a worker that holds a lease; the span must
-// be re-issued and the final output stay byte-identical.
+// be re-issued and the final output stay byte-identical — for a 4-target
+// lease, and for a default one at the full 512 targets.
 func TestWorkerCrashReissue(t *testing.T) {
-	targets := testTargets(t)
-	refDir := t.TempDir()
-	runSingle(t, targets, refDir)
-	refJSONL, refCSV := readOut(t, refDir)
+	for _, c := range []struct {
+		targets []campaign.Target
+		batch   int
+		lease   campaign.Span
+	}{
+		{testTargets(t), 4, campaign.Span{Lo: 0, Hi: 4}},
+		{surveyTargets(t, 2049), 0, campaign.Span{Lo: 0, Hi: campaign.LeaseSpanCap}},
+	} {
+		refDir := t.TempDir()
+		runSingle(t, c.targets, refDir)
+		refJSONL, refCSV := readOut(t, refDir)
 
-	dir := t.TempDir()
-	out, csv, ckpt := outPaths(dir)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := ln.Addr().String()
+		dir := t.TempDir()
+		out, csv, ckpt := outPaths(dir)
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		addr := ln.Addr().String()
 
-	var log bytes.Buffer
-	done := make(chan struct{})
-	var sum *campaign.Summary
-	var serveErr error
-	go func() {
-		defer close(done)
-		sum, serveErr = Serve(Config{
-			Campaign: campaign.Config{
-				Targets:        targets,
-				Samples:        4,
-				OutputPath:     out,
-				CSVPath:        csv,
-				CheckpointPath: ckpt,
-				Batch:          4,
-			},
-			Listener: ln,
-			Log:      &log,
-		})
-	}()
+		var log bytes.Buffer
+		done := make(chan struct{})
+		var sum *campaign.Summary
+		var serveErr error
+		go func() {
+			defer close(done)
+			sum, serveErr = Serve(Config{
+				Campaign: campaign.Config{
+					Targets:        c.targets,
+					Samples:        4,
+					OutputPath:     out,
+					CSVPath:        csv,
+					CheckpointPath: ckpt,
+					Batch:          c.batch,
+				},
+				Listener: ln,
+				Log:      &log,
+			})
+		}()
 
-	// The crasher takes the first lease ([0,4)) and dies with it, so the
-	// honest worker's spans all stash behind the hole until re-issue.
-	crashAfterLease(t, addr, targets)
-	if err := RunWorker(WorkerConfig{Connect: addr, Targets: targets, Samples: 4}); err != nil {
-		t.Fatalf("surviving worker: %v", err)
-	}
-	<-done
-	if serveErr != nil {
-		t.Fatal(serveErr)
-	}
-	if sum.Interrupted {
-		t.Error("run reported interrupted after worker crash recovery")
-	}
-	if !bytes.Contains(log.Bytes(), []byte("re-issued")) {
-		t.Errorf("coordinator log does not mention re-issue:\n%s", log.String())
-	}
-	jsonl, csvb := readOut(t, dir)
-	if !bytes.Equal(jsonl, refJSONL) {
-		t.Error("JSONL differs after crash recovery")
-	}
-	if !bytes.Equal(csvb, refCSV) {
-		t.Error("CSV differs after crash recovery")
+		// The crasher takes the first lease and dies with it, so the honest
+		// worker's spans all stash behind the hole until re-issue.
+		if sp := crashAfterLease(t, addr, c.targets); sp != c.lease {
+			t.Errorf("%d targets: the crasher died holding %+v, want %+v", len(c.targets), sp, c.lease)
+		}
+		if err := RunWorker(WorkerConfig{Connect: addr, Targets: c.targets, Samples: 4}); err != nil {
+			t.Fatalf("surviving worker: %v", err)
+		}
+		<-done
+		if serveErr != nil {
+			t.Fatal(serveErr)
+		}
+		if sum.Interrupted {
+			t.Error("run reported interrupted after worker crash recovery")
+		}
+		if !strings.Contains(log.String(), "lost — 1 leases re-issued") {
+			t.Errorf("coordinator log does not mention the re-issue:\n%s", log.String())
+		}
+		jsonl, csvb := readOut(t, dir)
+		if !bytes.Equal(jsonl, refJSONL) {
+			t.Errorf("%d targets: JSONL differs after crash recovery", len(c.targets))
+		}
+		if !bytes.Equal(csvb, refCSV) {
+			t.Errorf("%d targets: CSV differs after crash recovery", len(c.targets))
+		}
 	}
 }
 
@@ -774,8 +826,8 @@ func TestHostileReportCostsItsConnection(t *testing.T) {
 // garbage per span; what a pass allocates is its set-up — sinks, sessions,
 // the summary, and the arenas, which build a host or a path the first time
 // they probe it — about 1 250 objects. The list is long enough to amortize
-// that the way the benchmark's 57 600 targets do, so one allocation per span
-// (1/32 per target) is close to failing the bound and two fail it.
+// that the way the benchmark's 57 600 targets do. Its leases are 512 targets
+// wide, so what the bound catches is garbage made per target, not per span.
 func TestDistSteadyStateAllocs(t *testing.T) {
 	targets, err := campaign.Enumerate(campaign.EnumSpec{Seeds: 64})
 	if err != nil {

@@ -424,25 +424,25 @@ type wire struct {
 	writeTimeout time.Duration
 
 	wmu sync.Mutex
-	bw  *bufio.Writer
-	enc []byte // reused header encode buffer
+	enc []byte // reused send buffer: one whole message, header and payloads
 }
 
 func newWire(conn net.Conn) *wire {
 	return &wire{
 		conn: conn,
 		br:   bufio.NewReaderSize(conn, 64<<10),
-		bw:   bufio.NewWriterSize(conn, 64<<10),
 	}
 }
 
-// send writes one header line and flushes.
+// send writes one header line.
 func (w *wire) send(m *Msg) error {
 	return w.sendPayload(m, nil, nil, nil)
 }
 
-// sendPayload writes a header line followed by the raw payloads, then
-// flushes, all as one locked frame.
+// sendPayload writes a header line followed by the raw payloads as one
+// locked frame. The frame is assembled in the wire's send buffer and leaves
+// in a single Write, whatever its size: a message is one write on any
+// net.Conn.
 func (w *wire) sendPayload(m *Msg, jsonb, csvb, shardb []byte) error {
 	w.wmu.Lock()
 	defer w.wmu.Unlock()
@@ -450,16 +450,12 @@ func (w *wire) sendPayload(m *Msg, jsonb, csvb, shardb []byte) error {
 	if w.enc, err = appendMsg(w.enc[:0], m); err != nil {
 		return err
 	}
-	w.enc = append(w.enc, '\n')
+	w.enc = append(append(append(append(w.enc, '\n'), jsonb...), csvb...), shardb...)
 	if w.writeTimeout > 0 {
 		w.conn.SetWriteDeadline(time.Now().Add(w.writeTimeout))
 	}
-	for _, b := range [...][]byte{w.enc, jsonb, csvb, shardb} {
-		if _, err := w.bw.Write(b); err != nil {
-			return err
-		}
-	}
-	return w.bw.Flush()
+	_, err = w.conn.Write(w.enc)
+	return err
 }
 
 // recv reads one header line. The message is the wire's own and is valid

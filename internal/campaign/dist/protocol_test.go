@@ -135,6 +135,43 @@ func TestParseRefusesNonCanonical(t *testing.T) {
 	}
 }
 
+// writeCounter is a net.Conn that discards what is written and counts the
+// Write calls.
+type writeCounter struct {
+	fakeConn
+	writes int
+}
+
+func (c *writeCounter) Write(b []byte) (int, error) {
+	c.writes++
+	return len(b), nil
+}
+
+// TestWireSendOneWrite: a message leaves in one Write however large its
+// payload — a 512-target report is about 225 KB, several times a socket
+// buffer — and a warm send allocates nothing.
+func TestWireSendOneWrite(t *testing.T) {
+	conn := &writeCounter{}
+	w := newWire(conn)
+	jsonb, csvb, shardb := make([]byte, 180<<10), make([]byte, 45<<10), make([]byte, 300)
+	rep := Msg{Type: MsgReport, Lo: 512, Hi: 1024, JSONLen: len(jsonb), CSVLen: len(csvb), ShardLen: len(shardb)}
+	send := func() {
+		if err := w.sendPayload(&rep, jsonb, csvb, shardb); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.send(&Msg{Type: MsgLease}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	send()
+	if conn.writes != 2 {
+		t.Fatalf("a report and a lease took %d writes, want 2", conn.writes)
+	}
+	if allocs := testing.AllocsPerRun(100, send); allocs != 0 {
+		t.Errorf("a warm report and lease make %.1f allocations, want 0", allocs)
+	}
+}
+
 // TestWireAllocs pins the per-span protocol cost the benchmark counts:
 // encoding and parsing every message sent once per span allocates nothing.
 func TestWireAllocs(t *testing.T) {

@@ -33,7 +33,8 @@ type SchedulerConfig struct {
 	// Batch is the span size: workers are granted [lo,hi) index spans of
 	// this many jobs, so scheduling overhead (grant, completion, in-order
 	// drain) is paid per span rather than per job. Zero selects
-	// min(32, n/(2×Workers)); an explicit Window caps it at Window/Workers,
+	// min(32, n/(2×Workers)) — min(512, …) for the distributed
+	// coordinator's leases; an explicit Window caps it at Window/Workers,
 	// and rate-limited runs always dispatch singly so the token bucket
 	// stays the pacing authority. Batching never changes outputs — only
 	// how work is sliced.
@@ -113,7 +114,7 @@ func (s *Scheduler) Workers() int { return s.cfg.Workers }
 // pre-encoded batch slots) can size a ring of exactly this many entries and
 // never collide.
 func (s *Scheduler) MaxWindow() int {
-	_, window := s.cfg.dispatch(math.MaxInt)
+	_, window := s.cfg.dispatch(math.MaxInt, poolSpanCap)
 	return window
 }
 
@@ -133,7 +134,7 @@ func (s *Scheduler) RunSpans(start, end int,
 	job func(worker, index, attempt int) error,
 	emitSpan func(lo, hi int) error,
 ) error {
-	t := NewSpanTable(start, end, s.cfg, func(sp Span, _ struct{}) error {
+	t := NewSpanTable(start, end, poolSpanCap, s.cfg, func(sp Span, _ struct{}) error {
 		if emitSpan == nil {
 			return nil
 		}

@@ -132,7 +132,7 @@ func heldFrontier(t *testing.T, cfg SchedulerConfig, emitErr error) (release cha
 	release = make(chan struct{})
 	var maxStarted atomic.Int64
 	emitted := 0
-	tb := NewSpanTable(0, 100, s.cfg, func(sp Span, _ struct{}) error {
+	tb := NewSpanTable(0, 100, poolSpanCap, s.cfg, func(sp Span, _ struct{}) error {
 		emitted += sp.Hi - sp.Lo
 		return emitErr
 	})

@@ -20,7 +20,7 @@ func testTable(t *testing.T, start, end int, cfg SchedulerConfig) (*SpanTable[in
 		cfg.Workers = 1
 	}
 	emitted := new([]Span)
-	return NewSpanTable(start, end, cfg, func(sp Span, lo int) error {
+	return NewSpanTable(start, end, poolSpanCap, cfg, func(sp Span, lo int) error {
 		if lo != sp.Lo {
 			t.Errorf("span %+v emitted with the payload of the span at %d", sp, lo)
 		}
@@ -54,16 +54,24 @@ func isDone[P any](tb *SpanTable[P]) bool {
 	}
 }
 
-// TestDispatchRule pins the one rule behind Batch = 0 and Window = 0, and
-// that an explicit window caps the span at window/workers whichever driver
-// asks (serve -batch 32 -window 10 -expect 4 used to lease [0,32) and park
-// the other three workers until it was emitted).
+// TestDispatchRule pins the one rule behind Batch = 0 and Window = 0 under
+// both caps, and that an explicit window caps the span at window/workers
+// whichever driver asks (serve -batch 32 -window 10 -expect 4 used to lease
+// [0,32) and park the other three workers until it was emitted).
 func TestDispatchRule(t *testing.T) {
-	for _, c := range []struct {
+	type dispatchCase struct {
 		cfg          SchedulerConfig
 		n            int
 		span, window int
-	}{
+	}
+	check := func(c dispatchCase, maxSpan int) {
+		t.Helper()
+		if span, window := c.cfg.dispatch(c.n, maxSpan); span != c.span || window != c.window {
+			t.Errorf("%+v over %d, cap %d: span %d window %d, want %d and %d",
+				c.cfg, c.n, maxSpan, span, window, c.span, c.window)
+		}
+	}
+	for _, c := range []dispatchCase{
 		{SchedulerConfig{Workers: 2}, 57_600, 32, 256},
 		{SchedulerConfig{Workers: 16}, 100, 3, 192},
 		{SchedulerConfig{Workers: 16}, 10, 1, 64},
@@ -73,9 +81,25 @@ func TestDispatchRule(t *testing.T) {
 		{SchedulerConfig{Workers: 4, Window: 2}, 1000, 1, 2},
 		{SchedulerConfig{Batch: 5, Window: 100}, 40, 5, 100},
 	} {
-		if span, window := c.cfg.dispatch(c.n); span != c.span || window != c.window {
-			t.Errorf("%+v over %d: span %d window %d, want %d and %d", c.cfg, c.n, span, window, c.span, c.window)
+		check(c, poolSpanCap)
+		// An explicit size or a rate limit leaves the cap nothing to decide.
+		if c.cfg.Batch > 0 || c.cfg.Window > 0 || c.cfg.RatePerSec > 0 {
+			check(c, LeaseSpanCap)
 		}
+	}
+	// Leases: the survey list's two workers get full-size leases, lists on
+	// either side of 2 × workers × cap straddle it, and small lists get the
+	// in-process answers.
+	for _, c := range []dispatchCase{
+		{SchedulerConfig{Workers: 2}, 57_600, 512, 4096},
+		{SchedulerConfig{Workers: 2}, 2_049, 512, 4096},
+		{SchedulerConfig{Workers: 2}, 2_048, 512, 4096},
+		{SchedulerConfig{Workers: 2}, 2_047, 511, 4088},
+		{SchedulerConfig{Workers: 16}, 100, 3, 192},
+		{SchedulerConfig{Workers: 16}, 10, 1, 64},
+		{SchedulerConfig{Workers: 2}, 1, 1, 64},
+	} {
+		check(c, LeaseSpanCap)
 	}
 
 	const workers = 4
@@ -385,7 +409,7 @@ func checkTableAgainstModel(t *testing.T, seed uint64) {
 
 	m := &tableModel{end: end}
 	var size int
-	size, m.window = cfg.dispatch(end - start)
+	size, m.window = cfg.dispatch(end-start, poolSpanCap)
 	for lo := start; lo < end; {
 		n := size
 		if remaining := end - lo; remaining < size*cfg.Workers {

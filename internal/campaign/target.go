@@ -45,15 +45,20 @@ type Target struct {
 }
 
 // defaultName derives the canonical target name.
-func (t Target) defaultName() string {
-	name := fmt.Sprintf("%s/%s/%s/s%d", t.Profile, t.Impairment, t.Test, t.Seed)
+func (t Target) defaultName() string { return string(t.appendName(nil)) }
+
+// appendName appends the canonical target name,
+// "profile/impairment/test/sSEED[@topology][#scenario]", to dst.
+func (t Target) appendName(dst []byte) []byte {
+	dst = append(append(append(append(append(dst, t.Profile...), '/'), t.Impairment...), '/'), t.Test...)
+	dst = strconv.AppendUint(append(dst, "/s"...), t.Seed, 10)
 	if t.Topology != "" {
-		name += "@" + t.Topology
+		dst = append(append(dst, '@'), t.Topology...)
 	}
 	if t.Scenario != "" {
-		name += "#" + t.Scenario
+		dst = append(append(dst, '#'), t.Scenario...)
 	}
-	return name
+	return dst
 }
 
 // Tests are the four techniques, in the survey's round-robin order.
@@ -292,23 +297,36 @@ func Enumerate(spec EnumSpec) ([]Target, error) {
 			return nil, err
 		}
 	}
-	var targets []Target
+	targets := make([]Target, 0, len(spec.Scenarios)*len(spec.Topologies)*
+		len(spec.Profiles)*len(spec.Impairments)*len(spec.Tests)*spec.Seeds)
+	// The seed ignores the test, so each replica's is derived once per
+	// profile×impairment×topology×scenario and shared by the tests.
+	seeds := make([]uint64, spec.Seeds)
+	h := fnv.New64a()
+	var key, name []byte
 	for _, scn := range spec.Scenarios {
 		for _, topo := range spec.Topologies {
 			for _, p := range spec.Profiles {
 				for _, im := range spec.Impairments {
+					for s := range seeds {
+						key = appendSeedKey(key[:0], spec.BaseSeed, p, im, topo, scn, s)
+						h.Reset()
+						h.Write(key)
+						seeds[s] = h.Sum64()
+					}
 					for _, te := range spec.Tests {
-						for s := 0; s < spec.Seeds; s++ {
+						for _, seed := range seeds {
 							t := Target{
 								Index:      len(targets),
 								Profile:    p,
 								Impairment: im,
 								Test:       te,
-								Seed:       deriveSeed(spec.BaseSeed, p, im, topo, scn, s),
+								Seed:       seed,
 								Topology:   topo,
 								Scenario:   scn,
 							}
-							t.Name = t.defaultName()
+							name = t.appendName(name[:0])
+							t.Name = string(name)
 							targets = append(targets, t)
 						}
 					}
@@ -319,30 +337,30 @@ func Enumerate(spec EnumSpec) ([]Target, error) {
 	return targets, nil
 }
 
-// deriveSeed mixes the base seed with the profile, impairment and replica
-// — but deliberately not the test, so the four techniques at one
+// appendSeedKey appends the string a target's seed is the FNV-1a hash of.
+// It mixes the base seed with the profile, impairment and replica — but
+// deliberately not the test, so the four techniques at one
 // profile×impairment×replica probe the identical path instance and their
 // results stay pairable for agreement analysis. Mixing the profile in
 // keeps different hosts from drawing identical paths, so a campaign's
 // pooled statistics reflect as many independent path instances as it has
 // profile×impairment×replica combinations. The topology and scenario are
 // mixed in the same way, so targets on different graphs or under
-// different fault schedules draw different path instances. The hashed
-// string is frozen, and each optional segment is written only when
-// present: "base|profile|impairment|[topology|[#scenario|]]replica", the
-// topology segment written (possibly empty) whenever a scenario follows
-// it. A target without either hashes the exact pre-dimension string, so
-// every historical target list re-derives byte-identically.
-func deriveSeed(base uint64, profile, impairment, topology, scenario string, replica int) uint64 {
-	dims := ""
+// different fault schedules draw different path instances. The string is
+// frozen, and each optional segment is written only when present:
+// "base|profile|impairment|[topology|[#scenario|]]replica", the topology
+// segment written (possibly empty) whenever a scenario follows it. A
+// target without either hashes the exact pre-dimension string, so every
+// historical target list re-derives byte-identically.
+func appendSeedKey(dst []byte, base uint64, profile, impairment, topology, scenario string, replica int) []byte {
+	dst = strconv.AppendUint(dst, base, 10)
+	dst = append(append(append(append(append(dst, '|'), profile...), '|'), impairment...), '|')
 	if scenario != "" {
-		dims = topology + "|#" + scenario + "|"
+		dst = append(append(append(append(dst, topology...), "|#"...), scenario...), '|')
 	} else if topology != "" {
-		dims = topology + "|"
+		dst = append(append(dst, topology...), '|')
 	}
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%d|%s|%s|%s%d", base, profile, impairment, dims, replica)
-	return h.Sum64()
+	return strconv.AppendInt(dst, int64(replica), 10)
 }
 
 func validTest(name string) bool {

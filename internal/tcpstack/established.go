@@ -79,7 +79,9 @@ func (s *Stack) processData(c *conn, p *packet.Packet) {
 		// In-order (seq <= rcvNxt < end): advance and merge the OOO queue.
 		c.rcvNxt = end
 		filled := s.mergeOOO(c)
-		if bytes.IndexByte(p.Payload, '\n') >= 0 {
+		// reqNewline only ever turns true, so a connection past its request
+		// line (a bulk sink's, say) stops scanning payloads for it.
+		if !c.reqNewline && bytes.IndexByte(p.Payload, '\n') >= 0 {
 			c.reqNewline = true
 		}
 		s.appDeliver(c)
