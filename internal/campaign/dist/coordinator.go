@@ -22,7 +22,8 @@ type Config struct {
 	// reported spans never holds more than this many targets; zero resolves
 	// either through the rule campaign.Run uses, with ExpectWorkers as the
 	// worker count and campaign.LeaseSpanCap (512) in place of the pool's
-	// 32 as the cap on an unset Batch (see campaign.SchedulerConfig). Extra
+	// 32 as the cap on an unset Batch unless retries back off (see
+	// campaign.SchedulerConfig). Extra
 	// in-process Sinks are not supported in distributed mode: the
 	// coordinator handles rendered bytes, not decoded results.
 	Campaign campaign.Config
@@ -109,6 +110,8 @@ func Serve(cfg Config) (*campaign.Summary, error) {
 	ccfg := cfg.Campaign
 	c.table = campaign.NewSpanTable(em.Start(), em.End(), campaign.LeaseSpanCap, campaign.SchedulerConfig{
 		Workers:    cfg.ExpectWorkers,
+		Retries:    ccfg.Retries,
+		Backoff:    ccfg.Backoff,
 		RatePerSec: ccfg.RatePerSec,
 		Window:     ccfg.Window,
 		Batch:      ccfg.Batch,
@@ -383,9 +386,9 @@ func (c *coordinator) getBuf(n int) []byte {
 	return b[:n]
 }
 
-// maxKeptBuf bounds the buffers the free list keeps. A default lease's
-// payloads come to about 225 KB at 512 targets, so a megabyte still covers
-// explicit batches of about two thousand.
+// maxKeptBuf bounds the buffers the free list and a wire's send buffer keep.
+// A default lease's payloads come to about 225 KB at 512 targets, so a
+// megabyte still covers explicit batches of about two thousand.
 const maxKeptBuf = 1 << 20
 
 // putBuf returns b to the free list unless it is bigger than maxKeptBuf:

@@ -204,20 +204,30 @@ func TestServeMatchesRun(t *testing.T) {
 // TestServeLeaseCount pins what LeaseSpanCap buys: Serve over the survey
 // list (57 600 targets) with two workers and no faults grants at most 130
 // leases — full 512-target ones, then the tail's shrinking spans — where
-// 32-target leases took 1 805.
+// 32-target leases took 1 805. Retries that back off keep leases at 32, so
+// 2 049 targets then take at least 64.
 func TestServeLeaseCount(t *testing.T) {
-	targets := surveyTargets(t, 57_600)
-	reg := obs.NewCampaign(1)
-	if _, err := serveDist(t, Config{
-		Campaign:      campaign.Config{Targets: targets, Samples: 4, Obs: reg},
-		ExpectWorkers: 2,
-	}, targets, 2); err != nil {
-		t.Fatal(err)
+	leases := func(n, retries int, backoff time.Duration) uint64 {
+		t.Helper()
+		targets := surveyTargets(t, n)
+		reg := obs.NewCampaign(1)
+		if _, err := serveDist(t, Config{
+			Campaign: campaign.Config{
+				Targets: targets, Samples: 4, Retries: retries, Backoff: backoff, Obs: reg,
+			},
+			ExpectWorkers: 2,
+		}, targets, 2); err != nil {
+			t.Fatal(err)
+		}
+		got := reg.Snapshot().Scheduler.SpanClaims
+		t.Logf("%d targets, backoff %v: %d leases", n, backoff, got)
+		return got
 	}
-	got := reg.Snapshot().Scheduler.SpanClaims
-	t.Logf("%d targets, %d leases", len(targets), got)
-	if got > 130 {
-		t.Errorf("a %d-target pass over two workers granted %d leases, want at most 130", len(targets), got)
+	if got := leases(57_600, 0, 0); got > 130 {
+		t.Errorf("a 57600-target pass over two workers granted %d leases, want at most 130", got)
+	}
+	if got := leases(2_049, 1, time.Millisecond); got < 64 {
+		t.Errorf("a 2049-target pass whose retries back off granted %d leases, want at least 64", got)
 	}
 }
 
@@ -826,13 +836,24 @@ func TestHostileReportCostsItsConnection(t *testing.T) {
 // garbage per span; what a pass allocates is its set-up — sinks, sessions,
 // the summary, and the arenas, which build a host or a path the first time
 // they probe it — about 1 250 objects. The list is long enough to amortize
-// that the way the benchmark's 57 600 targets do. Its leases are 512 targets
-// wide, so what the bound catches is garbage made per target, not per span.
+// that the way the benchmark's 57 600 targets do. With 32-target leases one
+// allocation per span (1/32 per target) is close to failing the bound and
+// two fail it; the default 512-target leases, which the benchmark runs, get
+// the same bound for garbage made per target.
 func TestDistSteadyStateAllocs(t *testing.T) {
 	targets, err := campaign.Enumerate(campaign.EnumSpec{Seeds: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
+	for _, batch := range []int{32, 0} {
+		steadyStateAllocs(t, targets, batch)
+	}
+}
+
+// steadyStateAllocs runs two Serve passes over targets with two workers and
+// Batch batch, and checks the second's allocations per target.
+func steadyStateAllocs(t *testing.T, targets []campaign.Target, batch int) {
+	t.Helper()
 	sock := filepath.Join(t.TempDir(), "d.sock")
 	pass := func() {
 		ln, err := Listen("unix:" + sock)
@@ -854,7 +875,7 @@ func TestDistSteadyStateAllocs(t *testing.T) {
 		}
 		_, err = Serve(Config{
 			Campaign: campaign.Config{
-				Targets: targets, Samples: 8, Retries: 1,
+				Targets: targets, Samples: 8, Retries: 1, Batch: batch,
 				OutputPath: os.DevNull, CSVPath: os.DevNull,
 			},
 			Listener:      ln,
@@ -876,9 +897,9 @@ func TestDistSteadyStateAllocs(t *testing.T) {
 	pass()
 	runtime.ReadMemStats(&after)
 	perTarget := float64(after.Mallocs-before.Mallocs) / float64(len(targets))
-	t.Logf("%d targets, %d allocations: %.4f per target", len(targets), after.Mallocs-before.Mallocs, perTarget)
+	t.Logf("batch %d: %d targets, %d allocations: %.4f per target", batch, len(targets), after.Mallocs-before.Mallocs, perTarget)
 	if perTarget > 0.1 {
-		t.Errorf("a warm %d-target distributed pass allocates %.3f objects per target, want at most 0.1",
-			len(targets), perTarget)
+		t.Errorf("batch %d: a warm %d-target distributed pass allocates %.3f objects per target, want at most 0.1",
+			batch, len(targets), perTarget)
 	}
 }

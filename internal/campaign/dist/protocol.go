@@ -442,7 +442,8 @@ func (w *wire) send(m *Msg) error {
 // sendPayload writes a header line followed by the raw payloads as one
 // locked frame. The frame is assembled in the wire's send buffer and leaves
 // in a single Write, whatever its size: a message is one write on any
-// net.Conn.
+// net.Conn. A buffer grown past maxKeptBuf by an outsized explicit batch is
+// dropped after its send rather than kept for the connection's life.
 func (w *wire) sendPayload(m *Msg, jsonb, csvb, shardb []byte) error {
 	w.wmu.Lock()
 	defer w.wmu.Unlock()
@@ -455,6 +456,9 @@ func (w *wire) sendPayload(m *Msg, jsonb, csvb, shardb []byte) error {
 		w.conn.SetWriteDeadline(time.Now().Add(w.writeTimeout))
 	}
 	_, err = w.conn.Write(w.enc)
+	if cap(w.enc) > maxKeptBuf {
+		w.enc = nil
+	}
 	return err
 }
 

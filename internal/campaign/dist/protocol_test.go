@@ -170,6 +170,17 @@ func TestWireSendOneWrite(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, send); allocs != 0 {
 		t.Errorf("a warm report and lease make %.1f allocations, want 0", allocs)
 	}
+
+	// An outsized report leaves in one write too, but its buffer is not kept.
+	big := make([]byte, maxKeptBuf)
+	conn.writes = 0
+	if err := w.sendPayload(&Msg{Type: MsgReport, Lo: 0, Hi: 4096, JSONLen: len(big)}, big, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	if conn.writes != 1 || w.enc != nil {
+		t.Errorf("a %d-byte report took %d writes and kept a %d-byte send buffer, want 1 and none",
+			len(big), conn.writes, cap(w.enc))
+	}
 }
 
 // TestWireAllocs pins the per-span protocol cost the benchmark counts:

@@ -34,7 +34,8 @@ type SchedulerConfig struct {
 	// this many jobs, so scheduling overhead (grant, completion, in-order
 	// drain) is paid per span rather than per job. Zero selects
 	// min(32, n/(2×Workers)) — min(512, …) for the distributed
-	// coordinator's leases; an explicit Window caps it at Window/Workers,
+	// coordinator's leases when retries do not back off; an explicit
+	// Window caps it at Window/Workers,
 	// and rate-limited runs always dispatch singly so the token bucket
 	// stays the pacing authority. Batching never changes outputs — only
 	// how work is sliced.

@@ -26,15 +26,21 @@ const poolSpanCap = 32
 // with 32-target leases took 1 805 turns at 16.2 µs of CPU per target,
 // 0.955 of a single-process pass's rate. With 512-target leases it takes
 // 122 turns at 12.7 µs per target and runs at 1.034 of it: roughly 100 µs
-// of CPU saved per turn. A 512-target report is about 225 KB. What a wide
-// lease costs is wall-clock waits: a worker sleeps through its targets'
-// retry backoffs one after another.
+// of CPU saved per turn. A 512-target report is about 225 KB.
+//
+// The cap holds only while retries do not back off. A worker sleeps its
+// targets' backoffs one after another, so a wide lease puts a whole cluster
+// of retries on one worker while the other fills the window and parks: with
+// the command's defaults (one retry after 50 ms) the same list's 40 retries
+// parked the second worker for 1.4 s and `serve -spawn 2` took 2.29 s at
+// 512, against 1.73 s at 32. Under a backoff, leases keep poolSpanCap.
 const LeaseSpanCap = 512
 
 // dispatch resolves the span size and the window for a run of n indices
-// whose unset span is capped at maxSpan (poolSpanCap or LeaseSpanCap). It
-// is the one rule behind Batch = 0 and Window = 0, for the in-process pool
-// and the distributed coordinator alike (Workers being the pool size or the
+// whose unset span is capped at maxSpan (poolSpanCap or LeaseSpanCap, the
+// latter cut to poolSpanCap when retries back off). It is the one rule
+// behind Batch = 0 and Window = 0, for the in-process pool and the
+// distributed coordinator alike (Workers being the pool size or the
 // expected worker count):
 //
 //	span   = Batch, or min(maxSpan, max(1, n/(2×Workers))) when unset: big
@@ -46,6 +52,9 @@ const LeaseSpanCap = 512
 //	         reaches every worker whatever sizes were asked for
 func (cfg SchedulerConfig) dispatch(n, maxSpan int) (span, window int) {
 	workers := max(1, cfg.Workers)
+	if cfg.Retries > 0 && cfg.Backoff > 0 {
+		maxSpan = min(maxSpan, poolSpanCap)
+	}
 	span = cfg.Batch
 	if span <= 0 {
 		span = min(maxSpan, max(1, n/(2*workers)))
@@ -104,8 +113,8 @@ type stashed[P any] struct {
 }
 
 // NewSpanTable returns a table over [start,end) whose unset Batch is capped
-// at maxSpan. Of cfg it reads Workers, Batch, Window and RatePerSec (through
-// the one dispatch rule), Quiesce and Obs. emit receives each completed span
+// at maxSpan. Of cfg it reads Workers, Batch, Window, RatePerSec, Retries
+// and Backoff (through the one dispatch rule), Quiesce and Obs. emit receives each completed span
 // with its payload, in index order.
 func NewSpanTable[P any](start, end, maxSpan int, cfg SchedulerConfig, emit func(Span, P) error) *SpanTable[P] {
 	t := &SpanTable[P]{

@@ -89,9 +89,13 @@ func TestDispatchRule(t *testing.T) {
 	}
 	// Leases: the survey list's two workers get full-size leases, lists on
 	// either side of 2 × workers × cap straddle it, and small lists get the
-	// in-process answers.
+	// in-process answers. Retries that back off keep leases at the pool's
+	// cap; retries without a backoff, or a backoff with no retries, do not.
 	for _, c := range []dispatchCase{
 		{SchedulerConfig{Workers: 2}, 57_600, 512, 4096},
+		{SchedulerConfig{Workers: 2, Retries: 1, Backoff: 50 * time.Millisecond}, 57_600, 32, 256},
+		{SchedulerConfig{Workers: 2, Retries: 1}, 57_600, 512, 4096},
+		{SchedulerConfig{Workers: 2, Backoff: 50 * time.Millisecond}, 57_600, 512, 4096},
 		{SchedulerConfig{Workers: 2}, 2_049, 512, 4096},
 		{SchedulerConfig{Workers: 2}, 2_048, 512, 4096},
 		{SchedulerConfig{Workers: 2}, 2_047, 511, 4088},
