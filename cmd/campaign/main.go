@@ -32,7 +32,7 @@ import (
 )
 
 var commands = []cli.Command{
-	{Name: "run", Summary: "probe the target list in this process: worker pool, retry, rate limit, JSONL/CSV, checkpoint/resume", Setup: setupRun},
+	{Name: "run", Summary: "probe the target list in this process: worker pool, retry, JSONL/CSV, checkpoint/resume", Setup: setupRun},
 	{Name: "serve", Summary: "the same campaign, probed by worker processes (-coordinate addr and/or -spawn n)", Setup: setupServe},
 	{Name: "worker", Summary: "probe the spans leased by the serve at -connect", Setup: setupWorker},
 	{Name: "congestion", Summary: "experiment: clean-path probes over routed topologies, techniques cross-checked",
@@ -167,8 +167,8 @@ func (p *profileFlags) around(body func() error) error {
 }
 
 // campaignFlags is the campaign itself — everything run and serve share;
-// the two differ only in who probes. Pace (politeness and dispatch; no output
-// byte depends on it), sink and checkpoint flags bind to the Config they fill.
+// the two differ only in who probes. Pace (retries and dispatch), sink and
+// checkpoint flags bind to the Config they fill.
 type campaignFlags struct {
 	enumFlags
 	profileFlags
@@ -186,10 +186,8 @@ func (c *campaignFlags) define(fs *flag.FlagSet) {
 	samplesVar(fs, &c.cfg.Samples)
 	c.profileFlags.define(fs)
 	fs.IntVar(&c.cfg.Retries, "retries", 1, "extra attempts for a failed target")
-	fs.DurationVar(&c.cfg.Backoff, "backoff", 50*time.Millisecond, "delay before first retry (doubles per attempt)")
-	fs.Float64Var(&c.cfg.RatePerSec, "rate", 0, "max probe launches per second (0 = unlimited)")
 	fs.IntVar(&c.cfg.Window, "window", 0, "max targets probed (serve: leased) ahead of the in-order emit frontier; bounds re-sequencing memory and caps -batch at window/workers (0 = max(64, 4×batch×workers); serve: workers is -expect)")
-	fs.IntVar(&c.cfg.Batch, "batch", 0, "targets per dispatch span (serve: per lease); results flush to the sinks in whole pre-encoded batches (0 = min(32, targets/(2×workers)); serve: min(512, targets/(2×expect)), the cap 32 when -retries back off; always 1 under -rate; output is byte-identical at any batch size)")
+	fs.IntVar(&c.cfg.Batch, "batch", 0, "targets per dispatch span (serve: per lease); results flush to the sinks in whole pre-encoded batches (0 = min(32, targets/(2×workers)); serve: min(512, targets/(2×expect)); output is byte-identical at any batch size)")
 	fs.StringVar(&c.cfg.OutputPath, "out", "", "stream per-target results as JSONL to this path")
 	fs.StringVar(&c.cfg.CSVPath, "csv", "", "stream per-target results as CSV to this path")
 	fs.StringVar(&c.cfg.CheckpointPath, "checkpoint", "", "checkpoint file enabling -resume")
@@ -223,7 +221,7 @@ type distFlags struct {
 func (d *distFlags) define(fs *flag.FlagSet) {
 	fs.StringVar(&d.addr, "coordinate", "", "listen for workers on this address (host:port, or a unix socket path); they connect with `campaign worker -connect`")
 	fs.UintVar(&d.spawn, "spawn", 0, "fork this many local worker processes over an auto-created unix socket (combine with -coordinate to also accept remote workers)")
-	fs.IntVar(&d.expect, "expect", 0, "worker processes expected to connect; sizes the per-worker rate-budget split and dispatch window (default: -spawn count, else 1)")
+	fs.IntVar(&d.expect, "expect", 0, "worker processes expected to connect; sizes the default lease and dispatch window (default: -spawn count, else 1)")
 	d.leaseTimeout = 15 * time.Second
 	fs.Var((*positiveDuration)(&d.leaseTimeout), "lease-timeout", "re-issue a silent worker's leased spans after this long")
 	fs.UintVar(&d.maxRespawn, "max-respawn", 2, "total respawns of crashed -spawn workers before the coordinator drains (0 = never respawn)")

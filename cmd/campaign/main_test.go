@@ -254,7 +254,7 @@ func TestCommandFlagSets(t *testing.T) {
 		"enumeration": enumerationFlags(),
 		"samples":     {"samples"},
 		"workers":     {"workers"},
-		"pace":        {"retries", "backoff", "rate", "window", "batch"},
+		"pace":        {"retries", "window", "batch"},
 		"sinks":       {"out", "csv", "checkpoint", "resume", "force-restart", "stop-after"},
 		"telemetry":   {"progress", "listen", "trace", "stats"},
 		"profiling":   {"cpuprofile", "memprofile"},
@@ -366,7 +366,7 @@ func TestWorkerArgvForwardsEnumeration(t *testing.T) {
 	for _, args := range [][]string{enumArgs, {"-targets=" + list}} {
 		serve := flag.NewFlagSet("serve", flag.ContinueOnError)
 		setupServe(serve)
-		own := []string{"-spawn=2", "-out=x.jsonl", "-rate=5", "-stats"}
+		own := []string{"-spawn=2", "-out=x.jsonl", "-stats"}
 		if err := serve.Parse(append(append([]string{"-samples=5", "-reconnect-backoff=20ms"}, own...), args...)); err != nil {
 			t.Fatal(err)
 		}

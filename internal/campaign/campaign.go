@@ -6,8 +6,9 @@
 //
 // The moving parts:
 //
-//   - Scheduler: a bounded worker pool with per-job retry/backoff and a
-//     token-bucket launch rate limiter.
+//   - Scheduler: a bounded worker pool with a per-job retry budget. A
+//     retry re-runs the target's deterministic simulation at once; nothing
+//     in a campaign waits on the wall clock.
 //   - SpanTable: the one span dispatcher, shared by the pool and the
 //     distributed coordinator. Index spans are granted in order under a
 //     window above the emit frontier and their completions re-sequenced,
@@ -55,13 +56,8 @@ type Config struct {
 	Workers int
 	// Retries is the number of additional attempts for a failed target.
 	Retries int
-	// Backoff is the delay before the first retry, doubling per attempt.
+	// Deprecated: retries never wait; ignored.
 	Backoff time.Duration
-	// RatePerSec caps probe launches per wall-clock second via a token
-	// bucket (0 = unlimited).
-	RatePerSec float64
-	// Burst is the token-bucket capacity (default Workers).
-	Burst int
 	// Window bounds how far dispatch may run ahead of the in-order emit
 	// frontier: it caps the stash of completed spans when one slow target
 	// holds the frontier, trading sink latency for memory. Zero selects
@@ -132,21 +128,18 @@ func (c Config) defaults() Config {
 // schedulerConfig maps the campaign-level knobs onto the worker pool.
 func (c Config) schedulerConfig() SchedulerConfig {
 	return SchedulerConfig{
-		Workers:    c.Workers,
-		Retries:    c.Retries,
-		Backoff:    c.Backoff,
-		RatePerSec: c.RatePerSec,
-		Burst:      c.Burst,
-		Window:     c.Window,
-		Batch:      c.Batch,
-		Obs:        c.Obs.SchedObs(),
-		Quiesce:    c.Interrupt,
+		Workers: c.Workers,
+		Retries: c.Retries,
+		Window:  c.Window,
+		Batch:   c.Batch,
+		Obs:     c.Obs.SchedObs(),
+		Quiesce: c.Interrupt,
 	}
 }
 
 // Run executes the campaign and returns the merged summary. The summary
 // and all sink output are deterministic functions of the target list and
-// sample count; worker count, rate limits and interruptions (with resume)
+// sample count; worker count, batch size and interruptions (with resume)
 // do not change a single byte.
 func Run(cfg Config) (*Summary, error) {
 	cfg = cfg.defaults()
@@ -212,8 +205,7 @@ func Run(cfg Config) (*Summary, error) {
 			final := step.Attempt(w.arena, index, attempt, res, agg.Shard(worker), &b.json, &b.csv)
 			w.spanSimNs += w.arena.LastSimNanos()
 			if !final {
-				cfg.Trace.Retry(worker, index, attempt,
-					w.arena.LastSimNanos(), cfg.Backoff.Nanoseconds()<<uint(attempt), res.Err)
+				cfg.Trace.Retry(worker, index, attempt, w.arena.LastSimNanos(), res.Err)
 				return fmt.Errorf("campaign: target %d: %s", index, res.Err)
 			}
 			if index == b.hi-1 {

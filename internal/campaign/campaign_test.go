@@ -12,7 +12,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 
 	"reorder/internal/sim"
 	"reorder/internal/stats"
@@ -764,15 +763,9 @@ func TestAggregatorSequenceMetrics(t *testing.T) {
 // mapping into SchedulerConfig, and that a tightly windowed campaign
 // still completes with the standard output.
 func TestCampaignWindowPlumbed(t *testing.T) {
-	cfg := Config{
-		Workers: 3, Retries: 2, Backoff: 7 * time.Millisecond,
-		RatePerSec: 11, Burst: 5, Window: 13,
-	}
+	cfg := Config{Workers: 3, Retries: 2, Window: 13}
 	got := cfg.schedulerConfig()
-	want := SchedulerConfig{
-		Workers: 3, Retries: 2, Backoff: 7 * time.Millisecond,
-		RatePerSec: 11, Burst: 5, Window: 13,
-	}
+	want := SchedulerConfig{Workers: 3, Retries: 2, Window: 13}
 	if got != want {
 		t.Fatalf("schedulerConfig() = %+v, want %+v", got, want)
 	}

@@ -69,17 +69,27 @@ func chaosWorkerMain() int {
 	return 0
 }
 
+// slowEmit is a Progress callback that holds the coordinator's in-order
+// emit for d per emitted span. Under a small Batch the run lasts about d
+// per span, long enough for faults, kills and reconnects to land
+// mid-flight, and no output byte changes.
+func slowEmit(d time.Duration) func(done, total int) {
+	return func(int, int) { time.Sleep(d) }
+}
+
 // soakFaults is the soak's fault profile. The seed is pinned: faultnet
 // plans are a pure function of (Config, connection index), so this exact
 // fault schedule reproduces on every run — which is what makes a chaos
 // failure debuggable. Byte thresholds are offsets into each connection's
 // stream, so the seed is chosen for the soak's traffic shape and retuned
-// when a message's size changes: this one fires connection resets and
-// partial-write stalls early on the first three connections, well before
-// the deliberate kill, whichever worker process holds which connection.
+// when a message's size changes: with this one each of the first three
+// connections dies inside its first lease (two reset while their first
+// report is read, one stalls writing its first span), so every worker
+// process is welcomed, loses its lease and reconnects before scheduling
+// or the deliberate kill can matter.
 func soakFaults() faultnet.Config {
 	return faultnet.Config{
-		Seed:           7,
+		Seed:           48570,
 		PReset:         0.6,
 		PPartialStall:  0.5,
 		PDupLine:       0.25,
@@ -138,18 +148,22 @@ func TestChaosSoak(t *testing.T) {
 
 	// One deliberate process kill once the campaign is demonstrably mid
 	// flight; the supervisor must respawn the slot and the respawned
-	// worker must pick up re-issued leases.
+	// worker must pick up re-issued leases. Single-target leases under a
+	// window of one per worker, each emit held for a few milliseconds,
+	// stretch the run past the fault schedule.
 	var once sync.Once
 	sum, serveErr := Serve(Config{
 		Campaign: campaign.Config{
 			Targets:        targets,
 			Samples:        4,
-			RatePerSec:     300, // forces span-size 1 and stretches the run past the fault schedule
+			Batch:          1,
+			Window:         3,
 			OutputPath:     out,
 			CSVPath:        csv,
 			CheckpointPath: ckpt,
 			Obs:            coordObs,
 			Progress: func(done, total int) {
+				time.Sleep(4 * time.Millisecond)
 				if done >= 12 {
 					once.Do(func() {
 						if p := sup.Processes()[0]; p != nil {
@@ -236,10 +250,11 @@ func TestChaosSoak(t *testing.T) {
 // zero lost or duplicated targets, and the registry must show both the
 // reconnects and the lease re-issues that healed them.
 func TestReconnectSurvivesConnReset(t *testing.T) {
-	// The campaign must outlive the reconnect: a rate limit stretches the
-	// run to a few hundred milliseconds (without changing the bytes), so a
-	// worker that loses its connection early rejoins while there is still
-	// work, finishes it, and ships its counters at the drain.
+	// The campaign must outlive the reconnect: single-target leases and a
+	// held emit stretch the run to a few hundred milliseconds (without
+	// changing the bytes), so a worker that loses its connection early
+	// rejoins while there is still work, finishes it, and ships its
+	// counters at the drain.
 	targets, err := campaign.Enumerate(soakSpec())
 	if err != nil {
 		t.Fatal(err)
@@ -288,11 +303,12 @@ func TestReconnectSurvivesConnReset(t *testing.T) {
 		Campaign: campaign.Config{
 			Targets:        targets,
 			Samples:        4,
-			RatePerSec:     400,
+			Batch:          1,
 			OutputPath:     out,
 			CSVPath:        csv,
 			CheckpointPath: ckpt,
 			Obs:            coordObs,
+			Progress:       slowEmit(3 * time.Millisecond),
 		},
 		Listener:      fln,
 		ExpectWorkers: 2,
@@ -460,11 +476,13 @@ func TestHeartbeatAtLeaseExpiry(t *testing.T) {
 		Campaign: campaign.Config{
 			Targets:        targets,
 			Samples:        4,
-			RatePerSec:     40, // ~25ms per probe: spans outlive several heartbeat races
+			Batch:          1,
 			OutputPath:     out,
 			CSVPath:        csv,
 			CheckpointPath: ckpt,
 			Obs:            coordObs,
+			// ~25ms per target: the run outlives several heartbeat races.
+			Progress: slowEmit(25 * time.Millisecond),
 		},
 		Listener:     ln,
 		LeaseTimeout: leaseTimeout,

@@ -14,18 +14,17 @@ import (
 // Config parameterizes a coordinator.
 type Config struct {
 	// Campaign is the full campaign configuration: targets, samples,
-	// retries/backoff/rate (communicated to workers — the coordinator owns
-	// every probe-affecting knob so distributed output matches
-	// single-process bytes), sinks, checkpoint/resume, telemetry,
-	// Interrupt. Batch is the lease granularity in targets and Window bounds
-	// how far leases may run ahead of the emit frontier — the stash of
-	// reported spans never holds more than this many targets; zero resolves
-	// either through the rule campaign.Run uses, with ExpectWorkers as the
-	// worker count and campaign.LeaseSpanCap (512) in place of the pool's
-	// 32 as the cap on an unset Batch unless retries back off (see
-	// campaign.SchedulerConfig). Extra
-	// in-process Sinks are not supported in distributed mode: the
-	// coordinator handles rendered bytes, not decoded results.
+	// retries (communicated to workers — the coordinator owns every
+	// probe-affecting knob so distributed output matches single-process
+	// bytes), sinks, checkpoint/resume, telemetry, Interrupt. Batch is the
+	// lease granularity in targets and Window bounds how far leases may run
+	// ahead of the emit frontier — the stash of reported spans never holds
+	// more than this many targets; zero resolves either through the rule
+	// campaign.Run uses, with ExpectWorkers as the worker count and
+	// campaign.LeaseSpanCap (512) in place of the pool's 32 as the cap on an
+	// unset Batch (see campaign.SchedulerConfig). Extra in-process Sinks are
+	// not supported in distributed mode: the coordinator handles rendered
+	// bytes, not decoded results.
 	Campaign campaign.Config
 
 	// Listener accepts worker connections; Serve closes it. See Listen.
@@ -35,9 +34,9 @@ type Config struct {
 	// queue (default 15s). Workers heartbeat far more often; only a dead
 	// or wedged worker trips this.
 	LeaseTimeout time.Duration
-	// ExpectWorkers sizes the per-worker rate budget split and the default
-	// window (default 1). More or fewer workers may actually connect; the
-	// split is a politeness budget, not a correctness knob.
+	// ExpectWorkers sizes the default lease and window (default 1). More or
+	// fewer workers may actually connect; it is a sizing hint, not a
+	// correctness knob.
 	ExpectWorkers int
 	// Log, when set, receives worker join/loss notices.
 	Log io.Writer
@@ -109,14 +108,11 @@ func Serve(cfg Config) (*campaign.Summary, error) {
 	c := &coordinator{cfg: cfg, em: em, agg: agg, conns: map[int]net.Conn{}}
 	ccfg := cfg.Campaign
 	c.table = campaign.NewSpanTable(em.Start(), em.End(), campaign.LeaseSpanCap, campaign.SchedulerConfig{
-		Workers:    cfg.ExpectWorkers,
-		Retries:    ccfg.Retries,
-		Backoff:    ccfg.Backoff,
-		RatePerSec: ccfg.RatePerSec,
-		Window:     ccfg.Window,
-		Batch:      ccfg.Batch,
-		Obs:        ccfg.Obs.SchedObs(),
-		Quiesce:    ccfg.Interrupt,
+		Workers: cfg.ExpectWorkers,
+		Window:  ccfg.Window,
+		Batch:   ccfg.Batch,
+		Obs:     ccfg.Obs.SchedObs(),
+		Quiesce: ccfg.Interrupt,
 	}, c.emit)
 	em.StartRun(cfg.ExpectWorkers)
 
@@ -244,22 +240,13 @@ func (c *coordinator) handle(conn net.Conn) {
 		}
 	}()
 
-	ccfg := c.cfg.Campaign
 	welcome := &Msg{
 		Type:      MsgWelcome,
 		Worker:    id,
 		Samples:   c.em.Samples(),
-		Retries:   ccfg.Retries,
-		BackoffNs: ccfg.Backoff.Nanoseconds(),
+		Retries:   c.cfg.Campaign.Retries,
 		WantJSONL: c.em.HasJSONL(),
 		WantCSV:   c.em.HasCSV(),
-	}
-	if ccfg.RatePerSec > 0 {
-		welcome.Rate = ccfg.RatePerSec / float64(c.cfg.ExpectWorkers)
-		welcome.Burst = float64(ccfg.Burst) / float64(c.cfg.ExpectWorkers)
-		if welcome.Burst < 1 {
-			welcome.Burst = 1
-		}
 	}
 	if err := w.send(welcome); err != nil {
 		return

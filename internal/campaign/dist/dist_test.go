@@ -204,30 +204,30 @@ func TestServeMatchesRun(t *testing.T) {
 // TestServeLeaseCount pins what LeaseSpanCap buys: Serve over the survey
 // list (57 600 targets) with two workers and no faults grants at most 130
 // leases — full 512-target ones, then the tail's shrinking spans — where
-// 32-target leases took 1 805. Retries that back off keep leases at 32, so
+// 32-target leases took 1 805. An explicit Batch of 32 is honoured, so
 // 2 049 targets then take at least 64.
 func TestServeLeaseCount(t *testing.T) {
-	leases := func(n, retries int, backoff time.Duration) uint64 {
+	leases := func(n, batch int) uint64 {
 		t.Helper()
 		targets := surveyTargets(t, n)
 		reg := obs.NewCampaign(1)
 		if _, err := serveDist(t, Config{
 			Campaign: campaign.Config{
-				Targets: targets, Samples: 4, Retries: retries, Backoff: backoff, Obs: reg,
+				Targets: targets, Samples: 4, Retries: 1, Batch: batch, Obs: reg,
 			},
 			ExpectWorkers: 2,
 		}, targets, 2); err != nil {
 			t.Fatal(err)
 		}
 		got := reg.Snapshot().Scheduler.SpanClaims
-		t.Logf("%d targets, backoff %v: %d leases", n, backoff, got)
+		t.Logf("%d targets, batch %d: %d leases", n, batch, got)
 		return got
 	}
-	if got := leases(57_600, 0, 0); got > 130 {
+	if got := leases(57_600, 0); got > 130 {
 		t.Errorf("a 57600-target pass over two workers granted %d leases, want at most 130", got)
 	}
-	if got := leases(2_049, 1, time.Millisecond); got < 64 {
-		t.Errorf("a 2049-target pass whose retries back off granted %d leases, want at least 64", got)
+	if got := leases(2_049, 32); got < 64 {
+		t.Errorf("a 2049-target pass at batch 32 granted %d leases, want at least 64", got)
 	}
 }
 
@@ -572,9 +572,9 @@ func TestRejects(t *testing.T) {
 	expectReject("garbage", "{{{ not json\n")
 	expectReject("bad-version", `{"type":"hello","version":99,"fingerprint":1}`+"\n")
 	expectReject("v1-hello", fmt.Sprintf(`{"type":"hello","version":1,"fingerprint":%d}`+"\n", fp))
-	expectReject("bad-fingerprint", `{"type":"hello","version":2,"fingerprint":12345}`+"\n")
-	expectReject("trailing-garbage", `{"type":"hello","version":2} {"x":1}`+"\n")
-	expectReject("non-canonical", fmt.Sprintf(`{"type":"hello", "version":2,"fingerprint":%d}`+"\n", fp))
+	expectReject("bad-fingerprint", `{"type":"hello","version":3,"fingerprint":12345}`+"\n")
+	expectReject("trailing-garbage", `{"type":"hello","version":3} {"x":1}`+"\n")
+	expectReject("non-canonical", fmt.Sprintf(`{"type":"hello", "version":3,"fingerprint":%d}`+"\n", fp))
 
 	if err := RunWorker(WorkerConfig{Connect: addr, Targets: targets, Samples: 4}); err != nil {
 		t.Fatalf("honest worker: %v", err)
@@ -582,6 +582,41 @@ func TestRejects(t *testing.T) {
 	<-done
 	if serveErr != nil {
 		t.Fatal(serveErr)
+	}
+}
+
+// TestRejectsOlderProtocol: a hello one protocol version behind, carrying
+// the campaign's own fingerprint, is answered with a reject naming both
+// versions, and an honest worker still runs the campaign to completion.
+func TestRejectsOlderProtocol(t *testing.T) {
+	targets := testTargets(t)
+	ln := newPipeListener()
+	served := make(chan error, 1)
+	go func() {
+		_, err := Serve(Config{Campaign: campaign.Config{Targets: targets, Samples: 4}, Listener: ln})
+		served <- err
+	}()
+
+	conn := ln.dial()
+	w := newWire(conn)
+	hello := &Msg{Type: MsgHello, Version: ProtocolVersion - 1, Fingerprint: campaign.Fingerprint(targets, 4)}
+	if err := w.send(hello); err != nil {
+		t.Fatal(err)
+	}
+	m, err := w.recv()
+	if err != nil || m.Type != MsgReject {
+		t.Fatalf("version %d hello: got %+v, %v; want a reject", hello.Version, m, err)
+	}
+	if want := fmt.Sprintf("protocol version %d, want %d", ProtocolVersion-1, ProtocolVersion); m.Reason != want {
+		t.Errorf("reject reason %q, want %q", m.Reason, want)
+	}
+	conn.Close()
+
+	if err := RunWorker(WorkerConfig{Conn: ln.dial(), Targets: targets, Samples: 4}); err != nil {
+		t.Fatalf("honest worker: %v", err)
+	}
+	if err := <-served; err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -671,9 +706,9 @@ func TestRecvMalformed(t *testing.T) {
 // an out-of-whitelist type or impossible numbers, and accepts only the
 // canonical form: any line it accepts re-encodes to exactly its bytes.
 func FuzzRecv(f *testing.F) {
-	f.Add([]byte(`{"type":"hello","version":2,"fingerprint":42}` + "\n"))
+	f.Add([]byte(`{"type":"hello","version":3,"fingerprint":42}` + "\n"))
 	f.Add([]byte(`{"type":"report","lo":0,"hi":5,"json_len":10,"csv_len":3,"shard_len":40}` + "\n"))
-	f.Add([]byte(`{"type":"welcome","worker":1,"samples":8,"rate":0.5,"burst":1e-7,"want_jsonl":true}` + "\n"))
+	f.Add([]byte(`{"type":"welcome","worker":1,"samples":8,"retries":1,"want_jsonl":true}` + "\n"))
 	f.Add([]byte(`{"type":"reject","reason":"say \"no\" <&"}` + "\n"))
 	f.Add([]byte("\n\n\n"))
 	f.Add([]byte(`{"type":"span","lo":1e99}` + "\n"))

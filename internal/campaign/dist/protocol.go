@@ -11,11 +11,11 @@
 // any worker count, across worker crashes (leases expire and re-issue),
 // and across coordinator restarts (the ordinary checkpoint/resume path).
 //
-// The protocol (version 2) is strict request/response per worker with
+// The protocol (version 3) is strict request/response per worker with
 // asynchronous heartbeats:
 //
 //	worker → hello{version, fingerprint}
-//	coord  → welcome{worker, samples, retries, backoff, rate, burst, want_*}
+//	coord  → welcome{worker, samples, retries, want_*}
 //	         (or reject{reason}, closing)
 //	worker → lease{}                  request a span
 //	coord  → span{lo, hi}             or drain{} when no work remains
@@ -57,9 +57,10 @@ import (
 
 // ProtocolVersion gates hello: mixed-version fleets are refused rather
 // than debugged. Version 1 carried the shard as a JSON object in the
-// report header; its hello has the same shape, so a version-1 worker is
-// refused with a reject.
-const ProtocolVersion = 2
+// report header; version 2's welcome carried a retry backoff and a launch
+// rate budget. Every version's hello has the same shape, so an older
+// worker is refused with a reject.
+const ProtocolVersion = 3
 
 const (
 	// maxLineBytes caps one header line: a bye's telemetry is a few KB, so
@@ -106,16 +107,13 @@ type Msg struct {
 	Reason string // reason
 
 	// welcome: the probe-affecting config the coordinator owns. Retries
-	// and backoff must come from here — output bytes record the attempt
-	// count, so a worker flag diverging from the coordinator's would
-	// silently break byte-identity.
-	Samples   int     // samples
-	Retries   int     // retries
-	BackoffNs int64   // backoff_ns
-	Rate      float64 // rate
-	Burst     float64 // burst
-	WantJSONL bool    // want_jsonl
-	WantCSV   bool    // want_csv
+	// must come from here — output bytes record the attempt count, so a
+	// worker flag diverging from the coordinator's would silently break
+	// byte-identity.
+	Samples   int  // samples
+	Retries   int  // retries
+	WantJSONL bool // want_jsonl
+	WantCSV   bool // want_csv
 
 	// span / report
 	Lo int // lo
@@ -157,14 +155,6 @@ func appendMsg(dst []byte, m *Msg) ([]byte, error) {
 	}
 	dst = appendInt(dst, `,"samples":`, int64(m.Samples))
 	dst = appendInt(dst, `,"retries":`, int64(m.Retries))
-	dst = appendInt(dst, `,"backoff_ns":`, m.BackoffNs)
-	var err error
-	if dst, err = appendFloat(dst, `,"rate":`, m.Rate); err != nil {
-		return dst, err
-	}
-	if dst, err = appendFloat(dst, `,"burst":`, m.Burst); err != nil {
-		return dst, err
-	}
 	if m.WantJSONL {
 		dst = append(dst, `,"want_jsonl":true`...)
 	}
@@ -191,29 +181,6 @@ func appendInt(dst []byte, key string, v int64) []byte {
 		return dst
 	}
 	return strconv.AppendInt(append(dst, key...), v, 10)
-}
-
-// appendFloat writes v as encoding/json does: shortest round-trip digits,
-// exponent form outside [1e-6, 1e21) with a two-digit-minimum exponent
-// trimmed to one. NaN and the infinities have no JSON form.
-func appendFloat(dst []byte, key string, v float64) ([]byte, error) {
-	if v == 0 {
-		return dst, nil
-	}
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return dst, fmt.Errorf("dist: %s%v has no JSON form", key[1:], v)
-	}
-	dst = append(dst, key...)
-	format := byte('f')
-	if abs := math.Abs(v); abs < 1e-6 || abs >= 1e21 {
-		format = 'e'
-	}
-	dst = strconv.AppendFloat(dst, v, format, -1, 64)
-	if n := len(dst); format == 'e' && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
-		dst[n-2] = dst[n-1] // e-07 → e-7
-		dst = dst[:n-1]
-	}
-	return dst, nil
 }
 
 var errMalformed = errors.New("dist: malformed message")
@@ -266,12 +233,6 @@ func parseMsg(m *Msg, line, canon []byte) ([]byte, error) {
 			err = parseInt(&p, &m.Samples)
 		case "retries":
 			err = parseInt(&p, &m.Retries)
-		case "backoff_ns":
-			err = parseInt64(&p, &m.BackoffNs)
-		case "rate":
-			err = parseFloat(&p, &m.Rate)
-		case "burst":
-			err = parseFloat(&p, &m.Burst)
 		case "want_jsonl":
 			err = parseTrue(&p, &m.WantJSONL)
 		case "want_csv":
@@ -358,20 +319,6 @@ func parseUint(p *[]byte, dst *uint64) error {
 	}
 	if i == 0 {
 		return errors.New("not a number")
-	}
-	*dst, *p = v, b[i:]
-	return nil
-}
-
-func parseFloat(p *[]byte, dst *float64) error {
-	b := *p
-	i := 0
-	for i < len(b) && strings.IndexByte("+-.0123456789eE", b[i]) >= 0 {
-		i++
-	}
-	v, err := strconv.ParseFloat(string(b[:i]), 64)
-	if err != nil {
-		return err
 	}
 	*dst, *p = v, b[i:]
 	return nil

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"reorder/internal/obs"
@@ -22,9 +23,6 @@ type jsonMsg struct {
 	Reason      string          `json:"reason,omitempty"`
 	Samples     int             `json:"samples,omitempty"`
 	Retries     int             `json:"retries,omitempty"`
-	BackoffNs   int64           `json:"backoff_ns,omitempty"`
-	Rate        float64         `json:"rate,omitempty"`
-	Burst       float64         `json:"burst,omitempty"`
 	WantJSONL   bool            `json:"want_jsonl,omitempty"`
 	WantCSV     bool            `json:"want_csv,omitempty"`
 	Lo          int             `json:"lo,omitempty"`
@@ -36,8 +34,7 @@ type jsonMsg struct {
 }
 
 // codecCases are messages of every type, with the edge values of each
-// field: zero and extreme integers, floats on both sides of encoding/json's
-// exponent thresholds, and reasons that need escaping.
+// field: zero and extreme integers, and reasons that need escaping.
 func codecCases() []Msg {
 	wire := obs.WorkerWire{ProbeSumNs: 12345}
 	wire.Totals.Targets = 7
@@ -46,13 +43,10 @@ func codecCases() []Msg {
 		{Type: MsgHello, Version: ProtocolVersion, Fingerprint: math.MaxUint64},
 		{Type: MsgHello, Version: math.MaxInt, Fingerprint: 1},
 		{Type: MsgHello, Version: math.MinInt},
-		{Type: MsgWelcome, Worker: math.MaxInt, Samples: 8, BackoffNs: math.MaxInt64, Rate: 0.5, Burst: 1, WantJSONL: true, WantCSV: true},
-		{Type: MsgWelcome, Samples: 4, Retries: 3, BackoffNs: math.MinInt64, Rate: 1e-7, Burst: 1e21},
-		{Type: MsgWelcome, Rate: 1e-6, Burst: 999999999999999900000},
-		{Type: MsgWelcome, Rate: 5e-324, Burst: math.MaxFloat64},
-		{Type: MsgWelcome, Rate: 123456.789, Burst: -0.25, WantCSV: true},
-		{Type: MsgWelcome, Rate: 1.5e-10, Burst: 3e300},
-		{Type: MsgReject, Reason: `protocol version 1, want 2`},
+		{Type: MsgWelcome, Worker: math.MaxInt, Samples: 8, WantJSONL: true, WantCSV: true},
+		{Type: MsgWelcome, Samples: 4, Retries: 3},
+		{Type: MsgWelcome, WantCSV: true},
+		{Type: MsgReject, Reason: `protocol version 2, want 3`},
 		{Type: MsgReject, Reason: `say "no" <b>&amp; ünïcode ✓ \ back` + "\x01\n\t  "},
 		{Type: MsgLease},
 		{Type: MsgSpan, Hi: 1},
@@ -91,11 +85,6 @@ func TestAppendMsgMatchesJSON(t *testing.T) {
 			t.Errorf("%s: parsed as %+v", line, got)
 		}
 	}
-	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		if _, err := appendMsg(nil, &Msg{Type: MsgWelcome, Rate: v}); err == nil {
-			t.Errorf("rate %v encoded", v)
-		}
-	}
 	if _, err := appendMsg(nil, &Msg{Type: "exploit"}); err == nil {
 		t.Error("unknown type encoded")
 	}
@@ -115,7 +104,6 @@ func TestParseRefusesNonCanonical(t *testing.T) {
 		`{"type":"span","lo":3,"hi":8,}`,           // trailing comma
 		`{"type":"span","lo":3,"hi":8}}`,           // trailing brace
 		`{"type":"span","lo":3,"hi":8,"x":1}`,      // unknown key
-		`{"type":"welcome","rate":5e-1}`,           // float written another way
 		`{"type":"welcome","want_csv":false}`,      // false written
 		`{"type":"reject","reason":"\` + `u0041"}`, // an escape encoding/json does not write
 		`{"type":"reject","reason":"open}`,
@@ -131,6 +119,23 @@ func TestParseRefusesNonCanonical(t *testing.T) {
 		var m Msg
 		if _, err := parseMsg(&m, []byte(line), nil); err == nil {
 			t.Errorf("accepted %s as %+v", line, m)
+		}
+	}
+}
+
+// TestWelcomeRefusesRetiredKeys: the pacing fields a version-2 welcome
+// carried are unknown keys now, so a welcome that still writes one is
+// refused, however canonical the rest of it.
+func TestWelcomeRefusesRetiredKeys(t *testing.T) {
+	for _, c := range []struct{ key, line string }{
+		{"backoff_ns", `{"type":"welcome","worker":1,"samples":8,"retries":1,"backoff_ns":50000000}`},
+		{"rate", `{"type":"welcome","worker":1,"samples":8,"retries":1,"rate":0.5}`},
+		{"burst", `{"type":"welcome","worker":1,"samples":8,"retries":1,"burst":1}`},
+	} {
+		var m Msg
+		_, err := parseMsg(&m, []byte(c.line), nil)
+		if want := `unknown message key "` + c.key + `"`; err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: got %v, want an error naming %s", c.line, err, want)
 		}
 	}
 }

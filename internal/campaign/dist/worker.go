@@ -68,9 +68,8 @@ var errAttemptFailed = errors.New("dist: probe attempt failed")
 // drained. Each leased index runs campaign.ProbeStep — the step a local
 // run's pool workers run, so the rendered bytes are the ones a local run
 // would sink — and each report carries an exact aggregator-shard delta for
-// the span. Retries, backoff and the rate budget come from the
-// coordinator's welcome so output bytes cannot depend on worker-local
-// flags.
+// the span. The retry budget comes from the coordinator's welcome so
+// output bytes cannot depend on worker-local flags.
 //
 // A lost connection is not an error: the worker discards any unsent span
 // state, redials with exponential backoff + jitter, and re-runs the
@@ -211,11 +210,9 @@ func (st *workerState) runSession(conn net.Conn) (welcomed bool, err error) {
 	// land in the result's Attempts field, so retry behavior is part of the
 	// byte contract and must not exist twice. A terminally failing target
 	// is not an error — its result records the failure, exactly as in a
-	// single-process run. The burst is this worker's whole-token share of
-	// the campaign's.
+	// single-process run.
 	sched := campaign.NewScheduler(campaign.SchedulerConfig{
-		Workers: 1, Retries: m.Retries, Backoff: time.Duration(m.BackoffNs),
-		RatePerSec: m.Rate, Burst: int(m.Burst), Obs: cfg.Obs.SchedObs(),
+		Workers: 1, Retries: m.Retries, Obs: cfg.Obs.SchedObs(),
 	})
 	step := campaign.NewProbeStep(cfg.Targets, cfg.Samples, m.Retries, m.WantJSONL, m.WantCSV)
 	probe := func(_, index, attempt int) error {

@@ -3,7 +3,6 @@ package campaign
 import (
 	"math"
 	"sync"
-	"time"
 
 	"reorder/internal/obs"
 )
@@ -12,16 +11,10 @@ import (
 type SchedulerConfig struct {
 	// Workers is the pool size (default 16).
 	Workers int
-	// Retries is how many additional attempts a failing job gets.
+	// Retries is how many additional attempts a failing job gets. A retry
+	// runs at once: an attempt re-runs a deterministic simulation, so
+	// there is no remote end to wait for.
 	Retries int
-	// Backoff is the delay before the first retry; it doubles per
-	// subsequent attempt (0 = retry immediately).
-	Backoff time.Duration
-	// RatePerSec caps job launches per second via a token bucket
-	// (0 = unlimited). Each attempt, including retries, takes one token.
-	RatePerSec float64
-	// Burst is the bucket capacity (default Workers).
-	Burst int
 	// Window bounds how far job execution may run ahead of the in-order
 	// emit frontier: a span is granted only while it fits under
 	// frontier+Window. It is what makes the stash of completed spans — and
@@ -34,16 +27,13 @@ type SchedulerConfig struct {
 	// this many jobs, so scheduling overhead (grant, completion, in-order
 	// drain) is paid per span rather than per job. Zero selects
 	// min(32, n/(2×Workers)) — min(512, …) for the distributed
-	// coordinator's leases when retries do not back off; an explicit
-	// Window caps it at Window/Workers,
-	// and rate-limited runs always dispatch singly so the token bucket
-	// stays the pacing authority. Batching never changes outputs — only
-	// how work is sliced.
+	// coordinator's leases; an explicit Window caps it at Window/Workers.
+	// Batching never changes outputs — only how work is sliced.
 	Batch int
 	// Obs, when non-nil, receives scheduler telemetry: span claims, window
-	// stalls, retries, backoff and rate-limiter wait time. All counts are
-	// off the per-job fast path (per span, per stall, per retry), so an
-	// attached registry costs the hot loop nothing measurable.
+	// stalls and retries. All counts are off the per-job fast path (per
+	// span, per stall, per retry), so an attached registry costs the hot
+	// loop nothing measurable.
 	Obs *obs.Scheduler
 	// Quiesce, when non-nil and closed, stops dispatch gracefully: no new
 	// spans are claimed, in-flight spans finish and emit in order, and the
@@ -68,32 +58,6 @@ const DefaultWorkers = 16
 // hand-off to a collector goroutine.
 type Scheduler struct {
 	cfg SchedulerConfig
-
-	// limiter paces every attempt the scheduler launches; nil when
-	// RatePerSec is unset.
-	limiter *tokenBucket
-
-	// sleep and now are wall-clock hooks, replaceable by tests. A nil
-	// sleep means real time, waited interruptibly against the run's stop
-	// channel; a test-injected sleep is called directly.
-	sleep func(time.Duration)
-	now   func() time.Time
-}
-
-// sleepStop waits d, returning false early if stop closes first.
-func (s *Scheduler) sleepStop(d time.Duration, stop <-chan struct{}) bool {
-	if s.sleep != nil {
-		s.sleep(d)
-		return true
-	}
-	timer := time.NewTimer(d)
-	defer timer.Stop()
-	select {
-	case <-timer.C:
-		return true
-	case <-stop:
-		return false
-	}
 }
 
 // NewScheduler returns a scheduler with the given configuration.
@@ -101,10 +65,7 @@ func NewScheduler(cfg SchedulerConfig) *Scheduler {
 	if cfg.Workers <= 0 {
 		cfg.Workers = DefaultWorkers
 	}
-	if cfg.Burst <= 0 {
-		cfg.Burst = cfg.Workers
-	}
-	return &Scheduler{cfg: cfg, now: time.Now, limiter: newTokenBucket(cfg.RatePerSec, float64(cfg.Burst))}
+	return &Scheduler{cfg: cfg}
 }
 
 // Workers returns the effective pool size.
@@ -120,8 +81,8 @@ func (s *Scheduler) MaxWindow() int {
 }
 
 // RunSpans executes jobs for indices [start, end). job is called as
-// job(worker, index, attempt); a non-nil return triggers a retry after
-// backoff, up to the configured retry budget, after which the job counts
+// job(worker, index, attempt); a non-nil return triggers an immediate
+// retry, up to the configured retry budget, after which the job counts
 // as done regardless (the job records its own terminal error). Workers are
 // granted contiguous index spans by a SpanTable; begin (optional) is called
 // on the worker when it is granted a span — callers use it to set up
@@ -157,9 +118,8 @@ func runPool[P any](s *Scheduler, t *SpanTable[P],
 	begin func(worker int, sp Span) P,
 	job func(worker, index, attempt int) error,
 ) error {
-	t.now = s.now // one clock hook: the table's stall timing follows the scheduler's
 	// In-process a run settles with jobs still in flight only by failing,
-	// so Done doubles as the signal that aborts their politeness waits.
+	// so Done doubles as the signal that ends their retries.
 	stop := t.Done()
 	var wg sync.WaitGroup
 	for w := 0; w < s.cfg.Workers; w++ {
@@ -189,26 +149,21 @@ func runPool[P any](s *Scheduler, t *SpanTable[P],
 }
 
 // RunIndex drives one index through its attempts on the calling goroutine,
-// as worker 0: the rate limit, retry budget and backoff RunSpans applies
-// to every index, without its pool, window or ordering. A distributed
-// worker, whose dispatch the coordinator owns, probes each leased index
-// through it, so the attempt count — part of the output bytes — is decided
-// in one place.
+// as worker 0: the retry budget RunSpans applies to every index, without
+// its pool, window or ordering. A distributed worker, whose dispatch the
+// coordinator owns, probes each leased index through it, so the attempt
+// count — part of the output bytes — is decided in one place.
 func (s *Scheduler) RunIndex(index int, job func(worker, index, attempt int) error) {
 	s.runJob(0, index, job, nil)
 }
 
-// runJob drives one index through its attempts. Rate-limit and backoff
-// waits abort when stop closes, so a cancelled run (emit failure) is not
-// held hostage by slow politeness timers; a nil stop never aborts.
+// runJob drives one index through its attempts, retrying at once until
+// one succeeds or the budget is spent. It stops retrying once stop closes,
+// so a cancelled run (emit failure) does not spend a failing job's whole
+// budget; a nil stop never closes.
 func (s *Scheduler) runJob(worker, index int, job func(worker, index, attempt int) error, stop <-chan struct{}) {
-	backoff := s.cfg.Backoff
 	for attempt := 0; ; attempt++ {
-		if !s.limiter.take(s, stop) {
-			return
-		}
-		err := job(worker, index, attempt)
-		if err == nil || attempt >= s.cfg.Retries {
+		if job(worker, index, attempt) == nil || attempt >= s.cfg.Retries {
 			return
 		}
 		select {
@@ -218,64 +173,6 @@ func (s *Scheduler) runJob(worker, index int, job func(worker, index, attempt in
 		}
 		if s.cfg.Obs != nil {
 			s.cfg.Obs.Retries.Inc()
-		}
-		if backoff > 0 {
-			if !s.sleepStop(backoff, stop) {
-				return
-			}
-			if s.cfg.Obs != nil {
-				s.cfg.Obs.BackoffNanos.AddInt(backoff.Nanoseconds())
-			}
-			backoff *= 2
-		}
-	}
-}
-
-// tokenBucket is a blocking wall-clock rate limiter on the scheduler's
-// clock. It starts full; last stays zero until the first take, whose
-// oversized refill the burst cap absorbs.
-type tokenBucket struct {
-	mu     sync.Mutex
-	rate   float64 // tokens per second; <= 0 disables limiting
-	burst  float64
-	tokens float64
-	last   time.Time
-}
-
-func newTokenBucket(rate, burst float64) *tokenBucket {
-	if rate <= 0 {
-		return nil
-	}
-	return &tokenBucket{rate: rate, burst: burst, tokens: burst}
-}
-
-// take blocks until a token is available, waiting through the
-// scheduler's interruptible sleep; it returns false if stop closed
-// before a token arrived. A nil bucket always succeeds immediately.
-func (tb *tokenBucket) take(s *Scheduler, stop <-chan struct{}) bool {
-	if tb == nil {
-		return true
-	}
-	for {
-		tb.mu.Lock()
-		now := s.now()
-		tb.tokens += now.Sub(tb.last).Seconds() * tb.rate
-		if tb.tokens > tb.burst {
-			tb.tokens = tb.burst
-		}
-		tb.last = now
-		if tb.tokens >= 1 {
-			tb.tokens--
-			tb.mu.Unlock()
-			return true
-		}
-		wait := time.Duration((1 - tb.tokens) / tb.rate * float64(time.Second))
-		tb.mu.Unlock()
-		if !s.sleepStop(wait, stop) {
-			return false
-		}
-		if s.cfg.Obs != nil {
-			s.cfg.Obs.RateWaitNanos.AddInt(wait.Nanoseconds())
 		}
 	}
 }

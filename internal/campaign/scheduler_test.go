@@ -3,11 +3,14 @@ package campaign
 import (
 	"errors"
 	"math/rand/v2"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"reorder/internal/obs"
 )
 
 // perIndex adapts a per-index emit callback to RunSpans' span form.
@@ -59,17 +62,16 @@ func TestSchedulerOrderedEmit(t *testing.T) {
 	}
 }
 
-// TestSchedulerRetryBackoff checks the retry budget and the doubling
-// backoff schedule.
+// TestSchedulerRetryBackoff checks the retry budget: a failing job is
+// re-run at once with the next attempt number until one succeeds, and each
+// retry is counted. Nothing in the loop reads a clock.
 func TestSchedulerRetryBackoff(t *testing.T) {
-	s := NewScheduler(SchedulerConfig{Workers: 1, Retries: 3, Backoff: 50 * time.Millisecond})
-	var slept []time.Duration
-	s.sleep = func(d time.Duration) { slept = append(slept, d) }
-
-	attempts := 0
+	var so obs.Scheduler
+	s := NewScheduler(SchedulerConfig{Workers: 1, Retries: 3, Obs: &so})
+	var attempts []int
 	err := s.RunSpans(0, 1, nil,
 		func(worker, index, attempt int) error {
-			attempts++
+			attempts = append(attempts, attempt)
 			if attempt < 2 {
 				return errors.New("transient")
 			}
@@ -78,17 +80,11 @@ func TestSchedulerRetryBackoff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if attempts != 3 {
-		t.Fatalf("attempts = %d, want 3", attempts)
+	if !slices.Equal(attempts, []int{0, 1, 2}) {
+		t.Fatalf("attempts = %v, want [0 1 2]", attempts)
 	}
-	want := []time.Duration{50 * time.Millisecond, 100 * time.Millisecond}
-	if len(slept) != len(want) {
-		t.Fatalf("backoff sleeps = %v, want %v", slept, want)
-	}
-	for i := range want {
-		if slept[i] != want[i] {
-			t.Fatalf("backoff sleeps = %v, want %v", slept, want)
-		}
+	if got := so.Retries.Load(); got != 2 {
+		t.Fatalf("retries counted = %d, want 2", got)
 	}
 }
 
@@ -214,56 +210,6 @@ func TestSchedulerEmitError(t *testing.T) {
 	}
 }
 
-// TestTokenBucket drives the limiter with a fake clock: the sleep hook is
-// the only thing advancing time, so the token arithmetic is fully
-// observable.
-func TestTokenBucket(t *testing.T) {
-	now := time.Unix(0, 0)
-	var slept time.Duration
-	s := NewScheduler(SchedulerConfig{Workers: 1})
-	s.now = func() time.Time { return now }
-	s.sleep = func(d time.Duration) {
-		slept += d
-		now = now.Add(d)
-	}
-	tb := newTokenBucket(10, 1) // 10 tokens/s, burst 1
-
-	tb.take(s, nil) // the initial burst token: no wait
-	if slept != 0 {
-		t.Fatalf("first take slept %v, want 0", slept)
-	}
-	tb.take(s, nil)
-	tb.take(s, nil)
-	// Each subsequent token accrues at 100ms.
-	if want := 200 * time.Millisecond; slept != want {
-		t.Fatalf("three takes slept %v, want %v", slept, want)
-	}
-
-	if tb := newTokenBucket(0, 4); tb != nil {
-		t.Fatal("rate 0 should disable the limiter")
-	}
-}
-
-// TestSchedulerCancelInterruptsRateWait checks that an emit failure is
-// not held hostage by the rate limiter: workers parked on token waits
-// abort when the run is cancelled.
-func TestSchedulerCancelInterruptsRateWait(t *testing.T) {
-	// One launch every 2 seconds; without interruptible waits this run
-	// would take ~6+ seconds to unwind after the emit error.
-	s := NewScheduler(SchedulerConfig{Workers: 4, RatePerSec: 0.5, Burst: 1})
-	sentinel := errors.New("sink failed")
-	began := time.Now()
-	err := s.RunSpans(0, 10, nil,
-		func(worker, index, attempt int) error { return nil },
-		perIndex(func(index int) error { return sentinel }))
-	if !errors.Is(err, sentinel) {
-		t.Fatalf("err = %v, want %v", err, sentinel)
-	}
-	if elapsed := time.Since(began); elapsed > time.Second {
-		t.Fatalf("cancel took %v; rate-limit waits were not interrupted", elapsed)
-	}
-}
-
 // TestSchedulerEmitErrorMidBatch checks cancellation when the emit error
 // is raised partway through a span's indices: the error must surface, and
 // workers mid-span (including ones parked on the window gate) must unwind
@@ -297,66 +243,37 @@ func TestSchedulerEmitErrorMidBatch(t *testing.T) {
 	}
 }
 
-// TestSchedulerStopDuringRetryBackoff checks that a worker parked in a
-// retry backoff sleep aborts when the run is cancelled: the backoff here
-// is far longer than the test budget, so completing promptly proves the
-// sleep was interrupted.
+// TestSchedulerStopDuringRetryBackoff checks that an always-failing job
+// stops retrying once the run is cancelled. Its budget is 1<<16 attempts;
+// each retry after the first waits for the cancellation, so a retry loop
+// that ignored it would spend the whole budget.
 func TestSchedulerStopDuringRetryBackoff(t *testing.T) {
 	// Batch 1 keeps the clean index in its own span, so its emit (the
-	// cancellation trigger) is not gated on the failing spans finishing.
-	s := NewScheduler(SchedulerConfig{Workers: 2, Retries: 3, Backoff: time.Minute, Batch: 1})
+	// cancellation trigger) is not gated on the failing span finishing.
+	const budget = 1 << 16
+	s := NewScheduler(SchedulerConfig{Workers: 2, Retries: budget, Batch: 1})
 	sentinel := errors.New("emit failed")
-	began := time.Now()
-	err := s.RunSpans(0, 8, nil,
-		func(worker, index, attempt int) error {
-			if index == 0 {
-				// Give the other worker time to enter its backoff sleep.
-				time.Sleep(50 * time.Millisecond)
-				return nil
-			}
-			return errors.New("always failing: park in backoff")
-		},
-		perIndex(func(index int) error { return sentinel }))
-	if !errors.Is(err, sentinel) {
-		t.Fatalf("err = %v, want %v", err, sentinel)
-	}
-	if elapsed := time.Since(began); elapsed > 5*time.Second {
-		t.Fatalf("cancel took %v; a minute-long backoff was not interrupted", elapsed)
-	}
-}
-
-// TestSchedulerStopBlockedInTokenTake checks that workers blocked inside
-// tokenBucket.take abort on cancellation even at batch granularity (span
-// dispatch under rate limiting degrades to single-index spans, but the
-// cancel path must hold regardless of the configured batch).
-func TestSchedulerStopBlockedInTokenTake(t *testing.T) {
-	// One token up front, then one every 10 minutes. The run is cancelled by
-	// the emit of index 0, so that index must be the one the token goes to:
-	// workers holding any other index wait, before they reach take, until
-	// index 0 has run. After that every one of them parks inside take, and
-	// only the cancellation can get it out.
-	s := NewScheduler(SchedulerConfig{Workers: 4, RatePerSec: 1.0 / 600, Burst: 1, Batch: 16})
-	sentinel := errors.New("emit failed")
-	firstRan := make(chan struct{})
-	began := time.Now()
-	err := s.RunSpans(0, 100,
-		func(worker, lo, hi int) {
-			if lo != 0 {
-				<-firstRan
-			}
-		},
-		func(worker, index, attempt int) error {
-			if index == 0 {
-				close(firstRan)
-			}
+	tb := NewSpanTable(0, 8, poolSpanCap, s.cfg, func(Span, struct{}) error { return sentinel })
+	failing := make(chan struct{})
+	var attempts atomic.Int64
+	err := runPool(s, tb, noBegin, func(worker, index, attempt int) error {
+		if index == 0 {
+			<-failing // cancel only once a retry loop is under way
 			return nil
-		},
-		func(lo, hi int) error { return sentinel })
+		}
+		if attempt == 0 {
+			close(failing)
+		} else {
+			<-tb.Done()
+		}
+		attempts.Add(1)
+		return errors.New("always failing")
+	})
 	if !errors.Is(err, sentinel) {
 		t.Fatalf("err = %v, want %v", err, sentinel)
 	}
-	if elapsed := time.Since(began); elapsed > 5*time.Second {
-		t.Fatalf("cancel took %v; token waits were not interrupted", elapsed)
+	if got := attempts.Load(); got > 2 {
+		t.Fatalf("the failing job ran %d attempts after the run was cancelled, want at most 2", got)
 	}
 }
 
@@ -465,29 +382,5 @@ func TestSchedulerWindowBounds(t *testing.T) {
 	}
 	if worst >= maxW {
 		t.Fatalf("execution ran %d ahead of the frontier; MaxWindow is %d", worst, maxW)
-	}
-}
-
-// TestSchedulerRateLimit checks that the pool threads every attempt
-// through the bucket.
-func TestSchedulerRateLimit(t *testing.T) {
-	s := NewScheduler(SchedulerConfig{Workers: 2, RatePerSec: 1000, Burst: 1})
-	var mu sync.Mutex
-	var slept time.Duration
-	now := time.Unix(0, 0)
-	s.now = func() time.Time { mu.Lock(); defer mu.Unlock(); return now }
-	s.sleep = func(d time.Duration) {
-		mu.Lock()
-		slept += d
-		now = now.Add(d)
-		mu.Unlock()
-	}
-	err := s.RunSpans(0, 5, nil, func(worker, index, attempt int) error { return nil }, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 5 launches, burst 1: at least 4 tokens accrued by sleeping.
-	if slept < 4*time.Millisecond {
-		t.Fatalf("rate limiter slept %v, want >= 4ms", slept)
 	}
 }

@@ -27,40 +27,25 @@ const poolSpanCap = 32
 // 0.955 of a single-process pass's rate. With 512-target leases it takes
 // 122 turns at 12.7 µs per target and runs at 1.034 of it: roughly 100 µs
 // of CPU saved per turn. A 512-target report is about 225 KB.
-//
-// The cap holds only while retries do not back off. A worker sleeps its
-// targets' backoffs one after another, so a wide lease puts a whole cluster
-// of retries on one worker while the other fills the window and parks: with
-// the command's defaults (one retry after 50 ms) the same list's 40 retries
-// parked the second worker for 1.4 s and `serve -spawn 2` took 2.29 s at
-// 512, against 1.73 s at 32. Under a backoff, leases keep poolSpanCap.
 const LeaseSpanCap = 512
 
 // dispatch resolves the span size and the window for a run of n indices
-// whose unset span is capped at maxSpan (poolSpanCap or LeaseSpanCap, the
-// latter cut to poolSpanCap when retries back off). It is the one rule
-// behind Batch = 0 and Window = 0, for the in-process pool and the
-// distributed coordinator alike (Workers being the pool size or the
+// whose unset span is capped at maxSpan (poolSpanCap or LeaseSpanCap). It
+// is the one rule behind Batch = 0 and Window = 0, for the in-process pool
+// and the distributed coordinator alike (Workers being the pool size or the
 // expected worker count):
 //
 //	span   = Batch, or min(maxSpan, max(1, n/(2×Workers))) when unset: big
 //	         enough to amortize the per-span bookkeeping, small enough that a
-//	         run splits into several spans per worker; always 1 under
-//	         RatePerSec, so the token bucket paces individual launches
+//	         run splits into several spans per worker
 //	window = Window, or max(64, 4×span×Workers) when unset
 //	span   ≤ max(1, window/Workers), so that a window's worth of spans
 //	         reaches every worker whatever sizes were asked for
 func (cfg SchedulerConfig) dispatch(n, maxSpan int) (span, window int) {
 	workers := max(1, cfg.Workers)
-	if cfg.Retries > 0 && cfg.Backoff > 0 {
-		maxSpan = min(maxSpan, poolSpanCap)
-	}
 	span = cfg.Batch
 	if span <= 0 {
 		span = min(maxSpan, max(1, n/(2*workers)))
-	}
-	if cfg.RatePerSec > 0 {
-		span = 1
 	}
 	window = cfg.Window
 	if window <= 0 {
@@ -113,9 +98,9 @@ type stashed[P any] struct {
 }
 
 // NewSpanTable returns a table over [start,end) whose unset Batch is capped
-// at maxSpan. Of cfg it reads Workers, Batch, Window, RatePerSec, Retries
-// and Backoff (through the one dispatch rule), Quiesce and Obs. emit receives each completed span
-// with its payload, in index order.
+// at maxSpan. Of cfg it reads Workers, Batch and Window (through the one
+// dispatch rule), Quiesce and Obs. emit receives each completed span with
+// its payload, in index order.
 func NewSpanTable[P any](start, end, maxSpan int, cfg SchedulerConfig, emit func(Span, P) error) *SpanTable[P] {
 	t := &SpanTable[P]{
 		end:       end,

@@ -75,27 +75,23 @@ func TestDispatchRule(t *testing.T) {
 		{SchedulerConfig{Workers: 2}, 57_600, 32, 256},
 		{SchedulerConfig{Workers: 16}, 100, 3, 192},
 		{SchedulerConfig{Workers: 16}, 10, 1, 64},
-		{SchedulerConfig{Workers: 4, RatePerSec: 5, Batch: 16}, 1000, 1, 64},
 		{SchedulerConfig{Workers: 4, Batch: 8}, 1000, 8, 128},
 		{SchedulerConfig{Workers: 4, Batch: 32, Window: 10}, 1000, 2, 10},
 		{SchedulerConfig{Workers: 4, Window: 2}, 1000, 1, 2},
 		{SchedulerConfig{Batch: 5, Window: 100}, 40, 5, 100},
 	} {
 		check(c, poolSpanCap)
-		// An explicit size or a rate limit leaves the cap nothing to decide.
-		if c.cfg.Batch > 0 || c.cfg.Window > 0 || c.cfg.RatePerSec > 0 {
+		// An explicit size leaves the cap nothing to decide.
+		if c.cfg.Batch > 0 || c.cfg.Window > 0 {
 			check(c, LeaseSpanCap)
 		}
 	}
 	// Leases: the survey list's two workers get full-size leases, lists on
 	// either side of 2 × workers × cap straddle it, and small lists get the
-	// in-process answers. Retries that back off keep leases at the pool's
-	// cap; retries without a backoff, or a backoff with no retries, do not.
+	// in-process answers. Retries leave the lease size alone.
 	for _, c := range []dispatchCase{
 		{SchedulerConfig{Workers: 2}, 57_600, 512, 4096},
-		{SchedulerConfig{Workers: 2, Retries: 1, Backoff: 50 * time.Millisecond}, 57_600, 32, 256},
 		{SchedulerConfig{Workers: 2, Retries: 1}, 57_600, 512, 4096},
-		{SchedulerConfig{Workers: 2, Backoff: 50 * time.Millisecond}, 57_600, 512, 4096},
 		{SchedulerConfig{Workers: 2}, 2_049, 512, 4096},
 		{SchedulerConfig{Workers: 2}, 2_048, 512, 4096},
 		{SchedulerConfig{Workers: 2}, 2_047, 511, 4088},

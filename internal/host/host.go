@@ -22,9 +22,9 @@ import (
 type ICMPConfig struct {
 	// Filtered drops all echo requests silently.
 	Filtered bool
-	// RatePerSec caps replies per second (token bucket of the same burst
+	// RepliesPerSec caps replies per second (token bucket of the same burst
 	// size). Zero means unlimited.
-	RatePerSec int
+	RepliesPerSec int
 }
 
 // Host is one simulated endpoint.
@@ -64,7 +64,7 @@ type Host struct {
 func New(loop *sim.Loop, p Profile, addr netip.Addr, rng *sim.Rand, ids *netem.FrameIDs, out netem.Node) *Host {
 	h := &Host{
 		loop: loop, addr: addr, profile: p.Name, ids: ids, out: out, icmp: p.ICMP,
-		tokens:  float64(p.ICMP.RatePerSec),
+		tokens:  float64(p.ICMP.RepliesPerSec),
 		ipidRng: rng.Fork(forkIPID),
 	}
 	h.gen = p.IPID(&h.ipids, h.ipidRng)
@@ -94,7 +94,7 @@ func (h *Host) ResetAt(p Profile, addr netip.Addr, rng *sim.Rand, out netem.Node
 	h.addr = addr
 	h.out = out
 	h.icmp = p.ICMP
-	h.tokens = float64(p.ICMP.RatePerSec)
+	h.tokens = float64(p.ICMP.RepliesPerSec)
 	h.lastRefill = 0
 	if h.reasm != nil {
 		h.reasm.Reset()
@@ -240,14 +240,14 @@ func (h *Host) handleICMP(f *netem.Frame) {
 // takeToken implements the ICMP rate limiter as a token bucket refilled in
 // virtual time.
 func (h *Host) takeToken() bool {
-	if h.icmp.RatePerSec <= 0 {
+	if h.icmp.RepliesPerSec <= 0 {
 		return true
 	}
 	now := h.loop.Now()
 	elapsed := now.Sub(h.lastRefill)
 	h.lastRefill = now
-	h.tokens += elapsed.Seconds() * float64(h.icmp.RatePerSec)
-	if max := float64(h.icmp.RatePerSec); h.tokens > max {
+	h.tokens += elapsed.Seconds() * float64(h.icmp.RepliesPerSec)
+	if max := float64(h.icmp.RepliesPerSec); h.tokens > max {
 		h.tokens = max
 	}
 	if h.tokens < 1 {

@@ -145,7 +145,7 @@ func FilteredICMP(p Profile) Profile {
 // RateLimitedICMP wraps a profile with an ICMP rate limit.
 func RateLimitedICMP(p Profile, perSec int) Profile {
 	p.Name += "+icmp-ratelimited"
-	p.ICMP.RatePerSec = perSec
+	p.ICMP.RepliesPerSec = perSec
 	return p
 }
 

@@ -177,8 +177,8 @@ func MergeRecorders(rs ...*Recorder) *stats.Histogram {
 	return stats.HistogramFromCounts(recorderEdgesV, counts, min, max)
 }
 
-// Scheduler is the orchestrator's telemetry: dispatch and politeness
-// machinery, shared by all workers. Every field is low-frequency (per span,
+// Scheduler is the orchestrator's telemetry: dispatch and retries, shared
+// by all workers. Every field is low-frequency (per span,
 // per stall, per retry — never per target on the fast path), so one shared
 // cache-line-padded block suffices.
 type Scheduler struct {
@@ -191,13 +191,8 @@ type Scheduler struct {
 	// often the in-order emit frontier (one slow target) held them back.
 	WindowStalls     Counter
 	WindowStallNanos Counter
-	// Retries counts failed attempts that were retried; BackoffNanos is
-	// the wall time spent in retry backoff sleeps.
-	Retries      Counter
-	BackoffNanos Counter
-	// RateWaitNanos is the wall time spent blocked in the token bucket —
-	// the politeness budget a rate-limited campaign pays.
-	RateWaitNanos Counter
+	// Retries counts failed attempts that were retried.
+	Retries Counter
 	// Quiesces counts graceful-shutdown requests observed (0 or 1).
 	Quiesces Counter
 	_        [64]byte

@@ -128,7 +128,7 @@ func TestNilRegistryIsSafe(t *testing.T) {
 	tr.SpanClaim(0, 0, 1)
 	tr.SpanDone(0, 0, 1, 0, 0)
 	tr.SpanEmit(0, 1, 1)
-	tr.Retry(0, 0, 1, 0, 0, "x")
+	tr.Retry(0, 0, 1, 0, "x")
 	tr.Checkpoint(1, 0)
 	tr.Quiesce(1)
 	tr.RunEnd(1, false, "")
@@ -346,7 +346,7 @@ func TestTraceEventsAreJSONL(t *testing.T) {
 	tr := NewTrace(&buf)
 	tr.RunStart(2016, 8, 0)
 	tr.SpanClaim(3, 0, 32)
-	tr.Retry(3, 17, 1, 120_000, 5_000_000, `timeout "quoted"`)
+	tr.Retry(3, 17, 1, 120_000, `timeout "quoted"`)
 	tr.SpanDone(3, 0, 32, 777, 2048)
 	tr.SpanEmit(0, 32, 32)
 	tr.Checkpoint(32, 4500)
@@ -380,8 +380,8 @@ func TestTraceEventsAreJSONL(t *testing.T) {
 	if retry["error"] != `timeout "quoted"` {
 		t.Fatalf("retry error = %v", retry["error"])
 	}
-	if retry["backoff_ns"] != float64(5_000_000) {
-		t.Fatalf("retry backoff = %v", retry["backoff_ns"])
+	if retry["sim_ns"] != float64(120_000) {
+		t.Fatalf("retry sim_ns = %v", retry["sim_ns"])
 	}
 	var end map[string]any
 	json.Unmarshal([]byte(lines[7]), &end)

@@ -70,8 +70,6 @@ func (c *Campaign) WritePrometheus(w io.Writer) {
 	promCounter(w, "campaign_scheduler_window_stalls_total", "workers parked on the dispatch-window gate", s.Scheduler.WindowStalls)
 	promSeconds(w, "campaign_scheduler_window_stall_seconds_total", "wall time parked on the window gate", s.Scheduler.WindowStallNanos)
 	promCounter(w, "campaign_scheduler_retries_total", "failed attempts that were retried", s.Scheduler.Retries)
-	promSeconds(w, "campaign_scheduler_backoff_seconds_total", "wall time in retry backoff", s.Scheduler.BackoffNanos)
-	promSeconds(w, "campaign_scheduler_rate_wait_seconds_total", "wall time blocked in the token bucket", s.Scheduler.RateWaitNanos)
 
 	promCounter(w, "campaign_worker_targets_total", "terminal per-target results produced", s.Workers.Targets)
 	promCounter(w, "campaign_worker_attempts_total", "probe attempts including retries", s.Workers.Attempts)

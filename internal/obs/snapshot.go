@@ -38,8 +38,6 @@ type SchedulerSnapshot struct {
 	WindowStalls     uint64 `json:"window_stalls"`
 	WindowStallNanos uint64 `json:"window_stall_ns"`
 	Retries          uint64 `json:"retries"`
-	BackoffNanos     uint64 `json:"backoff_ns"`
-	RateWaitNanos    uint64 `json:"rate_wait_ns"`
 	Quiesces         uint64 `json:"quiesces"`
 }
 
@@ -119,8 +117,6 @@ func (c *Campaign) Snapshot() Snapshot {
 		WindowStalls:     c.Sched.WindowStalls.Load(),
 		WindowStallNanos: c.Sched.WindowStallNanos.Load(),
 		Retries:          c.Sched.Retries.Load(),
-		BackoffNanos:     c.Sched.BackoffNanos.Load(),
-		RateWaitNanos:    c.Sched.RateWaitNanos.Load(),
 		Quiesces:         c.Sched.Quiesces.Load(),
 	}
 	recs := make([]*Recorder, 0, len(c.workers))
@@ -197,11 +193,9 @@ func fmtNs(ns float64) string {
 func (s Snapshot) WriteText(w io.Writer) {
 	fmt.Fprintf(w, "telemetry: %d/%d targets in %.2fs (avg %.0f/s, inst %.0f/s)\n",
 		s.Done, s.Total, s.WallSeconds, s.AvgRate, s.InstRate)
-	fmt.Fprintf(w, "scheduler: %d span claims, %d window stalls (%v parked), %d retries (%v backoff), %v rate-wait\n",
+	fmt.Fprintf(w, "scheduler: %d span claims, %d window stalls (%v parked), %d retries\n",
 		s.Scheduler.SpanClaims, s.Scheduler.WindowStalls,
-		time.Duration(s.Scheduler.WindowStallNanos),
-		s.Scheduler.Retries, time.Duration(s.Scheduler.BackoffNanos),
-		time.Duration(s.Scheduler.RateWaitNanos))
+		time.Duration(s.Scheduler.WindowStallNanos), s.Scheduler.Retries)
 	if s.ProbeLatency.Count > 0 {
 		fmt.Fprintf(w, "probe latency: p50=%s p90=%s p99=%s max=%s (n=%d, %d attempts)\n",
 			fmtNs(s.ProbeLatency.P50Ns), fmtNs(s.ProbeLatency.P90Ns),

@@ -139,8 +139,8 @@ func (t *Trace) SpanEmit(lo, hi, done int) {
 }
 
 // Retry records a failed attempt being retried, with the simulated time
-// the failed probe consumed and the backoff about to be slept.
-func (t *Trace) Retry(worker, index, attempt int, simNs, backoffNs int64, errMsg string) {
+// the failed probe consumed.
+func (t *Trace) Retry(worker, index, attempt int, simNs int64, errMsg string) {
 	if t == nil {
 		return
 	}
@@ -151,7 +151,6 @@ func (t *Trace) Retry(worker, index, attempt int, simNs, backoffNs int64, errMsg
 	t.int("index", int64(index))
 	t.int("attempt", int64(attempt))
 	t.int("sim_ns", simNs)
-	t.int("backoff_ns", backoffNs)
 	t.str("error", errMsg)
 	t.end()
 }

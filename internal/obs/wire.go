@@ -11,8 +11,8 @@ import (
 // the coordinator at disconnect: summed worker-shard totals, the exact
 // probe-latency recorder bins (sparse counts, not a lossy summary, so the
 // coordinator's merged latency quantiles equal a single process's), and
-// the process-local scheduler counters (retries, backoff and rate waits
-// happen on the worker's side of the wire).
+// the process-local scheduler counters (retries happen on the worker's side
+// of the wire).
 type WorkerWire struct {
 	Totals       WorkerTotals          `json:"totals"`
 	ProbeLatency stats.HistogramCounts `json:"probe_latency"`
@@ -75,8 +75,6 @@ func (c *Campaign) AbsorbRemote(shard int, w WorkerWire) error {
 	wk.RenderedJSONBytes.Add(w.Totals.RenderedJSON)
 	wk.RenderedCSVBytes.Add(w.Totals.RenderedCSV)
 	c.Sched.Retries.Add(w.Scheduler.Retries)
-	c.Sched.BackoffNanos.Add(w.Scheduler.BackoffNanos)
-	c.Sched.RateWaitNanos.Add(w.Scheduler.RateWaitNanos)
 	c.Dist.Reconnects.Add(w.Dist.Reconnects)
 	c.Dist.Respawns.Add(w.Dist.Respawns)
 	c.Dist.LeaseReissues.Add(w.Dist.LeaseReissues)

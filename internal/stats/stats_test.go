@@ -137,6 +137,23 @@ func TestBinomialCI(t *testing.T) {
 	if lo != 0 || hi != 1 {
 		t.Fatalf("no-trials CI [%v,%v], want [0,1]", lo, hi)
 	}
+	// Wilson score intervals at 95%, to four places: the four worked
+	// examples of Newcombe (Statistics in Medicine 17, 1998), and 0/10.
+	for _, c := range []struct {
+		x, n   int
+		lo, hi float64
+	}{
+		{81, 263, 0.2553, 0.3662},
+		{15, 148, 0.0624, 0.1605},
+		{0, 20, 0, 0.1611},
+		{1, 29, 0.0061, 0.1718},
+		{0, 10, 0, 0.2775},
+	} {
+		lo, hi := BinomialCI(c.x, c.n, 1.96)
+		if math.Abs(lo-c.lo) > 5e-5 || math.Abs(hi-c.hi) > 5e-5 {
+			t.Errorf("BinomialCI(%d, %d) = [%.5f, %.5f], want [%.4f, %.4f]", c.x, c.n, lo, hi, c.lo, c.hi)
+		}
+	}
 }
 
 func TestTCriticalKnownValues(t *testing.T) {

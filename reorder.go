@@ -147,8 +147,8 @@ type (
 	CampaignEnumSpec = campaign.EnumSpec
 	// CampaignImpairment is a named, seedable path condition.
 	CampaignImpairment = campaign.Impairment
-	// Scheduler is the bounded worker pool with retry/backoff, rate
-	// limiting and in-order completion delivery.
+	// Scheduler is the bounded worker pool with a retry budget and
+	// in-order completion delivery.
 	Scheduler = campaign.Scheduler
 	// SchedulerConfig tunes the worker pool.
 	SchedulerConfig = campaign.SchedulerConfig
