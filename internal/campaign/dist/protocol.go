@@ -27,10 +27,11 @@
 // followed by json_len bytes of JSONL, csv_len bytes of CSV and shard_len
 // bytes of shard delta (campaign.Shard.AppendDelta), in that order. Headers
 // are canonical-only: keys in Msg's field order, zero values omitted,
-// numbers and strings as encoding/json writes them. A line that appendMsg
-// would not write byte for byte is refused, which is what lets the
-// once-per-span messages encode and parse by hand without allocating; only
-// reason and obs, once per session, go through encoding/json.
+// numbers and strings as canonjson writes them, which is as encoding/json
+// writes them but for one exception (a U+0008 or U+000C in reason). A line
+// that appendMsg would not write byte for byte is refused, which is what
+// lets the once-per-span messages encode and parse by hand without
+// allocating; only obs, once per session, goes through encoding/json.
 //
 // Exactly-once emission needs no acknowledgements: a span is owned by its
 // index range, the first report of a span wins, and duplicates (a slow
@@ -45,13 +46,13 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
 
+	"reorder/internal/canonjson"
 	"reorder/internal/obs"
 )
 
@@ -131,7 +132,8 @@ type Msg struct {
 // appendMsg appends m's header line, without its newline, to dst. The
 // bytes are what json.Marshal writes for Msg with every field but type
 // tagged omitempty under its key — the canonical form, and the only one
-// parseMsg accepts.
+// parseMsg accepts — but for canonjson's one exception: a U+0008 or U+000C
+// in reason is written \u0008 or \u000c, not \b or \f.
 func appendMsg(dst []byte, m *Msg) ([]byte, error) {
 	known := false
 	for _, t := range msgTypes {
@@ -141,31 +143,45 @@ func appendMsg(dst []byte, m *Msg) ([]byte, error) {
 		return dst, fmt.Errorf("dist: unknown message type %q", m.Type)
 	}
 	dst = append(append(append(dst, `{"type":"`...), m.Type...), '"')
-	dst = appendInt(dst, `,"version":`, int64(m.Version))
+	if m.Version != 0 {
+		dst = strconv.AppendInt(append(dst, `,"version":`...), int64(m.Version), 10)
+	}
 	if m.Fingerprint != 0 {
 		dst = strconv.AppendUint(append(dst, `,"fingerprint":`...), m.Fingerprint, 10)
 	}
-	dst = appendInt(dst, `,"worker":`, int64(m.Worker))
-	if m.Reason != "" {
-		b, err := json.Marshal(m.Reason)
-		if err != nil {
-			return dst, err
-		}
-		dst = append(append(dst, `,"reason":`...), b...)
+	if m.Worker != 0 {
+		dst = strconv.AppendInt(append(dst, `,"worker":`...), int64(m.Worker), 10)
 	}
-	dst = appendInt(dst, `,"samples":`, int64(m.Samples))
-	dst = appendInt(dst, `,"retries":`, int64(m.Retries))
+	if m.Reason != "" {
+		dst = canonjson.AppendString(append(dst, `,"reason":`...), m.Reason)
+	}
+	if m.Samples != 0 {
+		dst = strconv.AppendInt(append(dst, `,"samples":`...), int64(m.Samples), 10)
+	}
+	if m.Retries != 0 {
+		dst = strconv.AppendInt(append(dst, `,"retries":`...), int64(m.Retries), 10)
+	}
 	if m.WantJSONL {
 		dst = append(dst, `,"want_jsonl":true`...)
 	}
 	if m.WantCSV {
 		dst = append(dst, `,"want_csv":true`...)
 	}
-	dst = appendInt(dst, `,"lo":`, int64(m.Lo))
-	dst = appendInt(dst, `,"hi":`, int64(m.Hi))
-	dst = appendInt(dst, `,"json_len":`, int64(m.JSONLen))
-	dst = appendInt(dst, `,"csv_len":`, int64(m.CSVLen))
-	dst = appendInt(dst, `,"shard_len":`, int64(m.ShardLen))
+	if m.Lo != 0 {
+		dst = strconv.AppendInt(append(dst, `,"lo":`...), int64(m.Lo), 10)
+	}
+	if m.Hi != 0 {
+		dst = strconv.AppendInt(append(dst, `,"hi":`...), int64(m.Hi), 10)
+	}
+	if m.JSONLen != 0 {
+		dst = strconv.AppendInt(append(dst, `,"json_len":`...), int64(m.JSONLen), 10)
+	}
+	if m.CSVLen != 0 {
+		dst = strconv.AppendInt(append(dst, `,"csv_len":`...), int64(m.CSVLen), 10)
+	}
+	if m.ShardLen != 0 {
+		dst = strconv.AppendInt(append(dst, `,"shard_len":`...), int64(m.ShardLen), 10)
+	}
 	if m.Obs != nil {
 		b, err := json.Marshal(m.Obs)
 		if err != nil {
@@ -176,22 +192,16 @@ func appendMsg(dst []byte, m *Msg) ([]byte, error) {
 	return append(dst, '}'), nil
 }
 
-func appendInt(dst []byte, key string, v int64) []byte {
-	if v == 0 {
-		return dst
-	}
-	return strconv.AppendInt(append(dst, key...), v, 10)
-}
-
 var errMalformed = errors.New("dist: malformed message")
 
 // parseMsg fills m from one header line, without its newline. It accepts
-// only the canonical form: it parses, re-appends m into canon and compares,
-// so a reordered, repeated, padded or zero-valued key, a number written
-// another way or an unknown key is refused, and whatever it accepts
-// re-encodes to exactly the line. canon is returned for reuse. A warmed
-// parse of a once-per-span message allocates nothing; the handshake's
-// reason and obs go through encoding/json.
+// only the canonical form: it reads each key's value with a
+// canonjson.Cursor, re-appends m into canon and compares, so a reordered,
+// repeated, padded or zero-valued key, a number or string written another
+// way or an unknown key is refused, and whatever it accepts re-encodes to
+// exactly the line. canon is returned for reuse. A warmed parse of a
+// once-per-span message allocates nothing; the handshake's reason
+// allocates its string and obs goes through encoding/json.
 func parseMsg(m *Msg, line, canon []byte) ([]byte, error) {
 	*m = Msg{}
 	p, ok := bytes.CutPrefix(line, []byte(`{"type":"`))
@@ -207,62 +217,60 @@ func parseMsg(m *Msg, line, canon []byte) ([]byte, error) {
 	if m.Type == "" {
 		return canon, fmt.Errorf("dist: unknown message type %q", p[:end])
 	}
-	p = p[end+1:]
-	for len(p) > 0 && p[0] == ',' {
-		rest, ok := bytes.CutPrefix(p, []byte(`,"`))
+	c := canonjson.Cursor(p[end+1:])
+	for len(c) > 0 && c[0] == ',' {
+		rest, ok := bytes.CutPrefix(c, []byte(`,"`))
 		end := bytes.IndexByte(rest, '"')
 		if !ok || end < 0 || end+1 >= len(rest) || rest[end+1] != ':' {
 			return canon, errMalformed
 		}
 		key := rest[:end]
-		p = rest[end+2:]
-		var err error
+		c = rest[end+2:]
 		switch string(key) {
 		case "version":
-			err = parseInt(&p, &m.Version)
+			ok = c.Int(&m.Version)
 		case "fingerprint":
-			err = parseUint(&p, &m.Fingerprint)
+			ok = c.Uint(&m.Fingerprint)
 		case "worker":
-			err = parseInt(&p, &m.Worker)
+			ok = c.Int(&m.Worker)
 		case "reason":
-			var tok []byte
-			if tok, err = cutString(&p); err == nil {
-				err = json.Unmarshal(tok, &m.Reason)
-			}
+			ok = c.String(&m.Reason)
 		case "samples":
-			err = parseInt(&p, &m.Samples)
+			ok = c.Int(&m.Samples)
 		case "retries":
-			err = parseInt(&p, &m.Retries)
+			ok = c.Int(&m.Retries)
 		case "want_jsonl":
-			err = parseTrue(&p, &m.WantJSONL)
+			ok = c.Bool(&m.WantJSONL)
 		case "want_csv":
-			err = parseTrue(&p, &m.WantCSV)
+			ok = c.Bool(&m.WantCSV)
 		case "lo":
-			err = parseInt(&p, &m.Lo)
+			ok = c.Int(&m.Lo)
 		case "hi":
-			err = parseInt(&p, &m.Hi)
+			ok = c.Int(&m.Hi)
 		case "json_len":
-			err = parseInt(&p, &m.JSONLen)
+			ok = c.Int(&m.JSONLen)
 		case "csv_len":
-			err = parseInt(&p, &m.CSVLen)
+			ok = c.Int(&m.CSVLen)
 		case "shard_len":
-			err = parseInt(&p, &m.ShardLen)
+			ok = c.Int(&m.ShardLen)
 		case "obs":
 			// The last key: its value runs to the closing brace.
-			if len(p) == 0 {
+			if len(c) == 0 {
 				return canon, errMalformed
 			}
 			m.Obs = new(obs.WorkerWire)
-			err = json.Unmarshal(p[:len(p)-1], m.Obs)
-			p = p[len(p)-1:]
+			if err := json.Unmarshal(c[:len(c)-1], m.Obs); err != nil {
+				return canon, fmt.Errorf("dist: malformed obs: %w", err)
+			}
+			c = c[len(c)-1:]
 		default:
 			return canon, fmt.Errorf("dist: unknown message key %q", key)
 		}
-		if err != nil {
-			return canon, fmt.Errorf("dist: malformed %s: %w", key, err)
+		if !ok {
+			return canon, fmt.Errorf("dist: malformed %s", key)
 		}
 	}
-	if string(p) != "}" {
+	if string(c) != "}" {
 		return canon, fmt.Errorf("dist: trailing garbage after message")
 	}
 	canon, err := appendMsg(canon[:0], m)
@@ -270,87 +278,6 @@ func parseMsg(m *Msg, line, canon []byte) ([]byte, error) {
 		err = fmt.Errorf("dist: non-canonical message %q", line)
 	}
 	return canon, err
-}
-
-// parseInt reads an integer into *dst, refusing one an int cannot hold
-// (beyond math.MaxInt32 on a 32-bit platform) rather than wrapping it.
-func parseInt(p *[]byte, dst *int) error {
-	var v int64
-	if err := parseInt64(p, &v); err != nil {
-		return err
-	}
-	if v < math.MinInt || v > math.MaxInt {
-		return fmt.Errorf("%d out of the int range", v)
-	}
-	*dst = int(v)
-	return nil
-}
-
-func parseInt64(p *[]byte, dst *int64) error {
-	neg := len(*p) > 0 && (*p)[0] == '-'
-	if neg {
-		*p = (*p)[1:]
-	}
-	var u uint64
-	if err := parseUint(p, &u); err != nil {
-		return err
-	}
-	switch {
-	case neg && u <= 1<<63:
-		*dst = -int64(u)
-	case !neg && u <= math.MaxInt64:
-		*dst = int64(u)
-	default:
-		return errors.New("integer overflows 64 bits")
-	}
-	return nil
-}
-
-func parseUint(p *[]byte, dst *uint64) error {
-	b := *p
-	i := 0
-	var v uint64
-	for ; i < len(b) && '0' <= b[i] && b[i] <= '9'; i++ {
-		d := uint64(b[i] - '0')
-		if v > (math.MaxUint64-d)/10 {
-			return errors.New("integer overflows 64 bits")
-		}
-		v = v*10 + d
-	}
-	if i == 0 {
-		return errors.New("not a number")
-	}
-	*dst, *p = v, b[i:]
-	return nil
-}
-
-// parseTrue reads a boolean that is set: false is the zero value, which the
-// canonical form omits.
-func parseTrue(p *[]byte, dst *bool) error {
-	rest, ok := bytes.CutPrefix(*p, []byte("true"))
-	if !ok {
-		return errors.New("not true")
-	}
-	*dst, *p = true, rest
-	return nil
-}
-
-// cutString cuts a JSON string token, quotes included, off the front of *p.
-func cutString(p *[]byte) ([]byte, error) {
-	b := *p
-	if len(b) == 0 || b[0] != '"' {
-		return nil, errors.New("not a string")
-	}
-	for i := 1; i < len(b); i++ {
-		switch b[i] {
-		case '\\':
-			i++
-		case '"':
-			*p = b[i+1:]
-			return b[:i+1], nil
-		}
-	}
-	return nil, errors.New("unterminated string")
 }
 
 // wire frames Msgs over a connection: newline-delimited JSON headers with

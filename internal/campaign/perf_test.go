@@ -161,6 +161,30 @@ func TestAppendJSONMatchesMarshal(t *testing.T) {
 	}
 }
 
+// TestAppendJSONKeepsControlEscapes pins the record bytes where AppendJSON
+// and encoding/json part: since Go 1.22 json.Marshal writes U+0008 and
+// U+000C as \b and \f, while records have always carried \u0008 and \u000c.
+// Changing that would change the record format. The record still replays.
+func TestAppendJSONKeepsControlEscapes(t *testing.T) {
+	tg := Target{Name: "n", Profile: "linux24", Impairment: "clean", Test: "single"}
+	r := TargetResult{Name: tg.Name, Profile: tg.Profile, Impairment: tg.Impairment, Test: tg.Test,
+		Attempts: 1, Err: "a\bb\fc"}
+	got := r.AppendJSON(nil)
+	want, err := json.Marshal(&r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want = bytes.Replace(want, []byte(`"error":"a\bb\fc"`), []byte(`"error":"a\u0008b\u000cc"`), 1)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("AppendJSON:\n %s\nwant:\n %s", got, want)
+	}
+	var dec recordDecoder
+	var back TargetResult
+	if err := dec.decode(got, &tg, &back); err != nil || back != r {
+		t.Fatalf("replayed as %+v, %v", back, err)
+	}
+}
+
 // allocMatrix lists the cells of the warmed-probe matrix: every test on
 // every profile over a clean path, every impairment under the single
 // connection test, and every scenario and every topology under the

@@ -12,6 +12,8 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+
+	"reorder/internal/canonjson"
 )
 
 // mixedCampaign probes a 64-target list that covers every shape a record takes:
@@ -195,7 +197,7 @@ func TestReplayForeignExclusion(t *testing.T) {
 	}
 }
 
-func jsonString(s string) string { return string(appendJSONString(nil, s)) }
+func jsonString(s string) string { return string(canonjson.AppendString(nil, s)) }
 
 // TestReplayInvalidUTF8Refused pins the one record AppendJSON writes and
 // replay refuses: \ufffd stands for any invalid byte, so no decoded string

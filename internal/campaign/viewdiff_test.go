@@ -18,8 +18,10 @@ import (
 // encode/decode wire path. Any divergence means a view lied about what the
 // wire would have carried. The catalog is run point-to-point and over the
 // multihop topology, whose three background flows build their segments on
-// payload bytes shared with the sender's pattern table (NewTCPFrameShared):
-// forced materialization encodes every one of those from the shared bytes.
+// payload bytes shared with the sender's pattern table (NewTCPFrameShared),
+// as the serving stack builds every transfer probe's data segments on its
+// own table: forced materialization encodes every one of those from the
+// shared bytes.
 func TestViewDifferentialCatalog(t *testing.T) {
 	targets, err := Enumerate(EnumSpec{
 		// Full impairment catalog and all four tests (nil selects all);

@@ -111,6 +111,41 @@ func (a *Arena) NewTCPFrameShared(id uint64, born sim.Time, ip *packet.IPv4Heade
 	return a.newTCPFrame(id, born, ip, tcp, payload, true)
 }
 
+// MaxTCPPayload is the most TCP payload an IPv4 datagram carries: no
+// segment, whatever the MSS, can be built with more.
+const MaxTCPPayload = 0xffff - ipv4WireLen - tcpWireLen
+
+// PayloadTable is a synthetic payload byte stream — byte base + q%period at
+// sequence number q — laid out for NewTCPFrameShared around the one place
+// the stream need not be periodic: sequence numbers wrap at 2^32, and at
+// period 25, say, 2^32 mod 25 = 21, so base+20 at sequence 2^32-1 is
+// followed by base+0, not base+21. t[MaxTCPPayload+j] is the byte at
+// sequence j and t[MaxTCPPayload-k] the byte at sequence 2^32-k, so any
+// segment's payload, wrapping or not, is one contiguous slice. A table is
+// read-only once built: frames in every simulation of the process share it.
+type PayloadTable []byte
+
+// NewPayloadTable builds the table of the stream base + q%period.
+func NewPayloadTable(base byte, period uint32) PayloadTable {
+	t := make(PayloadTable, 2*MaxTCPPayload+period)
+	for i := range t {
+		q := uint32(i - MaxTCPPayload) // negative offsets wrap like sequence numbers
+		t[i] = base + byte(q%period)
+	}
+	return t
+}
+
+// Slice returns the n <= MaxTCPPayload bytes of the stream starting at
+// sequence number seq, as a read-only slice of t.
+func (t PayloadTable) Slice(seq, n uint32) []byte {
+	period := uint32(len(t) - 2*MaxTCPPayload) // as NewPayloadTable sized it
+	off := MaxTCPPayload + seq%period
+	if k := -seq; k < n {
+		off = MaxTCPPayload - k // the segment crosses the wrap k bytes in
+	}
+	return t[off : off+n]
+}
+
 // newTCPFrame builds the frame for both constructors; shared says whether
 // the view may keep payload itself.
 func (a *Arena) newTCPFrame(id uint64, born sim.Time, ip *packet.IPv4Header, tcp *packet.TCPHeader, payload []byte, shared bool) (*Frame, error) {

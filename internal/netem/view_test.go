@@ -120,6 +120,44 @@ func TestSharedPayloadFrame(t *testing.T) {
 	}
 }
 
+// TestPayloadTableMatchesFormula holds a table's slices to the per-byte
+// formula, base + (seq+i)%period with the sequence number wrapping as
+// uint32, for the serving stack's stream and a period that divides 2^32
+// (tcpsender's test holds the sender's): random segments, and segments
+// ending at, straddling and starting on sequence number 0, up to the
+// largest payload.
+func TestPayloadTableMatchesFormula(t *testing.T) {
+	rng := sim.NewRand(1, 2)
+	for _, c := range []struct {
+		base   byte
+		period uint32
+	}{{0, 251}, {'a', 256}} {
+		table := NewPayloadTable(c.base, c.period)
+		check := func(seq, n uint32) {
+			t.Helper()
+			got := table.Slice(seq, n)
+			if uint32(len(got)) != n {
+				t.Fatalf("%+v: Slice(%d, %d) has %d bytes", c, seq, n, len(got))
+			}
+			for i, b := range got {
+				if want := c.base + byte((seq+uint32(i))%c.period); b != want {
+					t.Fatalf("%+v: Slice(%d, %d)[%d] = %d, want %d", c, seq, n, i, b, want)
+				}
+			}
+		}
+		for i := 0; i < 500; i++ {
+			check(rng.Uint32(), uint32(rng.IntN(1461)))
+			check(-uint32(rng.IntN(MaxTCPPayload+1)), uint32(rng.IntN(MaxTCPPayload+1)))
+		}
+		for back := uint32(0); back <= 1500; back += 7 {
+			check(-back, 1460)
+		}
+		check(0, MaxTCPPayload)
+		check(1<<32-1, MaxTCPPayload)
+		check(1<<32-MaxTCPPayload, MaxTCPPayload)
+	}
+}
+
 // TestViewToPacketMatchesDecode checks the receiver-side shortcut: copying
 // a view into a scratch packet must agree field-for-field with DecodeInto
 // over the materialized bytes.

@@ -390,6 +390,51 @@ func TestTraceEventsAreJSONL(t *testing.T) {
 	}
 }
 
+// TestTraceErrorTextsStayJSON: error texts holding bytes Go quoting and
+// JSON escape differently — control bytes, invalid UTF-8, U+2028, HTML
+// characters — still leave every line valid JSON, carrying the string
+// encoding/json reads back from its own encoding.
+func TestTraceErrorTextsStayJSON(t *testing.T) {
+	texts := []string{
+		"ctl \x00\x01\x07\b\f\x1b\x7f end",
+		"bad \xff\xfe utf8 \xc3",
+		"line\u2028sep\u2029para",
+		`<tag attr="v"> & 'q' \ back`,
+		"tab\t nl\n cr\r ünïcode ✓",
+	}
+	var buf bytes.Buffer
+	tr := NewTrace(&buf)
+	for i, s := range texts {
+		tr.Retry(1, i, 1, 10, s)
+		tr.RunEnd(i, false, s)
+	}
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
+	if len(lines) != 2*len(texts) {
+		t.Fatalf("trace has %d lines, want %d", len(lines), 2*len(texts))
+	}
+	for i, line := range lines {
+		s := texts[i/2]
+		if !json.Valid([]byte(line)) {
+			t.Fatalf("line %d is not valid JSON: %s", i, line)
+		}
+		enc, err := json.Marshal(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want string
+		if err := json.Unmarshal(enc, &want); err != nil {
+			t.Fatal(err)
+		}
+		var ev struct{ Error string }
+		if err := json.Unmarshal([]byte(line), &ev); err != nil || ev.Error != want {
+			t.Fatalf("line %d carries error %q (%v), want %q", i, ev.Error, err, want)
+		}
+	}
+}
+
 // TestConcurrentScrapeIsRaceFree hammers one registry from writer and
 // scraper goroutines; the race detector is the assertion.
 func TestConcurrentScrapeIsRaceFree(t *testing.T) {

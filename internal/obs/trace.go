@@ -6,6 +6,8 @@ import (
 	"strconv"
 	"sync"
 	"time"
+
+	"reorder/internal/canonjson"
 )
 
 // Trace is a structured JSONL run trace: one object per line, recording
@@ -14,7 +16,9 @@ import (
 // timestamps (nanoseconds since the trace started, plus absolute unix
 // nanoseconds on run boundaries) and, where a simulation ran, the
 // simulated time it consumed. The schema is append-only: every event has
-// "ev" and "t_ns"; other keys are per-event.
+// "ev" and "t_ns"; other keys are per-event. String values are written as
+// the campaign's JSONL writes them (canonjson.AppendString), so every line
+// is valid JSON whatever bytes an error text holds.
 //
 // Events are span-granular, never per-frame, so a trace stays a few
 // kilobytes per thousand targets and tracing costs the hot path nothing.
@@ -68,7 +72,7 @@ func (t *Trace) str(key, v string) {
 	t.buf = append(t.buf, ',', '"')
 	t.buf = append(t.buf, key...)
 	t.buf = append(t.buf, `":`...)
-	t.buf = strconv.AppendQuote(t.buf, v)
+	t.buf = canonjson.AppendString(t.buf, v)
 }
 
 func (t *Trace) end() {

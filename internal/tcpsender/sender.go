@@ -478,38 +478,12 @@ func (s *Sender) trySend() {
 // sendData transmits payload bytes [seq, seq+n). Content avoids '\n' so
 // the receiving stack's request-triggered application stays dormant.
 func (s *Sender) sendData(seq, n uint32) {
-	s.transmit(packet.FlagACK|packet.FlagPSH, seq, s.rcvNxt, payload(seq, n), nil)
+	s.transmit(packet.FlagACK|packet.FlagPSH, seq, s.rcvNxt, pattern.Slice(seq, n), nil)
 }
 
-// maxPayload is the most TCP payload an IPv4 datagram carries: no segment,
-// whatever the configured MSS, can be transmitted with more.
-const maxPayload = 0xffff - 40
-
-// pattern is the payload byte stream — byte 'a' + q%25 at sequence number q —
-// laid out around the one place it is not 25-periodic: sequence numbers wrap
-// at 2^32, and 2^32 mod 25 = 21, so 'a'+20 at sequence 2^32-1 is followed by
-// 'a'+0, not 'a'+21. pattern[maxPayload+j] is the byte at sequence j and
-// pattern[maxPayload-k] the byte at sequence 2^32-k, so any segment's
-// payload, wrapping or not, is one contiguous slice. It is read-only after
-// this initializer: frames in every simulation of the process share it.
-var pattern = func() []byte {
-	p := make([]byte, 2*maxPayload+25)
-	for i := range p {
-		q := uint32(i - maxPayload) // negative offsets wrap like sequence numbers
-		p[i] = 'a' + byte(q%25)
-	}
-	return p
-}()
-
-// payload returns the n <= maxPayload bytes starting at sequence number seq,
-// as a read-only slice of pattern.
-func payload(seq, n uint32) []byte {
-	off := maxPayload + seq%25
-	if k := -seq; k < n {
-		off = maxPayload - k // the segment crosses the wrap k bytes in
-	}
-	return pattern[off : off+n]
-}
+// pattern is the payload byte stream, 'a' + q%25 at sequence number q. It
+// holds no '\n', which would wake the receiving stack's application.
+var pattern = netem.NewPayloadTable('a', 25)
 
 // transmit sends one segment. payload is nil or a slice of pattern, which
 // nothing ever writes, so the frame shares it instead of copying it.

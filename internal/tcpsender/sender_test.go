@@ -25,8 +25,8 @@ func formulaPayload(seq, n uint32) []byte {
 func TestPayloadMatchesFormula(t *testing.T) {
 	check := func(seq, n uint32) {
 		t.Helper()
-		if got, want := payload(seq, n), formulaPayload(seq, n); !bytes.Equal(got, want) {
-			t.Fatalf("payload(%d, %d) differs from the per-byte formula", seq, n)
+		if got, want := pattern.Slice(seq, n), formulaPayload(seq, n); !bytes.Equal(got, want) {
+			t.Fatalf("pattern.Slice(%d, %d) differs from the per-byte formula", seq, n)
 		}
 	}
 	rng := sim.NewRand(1, 2)
@@ -40,11 +40,11 @@ func TestPayloadMatchesFormula(t *testing.T) {
 		check(-back, 1460)
 	}
 	for i := 0; i < 2000; i++ {
-		check(-uint32(rng.IntN(maxPayload+1)), uint32(rng.IntN(maxPayload+1)))
+		check(-uint32(rng.IntN(netem.MaxTCPPayload+1)), uint32(rng.IntN(netem.MaxTCPPayload+1)))
 	}
-	check(0, maxPayload)
-	check(1<<32-1, maxPayload)
-	check(1<<32-maxPayload, maxPayload)
+	check(0, netem.MaxTCPPayload)
+	check(1<<32-1, netem.MaxTCPPayload)
+	check(1<<32-netem.MaxTCPPayload, netem.MaxTCPPayload)
 	if bytes.IndexByte(pattern, '\n') >= 0 {
 		t.Fatal("pattern contains a newline: the receiving application would wake")
 	}

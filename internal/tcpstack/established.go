@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"net/netip"
 
+	"reorder/internal/netem"
 	"reorder/internal/packet"
 )
 
@@ -291,29 +292,26 @@ func (s *Stack) retransmit(c *conn) {
 	c.rtxTimer = s.loop.RescheduleArg(c.rtxTimer, s.loop.Now().Add(s.cfg.RTO), s.rtxFn, c)
 }
 
-// sendData transmits object bytes [seq, seq+n). Payload content is a
-// deterministic function of sequence position so traces can verify
+// objectBytes is the served object's byte stream, q%251 at sequence number
+// q: a deterministic function of sequence position, so traces can verify
 // integrity.
+var objectBytes = netem.NewPayloadTable(0, 251)
+
+// sendData transmits object bytes [seq, seq+n).
 func (s *Stack) sendData(c *conn, seq, n uint32) {
-	if cap(s.payloadBuf) < int(n) {
-		s.payloadBuf = make([]byte, n)
-	}
-	payload := s.payloadBuf[:n]
-	for i := range payload {
-		payload[i] = byte((seq + uint32(i)) % 251)
-	}
 	s.stats.DataSegsSent++
 	hdr := s.outHdr()
 	hdr.SrcPort, hdr.DstPort = c.lport, c.pport
 	hdr.Seq, hdr.Ack = seq, c.rcvNxt
 	hdr.Flags = packet.FlagACK | packet.FlagPSH
 	hdr.Window = s.cfg.Window
-	s.transmit(c.peer, hdr, payload)
+	s.transmit(c.peer, hdr, objectBytes.Slice(seq, n))
 }
 
-// transmit emits one datagram, stamping the IPID. The header and payload
-// are copied into an arena-owned frame view; wire bytes are not encoded
-// here — they materialize only if something downstream needs octets.
+// transmit emits one datagram, stamping the IPID. payload is nil or a slice
+// of objectBytes, which nothing ever writes, so the frame view shares it;
+// the header is copied into the view. Wire bytes are not encoded here —
+// they materialize only if something downstream needs octets.
 func (s *Stack) transmit(dst netip.Addr, hdr *packet.TCPHeader, payload []byte) {
 	ip := packet.IPv4Header{
 		Src: s.addr, Dst: dst,
@@ -322,7 +320,7 @@ func (s *Stack) transmit(dst netip.Addr, hdr *packet.TCPHeader, payload []byte) 
 	if !s.cfg.DisablePMTUD {
 		ip.Flags = packet.FlagDF
 	}
-	f, err := s.arena.NewTCPFrame(s.ids.Next(), s.loop.Now(), &ip, hdr, payload)
+	f, err := s.arena.NewTCPFrameShared(s.ids.Next(), s.loop.Now(), &ip, hdr, payload)
 	if err != nil {
 		panic("tcpstack: encode: " + err.Error())
 	}

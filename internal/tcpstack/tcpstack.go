@@ -197,19 +197,18 @@ type Stack struct {
 	stats Stats
 
 	// Steady-state scratch: the stack handles one segment at a time on a
-	// single-threaded loop, so one decoded packet, one outgoing header and
-	// one payload buffer serve every connection without per-segment
-	// allocation. arena (optional) supplies the frame views (and any
-	// materialized wire bytes) the stack emits.
-	arena      *netem.Arena
-	rxPkt      packet.Packet
-	viewPkt    packet.Packet // aliases a frame view during Input only
-	txHdr      packet.TCPHeader
-	payloadBuf []byte
-	sackBuf    []byte
-	mssData    [2]byte
-	delackFn   func(any)
-	rtxFn      func(any)
+	// single-threaded loop, so one decoded packet and one outgoing header
+	// serve every connection without per-segment allocation. arena
+	// (optional) supplies the frame views (and any materialized wire
+	// bytes) the stack emits.
+	arena    *netem.Arena
+	rxPkt    packet.Packet
+	viewPkt  packet.Packet // aliases a frame view during Input only
+	txHdr    packet.TCPHeader
+	sackBuf  []byte
+	mssData  [2]byte
+	delackFn func(any)
+	rtxFn    func(any)
 
 	// connPool recycles connection state: dropped connections return here
 	// and acceptSYN reuses them (including their OOO/SACK slice storage),
