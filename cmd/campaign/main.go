@@ -55,15 +55,6 @@ var run = cli.Dispatch("campaign", commands)
 
 func main() { cli.Main(run) }
 
-// listFlag is a comma-separated name list.
-type listFlag []string
-
-func (l *listFlag) String() string { return strings.Join(*l, ",") }
-func (l *listFlag) Set(s string) error {
-	*l = strings.FieldsFunc(s, func(r rune) bool { return r == ',' || r == ' ' })
-	return nil
-}
-
 // positiveDuration is a duration flag that refuses zero and negative values.
 type positiveDuration time.Duration
 
@@ -86,13 +77,13 @@ type enumFlags struct {
 }
 
 func (e *enumFlags) define(fs *flag.FlagSet) {
-	fs.Var((*listFlag)(&e.spec.Profiles), "profiles", "comma-separated host profiles (default: all)")
-	fs.Var((*listFlag)(&e.spec.Impairments), "impairments", "comma-separated path impairments (default: all)")
-	fs.Var((*listFlag)(&e.spec.Tests), "tests", "comma-separated techniques (default: single,dual,syn,transfer)")
+	fs.Var((*cli.List)(&e.spec.Profiles), "profiles", "comma-separated host profiles (default: all)")
+	fs.Var((*cli.List)(&e.spec.Impairments), "impairments", "comma-separated path impairments (default: all)")
+	fs.Var((*cli.List)(&e.spec.Tests), "tests", "comma-separated techniques (default: single,dual,syn,transfer)")
 	fs.IntVar(&e.spec.Seeds, "seeds", 0, "seed replicas per profile×impairment×test combination (0 = auto: 7, or 2 with -quick)")
 	fs.Uint64Var(&e.spec.BaseSeed, "seed", 719, "base seed; fixes every scenario draw in the campaign")
-	fs.Var((*listFlag)(&e.spec.Topologies), "topology", "comma-separated topology graphs from the catalog (\"p2p\" is the point-to-point control); adds a topology dimension to the enumeration")
-	fs.Var((*listFlag)(&e.spec.Scenarios), "scenario", "comma-separated fault schedules from the scenario catalog; adds a time-varying/adversarial dimension to the enumeration")
+	fs.Var((*cli.List)(&e.spec.Topologies), "topology", "comma-separated topology graphs from the catalog (\"p2p\" is the point-to-point control); adds a topology dimension to the enumeration")
+	fs.Var((*cli.List)(&e.spec.Scenarios), "scenario", "comma-separated fault schedules from the scenario catalog; adds a time-varying/adversarial dimension to the enumeration")
 	fs.StringVar(&e.path, "targets", "", "targets file (profile impairment test seed [topology [scenario]] per line); overrides enumeration")
 	fs.BoolVar(&e.quick, "quick", false, "small campaign (2 seeds, single+syn) for smoke runs")
 }
@@ -295,7 +286,7 @@ func workerArgv(serve *flag.FlagSet, addr string) []string {
 
 // pairedFlags are the two agreement experiments' shared knobs.
 type pairedFlags struct {
-	list                    listFlag
+	list                    cli.List
 	seeds, samples, workers int
 	baseSeed                uint64
 	profileFlags

@@ -1,150 +1,216 @@
-// Command reorder runs one reordering measurement against a simulated
-// path and prints per-sample verdicts and the summary rates — the
-// interactive face of the library, analogous to running the paper's sting
-// extension against one host.
+// Command reorder measures reordering on a simulated path and regenerates
+// the paper's evaluation, one command per measurement or experiment:
 //
-// Usage:
+//	reorder probe -test single|dual|syn|transfer|ipid   one measurement (the paper's sting extension against one host)
+//	reorder analyze -in a.pcap,b.pcap                   offline, tcptrace-style analysis of raw-IP captures
+//	reorder survey                                      §IV-B survey: Fig 5 CDF and IPID exclusions (E2/E6)
+//	reorder agreement                                   §IV-B pairwise technique agreement (E4)
+//	reorder timeseries                                  Fig 6 time series on a load-balanced path (E3)
+//	reorder baselines                                   prior-art baselines (E7)
+//	reorder cooperative                                 against a cooperative IPPM session (E10)
+//	reorder validate                                    §IV-A controlled validation against ground truth (E1)
+//	reorder timedist                                    Fig 7 rate vs packet spacing (E5)
+//	reorder mechanisms                                  gap signatures of striping, multi-path and L2 ARQ (E8)
+//	reorder impact                                      reordering's cost to TCP (E9)
 //
-//	reorder -test single -samples 15 -fwd 0.05 -rev 0.02
-//	reorder -test dual -gap 50us -trunk
-//	reorder -test syn -lb
-//	reorder -test transfer -rev 0.1
-//	reorder -test ipid -profile linux24
+// Each command's flag set is composed from the groups below and holds only
+// the flags that command reads, so a flag it would ignore is "flag provided
+// but not defined". -quick runs an experiment's reduced configuration; every
+// report is identical at any -workers count. For target populations beyond
+// the survey's shape, see cmd/campaign.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"io"
-	"os"
+	"strings"
+	"time"
 
+	"reorder/internal/campaign"
 	"reorder/internal/cli"
-	"reorder/internal/core"
-	"reorder/internal/host"
-	"reorder/internal/netem"
-	"reorder/internal/simnet"
-	"reorder/internal/trace"
+	"reorder/internal/experiments"
 )
+
+var commands = []cli.Command{
+	{Name: "probe", Summary: "one measurement against a simulated path; -pcap writes its ground-truth captures", Setup: setupProbe},
+	{Name: "analyze", Summary: "per-flow reordering statistics of raw-IP pcap captures (-in)", Setup: setupAnalyze},
+	{Name: "survey", Summary: "§IV-B host survey: Fig 5 CDF of per-path rates, IPID exclusions (E2/E6)", Setup: setupSurvey},
+	{Name: "agreement", Summary: "§IV-B pairwise technique agreement over the survey (E4)", Setup: setupAgreement},
+	{Name: "timeseries", Summary: "Fig 6 time series on a load-balanced path (E3)",
+		Setup: quickOnly(experiments.DefaultTimeSeries, experiments.QuickTimeSeries, experiments.RunTimeSeries)},
+	{Name: "baselines", Summary: "prior-art baselines: Bennett ICMP bursts, Paxson passive analysis (E7)",
+		Setup: quickOnly(experiments.DefaultBaselines, experiments.QuickBaselines, experiments.RunBaselines)},
+	{Name: "cooperative", Summary: "the techniques against a cooperative IPPM session (E10)",
+		Setup: quickOnly(experiments.DefaultCooperative, experiments.QuickCooperative, experiments.RunCooperative)},
+	{Name: "validate", Summary: "§IV-A controlled validation of every technique against trace ground truth (E1)", Setup: setupValidate},
+	{Name: "timedist", Summary: "Fig 7 reordering rate vs packet spacing over a striped trunk (E5)", Setup: setupTimedist},
+	{Name: "mechanisms", Summary: "gap signatures of trunk striping, multi-path routing and L2 ARQ (E8)", Setup: setupMechanisms},
+	{Name: "impact", Summary: "Reno vs adaptive dup-ACK transfers at each reordering intensity (E9)", Setup: setupImpact},
+}
+
+var run = cli.Dispatch("reorder", commands)
 
 func main() { cli.Main(run) }
 
-func run(args []string, stdout io.Writer) error {
-	fs := flag.NewFlagSet("reorder", flag.ContinueOnError)
-	var (
-		test     = fs.String("test", "single", "technique: single, dual, syn, transfer, ipid")
-		samples  = fs.Int("samples", 15, "samples per measurement")
-		gap      = fs.Duration("gap", 0, "inter-packet gap between sample pairs")
-		fwd      = fs.Float64("fwd", 0.05, "forward path swap probability")
-		rev      = fs.Float64("rev", 0.02, "reverse path swap probability")
-		loss     = fs.Float64("loss", 0, "loss probability on both paths")
-		seed     = fs.Uint64("seed", 1, "simulation seed")
-		reversed = fs.Bool("reversed", true, "single connection test: reversed send order")
-		lb       = fs.Bool("lb", false, "place a load balancer with 4 backends in front of the server")
-		trunk    = fs.Bool("trunk", false, "route the forward path over a striped 2-link trunk")
-		profile  = fs.String("profile", "freebsd4", "server profile (freebsd4, linux22, linux24, openbsd3, solaris8, win2000, spec, dual-rst)")
-		verbose  = fs.Bool("v", false, "print each sample")
-		pcapPfx  = fs.String("pcap", "", "write ground-truth captures to <prefix>-{probe-egress,host-ingress,host-egress,probe-ingress}.pcap")
-	)
-	if err := cli.Parse(fs, args); err != nil {
-		return err
-	}
+// quickVar defines -quick, which picks an experiment's reduced configuration.
+func quickVar(fs *flag.FlagSet) *bool {
+	return fs.Bool("quick", false, "reduced configuration for a fast smoke run")
+}
 
-	prof, ok := profileByName(*profile)
-	if !ok {
-		return cli.Usagef("unknown profile %q", *profile)
-	}
-	cfg := simnet.Config{
-		Seed:    *seed,
-		Server:  prof,
-		Forward: simnet.PathSpec{SwapProb: *fwd, Loss: *loss},
-		Reverse: simnet.PathSpec{SwapProb: *rev, Loss: *loss},
-	}
-	if *trunk {
-		cfg.Forward.Trunk = &netem.TrunkConfig{FanOut: 2, BurstProb: 0.35, MeanBurstBytes: 2500, RateBps: 1_000_000_000}
-	}
-	if *lb {
-		cfg.Backends = []host.Profile{prof, host.FreeBSD4(), host.Linux22(), host.Windows2000()}
-	}
-	n := simnet.New(cfg)
-	p := core.NewProber(n.Probe(), n.ServerAddr(), *seed+1)
+// workersVar defines -workers. Every experiment runs on the campaign
+// scheduler's pool, so its default is the scheduler's.
+func workersVar(fs *flag.FlagSet) *int {
+	return fs.Int("workers", campaign.DefaultWorkers, "concurrent runs; the report is identical at any worker count")
+}
 
-	var res *core.Result
-	var err error
-	switch *test {
-	case "single":
-		res, err = p.SingleConnectionTest(core.SCTOptions{Samples: *samples, Gap: *gap, Reversed: *reversed})
-	case "dual":
-		res, err = p.DualConnectionTest(core.DCTOptions{Samples: *samples, Gap: *gap})
-	case "syn":
-		res, err = p.SYNTest(core.SYNOptions{Samples: *samples, Gap: *gap})
-	case "transfer":
-		res, err = p.DataTransferTest(core.TransferOptions{})
-	case "ipid":
-		rep, err := p.ValidateIPID(core.IPIDCheckOptions{Probes: 16})
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "IPID prevalidation of %s (%s): usable=%v score=%.2f constant=%v samples=%d\n",
-			n.ServerAddr(), n.Hosts[0].IPIDPolicy(), rep.Usable(), rep.Score, rep.Constant, rep.Samples)
+// csvVar defines -csv; what names the table the file receives.
+func csvVar(fs *flag.FlagSet, what string) *string {
+	return fs.String("csv", "", "also write "+what+" as CSV to this path")
+}
+
+// writeCSV writes a report's CSV to path, if one was given.
+func writeCSV(path string, write func(io.Writer) error) error {
+	if path == "" {
 		return nil
-	default:
-		return cli.Usagef("unknown test %q", *test)
 	}
-	if err != nil {
-		return err
-	}
-
-	if *verbose {
-		for i, s := range res.Samples {
-			fmt.Fprintf(stdout, "sample %2d: forward=%-9s reverse=%-9s gap=%s rtt=%s\n", i, s.Forward, s.Reverse, s.Gap, s.RTT)
-		}
-	}
-	if *pcapPfx != "" {
-		if err := dumpCaptures(stdout, *pcapPfx, n); err != nil {
-			return err
-		}
-	}
-	f, r := res.Forward(), res.Reverse()
-	fmt.Fprintf(stdout, "%s test against %s (%s profile)\n", res.Test, res.Target, prof.Name)
-	fmt.Fprintf(stdout, "forward: %3d in-order, %3d reordered, %3d discarded -> rate %.4f\n",
-		f.InOrder, f.Reordered, f.Discarded, f.Rate())
-	fmt.Fprintf(stdout, "reverse: %3d in-order, %3d reordered, %3d discarded -> rate %.4f\n",
-		r.InOrder, r.Reordered, r.Discarded, r.Rate())
-	fmt.Fprintf(stdout, "mean RTT: %s, virtual time elapsed: %s\n", res.MeanRTT(), n.Loop.Now())
-	return nil
+	return cli.WriteCSVFile(path, write)
 }
 
-// dumpCaptures writes the four ground-truth captures as pcap files.
-func dumpCaptures(stdout io.Writer, prefix string, n *simnet.Net) error {
-	caps := map[string]*trace.Capture{
-		"probe-egress":  n.ProbeEgress,
-		"host-ingress":  n.HostIngress,
-		"host-egress":   n.HostEgress,
-		"probe-ingress": n.ProbeIngress,
+// pick returns the reduced configuration under -quick, else the paper's.
+func pick[C any](quick bool, paper, reduced func() C) C {
+	if quick {
+		return reduced()
 	}
-	for name, c := range caps {
-		path := fmt.Sprintf("%s-%s.pcap", prefix, name)
-		f, err := os.Create(path)
+	return paper()
+}
+
+// quickOnly is the setup of an experiment whose one knob is -quick.
+func quickOnly[C any, R interface{ WriteText(io.Writer) }](paper, reduced func() C, experiment func(C) (R, error)) func(*flag.FlagSet) func(io.Writer) error {
+	return func(fs *flag.FlagSet) func(io.Writer) error {
+		quick := quickVar(fs)
+		return func(stdout io.Writer) error {
+			rep, err := experiment(pick(*quick, paper, reduced))
+			if err != nil {
+				return err
+			}
+			rep.WriteText(stdout)
+			return nil
+		}
+	}
+}
+
+func surveyConfig(quick bool, workers int) experiments.SurveyConfig {
+	cfg := pick(quick, experiments.DefaultSurvey, experiments.QuickSurvey)
+	cfg.Workers = workers
+	return cfg
+}
+
+func setupSurvey(fs *flag.FlagSet) func(io.Writer) error {
+	quick, workers, csvPath := quickVar(fs), workersVar(fs), csvVar(fs, "the Fig 5 CDF")
+	return func(stdout io.Writer) error {
+		rep := experiments.RunSurvey(surveyConfig(*quick, *workers))
+		rep.WriteText(stdout)
+		return writeCSV(*csvPath, rep.WriteCSV)
+	}
+}
+
+func setupAgreement(fs *flag.FlagSet) func(io.Writer) error {
+	quick, workers := quickVar(fs), workersVar(fs)
+	return func(stdout io.Writer) error {
+		experiments.RunAgreement(experiments.RunSurvey(surveyConfig(*quick, *workers)), 0.999).WriteText(stdout)
+		return nil
+	}
+}
+
+func setupValidate(fs *flag.FlagSet) func(io.Writer) error {
+	quick, workers, csvPath := quickVar(fs), workersVar(fs), csvVar(fs, "the per-run table")
+	samples := fs.Int("samples", 0, "override samples per run")
+	return func(stdout io.Writer) error {
+		cfg := pick(*quick, experiments.DefaultValidation, experiments.QuickValidation)
+		if *samples > 0 {
+			cfg.Samples = *samples
+		}
+		cfg.Workers = *workers
+		rep := experiments.RunValidation(cfg)
+		rep.WriteText(stdout)
+		return writeCSV(*csvPath, rep.WriteCSV)
+	}
+}
+
+func setupTimedist(fs *flag.FlagSet) func(io.Writer) error {
+	quick, workers, csvPath := quickVar(fs), workersVar(fs), csvVar(fs, "the curve")
+	samples := fs.Int("samples", 0, "override samples per point (paper: 1000)")
+	plot := fs.Bool("plot", true, "render an ASCII plot of the curve")
+	return func(stdout io.Writer) error {
+		cfg := pick(*quick, experiments.DefaultGapSweep, experiments.QuickGapSweep)
+		if *samples > 0 {
+			cfg.SamplesPerPoint = *samples
+		}
+		cfg.Workers = *workers
+		rep, err := experiments.RunGapSweep(cfg)
 		if err != nil {
 			return err
 		}
-		if err := c.WritePcap(f); err != nil {
-			f.Close()
+		rep.WriteText(stdout)
+		if err := writeCSV(*csvPath, rep.WriteCSV); err != nil {
 			return err
 		}
-		if err := f.Close(); err != nil {
-			return err
+		if *plot {
+			fmt.Fprintln(stdout)
+			asciiPlot(stdout, rep)
 		}
-		fmt.Fprintf(stdout, "wrote %s (%d packets)\n", path, c.Len())
+		return nil
 	}
-	return nil
 }
 
-func profileByName(name string) (host.Profile, bool) {
-	for _, p := range host.Catalog() {
-		if p.Name == name {
-			return p, true
+func setupMechanisms(fs *flag.FlagSet) func(io.Writer) error {
+	quick, workers, csvPath := quickVar(fs), workersVar(fs), csvVar(fs, "the curves")
+	return func(stdout io.Writer) error {
+		cfg := pick(*quick, experiments.DefaultMechanisms, experiments.QuickMechanisms)
+		cfg.Workers = *workers
+		rep, err := experiments.RunMechanisms(cfg)
+		if err != nil {
+			return err
+		}
+		rep.WriteText(stdout)
+		return writeCSV(*csvPath, rep.WriteCSV)
+	}
+}
+
+func setupImpact(fs *flag.FlagSet) func(io.Writer) error {
+	quick, csvPath := quickVar(fs), csvVar(fs, "the sweep")
+	return func(stdout io.Writer) error {
+		rep, err := experiments.RunImpact(pick(*quick, experiments.DefaultImpact, experiments.QuickImpact))
+		if err != nil {
+			return err
+		}
+		rep.WriteText(stdout)
+		return writeCSV(*csvPath, rep.WriteCSV)
+	}
+}
+
+// asciiPlot renders rate-vs-gap as rows of bars, downsampling to at most
+// 40 rows.
+func asciiPlot(w io.Writer, rep *experiments.GapSweepReport) {
+	pts := rep.Points
+	if len(pts) == 0 {
+		return
+	}
+	step := (len(pts) + 39) / 40
+	maxRate := 0.0
+	for _, p := range pts {
+		if p.Rate > maxRate {
+			maxRate = p.Rate
 		}
 	}
-	return host.Profile{}, false
+	if maxRate == 0 {
+		maxRate = 1
+	}
+	fmt.Fprintln(w, "gap        rate")
+	for i := 0; i < len(pts); i += step {
+		p := pts[i]
+		width := int(p.Rate / maxRate * 50)
+		fmt.Fprintf(w, "%-9s %7.4f |%s\n", p.Gap.Round(time.Microsecond), p.Rate, strings.Repeat("#", width))
+	}
 }

@@ -117,6 +117,16 @@ func Dispatch(prog string, cmds []Command) func(args []string, stdout io.Writer)
 	}
 }
 
+// List is a comma-separated name list flag ("a,b" or "a, b"); a *[]string
+// converts to it, so fs.Var((*List)(&names), ...) binds straight to a slice.
+type List []string
+
+func (l *List) String() string { return strings.Join(*l, ",") }
+func (l *List) Set(s string) error {
+	*l = strings.FieldsFunc(s, func(r rune) bool { return r == ',' || r == ' ' })
+	return nil
+}
+
 // WriteCSVFile creates path and streams a report's CSV into it.
 func WriteCSVFile(path string, write func(io.Writer) error) error {
 	f, err := os.Create(path)

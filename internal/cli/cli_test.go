@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -94,5 +95,22 @@ func TestDispatch(t *testing.T) {
 		if err := run(tc.args, io.Discard); !errors.Is(err, tc.want) {
 			t.Errorf("%q -> %v, want %v", tc.args, err, tc.want)
 		}
+	}
+}
+
+// TestList checks the comma-list flag: commas and spaces separate names,
+// empty names drop out, and String joins what Set kept.
+func TestList(t *testing.T) {
+	var names []string
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	fs.Var((*List)(&names), "in", "names")
+	if err := fs.Parse([]string{"-in", "a.pcap, b.pcap,,c.pcap"}); err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Join(names, "|"); got != "a.pcap|b.pcap|c.pcap" {
+		t.Fatalf("parsed %q", got)
+	}
+	if got := fs.Lookup("in").Value.String(); got != "a.pcap,b.pcap,c.pcap" {
+		t.Fatalf("String() = %q", got)
 	}
 }

@@ -36,7 +36,7 @@ type GapSweepConfig struct {
 }
 
 // DefaultGapSweep follows the paper's sampling schedule. It is sized for
-// the cmd/timedist tool; benchmarks use QuickGapSweep.
+// `reorder timedist`; benchmarks use QuickGapSweep.
 func DefaultGapSweep() GapSweepConfig {
 	return GapSweepConfig{
 		FineStep: time.Microsecond, FineMax: 200 * time.Microsecond,

@@ -20,7 +20,7 @@ type CongestionConfig struct {
 	Replicas int
 	// Samples per probe (default 16).
 	Samples int
-	// Workers caps campaign parallelism (default: GOMAXPROCS).
+	// Workers caps campaign parallelism (default campaign.DefaultWorkers, 16).
 	Workers int
 	// Seed offsets the derived per-target seeds.
 	Seed uint64
@@ -65,7 +65,7 @@ type ChaosConfig struct {
 	Replicas int
 	// Samples per probe (default 16).
 	Samples int
-	// Workers caps campaign parallelism (default: GOMAXPROCS).
+	// Workers caps campaign parallelism (default campaign.DefaultWorkers, 16).
 	Workers int
 	// Seed offsets the derived per-target seeds.
 	Seed uint64

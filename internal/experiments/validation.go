@@ -25,9 +25,9 @@ type ValidationConfig struct {
 	Samples int
 	// Seed makes the report reproducible.
 	Seed uint64
-	// Workers caps the parallel runs (default: GOMAXPROCS). Each run is
-	// hermetic — its own scenario and prober derive from its seed alone —
-	// so the report is identical at any worker count.
+	// Workers caps the parallel runs (default campaign.DefaultWorkers, 16).
+	// Each run is hermetic — its own scenario and prober derive from its
+	// seed alone — so the report is identical at any worker count.
 	Workers int
 }
 
