@@ -96,9 +96,9 @@ func BenchmarkGapSweep(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		r0 = rep.RateAt(0)
-		r50 = rep.RateAt(50 * time.Microsecond)
-		r250 = rep.RateAt(250 * time.Microsecond)
+		r0 = rep.ForwardAt(0)
+		r50 = rep.ForwardAt(50 * time.Microsecond)
+		r250 = rep.ForwardAt(250 * time.Microsecond)
 	}
 	b.ReportMetric(r0, "rate-at-0us")
 	b.ReportMetric(r50, "rate-at-50us")
@@ -263,13 +263,13 @@ func BenchmarkMechanisms(b *testing.B) {
 		}
 		at := 100 * time.Microsecond
 		if c, ok := rep.Curve("trunk"); ok {
-			trunk = c.RateAt(at)
+			trunk = c.ForwardAt(at)
 		}
 		if c, ok := rep.Curve("multipath"); ok {
-			mp = c.RateAt(at)
+			mp = c.ForwardAt(at)
 		}
 		if c, ok := rep.Curve("l2-arq"); ok {
-			arq = c.RateAt(at)
+			arq = c.ForwardAt(at)
 		}
 	}
 	b.ReportMetric(trunk, "trunk-at-100us")

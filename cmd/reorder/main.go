@@ -200,8 +200,8 @@ func asciiPlot(w io.Writer, rep *experiments.GapSweepReport) {
 	step := (len(pts) + 39) / 40
 	maxRate := 0.0
 	for _, p := range pts {
-		if p.Rate > maxRate {
-			maxRate = p.Rate
+		if p.Forward > maxRate {
+			maxRate = p.Forward
 		}
 	}
 	if maxRate == 0 {
@@ -210,7 +210,7 @@ func asciiPlot(w io.Writer, rep *experiments.GapSweepReport) {
 	fmt.Fprintln(w, "gap        rate")
 	for i := 0; i < len(pts); i += step {
 		p := pts[i]
-		width := int(p.Rate / maxRate * 50)
-		fmt.Fprintf(w, "%-9s %7.4f |%s\n", p.Gap.Round(time.Microsecond), p.Rate, strings.Repeat("#", width))
+		width := int(p.Forward / maxRate * 50)
+		fmt.Fprintf(w, "%-9s %7.4f |%s\n", p.Gap.Round(time.Microsecond), p.Forward, strings.Repeat("#", width))
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"strconv"
 
 	"reorder/internal/canonjson"
+	"reorder/internal/ipid"
 )
 
 // AppendJSON appends the record's JSON encoding to dst and returns the
@@ -198,10 +199,10 @@ func (d *recordDecoder) sameTarget(same bool) bool {
 // refused by the same round trip.
 func (d *recordDecoder) excluded(v *string) bool {
 	switch {
-	case d.c.Lit(`"` + dctExcludedZeroIPID + `"`):
-		*v = dctExcludedZeroIPID
-	case d.c.Lit(`"` + dctExcludedNonMonotonic + `"`):
-		*v = dctExcludedNonMonotonic
+	case d.c.Lit(`"` + ipid.ReasonZero + `"`):
+		*v = ipid.ReasonZero
+	case d.c.Lit(`"` + ipid.ReasonNonMonotonic + `"`):
+		*v = ipid.ReasonNonMonotonic
 	default:
 		return d.c.String(v)
 	}

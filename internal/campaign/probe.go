@@ -27,7 +27,8 @@ type TargetResult struct {
 	Attempts int `json:"attempts"`
 	// Err is the terminal error, empty on success.
 	Err string `json:"error,omitempty"`
-	// DCTExcluded records why IPID prevalidation ruled the dual test out.
+	// DCTExcluded records why IPID prevalidation ruled the dual test out:
+	// ipid.ReasonZero or ipid.ReasonNonMonotonic.
 	DCTExcluded string `json:"dct_excluded,omitempty"`
 
 	FwdValid     int     `json:"fwd_valid"`
@@ -71,13 +72,6 @@ type TargetResult struct {
 	// this field last: JSONL column order is append-only.
 	Scenario string `json:"scenario,omitempty"`
 }
-
-// The two reasons IPID prevalidation rules the dual test out, as
-// DCTExcluded records them.
-const (
-	dctExcludedZeroIPID     = "zero-ipid"
-	dctExcludedNonMonotonic = "non-monotonic"
-)
 
 // PathRate is the target's overall reordering rate: valid samples from
 // both directions pooled, as the survey's per-path statistic pools them.
@@ -377,35 +371,17 @@ func (s *ProbeStep) Attempt(arena *ProbeArena, index, attempt int, res *TargetRe
 // fields of res; split out of ProbeTargetInto so the arena can harvest
 // end-of-probe telemetry on every exit path.
 func (a *ProbeArena) runProbeTest(res *TargetResult, test string, samples int) {
-	var err error
 	prober, out := a.prober, &a.result
-	switch test {
-	case "single":
-		err = prober.SingleConnectionTestInto(out, core.SCTOptions{Samples: samples, Reversed: true})
-	case "dual":
-		rep := &a.ipidRep
-		err = prober.ValidateIPIDInto(rep, core.IPIDCheckOptions{Probes: 12})
-		switch {
-		case err != nil:
-		case !rep.Usable():
-			if rep.Constant {
-				res.DCTExcluded = dctExcludedZeroIPID
-			} else {
-				res.DCTExcluded = dctExcludedNonMonotonic
-			}
+	if test == "dual" {
+		if err := prober.ValidateIPIDInto(&a.ipidRep, core.IPIDCheckOptions{}); err != nil {
+			res.Err = err.Error()
 			return
-		default:
-			err = prober.DualConnectionTestInto(out, core.DCTOptions{Samples: samples})
 		}
-	case "syn":
-		err = prober.SYNTestInto(out, core.SYNOptions{Samples: samples})
-	case "transfer":
-		err = prober.DataTransferTestInto(out, core.TransferOptions{IdleTimeout: 500 * time.Millisecond})
-	default:
-		res.Err = "campaign: unknown test " + test
-		return
+		if res.DCTExcluded = a.ipidRep.Exclusion(); res.DCTExcluded != "" {
+			return
+		}
 	}
-	if err != nil {
+	if err := prober.SurveyTestInto(out, test, samples); err != nil {
 		res.Err = err.Error()
 		return
 	}

@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"reorder/internal/canonjson"
+	"reorder/internal/ipid"
 )
 
 // mixedCampaign probes a 64-target list that covers every shape a record takes:
@@ -180,7 +181,7 @@ func TestReplayRefusals(t *testing.T) {
 func TestReplayForeignExclusion(t *testing.T) {
 	tg := Target{Name: "n", Profile: "linux24", Impairment: "clean", Test: "dual"}
 	var dec recordDecoder
-	for _, why := range []string{dctExcludedZeroIPID, dctExcludedNonMonotonic, "zero-ipid-v2", "zero", `quoted "why"`, ""} {
+	for _, why := range []string{ipid.ReasonZero, ipid.ReasonNonMonotonic, "zero-ipid-v2", "zero", `quoted "why"`, ""} {
 		want := TargetResult{Name: tg.Name, Profile: tg.Profile, Impairment: tg.Impairment, Test: tg.Test,
 			Attempts: 1, DCTExcluded: why}
 		var got TargetResult
@@ -189,7 +190,7 @@ func TestReplayForeignExclusion(t *testing.T) {
 		}
 	}
 	bad := (&TargetResult{Name: tg.Name, Profile: tg.Profile, Impairment: tg.Impairment, Test: tg.Test,
-		Attempts: 1, DCTExcluded: dctExcludedZeroIPID}).AppendJSON(nil)
+		Attempts: 1, DCTExcluded: ipid.ReasonZero}).AppendJSON(nil)
 	bad = bytes.Replace(bad, []byte(`"zero-ipid"`), []byte(`"zero-ipid",`), 1)
 	var got TargetResult
 	if err := dec.decode(bad, &tg, &got); err != errNotCanonical {

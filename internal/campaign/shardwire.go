@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 
+	"reorder/internal/ipid"
 	"reorder/internal/stats"
 )
 
@@ -165,10 +166,10 @@ func (s *Shard) MergeDelta(b []byte) error {
 // records, so that counting them makes no string, and a copy of any other.
 func exclusionReason(key []byte) string {
 	switch string(key) {
-	case dctExcludedZeroIPID:
-		return dctExcludedZeroIPID
-	case dctExcludedNonMonotonic:
-		return dctExcludedNonMonotonic
+	case ipid.ReasonZero:
+		return ipid.ReasonZero
+	case ipid.ReasonNonMonotonic:
+		return ipid.ReasonNonMonotonic
 	}
 	return string(key)
 }

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"time"
 
+	"reorder/internal/core"
 	"reorder/internal/host"
 	"reorder/internal/netem"
 	"reorder/internal/sim"
@@ -62,7 +63,7 @@ func (t Target) appendName(dst []byte) []byte {
 }
 
 // Tests are the four techniques, in the survey's round-robin order.
-var Tests = []string{"single", "dual", "syn", "transfer"}
+var Tests = core.Tests
 
 // LBPool is the pseudo-profile name for a load-balanced backend pool (the
 // survey's "popular site" analogue).

@@ -685,6 +685,23 @@ func TestGapSweepAPI(t *testing.T) {
 	if dist.ForwardAt(40*time.Microsecond) != dist.Points[1].Forward {
 		t.Error("ForwardAt nearest-point lookup wrong")
 	}
+	// A gap halfway between two points reads the smaller gap's rate, and a
+	// gap outside the schedule reads the nearest end.
+	hand := core.GapDistribution{Points: []core.GapRate{
+		{Gap: 200 * time.Microsecond, Forward: 0.1},
+		{Gap: 300 * time.Microsecond, Forward: 0.2},
+	}}
+	for _, c := range []struct {
+		gap  time.Duration
+		want float64
+	}{
+		{0, 0.1}, {249 * time.Microsecond, 0.1}, {250 * time.Microsecond, 0.1},
+		{251 * time.Microsecond, 0.2}, {time.Millisecond, 0.2},
+	} {
+		if got := hand.ForwardAt(c.gap); got != c.want {
+			t.Errorf("ForwardAt(%v) = %v, want %v", c.gap, got, c.want)
+		}
+	}
 	gap, ok := dist.DecayGap(0.02)
 	if !ok {
 		t.Fatal("decay gap not found")
@@ -703,13 +720,26 @@ func TestGapSweepRejectsBadHosts(t *testing.T) {
 }
 
 func TestGapSweepDefaultSchedule(t *testing.T) {
-	o := core.GapSweepOptions{}
-	// The defaults are applied inside GapSweep; probe them via a tiny
-	// clean-path sweep using an explicit schedule equal to the paper's
-	// bounds to keep the test fast.
+	// GapSweepOptions' empty Gaps is PaperGaps: 1µs steps over [0,200) =
+	// 200 points, then 20µs steps 200..500 = 16.
+	gaps := core.PaperGaps()
+	if len(gaps) != 216 {
+		t.Fatalf("schedule has %d points, want 216", len(gaps))
+	}
+	if gaps[0] != 0 || gaps[1]-gaps[0] != time.Microsecond {
+		t.Errorf("fine region starts %v, %v; want 0, 1µs", gaps[0], gaps[1])
+	}
+	if gaps[200] != 200*time.Microsecond || gaps[201]-gaps[200] != 20*time.Microsecond {
+		t.Errorf("coarse region starts %v, %v; want 200µs, 220µs", gaps[200], gaps[201])
+	}
+	if gaps[len(gaps)-1] != 500*time.Microsecond {
+		t.Errorf("last gap = %v, want 500µs", gaps[len(gaps)-1])
+	}
+	// A clean path at the schedule's bounds: no reordering anywhere, so
+	// the distribution decays from the first point.
 	p, _ := newProber(simnet.Config{Seed: 97, Server: host.FreeBSD4()})
 	dist, err := p.GapSweep(core.GapSweepOptions{
-		Gaps: []time.Duration{0, 500 * time.Microsecond}, SamplesPerGap: 4,
+		Gaps: []time.Duration{gaps[0], gaps[len(gaps)-1]}, SamplesPerGap: 4,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -720,5 +750,4 @@ func TestGapSweepDefaultSchedule(t *testing.T) {
 	if _, ok := dist.DecayGap(0.0); !ok {
 		t.Error("clean path has no decay gap")
 	}
-	_ = o
 }

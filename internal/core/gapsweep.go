@@ -10,8 +10,7 @@ import (
 // schedule of inter-packet spacings, yielding the time-domain distribution
 // of the path's reordering process.
 type GapSweepOptions struct {
-	// Gaps is the spacing schedule. Empty uses the paper's: 1µs steps
-	// below 200µs, then 20µs steps to 500µs.
+	// Gaps is the spacing schedule. Empty uses PaperGaps.
 	Gaps []time.Duration
 	// SamplesPerGap is the pair count per spacing (paper: 1000;
 	// default 200).
@@ -23,12 +22,7 @@ type GapSweepOptions struct {
 
 func (o GapSweepOptions) defaults() GapSweepOptions {
 	if len(o.Gaps) == 0 {
-		for g := time.Duration(0); g < 200*time.Microsecond; g += time.Microsecond {
-			o.Gaps = append(o.Gaps, g)
-		}
-		for g := 200 * time.Microsecond; g <= 500*time.Microsecond; g += 20 * time.Microsecond {
-			o.Gaps = append(o.Gaps, g)
-		}
+		o.Gaps = PaperGaps()
 	}
 	if o.SamplesPerGap == 0 {
 		o.SamplesPerGap = 200
@@ -36,20 +30,39 @@ func (o GapSweepOptions) defaults() GapSweepOptions {
 	return o
 }
 
+// GapSchedule returns a spacing schedule with §IV-C's shape: fine steps
+// from 0 below 200µs, then coarse steps from 200µs to 500µs inclusive.
+func GapSchedule(fine, coarse time.Duration) []time.Duration {
+	var gaps []time.Duration
+	for g := time.Duration(0); g < 200*time.Microsecond; g += fine {
+		gaps = append(gaps, g)
+	}
+	for g := 200 * time.Microsecond; g <= 500*time.Microsecond; g += coarse {
+		gaps = append(gaps, g)
+	}
+	return gaps
+}
+
+// PaperGaps returns the paper's schedule: 1µs steps below 200µs, then 20µs
+// steps to 500µs — 216 spacings.
+func PaperGaps() []time.Duration { return GapSchedule(time.Microsecond, 20*time.Microsecond) }
+
 // GapRate is one spacing's measured reordering probability.
 type GapRate struct {
 	Gap     time.Duration
 	Forward float64
 	Reverse float64
-	Valid   int
+	Valid   int // forward samples contributing to the rate
 }
 
-// GapDistribution is the measured time-domain distribution.
+// GapDistribution is the measured time-domain distribution, its points in
+// increasing gap order.
 type GapDistribution struct {
 	Points []GapRate
 }
 
-// ForwardAt interpolates (nearest-point) the forward rate at a gap.
+// ForwardAt returns the forward rate at the measured gap nearest the given
+// one; a gap halfway between two points reads the smaller.
 func (d *GapDistribution) ForwardAt(gap time.Duration) float64 {
 	if len(d.Points) == 0 {
 		return 0
@@ -58,7 +71,7 @@ func (d *GapDistribution) ForwardAt(gap time.Duration) float64 {
 	if i == len(d.Points) {
 		i--
 	}
-	if i > 0 && gap-d.Points[i-1].Gap < d.Points[i].Gap-gap {
+	if i > 0 && gap-d.Points[i-1].Gap <= d.Points[i].Gap-gap {
 		i--
 	}
 	return d.Points[i].Forward

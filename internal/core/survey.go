@@ -1,0 +1,30 @@
+package core
+
+import (
+	"errors"
+	"time"
+)
+
+// Tests are the four techniques by name, in the §IV-B survey's round-robin
+// order.
+var Tests = []string{"single", "dual", "syn", "transfer"}
+
+// SurveyTestInto runs the named technique, one of Tests, into res with the
+// options the §IV-B survey ran it with: samples measurements, the reversed
+// single connection test that resists delayed acknowledgments (§III-B), and
+// a transfer that ends after 500 ms of silence (its sample count is the
+// served object's size). The dual connection test runs its own IPID
+// prevalidation.
+func (p *Prober) SurveyTestInto(res *Result, test string, samples int) error {
+	switch test {
+	case "single":
+		return p.SingleConnectionTestInto(res, SCTOptions{Samples: samples, Reversed: true})
+	case "dual":
+		return p.DualConnectionTestInto(res, DCTOptions{Samples: samples})
+	case "syn":
+		return p.SYNTestInto(res, SYNOptions{Samples: samples})
+	case "transfer":
+		return p.DataTransferTestInto(res, TransferOptions{IdleTimeout: 500 * time.Millisecond})
+	}
+	return errors.New("core: unknown test " + test)
+}

@@ -18,7 +18,8 @@ import (
 // deployment cost; the paper's technique must track it without any remote
 // deployment.
 type CooperativeConfig struct {
-	// SwapProbs are the path intensities to compare at.
+	// SwapProbs are the path intensities to compare at. Empty takes
+	// DefaultCooperative's and leaves every other field as set.
 	SwapProbs []float64
 	// Samples per measurement (both methodologies).
 	Samples int
@@ -85,7 +86,7 @@ func (rep *CooperativeReport) WriteText(w io.Writer) {
 // RunCooperative executes E10.
 func RunCooperative(cfg CooperativeConfig) (*CooperativeReport, error) {
 	if len(cfg.SwapProbs) == 0 {
-		cfg = DefaultCooperative()
+		cfg.SwapProbs = DefaultCooperative().SwapProbs
 	}
 	rep := &CooperativeReport{}
 	for i, sp := range cfg.SwapProbs {

@@ -29,7 +29,7 @@ func (rep *GapSweepReport) WriteCSV(w io.Writer) error {
 	rows := make([][]string, 0, len(rep.Points))
 	for _, p := range rep.Points {
 		rows = append(rows, []string{
-			f64(float64(p.Gap.Nanoseconds()) / 1e3), f64(p.Rate), strconv.Itoa(p.Valid),
+			f64(float64(p.Gap.Nanoseconds()) / 1e3), f64(p.Forward), strconv.Itoa(p.Valid),
 		})
 	}
 	return writeCSV(w, []string{"gap_us", "rate", "samples"}, rows)
@@ -41,7 +41,7 @@ func (rep *MechanismsReport) WriteCSV(w io.Writer) error {
 	for _, c := range rep.Curves {
 		for _, p := range c.Points {
 			rows = append(rows, []string{
-				c.Name, f64(float64(p.Gap.Nanoseconds()) / 1e3), f64(p.Rate),
+				c.Name, f64(float64(p.Gap.Nanoseconds()) / 1e3), f64(p.Forward),
 			})
 		}
 	}

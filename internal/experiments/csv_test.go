@@ -6,6 +6,8 @@ import (
 	"strconv"
 	"testing"
 	"time"
+
+	"reorder/internal/core"
 )
 
 // parseCSV reads back what a writer emitted, verifying well-formedness.
@@ -19,10 +21,10 @@ func parseCSV(t *testing.T, b []byte) [][]string {
 }
 
 func TestGapSweepCSV(t *testing.T) {
-	rep := &GapSweepReport{Points: []GapPoint{
-		{Gap: 0, Rate: 0.14, Valid: 100},
-		{Gap: 50 * time.Microsecond, Rate: 0.01, Valid: 100},
-	}}
+	rep := &GapSweepReport{core.GapDistribution{Points: []core.GapRate{
+		{Gap: 0, Forward: 0.14, Valid: 100},
+		{Gap: 50 * time.Microsecond, Forward: 0.01, Valid: 100},
+	}}}
 	var buf bytes.Buffer
 	if err := rep.WriteCSV(&buf); err != nil {
 		t.Fatal(err)
@@ -55,8 +57,8 @@ func TestTimeSeriesCSV(t *testing.T) {
 
 func TestMechanismsCSVLongForm(t *testing.T) {
 	rep := &MechanismsReport{Curves: []MechanismCurve{
-		{Name: "trunk", Points: []GapPoint{{Gap: 0, Rate: 0.1}}},
-		{Name: "l2-arq", Points: []GapPoint{{Gap: 0, Rate: 0.09}}},
+		{"trunk", core.GapDistribution{Points: []core.GapRate{{Gap: 0, Forward: 0.1}}}},
+		{"l2-arq", core.GapDistribution{Points: []core.GapRate{{Gap: 0, Forward: 0.09}}}},
 	}}
 	var buf bytes.Buffer
 	if err := rep.WriteCSV(&buf); err != nil {

@@ -1,9 +1,12 @@
 package experiments
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
+
+	"reorder/internal/core"
 )
 
 func TestValidationQuickGrid(t *testing.T) {
@@ -161,9 +164,9 @@ func TestGapSweepShape(t *testing.T) {
 		t.Fatalf("points = %d", len(rep.Points))
 	}
 	// The Fig 7 shape: >5% back to back, decayed by 50µs, ~0 at 250µs+.
-	r0 := rep.RateAt(0)
-	r50 := rep.RateAt(50 * time.Microsecond)
-	r250 := rep.RateAt(250 * time.Microsecond)
+	r0 := rep.ForwardAt(0)
+	r50 := rep.ForwardAt(50 * time.Microsecond)
+	r250 := rep.ForwardAt(250 * time.Microsecond)
 	if r0 < 0.05 {
 		t.Errorf("rate at 0 = %.4f, want >= 0.05", r0)
 	}
@@ -180,17 +183,12 @@ func TestGapSweepShape(t *testing.T) {
 	}
 }
 
+// TestGapScheduleMatchesPaper pins that timedist's default sweeps the
+// paper's schedule, core.PaperGaps, which TestGapSweepDefaultSchedule pins
+// point by point.
 func TestGapScheduleMatchesPaper(t *testing.T) {
-	gaps := DefaultGapSweep().gaps()
-	// 1µs steps over [0,200) = 200 points, then 20µs steps 200..500 = 16.
-	if len(gaps) != 216 {
-		t.Fatalf("schedule has %d points, want 216", len(gaps))
-	}
-	if gaps[1]-gaps[0] != time.Microsecond {
-		t.Error("fine step wrong")
-	}
-	if gaps[len(gaps)-1] != 500*time.Microsecond {
-		t.Errorf("last gap = %v", gaps[len(gaps)-1])
+	if got, want := DefaultGapSweep().Gaps, core.PaperGaps(); !slices.Equal(got, want) {
+		t.Fatalf("DefaultGapSweep().Gaps = %v, want core.PaperGaps() = %v", got, want)
 	}
 }
 

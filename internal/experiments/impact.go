@@ -24,7 +24,8 @@ import (
 // would be impacted" made concrete.
 type ImpactConfig struct {
 	// Jitters are the per-packet delay spreads that create (deep,
-	// loss-free) reordering on the data path.
+	// loss-free) reordering on the data path. Empty takes DefaultImpact's
+	// and leaves every other field as set.
 	Jitters []time.Duration
 	// Bytes per transfer.
 	Bytes int
@@ -99,7 +100,7 @@ func impactPath(jitter time.Duration) simnet.PathSpec {
 // RunImpact executes E9.
 func RunImpact(cfg ImpactConfig) (*ImpactReport, error) {
 	if len(cfg.Jitters) == 0 {
-		cfg = DefaultImpact()
+		cfg.Jitters = DefaultImpact().Jitters
 	}
 	rep := &ImpactReport{}
 	for i, jitter := range cfg.Jitters {

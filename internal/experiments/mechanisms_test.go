@@ -20,11 +20,11 @@ func TestMechanismSignatures(t *testing.T) {
 		t.Fatal("trunk curve missing")
 	}
 	// Exponential decay: strong at 0, gone by 250µs.
-	if trunk.RateAt(0) < 0.05 {
-		t.Errorf("trunk at 0 = %.4f", trunk.RateAt(0))
+	if trunk.ForwardAt(0) < 0.05 {
+		t.Errorf("trunk at 0 = %.4f", trunk.ForwardAt(0))
 	}
-	if trunk.RateAt(250*time.Microsecond) > 0.02 {
-		t.Errorf("trunk at 250µs = %.4f, want ≈0", trunk.RateAt(250*time.Microsecond))
+	if trunk.ForwardAt(250*time.Microsecond) > 0.02 {
+		t.Errorf("trunk at 250µs = %.4f, want ≈0", trunk.ForwardAt(250*time.Microsecond))
 	}
 
 	mp, ok := rep.Curve("multipath")
@@ -33,14 +33,14 @@ func TestMechanismSignatures(t *testing.T) {
 	}
 	// Step signature: every pair inside the 150µs spread reorders (the
 	// second packet takes the faster member), none beyond it.
-	if mp.RateAt(0) < 0.9 {
-		t.Errorf("multipath at 0 = %.4f, want ≈1", mp.RateAt(0))
+	if mp.ForwardAt(0) < 0.9 {
+		t.Errorf("multipath at 0 = %.4f, want ≈1", mp.ForwardAt(0))
 	}
-	if mp.RateAt(100*time.Microsecond) < 0.9 {
-		t.Errorf("multipath at 100µs = %.4f, want ≈1 (inside spread)", mp.RateAt(100*time.Microsecond))
+	if mp.ForwardAt(100*time.Microsecond) < 0.9 {
+		t.Errorf("multipath at 100µs = %.4f, want ≈1 (inside spread)", mp.ForwardAt(100*time.Microsecond))
 	}
-	if mp.RateAt(250*time.Microsecond) > 0.05 {
-		t.Errorf("multipath at 250µs = %.4f, want ≈0 (beyond spread)", mp.RateAt(250*time.Microsecond))
+	if mp.ForwardAt(250*time.Microsecond) > 0.05 {
+		t.Errorf("multipath at 250µs = %.4f, want ≈0 (beyond spread)", mp.ForwardAt(250*time.Microsecond))
 	}
 
 	arq, ok := rep.Curve("l2-arq")
@@ -49,10 +49,10 @@ func TestMechanismSignatures(t *testing.T) {
 	}
 	// Long flat tail: roughly the frame error rate out to the retransmit
 	// delay (2ms), then gone.
-	if r := arq.RateAt(500 * time.Microsecond); r < 0.04 {
+	if r := arq.ForwardAt(500 * time.Microsecond); r < 0.04 {
 		t.Errorf("arq at 500µs = %.4f, want ≈FER (long tail)", r)
 	}
-	if r := arq.RateAt(4 * time.Millisecond); r > 0.03 {
+	if r := arq.ForwardAt(4 * time.Millisecond); r > 0.03 {
 		t.Errorf("arq at 4ms = %.4f, want ≈0 (beyond recovery window)", r)
 	}
 

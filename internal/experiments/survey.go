@@ -10,6 +10,7 @@ import (
 	"reorder/internal/campaign"
 	"reorder/internal/core"
 	"reorder/internal/host"
+	"reorder/internal/ipid"
 	"reorder/internal/netem"
 	"reorder/internal/sim"
 	"reorder/internal/simnet"
@@ -18,7 +19,7 @@ import (
 
 // TestNames are the four techniques in the survey's round-robin order,
 // shared with the campaign subsystem so both layers agree on the set.
-var TestNames = campaign.Tests
+var TestNames = core.Tests
 
 // SurveyConfig parameterizes E2/E4/E6: the §IV-B live-host survey. The
 // paper probed 50 hosts for 20 days, cycling the four tests round-robin,
@@ -60,7 +61,8 @@ type HostRecord struct {
 	TrueFwd, TrueRev float64
 
 	// DCTExcluded is set when IPID prevalidation ruled the host out, with
-	// the reason ("zero-ipid", "non-monotonic").
+	// the reason: ipid.ReasonZero, ipid.ReasonNonMonotonic, or
+	// "unreachable" when prevalidation could not connect.
 	DCTExcluded string
 
 	// FwdSeries and RevSeries hold the per-round measured rates, keyed by
@@ -136,7 +138,8 @@ func (rep *SurveyReport) FractionMeasurementsReordered() float64 {
 }
 
 // DCTExclusions returns how many hosts were ruled out of the dual
-// connection test, by reason (paper: 8 non-monotonic, 9 constant zero).
+// connection test, by reason (paper: 9 hosts with constant zero IPIDs,
+// 8 whose IPIDs were not monotonic).
 func (rep *SurveyReport) DCTExclusions() map[string]int {
 	m := map[string]int{}
 	for _, h := range rep.Hosts {
@@ -174,8 +177,8 @@ func (rep *SurveyReport) WriteText(w io.Writer) {
 	fmt.Fprintf(w, "measurements with >=1 reordered sample: %.1f%% (paper: >15%%)\n",
 		rep.FractionMeasurementsReordered()*100)
 	ex := rep.DCTExclusions()
-	fmt.Fprintf(w, "DCT exclusions: zero-ipid=%d non-monotonic=%d (paper: 9 and 8 of 50)\n",
-		ex["zero-ipid"], ex["non-monotonic"])
+	fmt.Fprintf(w, "DCT exclusions: %s=%d %s=%d (paper: 9 and 8 of 50)\n",
+		ipid.ReasonZero, ex[ipid.ReasonZero], ipid.ReasonNonMonotonic, ex[ipid.ReasonNonMonotonic])
 }
 
 // surveyHost is one synthesized host: a profile plus hidden path truth.
@@ -338,17 +341,9 @@ func surveyOneHost(sh surveyHost, cfg SurveyConfig) *HostRecord {
 	prober := core.NewProber(n.Probe(), n.ServerAddr(), sh.cfg.Seed^0x9e9)
 
 	// IPID prevalidation once up front, as the paper's survey did.
-	dctOK := false
-	if rep, err := prober.ValidateIPID(core.IPIDCheckOptions{Probes: 12}); err == nil {
-		if rep.Usable() {
-			dctOK = true
-		} else if rep.Constant {
-			rec.DCTExcluded = "zero-ipid"
-		} else {
-			rec.DCTExcluded = "non-monotonic"
-		}
-	} else {
-		rec.DCTExcluded = "unreachable"
+	rec.DCTExcluded = "unreachable"
+	if rep, err := prober.ValidateIPID(core.IPIDCheckOptions{}); err == nil {
+		rec.DCTExcluded = rep.Exclusion()
 	}
 
 	// The paper cycled round-robin across all hosts between tests, so two
@@ -358,25 +353,14 @@ func surveyOneHost(sh surveyHost, cfg SurveyConfig) *HostRecord {
 	// stationarity assumption).
 	interTest := 90 * time.Second
 
+	res := new(core.Result)
 	for round := 0; round < cfg.Rounds; round++ {
 		for _, test := range TestNames {
 			n.Probe().Sleep(interTest)
-			var res *core.Result
-			var err error
-			switch test {
-			case "single":
-				res, err = prober.SingleConnectionTest(core.SCTOptions{Samples: cfg.Samples, Reversed: true})
-			case "dual":
-				if !dctOK {
-					continue
-				}
-				res, err = prober.DualConnectionTest(core.DCTOptions{Samples: cfg.Samples})
-			case "syn":
-				res, err = prober.SYNTest(core.SYNOptions{Samples: cfg.Samples})
-			case "transfer":
-				res, err = prober.DataTransferTest(core.TransferOptions{IdleTimeout: 500 * time.Millisecond})
+			if test == "dual" && rec.DCTExcluded != "" {
+				continue
 			}
-			if err != nil {
+			if err := prober.SurveyTestInto(res, test, cfg.Samples); err != nil {
 				continue
 			}
 			rec.Measurements++

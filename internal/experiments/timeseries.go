@@ -129,16 +129,17 @@ func RunTimeSeries(cfg TimeSeriesConfig) (*TimeSeriesReport, error) {
 	rep.DCTExcluded = errors.Is(err, core.ErrIPIDUnusable)
 
 	interval := cfg.Period / time.Duration(cfg.Rounds) * 2 // cover ~2 periods
+	res := new(core.Result)
 	for round := 0; round < cfg.Rounds; round++ {
 		pt := TimeSeriesPoint{
 			At:       n.Loop.Now().Duration(),
 			TrueRate: rate(n.Loop.Now()),
 		}
-		if res, err := prober.SingleConnectionTest(core.SCTOptions{Samples: cfg.Samples, Reversed: true}); err == nil {
+		if err := prober.SurveyTestInto(res, "single", cfg.Samples); err == nil {
 			f := res.Forward()
 			pt.SCT, pt.SCTValid = f.Rate(), f.Valid()
 		}
-		if res, err := prober.SYNTest(core.SYNOptions{Samples: cfg.Samples}); err == nil {
+		if err := prober.SurveyTestInto(res, "syn", cfg.Samples); err == nil {
 			f := res.Forward()
 			pt.SYN, pt.SYNValid = f.Rate(), f.Valid()
 		}

@@ -182,18 +182,8 @@ func validateRun(test string, fr, rr float64, samples int, seed uint64) Validati
 		Reverse: simnet.PathSpec{SwapProb: rr},
 	})
 	p := core.NewProber(n.Probe(), n.ServerAddr(), seed^0xabc)
-	var res *core.Result
-	var err error
-	switch test {
-	case "single":
-		// Reversed sends: the delayed-ACK-resistant variant (§III-B).
-		res, err = p.SingleConnectionTest(core.SCTOptions{Samples: samples, Reversed: true})
-	case "dual":
-		res, err = p.DualConnectionTest(core.DCTOptions{Samples: samples})
-	case "syn":
-		res, err = p.SYNTest(core.SYNOptions{Samples: samples})
-	}
-	if err != nil {
+	res := new(core.Result)
+	if err := p.SurveyTestInto(res, test, samples); err != nil {
 		run.Err = err.Error()
 		return run
 	}

@@ -40,6 +40,24 @@ func (r *Report) Usable() bool {
 	return !r.Constant && r.Samples >= 4 && r.Score >= 0.9
 }
 
+// The reasons prevalidation rules a host out of the dual connection test.
+const (
+	ReasonZero         = "zero-ipid"     // every observed IPID identical
+	ReasonNonMonotonic = "non-monotonic" // any other failure
+)
+
+// Exclusion returns why the host failed prevalidation: "" when it is
+// Usable, otherwise ReasonZero or ReasonNonMonotonic.
+func (r *Report) Exclusion() string {
+	switch {
+	case r.Usable():
+		return ""
+	case r.Constant:
+		return ReasonZero
+	}
+	return ReasonNonMonotonic
+}
+
 // Validate analyzes an elicited IPID sequence. The observations must be in
 // elicitation order. It implements the paper's check: adjacent cross-
 // connection differences must be small positive steps, and within-connection
