@@ -2,6 +2,9 @@ package reorder_test
 
 import (
 	"errors"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"testing"
 	"time"
 
@@ -84,8 +87,59 @@ func TestFacadeGapSweep(t *testing.T) {
 	}
 }
 
-func TestFacadeVerdictConstants(t *testing.T) {
-	if reorder.VerdictReordered.String() != "reordered" || !reorder.VerdictInOrder.Valid() {
-		t.Fatal("verdict constants wrong")
+// TestFacadeSurface keeps the facade at what its examples and tests run:
+// every name reorder.go exports must be referenced from example_test.go or
+// facade_test.go, unless it appears in the signature of another exported
+// function (as SimNet does in NewSimNet's).
+func TestFacadeSurface(t *testing.T) {
+	fset := token.NewFileSet()
+	parse := func(name string) *ast.File {
+		f, err := parser.ParseFile(fset, name, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	used := map[string]bool{}
+	for _, name := range []string{"example_test.go", "facade_test.go"} {
+		ast.Inspect(parse(name), func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok {
+				if x, ok := sel.X.(*ast.Ident); ok && x.Name == "reorder" {
+					used[sel.Sel.Name] = true
+				}
+			}
+			return true
+		})
+	}
+	var exported []string
+	for _, d := range parse("reorder.go").Decls {
+		switch d := d.(type) {
+		case *ast.FuncDecl:
+			if d.Name.IsExported() {
+				exported = append(exported, d.Name.Name)
+				ast.Inspect(d.Type, func(n ast.Node) bool {
+					if id, ok := n.(*ast.Ident); ok {
+						used[id.Name] = true
+					}
+					return true
+				})
+			}
+		case *ast.GenDecl:
+			for _, spec := range d.Specs {
+				switch spec := spec.(type) {
+				case *ast.TypeSpec:
+					exported = append(exported, spec.Name.Name)
+				case *ast.ValueSpec:
+					for _, id := range spec.Names {
+						exported = append(exported, id.Name)
+					}
+				}
+			}
+		}
+	}
+	for _, name := range exported {
+		if ast.IsExported(name) && !used[name] {
+			t.Errorf("reorder.%s is exported but no example or facade test uses it", name)
+		}
 	}
 }

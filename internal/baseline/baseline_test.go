@@ -155,7 +155,7 @@ func buildFlowCapture(t *testing.T, order []int) (*trace.Capture, packet.FlowKey
 	dst := netip.AddrFrom4([4]byte{10, 0, 0, 1})
 	var flow packet.FlowKey
 	for i, o := range order {
-		raw, err := packet.EncodeTCP(
+		raw, err := packet.AppendTCP(nil,
 			&packet.IPv4Header{Src: src, Dst: dst},
 			&packet.TCPHeader{SrcPort: 80, DstPort: 4000, Seq: uint32(1000 + o*100), Flags: packet.FlagACK},
 			make([]byte, 100))

@@ -126,7 +126,7 @@ func sendBurst(tp core.Transport, target netip.Addr, ident, seqBase uint16, o Be
 			Type: packet.ICMPEchoRequest, Ident: ident, Seq: seqBase + uint16(i),
 			Payload: payload,
 		}
-		raw, err := packet.EncodeICMP(&packet.IPv4Header{Src: tp.LocalAddr(), Dst: target}, echo)
+		raw, err := packet.AppendICMP(nil, &packet.IPv4Header{Src: tp.LocalAddr(), Dst: target}, echo)
 		if err != nil {
 			return br
 		}

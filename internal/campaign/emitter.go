@@ -95,9 +95,6 @@ func (e *Emitter) Start() int { return e.start }
 // clamped by StopAfter).
 func (e *Emitter) End() int { return e.end }
 
-// Total returns the full campaign target count.
-func (e *Emitter) Total() int { return len(e.cfg.Targets) }
-
 // Emitted returns the in-order emit frontier.
 func (e *Emitter) Emitted() int { return e.emitted }
 

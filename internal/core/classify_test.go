@@ -62,7 +62,7 @@ func TestClassifySCTSequenceWraparound(t *testing.T) {
 
 func mkReply(t *testing.T, flags uint8, seq, ack uint32) *packet.Packet {
 	t.Helper()
-	raw, err := packet.EncodeTCP(
+	raw, err := packet.AppendTCP(nil,
 		&packet.IPv4Header{Src: netip.AddrFrom4([4]byte{10, 0, 1, 1}), Dst: netip.AddrFrom4([4]byte{10, 0, 0, 1})},
 		&packet.TCPHeader{SrcPort: 80, DstPort: 40000, Seq: seq, Ack: ack, Flags: flags}, nil)
 	if err != nil {

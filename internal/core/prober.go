@@ -101,9 +101,6 @@ func NewProber(tp Transport, target netip.Addr, seed uint64) *Prober {
 	return p
 }
 
-// Target returns the probed address.
-func (p *Prober) Target() netip.Addr { return p.target }
-
 // Reset returns the prober to the state NewProber(tp, target, seed) would
 // produce on the same transport and target, keeping its scratch storage.
 // Campaign workers reuse one prober per scenario arena this way.

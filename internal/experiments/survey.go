@@ -77,9 +77,6 @@ type HostRecord struct {
 // MeanFwd returns the mean forward rate over rounds for one test.
 func (h *HostRecord) MeanFwd(test string) float64 { return stats.Summarize(h.FwdSeries[test]).Mean }
 
-// MeanRev returns the mean reverse rate over rounds for one test.
-func (h *HostRecord) MeanRev(test string) float64 { return stats.Summarize(h.RevSeries[test]).Mean }
-
 // PathRate returns the host's overall measured reordering rate: the mean of
 // all per-round forward and reverse rates across tests, which is what the
 // Fig 5 CDF is computed over.

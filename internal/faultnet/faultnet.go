@@ -312,9 +312,6 @@ type Conn struct {
 	wDead   bool
 }
 
-// Index returns the connection's accept order index (plan key).
-func (c *Conn) Index() int { return c.idx }
-
 // Read applies planned read latency and the read-side reset threshold,
 // then reads from the underlying connection (short enough to never
 // overrun a pending threshold).

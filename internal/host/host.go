@@ -76,19 +76,14 @@ func New(loop *sim.Loop, p Profile, addr netip.Addr, rng *sim.Rand, ids *netem.F
 	return h
 }
 
-// Reset returns the host to the state New(loop, p, addr, rng, ids, out)
-// would produce at its existing address, reusing the TCP stack, connection
-// pool and random stream objects. It consumes rng's draws in exactly the
-// order New does, so a pooled host is observably identical to a fresh one.
-// The caller is expected to reuse hosts for profiles of the same name (so
-// stack shape matches), though any profile is handled correctly.
-func (h *Host) Reset(p Profile, rng *sim.Rand, out netem.Node) {
-	h.ResetAt(p, h.addr, rng, out)
-}
-
-// ResetAt is Reset with an address rebind. Topology-graph scenarios pool
-// hosts by profile name and place them at build-assigned addresses, so a
-// reused host (and its stack) must demultiplex on the new address.
+// ResetAt returns the host to the state New(loop, p, addr, rng, ids, out)
+// would produce, reusing the TCP stack, connection pool and random stream
+// objects. It consumes rng's draws in exactly the order New does, so a
+// pooled host is observably identical to a fresh one. Topology-graph
+// scenarios pool hosts by profile name and place them at build-assigned
+// addresses, so a reused host (and its stack) must demultiplex on the new
+// address; any profile is handled correctly, though reusing a host for a
+// profile of the same name keeps the stack's shape.
 func (h *Host) ResetAt(p Profile, addr netip.Addr, rng *sim.Rand, out netem.Node) {
 	h.profile = p.Name
 	h.addr = addr
@@ -120,9 +115,6 @@ func (h *Host) SetArena(a *netem.Arena) {
 	h.arena = a
 	h.Stack.SetArena(a)
 }
-
-// Addr returns the host's address.
-func (h *Host) Addr() netip.Addr { return h.addr }
 
 // IPIDPolicy returns the name of the host's IPID generation policy.
 func (h *Host) IPIDPolicy() string { return h.gen.Name() }

@@ -44,7 +44,7 @@ func newHost(t *testing.T, p Profile) (*Host, *sink, *sim.Loop, *netem.FrameIDs)
 
 func echoReq(t *testing.T, ids *netem.FrameIDs, ident, seq uint16, n int) *netem.Frame {
 	t.Helper()
-	raw, err := packet.EncodeICMP(&packet.IPv4Header{Src: probeAddr, Dst: hostAddr, ID: 1},
+	raw, err := packet.AppendICMP(nil, &packet.IPv4Header{Src: probeAddr, Dst: hostAddr, ID: 1},
 		&packet.ICMPEcho{Type: packet.ICMPEchoRequest, Ident: ident, Seq: seq, Payload: make([]byte, n)})
 	if err != nil {
 		t.Fatal(err)
@@ -111,7 +111,7 @@ func TestEchoRateLimitSpacedRequests(t *testing.T) {
 
 func TestTCPDispatch(t *testing.T) {
 	h, out, _, ids := newHost(t, FreeBSD4())
-	raw, err := packet.EncodeTCP(&packet.IPv4Header{Src: probeAddr, Dst: hostAddr},
+	raw, err := packet.AppendTCP(nil, &packet.IPv4Header{Src: probeAddr, Dst: hostAddr},
 		&packet.TCPHeader{SrcPort: 4000, DstPort: 80, Seq: 1, Flags: packet.FlagSYN, Window: 1000}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -126,7 +126,7 @@ func TestTCPDispatch(t *testing.T) {
 func TestIgnoresOtherDestinations(t *testing.T) {
 	h, out, _, ids := newHost(t, FreeBSD4())
 	other := netip.AddrFrom4([4]byte{10, 9, 9, 9})
-	raw, err := packet.EncodeICMP(&packet.IPv4Header{Src: probeAddr, Dst: other},
+	raw, err := packet.AppendICMP(nil, &packet.IPv4Header{Src: probeAddr, Dst: other},
 		&packet.ICMPEcho{Type: packet.ICMPEchoRequest, Ident: 1, Seq: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -189,7 +189,7 @@ func TestHostDeterministic(t *testing.T) {
 	// Two identically seeded hosts answer a SYN with the same ISS.
 	mk := func() uint32 {
 		h, out, _, ids := newHost(t, FreeBSD4())
-		raw, _ := packet.EncodeTCP(&packet.IPv4Header{Src: probeAddr, Dst: hostAddr},
+		raw, _ := packet.AppendTCP(nil, &packet.IPv4Header{Src: probeAddr, Dst: hostAddr},
 			&packet.TCPHeader{SrcPort: 4000, DstPort: 80, Seq: 1, Flags: packet.FlagSYN, Window: 1000}, nil)
 		h.Input(&netem.Frame{ID: ids.Next(), Data: raw})
 		return out.drain()[0].TCP.Seq

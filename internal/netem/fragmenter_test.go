@@ -18,7 +18,7 @@ func dataFrame(t *testing.T, id uint64, payload int, df bool) *Frame {
 	if df {
 		ip.Flags = packet.FlagDF
 	}
-	raw, err := packet.EncodeTCP(ip,
+	raw, err := packet.AppendTCP(nil, ip,
 		&packet.TCPHeader{SrcPort: 80, DstPort: 4000, Seq: 1, Flags: packet.FlagACK},
 		make([]byte, payload))
 	if err != nil {

@@ -140,7 +140,7 @@ func TestARQDropsAfterMaxRetries(t *testing.T) {
 
 func tosFrame(t *testing.T, id uint64, tos uint8) *Frame {
 	t.Helper()
-	raw, err := packet.EncodeTCP(
+	raw, err := packet.AppendTCP(nil,
 		&packet.IPv4Header{Src: netip.AddrFrom4([4]byte{10, 0, 0, 1}), Dst: netip.AddrFrom4([4]byte{10, 0, 0, 2}), TOS: tos},
 		&packet.TCPHeader{SrcPort: 1, DstPort: 2, Seq: uint32(id), Flags: packet.FlagACK}, make([]byte, 400))
 	if err != nil {

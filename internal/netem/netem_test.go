@@ -351,7 +351,7 @@ func TestStripedTrunkGapDependence(t *testing.T) {
 
 func lbFrame(t *testing.T, src netip.Addr, sport uint16, id uint64) *Frame {
 	t.Helper()
-	raw, err := packet.EncodeTCP(
+	raw, err := packet.AppendTCP(nil,
 		&packet.IPv4Header{Src: src, Dst: netip.AddrFrom4([4]byte{10, 0, 0, 99})},
 		&packet.TCPHeader{SrcPort: sport, DstPort: 80, Flags: packet.FlagSYN}, nil)
 	if err != nil {

@@ -12,7 +12,7 @@ import (
 // router's PeekFlow classification.
 func tcpFrame(t *testing.T, id uint64, dst netip.Addr) *Frame {
 	t.Helper()
-	raw, err := packet.EncodeTCP(
+	raw, err := packet.AppendTCP(nil,
 		&packet.IPv4Header{Src: netip.AddrFrom4([4]byte{10, 0, 0, 1}), Dst: dst},
 		&packet.TCPHeader{SrcPort: 5000, DstPort: 80, Seq: uint32(id), Flags: packet.FlagACK}, nil)
 	if err != nil {
@@ -127,7 +127,7 @@ func TestRouterSprayCounterSharedAcrossFlows(t *testing.T) {
 	r.AddRoute(dst, r.AddGroup(p0, p1))
 
 	mk := func(id uint64, sport uint16) *Frame {
-		raw, err := packet.EncodeTCP(
+		raw, err := packet.AppendTCP(nil,
 			&packet.IPv4Header{Src: netip.AddrFrom4([4]byte{10, 0, 0, 1}), Dst: dst},
 			&packet.TCPHeader{SrcPort: sport, DstPort: 80, Seq: uint32(id), Flags: packet.FlagACK}, nil)
 		if err != nil {

@@ -91,10 +91,6 @@ var recorderEdgesV = func() []float64 {
 	return edges
 }()
 
-// RecorderEdges returns the bin-edge layout (in nanoseconds) of Recorder
-// snapshots. The slice is shared and must not be mutated.
-func RecorderEdges() []float64 { return recorderEdgesV }
-
 // Recorder is a latency recorder: power-of-two nanosecond buckets counted
 // with single-writer atomics, binned by one bits.Len64 — no search, no
 // floating point, no allocation. Each worker owns one Recorder shard;

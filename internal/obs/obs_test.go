@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -324,6 +325,46 @@ func TestWritePrometheusWellFormed(t *testing.T) {
 		if !strings.Contains(out, want+"\n") {
 			t.Fatalf("exposition missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestPromBucketBoundsInclusive checks that every le bucket counts exactly
+// the observations at or below its bound, across the power-of-two bucket
+// boundaries where an exclusive bound and le's ≤ disagree.
+func TestPromBucketBoundsInclusive(t *testing.T) {
+	var r Recorder
+	obs := []int64{0, 1}
+	for _, k := range []uint{1, 4, 10, 20, 32, 40} {
+		obs = append(obs, 1<<k-1, 1<<k)
+	}
+	for _, ns := range obs {
+		r.Observe(ns)
+	}
+	var buf bytes.Buffer
+	promRecorders(&buf, "x", "test", &r)
+	lines := 0
+	for _, line := range strings.Split(buf.String(), "\n") {
+		le, count, ok := strings.Cut(strings.TrimPrefix(line, `x_bucket{le="`), `"} `)
+		if !ok || le == "+Inf" {
+			continue
+		}
+		bound, err := strconv.ParseFloat(le, 64)
+		if err != nil {
+			t.Fatalf("bucket bound in %q: %v", line, err)
+		}
+		want := 0
+		for _, ns := range obs {
+			if float64(ns)/1e9 <= bound {
+				want++
+			}
+		}
+		if count != strconv.Itoa(want) {
+			t.Errorf("%s: count %s, want %d observations <= %g s", line, count, want, bound)
+		}
+		lines++
+	}
+	if lines < 40 {
+		t.Fatalf("only %d finite bucket lines:\n%s", lines, buf.String())
 	}
 }
 

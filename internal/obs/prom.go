@@ -40,12 +40,13 @@ func promRecorders(w io.Writer, name, help string, rs ...*Recorder) {
 	var cum uint64
 	for i, c := range counts {
 		cum += c
-		// Bucket i's upper bound is edge i+1 (2^i ns); skip empty leading
-		// buckets past the first to keep the exposition small.
+		// Bucket i holds [2^(i-1), 2^i) ns, so its inclusive bound is
+		// 2^i - 1 ns; skip empty leading buckets past the first to keep the
+		// exposition small.
 		if c == 0 && i > 0 && cum == 0 {
 			continue
 		}
-		fmt.Fprintf(w, "%s_bucket{le=\"%g\"} %d\n", name, recorderEdgesV[i+1]/1e9, cum)
+		fmt.Fprintf(w, "%s_bucket{le=\"%g\"} %d\n", name, float64(uint64(1)<<i-1)/1e9, cum)
 	}
 	fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", name, n)
 	fmt.Fprintf(w, "%s_sum %g\n", name, float64(sum)/1e9)

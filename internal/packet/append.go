@@ -3,8 +3,8 @@ package packet
 // Append/scratch codec variants. The probe engine sends and receives
 // millions of small datagrams per campaign; these entry points let hot
 // paths reuse one buffer (encode) and one decoded-header set (decode)
-// instead of allocating per segment. Wire bytes are identical to the
-// allocating EncodeTCP/EncodeICMP/Decode, which delegate here.
+// instead of allocating per segment. AppendTCP(nil, …) and
+// AppendICMP(nil, …) are the allocating encoders.
 
 // AppendTCP appends a complete IPv4+TCP datagram to dst and returns the
 // extended slice. ip.TotalLen, checksums and the TCP data offset are

@@ -23,29 +23,21 @@ func appendTestHeaders() (*IPv4Header, *TCPHeader) {
 	return ip, tcp
 }
 
-// TestAppendTCPMatchesEncodeTCP pins the append variant to EncodeTCP byte
-// for byte, including when appending after existing content and when the
-// destination has stale capacity (the non-zeroing grow path).
+// TestAppendTCPMatchesEncodeTCP pins AppendTCP after existing content, into
+// a destination with stale capacity (the non-zeroing grow path), to
+// AppendTCP(nil) byte for byte.
 func TestAppendTCPMatchesEncodeTCP(t *testing.T) {
 	ip, tcp := appendTestHeaders()
 	payload := []byte("hello reordering world")
-	want, err := EncodeTCP(ip, tcp, payload)
+	want, err := AppendTCP(nil, ip, tcp, payload)
 	if err != nil {
 		t.Fatal(err)
-	}
-
-	got, err := AppendTCP(nil, ip, tcp, payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(want, got) {
-		t.Fatalf("AppendTCP(nil) differs from EncodeTCP:\n% x\n% x", want, got)
 	}
 
 	// Append after a prefix, into a buffer with dirty retained capacity.
 	dirty := bytes.Repeat([]byte{0xff}, 512)[:3]
 	dirty[0], dirty[1], dirty[2] = 'a', 'b', 'c'
-	got, err = AppendTCP(dirty, ip, tcp, payload)
+	got, err := AppendTCP(dirty, ip, tcp, payload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +55,7 @@ func TestAppendTCPMatchesEncodeTCP(t *testing.T) {
 func TestAppendICMPMatchesEncodeICMP(t *testing.T) {
 	ip := &IPv4Header{Src: netip.AddrFrom4([4]byte{10, 0, 0, 1}), Dst: netip.AddrFrom4([4]byte{10, 0, 1, 1}), ID: 9}
 	echo := &ICMPEcho{Type: ICMPEchoRequest, Ident: 77, Seq: 3, Payload: []byte("ping")}
-	want, err := EncodeICMP(ip, echo)
+	want, err := AppendICMP(nil, ip, echo)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +64,7 @@ func TestAppendICMPMatchesEncodeICMP(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(want, got) {
-		t.Fatalf("AppendICMP differs from EncodeICMP:\n% x\n% x", want, got)
+		t.Fatalf("AppendICMP into dirty capacity differs from AppendICMP(nil):\n% x\n% x", want, got)
 	}
 }
 
@@ -81,11 +73,11 @@ func TestAppendICMPMatchesEncodeICMP(t *testing.T) {
 // one reused Packet decodes all three in sequence without cross-talk.
 func TestDecodeIntoMatchesDecode(t *testing.T) {
 	ip, tcp := appendTestHeaders()
-	tcpRaw, err := EncodeTCP(ip, tcp, []byte("payload"))
+	tcpRaw, err := AppendTCP(nil, ip, tcp, []byte("payload"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	icmpRaw, err := EncodeICMP(&IPv4Header{Src: ip.Src, Dst: ip.Dst, ID: 4},
+	icmpRaw, err := AppendICMP(nil, &IPv4Header{Src: ip.Src, Dst: ip.Dst, ID: 4},
 		&ICMPEcho{Type: ICMPEchoReply, Ident: 8, Seq: 9, Payload: []byte("pong")})
 	if err != nil {
 		t.Fatal(err)
@@ -142,7 +134,7 @@ func TestDecodeIntoMatchesDecode(t *testing.T) {
 // decodes are allocation-free.
 func TestDecodeIntoSteadyStateAllocs(t *testing.T) {
 	ip, tcp := appendTestHeaders()
-	raw, err := EncodeTCP(ip, tcp, []byte("x"))
+	raw, err := AppendTCP(nil, ip, tcp, []byte("x"))
 	if err != nil {
 		t.Fatal(err)
 	}

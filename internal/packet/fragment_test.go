@@ -14,7 +14,7 @@ func bigDatagram(t testing.TB, n int, id uint16) []byte {
 	for i := range payload {
 		payload[i] = byte(i % 251)
 	}
-	raw, err := EncodeTCP(&IPv4Header{Src: probeAddr, Dst: serverAddr, ID: id},
+	raw, err := AppendTCP(nil, &IPv4Header{Src: probeAddr, Dst: serverAddr, ID: id},
 		&TCPHeader{SrcPort: 1000, DstPort: 80, Seq: 1, Flags: FlagACK, Window: 100}, payload)
 	if err != nil {
 		t.Fatal(err)
@@ -66,7 +66,7 @@ func TestFragmentSplitsAndMarks(t *testing.T) {
 
 func TestFragmentRejectsDF(t *testing.T) {
 	payload := make([]byte, 1000)
-	raw, err := EncodeTCP(&IPv4Header{Src: probeAddr, Dst: serverAddr, Flags: FlagDF},
+	raw, err := AppendTCP(nil, &IPv4Header{Src: probeAddr, Dst: serverAddr, Flags: FlagDF},
 		&TCPHeader{SrcPort: 1, DstPort: 2}, payload)
 	if err != nil {
 		t.Fatal(err)

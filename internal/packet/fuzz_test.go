@@ -11,12 +11,12 @@ import (
 // promises on arbitrary input.
 
 func FuzzDecode(f *testing.F) {
-	valid, _ := EncodeTCP(&IPv4Header{Src: probeAddr, Dst: serverAddr, ID: 7},
+	valid, _ := AppendTCP(nil, &IPv4Header{Src: probeAddr, Dst: serverAddr, ID: 7},
 		&TCPHeader{SrcPort: 1000, DstPort: 80, Seq: 42, Flags: FlagACK, Window: 100,
 			Options: []TCPOption{MSSOption(1460), SACKPermittedOption()}},
 		[]byte("payload"))
 	f.Add(valid)
-	icmp, _ := EncodeICMP(&IPv4Header{Src: probeAddr, Dst: serverAddr},
+	icmp, _ := AppendICMP(nil, &IPv4Header{Src: probeAddr, Dst: serverAddr},
 		&ICMPEcho{Type: ICMPEchoRequest, Ident: 1, Seq: 2, Payload: []byte{1, 2, 3}})
 	f.Add(icmp)
 	f.Add([]byte{})
@@ -33,10 +33,10 @@ func FuzzDecode(f *testing.F) {
 		switch {
 		case p.TCP != nil:
 			ip := p.IP
-			back, err = EncodeTCP(&ip, p.TCP, p.Payload)
+			back, err = AppendTCP(nil, &ip, p.TCP, p.Payload)
 		case p.ICMP != nil:
 			ip := p.IP
-			back, err = EncodeICMP(&ip, p.ICMP)
+			back, err = AppendICMP(nil, &ip, p.ICMP)
 		default:
 			t.Fatal("accepted packet with no transport layer")
 		}
@@ -60,7 +60,7 @@ func FuzzReassembler(f *testing.F) {
 	d := make([]byte, 0)
 	{
 		payload := make([]byte, 900)
-		raw, _ := EncodeTCP(&IPv4Header{Src: probeAddr, Dst: serverAddr, ID: 3},
+		raw, _ := AppendTCP(nil, &IPv4Header{Src: probeAddr, Dst: serverAddr, ID: 3},
 			&TCPHeader{SrcPort: 1, DstPort: 2, Flags: FlagACK}, payload)
 		frags, _ := Fragment(raw, 576)
 		for _, fr := range frags {

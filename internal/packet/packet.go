@@ -57,26 +57,6 @@ func badProtoErr(proto uint8) error {
 	return fmt.Errorf("%w: protocol %d", ErrBadHeader, proto)
 }
 
-// EncodeTCP builds a complete IPv4+TCP datagram. ip.TotalLen, checksums and
-// the TCP data offset are computed; ip.Protocol is forced to TCP.
-func EncodeTCP(ip *IPv4Header, tcp *TCPHeader, payload []byte) ([]byte, error) {
-	buf, err := AppendTCP(nil, ip, tcp, payload)
-	if err != nil {
-		return nil, err
-	}
-	return buf, nil
-}
-
-// EncodeICMP builds a complete IPv4+ICMP echo datagram. ip.Protocol is
-// forced to ICMP.
-func EncodeICMP(ip *IPv4Header, echo *ICMPEcho) ([]byte, error) {
-	buf, err := AppendICMP(nil, ip, echo)
-	if err != nil {
-		return nil, err
-	}
-	return buf, nil
-}
-
 // FlowKey identifies a transport flow by the classic 4-tuple plus protocol.
 // It is comparable and usable as a map key. For ICMP the ports carry the
 // echo identifier in SrcPort and zero in DstPort.

@@ -17,9 +17,9 @@ var (
 
 func mustEncodeTCP(t *testing.T, ip *IPv4Header, tcp *TCPHeader, payload []byte) []byte {
 	t.Helper()
-	b, err := EncodeTCP(ip, tcp, payload)
+	b, err := AppendTCP(nil, ip, tcp, payload)
 	if err != nil {
-		t.Fatalf("EncodeTCP: %v", err)
+		t.Fatalf("AppendTCP: %v", err)
 	}
 	return b
 }
@@ -71,9 +71,9 @@ func TestTCPRoundTrip(t *testing.T) {
 func TestICMPRoundTrip(t *testing.T) {
 	ip := &IPv4Header{Src: probeAddr, Dst: serverAddr, ID: 99}
 	echo := &ICMPEcho{Type: ICMPEchoRequest, Ident: 777, Seq: 3, Payload: bytes.Repeat([]byte{0xab}, 48)}
-	raw, err := EncodeICMP(ip, echo)
+	raw, err := AppendICMP(nil, ip, echo)
 	if err != nil {
-		t.Fatalf("EncodeICMP: %v", err)
+		t.Fatalf("AppendICMP: %v", err)
 	}
 	p, err := Decode(raw)
 	if err != nil {
@@ -197,9 +197,9 @@ func rechecksum(b []byte) []byte {
 
 func TestEncodeRejectsNonIPv4(t *testing.T) {
 	v6 := netip.MustParseAddr("::1")
-	_, err := EncodeTCP(&IPv4Header{Src: v6, Dst: serverAddr}, &TCPHeader{}, nil)
+	_, err := AppendTCP(nil, &IPv4Header{Src: v6, Dst: serverAddr}, &TCPHeader{}, nil)
 	if !errors.Is(err, ErrBadHeader) {
-		t.Errorf("EncodeTCP(v6 src) error = %v, want ErrBadHeader", err)
+		t.Errorf("AppendTCP(nil, v6 src) error = %v, want ErrBadHeader", err)
 	}
 }
 
@@ -208,7 +208,7 @@ func TestEncodeRejectsOversizedOptions(t *testing.T) {
 	for i := 0; i < 11; i++ {
 		opts = append(opts, MSSOption(1460)) // 4 bytes each; 44 > 40 limit
 	}
-	_, err := EncodeTCP(&IPv4Header{Src: probeAddr, Dst: serverAddr}, &TCPHeader{Options: opts}, nil)
+	_, err := AppendTCP(nil, &IPv4Header{Src: probeAddr, Dst: serverAddr}, &TCPHeader{Options: opts}, nil)
 	if !errors.Is(err, ErrBadHeader) {
 		t.Errorf("oversized options error = %v, want ErrBadHeader", err)
 	}
@@ -283,7 +283,7 @@ func TestQuickTCPRoundTrip(t *testing.T) {
 			Flags: flags & 0x3f, Window: win,
 			Options: []TCPOption{MSSOption(mss)},
 		}
-		raw, err := EncodeTCP(&IPv4Header{Src: probeAddr, Dst: serverAddr, ID: id}, tcp, payload)
+		raw, err := AppendTCP(nil, &IPv4Header{Src: probeAddr, Dst: serverAddr, ID: id}, tcp, payload)
 		if err != nil {
 			return false
 		}
@@ -440,7 +440,7 @@ func BenchmarkEncodeTCP(b *testing.B) {
 	payload := bytes.Repeat([]byte{0xaa}, 512)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := EncodeTCP(ip, tcp, payload); err != nil {
+		if _, err := AppendTCP(nil, ip, tcp, payload); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -449,7 +449,7 @@ func BenchmarkEncodeTCP(b *testing.B) {
 func BenchmarkDecode(b *testing.B) {
 	ip := &IPv4Header{Src: probeAddr, Dst: serverAddr, ID: 1}
 	tcp := &TCPHeader{SrcPort: 1000, DstPort: 80, Seq: 1, Ack: 1, Flags: FlagACK, Window: 65535}
-	raw, err := EncodeTCP(ip, tcp, bytes.Repeat([]byte{0xaa}, 512))
+	raw, err := AppendTCP(nil, ip, tcp, bytes.Repeat([]byte{0xaa}, 512))
 	if err != nil {
 		b.Fatal(err)
 	}

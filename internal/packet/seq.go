@@ -33,9 +33,6 @@ func SeqMin(a, b uint32) uint32 {
 	return b
 }
 
-// SeqDiff returns the signed distance a-b in sequence space.
-func SeqDiff(a, b uint32) int32 { return int32(a - b) }
-
 // SeqInWindow reports whether seq falls within [base, base+size) in sequence
 // space. A zero-size window contains nothing.
 func SeqInWindow(seq, base uint32, size uint32) bool {

@@ -23,7 +23,6 @@ const (
 	OptWindowScale   = 3
 	OptSACKPermitted = 4
 	OptSACK          = 5
-	OptTimestamps    = 8
 )
 
 const tcpBaseHeaderLen = 20

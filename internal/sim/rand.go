@@ -85,9 +85,3 @@ func (r *Rand) Bool(p float64) bool {
 
 // ExpFloat64 returns an exponentially distributed value with mean 1.
 func (r *Rand) ExpFloat64() float64 { return r.r.ExpFloat64() }
-
-// NormFloat64 returns a standard normal value.
-func (r *Rand) NormFloat64() float64 { return r.r.NormFloat64() }
-
-// Perm returns a random permutation of [0,n).
-func (r *Rand) Perm(n int) []int { return r.r.Perm(n) }

@@ -14,7 +14,7 @@ import (
 // state to detect any divergence between a fresh and a reset scenario.
 func synProbe(t *testing.T, n *Net) ([]byte, uint64, time.Duration) {
 	t.Helper()
-	raw, err := packet.EncodeTCP(
+	raw, err := packet.AppendTCP(nil,
 		&packet.IPv4Header{Src: n.ProbeAddr(), Dst: n.ServerAddr()},
 		&packet.TCPHeader{SrcPort: 5000, DstPort: 80, Seq: 9, Flags: packet.FlagSYN, Window: 1000}, nil)
 	if err != nil {
@@ -48,7 +48,7 @@ func TestResetMatchesFresh(t *testing.T) {
 		if i > 0 {
 			// Leave traffic in flight before the reset: send without
 			// draining, so the loop still holds scheduled events.
-			raw, err := packet.EncodeTCP(
+			raw, err := packet.AppendTCP(nil,
 				&packet.IPv4Header{Src: reused.ProbeAddr(), Dst: reused.ServerAddr()},
 				&packet.TCPHeader{SrcPort: 6000, DstPort: 80, Seq: 1, Flags: packet.FlagSYN, Window: 512}, nil)
 			if err != nil {

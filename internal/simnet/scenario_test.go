@@ -59,7 +59,7 @@ func TestScenarioResetMatchesFresh(t *testing.T) {
 	reused := New(configs[0])
 	for i, cfg := range configs {
 		if i > 0 {
-			raw, err := packet.EncodeTCP(
+			raw, err := packet.AppendTCP(nil,
 				&packet.IPv4Header{Src: reused.ProbeAddr(), Dst: reused.ServerAddr()},
 				&packet.TCPHeader{SrcPort: 6000, DstPort: 80, Seq: 1, Flags: packet.FlagSYN, Window: 512}, nil)
 			if err != nil {
@@ -112,7 +112,7 @@ func TestScenarioTimelineRetargetsLoss(t *testing.T) {
 		{At: 0, Op: OpLoss, Dir: DirReverse, Prob: 1},
 	}}}
 	n := New(cfg)
-	raw, err := packet.EncodeTCP(
+	raw, err := packet.AppendTCP(nil,
 		&packet.IPv4Header{Src: n.ProbeAddr(), Dst: n.ServerAddr()},
 		&packet.TCPHeader{SrcPort: 5000, DstPort: 80, Seq: 9, Flags: packet.FlagSYN, Window: 1000}, nil)
 	if err != nil {
@@ -207,7 +207,7 @@ func FuzzScenarioSpec(f *testing.F) {
 // synProbe0 is synProbe without the testing.T plumbing (fuzz targets may
 // legitimately lose the reply to a fuzzed 100%-loss schedule).
 func synProbe0(n *Net) ([]byte, uint64, time.Duration) {
-	raw, err := packet.EncodeTCP(
+	raw, err := packet.AppendTCP(nil,
 		&packet.IPv4Header{Src: n.ProbeAddr(), Dst: n.ServerAddr()},
 		&packet.TCPHeader{SrcPort: 5000, DstPort: 80, Seq: 9, Flags: packet.FlagSYN, Window: 1000}, nil)
 	if err != nil {

@@ -15,7 +15,7 @@ func TestProbeSendRecvRoundTrip(t *testing.T) {
 
 	// Hand-roll a SYN to the server and expect a SYN/ACK back through the
 	// full path.
-	raw, err := packet.EncodeTCP(
+	raw, err := packet.AppendTCP(nil,
 		&packet.IPv4Header{Src: n.ProbeAddr(), Dst: n.ServerAddr()},
 		&packet.TCPHeader{SrcPort: 5000, DstPort: 80, Seq: 9, Flags: packet.FlagSYN, Window: 1000}, nil)
 	if err != nil {
@@ -57,7 +57,7 @@ func TestRecvTimeoutAdvancesClock(t *testing.T) {
 func TestCapturesSeeTraffic(t *testing.T) {
 	n := New(Config{Seed: 1, Server: host.FreeBSD4()})
 	p := n.Probe()
-	raw, err := packet.EncodeTCP(
+	raw, err := packet.AppendTCP(nil,
 		&packet.IPv4Header{Src: n.ProbeAddr(), Dst: n.ServerAddr()},
 		&packet.TCPHeader{SrcPort: 5000, DstPort: 80, Seq: 9, Flags: packet.FlagSYN, Window: 1000}, nil)
 	if err != nil {
@@ -83,7 +83,7 @@ func TestCapturesSeeTraffic(t *testing.T) {
 func TestSleepAccumulatesInbox(t *testing.T) {
 	n := New(Config{Seed: 1, Server: host.FreeBSD4()})
 	p := n.Probe()
-	raw, _ := packet.EncodeTCP(
+	raw, _ := packet.AppendTCP(nil,
 		&packet.IPv4Header{Src: n.ProbeAddr(), Dst: n.ServerAddr()},
 		&packet.TCPHeader{SrcPort: 5001, DstPort: 80, Seq: 9, Flags: packet.FlagSYN, Window: 1000}, nil)
 	p.Send(raw)
@@ -106,7 +106,7 @@ func TestForwardSwapperAffectsOnlyForwardPath(t *testing.T) {
 	})
 	p := n.Probe()
 	mk := func(seq uint32) []byte {
-		raw, err := packet.EncodeTCP(
+		raw, err := packet.AppendTCP(nil,
 			&packet.IPv4Header{Src: n.ProbeAddr(), Dst: n.ServerAddr()},
 			&packet.TCPHeader{SrcPort: 5002, DstPort: 80, Seq: seq, Flags: packet.FlagACK}, nil)
 		if err != nil {
@@ -138,7 +138,7 @@ func TestLoadBalancedScenario(t *testing.T) {
 	// Distinct source ports land on (generally) distinct backends, but a
 	// single flow always reaches exactly one; every SYN gets one SYN/ACK.
 	for sport := uint16(6000); sport < 6008; sport++ {
-		raw, err := packet.EncodeTCP(
+		raw, err := packet.AppendTCP(nil,
 			&packet.IPv4Header{Src: n.ProbeAddr(), Dst: n.ServerAddr()},
 			&packet.TCPHeader{SrcPort: sport, DstPort: 80, Seq: 1, Flags: packet.FlagSYN, Window: 1000}, nil)
 		if err != nil {
@@ -161,7 +161,7 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 		p := n.Probe()
 		var ids []uint64
 		for i := uint32(0); i < 20; i++ {
-			raw, _ := packet.EncodeTCP(
+			raw, _ := packet.AppendTCP(nil,
 				&packet.IPv4Header{Src: n.ProbeAddr(), Dst: n.ServerAddr()},
 				&packet.TCPHeader{SrcPort: 7000, DstPort: 80, Seq: i, Flags: packet.FlagACK}, nil)
 			p.Send(raw)
@@ -196,7 +196,7 @@ func TestTrunkPathSpec(t *testing.T) {
 	exchanged := 0
 	for i := 0; i < 50; i++ {
 		mk := func(seq uint32) uint64 {
-			raw, err := packet.EncodeTCP(
+			raw, err := packet.AppendTCP(nil,
 				&packet.IPv4Header{Src: n.ProbeAddr(), Dst: n.ServerAddr()},
 				&packet.TCPHeader{SrcPort: 7100, DstPort: 80, Seq: seq, Flags: packet.FlagACK}, nil)
 			if err != nil {

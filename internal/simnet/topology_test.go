@@ -37,7 +37,7 @@ func TestGraphRoundTrip(t *testing.T) {
 		t.Fatalf("Senders = %d, want 1", len(n.Senders))
 	}
 	p := n.Probe()
-	raw, err := packet.EncodeTCP(
+	raw, err := packet.AppendTCP(nil,
 		&packet.IPv4Header{Src: n.ProbeAddr(), Dst: n.ServerAddr()},
 		&packet.TCPHeader{SrcPort: 5000, DstPort: 80, Seq: 9, Flags: packet.FlagSYN, Window: 1000}, nil)
 	if err != nil {

@@ -162,7 +162,6 @@ type Sender struct {
 	started  sim.Time
 	finished sim.Time
 	stats    Stats
-	onDone   func()
 }
 
 // sentAt records when the segment starting at seq was first transmitted.
@@ -207,11 +206,7 @@ func (s *Sender) Reset(cfg Config, local, remote netip.Addr, rng *sim.Rand, out 
 	s.lastRexmitAt, s.lastRexmit, s.rexmitLive = 0, 0, false
 	s.started, s.finished = 0, 0
 	s.stats = Stats{}
-	s.onDone = nil
 }
-
-// OnDone registers a completion callback.
-func (s *Sender) OnDone(fn func()) { s.onDone = fn }
 
 // SetArena directs the sender to allocate transmitted datagrams and frames
 // from a. A nil arena (the default) falls back to the garbage collector.
@@ -324,9 +319,6 @@ func (s *Sender) handleAck(h *packet.TCPHeader) {
 		s.st = stateDone
 		s.finished = s.loop.Now()
 		s.stopRTO()
-		if s.onDone != nil {
-			s.onDone()
-		}
 	}
 }
 

@@ -303,14 +303,8 @@ func (s *Stack) Listen(port uint16) {
 	}
 }
 
-// Addr returns the stack's address.
-func (s *Stack) Addr() netip.Addr { return s.addr }
-
 // Stats returns a snapshot of the stack's counters.
 func (s *Stack) Stats() Stats { return s.stats }
-
-// Config returns the stack's effective configuration.
-func (s *Stack) Config() Config { return s.cfg }
 
 // Conns returns the number of live connections (tests and leak checks).
 func (s *Stack) Conns() int { return len(s.conns) }

@@ -46,7 +46,7 @@ func newHarness(t *testing.T, cfg Config) *harness {
 // quiescence (but not past pending timers unless asked).
 func (h *harness) inject(tcp *packet.TCPHeader, payload []byte) {
 	h.t.Helper()
-	raw, err := packet.EncodeTCP(&packet.IPv4Header{Src: probeAddr, Dst: serverAddr, ID: 1}, tcp, payload)
+	raw, err := packet.AppendTCP(nil, &packet.IPv4Header{Src: probeAddr, Dst: serverAddr, ID: 1}, tcp, payload)
 	if err != nil {
 		h.t.Fatal(err)
 	}
@@ -537,7 +537,7 @@ func TestIPIDsStampedSequentially(t *testing.T) {
 func TestIgnoresPacketsForOtherHosts(t *testing.T) {
 	h := newHarness(t, Config{})
 	other := netip.AddrFrom4([4]byte{10, 0, 0, 50})
-	raw, err := packet.EncodeTCP(&packet.IPv4Header{Src: probeAddr, Dst: other},
+	raw, err := packet.AppendTCP(nil, &packet.IPv4Header{Src: probeAddr, Dst: other},
 		&packet.TCPHeader{SrcPort: 1, DstPort: 80, Flags: packet.FlagSYN}, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -14,7 +14,7 @@ import (
 
 func tcpFrame(t *testing.T, id uint64, seq uint32) *netem.Frame {
 	t.Helper()
-	raw, err := packet.EncodeTCP(
+	raw, err := packet.AppendTCP(nil,
 		&packet.IPv4Header{Src: netip.AddrFrom4([4]byte{10, 0, 0, 1}), Dst: netip.AddrFrom4([4]byte{10, 0, 0, 2})},
 		&packet.TCPHeader{SrcPort: 1, DstPort: 2, Seq: seq, Flags: packet.FlagACK}, nil)
 	if err != nil {
