@@ -63,7 +63,7 @@ func BenchmarkAgreement(b *testing.B) {
 		cfg := experiments.QuickSurvey()
 		cfg.Rounds = 8
 		survey := experiments.RunSurvey(cfg)
-		rep := experiments.RunAgreement(survey, 0.999)
+		rep := experiments.RunAgreement(survey)
 		if p, ok := rep.Pair("single", "syn", "forward"); ok {
 			frac = p.NullFraction()
 		}

@@ -118,7 +118,7 @@ func setupSurvey(fs *flag.FlagSet) func(io.Writer) error {
 func setupAgreement(fs *flag.FlagSet) func(io.Writer) error {
 	quick, workers := quickVar(fs), workersVar(fs)
 	return func(stdout io.Writer) error {
-		experiments.RunAgreement(experiments.RunSurvey(surveyConfig(*quick, *workers)), 0.999).WriteText(stdout)
+		experiments.RunAgreement(experiments.RunSurvey(surveyConfig(*quick, *workers))).WriteText(stdout)
 		return nil
 	}
 }

@@ -5,6 +5,12 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io/fs"
+	"path"
+	"path/filepath"
+	"sort"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -142,4 +148,191 @@ func TestFacadeSurface(t *testing.T) {
 			t.Errorf("reorder.%s is exported but no example or facade test uses it", name)
 		}
 	}
+}
+
+// TestEveryKnobIsSet keeps every exported field of an exported *Options,
+// *Config or *Spec struct in use: something in the module — a command, an
+// experiment, a benchmark or a test — must set it. A field only its own
+// defaults method fills is a constant. It reads the module with go/parser
+// alone, so it cannot see types: a key in a typed composite literal sets
+// that type's field, while an untyped key, a selector assignment and &x.F
+// set every knob of that name.
+func TestEveryKnobIsSet(t *testing.T) {
+	type typeName struct{ pkg, name string } // pkg: module-relative directory
+	type knob struct {
+		typeName
+		field string
+	}
+	fset := token.NewFileSet()
+	type file struct {
+		pkg string // directory, relative to the module root
+		f   *ast.File
+	}
+	var files []file
+	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if p != "." && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(p, ".go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		files = append(files, file{filepath.ToSlash(filepath.Dir(p)), f})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	isKnobType := func(name string) bool {
+		return ast.IsExported(name) && (strings.HasSuffix(name, "Options") ||
+			strings.HasSuffix(name, "Config") || strings.HasSuffix(name, "Spec"))
+	}
+	knobs := map[knob]bool{}         // declared field → set somewhere
+	alias := map[typeName]typeName{} // facade alias → the type it names
+	for _, fl := range files {
+		if strings.HasSuffix(fset.File(fl.f.Pos()).Name(), "_test.go") {
+			continue
+		}
+		for _, d := range fl.f.Decls {
+			g, ok := d.(*ast.GenDecl)
+			if !ok {
+				continue
+			}
+			for _, s := range g.Specs {
+				ts, ok := s.(*ast.TypeSpec)
+				if !ok || !isKnobType(ts.Name.Name) {
+					continue
+				}
+				if sel, ok := ts.Type.(*ast.SelectorExpr); ok && ts.Assign.IsValid() {
+					if x, ok := sel.X.(*ast.Ident); ok {
+						alias[typeName{fl.pkg, ts.Name.Name}] = typeName{importDir(fl.f, x.Name), sel.Sel.Name}
+					}
+					continue
+				}
+				st, ok := ts.Type.(*ast.StructType)
+				if !ok {
+					continue
+				}
+				for _, f := range st.Fields.List {
+					for _, id := range f.Names {
+						if id.IsExported() {
+							knobs[knob{typeName{fl.pkg, ts.Name.Name}, id.Name}] = false
+						}
+					}
+				}
+			}
+		}
+	}
+	// resolve returns the type a composite literal's type expression names,
+	// through a facade alias; the zero typeName if it names no type.
+	resolve := func(fl file, typ ast.Expr) typeName {
+		var tn typeName
+		switch typ := typ.(type) {
+		case *ast.Ident:
+			tn = typeName{fl.pkg, typ.Name}
+		case *ast.SelectorExpr:
+			if x, ok := typ.X.(*ast.Ident); ok {
+				tn = typeName{importDir(fl.f, x.Name), typ.Sel.Name}
+			}
+		}
+		if a, ok := alias[tn]; ok {
+			return a
+		}
+		return tn
+	}
+	setByName := func(name string) {
+		for k := range knobs {
+			if k.field == name {
+				knobs[k] = true
+			}
+		}
+	}
+	for _, fl := range files {
+		for _, d := range fl.f.Decls {
+			if fn, ok := d.(*ast.FuncDecl); ok && fn.Recv != nil {
+				switch fn.Name.Name {
+				case "defaults", "Defaults", "setDefaults":
+					continue // a struct's own defaults are not a setter
+				}
+			}
+			ast.Inspect(d, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CompositeLit:
+					var tn typeName
+					if n.Type != nil {
+						tn = resolve(fl, n.Type)
+					}
+					for _, e := range n.Elts {
+						kv, ok := e.(*ast.KeyValueExpr)
+						if !ok {
+							continue
+						}
+						key, ok := kv.Key.(*ast.Ident)
+						if !ok {
+							continue
+						}
+						k := knob{tn, key.Name}
+						if _, declared := knobs[k]; declared {
+							knobs[k] = true
+						} else if n.Type == nil {
+							setByName(key.Name)
+						}
+					}
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						if sel, ok := lhs.(*ast.SelectorExpr); ok {
+							setByName(sel.Sel.Name)
+						}
+					}
+				case *ast.UnaryExpr:
+					if sel, ok := n.X.(*ast.SelectorExpr); ok && n.Op == token.AND {
+						setByName(sel.Sel.Name)
+					}
+				}
+				return true
+			})
+		}
+	}
+	var unset []string
+	for k, set := range knobs {
+		if !set {
+			unset = append(unset, k.pkg+"."+k.name+"."+k.field)
+		}
+	}
+	sort.Strings(unset)
+	for _, name := range unset {
+		t.Errorf("%s is never set to anything: make it a constant", name)
+	}
+}
+
+// importDir returns the module-relative directory of the package f imports
+// as name, or "" if the import is not from this module.
+func importDir(f *ast.File, name string) string {
+	for _, imp := range f.Imports {
+		p, _ := strconv.Unquote(imp.Path.Value)
+		local := path.Base(p)
+		if imp.Name != nil {
+			local = imp.Name.Name
+		}
+		if local == name {
+			if p == "reorder" {
+				return "."
+			}
+			if rest, ok := strings.CutPrefix(p, "reorder/"); ok {
+				return rest
+			}
+			return ""
+		}
+	}
+	return ""
 }

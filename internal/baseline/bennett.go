@@ -32,9 +32,10 @@ type BennettOptions struct {
 	PayloadSize int
 	// ReplyTimeout bounds the wait for each burst's replies (default 1s).
 	ReplyTimeout time.Duration
-	// Pace is the idle time between bursts (default 10ms).
-	Pace time.Duration
 }
+
+// pace is the idle time between bursts.
+const pace = 10 * time.Millisecond
 
 func (o BennettOptions) defaults() BennettOptions {
 	if o.Bursts == 0 {
@@ -48,9 +49,6 @@ func (o BennettOptions) defaults() BennettOptions {
 	}
 	if o.ReplyTimeout == 0 {
 		o.ReplyTimeout = time.Second
-	}
-	if o.Pace == 0 {
-		o.Pace = 10 * time.Millisecond
 	}
 	return o
 }
@@ -110,7 +108,7 @@ func BennettTest(tp core.Transport, target netip.Addr, o BennettOptions) (*Benne
 			anyReply = true
 		}
 		res.Bursts = append(res.Bursts, br)
-		tp.Sleep(o.Pace)
+		tp.Sleep(pace)
 	}
 	if !anyReply {
 		return nil, ErrNoReplies

@@ -24,14 +24,8 @@ type BurstOptions struct {
 	Bursts int
 	// Gap spaces consecutive packets within a train.
 	Gap time.Duration
-	// Port is the target TCP port (default 80).
-	Port uint16
 	// ReplyTimeout bounds the wait for each train's acknowledgments.
 	ReplyTimeout time.Duration
-	// ValidationProbes for the IPID prevalidation pass (default 12).
-	ValidationProbes int
-	// Pace is the idle time between trains (default 10ms).
-	Pace time.Duration
 }
 
 func (o BurstOptions) defaults() BurstOptions {
@@ -41,17 +35,8 @@ func (o BurstOptions) defaults() BurstOptions {
 	if o.Bursts == 0 {
 		o.Bursts = 10
 	}
-	if o.Port == 0 {
-		o.Port = 80
-	}
 	if o.ReplyTimeout == 0 {
-		o.ReplyTimeout = time.Second
-	}
-	if o.ValidationProbes == 0 {
-		o.ValidationProbes = 12
-	}
-	if o.Pace == 0 {
-		o.Pace = 10 * time.Millisecond
+		o.ReplyTimeout = replyTimeout
 	}
 	return o
 }
@@ -122,21 +107,21 @@ func (p *Prober) BurstTest(o BurstOptions) (*BurstResult, error) {
 
 	conns := make([]*conn, o.BurstSize)
 	for i := range conns {
-		c, err := p.connect(o.Port, defaultConnect())
+		c, err := p.connect(targetPort, defaultConnect())
 		if err != nil {
 			return nil, err
 		}
 		defer c.reset()
 		conns[i] = c
 	}
-	if rep := p.validateIPID(&p.ipidRep, conns[0], conns[1], DCTOptions{ValidationProbes: o.ValidationProbes, ReplyTimeout: o.ReplyTimeout}); !rep.Usable() {
+	if rep := p.validateIPID(&p.ipidRep, conns[0], conns[1], validationProbes, o.ReplyTimeout); !rep.Usable() {
 		return nil, ErrIPIDUnusable
 	}
 
 	res := &BurstResult{Target: p.target.String(), Options: o}
 	for b := 0; b < o.Bursts; b++ {
 		res.Bursts = append(res.Bursts, p.burstOnce(conns, o))
-		p.tp.Sleep(o.Pace)
+		p.tp.Sleep(pace)
 	}
 	return res, nil
 }

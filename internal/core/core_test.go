@@ -168,8 +168,10 @@ func TestSCTDelayedAckStack(t *testing.T) {
 }
 
 func TestSCTHandshakeFailure(t *testing.T) {
-	p, _ := newProber(simnet.Config{Seed: 16, Server: host.FreeBSD4()})
-	_, err := p.SingleConnectionTest(core.SCTOptions{Samples: 1, Port: 4444, ReplyTimeout: 50 * time.Millisecond})
+	closed := host.FreeBSD4()
+	closed.Ports = nil // nothing listening
+	p, _ := newProber(simnet.Config{Seed: 16, Server: closed})
+	_, err := p.SingleConnectionTest(core.SCTOptions{Samples: 1, ReplyTimeout: 50 * time.Millisecond})
 	if !errors.Is(err, core.ErrHandshake) {
 		t.Fatalf("err = %v, want ErrHandshake", err)
 	}

@@ -15,14 +15,6 @@ type DCTOptions struct {
 	// Gap spaces the two sample packets; sweeping it yields the Fig 7
 	// time-domain distribution.
 	Gap time.Duration
-	// Port is the target TCP port (default 80).
-	Port uint16
-	// ReplyTimeout bounds each wait for an acknowledgment (default 1s;
-	// all DCT acknowledgments are immediate, so this only covers RTT).
-	ReplyTimeout time.Duration
-	// ValidationProbes is the number of IPID observations collected by the
-	// prevalidation pass (default 12).
-	ValidationProbes int
 	// SkipValidation runs the test without the prevalidation pass —
 	// exactly the mistake the paper warns produces spurious results; it
 	// exists so experiments can demonstrate the failure.
@@ -32,15 +24,6 @@ type DCTOptions struct {
 func (o DCTOptions) defaults() DCTOptions {
 	if o.Samples == 0 {
 		o.Samples = 15
-	}
-	if o.Port == 0 {
-		o.Port = 80
-	}
-	if o.ReplyTimeout == 0 {
-		o.ReplyTimeout = time.Second
-	}
-	if o.ValidationProbes == 0 {
-		o.ValidationProbes = 12
 	}
 	return o
 }
@@ -66,18 +49,18 @@ func (p *Prober) DualConnectionTestInto(res *Result, o DCTOptions) error {
 	o = o.defaults()
 	res.begin("dual", p.target)
 
-	ca, err := p.connect(o.Port, defaultConnect())
+	ca, err := p.connect(targetPort, defaultConnect())
 	if err != nil {
 		return err
 	}
 	defer ca.reset()
-	cb, err := p.connect(o.Port, defaultConnect())
+	cb, err := p.connect(targetPort, defaultConnect())
 	if err != nil {
 		return err
 	}
 	defer cb.reset()
 
-	if !o.SkipValidation && !p.validateIPID(&p.ipidRep, ca, cb, o).Usable() {
+	if !o.SkipValidation && !p.validateIPID(&p.ipidRep, ca, cb, validationProbes, replyTimeout).Usable() {
 		return ErrIPIDUnusable
 	}
 
@@ -129,7 +112,7 @@ func (p *Prober) dctSample(ca, cb *conn, o DCTOptions) Sample {
 	}
 	var replies [2]reply
 	nreplies := 0
-	deadline := p.tp.Now().Add(o.ReplyTimeout)
+	deadline := p.tp.Now().Add(replyTimeout)
 	var seenA, seenB bool
 	match := func(q *packet.Packet) bool {
 		if !seenA && q.TCP.SrcPort == ca.rport && q.TCP.DstPort == ca.lport &&
@@ -214,10 +197,6 @@ func (p *Prober) dctSample(ca, cb *conn, o DCTOptions) Sample {
 type IPIDCheckOptions struct {
 	// Probes is the number of observations (default 12).
 	Probes int
-	// Port is the target TCP port (default 80).
-	Port uint16
-	// ReplyTimeout bounds each wait (default 1s).
-	ReplyTimeout time.Duration
 }
 
 // ValidateIPID opens two connections to the target, elicits acknowledgments
@@ -237,38 +216,32 @@ func (p *Prober) ValidateIPID(o IPIDCheckOptions) (*ipid.Report, error) {
 // overwritten completely, valid until the next validation into it.
 func (p *Prober) ValidateIPIDInto(rep *ipid.Report, o IPIDCheckOptions) error {
 	if o.Probes == 0 {
-		o.Probes = 12
+		o.Probes = validationProbes
 	}
-	if o.Port == 0 {
-		o.Port = 80
-	}
-	if o.ReplyTimeout == 0 {
-		o.ReplyTimeout = time.Second
-	}
-	ca, err := p.connect(o.Port, defaultConnect())
+	ca, err := p.connect(targetPort, defaultConnect())
 	if err != nil {
 		return err
 	}
 	defer ca.reset()
-	cb, err := p.connect(o.Port, defaultConnect())
+	cb, err := p.connect(targetPort, defaultConnect())
 	if err != nil {
 		return err
 	}
 	defer cb.reset()
-	p.validateIPID(rep, ca, cb, DCTOptions{ValidationProbes: o.Probes, ReplyTimeout: o.ReplyTimeout})
+	p.validateIPID(rep, ca, cb, o.Probes, replyTimeout)
 	return nil
 }
 
-// validateIPID runs the elicitation over existing connections into rep.
-// The observation slice is prober-owned scratch (ipid.ValidateInto does not
-// retain it).
-func (p *Prober) validateIPID(rep *ipid.Report, ca, cb *conn, o DCTOptions) *ipid.Report {
+// validateIPID runs probes elicitations over existing connections into rep,
+// waiting at most timeout for each. The observation slice is prober-owned
+// scratch (ipid.ValidateInto does not retain it).
+func (p *Prober) validateIPID(rep *ipid.Report, ca, cb *conn, probes int, timeout time.Duration) *ipid.Report {
 	obs := p.obsScratch[:0]
 	conns := [2]*conn{ca, cb}
-	for i := 0; i < o.ValidationProbes; i++ {
+	for i := 0; i < probes; i++ {
 		c := conns[i%2]
 		c.ping()
-		pkt, _, ok := c.awaitPingAck(o.ReplyTimeout)
+		pkt, _, ok := c.awaitPingAck(timeout)
 		if !ok {
 			continue // lost probe or ack; the report's sample count shrinks
 		}

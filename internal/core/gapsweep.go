@@ -15,9 +15,6 @@ type GapSweepOptions struct {
 	// SamplesPerGap is the pair count per spacing (paper: 1000;
 	// default 200).
 	SamplesPerGap int
-	// DCT carries through options for the underlying test (samples and
-	// gap fields are overridden per point).
-	DCT DCTOptions
 }
 
 func (o GapSweepOptions) defaults() GapSweepOptions {
@@ -107,11 +104,7 @@ func (p *Prober) GapSweep(o GapSweepOptions) (*GapDistribution, error) {
 	dist := &GapDistribution{}
 	skipValidation := false
 	for _, gap := range o.Gaps {
-		opt := o.DCT
-		opt.Samples = o.SamplesPerGap
-		opt.Gap = gap
-		opt.SkipValidation = skipValidation
-		res, err := p.DualConnectionTest(opt)
+		res, err := p.DualConnectionTest(DCTOptions{Samples: o.SamplesPerGap, Gap: gap, SkipValidation: skipValidation})
 		if err != nil {
 			return nil, err
 		}

@@ -87,26 +87,35 @@ type rx struct {
 // oldest packets are dropped, as a kernel socket buffer would.
 const maxBufferedPackets = 256
 
+// The techniques' fixed parameters. Like the paper, every test probes a web
+// server's port, waits a second for a reply unless its options say
+// otherwise, validates IPIDs on a dozen observations, and paces its SYN
+// pairs and bursts so the test never resembles a SYN flood.
+const (
+	targetPort       = 80
+	replyTimeout     = time.Second
+	validationProbes = 12
+	pace             = 10 * time.Millisecond
+)
+
+// firstPort starts the ephemeral range the prober's connections draw from.
+const firstPort = 40000
+
 // NewProber returns a prober for the given target. The seed drives port and
 // ISN selection, making simulated runs reproducible.
 func NewProber(tp Transport, target netip.Addr, seed uint64) *Prober {
-	p := &Prober{
-		tp:     tp,
-		target: target,
-		rng:    sim.NewRand(seed, 0x9b0be),
-		// Ephemeral range start; advanced per connection.
-		nextPort: 40000,
-	}
+	p := &Prober{tp: tp, target: target, rng: new(sim.Rand)}
 	p.ftp, _ = tp.(FrameTransport)
+	p.Reset(seed)
 	return p
 }
 
-// Reset returns the prober to the state NewProber(tp, target, seed) would
-// produce on the same transport and target, keeping its scratch storage.
-// Campaign workers reuse one prober per scenario arena this way.
+// Reset reseeds the prober and empties its receive buffer, keeping its
+// scratch storage; NewProber ends by calling it. Campaign workers reuse one
+// prober per scenario arena this way.
 func (p *Prober) Reset(seed uint64) {
 	p.rng.Reseed(seed, 0x9b0be)
-	p.nextPort = 40000
+	p.nextPort = firstPort
 	for _, q := range p.buf {
 		p.release(q.pkt)
 	}
@@ -149,8 +158,8 @@ func (p *Prober) release(pkt *packet.Packet) {
 func (p *Prober) allocPort() uint16 {
 	port := p.nextPort
 	p.nextPort++
-	if p.nextPort < 40000 {
-		p.nextPort = 40000
+	if p.nextPort < firstPort {
+		p.nextPort = firstPort
 	}
 	return port
 }

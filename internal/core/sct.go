@@ -19,13 +19,9 @@ type SCTOptions struct {
 	// immediate ACKs in the common in-order case, sidestepping delayed
 	// acknowledgments at the cost of a loss/reorder ambiguity.
 	Reversed bool
-	// Port is the target TCP port (default 80).
-	Port uint16
 	// ReplyTimeout bounds each wait for an acknowledgment. It must exceed
 	// the target's delayed-ACK timeout plus one RTT (default 1s).
 	ReplyTimeout time.Duration
-	// PrepRetries bounds the hole-preparation and repair retransmissions.
-	PrepRetries int
 	// SampleTOS marks the two sample packets (in send order) with IP TOS
 	// values, exposing DiffServ-style cross-class reordering: a strict-
 	// priority scheduler reorders a flow only when its packets carry
@@ -42,18 +38,15 @@ type SCTOptions struct {
 // there, so at most a RST comes back on a distinct port pair.
 const discardPort = 9
 
+// prepRetries bounds the hole-preparation and repair retransmissions.
+const prepRetries = 5
+
 func (o SCTOptions) defaults() SCTOptions {
 	if o.Samples == 0 {
 		o.Samples = 15
 	}
-	if o.Port == 0 {
-		o.Port = 80
-	}
 	if o.ReplyTimeout == 0 {
-		o.ReplyTimeout = time.Second
-	}
-	if o.PrepRetries == 0 {
-		o.PrepRetries = 5
+		o.ReplyTimeout = replyTimeout
 	}
 	return o
 }
@@ -74,7 +67,7 @@ func (p *Prober) SingleConnectionTest(o SCTOptions) (*Result, error) {
 func (p *Prober) SingleConnectionTestInto(res *Result, o SCTOptions) error {
 	o = o.defaults()
 	res.begin("single", p.target)
-	c, err := p.connect(o.Port, defaultConnect())
+	c, err := p.connect(targetPort, defaultConnect())
 	if err != nil {
 		return err
 	}
@@ -99,7 +92,7 @@ func (p *Prober) sctSample(c *conn, base *uint32, o SCTOptions) Sample {
 	// Preparation: queue one byte at b+1 until the server acknowledges
 	// that it still expects b — proof the hole exists.
 	prepared := false
-	for try := 0; try < o.PrepRetries && !prepared; try++ {
+	for try := 0; try < prepRetries && !prepared; try++ {
 		c.sendSeg(packet.FlagACK, b+1, c.rcvNxt, []byte{'h'}, nil)
 		prepared = c.awaitAckValue(o.ReplyTimeout, b)
 	}
@@ -139,7 +132,7 @@ func (p *Prober) sctSample(c *conn, base *uint32, o SCTOptions) Sample {
 	// Repair: retransmit the full three bytes until the server confirms
 	// rcvNxt = b+3, so the next sample starts from known state even after
 	// losses.
-	for try := 0; try < o.PrepRetries; try++ {
+	for try := 0; try < prepRetries; try++ {
 		c.sendSeg(packet.FlagACK, b, c.rcvNxt, []byte{'1', 'h', '2'}, nil)
 		if c.awaitAckValue(o.ReplyTimeout, b+3) {
 			break

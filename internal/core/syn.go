@@ -13,33 +13,20 @@ type SYNOptions struct {
 	Samples int
 	// Gap spaces the two SYNs.
 	Gap time.Duration
-	// Port is the target TCP port (default 80).
-	Port uint16
 	// ReplyTimeout bounds each wait for a reply (default 1s).
 	ReplyTimeout time.Duration
-	// SeqOffset is how far the second SYN's sequence number is advanced
-	// from the first (default 64).
-	SeqOffset uint32
-	// Pace is the idle time between samples; the paper rate-limited SYNs
-	// to avoid resembling a SYN flood (default 10ms of transport time).
-	Pace time.Duration
 }
+
+// synSeqOffset is how far the second SYN's sequence number is advanced
+// from the first.
+const synSeqOffset = 64
 
 func (o SYNOptions) defaults() SYNOptions {
 	if o.Samples == 0 {
 		o.Samples = 15
 	}
-	if o.Port == 0 {
-		o.Port = 80
-	}
 	if o.ReplyTimeout == 0 {
-		o.ReplyTimeout = time.Second
-	}
-	if o.SeqOffset == 0 {
-		o.SeqOffset = 64
-	}
-	if o.Pace == 0 {
-		o.Pace = 10 * time.Millisecond
+		o.ReplyTimeout = replyTimeout
 	}
 	return o
 }
@@ -69,9 +56,7 @@ func (p *Prober) SYNTestInto(res *Result, o SYNOptions) error {
 		s := p.synSample(o)
 		s.Gap = o.Gap
 		res.Samples = append(res.Samples, s)
-		if o.Pace > 0 {
-			p.tp.Sleep(o.Pace)
-		}
+		p.tp.Sleep(pace)
 	}
 	return nil
 }
@@ -79,15 +64,15 @@ func (p *Prober) SYNTestInto(res *Result, o SYNOptions) error {
 func (p *Prober) synSample(o SYNOptions) Sample {
 	lport := p.allocPort()
 	iss := p.rng.Uint32()
-	seq1, seq2 := iss, iss+o.SeqOffset
+	seq1, seq2 := iss, iss+synSeqOffset
 
 	var s Sample
 	sentAt := p.tp.Now()
-	s.SentIDs[0] = p.sendRaw(lport, o.Port, packet.FlagSYN, seq1, 0, 65535, nil, nil)
+	s.SentIDs[0] = p.sendRaw(lport, targetPort, packet.FlagSYN, seq1, 0, 65535, nil, nil)
 	if o.Gap > 0 {
 		p.tp.Sleep(o.Gap)
 	}
-	s.SentIDs[1] = p.sendRaw(lport, o.Port, packet.FlagSYN, seq2, 0, 65535, nil, nil)
+	s.SentIDs[1] = p.sendRaw(lport, targetPort, packet.FlagSYN, seq2, 0, 65535, nil, nil)
 
 	// Collect up to two replies on this 4-tuple in arrival order. A few
 	// implementations send two RSTs; the extra reply is flushed afterward.
@@ -100,7 +85,7 @@ func (p *Prober) synSample(o SYNOptions) Sample {
 			break
 		}
 		pkt, id, ok := p.awaitTCP(remaining, func(q *packet.Packet) bool {
-			return q.TCP.SrcPort == o.Port && q.TCP.DstPort == lport
+			return q.TCP.SrcPort == targetPort && q.TCP.DstPort == lport
 		})
 		if !ok {
 			break
@@ -120,8 +105,8 @@ func (p *Prober) synSample(o SYNOptions) Sample {
 	// tear it down, so we never leave half-open state resembling an attack.
 	for _, r := range replies {
 		if r.TCP.HasFlags(packet.FlagSYN | packet.FlagACK) {
-			p.sendRaw(lport, o.Port, packet.FlagACK, r.TCP.Ack, r.TCP.Seq+1, 65535, nil, nil)
-			p.sendRaw(lport, o.Port, packet.FlagRST, r.TCP.Ack, 0, 0, nil, nil)
+			p.sendRaw(lport, targetPort, packet.FlagACK, r.TCP.Ack, r.TCP.Seq+1, 65535, nil, nil)
+			p.sendRaw(lport, targetPort, packet.FlagRST, r.TCP.Ack, 0, 0, nil, nil)
 			break
 		}
 	}

@@ -9,42 +9,33 @@ import (
 
 // TransferOptions configures the TCP data transfer test.
 type TransferOptions struct {
-	// Port is the target TCP port (default 80).
-	Port uint16
 	// MSS is the maximum segment size advertised to the server. Clamping
 	// it small yields many small data packets per object (default 256).
 	MSS uint16
 	// Window is the receive window advertised, bounding how many segments
 	// the server keeps in flight (default 1024 = 4 segments at MSS 256).
 	Window uint16
-	// Request is the application request that triggers the transfer
-	// (default "GET / HTTP/1.0\r\n\r\n").
-	Request string
 	// IdleTimeout ends the transfer when no data arrives for this long
 	// (default 2s).
 	IdleTimeout time.Duration
-	// MaxSegments caps the transfer length (default 512 segments).
-	MaxSegments int
 }
 
+// The transfer test requests the server's root object and caps the
+// transfer at maxSegments segments.
+const (
+	request     = "GET / HTTP/1.0\r\n\r\n"
+	maxSegments = 512
+)
+
 func (o TransferOptions) defaults() TransferOptions {
-	if o.Port == 0 {
-		o.Port = 80
-	}
 	if o.MSS == 0 {
 		o.MSS = 256
 	}
 	if o.Window == 0 {
 		o.Window = 1024
 	}
-	if o.Request == "" {
-		o.Request = "GET / HTTP/1.0\r\n\r\n"
-	}
 	if o.IdleTimeout == 0 {
 		o.IdleTimeout = 2 * time.Second
-	}
-	if o.MaxSegments == 0 {
-		o.MaxSegments = 512
 	}
 	return o
 }
@@ -72,24 +63,24 @@ func (p *Prober) DataTransferTestInto(res *Result, o TransferOptions) error {
 	cc := defaultConnect()
 	cc.mss = o.MSS
 	cc.window = o.Window
-	c, err := p.connect(o.Port, cc)
+	c, err := p.connect(targetPort, cc)
 	if err != nil {
 		return err
 	}
 	defer c.reset()
 
-	p.reqBuf = append(p.reqBuf[:0], o.Request...)
+	p.reqBuf = append(p.reqBuf[:0], request...)
 	c.sendSeg(packet.FlagACK|packet.FlagPSH, c.iss+1, c.rcvNxt, p.reqBuf, nil)
 
 	// arrivals (first-transmission data seqs in arrival order) and seen are
-	// prober-owned scratch, emptied here and bounded by MaxSegments.
+	// prober-owned scratch, emptied here and bounded by maxSegments.
 	if p.seen == nil {
 		p.seen = make(map[uint32]bool)
 	}
 	clear(p.seen)
 	arrivals, seen := p.arrivals[:0], p.seen
 	maxEnd := c.rcvNxt
-	for len(arrivals) < o.MaxSegments {
+	for len(arrivals) < maxSegments {
 		pkt, _, ok := c.awaitSeg(o.IdleTimeout, func(h *packet.TCPHeader) bool { return true })
 		if !ok {
 			break
@@ -109,7 +100,7 @@ func (p *Prober) DataTransferTestInto(res *Result, o TransferOptions) error {
 		}
 		// Acknowledge the largest byte received regardless of holes, per
 		// the paper, so the server never stalls on a loss.
-		c.sendSeg(packet.FlagACK, c.iss+1+uint32(len(o.Request)), maxEnd, nil, nil)
+		c.sendSeg(packet.FlagACK, c.iss+1+uint32(len(request)), maxEnd, nil, nil)
 		if seen[seq] {
 			continue // retransmission: not a fresh arrival sample
 		}

@@ -7,6 +7,9 @@ import (
 	"reorder/internal/stats"
 )
 
+// confidence is the paper's level for the paired-difference test (§IV-B).
+const confidence = 0.999
+
 // AgreementPair is the §IV-B paired-difference comparison of two techniques
 // across the surveyed hosts: for each host, their per-round rate series are
 // compared at 99.9% confidence; NullFraction is the fraction of comparable
@@ -55,10 +58,7 @@ func (rep *AgreementReport) WriteText(w io.Writer) {
 // RunAgreement executes E4 over a completed survey. The comparison treats
 // the two series as paired per round, under the paper's stationarity
 // assumption (the measurements were taken at interleaved times).
-func RunAgreement(survey *SurveyReport, confidence float64) *AgreementReport {
-	if confidence == 0 {
-		confidence = 0.999
-	}
+func RunAgreement(survey *SurveyReport) *AgreementReport {
 	return &AgreementReport{Confidence: confidence, Pairs: agreementPairs(TestNames, survey.Hosts, confidence)}
 }
 
@@ -66,7 +66,7 @@ func RunAgreement(survey *SurveyReport, confidence float64) *AgreementReport {
 // the hosts whose two rate series the paired-difference test cannot tell
 // apart. A host is comparable for a pair when both series have at least
 // three rounds.
-func agreementPairs(tests []string, hosts []*HostRecord, confidence float64) []AgreementPair {
+func agreementPairs(tests []string, hosts []*HostRecord, level float64) []AgreementPair {
 	var pairs []AgreementPair
 	for _, dir := range []string{"forward", "reverse"} {
 		for i, a := range tests {
@@ -85,7 +85,7 @@ func agreementPairs(tests []string, hosts []*HostRecord, confidence float64) []A
 						continue
 					}
 					pair.Hosts++
-					if stats.PairDifference(sa[:n], sb[:n], confidence).NullSupported {
+					if stats.PairDifference(sa[:n], sb[:n], level).NullSupported {
 						pair.NullOK++
 					}
 				}

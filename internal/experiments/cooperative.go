@@ -110,7 +110,7 @@ func RunCooperative(cfg CooperativeConfig) (*CooperativeReport, error) {
 			Seed: seed, Server: host.FreeBSD4(),
 			Forward: simnet.PathSpec{SwapProb: sp},
 		})
-		recv := ippm.Attach(cn.Hosts[0], cn.Loop, 0)
+		recv := ippm.Attach(cn.Hosts[0], cn.Loop)
 		// Pair up the test packets the way the DCT does (back-to-back
 		// pairs separated by a pause) so the two methodologies sample the
 		// same process identically.

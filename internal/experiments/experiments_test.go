@@ -90,7 +90,7 @@ func TestAgreementFromSurvey(t *testing.T) {
 	cfg := QuickSurvey()
 	cfg.Rounds = 8
 	survey := RunSurvey(cfg)
-	rep := RunAgreement(survey, 0.999)
+	rep := RunAgreement(survey)
 	if len(rep.Pairs) == 0 {
 		t.Fatal("no pairs compared")
 	}

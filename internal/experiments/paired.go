@@ -24,8 +24,6 @@ type CongestionConfig struct {
 	Workers int
 	// Seed offsets the derived per-target seeds.
 	Seed uint64
-	// Confidence for the paired-difference agreement test (default 99.9%).
-	Confidence float64
 }
 
 // RunCongestion executes the routed-topology experiment: each topology over
@@ -45,7 +43,7 @@ func RunCongestion(cfg CongestionConfig) (*PairedReport, error) {
 		tests:      []string{"single", "dual", "transfer"},
 		groups:     groups,
 		replicas:   cfg.Replicas, samples: cfg.Samples, workers: cfg.Workers,
-		seed: cfg.Seed, confidence: cfg.Confidence,
+		seed: cfg.Seed,
 	})
 }
 
@@ -224,7 +222,7 @@ func runPaired(s pairedSpec) (*PairedReport, error) {
 		s.samples = 16
 	}
 	if s.confidence == 0 {
-		s.confidence = 0.999
+		s.confidence = confidence
 	}
 	// One Enumerate per group keeps each a clean cross product (a scenario
 	// pairs with its own topology, not with every other's), and gives each

@@ -94,11 +94,10 @@ type Config struct {
 	// (default 4096): faults land inside the first window of traffic,
 	// where the protocol handshake and early spans live.
 	ByteWindow int
-
-	// LineWindow bounds which line index dup/trunc faults target
-	// (default 8).
-	LineWindow int
 }
+
+// lineWindow bounds which line index dup/trunc faults target.
+const lineWindow = 8
 
 // Chaos is the default chaos-rehearsal profile used by the campaign CLI's
 // -faultnet flag: every fault class enabled at rates that hurt a short
@@ -123,13 +122,6 @@ func (c Config) byteWindow() int {
 		return 4096
 	}
 	return c.ByteWindow
-}
-
-func (c Config) lineWindow() int {
-	if c.LineWindow <= 0 {
-		return 8
-	}
-	return c.LineWindow
 }
 
 // Plan is one connection's drawn fault schedule. Thresholds are
@@ -170,11 +162,11 @@ func (c Config) planFor(idx int) Plan {
 		p.PartialAt = at
 		p.Stall = c.Stall
 	}
-	line := rng.IntN(c.lineWindow())
+	line := rng.IntN(lineWindow)
 	if rng.Float64() < c.PDupLine {
 		p.DupLine = line
 	}
-	line = rng.IntN(c.lineWindow())
+	line = rng.IntN(lineWindow)
 	if rng.Float64() < c.PTruncLine {
 		p.TruncLine = line
 	}

@@ -40,9 +40,8 @@ type Host struct {
 	out     netem.Node
 	icmp    ICMPConfig
 
-	// ipidRng and isnRng are the two streams New forks from the build
-	// stream, retained so Reset can reseed them in place instead of
-	// allocating fresh forks (see sim.Rand.ForkInto).
+	// ipidRng and isnRng are the two streams ResetAt forks from the build
+	// stream, reseeded in place (see sim.Rand.ForkInto).
 	ipidRng, isnRng *sim.Rand
 
 	reasm      *packet.Reassembler
@@ -62,28 +61,20 @@ type Host struct {
 // New builds a host at addr from a profile. The rng seeds the stack's ISN
 // generator and any stochastic IPID policy. Frames are transmitted to out.
 func New(loop *sim.Loop, p Profile, addr netip.Addr, rng *sim.Rand, ids *netem.FrameIDs, out netem.Node) *Host {
-	h := &Host{
-		loop: loop, addr: addr, profile: p.Name, ids: ids, out: out, icmp: p.ICMP,
-		tokens:  float64(p.ICMP.RepliesPerSec),
-		ipidRng: rng.Fork(forkIPID),
-	}
-	h.gen = p.IPID(&h.ipids, h.ipidRng)
-	h.isnRng = rng.Fork(forkISN)
-	h.Stack = tcpstack.New(loop, p.TCP, addr, h.gen, ids, h.isnRng, out)
-	for _, port := range p.Ports {
-		h.Stack.Listen(port)
-	}
+	h := &Host{loop: loop, ids: ids, ipidRng: new(sim.Rand), isnRng: new(sim.Rand)}
+	h.Stack = tcpstack.New(loop, p.TCP, addr, nil, ids, h.isnRng, out)
+	h.ResetAt(p, addr, rng, out)
 	return h
 }
 
-// ResetAt returns the host to the state New(loop, p, addr, rng, ids, out)
-// would produce, reusing the TCP stack, connection pool and random stream
-// objects. It consumes rng's draws in exactly the order New does, so a
-// pooled host is observably identical to a fresh one. Topology-graph
-// scenarios pool hosts by profile name and place them at build-assigned
-// addresses, so a reused host (and its stack) must demultiplex on the new
-// address; any profile is handled correctly, though reusing a host for a
-// profile of the same name keeps the stack's shape.
+// ResetAt configures the host from profile p at addr, reusing the TCP
+// stack, connection pool and random stream objects; New ends by calling
+// it, so the host's two forks of rng are taken in one place and a pooled
+// host is observably identical to a fresh one. Topology-graph scenarios
+// pool hosts by profile name and place them at build-assigned addresses,
+// so a reused host (and its stack) must demultiplex on the new address;
+// any profile is handled correctly, though reusing a host for a profile of
+// the same name keeps the stack's shape.
 func (h *Host) ResetAt(p Profile, addr netip.Addr, rng *sim.Rand, out netem.Node) {
 	h.profile = p.Name
 	h.addr = addr

@@ -27,14 +27,13 @@ import (
 	"reorder/internal/stats"
 )
 
-// DefaultPort is the session receiver's UDP port.
-const DefaultPort = 8620
+// port is the session receiver's UDP port.
+const port = 8620
 
-// payload layout: magic(2) seq(4) sendTimestampNanos(8), zero-padded to
-// the configured size.
+// payload layout: magic(2) seq(4) sendTimestampNanos(8).
 const (
-	magic          = 0x1990 // the year of RFC 1141; arbitrary but fixed
-	minPayloadSize = 14
+	magic       = 0x1990 // the year of RFC 1141; arbitrary but fixed
+	payloadSize = 14
 )
 
 // SessionConfig describes one test stream.
@@ -43,11 +42,6 @@ type SessionConfig struct {
 	Count int
 	// Gap is the inter-packet spacing (default 0: back to back).
 	Gap time.Duration
-	// PayloadSize pads test packets (default minimum, 14 bytes; set
-	// larger to probe size-dependent reordering).
-	PayloadSize int
-	// Port is the receiver's UDP port (default DefaultPort).
-	Port uint16
 	// Drain bounds the wait for in-flight packets after the last send
 	// (default 2s).
 	Drain time.Duration
@@ -56,12 +50,6 @@ type SessionConfig struct {
 func (c SessionConfig) defaults() SessionConfig {
 	if c.Count == 0 {
 		c.Count = 100
-	}
-	if c.PayloadSize < minPayloadSize {
-		c.PayloadSize = minPayloadSize
-	}
-	if c.Port == 0 {
-		c.Port = DefaultPort
 	}
 	if c.Drain == 0 {
 		c.Drain = 2 * time.Second
@@ -87,7 +75,7 @@ func NewReceiver(clock *sim.Loop) *Receiver {
 
 // Handle is the host.HandleUDP callback.
 func (r *Receiver) Handle(p *packet.Packet) {
-	if len(p.Payload) < minPayloadSize {
+	if len(p.Payload) < payloadSize {
 		return
 	}
 	if binary.BigEndian.Uint16(p.Payload[0:2]) != magic {
@@ -127,7 +115,7 @@ func RunSession(tp core.Transport, target netip.Addr, recv *Receiver, cfg Sessio
 		if i > 0 && cfg.Gap > 0 {
 			tp.Sleep(cfg.Gap)
 		}
-		if err := sendOne(tp, target, uint32(i), cfg); err != nil {
+		if err := sendOne(tp, target, uint32(i)); err != nil {
 			return nil, err
 		}
 	}
@@ -140,15 +128,15 @@ func RunSession(tp core.Transport, target netip.Addr, recv *Receiver, cfg Sessio
 	}, nil
 }
 
-func sendOne(tp core.Transport, dst netip.Addr, seq uint32, cfg SessionConfig) error {
-	payload := make([]byte, cfg.PayloadSize)
+func sendOne(tp core.Transport, dst netip.Addr, seq uint32) error {
+	payload := make([]byte, payloadSize)
 	binary.BigEndian.PutUint16(payload[0:2], magic)
 	binary.BigEndian.PutUint32(payload[2:6], seq)
 	binary.BigEndian.PutUint64(payload[6:14], uint64(tp.Now()))
 	raw, err := packet.EncodeUDP(&packet.IPv4Header{
 		Src: tp.LocalAddr(),
 		Dst: dst,
-	}, &packet.UDPHeader{SrcPort: 41999, DstPort: cfg.Port}, payload)
+	}, &packet.UDPHeader{SrcPort: 41999, DstPort: port}, payload)
 	if err != nil {
 		return err
 	}
@@ -158,10 +146,7 @@ func sendOne(tp core.Transport, dst netip.Addr, seq uint32, cfg SessionConfig) e
 
 // Attach registers a fresh receiver on the host for the session port and
 // returns it — the "deploy software at the remote endpoint" step.
-func Attach(h *host.Host, clock *sim.Loop, port uint16) *Receiver {
-	if port == 0 {
-		port = DefaultPort
-	}
+func Attach(h *host.Host, clock *sim.Loop) *Receiver {
 	r := NewReceiver(clock)
 	h.HandleUDP(port, r.Handle)
 	return r

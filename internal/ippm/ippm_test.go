@@ -14,7 +14,7 @@ import (
 func session(t *testing.T, sc simnet.Config, cfg SessionConfig) *Report {
 	t.Helper()
 	n := simnet.New(sc)
-	recv := Attach(n.Hosts[0], n.Loop, cfg.Port)
+	recv := Attach(n.Hosts[0], n.Loop)
 	rep, err := RunSession(n.Probe(), n.ServerAddr(), recv, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -93,13 +93,13 @@ func TestSessionGapParameter(t *testing.T) {
 
 func TestReceiverIgnoresGarbage(t *testing.T) {
 	n := simnet.New(simnet.Config{Seed: 5, Server: host.FreeBSD4()})
-	recv := Attach(n.Hosts[0], n.Loop, 0)
+	recv := Attach(n.Hosts[0], n.Loop)
 
 	mk := func(payload []byte) *packet.Packet {
 		raw, err := packet.EncodeUDP(&packet.IPv4Header{
 			Src: netip.AddrFrom4([4]byte{10, 0, 0, 1}),
 			Dst: netip.AddrFrom4([4]byte{10, 0, 1, 1}),
-		}, &packet.UDPHeader{SrcPort: 1, DstPort: DefaultPort}, payload)
+		}, &packet.UDPHeader{SrcPort: 1, DstPort: port}, payload)
 		if err != nil {
 			t.Fatal(err)
 		}

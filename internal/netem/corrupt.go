@@ -26,10 +26,13 @@ type Corrupter struct {
 // NewCorrupter returns a corrupting hop feeding next. Damaged copies are
 // allocated from arena (nil falls back to the heap).
 func NewCorrupter(p float64, rng *sim.Rand, arena *Arena, next Node) *Corrupter {
-	return &Corrupter{next: next, rng: rng, p: p, arena: arena}
+	c := &Corrupter{}
+	c.Reinit(p, rng, arena, next)
+	return c
 }
 
-// Reinit reconfigures a pooled element exactly as NewCorrupter would.
+// Reinit configures the element and zeroes its counters; NewCorrupter ends
+// by calling it, and a pooled element is reused through it.
 func (c *Corrupter) Reinit(p float64, rng *sim.Rand, arena *Arena, next Node) {
 	c.next, c.rng, c.p, c.arena = next, rng, p, arena
 	c.stats = Counters{}

@@ -19,10 +19,13 @@ type Fragmenter struct {
 
 // NewFragmenter returns a fragmenting hop feeding next.
 func NewFragmenter(mtu int, next Node) *Fragmenter {
-	return &Fragmenter{mtu: mtu, next: next}
+	fr := &Fragmenter{}
+	fr.Reinit(mtu, next)
+	return fr
 }
 
-// Reinit reconfigures a pooled hop exactly as NewFragmenter would.
+// Reinit configures the hop and zeroes its counters; NewFragmenter ends by
+// calling it, and a pooled hop is reused through it.
 func (fr *Fragmenter) Reinit(mtu int, next Node) {
 	fr.mtu, fr.next = mtu, next
 	fr.stats = Counters{}

@@ -16,12 +16,14 @@ type Loss struct {
 
 // NewLoss returns a lossy element feeding next.
 func NewLoss(p float64, rng *sim.Rand, next Node) *Loss {
-	return &Loss{next: next, rng: rng, p: p}
+	l := &Loss{}
+	l.Reinit(p, rng, next)
+	return l
 }
 
-// Reinit reconfigures a pooled element exactly as NewLoss would. rng is
-// normally the stream the element was built with, reseeded by the caller
-// (sim.Rand.ForkInto).
+// Reinit configures the element and zeroes its counters; NewLoss ends by
+// calling it. A pooled element is reused through it, normally with the
+// stream it was built with, reseeded by the caller (sim.Rand.ForkInto).
 func (l *Loss) Reinit(p float64, rng *sim.Rand, next Node) {
 	l.next, l.rng, l.p = next, rng, p
 	l.stats = Counters{}
@@ -64,16 +66,17 @@ type Delay struct {
 // NewDelay returns a delay element feeding next. Each frame is delayed by
 // base plus a uniform draw in [0, jitter).
 func NewDelay(loop *sim.Loop, base, jitter time.Duration, rng *sim.Rand, next Node) *Delay {
-	d := &Delay{loop: loop, next: next, rng: rng, base: base, jitter: jitter}
+	d := &Delay{loop: loop}
 	d.deliverFn = func(arg any) {
 		d.stats.Out++
 		d.next.Input(arg.(*Frame))
 	}
+	d.Reinit(base, jitter, rng, next)
 	return d
 }
 
-// Reinit reconfigures a pooled element exactly as NewDelay would, reusing
-// the struct and its cached callback.
+// Reinit configures the element and zeroes its counters, keeping its loop
+// and cached callback; NewDelay ends by calling it.
 func (d *Delay) Reinit(base, jitter time.Duration, rng *sim.Rand, next Node) {
 	d.next, d.rng, d.base, d.jitter = next, rng, base, jitter
 	d.stats = Counters{}

@@ -32,15 +32,14 @@ type LoadBalancer struct {
 
 // NewLoadBalancer returns a balancer over the given backends.
 func NewLoadBalancer(mode BalanceMode, backends ...Node) *LoadBalancer {
-	if len(backends) == 0 {
-		panic("netem: load balancer needs at least one backend")
-	}
-	return &LoadBalancer{mode: mode, backends: backends, table: make(map[packet.FlowKey]int)}
+	lb := &LoadBalancer{table: make(map[packet.FlowKey]int)}
+	lb.Reinit(mode, backends)
+	return lb
 }
 
-// Reinit reconfigures a pooled balancer exactly as NewLoadBalancer would,
-// reusing the struct and its flow table's storage. The backends slice is
-// retained as given (callers pooling the balancer typically reuse one
+// Reinit configures the balancer and empties its flow table, keeping the
+// table's storage; NewLoadBalancer ends by calling it. The backends slice
+// is retained as given (callers pooling the balancer typically reuse one
 // slice).
 func (lb *LoadBalancer) Reinit(mode BalanceMode, backends []Node) {
 	if len(backends) == 0 {

@@ -80,7 +80,7 @@ type delivery struct {
 
 // NewLink returns a link feeding next.
 func NewLink(loop *sim.Loop, cfg LinkConfig, next Node) *Link {
-	l := &Link{cfg: cfg, loop: loop, next: next}
+	l := &Link{loop: loop}
 	// The head of the lane fires. The next frame is armed before this one
 	// goes downstream, so that a node feeding this link again from inside
 	// the delivery finds the lane in order; its key is ahead of the one
@@ -96,14 +96,14 @@ func NewLink(loop *sim.Loop, cfg LinkConfig, next Node) *Link {
 		l.stats.Out++
 		l.next.Input(arg.(*Frame))
 	}
+	l.Reinit(cfg, next)
 	return l
 }
 
-// Reinit reconfigures a pooled link exactly as NewLink would, reusing the
-// struct, its cached callbacks and its queue storage. The loop must be the
-// one the link was built on (pools are per-scenario), and Reset if the link
-// still had frames in flight: they are discarded here, as Loop.Reset
-// discards the delivery on the loop.
+// Reinit configures the link and empties it, keeping its loop, cached
+// callback and queue storage; NewLink ends by calling it. A pooled link's
+// loop must have been Reset if the link still had frames in flight: they
+// are discarded here, as Loop.Reset discards the delivery on the loop.
 func (l *Link) Reinit(cfg LinkConfig, next Node) {
 	l.cfg, l.next = cfg, next
 	l.stats = Counters{}

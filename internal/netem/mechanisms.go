@@ -43,22 +43,18 @@ type MultiPath struct {
 
 // NewMultiPath returns a sprayer feeding next.
 func NewMultiPath(loop *sim.Loop, cfg MultiPathConfig, rng *sim.Rand, next Node) *MultiPath {
-	if len(cfg.Delays) == 0 {
-		cfg.Delays = []time.Duration{time.Millisecond, time.Millisecond + 100*time.Microsecond}
-	}
-	m := &MultiPath{
-		cfg: cfg, loop: loop, next: next, rng: rng,
-		lastArrival: make([]sim.Time, len(cfg.Delays)),
-	}
+	m := &MultiPath{loop: loop}
 	m.deliverFn = func(arg any) {
 		m.stats.Out++
 		m.next.Input(arg.(*Frame))
 	}
+	m.Reinit(cfg, rng, next)
 	return m
 }
 
-// Reinit reconfigures a pooled sprayer exactly as NewMultiPath would,
-// reusing the struct, its cached callback and its per-member state slice.
+// Reinit configures the sprayer — two members 100µs apart when cfg names
+// none — and empties it, keeping its loop, cached callback and per-member
+// state slice; NewMultiPath ends by calling it.
 func (m *MultiPath) Reinit(cfg MultiPathConfig, rng *sim.Rand, next Node) {
 	if len(cfg.Delays) == 0 {
 		cfg.Delays = []time.Duration{time.Millisecond, time.Millisecond + 100*time.Microsecond}
@@ -132,17 +128,17 @@ type ARQLink struct {
 
 // NewARQLink returns an ARQ link feeding next.
 func NewARQLink(loop *sim.Loop, cfg ARQConfig, rng *sim.Rand, next Node) *ARQLink {
-	cfg.setDefaults()
-	l := &ARQLink{cfg: cfg, loop: loop, next: next, rng: rng}
+	l := &ARQLink{loop: loop}
 	l.deliverFn = func(arg any) {
 		l.stats.Out++
 		l.next.Input(arg.(*Frame))
 	}
+	l.Reinit(cfg, rng, next)
 	return l
 }
 
-// Reinit reconfigures a pooled ARQ link exactly as NewARQLink would,
-// reusing the struct and its cached callback.
+// Reinit configures the link and empties it, keeping its loop and cached
+// callback; NewARQLink ends by calling it.
 func (l *ARQLink) Reinit(cfg ARQConfig, rng *sim.Rand, next Node) {
 	cfg.setDefaults()
 	l.cfg, l.rng, l.next = cfg, rng, next
@@ -183,13 +179,13 @@ func (l *ARQLink) Input(f *Frame) {
 // PriorityConfig describes a two-class strict-priority scheduler keyed on
 // the IP TOS/DSCP field.
 type PriorityConfig struct {
-	// HighTOSMask selects the high-priority class: packets whose TOS has
-	// any masked bit set are expedited (default 0x10, a classic
-	// low-delay TOS bit).
-	HighTOSMask uint8
 	// RateBps is the output line rate (default 100 Mbps).
 	RateBps int64
 }
+
+// highTOSMask selects the high-priority class: packets whose TOS has any
+// masked bit set are expedited. 0x10 is the classic low-delay TOS bit.
+const highTOSMask = 0x10
 
 // PriorityQueue is a DiffServ-style strict-priority transmitter: a later
 // high-priority packet departs before queued low-priority packets. It
@@ -212,27 +208,19 @@ type PriorityQueue struct {
 
 // NewPriorityQueue returns a scheduler feeding next.
 func NewPriorityQueue(loop *sim.Loop, cfg PriorityConfig, next Node) *PriorityQueue {
-	if cfg.HighTOSMask == 0 {
-		cfg.HighTOSMask = 0x10
-	}
-	if cfg.RateBps == 0 {
-		cfg.RateBps = 100_000_000
-	}
-	q := &PriorityQueue{cfg: cfg, loop: loop, next: next}
+	q := &PriorityQueue{loop: loop}
 	q.deliverFn = func(arg any) {
 		q.stats.Out++
 		q.next.Input(arg.(*Frame))
 		q.kick()
 	}
+	q.Reinit(cfg, next)
 	return q
 }
 
-// Reinit reconfigures a pooled scheduler exactly as NewPriorityQueue
-// would, reusing the struct, its cached callback and its queue storage.
+// Reinit configures the scheduler and empties it, keeping its loop, cached
+// callback and queue storage; NewPriorityQueue ends by calling it.
 func (q *PriorityQueue) Reinit(cfg PriorityConfig, next Node) {
-	if cfg.HighTOSMask == 0 {
-		cfg.HighTOSMask = 0x10
-	}
 	if cfg.RateBps == 0 {
 		cfg.RateBps = 100_000_000
 	}
@@ -249,7 +237,7 @@ func (q *PriorityQueue) Stats() Counters { return q.stats }
 // Input implements Node.
 func (q *PriorityQueue) Input(f *Frame) {
 	q.stats.In++
-	if tosOf(f)&q.cfg.HighTOSMask != 0 {
+	if tosOf(f)&highTOSMask != 0 {
 		q.high = append(q.high, f)
 	} else {
 		q.low = append(q.low, f)

@@ -70,8 +70,8 @@ func NewMiddlebox(cfg MiddleboxConfig, loop *sim.Loop, rng *sim.Rand, arena *Are
 	return m
 }
 
-// Reinit reconfigures a pooled element exactly as NewMiddlebox would,
-// retaining the decode scratch storage.
+// Reinit configures the element and zeroes its counters, retaining the
+// decode scratch storage; NewMiddlebox ends by calling it.
 func (m *Middlebox) Reinit(cfg MiddleboxConfig, loop *sim.Loop, rng *sim.Rand, arena *Arena, ids *FrameIDs, next Node) {
 	m.loop, m.next, m.rng, m.arena, m.ids = loop, next, rng, arena, ids
 	m.cfg = cfg

@@ -37,15 +37,16 @@ type Schedule struct {
 
 // NewSchedule returns an empty schedule on loop. Add steps, then Start.
 func NewSchedule(loop *sim.Loop) *Schedule {
-	s := &Schedule{loop: loop}
+	s := &Schedule{}
 	s.runFn = s.run
+	s.Reinit(loop)
 	return s
 }
 
-// Reinit clears a pooled schedule for reuse exactly as NewSchedule would,
-// retaining the step storage and the cached timer callback. The loop must
-// be the one the schedule was built on (pools are per-scenario); any timer
-// pending from a previous run died with that loop's Reset.
+// Reinit empties the schedule, retaining the step storage and the cached
+// timer callback; NewSchedule ends by calling it. The loop must be the one
+// the schedule was built on (pools are per-scenario); any timer pending
+// from a previous run died with that loop's Reset.
 func (s *Schedule) Reinit(loop *sim.Loop) {
 	s.loop = loop
 	s.steps = s.steps[:0]

@@ -31,16 +31,18 @@ const DefaultFlushAfter = 50 * time.Millisecond
 
 // NewSwapper returns a swapper with fixed probability p feeding next.
 func NewSwapper(loop *sim.Loop, p float64, rng *sim.Rand, next Node) *Swapper {
-	s := NewSwapperFunc(loop, nil, rng, next)
-	s.fixed = p
-	return s
+	return newSwapper(loop, nil, p, rng, next)
 }
 
 // NewSwapperFunc returns a swapper whose probability varies with virtual
 // time, used to model paths whose reordering rate drifts (Fig 6). A nil
 // prob means the fixed probability (zero until set).
 func NewSwapperFunc(loop *sim.Loop, prob func(sim.Time) float64, rng *sim.Rand, next Node) *Swapper {
-	s := &Swapper{loop: loop, next: next, rng: rng, prob: prob, flush: DefaultFlushAfter}
+	return newSwapper(loop, prob, 0, rng, next)
+}
+
+func newSwapper(loop *sim.Loop, prob func(sim.Time) float64, p float64, rng *sim.Rand, next Node) *Swapper {
+	s := &Swapper{loop: loop}
 	s.flushFn = func(arg any) {
 		f := arg.(*Frame)
 		if s.held == f {
@@ -49,12 +51,13 @@ func NewSwapperFunc(loop *sim.Loop, prob func(sim.Time) float64, rng *sim.Rand, 
 			s.next.Input(f)
 		}
 	}
+	s.Reinit(prob, p, rng, next)
 	return s
 }
 
-// Reinit reconfigures a pooled swapper exactly as NewSwapper (prob == nil,
-// fixed probability p) or NewSwapperFunc (prob != nil) would, reusing the
-// struct and its cached flush callback.
+// Reinit configures the swapper — the time-varying prob when non-nil, else
+// the fixed probability p — and empties it, keeping its loop and cached
+// flush callback; both constructors end by calling it.
 func (s *Swapper) Reinit(prob func(sim.Time) float64, p float64, rng *sim.Rand, next Node) {
 	s.next, s.rng, s.prob, s.fixed = next, rng, prob, p
 	s.flush = DefaultFlushAfter

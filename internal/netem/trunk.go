@@ -20,8 +20,6 @@ type TrunkConfig struct {
 	// RateBps is each member link's line rate in bits per second
 	// (default 622 Mbps, an OC-12, a plausible 2002 exchange-point trunk).
 	RateBps int64
-	// PropDelay is the common propagation delay of the members.
-	PropDelay time.Duration
 	// BurstProb is the probability that a packet finds a background burst
 	// queued ahead of it on its member link.
 	BurstProb float64
@@ -60,21 +58,18 @@ type StripedTrunk struct {
 
 // NewStripedTrunk returns a striped trunk feeding next.
 func NewStripedTrunk(loop *sim.Loop, cfg TrunkConfig, rng *sim.Rand, next Node) *StripedTrunk {
-	cfg.setDefaults()
-	t := &StripedTrunk{
-		cfg: cfg, loop: loop, next: next, rng: rng,
-		lastDeparture: make([]sim.Time, cfg.FanOut),
-	}
+	t := &StripedTrunk{loop: loop}
 	t.deliverFn = func(arg any) {
 		t.stats.Out++
 		t.next.Input(arg.(*Frame))
 	}
+	t.Reinit(cfg, rng, next)
 	return t
 }
 
-// Reinit reconfigures a pooled trunk exactly as NewStripedTrunk would,
-// reusing the struct, its cached callback and (capacity permitting) its
-// per-member state slice.
+// Reinit configures the trunk and empties it, keeping its loop, cached
+// callback and (capacity permitting) per-member state slice;
+// NewStripedTrunk ends by calling it.
 func (t *StripedTrunk) Reinit(cfg TrunkConfig, rng *sim.Rand, next Node) {
 	cfg.setDefaults()
 	t.cfg, t.rng, t.next = cfg, rng, next
@@ -130,9 +125,9 @@ func (t *StripedTrunk) Input(f *Frame) {
 	if t.lastDeparture[m] > start {
 		start = t.lastDeparture[m]
 	}
-	departure := start.Add(t.txTime(f.Len()))
-	t.lastDeparture[m] = departure
-	arrival := departure.Add(t.cfg.PropDelay)
+	// The members are short: a frame arrives downstream as it departs.
+	arrival := start.Add(t.txTime(f.Len()))
+	t.lastDeparture[m] = arrival
 	t.loop.AtArg(arrival, t.deliverFn, f)
 	// Exchange accounting: this frame will arrive before some earlier frame
 	// iff its arrival precedes the latest arrival already scheduled.

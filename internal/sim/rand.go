@@ -28,8 +28,9 @@ func NewRand(seed1, seed2 uint64) *Rand {
 }
 
 // Reseed rewinds the stream to the state NewRand(seed1, seed2) produces,
-// without allocating. Reused scenario arenas call it so a reset run draws
-// exactly the sequence a fresh construction would.
+// without allocating; r may be a zero Rand, as in NewRand. Reused scenario
+// arenas call it so a reset run draws exactly the sequence a fresh
+// construction would.
 func (r *Rand) Reseed(seed1, seed2 uint64) {
 	r.pcg.Seed(seed1, seed2)
 	r.r = *rand.New(&r.pcg)
@@ -42,10 +43,10 @@ func (r *Rand) Fork(label uint64) *Rand {
 	return NewRand(r.r.Uint64(), label^forkMix)
 }
 
-// ForkInto reseeds child to the exact stream Fork(label) would return,
-// consuming the same single draw from r and allocating nothing. Pooled
-// topology elements rebuild their per-scenario streams this way; a nil
-// child falls back to Fork.
+// ForkInto reseeds child, which may be a zero Rand, to the exact stream
+// Fork(label) would return, consuming the same single draw from r and
+// allocating nothing. Pooled topology elements rebuild their per-scenario
+// streams this way; a nil child falls back to Fork.
 func (r *Rand) ForkInto(child *Rand, label uint64) *Rand {
 	if child == nil {
 		return r.Fork(label)

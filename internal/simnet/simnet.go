@@ -21,8 +21,6 @@ import (
 type PathSpec struct {
 	// LinkRate is the access link rate in bits per second (default 10 Mbps).
 	LinkRate int64
-	// Delay is the one-way propagation delay (default 5 ms).
-	Delay time.Duration
 	// Jitter adds uniform random extra delay in [0, Jitter) per packet.
 	Jitter time.Duration
 	// Loss is the independent drop probability.
@@ -58,11 +56,11 @@ func (s PathSpec) defaults() PathSpec {
 	if s.LinkRate == 0 {
 		s.LinkRate = 10_000_000
 	}
-	if s.Delay == 0 {
-		s.Delay = 5 * time.Millisecond
-	}
 	return s
 }
+
+// pathDelay is each direction's one-way propagation delay.
+const pathDelay = 5 * time.Millisecond
 
 // Config describes a scenario.
 type Config struct {
@@ -496,7 +494,7 @@ func (n *Net) buildPath(rng *sim.Rand, spec PathSpec, dst netem.Node, d *dirElem
 	if spec.MTU > 0 {
 		node = n.getFragmenter(spec.MTU, node)
 	}
-	d.link = n.getLink(netem.LinkConfig{RateBps: spec.LinkRate, PropDelay: spec.Delay}, node)
+	d.link = n.getLink(netem.LinkConfig{RateBps: spec.LinkRate, PropDelay: pathDelay}, node)
 	return d.link
 }
 

@@ -13,12 +13,13 @@ import (
 
 // TopologySpec describes a scenario as a routed graph instead of a single
 // prober↔target pipe: named routers joined by bundles of parallel
-// queue-limited links, with the probe and the published server attached at
-// (possibly different) routers, optional cross-traffic hosts parked at
-// routers, and background TCP flows loading the shared links while a probe
-// runs. Queueing delay, droptail loss and — on multi-link bundles —
-// reordering are all emergent: they happen because traffic contends for
-// the same FIFO queues, not because any element drew a probability.
+// queue-limited links, with the probe's access path attached at the first
+// router and the published server at the last, optional cross-traffic
+// hosts parked at routers, and background TCP flows loading the shared
+// links while a probe runs. Queueing delay, droptail loss and — on
+// multi-link bundles — reordering are all emergent: they happen because
+// traffic contends for the same FIFO queues, not because any element drew
+// a probability.
 //
 // The zero/empty spec (no routers) is the degenerate two-node case: the
 // same constructor builds the classic point-to-point pipe, byte-identical
@@ -34,16 +35,6 @@ type TopologySpec struct {
 	// Flows are background TCP transfers (tcpsender sources attached to
 	// routers) that load the graph's links during a probe.
 	Flows []FlowSpec
-	// ProbeRouter and TargetRouter name the attachment points of the
-	// probe's access path and the server's access link. Defaults: the
-	// first and last router.
-	ProbeRouter, TargetRouter string
-	// AccessRate and AccessDelay parameterize every endpoint access link
-	// (server, cross hosts, flow sources). Defaults: 1 Gbps, 200µs — fast
-	// enough that endpoint attachment never masks the bottlenecks under
-	// study.
-	AccessRate  int64
-	AccessDelay time.Duration
 }
 
 // RouterSpec names one forwarding node.
@@ -85,8 +76,6 @@ type FlowSpec struct {
 	To     string
 	// Bytes is the transfer size (default 256 KiB).
 	Bytes int
-	// MSS is the sender's segment size (default tcpsender's 1460).
-	MSS int
 	// Start is the virtual time the flow opens its connection.
 	Start time.Duration
 }
@@ -103,17 +92,10 @@ func FlowSourceAddr(i int) netip.Addr { return netip.AddrFrom4([4]byte{10, 0, 3,
 // router-less specs build the degenerate point-to-point pipe.
 func (t *TopologySpec) isGraph() bool { return t != nil && len(t.Routers) > 0 }
 
-func (t *TopologySpec) accessLink() netem.LinkConfig {
-	rate := t.AccessRate
-	if rate == 0 {
-		rate = 1_000_000_000
-	}
-	delay := t.AccessDelay
-	if delay == 0 {
-		delay = 200 * time.Microsecond
-	}
-	return netem.LinkConfig{RateBps: rate, PropDelay: delay}
-}
+// accessLink is every endpoint access link of a graph (server, cross hosts,
+// flow sources): fast enough that endpoint attachment never masks the
+// bottlenecks under study.
+var accessLink = netem.LinkConfig{RateBps: 1_000_000_000, PropDelay: 200 * time.Microsecond}
 
 func (l LinkSpec) config() netem.LinkConfig {
 	cfg := netem.LinkConfig{RateBps: l.RateBps, PropDelay: l.Delay, QueueLimit: l.QueueLimit}
@@ -150,20 +132,6 @@ func (t *TopologySpec) mustRouter(name, what string) int {
 		return i
 	}
 	panic("simnet: topology " + what + " references unknown router " + name)
-}
-
-func (t *TopologySpec) probeRouter() int {
-	if t.ProbeRouter == "" {
-		return 0
-	}
-	return t.mustRouter(t.ProbeRouter, "probe attachment")
-}
-
-func (t *TopologySpec) targetRouter() int {
-	if t.TargetRouter == "" {
-		return len(t.Routers) - 1
-	}
-	return t.mustRouter(t.TargetRouter, "target attachment")
 }
 
 // senderEntry pairs a pooled cross-traffic sender with its retained random
@@ -205,8 +173,7 @@ func (n *Net) buildGraph(cfg Config, rng *sim.Rand, tap func(*trace.Capture, net
 		}
 		n.Routers = append(n.Routers, n.getRouter())
 	}
-	pi, ti := t.probeRouter(), t.targetRouter()
-	access := t.accessLink()
+	pi, ti := 0, nr-1 // the probe's and the server's routers
 
 	// Inter-router bundles: one port group per spec link per direction,
 	// each group holding Parallel queue-limited links into the far router.
@@ -254,19 +221,19 @@ func (n *Net) buildGraph(cfg Config, rng *sim.Rand, tap func(*trace.Capture, net
 	// Server(s) behind the target router: host egress tap -> access uplink
 	// -> target router; target router -> access downlink -> host ingress
 	// tap -> server side.
-	hostOut := tap(n.HostEgress, n.getLink(access, n.Routers[ti]))
+	hostOut := tap(n.HostEgress, n.getLink(accessLink, n.Routers[ti]))
 	serverSide := n.buildServers(cfg, rng, hostOut)
-	srvDown := n.getLink(access, tap(n.HostIngress, serverSide))
+	srvDown := n.getLink(accessLink, tap(n.HostIngress, serverSide))
 	addRouteAll(n.serverAddr, ti, n.Routers[ti].AddGroup(srvDown))
 
 	// Cross hosts: plain endpoints, no capture taps.
 	for i, ch := range t.CrossHosts {
 		ri := t.mustRouter(ch.Router, "cross host "+ch.Name)
 		addr := CrossHostAddr(i)
-		up := n.getLink(access, n.Routers[ri])
+		up := n.getLink(accessLink, n.Routers[ri])
 		h := n.getHost(ch.Profile, addr, rng, uint64(200+i), up)
 		n.Hosts = append(n.Hosts, h)
-		down := n.getLink(access, h)
+		down := n.getLink(accessLink, h)
 		addRouteAll(addr, ri, n.Routers[ri].AddGroup(down))
 	}
 
@@ -284,14 +251,14 @@ func (n *Net) buildGraph(cfg Config, rng *sim.Rand, tap func(*trace.Capture, net
 		if dst < 0 {
 			panic("simnet: topology flow references unknown cross host " + fl.To)
 		}
-		scfg := tcpsender.Config{Bytes: fl.Bytes, MSS: fl.MSS}
+		scfg := tcpsender.Config{Bytes: fl.Bytes}
 		if scfg.Bytes == 0 {
 			scfg.Bytes = 256 << 10
 		}
 		src := FlowSourceAddr(i)
-		up := n.getLink(access, n.Routers[ri])
+		up := n.getLink(accessLink, n.Routers[ri])
 		snd := n.getSender(scfg, src, CrossHostAddr(dst), rng, uint64(0x5e0d+i), up, fl.Start)
-		down := n.getLink(access, snd)
+		down := n.getLink(accessLink, snd)
 		addRouteAll(src, ri, n.Routers[ri].AddGroup(down))
 	}
 

@@ -26,53 +26,39 @@ import (
 
 // Config tunes the sender.
 type Config struct {
-	// MSS is the segment size (default 1460).
-	MSS int
 	// Bytes is the amount of application data to transfer.
 	Bytes int
-	// DupThresh is the initial duplicate-ACK threshold for fast
-	// retransmit (default 3, the classic Reno value).
-	DupThresh int
 	// Adaptive enables the reordering-tolerant behaviour: when a fast
 	// retransmission is detected to have been spurious (the cumulative
 	// acknowledgment covering it arrives sooner after the retransmission
-	// than a network round trip allows), the threshold is raised by one,
-	// up to MaxDupThresh.
+	// than a network round trip allows), the duplicate-ACK threshold is
+	// raised by one, up to maxDupThresh.
 	Adaptive bool
-	// MaxDupThresh caps the adaptive threshold (default 12).
-	MaxDupThresh int
 	// RTO is the initial retransmission timeout (default 1s; doubled on
 	// each back-to-back expiry).
 	RTO time.Duration
-	// InitialCwnd is the initial congestion window in segments
-	// (default 2).
-	InitialCwnd int
-	// Port is the destination port (default 80).
-	Port uint16
 }
+
+// The sender's fixed parameters: a 1460-byte segment, Reno's initial
+// duplicate-ACK threshold of 3 (at most 12 when adaptive), an initial
+// window of two segments, and a transfer from a fixed local port to the
+// server's port 80.
+const (
+	mss          = 1460
+	dupThresh    = 3
+	maxDupThresh = 12
+	initialCwnd  = 2
+	localPort    = 41000
+	remotePort   = 80
+)
 
 // Defaults fills unset fields.
 func (c Config) Defaults() Config {
-	if c.MSS == 0 {
-		c.MSS = 1460
-	}
 	if c.Bytes == 0 {
 		c.Bytes = 256 << 10
 	}
-	if c.DupThresh == 0 {
-		c.DupThresh = 3
-	}
-	if c.MaxDupThresh == 0 {
-		c.MaxDupThresh = 12
-	}
 	if c.RTO == 0 {
 		c.RTO = time.Second
-	}
-	if c.InitialCwnd == 0 {
-		c.InitialCwnd = 2
-	}
-	if c.Port == 0 {
-		c.Port = 80
 	}
 	return c
 }
@@ -117,7 +103,6 @@ type Sender struct {
 	loop   *sim.Loop
 	local  netip.Addr
 	remote netip.Addr
-	lport  uint16
 	out    netem.Node
 	ids    *netem.FrameIDs
 	rng    *sim.Rand
@@ -170,42 +155,30 @@ type sentAt struct {
 	at  sim.Time
 }
 
-// New builds a sender from local to remote:port, transmitting via out.
+// New builds a sender from local to remote:80, transmitting via out.
 func New(loop *sim.Loop, cfg Config, local, remote netip.Addr, ids *netem.FrameIDs, rng *sim.Rand, out netem.Node) *Sender {
-	cfg = cfg.Defaults()
-	s := &Sender{
-		cfg: cfg, loop: loop, local: local, remote: remote,
-		lport: 41000, out: out, ids: ids, rng: rng,
-		dupThresh: cfg.DupThresh,
-		minRTT:    time.Hour, // until measured
-	}
+	s := &Sender{loop: loop, ids: ids}
 	s.rtoFn = s.onRTO
+	s.Reset(cfg, local, remote, rng, out)
 	return s
 }
 
-// Reset returns the sender to the state New(loop, cfg, local, remote, ids,
-// rng, out) would produce, reusing the struct's scratch buffers, send-times
-// queue and cached RTO callback — the pooling hook scenario owners use to
-// reuse cross-traffic senders across topology rebuilds. The caller must
-// have Reset the shared loop first (which invalidates any pending RTO
-// timer; the zero Timer left here is inert) and is expected to re-point the
-// arena with SetArena, as at construction.
+// Reset returns the sender to a closed connection for cfg, keeping its
+// loop, frame IDs, arena, scratch buffers, send-times storage and cached
+// RTO callback; New ends by calling it, and scenario owners reuse
+// cross-traffic senders across topology rebuilds through it. The caller
+// must have Reset the shared loop first (which invalidates any pending RTO
+// timer; the zero Timer left here is inert).
 func (s *Sender) Reset(cfg Config, local, remote netip.Addr, rng *sim.Rand, out netem.Node) {
-	cfg = cfg.Defaults()
-	s.cfg, s.local, s.remote = cfg, local, remote
-	s.lport, s.out, s.rng = 41000, out, rng
-	s.st = stateClosed
-	s.iss, s.rcvNxt, s.sndUna, s.sndNxt, s.end = 0, 0, 0, 0, 0
-	s.cwnd, s.ssthresh, s.peerWnd = 0, 0, 0
-	s.dupThresh, s.dupAcks = cfg.DupThresh, 0
-	s.inRecovery, s.recover = false, 0
-	s.rtoTimer = sim.Timer{}
-	s.rtoBackoff = 0
-	s.minRTT = time.Hour
-	s.sendTimes.Reset()
-	s.lastRexmitAt, s.lastRexmit, s.rexmitLive = 0, 0, false
-	s.started, s.finished = 0, 0
-	s.stats = Stats{}
+	sendTimes := s.sendTimes
+	sendTimes.Reset()
+	*s = Sender{
+		cfg: cfg.Defaults(), loop: s.loop, local: local, remote: remote,
+		out: out, ids: s.ids, rng: rng, arena: s.arena, rxPkt: s.rxPkt, rtoFn: s.rtoFn,
+		dupThresh: dupThresh,
+		minRTT:    time.Hour, // until measured
+		sendTimes: sendTimes,
+	}
 }
 
 // SetArena directs the sender to allocate transmitted datagrams and frames
@@ -246,13 +219,13 @@ func (s *Sender) Start() {
 	s.sndUna = s.iss
 	s.sndNxt = s.iss + 1
 	s.end = s.iss + 1 + uint32(s.cfg.Bytes)
-	s.cwnd = s.cfg.InitialCwnd * s.cfg.MSS
+	s.cwnd = initialCwnd * mss
 	s.ssthresh = 64 << 10
 	s.peerWnd = 65535
 	s.rtoBackoff = s.cfg.RTO
 	s.started = s.loop.Now()
 	s.st = stateSynSent
-	s.transmit(packet.FlagSYN, s.iss, 0, nil, []packet.TCPOption{packet.MSSOption(uint16(s.cfg.MSS))})
+	s.transmit(packet.FlagSYN, s.iss, 0, nil, []packet.TCPOption{packet.MSSOption(mss)})
 	s.armRTO()
 }
 
@@ -273,7 +246,7 @@ func (s *Sender) Input(f *netem.Frame) {
 		return
 	}
 	h := p.TCP
-	if h.SrcPort != s.cfg.Port || h.DstPort != s.lport {
+	if h.SrcPort != remotePort || h.DstPort != localPort {
 		return
 	}
 	switch s.st {
@@ -347,7 +320,7 @@ func (s *Sender) newAck(ack uint32) {
 	if s.rexmitLive && packet.SeqGT(ack, s.lastRexmit) {
 		if s.loop.Now().Sub(s.lastRexmitAt) < s.minRTT*9/10 {
 			s.stats.SpuriousFast++
-			if s.cfg.Adaptive && s.dupThresh < s.cfg.MaxDupThresh {
+			if s.cfg.Adaptive && s.dupThresh < maxDupThresh {
 				s.dupThresh++
 			}
 		}
@@ -372,9 +345,9 @@ func (s *Sender) newAck(ack uint32) {
 		// Normal growth: slow start below ssthresh, else congestion
 		// avoidance.
 		if s.cwnd < s.ssthresh {
-			s.cwnd += min(acked, s.cfg.MSS)
+			s.cwnd += min(acked, mss)
 		} else {
-			s.cwnd += max(1, s.cfg.MSS*s.cfg.MSS/s.cwnd)
+			s.cwnd += max(1, mss*mss/s.cwnd)
 		}
 	}
 	if packet.SeqLT(s.sndUna, s.sndNxt) {
@@ -389,7 +362,7 @@ func (s *Sender) newAck(ack uint32) {
 func (s *Sender) duplicateAck() {
 	s.dupAcks++
 	if s.inRecovery {
-		s.cwnd += s.cfg.MSS // inflation
+		s.cwnd += mss // inflation
 		return
 	}
 	if s.dupAcks < s.dupThresh {
@@ -399,8 +372,8 @@ func (s *Sender) duplicateAck() {
 	s.stats.FastRetransmits++
 	s.stats.CwndHalvings++
 	flight := int(s.sndNxt - s.sndUna)
-	s.ssthresh = max(flight/2, 2*s.cfg.MSS)
-	s.cwnd = s.ssthresh + 3*s.cfg.MSS
+	s.ssthresh = max(flight/2, 2*mss)
+	s.cwnd = s.ssthresh + 3*mss
 	s.inRecovery = true
 	s.recover = s.sndNxt
 	s.lastRexmit = s.sndUna
@@ -412,7 +385,7 @@ func (s *Sender) duplicateAck() {
 
 // retransmitOne resends the segment at sndUna.
 func (s *Sender) retransmitOne() {
-	n := uint32(s.cfg.MSS)
+	n := uint32(mss)
 	if rem := s.end - s.sndUna; rem < n {
 		n = rem
 	}
@@ -430,8 +403,8 @@ func (s *Sender) onRTO() {
 	s.stats.Timeouts++
 	s.stats.CwndHalvings++
 	flight := int(s.sndNxt - s.sndUna)
-	s.ssthresh = max(flight/2, 2*s.cfg.MSS)
-	s.cwnd = s.cfg.MSS
+	s.ssthresh = max(flight/2, 2*mss)
+	s.cwnd = mss
 	s.dupAcks = 0
 	s.inRecovery = false
 	s.rexmitLive = false
@@ -451,10 +424,10 @@ func (s *Sender) trySend() {
 	wnd := min(s.cwnd, s.peerWnd)
 	for packet.SeqLT(s.sndNxt, s.end) {
 		flight := int(s.sndNxt - s.sndUna)
-		if flight+s.cfg.MSS > wnd && flight > 0 {
+		if flight+mss > wnd && flight > 0 {
 			break
 		}
-		n := uint32(s.cfg.MSS)
+		n := uint32(mss)
 		if rem := s.end - s.sndNxt; rem < n {
 			n = rem
 		}
@@ -481,7 +454,7 @@ var pattern = netem.NewPayloadTable('a', 25)
 // nothing ever writes, so the frame shares it instead of copying it.
 func (s *Sender) transmit(flags uint8, seq, ack uint32, payload []byte, opts []packet.TCPOption) {
 	hdr := &packet.TCPHeader{
-		SrcPort: s.lport, DstPort: s.cfg.Port,
+		SrcPort: localPort, DstPort: remotePort,
 		Seq: seq, Ack: ack, Flags: flags, Window: 65535, Options: opts,
 	}
 	ip := &packet.IPv4Header{Src: s.local, Dst: s.remote, ID: s.rng.Uint16(), Flags: packet.FlagDF}

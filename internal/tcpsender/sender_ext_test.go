@@ -150,7 +150,7 @@ func TestAdaptiveDupThreshRecoversThroughput(t *testing.T) {
 
 func TestSenderDefaults(t *testing.T) {
 	c := tcpsender.Config{}.Defaults()
-	if c.MSS != 1460 || c.DupThresh != 3 || c.Port != 80 || c.InitialCwnd != 2 {
+	if c.Bytes != 256<<10 || c.RTO != time.Second || c.Adaptive {
 		t.Fatalf("Defaults: %+v", c)
 	}
 }
@@ -173,13 +173,18 @@ func TestStatsBeforeStart(t *testing.T) {
 }
 
 func TestSenderAbortsOnRST(t *testing.T) {
-	// Point the sender at a closed port: the server's RST must stop it.
-	cfg := tcpsender.Config{Bytes: 32 << 10, Port: 4444, RTO: 200 * time.Millisecond}
-	s, st := run(t, cfg, cleanScenario(9), 10*time.Second)
+	// Nothing listens at the server: its RST to the SYN must stop the
+	// sender at once, before any retransmission timer fires.
+	sc := cleanScenario(9)
+	sc.Server.Ports = nil
+	cfg := tcpsender.Config{Bytes: 32 << 10, RTO: 200 * time.Millisecond}
+	s, st := run(t, cfg, sc, 10*time.Second)
 	if st.BytesAcked != 0 {
 		t.Fatalf("acked %d bytes against a closed port", st.BytesAcked)
 	}
-	_ = s
+	if !s.Done() || st.Timeouts != 0 {
+		t.Fatalf("sender not stopped by the RST: done=%v %+v", s.Done(), st)
+	}
 }
 
 func TestRTORecoversFromWindowLoss(t *testing.T) {

@@ -103,7 +103,7 @@ func (p *peer) Input(f *netem.Frame) {
 			p.rexmt++
 		}
 		p.sent[seq]++
-		if p.drop[[2]int{int(seq-p.iss-1) / p.s.cfg.MSS, p.sent[seq]}] {
+		if p.drop[[2]int{int(seq-p.iss-1) / mss, p.sent[seq]}] {
 			return
 		}
 		// A 100µs serialization floor keeps arrivals — and so the
@@ -157,7 +157,7 @@ func (p *peer) deliver(flags uint8, ack uint32) {
 	}
 	f, err := (*netem.Arena)(nil).NewTCPFrame(1, p.loop.Now(),
 		&packet.IPv4Header{Src: s.remote, Dst: s.local},
-		&packet.TCPHeader{SrcPort: s.cfg.Port, DstPort: s.lport, Seq: 7000, Ack: ack, Flags: flags, Window: 65535}, nil)
+		&packet.TCPHeader{SrcPort: remotePort, DstPort: localPort, Seq: 7000, Ack: ack, Flags: flags, Window: 65535}, nil)
 	if err != nil {
 		p.t.Fatal(err)
 	}
@@ -241,7 +241,7 @@ func TestSteadyStateSegmentAllocs(t *testing.T) {
 	s := New(loop, Config{Bytes: 64 << 20}, local, remote, &netem.FrameIDs{}, sim.NewRand(5, 6), out)
 	s.SetArena(arena)
 	ip := packet.IPv4Header{Src: remote, Dst: local}
-	tcp := packet.TCPHeader{SrcPort: 80, DstPort: s.lport, Seq: 7000, Window: 65535}
+	tcp := packet.TCPHeader{SrcPort: 80, DstPort: localPort, Seq: 7000, Window: 65535}
 	ack := func(flags uint8, n uint32) {
 		tcp.Flags, tcp.Ack = flags, n
 		f, err := arena.NewTCPFrame(1, loop.Now(), &ip, &tcp, nil)

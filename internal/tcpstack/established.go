@@ -32,7 +32,7 @@ func (s *Stack) handleEstablished(k packet.FlowKey, c *conn, p *packet.Packet) {
 			h.SrcPort, h.DstPort = c.lport, c.pport
 			h.Seq, h.Ack = c.sndNxt, c.rcvNxt
 			h.Flags = packet.FlagFIN | packet.FlagACK
-			h.Window = s.cfg.Window
+			h.Window = window
 			s.transmit(c.peer, h, nil)
 			s.dropConn(k, c)
 		}
@@ -193,7 +193,7 @@ func (s *Stack) sendAck(c *conn, immediate bool) {
 	hdr := s.outHdr()
 	hdr.SrcPort, hdr.DstPort = c.lport, c.pport
 	hdr.Seq, hdr.Ack = c.sndNxt, c.rcvNxt
-	hdr.Flags, hdr.Window = packet.FlagACK, s.cfg.Window
+	hdr.Flags, hdr.Window = packet.FlagACK, window
 	if c.sackOK && len(c.sack) > 0 {
 		n := len(c.sack)
 		if n > 3 {
@@ -304,7 +304,7 @@ func (s *Stack) sendData(c *conn, seq, n uint32) {
 	hdr.SrcPort, hdr.DstPort = c.lport, c.pport
 	hdr.Seq, hdr.Ack = seq, c.rcvNxt
 	hdr.Flags = packet.FlagACK | packet.FlagPSH
-	hdr.Window = s.cfg.Window
+	hdr.Window = window
 	s.transmit(c.peer, hdr, objectBytes.Slice(seq, n))
 }
 

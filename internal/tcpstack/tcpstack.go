@@ -83,8 +83,6 @@ type Config struct {
 	SACK bool
 	// MSS caps the segment size this stack transmits.
 	MSS uint16
-	// Window is the receive window the stack advertises.
-	Window uint16
 	// RTO is the (fixed) retransmission timeout of the data server.
 	RTO time.Duration
 	// ObjectSize is the number of payload bytes the data-serving app sends
@@ -114,9 +112,6 @@ func (c Config) Defaults() Config {
 	if c.MSS == 0 {
 		c.MSS = 1460
 	}
-	if c.Window == 0 {
-		c.Window = 65535
-	}
 	if c.RTO == 0 {
 		c.RTO = 1 * time.Second
 	}
@@ -125,6 +120,9 @@ func (c Config) Defaults() Config {
 	}
 	return c
 }
+
+// window is the receive window every stack advertises.
+const window = 65535
 
 // Stats counts externally observable stack actions, for tests and reports.
 type Stats struct {
@@ -226,15 +224,13 @@ type connEntry struct {
 // New returns a stack for addr that transmits via out, stamping IPIDs from
 // gen and frame IDs from ids.
 func New(loop *sim.Loop, cfg Config, addr netip.Addr, gen ipid.Generator, ids *netem.FrameIDs, rng *sim.Rand, out netem.Node) *Stack {
-	s := &Stack{
-		loop: loop, cfg: cfg.Defaults(), addr: addr, gen: gen, ids: ids,
-		out: out, rng: rng,
-	}
+	s := &Stack{loop: loop, ids: ids, rng: rng}
 	s.delackFn = func(arg any) {
 		s.stats.DelayedAcks++
 		s.sendAck(arg.(*conn), false)
 	}
 	s.rtxFn = func(arg any) { s.retransmit(arg.(*conn)) }
+	s.ResetAt(cfg, addr, gen, out)
 	return s
 }
 
@@ -263,19 +259,19 @@ func (s *Stack) listening(port uint16) bool {
 // falls back to the garbage collector.
 func (s *Stack) SetArena(a *netem.Arena) { s.arena = a }
 
-// Reset returns the stack to the state New(loop, cfg, addr, gen, ids, rng,
-// out) would produce, keeping its scratch storage, connection pool and the
-// random stream object (which the caller reseeds, see sim.Rand.ForkInto).
-// Pooled scenario hosts reuse their stacks across topology rebuilds this
-// way. Live connections are recycled; listening ports are cleared for the
-// caller to re-Listen.
+// Reset reconfigures the stack for cfg, keeping its scratch storage,
+// connection pool and the random stream object (which the caller reseeds,
+// see sim.Rand.ForkInto). Pooled scenario hosts reuse their stacks across
+// topology rebuilds this way. Live connections are recycled; listening
+// ports are cleared for the caller to re-Listen.
 func (s *Stack) Reset(cfg Config, gen ipid.Generator, out netem.Node) {
 	s.ResetAt(cfg, s.addr, gen, out)
 }
 
-// ResetAt is Reset with an address rebind: topology-graph scenarios pool
-// hosts by profile and reassign addresses per build, so a reused stack must
-// answer at whatever address the new topology placed it.
+// ResetAt is Reset with an address rebind, and New ends by calling it:
+// topology-graph scenarios pool hosts by profile and reassign addresses per
+// build, so a reused stack must answer at whatever address the new topology
+// placed it.
 func (s *Stack) ResetAt(cfg Config, addr netip.Addr, gen ipid.Generator, out netem.Node) {
 	s.cfg = cfg.Defaults()
 	s.addr = addr
@@ -453,7 +449,7 @@ func (s *Stack) sendSynAck(c *conn) {
 	h.SrcPort, h.DstPort = c.lport, c.pport
 	h.Seq, h.Ack = c.iss, c.rcvNxt
 	h.Flags = packet.FlagSYN | packet.FlagACK
-	h.Window = s.cfg.Window
+	h.Window = window
 	s.stats.SynAcksSent++
 	s.transmit(c.peer, h, nil)
 }
@@ -520,14 +516,14 @@ func (s *Stack) secondSYN(k packet.FlowKey, c *conn, p *packet.Packet) {
 		h := s.outHdr()
 		h.SrcPort, h.DstPort = c.lport, c.pport
 		h.Seq, h.Ack = c.sndNxt, c.rcvNxt
-		h.Flags, h.Window = packet.FlagACK, s.cfg.Window
+		h.Flags, h.Window = packet.FlagACK, window
 		s.transmit(c.peer, h, nil)
 	}
 	switch s.cfg.SYNPolicy {
 	case SYNPolicyRST:
 		rst()
 	case SYNPolicySpec:
-		if packet.SeqInWindow(hdr.Seq, c.rcvNxt, uint32(s.cfg.Window)) {
+		if packet.SeqInWindow(hdr.Seq, c.rcvNxt, window) {
 			rst()
 		} else {
 			challengeAck()

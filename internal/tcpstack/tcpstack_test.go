@@ -124,7 +124,7 @@ func TestSilentClosedPorts(t *testing.T) {
 func TestDefaults(t *testing.T) {
 	c := Config{}.Defaults()
 	if c.DelAckThreshold != 2 || c.DelAckTimeout != 200*time.Millisecond || c.MSS != 1460 ||
-		c.Window != 65535 || c.RTO != time.Second || c.ObjectSize != 64<<10 {
+		c.RTO != time.Second || c.ObjectSize != 64<<10 {
 		t.Fatalf("Defaults() = %+v", c)
 	}
 }
