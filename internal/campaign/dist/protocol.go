@@ -59,9 +59,10 @@ import (
 // ProtocolVersion gates hello: mixed-version fleets are refused rather
 // than debugged. Version 1 carried the shard as a JSON object in the
 // report header; version 2's welcome carried a retry backoff and a launch
-// rate budget. Every version's hello has the same shape, so an older
-// worker is refused with a reject.
-const ProtocolVersion = 3
+// rate budget; version 3's bye telemetry carried a heap-compaction count.
+// Every version's hello has the same shape, so an older worker is refused
+// with a reject.
+const ProtocolVersion = 4
 
 const (
 	// maxLineBytes caps one header line: a bye's telemetry is a few KB, so

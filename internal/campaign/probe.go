@@ -166,7 +166,6 @@ func (a *ProbeArena) harvest() {
 	ls := a.net.Loop.Stats()
 	o.SimEvents.Add(ls.Executed)
 	o.SimReschedules.Add(ls.Rescheduled)
-	o.SimCompactions.Add(ls.Compactions)
 	o.SimPeakHeap.SetMax(int64(ls.PeakHeapSize))
 	a.lastSimNs = int64(a.net.Loop.Now())
 	o.SimNanos.AddInt(a.lastSimNs)
@@ -276,11 +275,10 @@ func (a *ProbeArena) ProbeTargetInto(res *TargetResult, t Target, samples int, a
 		cfg.Backends = append(a.backends[:0], cfg.Backends...)
 		a.backends = cfg.Backends
 	}
-	// Size served objects so one transfer test stays around `samples`
-	// segments, like the survey's root web objects.
-	cfg.Server.TCP.ObjectSize = (samples + 1) * 256
+	size := core.TransferObjectSize(samples)
+	cfg.Server.TCP.ObjectSize = size
 	for i := range cfg.Backends {
-		cfg.Backends[i].TCP.ObjectSize = (samples + 1) * 256
+		cfg.Backends[i].TCP.ObjectSize = size
 	}
 	// Campaigns never read the ground-truth captures; skip recording.
 	// Taps are pass-throughs, so this changes no measurement outcome.

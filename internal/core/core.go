@@ -17,8 +17,8 @@
 //   - DataTransferTest: a clamped-MSS/window download measuring reverse-path
 //     reordering only (the in-situ baseline the paper compares against).
 //
-// The Prober drives any Transport — the simulated network's probe NIC, or a
-// raw-socket implementation on a live system — and returns per-sample
+// The Prober drives any FrameTransport — the simulated network's probe NIC,
+// or a raw-socket implementation on a live system — and returns per-sample
 // verdicts plus the frame IDs needed to check results against ground-truth
 // captures.
 package core
@@ -35,8 +35,9 @@ import (
 
 // Transport is the probe host's raw-packet interface (what sting obtained
 // with packet filters and firewall rules). The simulated probe NIC
-// (internal/simnet) implements it; it is the seam a live raw-socket backend
-// plugs into.
+// (internal/simnet) implements it. The non-TCP tools that craft their own
+// datagrams (baseline.BennettTest, ippm.RunSession) use it; the Prober uses
+// FrameTransport.
 type Transport interface {
 	// LocalAddr is the probe's source address.
 	LocalAddr() netip.Addr
@@ -56,13 +57,12 @@ type Transport interface {
 	Now() sim.Time
 }
 
-// FrameTransport is an optional Transport extension for wires that can
-// carry datagrams in decoded form — the simulated probe NIC. When a
-// transport implements it, the prober sends parsed headers instead of
-// encoding wire bytes and consumes received frames' decoded views instead
-// of re-decoding, eliminating the per-segment codec round trip entirely.
-// A raw-socket transport simply doesn't implement it and keeps the byte
-// path.
+// FrameTransport is the Transport the Prober drives: datagrams cross it as
+// parsed headers going out and as frames coming in. The simulated probe NIC
+// carries both in decoded form, so a probe never runs the codec on a
+// segment it sends, nor on one that arrives with a view. It is the seam a
+// live raw-socket backend plugs into: that backend encodes in SendView and
+// returns view-less frames from RecvFrame, which the prober decodes.
 type FrameTransport interface {
 	Transport
 	// SendView injects one IPv4+TCP datagram given as parsed headers plus
@@ -71,7 +71,8 @@ type FrameTransport interface {
 	// may reuse ip, tcp and payload immediately.
 	SendView(ip *packet.IPv4Header, tcp *packet.TCPHeader, payload []byte) uint64
 	// RecvFrame is Recv returning the frame itself; a frame with an
-	// attached view needs no decoding at all.
+	// attached view needs no decoding at all, one without is decoded from
+	// its wire bytes.
 	RecvFrame(timeout time.Duration) (*netem.Frame, bool)
 }
 

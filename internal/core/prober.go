@@ -39,21 +39,20 @@ func (e *handshakeError) Error() string {
 
 func (e *handshakeError) Unwrap() error { return ErrHandshake }
 
-// Prober runs measurement techniques against one target over a Transport.
-// It is not safe for concurrent use; run one test at a time.
+// Prober runs measurement techniques against one target over a
+// FrameTransport. It is not safe for concurrent use; run one test at a time.
 type Prober struct {
-	tp     Transport
-	ftp    FrameTransport // non-nil when tp carries decoded frames
+	tp     FrameTransport
 	target netip.Addr
 	rng    *sim.Rand
 
 	nextPort uint16
 	buf      []rx // received packets not yet claimed by a waiter
 
-	// Steady-state scratch. encBuf is the single outgoing wire buffer
-	// (Transport.Send does not retain it); pktPool recycles decoded
-	// packets — awaitTCP checks one out, the consuming site returns it
-	// with release; acksBuf/ackIDs back collectAcks.
+	// Steady-state scratch. encBuf stages every outgoing payload (SendView
+	// does not retain it); pktPool recycles decoded packets — awaitTCP
+	// checks one out, the consuming site returns it with release;
+	// acksBuf/ackIDs back collectAcks.
 	encBuf     []byte
 	txHdr      packet.TCPHeader
 	txIP       packet.IPv4Header
@@ -103,9 +102,8 @@ const firstPort = 40000
 
 // NewProber returns a prober for the given target. The seed drives port and
 // ISN selection, making simulated runs reproducible.
-func NewProber(tp Transport, target netip.Addr, seed uint64) *Prober {
+func NewProber(tp FrameTransport, target netip.Addr, seed uint64) *Prober {
 	p := &Prober{tp: tp, target: target, rng: new(sim.Rand)}
-	p.ftp, _ = tp.(FrameTransport)
 	p.Reset(seed)
 	return p
 }
@@ -217,33 +215,25 @@ func (p *Prober) awaitTCP(timeout time.Duration, match func(*packet.Packet) bool
 	}
 }
 
-// recvTCP pulls the next datagram off the transport as a decoded TCP
-// packet from the prober's pool. On a frame transport the received frame's
-// view is consumed directly — no decode, no checksum verification (views
-// are valid by construction) — with DecodeInto reserved for byte-form
-// frames. A nil packet with ok=true means the datagram was not a valid TCP
-// segment and was dropped, as the decode path always did.
+// recvTCP pulls the next frame off the transport as a decoded TCP packet
+// from the prober's pool. A frame's view is consumed directly — no decode,
+// no checksum verification (views are valid by construction) — with
+// DecodeInto reserved for byte-form frames. A nil packet with ok=true means
+// the datagram was not a valid TCP segment and was dropped.
 func (p *Prober) recvTCP(timeout time.Duration) (*packet.Packet, uint64, bool) {
-	if p.ftp != nil {
-		f, ok := p.ftp.RecvFrame(timeout)
-		if !ok {
-			return nil, 0, false
-		}
-		if v := f.View(); v != nil {
-			if v.IP.Protocol != packet.ProtoTCP {
-				return nil, 0, true
-			}
-			pkt := p.getPkt()
-			v.ToPacket(pkt)
-			return pkt, f.ID, true
-		}
-		return p.decodePooled(f.Data), f.ID, true
-	}
-	data, id, ok := p.tp.Recv(timeout)
+	f, ok := p.tp.RecvFrame(timeout)
 	if !ok {
 		return nil, 0, false
 	}
-	return p.decodePooled(data), id, true
+	if v := f.View(); v != nil {
+		if v.IP.Protocol != packet.ProtoTCP {
+			return nil, 0, true
+		}
+		pkt := p.getPkt()
+		v.ToPacket(pkt)
+		return pkt, f.ID, true
+	}
+	return p.decodePooled(f.Data), f.ID, true
 }
 
 // decodePooled decodes data into a pooled packet, returning nil (cell
@@ -345,10 +335,9 @@ func (p *Prober) sendRaw(lport, rport uint16, flags uint8, seq, ack uint32, wind
 	return p.sendRawTOS(0, lport, rport, flags, seq, ack, window, payload, opts)
 }
 
-// sendRawTOS is sendRaw with an explicit IP TOS marking. On a frame
-// transport the parsed headers cross the wire as-is (decode-once,
-// encode-never); otherwise the segment is encoded into the prober's
-// reusable buffer, which Transport.Send copies if it needs to keep it.
+// sendRawTOS is sendRaw with an explicit IP TOS marking. The parsed
+// headers cross the wire as-is; a backend that needs wire bytes encodes
+// them in SendView.
 func (p *Prober) sendRawTOS(tos uint8, lport, rport uint16, flags uint8, seq, ack uint32, window uint16, payload []byte, opts []packet.TCPOption) uint64 {
 	hdr := &p.txHdr
 	*hdr = packet.TCPHeader{
@@ -362,20 +351,12 @@ func (p *Prober) sendRawTOS(tos uint8, lport, rport uint16, flags uint8, seq, ac
 		ID:    p.rng.Uint16(), // probe-side IPID is irrelevant to the tests
 		Flags: packet.FlagDF,
 	}
-	if p.ftp != nil {
-		// Stage the payload through the reusable buffer: the interface
-		// call would otherwise force the tiny payload literals at probe
-		// call sites ([]byte{'1'} and friends) to escape to the heap.
-		buf := append(p.encBuf[:0], payload...)
-		p.encBuf = buf[:0]
-		return p.ftp.SendView(ip, hdr, buf)
-	}
-	raw, err := packet.AppendTCP(p.encBuf[:0], ip, hdr, payload)
-	if err != nil {
-		panic("core: encode: " + err.Error())
-	}
-	p.encBuf = raw[:0]
-	return p.tp.Send(raw)
+	// Stage the payload through the reusable buffer: the interface call
+	// would otherwise force the tiny payload literals at probe call sites
+	// ([]byte{'1'} and friends) to escape to the heap.
+	buf := append(p.encBuf[:0], payload...)
+	p.encBuf = buf[:0]
+	return p.tp.SendView(ip, hdr, buf)
 }
 
 // awaitSeg waits for any segment on this connection.

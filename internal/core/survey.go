@@ -13,8 +13,8 @@ var Tests = []string{"single", "dual", "syn", "transfer"}
 // options the §IV-B survey ran it with: samples measurements, the reversed
 // single connection test that resists delayed acknowledgments (§III-B), and
 // a transfer that ends after 500 ms of silence (its sample count is the
-// served object's size). The dual connection test runs its own IPID
-// prevalidation.
+// served object's size, TransferObjectSize(samples) on a survey target).
+// The dual connection test runs its own IPID prevalidation.
 func (p *Prober) SurveyTestInto(res *Result, test string, samples int) error {
 	switch test {
 	case "single":
@@ -28,3 +28,8 @@ func (p *Prober) SurveyTestInto(res *Result, test string, samples int) error {
 	}
 	return errors.New("core: unknown test " + test)
 }
+
+// TransferObjectSize is the size of the object a target serves so that one
+// data transfer test, at its default MSS of 256 bytes, yields about samples
+// adjacent pairs, like the root web objects the survey fetched.
+func TransferObjectSize(samples int) int { return (samples + 1) * 256 }

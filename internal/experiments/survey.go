@@ -230,11 +230,10 @@ func synthesizePopulation(cfg SurveyConfig) []surveyHost {
 		f, r, fi, ri := pathSpecs()
 		sc.Seed = rng.Uint64()
 		sc.Forward, sc.Reverse = f, r
-		// Keep served objects small so each transfer-test round stays
-		// around cfg.Samples segments, like the paper's root web objects.
-		sc.Server.TCP.ObjectSize = (cfg.Samples + 1) * 256
+		size := core.TransferObjectSize(cfg.Samples)
+		sc.Server.TCP.ObjectSize = size
 		for i := range sc.Backends {
-			sc.Backends[i].TCP.ObjectSize = (cfg.Samples + 1) * 256
+			sc.Backends[i].TCP.ObjectSize = size
 		}
 		hosts = append(hosts, surveyHost{name: name, cfg: sc, balanced: balanced, fwd: fi, rev: ri})
 	}

@@ -225,9 +225,7 @@ func scoreSample(run *ValidationRun, n *simnet.Net, s core.Sample) {
 func validateTransferRun(rr float64, samples int, seed uint64) ValidationRun {
 	run := ValidationRun{Test: "transfer", RevRate: rr}
 	prof := validationProfile()
-	// Size the object so the transfer yields about `samples` adjacent
-	// pairs at the default clamped MSS of 256.
-	prof.TCP.ObjectSize = (samples + 1) * 256
+	prof.TCP.ObjectSize = core.TransferObjectSize(samples)
 	n := simnet.New(simnet.Config{
 		Seed:    seed,
 		Server:  prof,

@@ -166,6 +166,33 @@ func TestMiddleboxActiveEdge(t *testing.T) {
 	}
 }
 
+// TestMiddleboxPassesNonTCP: an active middlebox configured to attack every
+// segment forwards what it cannot read as TCP — an ICMP view, bytes that do
+// not decode — unchanged, counted Out, with no adversarial action taken.
+func TestMiddleboxPassesNonTCP(t *testing.T) {
+	fx := newMBFixture(t, MiddleboxConfig{HoleProb: 1, RSTProb: 1, TTLClamp: 7, WindowClamp: 512, RewriteTOS: true, TOS: 0x20}, 13)
+	garbage := &Frame{ID: fx.ids.Next(), Data: []byte{0x45, 0x00, 0x00, 0x03, 0xde, 0xad}}
+	ip := packet.IPv4Header{Src: netip.MustParseAddr("10.0.0.1"), Dst: netip.MustParseAddr("10.0.0.2"), TTL: 64}
+	echo := packet.ICMPEcho{Type: packet.ICMPEchoRequest, Ident: 9, Seq: 1, Payload: []byte("ping")}
+	icmp, err := fx.arena.NewICMPFrame(fx.ids.Next(), fx.loop.Now(), &ip, &echo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := []*Frame{garbage, icmp}
+	for _, f := range in {
+		fx.mb.Input(f)
+	}
+	if len(fx.sink.frames) != len(in) || fx.sink.frames[0] != garbage || fx.sink.frames[1] != icmp {
+		t.Fatalf("delivered %v, want the two input frames unchanged, in order", fx.sink.ids())
+	}
+	if st := fx.mb.Stats(); st.In != 2 || st.Out != 2 || st.Dropped != 0 {
+		t.Fatalf("counters %+v, want In=2 Out=2 Dropped=0", st)
+	}
+	if mb := fx.mb.MiddleboxStats(); mb != (MiddleboxStats{}) {
+		t.Fatalf("adversarial actions on non-TCP frames: %+v", mb)
+	}
+}
+
 // TestMiddleboxZeroConfigDrawsNoRandomness pins the rng-inertness contract
 // an all-zero middlebox shares with zero-probability impairments: the
 // element must not advance its stream, so inserting it cannot shift any

@@ -212,11 +212,10 @@ type Worker struct {
 	ArenaBuilds Counter
 
 	// Simulation-loop internals, accumulated per target from sim.Loop:
-	// events executed, in-place timer reschedules, heap compactions, the
-	// deepest event heap seen, and total simulated time.
+	// events executed, in-place timer reschedules, the deepest event heap
+	// seen, and total simulated time.
 	SimEvents      Counter
 	SimReschedules Counter
-	SimCompactions Counter
 	SimPeakHeap    Gauge
 	SimNanos       Counter
 

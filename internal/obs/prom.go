@@ -85,7 +85,6 @@ func (c *Campaign) WritePrometheus(w io.Writer) {
 
 	promCounter(w, "campaign_sim_events_total", "simulation-loop callbacks executed", s.Workers.SimEvents)
 	promCounter(w, "campaign_sim_reschedules_total", "in-place timer reschedules", s.Workers.SimReschedules)
-	promCounter(w, "campaign_sim_heap_compactions_total", "event-heap compactions", s.Workers.SimCompactions)
 	promGauge(w, "campaign_sim_peak_heap_depth", "deepest event heap observed across workers", float64(s.Workers.SimPeakHeap))
 	promSeconds(w, "campaign_sim_seconds_total", "simulated virtual time elapsed", s.Workers.SimNanos)
 

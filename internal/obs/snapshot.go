@@ -49,7 +49,6 @@ type WorkerTotals struct {
 	ArenaBuilds    uint64 `json:"arena_builds"`
 	SimEvents      uint64 `json:"sim_events"`
 	SimReschedules uint64 `json:"sim_reschedules"`
-	SimCompactions uint64 `json:"sim_compactions"`
 	SimPeakHeap    int64  `json:"sim_peak_heap"`
 	SimNanos       uint64 `json:"sim_ns"`
 	FramesIn       uint64 `json:"frames_in"`
@@ -128,7 +127,6 @@ func (c *Campaign) Snapshot() Snapshot {
 		s.Workers.ArenaBuilds += w.ArenaBuilds.Load()
 		s.Workers.SimEvents += w.SimEvents.Load()
 		s.Workers.SimReschedules += w.SimReschedules.Load()
-		s.Workers.SimCompactions += w.SimCompactions.Load()
 		if p := w.SimPeakHeap.Load(); p > s.Workers.SimPeakHeap {
 			s.Workers.SimPeakHeap = p
 		}
@@ -202,8 +200,8 @@ func (s Snapshot) WriteText(w io.Writer) {
 			fmtNs(s.ProbeLatency.P99Ns), fmtNs(s.ProbeLatency.MaxNs),
 			s.ProbeLatency.Count, s.Workers.Attempts)
 	}
-	fmt.Fprintf(w, "sim: %d events, %d reschedules, %d compactions, peak heap %d, %v simulated\n",
-		s.Workers.SimEvents, s.Workers.SimReschedules, s.Workers.SimCompactions,
+	fmt.Fprintf(w, "sim: %d events, %d reschedules, peak heap %d, %v simulated\n",
+		s.Workers.SimEvents, s.Workers.SimReschedules,
 		s.Workers.SimPeakHeap, time.Duration(s.Workers.SimNanos))
 	fmt.Fprintf(w, "netem: %d frames born, %d in, %d out, %d dropped, %d swapped, %d materialized\n",
 		s.Workers.FramesBorn, s.Workers.FramesIn, s.Workers.FramesOut,

@@ -63,7 +63,6 @@ func (c *Campaign) AbsorbRemote(shard int, w WorkerWire) error {
 	wk.ArenaBuilds.Add(w.Totals.ArenaBuilds)
 	wk.SimEvents.Add(w.Totals.SimEvents)
 	wk.SimReschedules.Add(w.Totals.SimReschedules)
-	wk.SimCompactions.Add(w.Totals.SimCompactions)
 	wk.SimPeakHeap.SetMax(w.Totals.SimPeakHeap)
 	wk.SimNanos.Add(w.Totals.SimNanos)
 	wk.FramesIn.Add(w.Totals.FramesIn)

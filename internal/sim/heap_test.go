@@ -6,6 +6,7 @@ import (
 	"sort"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // TestHeapPopOrderMatchesSort drives the inline 4-ary heap with a large
@@ -111,6 +112,38 @@ func TestScheduleSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestClosureFormSteadyStateAllocs: At and Reschedule store a long-lived
+// func() as the arg of one shared callback, and boxing a func value into an
+// interface does not allocate, so the closure forms cost no more than the
+// arg forms once the heap has its storage.
+func TestClosureFormSteadyStateAllocs(t *testing.T) {
+	l := NewLoop()
+	noop := func() {}
+	var tm Timer
+	cycle := func() {
+		for i := 0; i < 16; i++ {
+			l.At(l.Now().Add(time.Duration(i%5)*time.Microsecond), noop)
+			tm = l.Reschedule(tm, l.Now().Add(time.Duration(i%3)*time.Microsecond), noop)
+		}
+		l.RunUntilIdle(0)
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(100, cycle); allocs > 0 {
+		t.Fatalf("closure-form At and Reschedule allocate %.1f objects per cycle, want 0", allocs)
+	}
+}
+
+// TestEventSize pins the heap entry every sift moves: two key words, the
+// callback, its interface arg and the Timer slot.
+func TestEventSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("the size is pinned for 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(event{}); got != 48 {
+		t.Fatalf("event is %d bytes, want 48", got)
+	}
+}
+
 // TestLoopReset checks that Reset restores a loop to fresh-start state and
 // invalidates every outstanding timer handle.
 func TestLoopReset(t *testing.T) {
@@ -166,18 +199,18 @@ func TestRandReseed(t *testing.T) {
 
 // refLoop is the queue's specification, for the differential below: a slice
 // of entries kept sorted by (at, seq), the earliest removed before its
-// callback runs. It keeps a stopped entry until it reaches the front or a
-// compaction, as the Loop does, because Len, PeakHeapSize, Reschedule's
-// revival and the compaction threshold are all defined over such entries.
+// callback runs. It keeps a stopped entry until it reaches the front, as the
+// Loop does, because Len, PeakHeapSize and Reschedule's revival are all
+// defined over such entries.
 type refLoop struct {
-	now               Time
-	seq               uint64
-	evs               []*refEvent
-	dead              int
-	frontAt           Time
-	frontSeq          uint64
-	ran, resched, cmp uint64
-	peak              int
+	now          Time
+	seq          uint64
+	evs          []*refEvent
+	dead         int
+	frontAt      Time
+	frontSeq     uint64
+	ran, resched uint64
+	peak         int
 }
 
 type refEvent struct {
@@ -226,16 +259,6 @@ func (r *refLoop) stop(tm refTimer) bool {
 	}
 	tm.ev.dead = true
 	r.dead++
-	if r.dead >= 64 && r.dead*2 >= len(r.evs) {
-		r.cmp++
-		r.evs = slices.DeleteFunc(r.evs, func(e *refEvent) bool {
-			if e.dead {
-				e.queued = false
-			}
-			return e.dead
-		})
-		r.dead = 0
-	}
 	return true
 }
 
@@ -346,15 +369,11 @@ func (q *refQueue) Pending(tm any) bool {
 	return q.r.valid(tm.(refTimer)) && !tm.(refTimer).ev.dead
 }
 func (q *refQueue) Stats() LoopStats {
-	return LoopStats{Executed: q.r.ran, Rescheduled: q.r.resched, Compactions: q.r.cmp, PeakHeapSize: q.r.peak}
+	return LoopStats{Executed: q.r.ran, Rescheduled: q.r.resched, PeakHeapSize: q.r.peak}
 }
 
-// realQueue drives a Loop, and notes whether the program got a compaction to
-// happen while the running event's entry was still in the heap.
-type realQueue struct {
-	l               *Loop
-	compactedVacant bool
-}
+// realQueue drives a Loop.
+type realQueue struct{ l *Loop }
 
 func call(arg any) { arg.(func())() }
 
@@ -373,14 +392,7 @@ func (q *realQueue) Stats() LoopStats                          { return q.l.Stat
 func (q *realQueue) Reschedule(tm any, t Time, fn func()) any {
 	return q.l.Reschedule(tm.(Timer), t, fn)
 }
-func (q *realQueue) Stop(tm any) bool {
-	before, vacant := q.l.compactions, q.l.vacant
-	ok := tm.(Timer).Stop()
-	if q.l.compactions > before && vacant != 0 {
-		q.compactedVacant = true
-	}
-	return ok
-}
+func (q *realQueue) Stop(tm any) bool { return tm.(Timer).Stop() }
 
 // runQueueProgram runs the program a seed determines on q and returns a log
 // of everything the program could observe: which event ran, and Now, Len and
@@ -388,8 +400,8 @@ func (q *realQueue) Stop(tm any) bool {
 // event or several — at the current instant and later, with and without
 // Timers, under keys reserved just now and keys reserved events ago — stop
 // and move their own and each other's Timers, question the queue, run it
-// from inside themselves, reset it, and stop enough Timers at a time to
-// compact the heap, before and after scheduling anything themselves.
+// from inside themselves, reset it, and stop crowds of Timers at a time,
+// before and after scheduling anything themselves.
 func runQueueProgram(seed uint64, q queueUnderTest) []int64 {
 	const grid = time.Millisecond
 	type key struct {
@@ -481,7 +493,7 @@ func runQueueProgram(seed uint64, q queueUnderTest) []int64 {
 			}
 		case 10:
 			// Arm, or stop, a crowd: whichever callback stops it may not
-			// have scheduled anything yet, and compacts with its own entry
+			// have scheduled anything yet, and stops it with its own entry
 			// still at the root.
 			if len(idle) == 0 {
 				for i := 0; i < 150; i++ {
@@ -534,18 +546,15 @@ func runQueueProgram(seed uint64, q queueUnderTest) []int64 {
 		note(-8, int64(q.Now()), int64(q.Len()))
 	}
 	st := q.Stats()
-	return append(log, int64(st.Executed), int64(st.Rescheduled), int64(st.Compactions), int64(st.PeakHeapSize))
+	return append(log, int64(st.Executed), int64(st.Rescheduled), int64(st.PeakHeapSize))
 }
 
 // TestLoopMatchesReferenceQueue holds the Loop to the reference over random
 // programs: same events in the same order at the same times, the same Len at
 // every step, the same answer to every question, the same Stats.
 func TestLoopMatchesReferenceQueue(t *testing.T) {
-	var compactions int64
-	compactedVacant := false
 	for seed := uint64(1); seed <= 400; seed++ {
-		real := &realQueue{l: NewLoop()}
-		got, want := runQueueProgram(seed, real), runQueueProgram(seed, &refQueue{})
+		got, want := runQueueProgram(seed, &realQueue{l: NewLoop()}), runQueueProgram(seed, &refQueue{})
 		if !slices.Equal(got, want) {
 			for i := range want {
 				if i >= len(got) || got[i] != want[i] {
@@ -556,14 +565,5 @@ func TestLoopMatchesReferenceQueue(t *testing.T) {
 			}
 			t.Fatalf("seed %d: the loop logged %d entries more than the reference", seed, len(got)-len(want))
 		}
-		compactions += want[len(want)-2]
-		compactedVacant = compactedVacant || real.compactedVacant
-	}
-	// The programs must reach what they are for.
-	if compactions == 0 {
-		t.Error("no program compacted the heap")
-	}
-	if !compactedVacant {
-		t.Error("no program compacted the heap while the running event's entry was still at the root")
 	}
 }

@@ -127,49 +127,6 @@ func TestLenCountsLiveEvents(t *testing.T) {
 	}
 }
 
-// TestDeadEventCompaction forces the cancel-heavy regime: with far more
-// stopped than live events the heap must compact (shrinking the backing
-// entries) and still execute the survivors in exact schedule order.
-func TestDeadEventCompaction(t *testing.T) {
-	l := NewLoop()
-	var got []int
-	var timers []Timer
-	const n = 1000
-	for i := 0; i < n; i++ {
-		i := i
-		timers = append(timers, l.At(Time(i)*Time(time.Millisecond), func() { got = append(got, i) }))
-	}
-	// Stop every index not divisible by 10, scattered across the heap.
-	for i := 0; i < n; i++ {
-		if i%10 != 0 {
-			timers[i].Stop()
-		}
-	}
-	if l.Len() != n/10 {
-		t.Fatalf("Len = %d, want %d", l.Len(), n/10)
-	}
-	if len(l.events) >= n {
-		t.Fatalf("compaction never ran: %d heap entries for %d live events", len(l.events), l.Len())
-	}
-	l.RunUntilIdle(0)
-	if len(got) != n/10 {
-		t.Fatalf("ran %d events, want %d", len(got), n/10)
-	}
-	for i := 1; i < len(got); i++ {
-		if got[i] <= got[i-1] {
-			t.Fatalf("post-compaction execution out of order: %v", got[:i+1])
-		}
-	}
-	// Survivors' timers were compacted to new heap positions; their handles
-	// must have been invalidated (gen bumped) only for the dead, not the
-	// live ones.
-	for i := 0; i < n; i += 10 {
-		if timers[i].Pending() {
-			t.Fatalf("timer %d still pending after idle", i)
-		}
-	}
-}
-
 // TestRescheduleSteadyStateAllocs pins the retarget fast path at zero
 // allocations once capacity is warm — the pop-then-push pattern every
 // cumulative ACK pays must not touch the heap allocator.

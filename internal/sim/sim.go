@@ -22,9 +22,9 @@
 // is stored over it and sifted down, one pass where a removal followed by an
 // insert would make two. A callback that schedules nothing has the entry
 // removed when it returns. Anything that needs the true root from inside a
-// callback — Step, StepBefore, RunUntil and its relatives, NextEventAt,
-// Reset, a compaction — removes the vacant entry first, so none of this is
-// visible through the exported surface.
+// callback — Step, StepBefore, RunUntil and its relatives, NextEventAt and
+// Reset — removes the vacant entry first, so none of this is visible through
+// the exported surface.
 package sim
 
 import (
@@ -69,12 +69,11 @@ func (t Timer) Stop() bool {
 		return false
 	}
 	ev := &t.l.events[s.heapIdx]
-	if ev.fn == nil && ev.afn == nil {
+	if ev.fn == nil {
 		return false
 	}
-	ev.fn, ev.afn, ev.arg = nil, nil, nil
+	ev.fn, ev.arg = nil, nil
 	t.l.dead++
-	t.l.maybeCompact()
 	return true
 }
 
@@ -87,20 +86,19 @@ func (t Timer) Pending() bool {
 	if s.gen != t.gen || s.heapIdx < 0 {
 		return false
 	}
-	ev := &t.l.events[s.heapIdx]
-	return ev.fn != nil || ev.afn != nil
+	return t.l.events[s.heapIdx].fn != nil
 }
 
-// event is one scheduled callback. Exactly one of fn and afn is non-nil for
-// a live event; both nil marks a cancelled event awaiting drain. afn+arg is
-// the allocation-free form: a pointer-shaped arg boxed into an interface
-// does not allocate, so elements that forward frames can schedule with one
-// long-lived callback instead of a fresh closure per frame.
+// event is one scheduled callback, fn(arg); a nil fn marks a cancelled event
+// awaiting drain. A pointer-shaped arg boxed into an interface does not
+// allocate, so elements that forward frames schedule one long-lived callback
+// instead of a fresh closure per frame. The closure forms (At, Schedule,
+// Reschedule) store their func() as the arg of runFunc: a func value is
+// pointer-shaped too.
 type event struct {
 	at   Time
 	seq  uint64 // FIFO tie-break for events at the same instant
-	fn   func()
-	afn  func(any)
+	fn   func(any)
 	arg  any
 	slot int32 // Timer slot, or noSlot for an event scheduled by AtReserved
 }
@@ -157,22 +155,19 @@ type Loop struct {
 	frontAt  Time
 	frontSeq uint64
 
-	resched     uint64
-	compactions uint64
-	peakHeap    int
+	resched  uint64
+	peakHeap int
 
 	slots    []slotState
 	freeSlot []int32
 }
 
 // LoopStats is a snapshot of the loop's internal counters, exposed for the
-// telemetry layer: callbacks executed, in-place timer reschedules, dead-entry
-// heap compactions, and the deepest heap observed. All are cumulative since
-// the last Reset.
+// telemetry layer: callbacks executed, in-place timer reschedules, and the
+// deepest heap observed. All are cumulative since the last Reset.
 type LoopStats struct {
 	Executed     uint64
 	Rescheduled  uint64
-	Compactions  uint64
 	PeakHeapSize int
 }
 
@@ -181,7 +176,6 @@ func (l *Loop) Stats() LoopStats {
 	return LoopStats{
 		Executed:     l.ran,
 		Rescheduled:  l.resched,
-		Compactions:  l.compactions,
 		PeakHeapSize: l.peakHeap,
 	}
 }
@@ -200,7 +194,7 @@ func (l *Loop) Reset() {
 	for i := range l.events {
 		ev := &l.events[i]
 		l.slots[ev.slot].gen++
-		ev.fn, ev.afn, ev.arg = nil, nil, nil
+		ev.fn, ev.arg = nil, nil
 	}
 	l.events = l.events[:0]
 	l.freeSlot = l.freeSlot[:0]
@@ -210,7 +204,7 @@ func (l *Loop) Reset() {
 	}
 	l.now, l.seq, l.ran, l.dead = 0, 0, 0, 0
 	l.frontAt, l.frontSeq = 0, 0
-	l.resched, l.compactions, l.peakHeap = 0, 0, 0
+	l.resched, l.peakHeap = 0, 0
 }
 
 // Now returns the current virtual time.
@@ -251,8 +245,12 @@ func (l *Loop) At(t Time, fn func()) Timer {
 	if fn == nil {
 		panic("sim: At called with nil callback")
 	}
-	return l.push(t, fn, nil, nil)
+	return l.push(t, runFunc, fn)
 }
+
+// runFunc is the one callback behind every closure-form event: its arg is
+// the func() to call.
+func runFunc(fn any) { fn.(func())() }
 
 // AtArg arranges for fn(arg) to run at absolute virtual time t. Unlike At
 // with a fresh closure, a long-lived fn plus a pointer-shaped arg schedules
@@ -261,7 +259,7 @@ func (l *Loop) AtArg(t Time, fn func(any), arg any) Timer {
 	if fn == nil {
 		panic("sim: AtArg called with nil callback")
 	}
-	return l.push(t, nil, fn, arg)
+	return l.push(t, fn, arg)
 }
 
 // Reschedule moves a timer to fire fn at absolute time t instead, re-sifting
@@ -276,7 +274,7 @@ func (l *Loop) Reschedule(tm Timer, t Time, fn func()) Timer {
 	if fn == nil {
 		panic("sim: Reschedule called with nil callback")
 	}
-	return l.reschedule(tm, t, fn, nil, nil)
+	return l.reschedule(tm, t, runFunc, fn)
 }
 
 // RescheduleArg is Reschedule for the allocation-free callback form of
@@ -285,25 +283,25 @@ func (l *Loop) RescheduleArg(tm Timer, t Time, fn func(any), arg any) Timer {
 	if fn == nil {
 		panic("sim: RescheduleArg called with nil callback")
 	}
-	return l.reschedule(tm, t, nil, fn, arg)
+	return l.reschedule(tm, t, fn, arg)
 }
 
 // reschedule retargets tm's heap entry when one still exists (live or
 // stopped-but-undrained), falling back to a plain push.
-func (l *Loop) reschedule(tm Timer, t Time, fn func(), afn func(any), arg any) Timer {
+func (l *Loop) reschedule(tm Timer, t Time, fn func(any), arg any) Timer {
 	if tm.l != l {
-		return l.push(t, fn, afn, arg)
+		return l.push(t, fn, arg)
 	}
 	s := &l.slots[tm.slot]
 	if s.gen != tm.gen || s.heapIdx < 0 {
-		return l.push(t, fn, afn, arg)
+		return l.push(t, fn, arg)
 	}
 	if t < l.now {
 		t = l.now
 	}
 	i := s.heapIdx
 	ev := &l.events[i]
-	if ev.fn == nil && ev.afn == nil {
+	if ev.fn == nil {
 		l.dead-- // reviving a stopped entry in place
 	}
 	s.gen++ // invalidate stale handles, as Stop+At would
@@ -319,58 +317,14 @@ func (l *Loop) reschedule(tm Timer, t Time, fn func(), afn func(any), arg any) T
 		j = l.holeDown(i, int32(len(l.events)), t, seq)
 	}
 	ev = &l.events[j]
-	ev.at, ev.seq, ev.fn, ev.afn, ev.arg, ev.slot = t, seq, fn, afn, arg, tm.slot
+	ev.at, ev.seq, ev.fn, ev.arg, ev.slot = t, seq, fn, arg, tm.slot
 	s.heapIdx = j
 	l.resched++
 	return Timer{l: l, slot: tm.slot, gen: s.gen}
 }
 
-// maybeCompact rebuilds the heap without its cancelled entries once they
-// outnumber the live ones, so long-running simulations that stop many timers
-// (delayed-ACK races, retransmission cancels) stop paying sift comparisons
-// for dead weight. Rebuilding never changes execution order: pop order is a
-// pure function of the (at, seq) keys, which compaction preserves.
-func (l *Loop) maybeCompact() {
-	if l.dead < 64 || l.dead*2 < len(l.events)-l.vacant {
-		return
-	}
-	l.settle()
-	l.compactions++
-	kept := l.events[:0]
-	for i := range l.events {
-		ev := &l.events[i]
-		if ev.fn == nil && ev.afn == nil {
-			// Only a Timer can stop an event, so a dead entry's slot is
-			// its own, never noSlot.
-			s := &l.slots[ev.slot]
-			s.heapIdx = -1
-			s.gen++
-			l.freeSlot = append(l.freeSlot, ev.slot)
-			continue
-		}
-		kept = append(kept, *ev)
-	}
-	tail := l.events[len(kept):]
-	for i := range tail {
-		tail[i] = event{} // release fn/arg references
-	}
-	l.events = kept
-	l.dead = 0
-	for i := range kept {
-		l.slots[kept[i].slot].heapIdx = int32(i)
-	}
-	n := int32(len(kept))
-	for i := (n - 2) / heapArity; n > 1 && i >= 0; i-- { // parents only
-		ev := kept[i]
-		if j := l.holeDown(i, n, ev.at, ev.seq); j != i {
-			kept[j] = ev
-			l.slots[ev.slot].heapIdx = j
-		}
-	}
-}
-
 // push allocates a slot and stores the new event where it belongs.
-func (l *Loop) push(t Time, fn func(), afn func(any), arg any) Timer {
+func (l *Loop) push(t Time, fn func(any), arg any) Timer {
 	if t < l.now {
 		t = l.now
 	}
@@ -386,7 +340,7 @@ func (l *Loop) push(t Time, fn func(), afn func(any), arg any) Timer {
 	l.seq++
 	i := l.open(t, seq)
 	ev := &l.events[i]
-	ev.at, ev.seq, ev.fn, ev.afn, ev.arg, ev.slot = t, seq, fn, afn, arg, slot
+	ev.at, ev.seq, ev.fn, ev.arg, ev.slot = t, seq, fn, arg, slot
 	s := &l.slots[slot]
 	s.heapIdx = i
 	return Timer{l: l, slot: slot, gen: s.gen}
@@ -437,7 +391,7 @@ func (l *Loop) AtReserved(at Time, seq uint64, fn func(any), arg any) {
 			int64(at), seq, int64(l.frontAt), l.frontSeq))
 	}
 	ev := &l.events[l.open(at, seq)]
-	ev.at, ev.seq, ev.fn, ev.afn, ev.arg, ev.slot = at, seq, nil, fn, arg, noSlot
+	ev.at, ev.seq, ev.fn, ev.arg, ev.slot = at, seq, fn, arg, noSlot
 }
 
 const heapArity = 4
@@ -468,8 +422,8 @@ func (l *Loop) open(at Time, seq uint64) int32 {
 	}
 	n := len(l.events)
 	if n < cap(l.events) {
-		// The entry exposed holds no references (removeRoot, maybeCompact
-		// and Reset clear what they drop) and the caller overwrites it.
+		// The entry exposed holds no references (removeRoot and Reset
+		// clear what they drop) and the caller overwrites it.
 		l.events = l.events[:n+1]
 	} else {
 		l.events = append(l.events, event{})
@@ -537,7 +491,7 @@ func (l *Loop) removeRoot() {
 	}
 	// Release only the reference-holding fields of the dropped entry; the
 	// stale scalars are overwritten by the next insert at this index.
-	last.fn, last.afn, last.arg = nil, nil, nil
+	last.fn, last.arg = nil, nil
 	l.events = l.events[:n]
 }
 
@@ -569,7 +523,7 @@ func (l *Loop) peek() (Time, bool) {
 	l.settle()
 	for len(l.events) > 0 {
 		ev := &l.events[0]
-		if ev.fn != nil || ev.afn != nil {
+		if ev.fn != nil {
 			return ev.at, true
 		}
 		l.dead--
@@ -587,16 +541,12 @@ func (l *Loop) peek() (Time, bool) {
 // a callback that schedules nothing pays for the removal.
 func (l *Loop) run() {
 	root := &l.events[0]
-	at, seq, fn, afn, arg := root.at, root.seq, root.fn, root.afn, root.arg
+	at, seq, fn, arg := root.at, root.seq, root.fn, root.arg
 	l.releaseSlot(root.slot)
 	l.vacant = 1
 	l.now = at
 	l.frontAt, l.frontSeq = at, seq
-	if fn != nil {
-		fn()
-	} else {
-		afn(arg)
-	}
+	fn(arg)
 	l.ran++
 	l.settle()
 }

@@ -11,9 +11,10 @@ import (
 
 // Probe is the probe host's raw-packet interface, the simulated equivalent
 // of sting's packet-filter access to the wire. It satisfies the measurement
-// library's Transport interface: Send injects a raw datagram into the
-// forward path; Recv pumps the event loop until a packet arrives for the
-// probe or the timeout elapses in virtual time.
+// library's FrameTransport interface, which the Prober drives, and the byte
+// Transport it embeds: Send injects a raw datagram into the forward path;
+// Recv pumps the event loop until a packet arrives for the probe or the
+// timeout elapses in virtual time.
 type Probe struct {
 	net    *Net
 	addr   netip.Addr

@@ -344,7 +344,6 @@ func (n *Net) build(cfg Config) {
 	}
 
 	n.dirs = [2]dirElems{}
-	scn := cfg.Scenario
 
 	// Routed graphs take the topology builder; everything else — including
 	// an explicit empty TopologySpec, the degenerate two-node case — is the
@@ -359,26 +358,34 @@ func (n *Net) build(cfg Config) {
 
 	// Reverse direction: host egress tap -> [middlebox] -> reverse path ->
 	// probe ingress tap -> probe inbox.
-	revEntry := n.buildPath(n.pathRng(1, 2, rng), cfg.Reverse.defaults(), tap(n.ProbeIngress, n.probeSink), &n.dirs[1], scn.needs(DirReverse))
-	if mc := scn.middlebox(DirReverse); mc != nil {
-		mb := n.getMiddlebox(*mc, rng, 9, revEntry)
-		n.dirs[1].mb = mb
-		revEntry = mb
-	}
-	hostOut := tap(n.HostEgress, revEntry)
+	hostOut := tap(n.HostEgress, n.probeAccess(cfg, rng, DirReverse, tap(n.ProbeIngress, n.probeSink)))
 
 	serverSide := n.buildServers(cfg, rng, hostOut)
 
 	// Forward direction: probe egress tap -> [middlebox] -> forward path ->
 	// host ingress tap -> server side.
-	fwdEntry := n.buildPath(n.pathRng(0, 1, rng), cfg.Forward.defaults(), tap(n.HostIngress, serverSide), &n.dirs[0], scn.needs(DirForward))
-	if mc := scn.middlebox(DirForward); mc != nil {
-		mb := n.getMiddlebox(*mc, rng, 8, fwdEntry)
-		n.dirs[0].mb = mb
-		fwdEntry = mb
-	}
-	n.probe.egress = tap(n.ProbeEgress, fwdEntry)
+	n.probe.egress = tap(n.ProbeEgress, n.probeAccess(cfg, rng, DirForward, tap(n.HostIngress, serverSide)))
 	n.startTimeline(cfg)
+}
+
+// probeAccess wires the probe's access path in direction d — the scenario's
+// impairments for d, ending at end, behind its middlebox for d when it has
+// one — and returns the node the path starts at. Forward takes path stream
+// 0 (fork label 1) and middlebox label 8, reverse stream 1 (label 2) and
+// label 9; the point-to-point and graph builders both wire their probe
+// access through here, so they consume the build stream identically.
+func (n *Net) probeAccess(cfg Config, rng *sim.Rand, d Dir, end netem.Node) netem.Node {
+	spec := cfg.Forward
+	if d == DirReverse {
+		spec = cfg.Reverse
+	}
+	entry := n.buildPath(n.pathRng(int(d), uint64(d)+1, rng), spec.defaults(), end, &n.dirs[d], cfg.Scenario.needs(d))
+	if mc := cfg.Scenario.middlebox(d); mc != nil {
+		mb := n.getMiddlebox(*mc, rng, 8+uint64(d), entry)
+		n.dirs[d].mb = mb
+		entry = mb
+	}
+	return entry
 }
 
 // buildServers constructs the published-address endpoint — one host, or a

@@ -135,12 +135,10 @@ func (t *TopologySpec) mustRouter(name, what string) int {
 }
 
 // senderEntry pairs a pooled cross-traffic sender with its retained random
-// stream and a cached start closure, so rebuilding a graph schedules flow
-// starts without per-build closure allocation.
+// stream.
 type senderEntry struct {
-	el      *tcpsender.Sender
-	rng     *sim.Rand
-	startFn func()
+	el  *tcpsender.Sender
+	rng *sim.Rand
 }
 
 // graphScratch is the topology builder's reusable working storage: the
@@ -209,13 +207,7 @@ func (n *Net) buildGraph(cfg Config, rng *sim.Rand, tap func(*trace.Capture, net
 	// Probe access, reverse direction: probe router -> [middlebox] ->
 	// reverse path (the scenario's Reverse impairments) -> probe ingress
 	// tap -> probe inbox.
-	scn := cfg.Scenario
-	revEntry := netem.Node(n.buildPath(n.pathRng(1, 2, rng), cfg.Reverse.defaults(), tap(n.ProbeIngress, n.probeSink), &n.dirs[1], scn.needs(DirReverse)))
-	if mc := scn.middlebox(DirReverse); mc != nil {
-		mb := n.getMiddlebox(*mc, rng, 9, revEntry)
-		n.dirs[1].mb = mb
-		revEntry = mb
-	}
+	revEntry := n.probeAccess(cfg, rng, DirReverse, tap(n.ProbeIngress, n.probeSink))
 	addRouteAll(n.probeAddr, pi, n.Routers[pi].AddGroup(revEntry))
 
 	// Server(s) behind the target router: host egress tap -> access uplink
@@ -264,13 +256,7 @@ func (n *Net) buildGraph(cfg Config, rng *sim.Rand, tap func(*trace.Capture, net
 
 	// Probe access, forward direction: probe egress tap -> [middlebox] ->
 	// forward path (the scenario's Forward impairments) -> probe router.
-	fwdEntry := netem.Node(n.buildPath(n.pathRng(0, 1, rng), cfg.Forward.defaults(), n.Routers[pi], &n.dirs[0], scn.needs(DirForward)))
-	if mc := scn.middlebox(DirForward); mc != nil {
-		mb := n.getMiddlebox(*mc, rng, 8, fwdEntry)
-		n.dirs[0].mb = mb
-		fwdEntry = mb
-	}
-	n.probe.egress = tap(n.ProbeEgress, fwdEntry)
+	n.probe.egress = tap(n.ProbeEgress, n.probeAccess(cfg, rng, DirForward, n.Routers[pi]))
 }
 
 // computeNextHops fills graph.toward with, for every (router r, destination
@@ -365,11 +351,13 @@ func (n *Net) getSender(cfg tcpsender.Config, local, remote netip.Addr, rng *sim
 		e.el.Reset(cfg, local, remote, e.rng, out)
 	} else {
 		e.el = tcpsender.New(n.Loop, cfg, local, remote, n.IDs, e.rng, out)
-		e.startFn = e.el.Start
 	}
 	e.el.SetArena(n.arena)
 	n.pool.senders.keep(e)
 	n.Senders = append(n.Senders, e.el)
-	n.Loop.At(sim.Time(0).Add(start), e.startFn)
+	n.Loop.AtArg(sim.Time(0).Add(start), startSender, e.el)
 	return e.el
 }
+
+// startSender is a cross-traffic flow's start event; its arg is the sender.
+func startSender(s any) { s.(*tcpsender.Sender).Start() }

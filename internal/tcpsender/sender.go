@@ -126,12 +126,10 @@ type Sender struct {
 	rtoTimer   sim.Timer
 	rtoBackoff time.Duration
 
-	// Per-connection scratch: decoded-packet cell, cached RTO callback and
-	// optional arena, so steady-state transmission and receive do not
-	// allocate per segment.
+	// Per-connection scratch: decoded-packet cell and optional arena, so
+	// steady-state transmission and receive do not allocate per segment.
 	arena *netem.Arena
 	rxPkt packet.Packet
-	rtoFn func()
 
 	// Spurious-retransmit detection state.
 	minRTT time.Duration
@@ -158,14 +156,12 @@ type sentAt struct {
 // New builds a sender from local to remote:80, transmitting via out.
 func New(loop *sim.Loop, cfg Config, local, remote netip.Addr, ids *netem.FrameIDs, rng *sim.Rand, out netem.Node) *Sender {
 	s := &Sender{loop: loop, ids: ids}
-	s.rtoFn = s.onRTO
 	s.Reset(cfg, local, remote, rng, out)
 	return s
 }
 
 // Reset returns the sender to a closed connection for cfg, keeping its
-// loop, frame IDs, arena, scratch buffers, send-times storage and cached
-// RTO callback; New ends by calling it, and scenario owners reuse
+// loop, frame IDs, arena, scratch buffers and send-times storage; New ends by calling it, and scenario owners reuse
 // cross-traffic senders across topology rebuilds through it. The caller
 // must have Reset the shared loop first (which invalidates any pending RTO
 // timer; the zero Timer left here is inert).
@@ -174,7 +170,7 @@ func (s *Sender) Reset(cfg Config, local, remote netip.Addr, rng *sim.Rand, out 
 	sendTimes.Reset()
 	*s = Sender{
 		cfg: cfg.Defaults(), loop: s.loop, local: local, remote: remote,
-		out: out, ids: s.ids, rng: rng, arena: s.arena, rxPkt: s.rxPkt, rtoFn: s.rtoFn,
+		out: out, ids: s.ids, rng: rng, arena: s.arena, rxPkt: s.rxPkt,
 		dupThresh: dupThresh,
 		minRTT:    time.Hour, // until measured
 		sendTimes: sendTimes,
@@ -475,8 +471,11 @@ func (s *Sender) observeRTT(rtt time.Duration) {
 // pending event in place — the pop-then-push pattern every cumulative ACK
 // hits — instead of lazily cancelling and pushing a replacement.
 func (s *Sender) armRTO() {
-	s.rtoTimer = s.loop.Reschedule(s.rtoTimer, s.loop.Now().Add(s.rtoBackoff), s.rtoFn)
+	s.rtoTimer = s.loop.RescheduleArg(s.rtoTimer, s.loop.Now().Add(s.rtoBackoff), fireRTO, s)
 }
+
+// fireRTO is the retransmission timer's callback; its arg is the sender.
+func fireRTO(s any) { s.(*Sender).onRTO() }
 
 func (s *Sender) stopRTO() {
 	s.rtoTimer.Stop()

@@ -268,3 +268,51 @@ func TestSteadyStateSegmentAllocs(t *testing.T) {
 		t.Fatalf("only %d segments sent in the measured rounds: window never opened", sent)
 	}
 }
+
+// TestRSTInEstablishedAborts: a RST on an established connection ends the
+// transfer where it stands. The sender is done, its stats stop moving with
+// the clock, its retransmission timer is stopped, and it sends nothing more.
+func TestRSTInEstablishedAborts(t *testing.T) {
+	loop := sim.NewLoop()
+	arena := &netem.Arena{}
+	local, remote := netip.MustParseAddr("10.0.0.1"), netip.MustParseAddr("10.0.1.1")
+	sent := 0
+	var highest uint32
+	out := netem.NodeFunc(func(f *netem.Frame) {
+		sent++
+		if v := f.View(); len(v.Payload) > 0 {
+			highest = v.TCP.Seq + uint32(len(v.Payload))
+		}
+	})
+	s := New(loop, Config{Bytes: 1 << 20, RTO: 200 * time.Millisecond}, local, remote, &netem.FrameIDs{}, sim.NewRand(7, 8), out)
+	s.SetArena(arena)
+	ip := packet.IPv4Header{Src: remote, Dst: local}
+	tcp := packet.TCPHeader{SrcPort: 80, DstPort: localPort, Seq: 7000, Window: 65535}
+	in := func(flags uint8, ack uint32) {
+		tcp.Flags, tcp.Ack = flags, ack
+		f, err := arena.NewTCPFrame(1, loop.Now(), &ip, &tcp, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		loop.RunFor(time.Millisecond)
+		s.Input(f)
+	}
+	s.Start()
+	in(packet.FlagSYN|packet.FlagACK, s.iss+1)
+	in(packet.FlagACK, highest)
+	if s.Done() || !s.rtoTimer.Pending() {
+		t.Fatalf("before the RST: done=%v, RTO pending=%v; want an established transfer in flight", s.Done(), s.rtoTimer.Pending())
+	}
+	in(packet.FlagRST, 0)
+	frozen, sentAtRST := s.Stats(), sent
+	if !s.Done() || s.rtoTimer.Pending() {
+		t.Fatalf("after the RST: done=%v, RTO pending=%v; want done with the timer stopped", s.Done(), s.rtoTimer.Pending())
+	}
+	loop.RunFor(10 * time.Second)
+	if st := s.Stats(); st != frozen || st.Timeouts != 0 || st.BytesAcked == 0 {
+		t.Fatalf("stats after the abort moved or are empty: %+v, at the RST %+v", st, frozen)
+	}
+	if sent != sentAtRST {
+		t.Fatalf("the aborted sender sent %d more segments", sent-sentAtRST)
+	}
+}

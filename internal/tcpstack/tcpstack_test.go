@@ -403,6 +403,47 @@ func TestFINTeardown(t *testing.T) {
 	}
 }
 
+// TestUnacceptableAckInSynRecvGetsRST: an ACK in SYN_RECV that does not
+// acknowledge the SYN/ACK is answered with a RST whose sequence number is
+// that ACK number (RFC 793), and the half-open connection is dropped.
+func TestUnacceptableAckInSynRecvGetsRST(t *testing.T) {
+	h := newHarness(t, Config{})
+	h.inject(&packet.TCPHeader{SrcPort: 4000, DstPort: 80, Seq: 100, Flags: packet.FlagSYN, Window: 65535}, nil)
+	sa := h.drain()
+	if len(sa) != 1 || !sa[0].TCP.HasFlags(packet.FlagSYN|packet.FlagACK) {
+		t.Fatalf("no SYN/ACK: %v", summaries(sa))
+	}
+	bad := sa[0].TCP.Seq + 7
+	h.inject(&packet.TCPHeader{SrcPort: 4000, DstPort: 80, Seq: 101, Ack: bad, Flags: packet.FlagACK, Window: 65535}, nil)
+	out := h.drain()
+	if len(out) != 1 || out[0].TCP.Flags != packet.FlagRST || out[0].TCP.Seq != bad || out[0].TCP.DstPort != 4000 {
+		t.Fatalf("reply to an unacceptable ACK = %v, want a bare RST seq=%d to port 4000", summaries(out), bad)
+	}
+	if h.stack.Conns() != 0 || h.stack.Stats().RstsSent != 1 {
+		t.Fatalf("after the RST: %d connections, %d RSTs sent; want 0, 1", h.stack.Conns(), h.stack.Stats().RstsSent)
+	}
+}
+
+// TestDataWithFINAcksTheFIN: a segment carrying in-order data and a FIN is
+// acknowledged at once, past the FIN, instead of waiting on the delayed-ACK
+// timer, and the connection stays open (the server sends no FIN of its own).
+func TestDataWithFINAcksTheFIN(t *testing.T) {
+	h := newHarness(t, Config{DelAckThreshold: 2, DelAckTimeout: 200 * time.Millisecond})
+	h.handshake(4000, 100)
+	h.inject(&packet.TCPHeader{SrcPort: 4000, DstPort: 80, Seq: 101, Flags: packet.FlagFIN | packet.FlagACK}, []byte{'x'})
+	out := h.drain()
+	if len(out) != 1 || out[0].TCP.Flags != packet.FlagACK || out[0].TCP.Ack != 103 {
+		t.Fatalf("reply to data+FIN = %v, want one ACK ack=103", summaries(out))
+	}
+	h.loop.RunFor(time.Second)
+	if extra := h.drain(); len(extra) != 0 {
+		t.Fatalf("the delayed-ACK timer fired after the FIN was acknowledged: %v", summaries(extra))
+	}
+	if h.stack.Conns() != 1 {
+		t.Fatalf("Conns = %d after data+FIN, want 1", h.stack.Conns())
+	}
+}
+
 // --- Data serving (TCP data transfer test substrate) ---
 
 func TestServeObjectRespectsMSSAndWindow(t *testing.T) {
