@@ -23,7 +23,7 @@ import (
 func BenchmarkValidation(b *testing.B) {
 	var correct float64
 	for i := 0; i < b.N; i++ {
-		rep := experiments.RunValidation(experiments.QuickValidation())
+		rep := experiments.RunValidation(experiments.DefaultValidation())
 		correct = rep.CorrectFraction()
 	}
 	b.ReportMetric(correct, "correct-frac")
@@ -35,7 +35,7 @@ func BenchmarkValidation(b *testing.B) {
 func BenchmarkSurveyCDF(b *testing.B) {
 	var frac float64
 	for i := 0; i < b.N; i++ {
-		rep := experiments.RunSurvey(experiments.QuickSurvey())
+		rep := experiments.RunSurvey(experiments.DefaultSurvey())
 		frac = rep.FractionWithReordering()
 	}
 	b.ReportMetric(frac, "paths-reordering-frac")
@@ -47,7 +47,7 @@ func BenchmarkSurveyCDF(b *testing.B) {
 func BenchmarkIPIDScreen(b *testing.B) {
 	var excluded int
 	for i := 0; i < b.N; i++ {
-		rep := experiments.RunSurvey(experiments.QuickSurvey())
+		rep := experiments.RunSurvey(experiments.DefaultSurvey())
 		ex := rep.DCTExclusions()
 		excluded = ex["zero-ipid"] + ex["non-monotonic"]
 	}
@@ -60,7 +60,7 @@ func BenchmarkIPIDScreen(b *testing.B) {
 func BenchmarkAgreement(b *testing.B) {
 	var frac float64
 	for i := 0; i < b.N; i++ {
-		cfg := experiments.QuickSurvey()
+		cfg := experiments.DefaultSurvey()
 		cfg.Rounds = 8
 		survey := experiments.RunSurvey(cfg)
 		rep := experiments.RunAgreement(survey)
@@ -77,7 +77,7 @@ func BenchmarkAgreement(b *testing.B) {
 func BenchmarkTimeSeries(b *testing.B) {
 	var corr float64
 	for i := 0; i < b.N; i++ {
-		rep, err := experiments.RunTimeSeries(experiments.QuickTimeSeries())
+		rep, err := experiments.RunTimeSeries(experiments.DefaultTimeSeries())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -92,7 +92,7 @@ func BenchmarkTimeSeries(b *testing.B) {
 func BenchmarkGapSweep(b *testing.B) {
 	var r0, r50, r250 float64
 	for i := 0; i < b.N; i++ {
-		rep, err := experiments.RunGapSweep(experiments.QuickGapSweep())
+		rep, err := experiments.RunGapSweep(experiments.DefaultGapSweep())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -111,7 +111,7 @@ func BenchmarkGapSweep(b *testing.B) {
 func BenchmarkBaselines(b *testing.B) {
 	var frac float64
 	for i := 0; i < b.N; i++ {
-		rep, err := experiments.RunBaselines(experiments.QuickBaselines())
+		rep, err := experiments.RunBaselines(experiments.DefaultBaselines())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -257,7 +257,7 @@ func BenchmarkProberThroughput(b *testing.B) {
 func BenchmarkMechanisms(b *testing.B) {
 	var trunk, mp, arq float64
 	for i := 0; i < b.N; i++ {
-		rep, err := experiments.RunMechanisms(experiments.QuickMechanisms())
+		rep, err := experiments.RunMechanisms(experiments.DefaultMechanisms())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -309,7 +309,7 @@ func BenchmarkBurstTest(b *testing.B) {
 func BenchmarkImpact(b *testing.B) {
 	var ratio float64
 	for i := 0; i < b.N; i++ {
-		rep, err := experiments.RunImpact(experiments.QuickImpact())
+		rep, err := experiments.RunImpact(experiments.DefaultImpact())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -328,7 +328,7 @@ func BenchmarkImpact(b *testing.B) {
 func BenchmarkCooperative(b *testing.B) {
 	var worst float64
 	for i := 0; i < b.N; i++ {
-		rep, err := experiments.RunCooperative(experiments.QuickCooperative())
+		rep, err := experiments.RunCooperative(experiments.DefaultCooperative())
 		if err != nil {
 			b.Fatal(err)
 		}

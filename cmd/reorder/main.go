@@ -15,7 +15,7 @@
 //
 // Each command's flag set is composed from the groups below and holds only
 // the flags that command reads, so a flag it would ignore is "flag provided
-// but not defined". -quick runs an experiment's reduced configuration; every
+// but not defined". Each experiment runs the paper's configuration, and every
 // report is identical at any -workers count. For target populations beyond
 // the survey's shape, see cmd/campaign.
 package main
@@ -38,11 +38,11 @@ var commands = []cli.Command{
 	{Name: "survey", Summary: "§IV-B host survey: Fig 5 CDF of per-path rates, IPID exclusions (E2/E6)", Setup: setupSurvey},
 	{Name: "agreement", Summary: "§IV-B pairwise technique agreement over the survey (E4)", Setup: setupAgreement},
 	{Name: "timeseries", Summary: "Fig 6 time series on a load-balanced path (E3)",
-		Setup: quickOnly(experiments.DefaultTimeSeries, experiments.QuickTimeSeries, experiments.RunTimeSeries)},
+		Setup: fixed(experiments.DefaultTimeSeries, experiments.RunTimeSeries)},
 	{Name: "baselines", Summary: "prior-art baselines: Bennett ICMP bursts, Paxson passive analysis (E7)",
-		Setup: quickOnly(experiments.DefaultBaselines, experiments.QuickBaselines, experiments.RunBaselines)},
+		Setup: fixed(experiments.DefaultBaselines, experiments.RunBaselines)},
 	{Name: "cooperative", Summary: "the techniques against a cooperative IPPM session (E10)",
-		Setup: quickOnly(experiments.DefaultCooperative, experiments.QuickCooperative, experiments.RunCooperative)},
+		Setup: fixed(experiments.DefaultCooperative, experiments.RunCooperative)},
 	{Name: "validate", Summary: "§IV-A controlled validation of every technique against trace ground truth (E1)", Setup: setupValidate},
 	{Name: "timedist", Summary: "Fig 7 reordering rate vs packet spacing over a striped trunk (E5)", Setup: setupTimedist},
 	{Name: "mechanisms", Summary: "gap signatures of trunk striping, multi-path routing and L2 ARQ (E8)", Setup: setupMechanisms},
@@ -52,11 +52,6 @@ var commands = []cli.Command{
 var run = cli.Dispatch("reorder", commands)
 
 func main() { cli.Main(run) }
-
-// quickVar defines -quick, which picks an experiment's reduced configuration.
-func quickVar(fs *flag.FlagSet) *bool {
-	return fs.Bool("quick", false, "reduced configuration for a fast smoke run")
-}
 
 // workersVar defines -workers. Every experiment runs on the campaign
 // scheduler's pool, so its default is the scheduler's.
@@ -77,20 +72,12 @@ func writeCSV(path string, write func(io.Writer) error) error {
 	return cli.WriteCSVFile(path, write)
 }
 
-// pick returns the reduced configuration under -quick, else the paper's.
-func pick[C any](quick bool, paper, reduced func() C) C {
-	if quick {
-		return reduced()
-	}
-	return paper()
-}
-
-// quickOnly is the setup of an experiment whose one knob is -quick.
-func quickOnly[C any, R interface{ WriteText(io.Writer) }](paper, reduced func() C, experiment func(C) (R, error)) func(*flag.FlagSet) func(io.Writer) error {
-	return func(fs *flag.FlagSet) func(io.Writer) error {
-		quick := quickVar(fs)
+// fixed is the setup of an experiment that takes no flags: it runs the
+// paper's configuration.
+func fixed[C any, R interface{ WriteText(io.Writer) }](paper func() C, experiment func(C) (R, error)) func(*flag.FlagSet) func(io.Writer) error {
+	return func(*flag.FlagSet) func(io.Writer) error {
 		return func(stdout io.Writer) error {
-			rep, err := experiment(pick(*quick, paper, reduced))
+			rep, err := experiment(paper())
 			if err != nil {
 				return err
 			}
@@ -100,34 +87,34 @@ func quickOnly[C any, R interface{ WriteText(io.Writer) }](paper, reduced func()
 	}
 }
 
-func surveyConfig(quick bool, workers int) experiments.SurveyConfig {
-	cfg := pick(quick, experiments.DefaultSurvey, experiments.QuickSurvey)
+func surveyConfig(workers int) experiments.SurveyConfig {
+	cfg := experiments.DefaultSurvey()
 	cfg.Workers = workers
 	return cfg
 }
 
 func setupSurvey(fs *flag.FlagSet) func(io.Writer) error {
-	quick, workers, csvPath := quickVar(fs), workersVar(fs), csvVar(fs, "the Fig 5 CDF")
+	workers, csvPath := workersVar(fs), csvVar(fs, "the Fig 5 CDF")
 	return func(stdout io.Writer) error {
-		rep := experiments.RunSurvey(surveyConfig(*quick, *workers))
+		rep := experiments.RunSurvey(surveyConfig(*workers))
 		rep.WriteText(stdout)
 		return writeCSV(*csvPath, rep.WriteCSV)
 	}
 }
 
 func setupAgreement(fs *flag.FlagSet) func(io.Writer) error {
-	quick, workers := quickVar(fs), workersVar(fs)
+	workers := workersVar(fs)
 	return func(stdout io.Writer) error {
-		experiments.RunAgreement(experiments.RunSurvey(surveyConfig(*quick, *workers))).WriteText(stdout)
+		experiments.RunAgreement(experiments.RunSurvey(surveyConfig(*workers))).WriteText(stdout)
 		return nil
 	}
 }
 
 func setupValidate(fs *flag.FlagSet) func(io.Writer) error {
-	quick, workers, csvPath := quickVar(fs), workersVar(fs), csvVar(fs, "the per-run table")
+	workers, csvPath := workersVar(fs), csvVar(fs, "the per-run table")
 	samples := fs.Int("samples", 0, "override samples per run")
 	return func(stdout io.Writer) error {
-		cfg := pick(*quick, experiments.DefaultValidation, experiments.QuickValidation)
+		cfg := experiments.DefaultValidation()
 		if *samples > 0 {
 			cfg.Samples = *samples
 		}
@@ -139,11 +126,11 @@ func setupValidate(fs *flag.FlagSet) func(io.Writer) error {
 }
 
 func setupTimedist(fs *flag.FlagSet) func(io.Writer) error {
-	quick, workers, csvPath := quickVar(fs), workersVar(fs), csvVar(fs, "the curve")
+	workers, csvPath := workersVar(fs), csvVar(fs, "the curve")
 	samples := fs.Int("samples", 0, "override samples per point (paper: 1000)")
 	plot := fs.Bool("plot", true, "render an ASCII plot of the curve")
 	return func(stdout io.Writer) error {
-		cfg := pick(*quick, experiments.DefaultGapSweep, experiments.QuickGapSweep)
+		cfg := experiments.DefaultGapSweep()
 		if *samples > 0 {
 			cfg.SamplesPerPoint = *samples
 		}
@@ -165,9 +152,9 @@ func setupTimedist(fs *flag.FlagSet) func(io.Writer) error {
 }
 
 func setupMechanisms(fs *flag.FlagSet) func(io.Writer) error {
-	quick, workers, csvPath := quickVar(fs), workersVar(fs), csvVar(fs, "the curves")
+	workers, csvPath := workersVar(fs), csvVar(fs, "the curves")
 	return func(stdout io.Writer) error {
-		cfg := pick(*quick, experiments.DefaultMechanisms, experiments.QuickMechanisms)
+		cfg := experiments.DefaultMechanisms()
 		cfg.Workers = *workers
 		rep, err := experiments.RunMechanisms(cfg)
 		if err != nil {
@@ -179,9 +166,9 @@ func setupMechanisms(fs *flag.FlagSet) func(io.Writer) error {
 }
 
 func setupImpact(fs *flag.FlagSet) func(io.Writer) error {
-	quick, csvPath := quickVar(fs), csvVar(fs, "the sweep")
+	csvPath := csvVar(fs, "the sweep")
 	return func(stdout io.Writer) error {
-		rep, err := experiments.RunImpact(pick(*quick, experiments.DefaultImpact, experiments.QuickImpact))
+		rep, err := experiments.RunImpact(experiments.DefaultImpact())
 		if err != nil {
 			return err
 		}

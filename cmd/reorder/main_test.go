@@ -55,9 +55,9 @@ func runOK(t *testing.T, args ...string) string {
 	return out.String()
 }
 
-// golden returns testdata/name, which holds what the one-purpose commands
-// this binary replaced (reorder, survey, validate, timedist, impact,
-// analyze) printed or wrote for the same experiment.
+// golden returns testdata/name. The probe and analyze goldens hold what the
+// one-purpose commands this binary replaced printed for the same
+// measurement; each experiment's golden is its report at paper size.
 func golden(t *testing.T, name string) string {
 	t.Helper()
 	b, err := os.ReadFile(filepath.Join("testdata", name))
@@ -75,9 +75,8 @@ func checkGolden(t *testing.T, name, got string) {
 }
 
 // TestGoldens pins every byte each command prints on stdout and writes to
-// -csv: a probe of each technique and the -quick run of every experiment.
-// The old `survey -quick -all` is the survey, agreement, timeseries,
-// baselines and cooperative outputs joined by one blank line.
+// -csv: a probe of each technique and every experiment in the paper's
+// configuration, on the default worker pool.
 func TestGoldens(t *testing.T) {
 	for _, tc := range []struct {
 		golden string
@@ -89,11 +88,15 @@ func TestGoldens(t *testing.T) {
 		{"probe-syn", []string{"probe", "-test", "syn", "-lb"}, false},
 		{"probe-transfer", []string{"probe", "-test", "transfer", "-rev", "0.1"}, false},
 		{"probe-ipid", []string{"probe", "-test", "ipid", "-profile", "linux24"}, false},
-		{"survey", []string{"survey", "-quick"}, true},
-		{"validate", []string{"validate", "-quick"}, true},
-		{"timedist", []string{"timedist", "-quick"}, true},
-		{"mechanisms", []string{"mechanisms", "-quick"}, true},
-		{"impact", []string{"impact", "-quick"}, true},
+		{"survey", []string{"survey"}, true},
+		{"agreement", []string{"agreement"}, false},
+		{"timeseries", []string{"timeseries"}, false},
+		{"baselines", []string{"baselines"}, false},
+		{"cooperative", []string{"cooperative"}, false},
+		{"validate", []string{"validate"}, true},
+		{"timedist", []string{"timedist"}, true},
+		{"mechanisms", []string{"mechanisms"}, true},
+		{"impact", []string{"impact"}, true},
 	} {
 		t.Run(tc.golden, func(t *testing.T) {
 			csvPath := filepath.Join(t.TempDir(), "out.csv")
@@ -112,13 +115,6 @@ func TestGoldens(t *testing.T) {
 			checkGolden(t, tc.golden+".csv", string(got))
 		})
 	}
-	t.Run("survey-all", func(t *testing.T) {
-		var outs []string
-		for _, c := range []string{"survey", "agreement", "timeseries", "baselines", "cooperative"} {
-			outs = append(outs, runOK(t, c, "-quick"))
-		}
-		checkGolden(t, "survey-all.out", strings.Join(outs, "\n"))
-	})
 }
 
 // TestCaptures checks probe -pcap and analyze -in: the four captures are
@@ -172,16 +168,13 @@ func TestCaptures(t *testing.T) {
 	}
 }
 
-// TestWorkerInvariance checks that every command with -workers prints the
-// same report serially, on the default pool and on 16 workers: each run of
+// TestWorkerInvariance checks that every command with -workers prints,
+// serially, the report its golden holds from the default pool: each run of
 // an experiment is hermetic, its scenario derived from its seed alone.
 func TestWorkerInvariance(t *testing.T) {
 	for _, c := range []string{"survey", "agreement", "validate", "timedist", "mechanisms"} {
-		serial := runOK(t, c, "-quick", "-workers", "1")
-		for _, w := range []string{"0", "16"} {
-			if runOK(t, c, "-quick", "-workers", w) != serial {
-				t.Errorf("%s: -workers %s changed the report", c, w)
-			}
+		if runOK(t, c, "-workers", "1") != golden(t, c+".out") {
+			t.Errorf("%s: -workers 1 changed the report", c)
 		}
 	}
 }
@@ -205,7 +198,6 @@ func flagNames(setup func(*flag.FlagSet)) []string {
 func TestCommandFlagSets(t *testing.T) {
 	quiet(t)
 	groups := map[string][]string{
-		"quick":   {"quick"},
 		"workers": {"workers"},
 		"samples": {"samples"},
 		"csv":     {"csv"},
@@ -216,15 +208,15 @@ func TestCommandFlagSets(t *testing.T) {
 	composes := map[string][]string{
 		"probe":       {"probe", "samples"},
 		"analyze":     {"analyze"},
-		"survey":      {"quick", "workers", "csv"},
-		"agreement":   {"quick", "workers"},
-		"timeseries":  {"quick"},
-		"baselines":   {"quick"},
-		"cooperative": {"quick"},
-		"validate":    {"quick", "samples", "workers", "csv"},
-		"timedist":    {"quick", "samples", "workers", "csv", "plot"},
-		"mechanisms":  {"quick", "workers", "csv"},
-		"impact":      {"quick", "csv"},
+		"survey":      {"workers", "csv"},
+		"agreement":   {"workers"},
+		"timeseries":  nil,
+		"baselines":   nil,
+		"cooperative": nil,
+		"validate":    {"samples", "workers", "csv"},
+		"timedist":    {"samples", "workers", "csv", "plot"},
+		"mechanisms":  {"workers", "csv"},
+		"impact":      {"csv"},
 	}
 	universe := map[string]bool{}
 	for _, names := range groups {
@@ -266,9 +258,10 @@ func TestCommandFlagSets(t *testing.T) {
 	}
 }
 
-// TestRefusedArguments checks that what once selected a mode or named an
-// input by position is a usage error: a stray argument would end flag
-// parsing and silently drop every flag behind it.
+// TestRefusedArguments checks that what once selected a mode or a reduced
+// configuration (-quick), or named an input by position, is a usage error: a
+// stray argument would end flag parsing and silently drop every flag behind
+// it.
 func TestRefusedArguments(t *testing.T) {
 	quiet(t)
 	for _, args := range [][]string{
@@ -278,7 +271,8 @@ func TestRefusedArguments(t *testing.T) {
 		{"probe", "-profile", "nope"},
 		{"analyze"},
 		{"analyze", "capture.pcap"},
-		{"survey", "-quick", "extra"},
+		{"survey", "-workers", "1", "extra"},
+		{"survey", "-quick"},
 	} {
 		if err := run(args, &bytes.Buffer{}); !errors.Is(err, cli.ErrUsage) {
 			t.Errorf("%q: got %v, want a usage error", args, err)

@@ -27,9 +27,10 @@ func (o GapSweepOptions) defaults() GapSweepOptions {
 	return o
 }
 
-// GapSchedule returns a spacing schedule with §IV-C's shape: fine steps
-// from 0 below 200µs, then coarse steps from 200µs to 500µs inclusive.
-func GapSchedule(fine, coarse time.Duration) []time.Duration {
+// PaperGaps returns the paper's schedule: 1µs steps from 0 below 200µs,
+// then 20µs steps from 200µs to 500µs inclusive — 216 spacings.
+func PaperGaps() []time.Duration {
+	const fine, coarse = time.Microsecond, 20 * time.Microsecond
 	var gaps []time.Duration
 	for g := time.Duration(0); g < 200*time.Microsecond; g += fine {
 		gaps = append(gaps, g)
@@ -39,10 +40,6 @@ func GapSchedule(fine, coarse time.Duration) []time.Duration {
 	}
 	return gaps
 }
-
-// PaperGaps returns the paper's schedule: 1µs steps below 200µs, then 20µs
-// steps to 500µs — 216 spacings.
-func PaperGaps() []time.Duration { return GapSchedule(time.Microsecond, 20*time.Microsecond) }
 
 // GapRate is one spacing's measured reordering probability.
 type GapRate struct {

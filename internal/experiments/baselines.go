@@ -32,11 +32,6 @@ func DefaultBaselines() BaselinesConfig {
 	return BaselinesConfig{SwapProb: 0.35, SmallBursts: 50, LargeBursts: 10, Transfers: 20, Seed: 55}
 }
 
-// QuickBaselines is the benchmark-scale version.
-func QuickBaselines() BaselinesConfig {
-	return BaselinesConfig{SwapProb: 0.35, SmallBursts: 10, LargeBursts: 3, Transfers: 5, Seed: 55}
-}
-
 // BaselinesReport holds the E7 outcomes.
 type BaselinesReport struct {
 	// SmallBurstReordered is the fraction of 5-packet 56-byte bursts with

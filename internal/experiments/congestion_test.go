@@ -7,7 +7,7 @@ import (
 )
 
 func TestValidationWorkersInvariant(t *testing.T) {
-	cfg := QuickValidation()
+	cfg := DefaultValidation()
 	cfg.Workers = 1
 	serial := RunValidation(cfg)
 	cfg.Workers = 4

@@ -36,11 +36,6 @@ func DefaultCooperative() CooperativeConfig {
 	}
 }
 
-// QuickCooperative is the benchmark-scale version.
-func QuickCooperative() CooperativeConfig {
-	return CooperativeConfig{SwapProbs: []float64{0, 0.10, 0.40}, Samples: 150, Seed: 111}
-}
-
 // CooperativeRow is one intensity's comparison.
 type CooperativeRow struct {
 	SwapProb float64

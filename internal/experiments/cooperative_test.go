@@ -6,11 +6,11 @@ import (
 )
 
 func TestCooperativeAgreement(t *testing.T) {
-	rep, err := RunCooperative(QuickCooperative())
+	rep, err := RunCooperative(DefaultCooperative())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Rows) != 3 {
+	if len(rep.Rows) != 7 {
 		t.Fatalf("rows = %d", len(rep.Rows))
 	}
 	// Clean path: both methodologies read zero.
@@ -27,7 +27,7 @@ func TestCooperativeAgreement(t *testing.T) {
 		}
 	}
 	// The single-ended technique must track the cooperative ground truth
-	// (binomial noise at n=150 allows some slack).
+	// (binomial noise at n=400 allows some slack).
 	if d := rep.MaxDisagreement(); d > 0.12 {
 		t.Fatalf("max disagreement %.4f, want <= 0.12", d)
 	}

@@ -71,7 +71,7 @@ func TestMechanismsCSVLongForm(t *testing.T) {
 }
 
 func TestSurveyAndValidationCSV(t *testing.T) {
-	survey := RunSurvey(QuickSurvey())
+	survey := RunSurvey(DefaultSurvey())
 	var buf bytes.Buffer
 	if err := survey.WriteCSV(&buf); err != nil {
 		t.Fatal(err)
@@ -93,7 +93,7 @@ func TestSurveyAndValidationCSV(t *testing.T) {
 		t.Fatalf("CDF ends at %v", prev)
 	}
 
-	val := RunValidation(QuickValidation())
+	val := RunValidation(DefaultValidation())
 	buf.Reset()
 	if err := val.WriteCSV(&buf); err != nil {
 		t.Fatal(err)

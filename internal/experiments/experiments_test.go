@@ -9,11 +9,11 @@ import (
 	"reorder/internal/core"
 )
 
-func TestValidationQuickGrid(t *testing.T) {
-	rep := RunValidation(QuickValidation())
-	// 2 rates -> 4 combos x 3 tests + 2 transfer runs = 14 runs.
-	if len(rep.Runs) != 14 {
-		t.Fatalf("runs = %d, want 14", len(rep.Runs))
+func TestValidationGrid(t *testing.T) {
+	rep := RunValidation(DefaultValidation())
+	// 6 rates -> 36 combos x 3 tests + 6 transfer runs = 114 runs.
+	if len(rep.Runs) != 114 {
+		t.Fatalf("runs = %d, want 114", len(rep.Runs))
 	}
 	for _, r := range rep.Runs {
 		if r.Err != "" {
@@ -55,9 +55,9 @@ func TestValidationToolTracksConfiguredRate(t *testing.T) {
 	}
 }
 
-func TestSurveyQuick(t *testing.T) {
-	rep := RunSurvey(QuickSurvey())
-	if len(rep.Hosts) != 12 {
+func TestSurvey(t *testing.T) {
+	rep := RunSurvey(DefaultSurvey())
+	if len(rep.Hosts) != 50 {
 		t.Fatalf("hosts = %d", len(rep.Hosts))
 	}
 	for _, h := range rep.Hosts {
@@ -76,7 +76,7 @@ func TestSurveyQuick(t *testing.T) {
 		t.Fatalf("FractionWithReordering = %v", frac)
 	}
 	cdf := rep.CDF()
-	if cdf.N() != 12 {
+	if cdf.N() != 50 {
 		t.Fatalf("CDF over %d paths", cdf.N())
 	}
 	var sb strings.Builder
@@ -87,7 +87,7 @@ func TestSurveyQuick(t *testing.T) {
 }
 
 func TestAgreementFromSurvey(t *testing.T) {
-	cfg := QuickSurvey()
+	cfg := DefaultSurvey()
 	cfg.Rounds = 8
 	survey := RunSurvey(cfg)
 	rep := RunAgreement(survey)
@@ -114,12 +114,12 @@ func TestAgreementFromSurvey(t *testing.T) {
 	}
 }
 
-func TestTimeSeriesQuick(t *testing.T) {
-	rep, err := RunTimeSeries(QuickTimeSeries())
+func TestTimeSeries(t *testing.T) {
+	rep, err := RunTimeSeries(DefaultTimeSeries())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Points) != QuickTimeSeries().Rounds {
+	if len(rep.Points) != DefaultTimeSeries().Rounds {
 		t.Fatalf("points = %d", len(rep.Points))
 	}
 	var sb strings.Builder
@@ -156,7 +156,7 @@ func TestTimeSeriesTracksDrift(t *testing.T) {
 }
 
 func TestGapSweepShape(t *testing.T) {
-	rep, err := RunGapSweep(QuickGapSweep())
+	rep, err := RunGapSweep(DefaultGapSweep())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,8 +192,8 @@ func TestGapScheduleMatchesPaper(t *testing.T) {
 	}
 }
 
-func TestBaselinesQuick(t *testing.T) {
-	rep, err := RunBaselines(QuickBaselines())
+func TestBaselines(t *testing.T) {
+	rep, err := RunBaselines(DefaultBaselines())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,8 +216,8 @@ func TestBaselinesQuick(t *testing.T) {
 }
 
 func TestValidationDeterministic(t *testing.T) {
-	a := RunValidation(QuickValidation())
-	b := RunValidation(QuickValidation())
+	a := RunValidation(DefaultValidation())
+	b := RunValidation(DefaultValidation())
 	if len(a.Runs) != len(b.Runs) {
 		t.Fatal("run counts differ")
 	}

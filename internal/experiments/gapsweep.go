@@ -30,19 +30,10 @@ type GapSweepConfig struct {
 	Workers int
 }
 
-// DefaultGapSweep follows the paper's sampling schedule. It is sized for
-// `reorder timedist`; benchmarks use QuickGapSweep.
+// DefaultGapSweep follows the paper's sampling schedule: 1000 pairs at
+// each of core.PaperGaps' 216 spacings.
 func DefaultGapSweep() GapSweepConfig {
 	return GapSweepConfig{Gaps: core.PaperGaps(), SamplesPerPoint: 1000, Seed: 77}
-}
-
-// QuickGapSweep is a sparse, fast version preserving the curve's shape.
-func QuickGapSweep() GapSweepConfig {
-	return GapSweepConfig{
-		Gaps:            core.GapSchedule(25*time.Microsecond, 100*time.Microsecond),
-		SamplesPerPoint: 200,
-		Seed:            77,
-	}
 }
 
 // GapSweepReport is the Fig 7 curve.

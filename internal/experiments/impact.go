@@ -47,16 +47,6 @@ func DefaultImpact() ImpactConfig {
 	}
 }
 
-// QuickImpact is the benchmark-scale version.
-func QuickImpact() ImpactConfig {
-	return ImpactConfig{
-		Jitters: []time.Duration{0, 2 * time.Millisecond},
-		Bytes:   128 << 10,
-		Repeats: 1,
-		Seed:    99,
-	}
-}
-
 // ImpactRow is one reordering intensity's outcome.
 type ImpactRow struct {
 	Jitter time.Duration

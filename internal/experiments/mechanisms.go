@@ -26,13 +26,6 @@ func DefaultMechanisms() GapSweepConfig {
 	}
 }
 
-// QuickMechanisms is the benchmark-scale version.
-func QuickMechanisms() GapSweepConfig {
-	cfg := DefaultMechanisms()
-	cfg.SamplesPerPoint = 150
-	return cfg
-}
-
 // MechanismCurve is one mechanism's gap signature.
 type MechanismCurve struct {
 	Name string

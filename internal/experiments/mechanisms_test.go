@@ -7,7 +7,7 @@ import (
 )
 
 func TestMechanismSignatures(t *testing.T) {
-	rep, err := RunMechanisms(QuickMechanisms())
+	rep, err := RunMechanisms(DefaultMechanisms())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,7 @@ import (
 func TestGapSweepWorkerCountInvariant(t *testing.T) {
 	var ref []byte
 	for _, workers := range []int{1, 4, 16} {
-		cfg := QuickGapSweep()
+		cfg := DefaultGapSweep()
 		cfg.Workers = workers
 		rep, err := RunGapSweep(cfg)
 		if err != nil {
@@ -34,7 +34,7 @@ func TestGapSweepWorkerCountInvariant(t *testing.T) {
 func TestMechanismsWorkerCountInvariant(t *testing.T) {
 	var ref []byte
 	for _, workers := range []int{1, 7} {
-		cfg := QuickMechanisms()
+		cfg := DefaultMechanisms()
 		cfg.Workers = workers
 		rep, err := RunMechanisms(cfg)
 		if err != nil {

@@ -45,11 +45,6 @@ func DefaultSurvey() SurveyConfig {
 	return SurveyConfig{Hosts: 50, Rounds: 40, Samples: 15, Seed: 719}
 }
 
-// QuickSurvey is the benchmark-scale version.
-func QuickSurvey() SurveyConfig {
-	return SurveyConfig{Hosts: 12, Rounds: 6, Samples: 8, Seed: 719}
-}
-
 // HostRecord describes one surveyed host and its measurement outcomes.
 type HostRecord struct {
 	Name       string

@@ -37,12 +37,6 @@ func DefaultTimeSeries() TimeSeriesConfig {
 	return TimeSeriesConfig{Rounds: 60, Samples: 40, Period: 10 * time.Minute, PeakRate: 0.15, Seed: 66}
 }
 
-// QuickTimeSeries is the benchmark-scale version. The sample count stays
-// large enough that per-round rate estimates can track the drift at all.
-func QuickTimeSeries() TimeSeriesConfig {
-	return TimeSeriesConfig{Rounds: 12, Samples: 25, Period: 2 * time.Minute, PeakRate: 0.20, Seed: 66}
-}
-
 // TimeSeriesPoint is one interleaved measurement round.
 type TimeSeriesPoint struct {
 	At       time.Duration // virtual time of the round

@@ -42,11 +42,6 @@ func DefaultValidation() ValidationConfig {
 	}
 }
 
-// QuickValidation is a reduced grid for benchmarks and smoke tests.
-func QuickValidation() ValidationConfig {
-	return ValidationConfig{Rates: []float64{0.05, 0.40}, Samples: 20, Seed: 2002}
-}
-
 // ValidationRun is one (test, forward rate, reverse rate) cell.
 type ValidationRun struct {
 	Test             string

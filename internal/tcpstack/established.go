@@ -56,6 +56,11 @@ func (s *Stack) processAck(c *conn, hdr *packet.TCPHeader) {
 	}
 }
 
+// requestLineLimit bounds the request line the way a web server's limit
+// does: a '\n' in a segment that starts this far into the stream or beyond
+// does not complete a request.
+const requestLineLimit = 8 << 10
+
 // processData implements receive-side sequence processing.
 func (s *Stack) processData(c *conn, p *packet.Packet) {
 	hdr := p.TCP
@@ -80,9 +85,11 @@ func (s *Stack) processData(c *conn, p *packet.Packet) {
 		// In-order (seq <= rcvNxt < end): advance and merge the OOO queue.
 		c.rcvNxt = end
 		filled := s.mergeOOO(c)
-		// reqNewline only ever turns true, so a connection past its request
-		// line (a bulk sink's, say) stops scanning payloads for it.
-		if !c.reqNewline && bytes.IndexByte(p.Payload, '\n') >= 0 {
+		// reqNewline only ever turns true, and only a segment that starts
+		// within requestLineLimit of the stream is scanned, so a connection
+		// past its request line, or a bulk sink's that never gets one, stops
+		// scanning payloads for it.
+		if !c.reqNewline && seq-(c.irs+1) < requestLineLimit && bytes.IndexByte(p.Payload, '\n') >= 0 {
 			c.reqNewline = true
 		}
 		s.appDeliver(c)

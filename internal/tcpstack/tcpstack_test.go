@@ -1,6 +1,7 @@
 package tcpstack
 
 import (
+	"bytes"
 	"net/netip"
 	"testing"
 	"time"
@@ -529,6 +530,27 @@ func TestServeStopsWhenFullyAcked(t *testing.T) {
 	h.loop.RunFor(time.Second)
 	if rtx := dataSegments(h.drain()); len(rtx) != 0 {
 		t.Fatalf("server kept transmitting after full ACK: %v", summaries(rtx))
+	}
+}
+
+// TestRequestLineLimit checks that only a '\n' near the stream's start
+// completes the request: one at byte 100 is served, one behind 9 KiB of
+// other bytes, past requestLineLimit, is not.
+func TestRequestLineLimit(t *testing.T) {
+	for _, tc := range []struct {
+		before int // bytes ahead of the '\n'
+		served bool
+	}{{100, true}, {9 << 10, false}} {
+		h := newHarness(t, Config{ObjectSize: 64})
+		serverISS := h.handshake(4000, 100)
+		stream := append(bytes.Repeat([]byte{'x'}, tc.before), '\n')
+		for off := 0; off < len(stream); off += 1024 {
+			seg := stream[off:min(off+1024, len(stream))]
+			h.inject(&packet.TCPHeader{SrcPort: 4000, DstPort: 80, Seq: 101 + uint32(off), Ack: serverISS + 1, Flags: packet.FlagACK, Window: 65535}, seg)
+		}
+		if got := len(dataSegments(h.drain())) > 0; got != tc.served {
+			t.Errorf("'\\n' after %d bytes: served %v, want %v", tc.before, got, tc.served)
+		}
 	}
 }
 
