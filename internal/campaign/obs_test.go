@@ -275,7 +275,12 @@ func TestInterruptDrainsAndResumes(t *testing.T) {
 	closed := false
 	sum, partial := runCampaign(t, dir, 2, func(c *Config) {
 		c.CheckpointPath = ckpt
-		c.Batch = 1 // single-target spans: the drain point lands early
+		// Single-target spans under a two-target window: when Progress
+		// reports the second emit, dispatch can have granted no more
+		// than the first few targets, so the drain point lands early
+		// however the workers are scheduled.
+		c.Batch = 1
+		c.Window = 2
 		c.Interrupt = interrupt
 		c.Progress = func(done, total int) {
 			if !closed && done >= 2 {
@@ -287,7 +292,7 @@ func TestInterruptDrainsAndResumes(t *testing.T) {
 	total := len(bytes.Split(bytes.TrimRight(want, "\n"), []byte("\n")))
 	got := strings.Count(string(partial), "\n")
 	if got >= total {
-		t.Skipf("drain finished the whole campaign (%d targets) before quiesce took effect", got)
+		t.Fatalf("drain finished the whole campaign (%d targets) before quiesce took effect", got)
 	}
 	if !sum.Interrupted {
 		t.Fatalf("summary of a drained run (%d/%d emitted) not marked interrupted", got, total)
