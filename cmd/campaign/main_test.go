@@ -98,6 +98,28 @@ func TestRunSmoke(t *testing.T) {
 	}
 }
 
+// TestGoldens pins every byte the chaos and congestion experiments print
+// at their defaults, the reports README quotes, and holds a one-worker run
+// to the same bytes.
+func TestGoldens(t *testing.T) {
+	for _, c := range []string{"chaos", "congestion"} {
+		want, err := os.ReadFile(filepath.Join("testdata", c+".out"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, args := range [][]string{{c}, {c, "-workers", "1"}} {
+			var got bytes.Buffer
+			if err := run(args, &got); err != nil {
+				t.Fatalf("campaign %s: %v", strings.Join(args, " "), err)
+			}
+			if got.String() != string(want) {
+				t.Errorf("campaign %s differs from testdata/%s.out:\n--- got\n%s--- want\n%s",
+					strings.Join(args, " "), c, got.String(), want)
+			}
+		}
+	}
+}
+
 // TestRunListTargets checks the enumeration listing path.
 func TestRunListTargets(t *testing.T) {
 	var buf bytes.Buffer

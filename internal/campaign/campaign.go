@@ -22,9 +22,10 @@
 //   - Aggregator: per-worker shards merged lock-free (each worker owns its
 //     shard exclusively) and folded into a Summary with percentile rate
 //     statistics from internal/stats at the end of the run.
-//   - Sink: streaming consumers of per-target results — JSONL and CSV —
-//     fed strictly in target-index order, which makes campaign output
-//     byte-reproducible for a fixed seed and safe to resume.
+//   - Sinks: the JSONL and CSV files. Workers render each result's bytes
+//     as it completes and the in-order emit writes whole spans, strictly
+//     in target-index order, which makes campaign output byte-reproducible
+//     for a fixed seed and safe to resume.
 //   - Checkpoint: a small JSON file recording how many results have been
 //     durably emitted; an interrupted campaign resumes from it and
 //     produces output identical to an uninterrupted run.
@@ -76,8 +77,6 @@ type Config struct {
 	OutputPath string
 	// CSVPath, when set, streams per-target results as CSV.
 	CSVPath string
-	// Sinks are additional streaming consumers (e.g. for tests).
-	Sinks []Sink
 
 	// CheckpointPath, when set, persists progress every CheckpointEvery
 	// emitted results (default 64) and at completion.
@@ -180,10 +179,7 @@ func Run(cfg Config) (*Summary, error) {
 	// few batches in flight as a thousand-target one.
 	pool := &batchPool{}
 	table := NewSpanTable(start, end, poolSpanCap, sched.cfg, func(sp Span, b *spanBatch) error {
-		// Extra sinks get per-result copies inside EmitSpan: batch slots
-		// are pooled and overwritten by later spans, and the Sink contract
-		// has always allowed retaining the record.
-		if err := em.EmitSpan(sp.Lo, sp.Hi, b.json, b.csv, b.results); err != nil {
+		if err := em.EmitSpan(sp.Lo, sp.Hi, b.json, b.csv); err != nil {
 			return err
 		}
 		pool.put(b)
@@ -191,7 +187,7 @@ func Run(cfg Config) (*Summary, error) {
 	})
 	err = runPool(sched, table,
 		func(worker int, sp Span) *spanBatch {
-			b := pool.get(sp.Hi - sp.Lo)
+			b := pool.get()
 			b.lo, b.hi = sp.Lo, sp.Hi
 			workers[worker].batch = b
 			workers[worker].spanSimNs = 0
@@ -201,12 +197,11 @@ func Run(cfg Config) (*Summary, error) {
 		func(worker, index, attempt int) error {
 			w := &workers[worker]
 			b := w.batch
-			res := &b.results[index-b.lo]
-			final := step.Attempt(w.arena, index, attempt, res, agg.Shard(worker), &b.json, &b.csv)
+			final := step.Attempt(w.arena, index, attempt, &w.res, agg.Shard(worker), &b.json, &b.csv)
 			w.spanSimNs += w.arena.LastSimNanos()
 			if !final {
-				cfg.Trace.Retry(worker, index, attempt, w.arena.LastSimNanos(), res.Err)
-				return fmt.Errorf("campaign: target %d: %s", index, res.Err)
+				cfg.Trace.Retry(worker, index, attempt, w.arena.LastSimNanos(), w.res.Err)
+				return fmt.Errorf("campaign: target %d: %s", index, w.res.Err)
 			}
 			if index == b.hi-1 {
 				cfg.Trace.SpanDone(worker, b.lo, b.hi, w.spanSimNs, int64(len(b.json)+len(b.csv)))
@@ -232,19 +227,21 @@ func Run(cfg Config) (*Summary, error) {
 type campaignWorker struct {
 	arena *ProbeArena
 	batch *spanBatch
+	// res is the scratch each attempt probes into; a final result leaves
+	// only as the batch's rendered bytes and the shard's fold.
+	res TargetResult
 
 	// spanSimNs accumulates the current span's simulated time for its
 	// trace event (0 without an observer on the arena).
 	spanSimNs int64
 }
 
-// spanBatch carries one dispatch span's results and their pre-encoded sink
-// bytes from the worker that produced them to the in-order emit.
+// spanBatch carries one dispatch span's pre-encoded sink bytes from the
+// worker that produced them to the in-order emit.
 type spanBatch struct {
-	lo, hi  int
-	results []TargetResult
-	json    []byte // newline-terminated records, span order
-	csv     []byte // encoded rows, span order
+	lo, hi int
+	json   []byte // newline-terminated records, span order
+	csv    []byte // encoded rows, span order
 }
 
 // batchPool is the free list of spanBatches: one short critical section at
@@ -254,8 +251,8 @@ type batchPool struct {
 	free []*spanBatch
 }
 
-// get checks a batch for n results out of the pool, reset for filling.
-func (p *batchPool) get(n int) *spanBatch {
+// get checks a batch out of the pool, reset for filling.
+func (p *batchPool) get() *spanBatch {
 	p.mu.Lock()
 	var b *spanBatch
 	if k := len(p.free); k > 0 {
@@ -265,10 +262,6 @@ func (p *batchPool) get(n int) *spanBatch {
 		b = &spanBatch{}
 	}
 	p.mu.Unlock()
-	if cap(b.results) < n {
-		b.results = make([]TargetResult, n)
-	}
-	b.results = b.results[:n]
 	b.json, b.csv = b.json[:0], b.csv[:0]
 	return b
 }
@@ -280,14 +273,11 @@ func (p *batchPool) put(b *spanBatch) {
 	p.mu.Unlock()
 }
 
-// sinkSet is the campaign's open sinks, with the built-in batch-capable
-// pair held by type (the batched emit path writes pre-encoded bytes to
-// them directly) and caller-provided sinks fed record by record.
+// sinkSet is the campaign's open output files; the emit path writes
+// pre-encoded span bytes to them directly.
 type sinkSet struct {
 	jsonl *JSONLSink
 	csv   *CSVSink
-	extra []Sink
-	all   []Sink // every open sink, for flush/close
 }
 
 // openSinks assembles the configured sinks. When resuming, the JSONL file
@@ -300,12 +290,10 @@ type sinkSet struct {
 func openSinks(cfg Config, replayed []TargetResult) (sinkSet, error) {
 	var sinks sinkSet
 	fail := func(err error) (sinkSet, error) {
-		closeAll(sinks.all)
+		sinks.close()
 		return sinkSet{}, err
 	}
 	resuming := len(replayed) > 0
-	withTopo := hasTopology(cfg.Targets)
-	withScn := hasScenario(cfg.Targets)
 	if cfg.OutputPath != "" {
 		flags := os.O_CREATE | os.O_WRONLY | os.O_TRUNC
 		if resuming {
@@ -316,44 +304,41 @@ func openSinks(cfg Config, replayed []TargetResult) (sinkSet, error) {
 			return fail(err)
 		}
 		sinks.jsonl = NewJSONLSink(f)
-		sinks.all = append(sinks.all, sinks.jsonl)
 	}
 	if cfg.CSVPath != "" {
 		f, err := os.OpenFile(cfg.CSVPath, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 		if err != nil {
 			return fail(err)
 		}
-		cs := NewCSVSink(f)
-		if withTopo {
-			// Enable the topology column before the rebuild below so the
-			// header carries the same shape as the rows.
-			cs.IncludeTopology()
-		}
-		if withScn {
-			cs.IncludeScenario()
-		}
-		sinks.csv = cs
-		sinks.all = append(sinks.all, cs)
+		sinks.csv = NewCSVSink(f, hasTopology(cfg.Targets), hasScenario(cfg.Targets))
 		if resuming {
-			if err := rebuildCSV(cs, replayed, withTopo, withScn); err != nil {
+			if err := rebuildCSV(sinks.csv, replayed); err != nil {
 				return fail(err)
 			}
 		}
 	}
-	sinks.extra = cfg.Sinks
-	sinks.all = append(sinks.all, cfg.Sinks...)
 	return sinks, nil
 }
 
-// closeAll closes every sink, returning the first error.
-func closeAll(sinks []Sink) error {
-	var first error
-	for _, s := range sinks {
-		if err := s.Close(); err != nil && first == nil {
-			first = err
+// flush flushes both open sinks and returns the first error.
+func (s *sinkSet) flush() error { return s.each((*fileSink).Flush) }
+
+// close closes both open sinks and returns the first error.
+func (s *sinkSet) close() error { return s.each((*fileSink).Close) }
+
+// each applies op to the open sinks, JSONL first; the CSV sink gets op even
+// when the JSONL one failed.
+func (s *sinkSet) each(op func(*fileSink) error) error {
+	var err error
+	if s.jsonl != nil {
+		err = op(&s.jsonl.fileSink)
+	}
+	if s.csv != nil {
+		if cerr := op(&s.csv.fileSink); err == nil {
+			err = cerr
 		}
 	}
-	return first
+	return err
 }
 
 // hasTopology reports whether any target names a routed-graph topology —

@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"math"
@@ -480,6 +481,71 @@ func TestResumeRefusesOversizedCheckpoint(t *testing.T) {
 	}
 }
 
+// TestEmitterRefusals drives each of the emitter's refusals — no targets,
+// Resume without a checkpoint, an output path that cannot be opened, a
+// span off the emit frontier — and checks the error and that no output
+// reached disk.
+func TestEmitterRefusals(t *testing.T) {
+	targets, err := Enumerate(smallSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		cfg  func(dir string) Config
+		emit bool // NewEmitter succeeds; EmitSpan refuses
+		want string
+	}{
+		{"no targets", func(dir string) Config {
+			return Config{OutputPath: filepath.Join(dir, "out.jsonl")}
+		}, false, "no targets"},
+		{"resume without checkpoint", func(dir string) Config {
+			return Config{Targets: targets, Resume: true,
+				OutputPath: filepath.Join(dir, "out.jsonl"), CSVPath: filepath.Join(dir, "out.csv")}
+		}, false, "Resume requires CheckpointPath"},
+		{"unopenable output", func(dir string) Config {
+			return Config{Targets: targets,
+				OutputPath: filepath.Join(dir, "missing", "out.jsonl"), CSVPath: filepath.Join(dir, "out.csv")}
+		}, false, "missing"},
+		{"span off the frontier", func(dir string) Config {
+			return Config{Targets: targets, CheckpointEvery: 1,
+				OutputPath: filepath.Join(dir, "out.jsonl"), CSVPath: filepath.Join(dir, "out.csv"),
+				CheckpointPath: filepath.Join(dir, "ckpt.json")}
+		}, true, "emit of span [1,2) at frontier 0"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			em, err := NewEmitter(tc.cfg(dir))
+			if tc.emit {
+				if err != nil {
+					t.Fatal(err)
+				}
+				rec := []byte("{}\n")
+				err = em.EmitSpan(1, 2, rec, rec)
+				if _, ferr := em.Finish(err); ferr != err {
+					t.Fatalf("Finish returned %v, want the emit error %v", ferr, err)
+				}
+			}
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("got %v, want an error containing %q", err, tc.want)
+			}
+			entries, rerr := os.ReadDir(dir)
+			if rerr != nil {
+				t.Fatal(rerr)
+			}
+			for _, e := range entries {
+				info, ierr := e.Info()
+				if ierr != nil {
+					t.Fatal(ierr)
+				}
+				if !tc.emit || info.Size() != 0 {
+					t.Errorf("refused run left %s (%d bytes)", e.Name(), info.Size())
+				}
+			}
+		})
+	}
+}
+
 // TestCampaignResumeTruncatesUnacknowledged simulates a crash where the
 // output ran ahead of the checkpoint: extra records past the checkpoint
 // must be dropped and re-probed to the same bytes.
@@ -596,15 +662,39 @@ func TestCheckpointFingerprintMismatch(t *testing.T) {
 	}
 }
 
+// runRecords runs cfg with its JSONL written to a scratch file and returns
+// the summary and the file's records, decoded with encoding/json.
+func runRecords(t *testing.T, cfg Config) (*Summary, []TargetResult) {
+	t.Helper()
+	cfg.OutputPath = filepath.Join(t.TempDir(), "out.jsonl")
+	sum, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(cfg.OutputPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var records []TargetResult
+	for dec := json.NewDecoder(bytes.NewReader(data)); dec.More(); {
+		var r TargetResult
+		if err := dec.Decode(&r); err != nil {
+			t.Fatal(err)
+		}
+		records = append(records, r)
+	}
+	return sum, records
+}
+
 // TestCSVSink checks header, row cadence and resume header suppression.
 func TestCSVSink(t *testing.T) {
 	var buf bytes.Buffer
-	s := NewCSVSink(&buf)
+	s := NewCSVSink(&buf, false, false)
 	r := &TargetResult{Index: 0, Name: "n", Profile: "p", Impairment: "i", Test: "single", Attempts: 1}
-	if err := s.Emit(r); err != nil {
+	if err := s.EmitBatch(appendCSVRow(nil, r, false, false)); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Emit(r); err != nil {
+	if err := s.EmitBatch(appendCSVRow(nil, r, false, false)); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
@@ -661,28 +751,21 @@ func TestSummaryQuantilesMatchRawPool(t *testing.T) {
 		t.Fatalf("default enumeration is %d targets, want 2016", len(targets))
 	}
 	var pathRates, rtts, exposures []float64
-	sum, err := Run(Config{
-		Targets: targets,
-		Samples: 8,
-		Workers: 16,
-		Sinks: []Sink{FuncSink(func(r *TargetResult) error {
-			if r.Err != "" || r.DCTExcluded != "" {
-				return nil
-			}
-			if rate, ok := r.PathRate(); ok {
-				pathRates = append(pathRates, rate)
-			}
-			if r.RTTMicros > 0 {
-				rtts = append(rtts, float64(r.RTTMicros))
-			}
-			if r.SeqReceived > 0 {
-				exposures = append(exposures, r.SeqDupthreshExposure)
-			}
-			return nil
-		})},
-	})
-	if err != nil {
-		t.Fatal(err)
+	sum, records := runRecords(t, Config{Targets: targets, Samples: 8, Workers: 16})
+	for i := range records {
+		r := &records[i]
+		if r.Err != "" || r.DCTExcluded != "" {
+			continue
+		}
+		if rate, ok := r.PathRate(); ok {
+			pathRates = append(pathRates, rate)
+		}
+		if r.RTTMicros > 0 {
+			rtts = append(rtts, float64(r.RTTMicros))
+		}
+		if r.SeqReceived > 0 {
+			exposures = append(exposures, r.SeqDupthreshExposure)
+		}
 	}
 
 	check := func(name string, got RateSummary, raw []float64, binWidth func(x float64) float64) {

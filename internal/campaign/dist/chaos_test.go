@@ -3,8 +3,10 @@ package dist
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"net"
 	"os"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -17,17 +19,50 @@ import (
 // The chaos soak needs real worker *processes* (so a kill+respawn is a
 // genuine SIGKILL, not a simulated one). The test binary doubles as the
 // worker: TestMain re-execs os.Args[0] with these env vars set, and the
-// child runs RunWorker instead of the test suite.
+// child runs RunWorker instead of the test suite — or, with envCrash set,
+// exits 3 at once, a worker that crashes on every start.
 const (
 	envWorker = "CAMPAIGN_DIST_TEST_WORKER"
 	envAddr   = "CAMPAIGN_DIST_TEST_ADDR"
+	envCrash  = "CAMPAIGN_DIST_TEST_CRASH"
 )
 
 func TestMain(m *testing.M) {
+	if os.Getenv(envCrash) == "1" {
+		os.Exit(3)
+	}
 	if os.Getenv(envWorker) == "1" {
 		os.Exit(chaosWorkerMain())
 	}
 	os.Exit(m.Run())
+}
+
+// TestSupervisorExhaustsBudget: a worker that crashes on every start is
+// respawned until the budget is spent; then Exhausted closes — serve's cue
+// to drain and checkpoint — and Wait reports the exhaustion instead of
+// waiting for a fleet that will never come back.
+func TestSupervisorExhaustsBudget(t *testing.T) {
+	t.Setenv(envCrash, "1")
+	reg := obs.NewCampaign(1)
+	sup, err := Supervise(1, os.Args[0], nil, 2, io.Discard, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-sup.Exhausted():
+	case <-time.After(time.Minute):
+		sup.Kill()
+		t.Fatal("respawn budget of 2 not exhausted by a worker that always exits 3")
+	}
+	// What serve does after a failed run; every process has exited, so it
+	// must neither block nor fail.
+	sup.Kill()
+	if got := reg.Dist.Respawns.Load(); got != 2 {
+		t.Errorf("%d respawns counted, want the budget of 2", got)
+	}
+	if err := sup.Wait(time.Second); err == nil || !strings.Contains(err.Error(), "respawn budget exhausted") {
+		t.Fatalf("Wait: got %v, want the respawn budget error", err)
+	}
 }
 
 // soakSpec is the chaos-soak enumeration: 72 targets, big enough that

@@ -16,15 +16,13 @@ type Config struct {
 	// Campaign is the full campaign configuration: targets, samples,
 	// retries (communicated to workers — the coordinator owns every
 	// probe-affecting knob so distributed output matches single-process
-	// bytes), sinks, checkpoint/resume, telemetry, Interrupt. Batch is the
-	// lease granularity in targets and Window bounds how far leases may run
-	// ahead of the emit frontier — the stash of reported spans never holds
-	// more than this many targets; zero resolves either through the rule
-	// campaign.Run uses, with ExpectWorkers as the worker count and
+	// bytes), output files, checkpoint/resume, telemetry, Interrupt. Batch
+	// is the lease granularity in targets and Window bounds how far leases
+	// may run ahead of the emit frontier — the stash of reported spans never
+	// holds more than this many targets; zero resolves either through the
+	// rule campaign.Run uses, with ExpectWorkers as the worker count and
 	// campaign.LeaseSpanCap (512) in place of the pool's 32 as the cap on an
-	// unset Batch (see campaign.SchedulerConfig). Extra in-process Sinks are
-	// not supported in distributed mode: the coordinator handles rendered
-	// bytes, not decoded results.
+	// unset Batch (see campaign.SchedulerConfig).
 	Campaign campaign.Config
 
 	// Listener accepts worker connections; Serve closes it. See Listen.
@@ -95,9 +93,6 @@ func Serve(cfg Config) (*campaign.Summary, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Listener == nil {
 		return nil, errors.New("dist: Serve requires a Listener")
-	}
-	if len(cfg.Campaign.Sinks) > 0 {
-		return nil, errors.New("dist: extra in-process sinks are unsupported in distributed mode")
 	}
 	em, err := campaign.NewEmitter(cfg.Campaign)
 	if err != nil {
@@ -354,7 +349,7 @@ func (c *coordinator) emit(sp campaign.Span, p reportedSpan) error {
 	if err := c.agg.Shard(0).MergeDelta(p.shard); err != nil {
 		return fmt.Errorf("dist: worker %d span [%d,%d): %w", p.worker, sp.Lo, sp.Hi, err)
 	}
-	return c.em.EmitSpan(sp.Lo, sp.Hi, p.jsonb, p.csvb, nil)
+	return c.em.EmitSpan(sp.Lo, sp.Hi, p.jsonb, p.csvb)
 }
 
 // getBuf returns an n-byte buffer from the free list, growing one only

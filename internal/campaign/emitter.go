@@ -126,12 +126,10 @@ func (e *Emitter) StartRun(workers int) {
 // EmitSpan emits one contiguous span's pre-rendered bytes: jsonb is the
 // span's newline-terminated JSONL records and csvb its encoded CSV rows,
 // both in index order (either may be nil when the matching sink is not
-// configured). results feeds caller-provided extra sinks and may be nil
-// when there are none; each record is copied before Emit because callers
-// pool result slots. Spans must arrive exactly at the frontier — the span
+// configured). Spans must arrive exactly at the frontier — the span
 // table's in-order drain guarantees this, and the check makes a violation
 // loud rather than a silent output corruption.
-func (e *Emitter) EmitSpan(lo, hi int, jsonb, csvb []byte, results []TargetResult) error {
+func (e *Emitter) EmitSpan(lo, hi int, jsonb, csvb []byte) error {
 	if lo != e.emitted || hi < lo {
 		return fmt.Errorf("campaign: internal: emit of span [%d,%d) at frontier %d", lo, hi, e.emitted)
 	}
@@ -153,19 +151,6 @@ func (e *Emitter) EmitSpan(lo, hi int, jsonb, csvb []byte, results []TargetResul
 			e.cfg.Obs.Sinks.CSVBytes.Add(uint64(len(csvb)))
 		}
 	}
-	if len(e.sinks.extra) > 0 {
-		if len(results) != hi-lo {
-			return fmt.Errorf("campaign: extra sinks need decoded results for span [%d,%d), got %d", lo, hi, len(results))
-		}
-		for i := range results {
-			r := results[i]
-			for _, s := range e.sinks.extra {
-				if err := s.Emit(&r); err != nil {
-					return err
-				}
-			}
-		}
-	}
 	prev := e.emitted
 	e.emitted = hi
 	e.cfg.Trace.SpanEmit(lo, hi, e.emitted)
@@ -177,10 +162,8 @@ func (e *Emitter) EmitSpan(lo, hi int, jsonb, csvb []byte, results []TargetResul
 		// are batch-granular — one save per crossed CheckpointEvery
 		// boundary — with the exact final count preserved.
 		flushStart := time.Now()
-		for _, s := range e.sinks.all {
-			if err := s.Flush(); err != nil {
-				return err
-			}
+		if err := e.sinks.flush(); err != nil {
+			return err
 		}
 		e.ck.Done = e.emitted
 		if err := e.ck.Save(e.cfg.CheckpointPath); err != nil {
@@ -220,10 +203,8 @@ func (e *Emitter) Finish(runErr error) (interrupted bool, err error) {
 		e.cfg.Obs.NoteQuiesce()
 		e.cfg.Trace.Quiesce(e.emitted)
 		if e.cfg.CheckpointPath != "" && e.ck.Done != e.emitted {
-			for _, s := range e.sinks.all {
-				if ferr := s.Flush(); ferr != nil && err == nil {
-					err = ferr
-				}
+			if ferr := e.sinks.flush(); err == nil {
+				err = ferr
 			}
 			if err == nil {
 				e.ck.Done = e.emitted
@@ -231,7 +212,7 @@ func (e *Emitter) Finish(runErr error) (interrupted bool, err error) {
 			}
 		}
 	}
-	closeErr := closeAll(e.sinks.all)
+	closeErr := e.sinks.close()
 	if err == nil {
 		err = closeErr
 	}

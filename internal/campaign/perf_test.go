@@ -51,13 +51,13 @@ func TestArenaCampaignMatchesFreshPerTarget(t *testing.T) {
 	// same sinks the campaign uses.
 	var wantJSONL, wantCSV bytes.Buffer
 	js := NewJSONLSink(&wantJSONL)
-	cs := NewCSVSink(&wantCSV)
+	cs := NewCSVSink(&wantCSV, false, false)
 	for _, tg := range targets {
 		r := ProbeTarget(tg, 4, 0)
-		if err := js.Emit(r); err != nil {
+		if err := js.EmitBatch(append(r.AppendJSON(nil), '\n')); err != nil {
 			t.Fatal(err)
 		}
-		if err := cs.Emit(r); err != nil {
+		if err := cs.EmitBatch(appendCSVRow(nil, r, false, false)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -240,7 +240,7 @@ func (rp *replay) failLocked(at int, err error) {
 // rebuildCSV writes the replayed prefix's rows to cs in index order. Up to
 // GOMAXPROCS goroutines each render replayRange records at a time into a
 // buffer of their own, and take turns at the sink in index order.
-func rebuildCSV(cs *CSVSink, replayed []TargetResult, withTopo, withScn bool) error {
+func rebuildCSV(cs *CSVSink, replayed []TargetResult) error {
 	workers := rangeWorkers(len(replayed), runtime.GOMAXPROCS(0))
 	rb := &csvRebuild{bufs: make([][]byte, workers)}
 	rb.turn.L = &rb.mu
@@ -255,7 +255,7 @@ func rebuildCSV(cs *CSVSink, replayed []TargetResult, withTopo, withScn bool) er
 	forRanges(len(replayed), workers, func(w, lo, hi int) {
 		buf := rb.bufs[w][:0]
 		for i := lo; i < hi; i++ {
-			buf = appendCSVRow(buf, &replayed[i], withTopo, withScn)
+			buf = appendCSVRow(buf, &replayed[i], cs.withTopo, cs.withScn)
 		}
 		rb.bufs[w] = buf
 		rb.mu.Lock()

@@ -402,15 +402,9 @@ func TestReplayParallelMatchesSequential(t *testing.T) {
 	}
 	withTopo, withScn := hasTopology(targets), hasScenario(targets)
 	var csvWant bytes.Buffer
-	cs := NewCSVSink(&csvWant)
-	if withTopo {
-		cs.IncludeTopology()
-	}
-	if withScn {
-		cs.IncludeScenario()
-	}
+	cs := NewCSVSink(&csvWant, withTopo, withScn)
 	for i := range wantRes {
-		if err := cs.Emit(&wantRes[i]); err != nil {
+		if err := cs.EmitBatch(appendCSVRow(nil, &wantRes[i], withTopo, withScn)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -25,9 +25,10 @@ func TestRetriedVerdictBias(t *testing.T) {
 	}
 	type group struct{ measured, reordered int }
 	var first, retried group
-	sink := FuncSink(func(r *TargetResult) error {
+	_, records := runRecords(t, Config{Targets: targets, Samples: 8, Workers: 4, Retries: 1})
+	for _, r := range records {
 		if r.Err != "" || r.DCTExcluded != "" {
-			return nil
+			continue
 		}
 		g := &first
 		if r.Attempts > 1 {
@@ -37,10 +38,6 @@ func TestRetriedVerdictBias(t *testing.T) {
 		if r.AnyReordering {
 			g.reordered++
 		}
-		return nil
-	})
-	if _, err := Run(Config{Targets: targets, Samples: 8, Workers: 4, Retries: 1, Sinks: []Sink{sink}}); err != nil {
-		t.Fatal(err)
 	}
 	for _, c := range []struct {
 		name      string

@@ -8,69 +8,32 @@ import (
 	"unicode/utf8"
 )
 
-// Sink is a streaming consumer of per-target results. The campaign feeds
-// sinks strictly in target-index order, one result at a time, so a sink
-// never needs to buffer or sort; memory stays constant however large the
-// campaign is. A resumed campaign feeds a sink only the results past the
-// checkpoint: the built-in files are continued (JSONL, after its prefix
-// was validated — see Checkpoint) or rebuilt from the replayed prefix
-// (CSV), but a caller-provided sink does not see replayed results again.
-type Sink interface {
-	Emit(r *TargetResult) error
-	// Flush forces buffered results to the underlying writer. The
-	// campaign flushes every sink before saving a checkpoint, so the
-	// durable output can never lag behind the acknowledged count.
-	Flush() error
-	// Close flushes and releases the sink. The campaign closes every
-	// sink it was given, including on error paths.
-	Close() error
+// fileSink is the buffered writer the campaign's two output sinks share:
+// results arrive in target-index order as whole pre-rendered spans, so a
+// sink never reorders anything and its memory stays constant however large
+// the campaign is.
+type fileSink struct {
+	bw *bufio.Writer
+	c  io.Closer
 }
 
-// JSONLSink streams one JSON object per line. Field order is fixed by the
-// TargetResult struct, which makes the stream byte-reproducible and
-// therefore checkpoint-resumable: a resume accepts the file's records only
-// in exactly this form. Records are encoded through
-// TargetResult.AppendJSON into a reused buffer rather than reflective
-// json.Marshal, so emitting is allocation-free at steady state.
-type JSONLSink struct {
-	bw  *bufio.Writer
-	c   io.Closer
-	buf []byte
-}
-
-// NewJSONLSink wraps w. If w is an io.Closer it is closed by Close.
-func NewJSONLSink(w io.Writer) *JSONLSink {
-	s := &JSONLSink{bw: bufio.NewWriter(w)}
+// newFileSink wraps w. If w is an io.Closer it is closed by Close.
+func newFileSink(w io.Writer) fileSink {
+	s := fileSink{bw: bufio.NewWriter(w)}
 	if c, ok := w.(io.Closer); ok {
 		s.c = c
 	}
 	return s
 }
 
-// Emit implements Sink.
-func (s *JSONLSink) Emit(r *TargetResult) error {
-	s.buf = r.AppendJSON(s.buf[:0])
-	if _, err := s.bw.Write(s.buf); err != nil {
-		return err
-	}
-	return s.bw.WriteByte('\n')
-}
+// Flush forces buffered bytes to the underlying writer. The campaign
+// flushes both sinks before saving a checkpoint, so the durable output can
+// never lag behind the acknowledged count.
+func (s *fileSink) Flush() error { return s.bw.Flush() }
 
-// EmitBatch writes a batch of pre-encoded, newline-terminated records in
-// one Write — the in-order emit's half of the campaign's batched
-// pipeline (workers render records with TargetResult.AppendJSON as they
-// finish; the serial path just concatenates). Bytes must match what Emit
-// would produce for the same results, which AppendJSON guarantees.
-func (s *JSONLSink) EmitBatch(records []byte) error {
-	_, err := s.bw.Write(records)
-	return err
-}
-
-// Flush implements Sink.
-func (s *JSONLSink) Flush() error { return s.bw.Flush() }
-
-// Close implements Sink.
-func (s *JSONLSink) Close() error {
+// Close flushes the sink and closes the underlying writer if it is an
+// io.Closer.
+func (s *fileSink) Close() error {
 	err := s.bw.Flush()
 	if s.c != nil {
 		if cerr := s.c.Close(); err == nil {
@@ -80,15 +43,31 @@ func (s *JSONLSink) Close() error {
 	return err
 }
 
+// JSONLSink streams one JSON object per line. Field order is fixed by the
+// TargetResult struct, which makes the stream byte-reproducible and
+// therefore checkpoint-resumable: a resume accepts the file's records only
+// in exactly this form.
+type JSONLSink struct{ fileSink }
+
+// NewJSONLSink wraps w. If w is an io.Closer it is closed by Close.
+func NewJSONLSink(w io.Writer) *JSONLSink { return &JSONLSink{newFileSink(w)} }
+
+// EmitBatch writes a batch of pre-encoded, newline-terminated records in
+// one Write — the in-order emit's half of the campaign's batched
+// pipeline (workers render records with TargetResult.AppendJSON as they
+// finish; the serial path just concatenates).
+func (s *JSONLSink) EmitBatch(records []byte) error {
+	_, err := s.bw.Write(records)
+	return err
+}
+
 // CSVSink streams results as CSV in the same idiom as the experiment
 // reports (internal/experiments/csv.go): shortest-roundtrip floats, one
 // documented column set, encoding/csv's quoting. The header is written
 // before the first row; on resume the campaign rebuilds the file from the
 // replayed prefix rather than appending.
 type CSVSink struct {
-	bw        *bufio.Writer
-	c         io.Closer
-	buf       []byte // reused per Emit
+	fileSink
 	wroteHead bool
 	withTopo  bool
 	withScn   bool
@@ -103,32 +82,22 @@ const csvHeader = "index,name,profile,impairment,test,seed,attempts," +
 	"seq_ratio,seq_received,seq_max_extent,seq_n_reordering," +
 	"seq_dupthresh_exposure"
 
-// NewCSVSink wraps w. If w is an io.Closer it is closed by Close.
-func NewCSVSink(w io.Writer) *CSVSink {
-	s := &CSVSink{bw: bufio.NewWriter(w)}
-	if c, ok := w.(io.Closer); ok {
-		s.c = c
-	}
-	return s
+// NewCSVSink wraps w. If w is an io.Closer it is closed by Close. withTopo
+// adds the append-only "topology" column to the header and every row, and
+// withScn the "scenario" column after it. The campaign sets each exactly
+// when the target list has topology (scenario) targets — a deterministic
+// function of the targets, so resumed runs make the same choice — which
+// leaves classic campaigns' CSV output byte-identical to pre-topology
+// builds.
+func NewCSVSink(w io.Writer, withTopo, withScn bool) *CSVSink {
+	return &CSVSink{fileSink: newFileSink(w), withTopo: withTopo, withScn: withScn}
 }
-
-// IncludeTopology adds the append-only "topology" column to the header and
-// every row. The campaign enables it exactly when the target list has
-// topology targets — a deterministic function of the targets, so resumed
-// runs make the same choice — and leaves classic campaigns' CSV output
-// byte-identical to pre-topology builds. Call before the first Emit.
-func (s *CSVSink) IncludeTopology() { s.withTopo = true }
-
-// IncludeScenario adds the append-only "scenario" column, after "topology"
-// when both are present; same contract and gating idiom as IncludeTopology.
-// Call before the first Emit.
-func (s *CSVSink) IncludeScenario() { s.withScn = true }
 
 // appendCSVRow appends r's row in csvHeader order (plus the optional
 // trailing topology and scenario columns) and its line terminator. It is
-// the one CSV renderer — the serial sink, the worker-side row encoder and
-// the resume rebuild all call it — and its bytes equal encoding/csv's over
-// the same fields, which FuzzCSVRow holds it to.
+// the one CSV renderer — the workers' ProbeStep, CSVRowEncoder and the
+// resume rebuild all call it — and its bytes equal encoding/csv's over the
+// same fields, which FuzzCSVRow holds it to.
 func appendCSVRow(dst []byte, r *TargetResult, withTopo, withScn bool) []byte {
 	dst = strconv.AppendInt(dst, int64(r.Index), 10)
 	dst = append(dst, ',')
@@ -225,12 +194,6 @@ func csvNeedsQuotes(s string) bool {
 	return unicode.IsSpace(r)
 }
 
-// Emit implements Sink.
-func (s *CSVSink) Emit(r *TargetResult) error {
-	s.buf = appendCSVRow(s.buf[:0], r, s.withTopo, s.withScn)
-	return s.EmitBatch(s.buf)
-}
-
 // writeHeader writes the column header once.
 func (s *CSVSink) writeHeader() error {
 	if s.wroteHead {
@@ -249,9 +212,7 @@ func (s *CSVSink) writeHeader() error {
 }
 
 // EmitBatch writes a batch of rows pre-encoded by a CSVRowEncoder in one
-// Write, emitting the header first if no row preceded it. Encoder and sink
-// share one renderer (appendCSVRow), so mixing EmitBatch with per-record
-// Emit yields the same bytes as an all-Emit stream.
+// Write, emitting the header first if no row preceded it.
 func (s *CSVSink) EmitBatch(rows []byte) error {
 	if err := s.writeHeader(); err != nil {
 		return err
@@ -260,25 +221,9 @@ func (s *CSVSink) EmitBatch(rows []byte) error {
 	return err
 }
 
-// Flush implements Sink.
-func (s *CSVSink) Flush() error { return s.bw.Flush() }
-
-// Close implements Sink.
-func (s *CSVSink) Close() error {
-	err := s.bw.Flush()
-	if s.c != nil {
-		if cerr := s.c.Close(); err == nil {
-			err = cerr
-		}
-	}
-	return err
-}
-
-// CSVRowEncoder renders TargetResults to CSV row bytes — byte-identical
-// to CSVSink.Emit, because both call appendCSVRow — appended to a buffer
-// the caller owns. Distributed workers each hold one and render rows as
-// results complete; the in-order emit then flushes whole spans with
-// CSVSink.EmitBatch.
+// CSVRowEncoder renders TargetResults to CSV row bytes, appended to a
+// buffer the caller owns: the rows a campaign's workers render, for a
+// caller outside this package to write with CSVSink.EmitBatch.
 type CSVRowEncoder struct {
 	withTopo bool
 	withScn  bool
@@ -287,11 +232,11 @@ type CSVRowEncoder struct {
 // NewCSVRowEncoder returns an encoder for the classic column set.
 func NewCSVRowEncoder() *CSVRowEncoder { return &CSVRowEncoder{} }
 
-// IncludeTopology mirrors CSVSink.IncludeTopology; the campaign sets both
-// from the same predicate so worker rows match the sink's header.
+// IncludeTopology adds the "topology" column, as NewCSVSink's withTopo
+// does; set both from the same predicate so rows match the sink's header.
 func (e *CSVRowEncoder) IncludeTopology() { e.withTopo = true }
 
-// IncludeScenario mirrors CSVSink.IncludeScenario, same predicate pairing.
+// IncludeScenario adds the "scenario" column, as NewCSVSink's withScn does.
 func (e *CSVRowEncoder) IncludeScenario() { e.withScn = true }
 
 // AppendRow appends r's encoded CSV row (with line terminator) to dst.
@@ -300,16 +245,3 @@ func (e *CSVRowEncoder) IncludeScenario() { e.withScn = true }
 func (e *CSVRowEncoder) AppendRow(dst []byte, r *TargetResult) ([]byte, error) {
 	return appendCSVRow(dst, r, e.withTopo, e.withScn), nil
 }
-
-// FuncSink adapts a function to the Sink interface, for tests and
-// in-process consumers.
-type FuncSink func(r *TargetResult) error
-
-// Emit implements Sink.
-func (f FuncSink) Emit(r *TargetResult) error { return f(r) }
-
-// Flush implements Sink.
-func (FuncSink) Flush() error { return nil }
-
-// Close implements Sink.
-func (FuncSink) Close() error { return nil }

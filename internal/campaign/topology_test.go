@@ -200,17 +200,14 @@ func TestCongestionInducedReordering(t *testing.T) {
 		t.Fatal(err)
 	}
 	reordered, probed := 0, 0
-	sink := FuncSink(func(r *TargetResult) error {
+	_, records := runRecords(t, Config{Targets: targets, Samples: 16, Workers: 4})
+	for _, r := range records {
 		if r.Err == "" && r.DCTExcluded == "" {
 			probed++
 			if r.AnyReordering {
 				reordered++
 			}
 		}
-		return nil
-	})
-	if _, err := Run(Config{Targets: targets, Samples: 16, Workers: 4, Sinks: []Sink{sink}}); err != nil {
-		t.Fatal(err)
 	}
 	if probed == 0 {
 		t.Fatal("no successful probes over the shared bottleneck")

@@ -211,8 +211,8 @@ type pairedSpec struct {
 }
 
 // runPaired is the engine behind the congestion and chaos experiments:
-// enumerate test × replica targets for each group, probe them all through
-// the campaign machinery, aggregate each group×test cell, and compare the
+// enumerate test × replica targets for each group, probe them all on the
+// campaign scheduler's pool, aggregate each group×test cell, and compare the
 // techniques' replica-paired rate series per group.
 func runPaired(s pairedSpec) (*PairedReport, error) {
 	if s.replicas <= 0 {
@@ -250,17 +250,19 @@ func runPaired(s pairedSpec) (*PairedReport, error) {
 		ends[gi] = len(targets)
 	}
 
+	// Each pool worker probes through its own arena, re-seeded per target:
+	// the per-target probe campaign.Run drives, with no output files.
+	// RunSpans fails only through its emit callback, and there is none.
 	results := make([]campaign.TargetResult, len(targets))
-	sink := campaign.FuncSink(func(r *campaign.TargetResult) error {
-		results[r.Index] = *r
-		return nil
-	})
-	if _, err := campaign.Run(campaign.Config{
-		Targets: targets, Samples: s.samples, Workers: s.workers,
-		Sinks: []campaign.Sink{sink},
-	}); err != nil {
-		return nil, err
+	sched := campaign.NewScheduler(campaign.SchedulerConfig{Workers: s.workers})
+	arenas := make([]*campaign.ProbeArena, sched.Workers())
+	for i := range arenas {
+		arenas[i] = campaign.NewProbeArena()
 	}
+	_ = sched.RunSpans(0, len(targets), nil, func(worker, i, attempt int) error {
+		arenas[worker].ProbeTargetInto(&results[i], targets[i], s.samples, attempt)
+		return nil
+	}, nil)
 
 	rep := &PairedReport{Title: s.title, Groups: s.groups, Confidence: s.confidence}
 	start := 0
