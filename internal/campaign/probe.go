@@ -1,11 +1,11 @@
 package campaign
 
 import (
+	"errors"
 	"time"
 
 	"reorder/internal/core"
 	"reorder/internal/host"
-	"reorder/internal/ipid"
 	"reorder/internal/metrics"
 	"reorder/internal/obs"
 	"reorder/internal/sim"
@@ -27,8 +27,8 @@ type TargetResult struct {
 	Attempts int `json:"attempts"`
 	// Err is the terminal error, empty on success.
 	Err string `json:"error,omitempty"`
-	// DCTExcluded records why IPID prevalidation ruled the dual test out:
-	// ipid.ReasonZero or ipid.ReasonNonMonotonic.
+	// DCTExcluded records why the dual test's own IPID validation ruled
+	// the target out: ipid.ReasonZero or ipid.ReasonNonMonotonic.
 	DCTExcluded string `json:"dct_excluded,omitempty"`
 
 	FwdValid     int     `json:"fwd_valid"`
@@ -101,15 +101,14 @@ type ProbeArena struct {
 	// stream exactly as they did before either dimension existed.
 	rng, impRng, topoRng, scnRng *sim.Rand
 	// topoSpec, paths and scn are the storage the target's topology,
-	// impairment and scenario are built into; result, seqRep and ipidRep
-	// are the storage the technique measures into. All of it is valid until
-	// the next probe through this arena.
+	// impairment and scenario are built into; result and seqRep are the
+	// storage the technique measures into. All of it is valid until the
+	// next probe through this arena.
 	topoSpec simnet.TopologySpec
 	paths    pathStore
 	scn      scenarioStore
 	result   core.Result
 	seqRep   metrics.Report
-	ipidRep  ipid.Report
 	// backends is the scratch the load-balanced pool's profiles are
 	// copied into before per-target mutation (the prototypes are shared).
 	backends []host.Profile
@@ -137,6 +136,10 @@ var debugDegenerateTopology bool
 // pinning that live schedule timers alone never move a byte of output.
 // Never set outside tests.
 var debugZeroSchedule bool
+
+// debugCaptures, when set by tests, keeps the capture taps on (they are
+// pass-throughs: no measurement moves). Never set outside tests.
+var debugCaptures bool
 
 // zeroMagnitudeScenario is a schedule of deliberate no-op edges: rate steps
 // with Rate 0 reassert the current rate, queue steps with Queue -1 keep the
@@ -282,7 +285,7 @@ func (a *ProbeArena) ProbeTargetInto(res *TargetResult, t Target, samples int, a
 	}
 	// Campaigns never read the ground-truth captures; skip recording.
 	// Taps are pass-throughs, so this changes no measurement outcome.
-	cfg.DisableCaptures = true
+	cfg.DisableCaptures = !debugCaptures
 
 	// First use constructs, reuse resets; both consume the target stream
 	// in the same order: scenario seed, path-spec fork, prober seed.
@@ -370,16 +373,12 @@ func (s *ProbeStep) Attempt(arena *ProbeArena, index, attempt int, res *TargetRe
 // end-of-probe telemetry on every exit path.
 func (a *ProbeArena) runProbeTest(res *TargetResult, test string, samples int) {
 	prober, out := a.prober, &a.result
-	if test == "dual" {
-		if err := prober.ValidateIPIDInto(&a.ipidRep, core.IPIDCheckOptions{}); err != nil {
-			res.Err = err.Error()
-			return
-		}
-		if res.DCTExcluded = a.ipidRep.Exclusion(); res.DCTExcluded != "" {
-			return
-		}
+	err := prober.SurveyTestInto(out, test, samples)
+	if errors.Is(err, core.ErrIPIDUnusable) {
+		res.DCTExcluded = prober.IPIDExclusion() // an exclusion, not a failure
+		return
 	}
-	if err := prober.SurveyTestInto(out, test, samples); err != nil {
+	if err != nil {
 		res.Err = err.Error()
 		return
 	}

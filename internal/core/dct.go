@@ -205,32 +205,25 @@ type IPIDCheckOptions struct {
 // small positive steps dominated by within-connection differences. The
 // returned report's Usable method gates the dual connection test.
 func (p *Prober) ValidateIPID(o IPIDCheckOptions) (*ipid.Report, error) {
-	rep := new(ipid.Report)
-	if err := p.ValidateIPIDInto(rep, o); err != nil {
-		return nil, err
-	}
-	return rep, nil
-}
-
-// ValidateIPIDInto is ValidateIPID into caller-owned storage: rep is
-// overwritten completely, valid until the next validation into it.
-func (p *Prober) ValidateIPIDInto(rep *ipid.Report, o IPIDCheckOptions) error {
 	if o.Probes == 0 {
 		o.Probes = validationProbes
 	}
 	ca, err := p.connect(targetPort, defaultConnect())
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer ca.reset()
 	cb, err := p.connect(targetPort, defaultConnect())
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer cb.reset()
-	p.validateIPID(rep, ca, cb, o.Probes, replyTimeout)
-	return nil
+	return p.validateIPID(new(ipid.Report), ca, cb, o.Probes, replyTimeout), nil
 }
+
+// IPIDExclusion returns why the last dual or burst test's own IPID
+// validation returned ErrIPIDUnusable, as ipid.Report.Exclusion words it.
+func (p *Prober) IPIDExclusion() string { return p.ipidRep.Exclusion() }
 
 // validateIPID runs probes elicitations over existing connections into rep,
 // waiting at most timeout for each. The observation slice is prober-owned

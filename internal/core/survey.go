@@ -14,7 +14,9 @@ var Tests = []string{"single", "dual", "syn", "transfer"}
 // single connection test that resists delayed acknowledgments (§III-B), and
 // a transfer that ends after 500 ms of silence (its sample count is the
 // served object's size, TransferObjectSize(samples) on a survey target).
-// The dual connection test runs its own IPID prevalidation.
+// A technique validates the connections it measures: the dual test checks
+// the IPID stream of its own pair (ErrIPIDUnusable, reason in
+// IPIDExclusion). A caller screens up front only where it reports the screen.
 func (p *Prober) SurveyTestInto(res *Result, test string, samples int) error {
 	switch test {
 	case "single":

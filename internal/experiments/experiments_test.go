@@ -65,6 +65,19 @@ func TestSurvey(t *testing.T) {
 			t.Fatalf("host %s has no measurements", h.Name)
 		}
 	}
+	// Every round of every test on every host is one measurement, bar the
+	// dual test on a host the up-front screen excluded: none may vanish
+	// through the per-measurement error path.
+	cfg, measured, screened := DefaultSurvey(), 0, 0
+	for _, h := range rep.Hosts {
+		measured += h.Measurements
+		if h.DCTExcluded != "" {
+			screened++
+		}
+	}
+	if want := cfg.Rounds * (len(TestNames)*cfg.Hosts - screened); measured != want || measured != 7320 {
+		t.Errorf("%d measurements over %d screened hosts, want %d = 7320", measured, screened, want)
+	}
 	// Population synthesis guarantees both exclusion classes appear.
 	ex := rep.DCTExclusions()
 	if ex["zero-ipid"] == 0 {

@@ -58,7 +58,9 @@ func checkPinned(t *testing.T, rep *PairedReport, cells []pinnedCell, pairs []pi
 }
 
 // TestCongestionPinned holds a fixed-seed congestion run to the numbers
-// the per-experiment implementation produced at commit fd31ffa.
+// the per-experiment implementation produced at commit fd31ffa, with the
+// dual rows re-pinned once the dual test validated its IPID stream only
+// on the pair it measures with.
 func TestCongestionPinned(t *testing.T) {
 	rep, err := RunCongestion(CongestionConfig{Topologies: []string{"p2p", "parallel-x2"}, Replicas: 5, Samples: 12, Seed: 7})
 	if err != nil {
@@ -78,7 +80,7 @@ func TestCongestionPinned(t *testing.T) {
 		{"", "p2p", "dual", 5, 0, 0, 0, 0, 0},
 		{"", "p2p", "transfer", 5, 0, 0, 0, 0, 0},
 		{"", "parallel-x2", "single", 5, 0, 0, 1, 0.11666666666666665, 0},
-		{"", "parallel-x2", "dual", 5, 0, 0, 0, 0, 0},
+		{"", "parallel-x2", "dual", 5, 0, 0, 0.4, 0.03333333333333333, 0},
 		{"", "parallel-x2", "transfer", 5, 0, 0, 0, 0, 0},
 	}, pairs)
 }
@@ -105,8 +107,11 @@ func TestChaosPinned(t *testing.T) {
 		for _, ab := range [][2]string{{"single", "dual"}, {"single", "syn"}, {"dual", "syn"}} {
 			for _, dir := range []string{"forward", "reverse"} {
 				nullOK := 1
-				if g[0] == "rst-inject" && ab[1] == "syn" && dir == "forward" {
+				switch {
+				case g[0] == "rst-inject" && ab[1] == "syn" && dir == "forward":
 					nullOK = 0 // forged resets collapse single and dual; SYN probes carry no data
+				case ab == [2]string{"single", "dual"} && (g[0] == "" && dir == "reverse" || g[0] == "route-flap" && dir == "forward"):
+					nullOK = 0 // rejected at 95% over six replicas; ROADMAP item 22 asks whether that is power
 				}
 				pairs = append(pairs, pinnedPair{g[0], g[1], ab[0], ab[1], dir, 1, nullOK})
 			}
@@ -114,17 +119,17 @@ func TestChaosPinned(t *testing.T) {
 	}
 	checkPinned(t, rep, []pinnedCell{
 		{"", "", "single", 6, 0, 0, 1, 0.16666666666666666, 0.013888888888888888},
-		{"", "", "dual", 6, 0, 0, 1, 0.16666666666666666, 0.027777777777777776},
+		{"", "", "dual", 6, 0, 0, 1, 0.13888888888888887, 0.09722222222222221},
 		{"", "", "syn", 6, 0, 0, 1, 0.15277777777777776, 0.09722222222222221},
 		{"rst-inject", "", "single", 6, 0, 0, 0.16666666666666666, 0, 0.08333333333333333},
-		{"rst-inject", "", "dual", 5, 1, 1, 0, 0, 0},
+		{"rst-inject", "", "dual", 6, 0, 0, 0, 0, 0},
 		{"rst-inject", "", "syn", 6, 0, 0, 0.8333333333333334, 0.15277777777777776, 0.041666666666666664},
 		{"route-flap", "diamond", "single", 6, 0, 0, 1, 0.13888888888888887, 0.09722222222222221},
-		{"route-flap", "diamond", "dual", 6, 0, 0, 0.8333333333333334, 0.09722222222222221, 0.125},
+		{"route-flap", "diamond", "dual", 6, 0, 0, 0.8333333333333334, 0.027777777777777776, 0.08333333333333333},
 		{"route-flap", "diamond", "syn", 6, 0, 0, 0.8333333333333334, 0.08333333333333333, 0.08333333333333333},
 	}, pairs)
-	if d := rep.Disagreements(); !reflect.DeepEqual(d, []string{"rst-inject@p2p"}) {
-		t.Errorf("disagreements %v, want [rst-inject@p2p]", d)
+	if d, want := rep.Disagreements(), []string{"(static)@p2p", "rst-inject@p2p", "route-flap@diamond"}; !reflect.DeepEqual(d, want) {
+		t.Errorf("disagreements %v, want %v", d, want)
 	}
 }
 

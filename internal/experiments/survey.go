@@ -331,7 +331,9 @@ func surveyOneHost(sh surveyHost, cfg SurveyConfig) *HostRecord {
 	rec.IPIDPolicy = n.Hosts[0].IPIDPolicy()
 	prober := core.NewProber(n.Probe(), n.ServerAddr(), sh.cfg.Seed^0x9e9)
 
-	// IPID prevalidation once up front, as the paper's survey did.
+	// IPID prevalidation once up front, as the paper's survey did. The dual
+	// test still validates its own pair; this screen is kept because it is
+	// reported: E6's exclusion count.
 	rec.DCTExcluded = "unreachable"
 	if rep, err := prober.ValidateIPID(core.IPIDCheckOptions{}); err == nil {
 		rec.DCTExcluded = rep.Exclusion()
@@ -352,7 +354,7 @@ func surveyOneHost(sh surveyHost, cfg SurveyConfig) *HostRecord {
 				continue
 			}
 			if err := prober.SurveyTestInto(res, test, cfg.Samples); err != nil {
-				continue
+				continue // at paper size none is dropped here (TestSurvey)
 			}
 			rec.Measurements++
 			if res.AnyReordering() {

@@ -543,3 +543,40 @@ func TestAbsorbRemoteDist(t *testing.T) {
 		t.Fatalf("quiet run printed a dist line:\n%s", buf.String())
 	}
 }
+
+// TestSnapshotWriteTextGolden pins the -stats report byte for byte with
+// every block populated: the probe-latency line, the flush clause and the
+// dist line appear only when they have something to say, and durations
+// are rounded to 100ns.
+func TestSnapshotWriteTextGolden(t *testing.T) {
+	s := Snapshot{
+		WallSeconds: 1.5, Done: 2016, Total: 2016, AvgRate: 1344, InstRate: 1401.6,
+		Scheduler: SchedulerSnapshot{SpanClaims: 63, WindowStalls: 4, WindowStallNanos: 2_500_000, Retries: 40, Quiesces: 1},
+		Workers: WorkerTotals{
+			Targets: 2016, Attempts: 2056, ArenaResets: 2052, ArenaBuilds: 4,
+			SimEvents: 151078, SimReschedules: 9120, SimPeakHeap: 37, SimNanos: 1_530_250_000_000,
+			FramesIn: 88000, FramesOut: 87500, FramesDrop: 500, FramesSwap: 1200, FramesBorn: 30000, Materialized: 12,
+			RenderedJSON: 600_000, RenderedCSV: 250_000,
+		},
+		ProbeLatency: LatencySummary{Count: 2056, MinNs: 3_020, P50Ns: 12_345.6, P90Ns: 48_049.9, P99Ns: 1_234_567, MaxNs: 2_000_050, SumNs: 40_000_000},
+		Sinks: SinksSnapshot{
+			JSONLBatches: 63, JSONLBytes: 600_000, CSVBatches: 63, CSVBytes: 250_000, Checkpoints: 5,
+			Flush: LatencySummary{Count: 126, P99Ns: 987_654.3},
+		},
+		Dist: DistSnapshot{Reconnects: 1, Respawns: 2, LeaseReissues: 3, AcceptRetries: 4},
+	}
+	const want = `telemetry: 2016/2016 targets in 1.50s (avg 1344/s, inst 1402/s)
+scheduler: 63 span claims, 4 window stalls (2.5ms parked), 40 retries
+probe latency: p50=12.3µs p90=48µs p99=1.2346ms max=2.0001ms (n=2056, 2056 attempts)
+sim: 151078 events, 9120 reschedules, peak heap 37, 25m30.25s simulated
+netem: 30000 frames born, 88000 in, 87500 out, 500 dropped, 1200 swapped, 12 materialized
+arenas: 4 builds, 2052 resets
+sinks: jsonl 63 batches/600000 bytes, csv 63 batches/250000 bytes, 5 checkpoints, flush p99=987.7µs
+dist: 1 reconnects, 2 respawns, 3 lease re-issues, 4 accept retries
+`
+	var buf bytes.Buffer
+	s.WriteText(&buf)
+	if buf.String() != want {
+		t.Errorf("stats text:\n%s\nwant:\n%s", buf.String(), want)
+	}
+}
