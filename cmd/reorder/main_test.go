@@ -14,7 +14,9 @@ import (
 	"strings"
 	"testing"
 
+	"reorder/internal/campaign"
 	"reorder/internal/cli"
+	"reorder/internal/experiments"
 )
 
 // asCommand, when set in the environment, makes the test binary behave as
@@ -76,8 +78,25 @@ func checkGolden(t *testing.T, name, got string) {
 
 // TestGoldens pins every byte each command prints on stdout and writes to
 // -csv: a probe of each technique and every experiment in the paper's
-// configuration, on the default worker pool.
+// configuration, on the default worker pool. The survey and agreement
+// reports come from one default-pool survey, built here as their commands
+// build it; TestWorkerInvariance runs both commands.
 func TestGoldens(t *testing.T) {
+	survey := experiments.RunSurvey(surveyConfig(campaign.DefaultWorkers))
+	t.Run("survey", func(t *testing.T) {
+		var out, csv bytes.Buffer
+		survey.WriteText(&out)
+		if err := survey.WriteCSV(&csv); err != nil {
+			t.Fatal(err)
+		}
+		checkGolden(t, "survey.out", out.String())
+		checkGolden(t, "survey.csv", csv.String())
+	})
+	t.Run("agreement", func(t *testing.T) {
+		var out bytes.Buffer
+		experiments.RunAgreement(survey).WriteText(&out)
+		checkGolden(t, "agreement.out", out.String())
+	})
 	for _, tc := range []struct {
 		golden string
 		args   []string
@@ -88,8 +107,6 @@ func TestGoldens(t *testing.T) {
 		{"probe-syn", []string{"probe", "-test", "syn", "-lb"}, false},
 		{"probe-transfer", []string{"probe", "-test", "transfer", "-rev", "0.1"}, false},
 		{"probe-ipid", []string{"probe", "-test", "ipid", "-profile", "linux24"}, false},
-		{"survey", []string{"survey"}, true},
-		{"agreement", []string{"agreement"}, false},
 		{"timeseries", []string{"timeseries"}, false},
 		{"baselines", []string{"baselines"}, false},
 		{"cooperative", []string{"cooperative"}, false},
@@ -170,9 +187,20 @@ func TestCaptures(t *testing.T) {
 
 // TestWorkerInvariance checks that every command with -workers prints,
 // serially, the report its golden holds from the default pool: each run of
-// an experiment is hermetic, its scenario derived from its seed alone.
+// an experiment is hermetic, its scenario derived from its seed alone. The
+// survey also writes its -csv here: this is the test that runs the survey
+// command.
 func TestWorkerInvariance(t *testing.T) {
-	for _, c := range []string{"survey", "agreement", "validate", "timedist", "mechanisms"} {
+	csvPath := filepath.Join(t.TempDir(), "survey.csv")
+	if runOK(t, "survey", "-workers", "1", "-csv", csvPath) != golden(t, "survey.out") {
+		t.Error("survey: -workers 1 changed the report")
+	}
+	if got, err := os.ReadFile(csvPath); err != nil {
+		t.Fatal(err)
+	} else if string(got) != golden(t, "survey.csv") {
+		t.Error("survey: -workers 1 changed the CSV")
+	}
+	for _, c := range []string{"agreement", "validate", "timedist", "mechanisms"} {
 		if runOK(t, c, "-workers", "1") != golden(t, c+".out") {
 			t.Errorf("%s: -workers 1 changed the report", c)
 		}

@@ -89,9 +89,6 @@ type Shard struct {
 	// exposure).
 	extents  *stats.Histogram
 	exposure *stats.Histogram
-
-	// counts is the delta codec's reused histogram snapshot (shardwire.go).
-	counts stats.HistogramCounts
 }
 
 type testShard struct {

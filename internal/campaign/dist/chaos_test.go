@@ -428,14 +428,14 @@ func TestWorkerSkipsDuplicatedSpanLine(t *testing.T) {
 	report := func() *Msg {
 		t.Helper()
 		m := recv(MsgReport)
-		if err := w.readPayload(make([]byte, m.JSONLen+m.CSVLen+m.ShardLen)); err != nil {
+		if err := w.readPayload(make([]byte, m.JSONLen)); err != nil {
 			t.Fatal(err)
 		}
 		return m
 	}
 
 	recv(MsgHello)
-	if err := w.send(&Msg{Type: MsgWelcome, Worker: 1, Samples: 4, WantJSONL: true}); err != nil {
+	if err := w.send(&Msg{Type: MsgWelcome, Worker: 1, Samples: 4}); err != nil {
 		t.Fatal(err)
 	}
 	recv(MsgLease)

@@ -50,13 +50,14 @@ func (cfg Config) withDefaults() Config {
 	return cfg
 }
 
-// reportedSpan is a span's payload in the table: the worker's verbatim
-// rendered bytes plus its exact aggregator delta, held until the emit
-// frontier reaches the span. All three alias buf, a free-list buffer.
+// reportedSpan is a span's payload in the table, held until the emit
+// frontier reaches the span: the worker's JSONL records verbatim, the same
+// records decoded, and their CSV rows rendered here. jsonb and csvb alias
+// buf; buf and results are free-list storage.
 type reportedSpan struct {
-	jsonb, csvb, shard []byte
-	buf                []byte
-	worker             int
+	jsonb, csvb []byte
+	results     []campaign.TargetResult
+	buf         []byte
 }
 
 type coordinator struct {
@@ -69,12 +70,12 @@ type coordinator struct {
 	conns  map[int]net.Conn
 	nextID int
 
-	// free holds the buffers report payloads are read into. A buffer comes
-	// back when its span is emitted or dropped as a duplicate, so the list
-	// never holds more than the window's stash plus one per connection,
-	// each at most maxKeptBuf.
+	// free holds the storage reports are read and decoded into. A payload
+	// comes back when its span is emitted or dropped, so the list never
+	// holds more than the window's stash plus one per connection, each at
+	// most maxKeptBuf of bytes.
 	freeMu sync.Mutex
-	free   [][]byte
+	free   []reportedSpan
 
 	// logMu serializes writes to cfg.Log: every worker's handler logs, and
 	// the writer is the caller's (a plain buffer in tests).
@@ -236,21 +237,20 @@ func (c *coordinator) handle(conn net.Conn) {
 	}()
 
 	welcome := &Msg{
-		Type:      MsgWelcome,
-		Worker:    id,
-		Samples:   c.em.Samples(),
-		Retries:   c.cfg.Campaign.Retries,
-		WantJSONL: c.em.HasJSONL(),
-		WantCSV:   c.em.HasCSV(),
+		Type:    MsgWelcome,
+		Worker:  id,
+		Samples: c.em.Samples(),
+		Retries: c.cfg.Campaign.Retries,
 	}
 	if err := w.send(welcome); err != nil {
 		return
 	}
 
-	// check is where each report's delta is proven sound before the span
-	// completes: a malformed one costs this connection, and the span is
-	// re-issued, instead of failing the run when it reaches the emit.
-	check := campaign.NewShard()
+	// dec is where each report's records are proven sound before the span
+	// completes: a report that does not decode costs this connection, and
+	// the span is re-issued, instead of failing the run when it reaches the
+	// emit.
+	dec := c.em.SpanDecoder()
 	for {
 		conn.SetReadDeadline(time.Now().Add(c.cfg.LeaseTimeout))
 		m, err := w.recv()
@@ -276,27 +276,31 @@ func (c *coordinator) handle(conn net.Conn) {
 				return
 			}
 		case MsgReport:
-			buf := c.getBuf(m.JSONLen + m.CSVLen + m.ShardLen)
-			if err := w.readPayload(buf); err != nil {
+			// Checked before anything is sized from it: the header is input.
+			if m.Hi > len(c.cfg.Campaign.Targets) {
+				c.logf("dist: worker %d report for [%d,%d) dropped: past the %d targets", id, m.Lo, m.Hi, len(c.cfg.Campaign.Targets))
 				return
 			}
-			p := reportedSpan{
-				jsonb:  buf[:m.JSONLen],
-				csvb:   buf[m.JSONLen : m.JSONLen+m.CSVLen],
-				shard:  buf[m.JSONLen+m.CSVLen:],
-				buf:    buf,
-				worker: id,
+			p := c.getPayload(m.JSONLen, m.Hi-m.Lo)
+			if err := w.readPayload(p.jsonb); err != nil {
+				c.putPayload(p)
+				return
 			}
-			check.Reset()
-			if err := check.MergeDelta(p.shard); err != nil {
+			if p.csvb, err = dec.Decode(m.Lo, p.jsonb, p.results, p.csvb); err != nil {
 				c.logf("dist: worker %d report for [%d,%d) dropped: %v", id, m.Lo, m.Hi, err)
+				c.putPayload(p)
 				return
+			}
+			if o := c.cfg.Campaign.Obs; o != nil {
+				// The worker rendered the records; the rows are rendered
+				// here on its behalf.
+				o.Worker(id).RenderedCSVBytes.Add(uint64(len(p.csvb)))
 			}
 			// First completion wins: a stale duplicate of a re-issued
 			// lease is dropped, and the handler that reports the frontier
 			// span emits it and every reported span contiguous with it.
 			if !c.table.Complete(campaign.Span{Lo: m.Lo, Hi: m.Hi}, p) {
-				c.putBuf(buf)
+				c.putPayload(p)
 			}
 		case MsgBye:
 			c.absorbObs(id, m)
@@ -341,45 +345,59 @@ func (c *coordinator) absorbObs(id int, m *Msg) {
 	}
 }
 
-// emit is the table's in-order drain: shard deltas fold into the
+// emit is the table's in-order drain: a span's records fold into the
 // aggregator exactly at emit time, so the summary always covers precisely
 // the emitted prefix, including after a drain.
 func (c *coordinator) emit(sp campaign.Span, p reportedSpan) error {
-	defer c.putBuf(p.buf)
-	if err := c.agg.Shard(0).MergeDelta(p.shard); err != nil {
-		return fmt.Errorf("dist: worker %d span [%d,%d): %w", p.worker, sp.Lo, sp.Hi, err)
+	defer c.putPayload(p)
+	s := c.agg.Shard(0)
+	for i := range p.results {
+		s.Add(&p.results[i])
 	}
 	return c.em.EmitSpan(sp.Lo, sp.Hi, p.jsonb, p.csvb)
 }
 
-// getBuf returns an n-byte buffer from the free list, growing one only
-// when none on the list is big enough.
-func (c *coordinator) getBuf(n int) []byte {
-	var b []byte
+// getPayload returns free-list storage for a report of n JSONL bytes over k
+// targets: jsonb is n bytes long, csvb empty with room for n bytes behind
+// it — a record's CSV row is shorter than its JSONL line — and results
+// holds k. It grows storage only when none on the list is big enough.
+func (c *coordinator) getPayload(n, k int) reportedSpan {
+	var p reportedSpan
 	c.freeMu.Lock()
-	if k := len(c.free); k > 0 {
-		b = c.free[k-1]
-		c.free = c.free[:k-1]
+	if last := len(c.free) - 1; last >= 0 {
+		p = c.free[last]
+		c.free = c.free[:last]
 	}
 	c.freeMu.Unlock()
-	if cap(b) < n {
-		b = make([]byte, n)
+	if cap(p.buf) < 2*n {
+		p.buf = make([]byte, 2*n)
 	}
-	return b[:n]
+	if cap(p.results) < k {
+		p.results = make([]campaign.TargetResult, k)
+	}
+	p.buf = p.buf[:cap(p.buf)]
+	p.jsonb, p.csvb, p.results = p.buf[:n], p.buf[n:n:2*n], p.results[:k]
+	return p
 }
 
 // maxKeptBuf bounds the buffers the free list and a wire's send buffer keep.
-// A default lease's payloads come to about 225 KB at 512 targets, so a
-// megabyte still covers explicit batches of about two thousand.
+// A default lease's report is about 155 KB of JSONL at 512 targets, and its
+// payload storage twice that, so a megabyte still covers explicit batches of
+// well over a thousand.
 const maxKeptBuf = 1 << 20
 
-// putBuf returns b to the free list unless it is bigger than maxKeptBuf:
-// one outsized report must not pin its buffer for the rest of the run.
-func (c *coordinator) putBuf(b []byte) {
-	if cap(b) > maxKeptBuf {
+// maxKeptResults bounds the decoded records a kept payload holds: twice what
+// an honest report within maxKeptBuf carries.
+const maxKeptResults = 4096
+
+// putPayload returns p's storage to the free list unless it is bigger than
+// maxKeptBuf or maxKeptResults: one outsized report must not pin its
+// storage for the rest of the run.
+func (c *coordinator) putPayload(p reportedSpan) {
+	if cap(p.buf) > maxKeptBuf || cap(p.results) > maxKeptResults {
 		return
 	}
 	c.freeMu.Lock()
-	c.free = append(c.free, b)
+	c.free = append(c.free, reportedSpan{buf: p.buf, results: p.results})
 	c.freeMu.Unlock()
 }

@@ -2,7 +2,6 @@ package dist
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"math"
 	"net"
@@ -460,7 +459,8 @@ func TestDrainResume(t *testing.T) {
 
 // TestObsMerge runs a distributed campaign with telemetry on both sides
 // and checks the coordinator's merged registry covers every probe the
-// workers ran.
+// workers ran and every record byte they rendered, the CSV rows the
+// coordinator rendered for them included.
 func TestObsMerge(t *testing.T) {
 	targets := testTargets(t)
 	dir := t.TempDir()
@@ -516,6 +516,12 @@ func TestObsMerge(t *testing.T) {
 	}
 	if snap.Done != int64(len(targets)) {
 		t.Errorf("run progress done = %d, want %d", snap.Done, len(targets))
+	}
+	jsonl, csvb := readOut(t, dir)
+	header := bytes.IndexByte(csvb, '\n') + 1
+	if snap.Workers.RenderedJSON != uint64(len(jsonl)) || snap.Workers.RenderedCSV != uint64(len(csvb)-header) {
+		t.Errorf("rendered %d JSONL and %d CSV bytes, sinks hold %d and %d past the header",
+			snap.Workers.RenderedJSON, snap.Workers.RenderedCSV, len(jsonl), len(csvb)-header)
 	}
 }
 
@@ -670,9 +676,9 @@ func TestRecvMalformed(t *testing.T) {
 		{"trailing-garbage", `{"type":"lease"} extra` + "\n"},
 		{"negative-span", `{"type":"span","lo":-3,"hi":4}` + "\n"},
 		{"inverted-span", `{"type":"span","lo":9,"hi":2}` + "\n"},
-		{"huge-payload", `{"type":"report","json_len":999999999999,"shard_len":1}` + "\n"},
-		{"huge-shard", fmt.Sprintf(`{"type":"report","hi":1,"shard_len":%d}`+"\n", maxLineBytes+1)},
-		{"report-without-shard", `{"type":"report","lo":0,"hi":4,"json_len":10,"csv_len":3}` + "\n"},
+		{"huge-payload", `{"type":"report","json_len":999999999999}` + "\n"},
+		{"payload-past-cap", fmt.Sprintf(`{"type":"report","hi":1,"json_len":%d}`+"\n", maxPayloadBytes+1)},
+		{"negative-payload", `{"type":"report","hi":1,"json_len":-1}` + "\n"},
 		{"wrong-shape", `[1,2,3]` + "\n"},
 		{"non-canonical", `{"type":"span","hi":8,"lo":3}` + "\n"},
 		{"unterminated", `{"type":"lease"}`},
@@ -681,7 +687,7 @@ func TestRecvMalformed(t *testing.T) {
 	// Past math.MaxInt32 an int field is refused, never wrapped: by the
 	// parser where int is 32 bits, by the span and payload checks where
 	// it is 64.
-	for _, key := range []string{"lo", "json_len", "csv_len", "shard_len"} {
+	for _, key := range []string{"lo", "json_len"} {
 		cases = append(cases, struct{ name, input string }{"above-maxint32-" + key,
 			fmt.Sprintf(`{"type":"report","%s":%d}`+"\n", key, uint64(math.MaxInt32)+1)})
 	}
@@ -706,9 +712,9 @@ func TestRecvMalformed(t *testing.T) {
 // an out-of-whitelist type or impossible numbers, and accepts only the
 // canonical form: any line it accepts re-encodes to exactly its bytes.
 func FuzzRecv(f *testing.F) {
-	f.Add([]byte(`{"type":"hello","version":3,"fingerprint":42}` + "\n"))
-	f.Add([]byte(`{"type":"report","lo":0,"hi":5,"json_len":10,"csv_len":3,"shard_len":40}` + "\n"))
-	f.Add([]byte(`{"type":"welcome","worker":1,"samples":8,"retries":1,"want_jsonl":true}` + "\n"))
+	f.Add([]byte(`{"type":"hello","version":5,"fingerprint":42}` + "\n"))
+	f.Add([]byte(`{"type":"report","lo":0,"hi":5,"json_len":10}` + "\n"))
+	f.Add([]byte(`{"type":"welcome","worker":1,"samples":8,"retries":1}` + "\n"))
 	f.Add([]byte(`{"type":"reject","reason":"say \"no\" <&"}` + "\n"))
 	f.Add([]byte("\n\n\n"))
 	f.Add([]byte(`{"type":"span","lo":1e99}` + "\n"))
@@ -725,7 +731,7 @@ func FuzzRecv(f *testing.F) {
 			default:
 				t.Fatalf("recv accepted unknown type %q", m.Type)
 			}
-			if m.JSONLen < 0 || m.CSVLen < 0 || m.ShardLen < 0 || m.Lo < 0 || m.Hi < m.Lo {
+			if m.JSONLen < 0 || m.JSONLen > maxPayloadBytes || m.Lo < 0 || m.Hi < m.Lo {
 				t.Fatalf("recv accepted malformed numeric fields: %+v", m)
 			}
 			line := bytes.TrimSuffix(w.line, []byte("\n"))
@@ -782,15 +788,18 @@ type pipeAddr struct{}
 func (pipeAddr) Network() string { return "pipe" }
 func (pipeAddr) String() string  { return "pipe" }
 
-// TestHostileReportCostsItsConnection: a report with no shard delta, or
-// with one whose histogram bins sum to one less than its count, drops the
-// connection that sent it and its span is re-issued — the run does not fail
-// at emit, and an honest worker finishes it byte-identical to campaign.Run.
+// TestHostileReportCostsItsConnection: a report whose records do not
+// decode as the span's — the neighbouring target's record in a target's
+// place, a float written non-canonically, one record short or one too
+// many, a last line cut short — drops the connection that sent it and its
+// span is re-issued. The run does not fail, and an honest worker finishes
+// it byte-identical to campaign.Run.
 func TestHostileReportCostsItsConnection(t *testing.T) {
 	targets := testTargets(t)
 	refDir := t.TempDir()
 	runSingle(t, targets, refDir)
 	refJSONL, refCSV := readOut(t, refDir)
+	records := bytes.SplitAfter(refJSONL, []byte("\n"))
 
 	dir := t.TempDir()
 	out, csv, ckpt := outPaths(dir)
@@ -809,19 +818,40 @@ func TestHostileReportCostsItsConnection(t *testing.T) {
 		served <- err
 	}()
 
-	// One measured target whose path-rate histogram claims two samples and
-	// bins one.
-	short := binary.AppendUvarint(nil, 1) // targets
-	short = append(short, 0, 1, 0, 0, 0)  // errors, measured, excluded, with-reordering, retried
-	short = binary.AppendUvarint(short, 2)
-	short = binary.LittleEndian.AppendUint64(short, math.Float64bits(0.25))
-	short = binary.LittleEndian.AppendUint64(short, math.Float64bits(0.25))
-	short = append(short, 1, 64, 1) // one bin: index 64, count 1
-	short = append(short, 0, 0, 0)  // rtts, extents, exposure
-	short = append(short, 0, 0)     // no exclusions, no tests
-
+	// Each case turns the honest records of [lo,hi) into a hostile report.
+	cases := []struct {
+		name   string
+		report func(lo, hi int) []byte
+	}{
+		{"neighbour's record", func(lo, hi int) []byte {
+			return bytes.Join(append([][]byte{records[lo+1]}, records[lo+1:hi]...), nil)
+		}},
+		{"non-canonical float", func(lo, hi int) []byte {
+			rec := records[lo]
+			key := []byte(`"fwd_rate":`)
+			at := bytes.Index(rec, key) + len(key)
+			end := at + bytes.IndexByte(rec[at:], ',')
+			v, err := strconv.ParseFloat(string(rec[at:end]), 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The same value, as encoding/json would not write it.
+			e := strconv.FormatFloat(v, 'e', -1, 64)
+			if e == string(rec[at:end]) {
+				t.Fatalf("%s is already written in e-notation", rec[at:end])
+			}
+			bad := append(append(append([]byte(nil), rec[:at]...), e...), rec[end:]...)
+			return bytes.Join(append([][]byte{bad}, records[lo+1:hi]...), nil)
+		}},
+		{"one record short", func(lo, hi int) []byte { return bytes.Join(records[lo:hi-1], nil) }},
+		{"one record too many", func(lo, hi int) []byte { return bytes.Join(records[lo:hi+1], nil) }},
+		{"trailing partial line", func(lo, hi int) []byte {
+			b := bytes.Join(records[lo:hi], nil)
+			return b[:len(b)-len(records[hi-1])/2]
+		}},
+	}
 	fp := campaign.Fingerprint(targets, 4)
-	for _, shard := range [][]byte{nil, short} {
+	for _, tc := range cases {
 		conn := ln.dial()
 		w := newWire(conn)
 		if err := w.send(&Msg{Type: MsgHello, Version: ProtocolVersion, Fingerprint: fp}); err != nil {
@@ -837,11 +867,12 @@ func TestHostileReportCostsItsConnection(t *testing.T) {
 		if err != nil || m.Type != MsgSpan {
 			t.Fatalf("lease: %v %+v", err, m)
 		}
+		jsonb := tc.report(m.Lo, m.Hi)
 		// The coordinator may close before reading all of it; what matters
 		// is that it closes.
-		w.sendPayload(&Msg{Type: MsgReport, Lo: m.Lo, Hi: m.Hi, ShardLen: len(shard)}, nil, nil, shard)
+		w.sendPayload(&Msg{Type: MsgReport, Lo: m.Lo, Hi: m.Hi, JSONLen: len(jsonb)}, jsonb)
 		if m, err := w.recv(); err == nil {
-			t.Errorf("shard %x: connection survived its report and got %+v", shard, m)
+			t.Errorf("%s: connection survived its report and got %+v", tc.name, m)
 		}
 		conn.Close()
 	}
@@ -852,11 +883,19 @@ func TestHostileReportCostsItsConnection(t *testing.T) {
 	if err := <-served; err != nil {
 		t.Fatalf("a hostile report failed the run: %v", err)
 	}
-	if n := strings.Count(log.String(), "lost — 1 leases re-issued"); n != 2 {
-		t.Errorf("%d hostile connections dropped with their lease re-issued, want 2:\n%s", n, log.String())
+	if n := strings.Count(log.String(), "lost — 1 leases re-issued"); n != len(cases) {
+		t.Errorf("%d hostile connections dropped with their lease re-issued, want %d:\n%s", n, len(cases), log.String())
 	}
-	if !strings.Contains(log.String(), "dropped: campaign: shard delta") {
-		t.Errorf("coordinator log does not name the malformed delta:\n%s", log.String())
+	for _, why := range []string{
+		"is not the record of the target at its position",
+		"not in the form this build writes",
+		"has 3 records",
+		"is one record too many",
+		"has no newline",
+	} {
+		if !strings.Contains(log.String(), why) {
+			t.Errorf("coordinator log does not say the report %s:\n%s", why, log.String())
+		}
 	}
 	jsonl, csvb := readOut(t, dir)
 	if !bytes.Equal(jsonl, refJSONL) || !bytes.Equal(csvb, refCSV) {
@@ -867,8 +906,8 @@ func TestHostileReportCostsItsConnection(t *testing.T) {
 // TestDistSteadyStateAllocs pins what the benchmark's dist-unix-w2 counts,
 // allocations per target, where it is made: the survey list through Serve
 // and two in-process workers over a unix socket. Once warm, the lease
-// protocol, the framing, the payload buffers and the shard deltas make no
-// garbage per span; what a pass allocates is its set-up — sinks, sessions,
+// protocol, the framing, the payload storage and the coordinator's decode
+// and CSV render make no garbage per span; what a pass allocates is its set-up — sinks, sessions,
 // the summary, and the arenas, which build a host or a path the first time
 // they probe it — about 1 250 objects. The list is long enough to amortize
 // that the way the benchmark's 57 600 targets do. With 32-target leases one

@@ -1,32 +1,35 @@
 // Package dist distributes a campaign across worker processes: a
 // coordinator leases contiguous [lo,hi) target-index spans to workers over
 // a small line-delimited JSON protocol, workers run the normal arena-
-// pooled probe pipeline over their leases and stream back pre-rendered
-// JSONL/CSV span bytes plus an exact binary aggregator-shard delta, and
-// the coordinator re-sequences spans by index through the same campaign
-// Emitter a single-process run uses. Determinism does the heavy lifting:
-// every probe is a pure function of (target, samples, attempt), shard
-// histograms merge by integer bin addition, and spans partition the index
-// range — so merged output is byte-identical to a single-process run at
-// any worker count, across worker crashes (leases expire and re-issue),
-// and across coordinator restarts (the ordinary checkpoint/resume path).
+// pooled probe pipeline over their leases and report each span's JSONL
+// records, and the coordinator reads the records back in as a resume
+// reads its prefix — decoded and verified against the span's targets
+// (campaign.SpanDecoder), rendered as CSV rows, folded into the summary at
+// emit — and re-sequences spans by index through the same campaign Emitter
+// a single-process run uses. Determinism does the heavy lifting: every
+// probe is a pure function of (target, samples, attempt), the summary is a
+// pure function of the records, and spans partition the index range — so
+// merged output is byte-identical to a single-process run at any worker
+// count, across worker crashes (leases expire and re-issue), and across
+// coordinator restarts (the ordinary checkpoint/resume path).
 //
-// The protocol (version 3) is strict request/response per worker with
+// The protocol (version 5) is strict request/response per worker with
 // asynchronous heartbeats:
 //
 //	worker → hello{version, fingerprint}
-//	coord  → welcome{worker, samples, retries, want_*}
+//	coord  → welcome{worker, samples, retries}
 //	         (or reject{reason}, closing)
 //	worker → lease{}                  request a span
 //	coord  → span{lo, hi}             or drain{} when no work remains
-//	worker → report{lo, hi, json_len, csv_len, shard_len} + raw payloads
+//	worker → report{lo, hi, json_len} + the span's JSONL records
 //	worker → heartbeat{}              any time, keeps leases alive
 //	worker → bye{obs}                 after drain; connection closes
 //
 // Every message is one '\n'-terminated JSON header line. A report's line is
-// followed by json_len bytes of JSONL, csv_len bytes of CSV and shard_len
-// bytes of shard delta (campaign.Shard.AppendDelta), in that order. Headers
-// are canonical-only: keys in Msg's field order, zero values omitted,
+// followed by json_len bytes of JSONL: one record per target of the span,
+// in index order, each '\n'-terminated. A report whose records do not
+// decode costs its connection, and its span is re-issued. Headers are
+// canonical-only: keys in Msg's field order, zero values omitted,
 // numbers and strings as canonjson writes them, which is as encoding/json
 // writes them but for one exception (a U+0008 or U+000C in reason). A line
 // that appendMsg would not write byte for byte is refused, which is what
@@ -59,18 +62,18 @@ import (
 // ProtocolVersion gates hello: mixed-version fleets are refused rather
 // than debugged. Version 1 carried the shard as a JSON object in the
 // report header; version 2's welcome carried a retry backoff and a launch
-// rate budget; version 3's bye telemetry carried a heap-compaction count.
+// rate budget; version 3's bye telemetry carried a heap-compaction count;
+// version 4's welcome asked for JSONL and CSV by flag, and its report
+// carried CSV rows and a binary aggregator-shard delta after the JSONL.
 // Every version's hello has the same shape, so an older worker is refused
 // with a reject.
-const ProtocolVersion = 4
+const ProtocolVersion = 5
 
 const (
 	// maxLineBytes caps one header line: a bye's telemetry is a few KB, so
 	// a megabyte means a corrupt or hostile peer.
 	maxLineBytes = 1 << 20
-	// maxPayloadBytes caps a span's JSONL and CSV payloads. Its shard
-	// delta is capped at maxLineBytes, the limit it had while it rode in
-	// the header line; a real one is a few KB.
+	// maxPayloadBytes caps a span's JSONL.
 	maxPayloadBytes = 64 << 20
 )
 
@@ -93,10 +96,10 @@ var msgTypes = [...]string{MsgHello, MsgWelcome, MsgReject, MsgLease, MsgSpan, M
 
 // Msg is the protocol's single header shape: one JSON object per line,
 // fields populated by type, each under the key named beside it and written
-// in this order. A report header is followed immediately by its three
-// payloads: the worker's pre-rendered sink output, passed through verbatim
-// so the coordinator never re-encodes (or risks re-encoding differently),
-// and the span's shard delta.
+// in this order. A report header is followed immediately by its payload:
+// the span's JSONL records as the worker rendered them, which the
+// coordinator verifies by decoding and then writes verbatim, so it never
+// re-encodes a record (or risks re-encoding one differently).
 type Msg struct {
 	Type string // type
 
@@ -112,19 +115,15 @@ type Msg struct {
 	// must come from here — output bytes record the attempt count, so a
 	// worker flag diverging from the coordinator's would silently break
 	// byte-identity.
-	Samples   int  // samples
-	Retries   int  // retries
-	WantJSONL bool // want_jsonl
-	WantCSV   bool // want_csv
+	Samples int // samples
+	Retries int // retries
 
 	// span / report
 	Lo int // lo
 	Hi int // hi
 
 	// report
-	JSONLen  int // json_len
-	CSVLen   int // csv_len
-	ShardLen int // shard_len
+	JSONLen int // json_len
 
 	// bye
 	Obs *obs.WorkerWire // obs
@@ -162,12 +161,6 @@ func appendMsg(dst []byte, m *Msg) ([]byte, error) {
 	if m.Retries != 0 {
 		dst = strconv.AppendInt(append(dst, `,"retries":`...), int64(m.Retries), 10)
 	}
-	if m.WantJSONL {
-		dst = append(dst, `,"want_jsonl":true`...)
-	}
-	if m.WantCSV {
-		dst = append(dst, `,"want_csv":true`...)
-	}
 	if m.Lo != 0 {
 		dst = strconv.AppendInt(append(dst, `,"lo":`...), int64(m.Lo), 10)
 	}
@@ -176,12 +169,6 @@ func appendMsg(dst []byte, m *Msg) ([]byte, error) {
 	}
 	if m.JSONLen != 0 {
 		dst = strconv.AppendInt(append(dst, `,"json_len":`...), int64(m.JSONLen), 10)
-	}
-	if m.CSVLen != 0 {
-		dst = strconv.AppendInt(append(dst, `,"csv_len":`...), int64(m.CSVLen), 10)
-	}
-	if m.ShardLen != 0 {
-		dst = strconv.AppendInt(append(dst, `,"shard_len":`...), int64(m.ShardLen), 10)
 	}
 	if m.Obs != nil {
 		b, err := json.Marshal(m.Obs)
@@ -240,20 +227,12 @@ func parseMsg(m *Msg, line, canon []byte) ([]byte, error) {
 			ok = c.Int(&m.Samples)
 		case "retries":
 			ok = c.Int(&m.Retries)
-		case "want_jsonl":
-			ok = c.Bool(&m.WantJSONL)
-		case "want_csv":
-			ok = c.Bool(&m.WantCSV)
 		case "lo":
 			ok = c.Int(&m.Lo)
 		case "hi":
 			ok = c.Int(&m.Hi)
 		case "json_len":
 			ok = c.Int(&m.JSONLen)
-		case "csv_len":
-			ok = c.Int(&m.CSVLen)
-		case "shard_len":
-			ok = c.Int(&m.ShardLen)
 		case "obs":
 			// The last key: its value runs to the closing brace.
 			if len(c) == 0 {
@@ -299,7 +278,7 @@ type wire struct {
 	writeTimeout time.Duration
 
 	wmu sync.Mutex
-	enc []byte // reused send buffer: one whole message, header and payloads
+	enc []byte // reused send buffer: one whole message, header and payload
 }
 
 func newWire(conn net.Conn) *wire {
@@ -311,22 +290,22 @@ func newWire(conn net.Conn) *wire {
 
 // send writes one header line.
 func (w *wire) send(m *Msg) error {
-	return w.sendPayload(m, nil, nil, nil)
+	return w.sendPayload(m, nil)
 }
 
-// sendPayload writes a header line followed by the raw payloads as one
+// sendPayload writes a header line followed by the raw payload as one
 // locked frame. The frame is assembled in the wire's send buffer and leaves
 // in a single Write, whatever its size: a message is one write on any
 // net.Conn. A buffer grown past maxKeptBuf by an outsized explicit batch is
 // dropped after its send rather than kept for the connection's life.
-func (w *wire) sendPayload(m *Msg, jsonb, csvb, shardb []byte) error {
+func (w *wire) sendPayload(m *Msg, payload []byte) error {
 	w.wmu.Lock()
 	defer w.wmu.Unlock()
 	var err error
 	if w.enc, err = appendMsg(w.enc[:0], m); err != nil {
 		return err
 	}
-	w.enc = append(append(append(append(w.enc, '\n'), jsonb...), csvb...), shardb...)
+	w.enc = append(append(w.enc, '\n'), payload...)
 	if w.writeTimeout > 0 {
 		w.conn.SetWriteDeadline(time.Now().Add(w.writeTimeout))
 	}
@@ -338,10 +317,10 @@ func (w *wire) sendPayload(m *Msg, jsonb, csvb, shardb []byte) error {
 }
 
 // recv reads one header line. The message is the wire's own and is valid
-// until the next recv. Oversized lines, non-canonical or unknown messages,
-// absurd payload lengths and a report without a shard delta are all
-// errors — the protocol treats any malformed input as a broken peer and
-// drops the connection rather than resynchronizing.
+// until the next recv. Oversized lines, non-canonical or unknown messages
+// and absurd payload lengths or spans are all errors — the protocol treats
+// any malformed input as a broken peer and drops the connection rather
+// than resynchronizing.
 func (w *wire) recv() (*Msg, error) {
 	line, err := w.readLine()
 	if err != nil {
@@ -351,19 +330,11 @@ func (w *wire) recv() (*Msg, error) {
 	if w.canon, err = parseMsg(m, line, w.canon); err != nil {
 		return nil, err
 	}
-	for _, n := range [...]int{m.JSONLen, m.CSVLen} {
-		if n < 0 || n > maxPayloadBytes {
-			return nil, fmt.Errorf("dist: unreasonable payload lengths %d/%d", m.JSONLen, m.CSVLen)
-		}
-	}
-	if m.ShardLen < 0 || m.ShardLen > maxLineBytes {
-		return nil, fmt.Errorf("dist: unreasonable shard delta length %d", m.ShardLen)
+	if m.JSONLen < 0 || m.JSONLen > maxPayloadBytes {
+		return nil, fmt.Errorf("dist: unreasonable payload length %d", m.JSONLen)
 	}
 	if m.Lo < 0 || m.Hi < m.Lo {
 		return nil, fmt.Errorf("dist: malformed span [%d,%d)", m.Lo, m.Hi)
-	}
-	if m.Type == MsgReport && m.ShardLen == 0 {
-		return nil, fmt.Errorf("dist: report for [%d,%d) carries no shard delta", m.Lo, m.Hi)
 	}
 	return m, nil
 }

@@ -23,13 +23,9 @@ type jsonMsg struct {
 	Reason      string          `json:"reason,omitempty"`
 	Samples     int             `json:"samples,omitempty"`
 	Retries     int             `json:"retries,omitempty"`
-	WantJSONL   bool            `json:"want_jsonl,omitempty"`
-	WantCSV     bool            `json:"want_csv,omitempty"`
 	Lo          int             `json:"lo,omitempty"`
 	Hi          int             `json:"hi,omitempty"`
 	JSONLen     int             `json:"json_len,omitempty"`
-	CSVLen      int             `json:"csv_len,omitempty"`
-	ShardLen    int             `json:"shard_len,omitempty"`
 	Obs         *obs.WorkerWire `json:"obs,omitempty"`
 }
 
@@ -43,9 +39,9 @@ func codecCases() []Msg {
 		{Type: MsgHello, Version: ProtocolVersion, Fingerprint: math.MaxUint64},
 		{Type: MsgHello, Version: math.MaxInt, Fingerprint: 1},
 		{Type: MsgHello, Version: math.MinInt},
-		{Type: MsgWelcome, Worker: math.MaxInt, Samples: 8, WantJSONL: true, WantCSV: true},
+		{Type: MsgWelcome, Worker: math.MaxInt, Samples: 8},
 		{Type: MsgWelcome, Samples: 4, Retries: 3},
-		{Type: MsgWelcome, WantCSV: true},
+		{Type: MsgWelcome, Retries: math.MaxInt},
 		{Type: MsgReject, Reason: `protocol version 2, want 3`},
 		{Type: MsgReject, Reason: `say "no" <b>&amp; ünïcode ✓ \ back` + "\x01\n\t  "},
 		{Type: MsgLease},
@@ -54,8 +50,9 @@ func codecCases() []Msg {
 		{Type: MsgSpan, Lo: math.MaxInt - 1, Hi: math.MaxInt},
 		{Type: MsgDrain},
 		{Type: MsgHeartbeat},
-		{Type: MsgReport, Lo: 32, Hi: 64, JSONLen: 20480, CSVLen: 6144, ShardLen: 311},
-		{Type: MsgReport, Hi: 1, ShardLen: 12},
+		{Type: MsgReport, Lo: 32, Hi: 64, JSONLen: 9728},
+		{Type: MsgReport, Hi: 1, JSONLen: 1},
+		{Type: MsgReport, Lo: 7, Hi: 7},
 		{Type: MsgBye},
 		{Type: MsgBye, Obs: &wire},
 	}
@@ -104,7 +101,6 @@ func TestParseRefusesNonCanonical(t *testing.T) {
 		`{"type":"span","lo":3,"hi":8,}`,           // trailing comma
 		`{"type":"span","lo":3,"hi":8}}`,           // trailing brace
 		`{"type":"span","lo":3,"hi":8,"x":1}`,      // unknown key
-		`{"type":"welcome","want_csv":false}`,      // false written
 		`{"type":"reject","reason":"\` + `u0041"}`, // an escape encoding/json does not write
 		`{"type":"reject","reason":"open}`,
 		`{"type":"bye","obs":null}`,
@@ -124,13 +120,15 @@ func TestParseRefusesNonCanonical(t *testing.T) {
 }
 
 // TestWelcomeRefusesRetiredKeys: the pacing fields a version-2 welcome
-// carried are unknown keys now, so a welcome that still writes one is
-// refused, however canonical the rest of it.
+// carried, and the sink flags of a version-4 welcome, are unknown keys now,
+// so a welcome that still writes one is refused, however canonical the
+// rest of it.
 func TestWelcomeRefusesRetiredKeys(t *testing.T) {
 	for _, c := range []struct{ key, line string }{
 		{"backoff_ns", `{"type":"welcome","worker":1,"samples":8,"retries":1,"backoff_ns":50000000}`},
 		{"rate", `{"type":"welcome","worker":1,"samples":8,"retries":1,"rate":0.5}`},
 		{"burst", `{"type":"welcome","worker":1,"samples":8,"retries":1,"burst":1}`},
+		{"want_jsonl", `{"type":"welcome","worker":1,"samples":8,"retries":1,"want_jsonl":true}`},
 	} {
 		var m Msg
 		_, err := parseMsg(&m, []byte(c.line), nil)
@@ -153,15 +151,15 @@ func (c *writeCounter) Write(b []byte) (int, error) {
 }
 
 // TestWireSendOneWrite: a message leaves in one Write however large its
-// payload — a 512-target report is about 225 KB, several times a socket
+// payload — a 512-target report is about 155 KB, several times a socket
 // buffer — and a warm send allocates nothing.
 func TestWireSendOneWrite(t *testing.T) {
 	conn := &writeCounter{}
 	w := newWire(conn)
-	jsonb, csvb, shardb := make([]byte, 180<<10), make([]byte, 45<<10), make([]byte, 300)
-	rep := Msg{Type: MsgReport, Lo: 512, Hi: 1024, JSONLen: len(jsonb), CSVLen: len(csvb), ShardLen: len(shardb)}
+	jsonb := make([]byte, 155<<10)
+	rep := Msg{Type: MsgReport, Lo: 512, Hi: 1024, JSONLen: len(jsonb)}
 	send := func() {
-		if err := w.sendPayload(&rep, jsonb, csvb, shardb); err != nil {
+		if err := w.sendPayload(&rep, jsonb); err != nil {
 			t.Fatal(err)
 		}
 		if err := w.send(&Msg{Type: MsgLease}); err != nil {
@@ -179,7 +177,7 @@ func TestWireSendOneWrite(t *testing.T) {
 	// An outsized report leaves in one write too, but its buffer is not kept.
 	big := make([]byte, maxKeptBuf)
 	conn.writes = 0
-	if err := w.sendPayload(&Msg{Type: MsgReport, Lo: 0, Hi: 4096, JSONLen: len(big)}, big, nil, nil); err != nil {
+	if err := w.sendPayload(&Msg{Type: MsgReport, Lo: 0, Hi: 4096, JSONLen: len(big)}, big); err != nil {
 		t.Fatal(err)
 	}
 	if conn.writes != 1 || w.enc != nil {
@@ -196,7 +194,7 @@ func TestWireAllocs(t *testing.T) {
 	for _, src := range []Msg{
 		{Type: MsgLease},
 		{Type: MsgSpan, Lo: 1 << 20, Hi: 1<<20 + 32},
-		{Type: MsgReport, Lo: 1 << 20, Hi: 1<<20 + 32, JSONLen: 20480, CSVLen: 6144, ShardLen: 311},
+		{Type: MsgReport, Lo: 1 << 20, Hi: 1<<20 + 32, JSONLen: 9728},
 		{Type: MsgHeartbeat},
 		{Type: MsgDrain},
 	} {

@@ -11,28 +11,6 @@ import (
 	"reorder/internal/obs"
 )
 
-// Spawn forks n local worker processes running binary with args (the
-// caller builds the argv — cmd/campaign derives its `worker` command line
-// from the flags set on `serve`). Worker stderr is forwarded to stderr; stdout is
-// discarded (workers print nothing on success). On a partial failure the
-// already-started workers are killed.
-func Spawn(n int, binary string, args []string, stderr io.Writer) ([]*exec.Cmd, error) {
-	cmds := make([]*exec.Cmd, 0, n)
-	for i := 0; i < n; i++ {
-		cmd := exec.Command(binary, args...)
-		cmd.Stderr = stderr
-		if err := cmd.Start(); err != nil {
-			for _, c := range cmds {
-				c.Process.Kill()
-				c.Wait()
-			}
-			return nil, fmt.Errorf("dist: spawn worker %d: %w", i, err)
-		}
-		cmds = append(cmds, cmd)
-	}
-	return cmds, nil
-}
-
 // Supervisor keeps a fixed-size fleet of spawned worker processes alive:
 // a worker that exits nonzero mid-run is respawned (same argv) while the
 // shared restart budget lasts. Combined with the coordinator's lease
@@ -56,24 +34,43 @@ type Supervisor struct {
 	wg        sync.WaitGroup
 }
 
-// Supervise spawns n workers and restarts crashed ones until budget total
-// respawns have been spent. A clean (exit 0) worker is never respawned —
-// it drained. reg, when set, counts respawns in the dist telemetry.
+// Supervise forks n local worker processes running binary with args (the
+// caller builds the argv — cmd/campaign derives its `worker` command line
+// from the flags set on `serve`) and restarts crashed ones until budget
+// total respawns have been spent. A clean (exit 0) worker is never
+// respawned — it drained. Worker stderr is forwarded to stderr; stdout is
+// discarded (workers print nothing on success). If a worker fails to
+// start, the ones already started are killed. reg, when set, counts
+// respawns in the dist telemetry.
 func Supervise(n int, binary string, args []string, budget int, stderr io.Writer, reg *obs.Campaign) (*Supervisor, error) {
-	cmds, err := Spawn(n, binary, args, stderr)
-	if err != nil {
-		return nil, err
-	}
 	s := &Supervisor{
 		binary: binary, args: args, stderr: stderr, reg: reg,
-		procs: cmds, budget: budget,
+		procs: make([]*exec.Cmd, 0, n), budget: budget,
 		exhausted: make(chan struct{}),
 	}
-	for i := range cmds {
+	for i := 0; i < n; i++ {
+		cmd, err := s.start()
+		if err != nil {
+			for _, c := range s.procs {
+				c.Process.Kill()
+				c.Wait()
+			}
+			return nil, fmt.Errorf("dist: spawn worker %d: %w", i, err)
+		}
+		s.procs = append(s.procs, cmd)
+	}
+	for i, cmd := range s.procs {
 		s.wg.Add(1)
-		go s.monitor(i, cmds[i])
+		go s.monitor(i, cmd)
 	}
 	return s, nil
+}
+
+// start starts one worker process.
+func (s *Supervisor) start() (*exec.Cmd, error) {
+	cmd := exec.Command(s.binary, s.args...)
+	cmd.Stderr = s.stderr
+	return cmd, cmd.Start()
 }
 
 // monitor owns slot i: it reaps the slot's process and respawns on crash
@@ -98,9 +95,7 @@ func (s *Supervisor) monitor(i int, cmd *exec.Cmd) {
 			return
 		}
 		s.budget--
-		next := exec.Command(s.binary, s.args...)
-		next.Stderr = s.stderr
-		serr := next.Start()
+		next, serr := s.start()
 		if serr != nil {
 			if s.firstErr == nil {
 				s.firstErr = fmt.Errorf("dist: respawn worker slot %d: %w", i, serr)
@@ -124,14 +119,6 @@ func (s *Supervisor) monitor(i int, cmd *exec.Cmd) {
 // than wait for workers that will never come back.
 func (s *Supervisor) Exhausted() <-chan struct{} { return s.exhausted }
 
-// Drain marks the run as stopping: subsequent worker exits are expected
-// and never respawned or recorded as failures.
-func (s *Supervisor) Drain() {
-	s.mu.Lock()
-	s.stopping = true
-	s.mu.Unlock()
-}
-
 // Kill forcibly terminates every current worker process.
 func (s *Supervisor) Kill() {
 	s.mu.Lock()
@@ -144,12 +131,16 @@ func (s *Supervisor) Kill() {
 	}
 }
 
-// Wait reaps the fleet, giving stragglers grace to notice the campaign is
-// over before killing them — a respawned worker can be sitting in
-// reconnect backoff against a listener that already closed, and nothing
-// else will unstick it. Returns the first unexpected failure.
+// Wait marks the run as stopping — from here worker exits are expected,
+// never respawned or recorded as failures — and reaps the fleet, giving
+// stragglers grace to notice the campaign is over before killing them: a
+// respawned worker can be sitting in reconnect backoff against a listener
+// that already closed, and nothing else will unstick it. Returns the first
+// unexpected failure.
 func (s *Supervisor) Wait(grace time.Duration) error {
-	s.Drain()
+	s.mu.Lock()
+	s.stopping = true
+	s.mu.Unlock()
 	done := make(chan struct{})
 	go func() { s.wg.Wait(); close(done) }()
 	select {

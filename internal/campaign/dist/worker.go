@@ -66,10 +66,11 @@ var errAttemptFailed = errors.New("dist: probe attempt failed")
 
 // RunWorker connects to a coordinator and probes leased spans until
 // drained. Each leased index runs campaign.ProbeStep — the step a local
-// run's pool workers run, so the rendered bytes are the ones a local run
-// would sink — and each report carries an exact aggregator-shard delta for
-// the span. The retry budget comes from the coordinator's welcome so
-// output bytes cannot depend on worker-local flags.
+// run's pool workers run, so the JSONL records are the ones a local run
+// would sink — and each report carries the span's records and nothing
+// else: the coordinator renders the CSV and folds the summary from them.
+// The retry budget comes from the coordinator's welcome so output bytes
+// cannot depend on worker-local flags.
 //
 // A lost connection is not an error: the worker discards any unsent span
 // state, redials with exponential backoff + jitter, and re-runs the
@@ -100,7 +101,6 @@ func RunWorker(cfg WorkerConfig) error {
 		cfg:   cfg,
 		fp:    campaign.Fingerprint(cfg.Targets, cfg.Samples),
 		arena: campaign.NewProbeArena(),
-		delta: campaign.NewShard(),
 	}
 	if cfg.Obs != nil {
 		st.arena.SetObserver(cfg.Obs.Worker(0))
@@ -157,18 +157,16 @@ func sleepBackoff(base time.Duration, n int) {
 }
 
 // workerState is the probe machinery that outlives any one connection:
-// the arena, telemetry shard, aggregator delta and render buffers. Span
-// state (delta, buffers) is reset at each span receipt, so bytes from a
-// span interrupted by a connection loss can never leak into a later
-// report.
+// the arena and the render buffer. The buffer is reset at each span
+// receipt, so bytes from a span interrupted by a connection loss can never
+// leak into a later report.
 type workerState struct {
 	cfg   WorkerConfig
 	fp    uint64
 	arena *campaign.ProbeArena
-	delta *campaign.Shard
 
-	jsonBuf, csvBuf, shardBuf []byte
-	res                       campaign.TargetResult
+	jsonBuf []byte
+	res     campaign.TargetResult
 
 	sessions int
 }
@@ -214,9 +212,9 @@ func (st *workerState) runSession(conn net.Conn) (welcomed bool, err error) {
 	sched := campaign.NewScheduler(campaign.SchedulerConfig{
 		Workers: 1, Retries: m.Retries, Obs: cfg.Obs.SchedObs(),
 	})
-	step := campaign.NewProbeStep(cfg.Targets, cfg.Samples, m.Retries, m.WantJSONL, m.WantCSV)
+	step := campaign.NewProbeStep(cfg.Targets, cfg.Samples, m.Retries, true, false)
 	probe := func(_, index, attempt int) error {
-		if !step.Attempt(st.arena, index, attempt, &st.res, st.delta, &st.jsonBuf, &st.csvBuf) {
+		if !step.Attempt(st.arena, index, attempt, &st.res, nil, &st.jsonBuf, nil) {
 			return errAttemptFailed
 		}
 		return nil
@@ -282,20 +280,15 @@ func (st *workerState) runSession(conn net.Conn) (welcomed bool, err error) {
 			if hi, ok := reported[m.Lo]; ok && hi == m.Hi {
 				goto await // duplicated span line; the real reply follows
 			}
-			// Reset span state here, not after the report: a previous
-			// session may have died mid-span, and its half-built delta and
-			// buffers must never contaminate this span's report.
-			st.delta.Reset()
-			st.jsonBuf, st.csvBuf = st.jsonBuf[:0], st.csvBuf[:0]
+			// Reset the buffer here, not after the report: a previous
+			// session may have died mid-span, and its half-built records
+			// must never contaminate this span's report.
+			st.jsonBuf = st.jsonBuf[:0]
 			for i := m.Lo; i < m.Hi; i++ {
 				sched.RunIndex(i, probe)
 			}
-			st.shardBuf = st.delta.AppendDelta(st.shardBuf[:0])
-			rep := Msg{
-				Type: MsgReport, Lo: m.Lo, Hi: m.Hi,
-				JSONLen: len(st.jsonBuf), CSVLen: len(st.csvBuf), ShardLen: len(st.shardBuf),
-			}
-			if err := w.sendPayload(&rep, st.jsonBuf, st.csvBuf, st.shardBuf); err != nil {
+			rep := Msg{Type: MsgReport, Lo: m.Lo, Hi: m.Hi, JSONLen: len(st.jsonBuf)}
+			if err := w.sendPayload(&rep, st.jsonBuf); err != nil {
 				return true, err
 			}
 			reported[m.Lo] = m.Hi

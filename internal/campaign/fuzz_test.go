@@ -175,3 +175,54 @@ func FuzzCSVRow(f *testing.F) {
 		}
 	})
 }
+
+// FuzzSpanDecode feeds a coordinator's span decoder an arbitrary report for
+// a span of the mixed catalog: it refuses it, or it accepted exactly one
+// canonical record per target of the span, in index order — the records
+// render back to the report byte for byte — and the CSV it appended is
+// those records' rows, with the catalog's topology and scenario columns.
+// The seeds are a few records: the fuzzer minimizes every input it finds
+// interesting, a byte at a time.
+func FuzzSpanDecode(f *testing.F) {
+	targets, results := mixedCampaign(f)
+	em, err := NewEmitter(Config{Targets: targets, Samples: 4, CSVPath: filepath.Join(f.TempDir(), "out.csv")})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(func() { em.Finish(nil) })
+	dec := em.SpanDecoder()
+	if !dec.csv || !dec.withTopo || !dec.withScn {
+		f.Fatal("the mixed catalog's decoder renders no CSV or no optional column")
+	}
+	f.Add(renderRecords(results[3:7]), uint8(3), uint8(4))
+	f.Add(renderRecords(results[3:7]), uint8(4), uint8(4))
+	f.Add(renderRecords(results[3:6]), uint8(3), uint8(4))
+	f.Add(renderRecords(results[3:8]), uint8(3), uint8(4))
+	f.Add(renderRecords(results[3:7])[:50], uint8(3), uint8(1))
+	f.Add([]byte(nil), uint8(len(results)), uint8(0))
+	f.Fuzz(func(t *testing.T, data []byte, lo, n uint8) {
+		got := make([]TargetResult, n)
+		pre := []byte("prefix|")
+		csv, err := dec.Decode(int(lo), data, got, pre)
+		if err != nil {
+			if !bytes.Equal(csv, pre) {
+				t.Fatalf("a refused span appended %q", csv[len(pre):])
+			}
+			return
+		}
+		var again, rows []byte
+		for i := range got {
+			if r := &got[i]; r.Index != int(lo)+i || r.Name != targets[r.Index].Name {
+				t.Fatalf("record %d of a span at %d is %d %q", i, lo, r.Index, r.Name)
+			}
+			again = append(got[i].AppendJSON(again), '\n')
+			rows = appendCSVRow(rows, &got[i], true, true)
+		}
+		if !bytes.Equal(again, data) {
+			t.Fatalf("accepted %q, which re-renders as %q", data, again)
+		}
+		if !bytes.Equal(csv, append(pre, rows...)) {
+			t.Fatalf("rendered CSV %q, want %q", csv[len(pre):], rows)
+		}
+	})
+}

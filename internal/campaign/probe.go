@@ -312,9 +312,10 @@ func (a *ProbeArena) ProbeTargetInto(res *TargetResult, t Target, samples int, a
 // ProbeStep is the per-target step every campaign worker runs — a pool
 // worker in Run, a distributed worker on a leased span: probe one attempt
 // and, when it is the target's last, fold the result into the worker's
-// aggregator shard and render the records the sinks asked for. One step for
-// both modes is what keeps their bytes identical. It is immutable and shared
-// by all workers of a run.
+// aggregator shard (in Run) and render the records asked for — the sinks'
+// in Run, the JSONL record a distributed worker reports. One step for both
+// modes is what keeps their bytes identical. It is immutable and shared by
+// all workers of a run.
 type ProbeStep struct {
 	targets           []Target
 	samples, retries  int
@@ -335,8 +336,10 @@ func NewProbeStep(targets []Target, samples, retries int, jsonl, csv bool) *Prob
 // Attempt probes target index through arena into res, reporting to the
 // arena's observer. It returns false when the attempt failed with retry
 // budget left: nothing is recorded and the caller's scheduler retries.
-// Otherwise res is final — added to shard, its JSONL record and CSV row
-// appended to *json and *csv — and Attempt returns true.
+// Otherwise res is final — added to shard unless that is nil (a distributed
+// worker's records are folded where they are emitted), its JSONL record and
+// CSV row appended to *json and *csv when the step renders them — and
+// Attempt returns true.
 func (s *ProbeStep) Attempt(arena *ProbeArena, index, attempt int, res *TargetResult, shard *Shard, json, csv *[]byte) bool {
 	o := arena.obs
 	var probeStart time.Time
@@ -351,18 +354,24 @@ func (s *ProbeStep) Attempt(arena *ProbeArena, index, attempt int, res *TargetRe
 	if res.Err != "" && attempt < s.retries {
 		return false
 	}
-	shard.Add(res)
-	j0, c0 := len(*json), len(*csv)
+	if shard != nil {
+		shard.Add(res)
+	}
+	var jn, cn int
 	if s.jsonl {
+		jn = len(*json)
 		*json = append(res.AppendJSON(*json), '\n')
+		jn = len(*json) - jn
 	}
 	if s.csv {
+		cn = len(*csv)
 		*csv = appendCSVRow(*csv, res, s.withTopo, s.withScn)
+		cn = len(*csv) - cn
 	}
 	if o != nil {
 		o.Targets.Inc()
-		o.RenderedJSONBytes.Add(uint64(len(*json) - j0))
-		o.RenderedCSVBytes.Add(uint64(len(*csv) - c0))
+		o.RenderedJSONBytes.Add(uint64(jn))
+		o.RenderedCSVBytes.Add(uint64(cn))
 	}
 	return true
 }

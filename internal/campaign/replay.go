@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -206,21 +207,91 @@ func lineEnd(b []byte, k int) int {
 // decode decodes one block into the slab, stopping at its first failing
 // record.
 func (rp *replay) decode(dec *recordDecoder, b *replayBlock) {
-	lines := b.lines
-	for n := b.first; len(lines) > 0; n++ {
+	if n, err := decodeLines(dec, b.lines, rp.targets[b.first:], rp.results[b.first:], b.first); err != nil {
+		rp.fail(n, fmt.Errorf("campaign: %s record %d %w", rp.name, n, err))
+	}
+}
+
+var (
+	errTooMany      = errors.New("is one record too many")
+	errUnterminated = errors.New("has no newline")
+)
+
+// decodeLines decodes lines, newline-terminated records first, first+1, …,
+// record first+i against targets[i] into results[i], and returns the index
+// after the last. It stops at the first record that fails — not canonical,
+// another target's, at another index, past len(results) or without its
+// newline — and returns that record's index and what is wrong with it. It
+// is the one decode loop: a resume's replay runs it over each block of the
+// prefix, and a SpanDecoder over a remote worker's span.
+func decodeLines(dec *recordDecoder, lines []byte, targets []Target, results []TargetResult, first int) (int, error) {
+	n := first
+	for ; len(lines) > 0; n++ {
 		end := bytes.IndexByte(lines, '\n')
-		r := &rp.results[n]
-		if err := dec.decode(lines[:end], &rp.targets[n], r); err != nil {
-			rp.fail(n, fmt.Errorf("campaign: %s record %d %w", rp.name, n, err))
-			return
+		switch {
+		case n-first == len(results):
+			return n, errTooMany
+		case end < 0:
+			return n, errUnterminated
+		}
+		r := &results[n-first]
+		if err := dec.decode(lines[:end], &targets[n-first], r); err != nil {
+			return n, err
 		}
 		if r.Index != n {
-			rp.fail(n, fmt.Errorf("campaign: %s record %d has index %d; output does not match checkpoint",
-				rp.name, n, r.Index))
-			return
+			return n, fmt.Errorf("has index %d; output does not match checkpoint", r.Index)
 		}
 		lines = lines[end+1:]
 	}
+	return n, nil
+}
+
+// SpanDecoder reads a span's records rendered elsewhere — a distributed
+// worker's report — back in as a resume reads its prefix: each record
+// decoded and verified by the replay's own loop (decodeLines), then
+// rendered as the span's CSV rows when the run has a CSV sink. A
+// coordinator that writes only what decodes writes only records this build
+// would have written for those targets. One per goroutine.
+type SpanDecoder struct {
+	targets           []Target
+	csv               bool
+	withTopo, withScn bool
+	dec               recordDecoder
+}
+
+// SpanDecoder returns a decoder for spans of this run. It reads only what
+// is fixed when the emitter opens, so it may be called beside EmitSpan.
+func (e *Emitter) SpanDecoder() *SpanDecoder {
+	d := &SpanDecoder{targets: e.cfg.Targets, dec: recordDecoder{scratch: make([]byte, 0, decoderScratch)}}
+	if cs := e.sinks.csv; cs != nil {
+		d.csv, d.withTopo, d.withScn = true, cs.withTopo, cs.withScn
+	}
+	return d
+}
+
+// Decode decodes jsonb, the JSONL records of the span [lo, lo+len(results)),
+// into results: there must be exactly one canonical, newline-terminated
+// record per target, in index order. When the run has a CSV sink the span's
+// rows are appended to csv, which is returned. On an error results is
+// partly overwritten and csv unchanged.
+func (d *SpanDecoder) Decode(lo int, jsonb []byte, results []TargetResult, csv []byte) ([]byte, error) {
+	hi := lo + len(results)
+	if lo < 0 || hi > len(d.targets) {
+		return csv, fmt.Errorf("campaign: span [%d,%d) outside the %d targets", lo, hi, len(d.targets))
+	}
+	n, err := decodeLines(&d.dec, jsonb, d.targets[lo:hi], results, lo)
+	if err != nil {
+		return csv, fmt.Errorf("campaign: span [%d,%d) record %d %w", lo, hi, n, err)
+	}
+	if n < hi {
+		return csv, fmt.Errorf("campaign: span [%d,%d) has %d records", lo, hi, n-lo)
+	}
+	if d.csv {
+		for i := range results {
+			csv = appendCSVRow(csv, &results[i], d.withTopo, d.withScn)
+		}
+	}
+	return csv, nil
 }
 
 // fail records that record at failed with err; the lowest record's error

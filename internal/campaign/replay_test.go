@@ -513,3 +513,40 @@ func FuzzReplayPrefix(f *testing.F) {
 		checkReplayMatches(t, data, targets, 1+int(done)%len(targets), []int{16 + int(block)%1024})
 	})
 }
+
+// TestSpanDecoder: a span's records decode to the results they were
+// rendered from, with their CSV rows and the catalog's optional columns,
+// and a span past the target list is refused before anything is decoded.
+// TestHostileReportCostsItsConnection (dist) drives the refusals a
+// worker's report can reach.
+func TestSpanDecoder(t *testing.T) {
+	targets, results := mixedCampaign(t)
+	em, err := NewEmitter(Config{Targets: targets, Samples: 4, CSVPath: filepath.Join(t.TempDir(), "out.csv")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer em.Finish(nil)
+	dec := em.SpanDecoder()
+
+	lo, hi := 5, len(results)
+	got := make([]TargetResult, hi-lo)
+	csv, err := dec.Decode(lo, renderRecords(results[lo:hi]), got, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, results[lo:hi]) {
+		t.Error("decoded span differs from the results it was rendered from")
+	}
+	var rows []byte
+	for i := lo; i < hi; i++ {
+		rows = appendCSVRow(rows, &results[i], true, true)
+	}
+	if !bytes.Equal(csv, rows) {
+		t.Errorf("span CSV:\n%s\nwant:\n%s", csv, rows)
+	}
+
+	_, err = dec.Decode(hi-2, renderRecords(results[hi-2:hi]), make([]TargetResult, 4), nil)
+	if want := fmt.Sprintf("span [%d,%d) outside the %d targets", hi-2, hi+2, hi); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("span past the targets: got %v, want an error saying %q", err, want)
+	}
+}

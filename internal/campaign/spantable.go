@@ -20,13 +20,14 @@ const poolSpanCap = 32
 
 // LeaseSpanCap caps an unset Batch in the distributed coordinator's table.
 // A lease costs a request/response turn: three framed messages and their
-// parses, a grant, a report buffer and a shard-delta check. On the survey
-// list (57 600 targets, two workers over a unix socket, 2-vCPU host) that
-// cost is CPU, not idle time — utilisation reads 0.97 — and a traced pass
-// with 32-target leases took 1 805 turns at 16.2 µs of CPU per target,
-// 0.955 of a single-process pass's rate. With 512-target leases it takes
-// 122 turns at 12.7 µs per target and runs at 1.034 of it: roughly 100 µs
-// of CPU saved per turn. A 512-target report is about 225 KB.
+// parses, a grant and a report buffer. On the survey list (57 600 targets,
+// two workers over a unix socket, 2-vCPU host) that cost is CPU, not idle
+// time — utilisation reads 0.97 — and a traced pass with 32-target leases
+// took 1 805 turns at 16.2 µs of CPU per target, 0.955 of a single-process
+// pass's rate. With 512-target leases it took 122 turns at 12.7 µs per
+// target and ran at 1.034 of it: roughly 100 µs of CPU saved per turn.
+// (That was measured while a report still carried CSV rows and a shard
+// delta, checked per turn.) A 512-target report is about 155 KB of JSONL.
 const LeaseSpanCap = 512
 
 // dispatch resolves the span size and the window for a run of n indices

@@ -356,7 +356,6 @@ func TestSYNWorksBehindLoadBalancer(t *testing.T) {
 			host.FreeBSD4(), host.Linux22(), host.Windows2000(), host.FreeBSD4(),
 			host.Linux22(), host.Windows2000(), host.FreeBSD4(), host.Linux22(),
 		},
-		LBMode: netem.HashFourTuple,
 	}
 	p, _ := newProber(cfg)
 	res, err := p.SYNTest(core.SYNOptions{Samples: 10})

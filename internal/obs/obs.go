@@ -231,7 +231,9 @@ type Worker struct {
 	Materialized Counter
 
 	// RenderedJSONBytes / RenderedCSVBytes count sink bytes this worker
-	// encoded into span batches.
+	// encoded into span batches. A distributed worker renders only JSONL:
+	// its coordinator renders the CSV rows and counts them to the worker's
+	// shard.
 	RenderedJSONBytes Counter
 	RenderedCSVBytes  Counter
 

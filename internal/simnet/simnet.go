@@ -86,8 +86,6 @@ type Config struct {
 	// Backends, when non-empty, places a transparent load balancer in
 	// front of len(Backends) hosts that all answer as the server address.
 	Backends []host.Profile
-	// LBMode selects the balancing strategy (default HashFourTuple).
-	LBMode netem.BalanceMode
 	// DisableCaptures skips wiring the four ground-truth capture taps.
 	// Taps are synchronous pass-throughs — they schedule no events and
 	// consume no randomness — so disabling them changes nothing observable
@@ -402,10 +400,13 @@ func (n *Net) buildServers(cfg Config, rng *sim.Rand, hostOut netem.Node) netem.
 			backends = append(backends, h)
 		}
 		n.pool.lbBackends = backends
+		// The balancer hashes the four-tuple: the stateless strategy the
+		// paper describes.
+		const lbMode = netem.HashFourTuple
 		if n.pool.lb == nil {
-			n.pool.lb = netem.NewLoadBalancer(cfg.LBMode, backends...)
+			n.pool.lb = netem.NewLoadBalancer(lbMode, backends...)
 		} else {
-			n.pool.lb.Reinit(cfg.LBMode, backends)
+			n.pool.lb.Reinit(lbMode, backends)
 		}
 		n.LB = n.pool.lb
 		return n.LB
