@@ -148,11 +148,10 @@ func Run(cfg Config) (*Summary, error) {
 	// The Emitter owns everything downstream of the emit frontier —
 	// resume/replay, sinks, checkpoints, progress — shared verbatim with
 	// the distributed coordinator so both modes emit identical bytes.
-	em, err := NewEmitter(cfg)
+	em, err := NewEmitter(cfg, agg)
 	if err != nil {
 		return nil, err
 	}
-	agg.AddAll(em.Replayed())
 	start, end := em.Start(), em.End()
 
 	// Each worker owns one ProbeArena: the scenario and prober are built
@@ -280,42 +279,25 @@ type sinkSet struct {
 	csv   *CSVSink
 }
 
-// openSinks assembles the configured sinks. When resuming, the JSONL file
-// — already truncated to exactly the checkpointed records — is opened for
-// append, while the CSV file is rebuilt from the replayed prefix: CSV rows
-// are not safely line-countable (a quoted field may hold a newline), so
-// rewriting is how its content is guaranteed to equal an uninterrupted
-// run's. The rows are rendered in parallel and written in order
-// (rebuildCSV).
-func openSinks(cfg Config, replayed []TargetResult) (sinkSet, error) {
+// openSinks creates the configured sinks of a run that starts from the
+// first target, truncating any earlier output. A resumed run's sinks are
+// opened by its replay (replayOutput).
+func openSinks(cfg Config) (sinkSet, error) {
 	var sinks sinkSet
-	fail := func(err error) (sinkSet, error) {
-		sinks.close()
-		return sinkSet{}, err
-	}
-	resuming := len(replayed) > 0
 	if cfg.OutputPath != "" {
-		flags := os.O_CREATE | os.O_WRONLY | os.O_TRUNC
-		if resuming {
-			flags = os.O_CREATE | os.O_WRONLY | os.O_APPEND
-		}
-		f, err := os.OpenFile(cfg.OutputPath, flags, 0o644)
+		f, err := os.OpenFile(cfg.OutputPath, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 		if err != nil {
-			return fail(err)
+			return sinkSet{}, err
 		}
 		sinks.jsonl = NewJSONLSink(f)
 	}
 	if cfg.CSVPath != "" {
 		f, err := os.OpenFile(cfg.CSVPath, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 		if err != nil {
-			return fail(err)
+			sinks.close()
+			return sinkSet{}, err
 		}
 		sinks.csv = NewCSVSink(f, hasTopology(cfg.Targets), hasScenario(cfg.Targets))
-		if resuming {
-			if err := rebuildCSV(sinks.csv, replayed); err != nil {
-				return fail(err)
-			}
-		}
 	}
 	return sinks, nil
 }

@@ -371,9 +371,9 @@ func TestCampaignResumeStopAfterWindows(t *testing.T) {
 	}
 }
 
-// recordLines renders one record per target as the JSONL sink would: the
-// target's identity fields plus Index and Attempts, nothing measured.
-func recordLines(targets []Target) []byte {
+// recordResults makes one record per target: the target's identity fields
+// plus Index and Attempts, nothing measured.
+func recordResults(targets []Target) []TargetResult {
 	results := make([]TargetResult, len(targets))
 	for i := range targets {
 		tg := &targets[i]
@@ -382,8 +382,11 @@ func recordLines(targets []Target) []byte {
 			Test: tg.Test, Seed: tg.Seed, Attempts: 1, Topology: tg.Topology, Scenario: tg.Scenario,
 		}
 	}
-	return renderRecords(results)
+	return results
 }
+
+// recordLines renders recordResults' records as the JSONL sink would.
+func recordLines(targets []Target) []byte { return renderRecords(recordResults(targets)) }
 
 // TestReplayOutputLongRecord guards the resume path against records longer
 // than any scanner buffer: a multi-megabyte JSONL line must replay, and a
@@ -398,11 +401,11 @@ func TestReplayOutputLongRecord(t *testing.T) {
 	if err := os.WriteFile(path, recordLines(targets), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got, err := replayOutput(path, targets, 2)
+	got, err := replayFile(t, path, targets, 2)
 	if err != nil {
 		t.Fatalf("replay of >1MiB record failed: %v", err)
 	}
-	if len(got) != 2 || len(got[0].Name) != 2<<20 || got[1].Name != "small" {
+	if want := renderCSV(targets, recordResults(targets)); !bytes.Equal(got, want) {
 		t.Fatal("long-record replay corrupted the results")
 	}
 
@@ -411,7 +414,7 @@ func TestReplayOutputLongRecord(t *testing.T) {
 	if err := os.WriteFile(path, content, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, err = replayOutput(path, targets, 2)
+	_, err = replayFile(t, path, targets, 2)
 	if err == nil || !strings.Contains(err.Error(), "record 1") {
 		t.Fatalf("corrupt record not reported by index: %v", err)
 	}
@@ -430,7 +433,7 @@ func TestReplayOutputUnterminatedTail(t *testing.T) {
 	if err := os.WriteFile(path, content, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := replayOutput(path, targets, 2); err == nil {
+	if _, err := replayFile(t, path, targets, 2); err == nil {
 		t.Fatal("checkpoint claiming more records than terminated lines not rejected")
 	}
 	// Restore (replayOutput may have truncated) and replay just the intact
@@ -438,12 +441,12 @@ func TestReplayOutputUnterminatedTail(t *testing.T) {
 	if err := os.WriteFile(path, content, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got, err := replayOutput(path, targets, 1)
+	got, err := replayFile(t, path, targets, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 1 || got[0].Index != 0 {
-		t.Fatalf("prefix replay wrong: %+v", got)
+	if want := renderCSV(targets, recordResults(targets[:1])); !bytes.Equal(got, want) {
+		t.Fatalf("prefix replay wrong: %q", got)
 	}
 	data, err := os.ReadFile(path)
 	if err != nil {

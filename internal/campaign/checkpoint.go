@@ -9,8 +9,9 @@ import (
 
 // Checkpoint records durable campaign progress: how many results have been
 // emitted, in index order, to the output stream. The JSONL output itself
-// is the state — resume replays its prefix into the aggregator — so the
-// checkpoint stays a few dozen bytes no matter the campaign size.
+// is the state — a resume streams its prefix back into the aggregator and
+// the CSV, block by block — so the checkpoint stays a few dozen bytes no
+// matter the campaign size.
 //
 // Both files are input to a resume and are validated as such: the
 // fingerprint must be this campaign's, Done must not exceed the target

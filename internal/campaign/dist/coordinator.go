@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"runtime"
 	"sync"
 	"time"
 
@@ -95,12 +96,17 @@ func Serve(cfg Config) (*campaign.Summary, error) {
 	if cfg.Listener == nil {
 		return nil, errors.New("dist: Serve requires a Listener")
 	}
-	em, err := campaign.NewEmitter(cfg.Campaign)
+	// Reports fold into one shard, at emit; a resume's replay decodes on up
+	// to one goroutine per shard.
+	shards := 1
+	if cfg.Campaign.Resume {
+		shards = runtime.GOMAXPROCS(0)
+	}
+	agg := campaign.NewAggregator(shards)
+	em, err := campaign.NewEmitter(cfg.Campaign, agg)
 	if err != nil {
 		return nil, err
 	}
-	agg := campaign.NewAggregator(1)
-	agg.AddAll(em.Replayed())
 	c := &coordinator{cfg: cfg, em: em, agg: agg, conns: map[int]net.Conn{}}
 	ccfg := cfg.Campaign
 	c.table = campaign.NewSpanTable(em.Start(), em.End(), campaign.LeaseSpanCap, campaign.SchedulerConfig{

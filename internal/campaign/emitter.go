@@ -3,6 +3,7 @@ package campaign
 import (
 	"fmt"
 	"os"
+	"runtime"
 	"time"
 )
 
@@ -22,25 +23,24 @@ type Emitter struct {
 	cfg        Config
 	fp         uint64
 	start, end int
-	replayed   []TargetResult
 	sinks      sinkSet
 	ck         Checkpoint
 	emitted    int
 }
 
-// NewEmitter validates the config, loads the checkpoint and replays the
-// emitted prefix when resuming, opens the sinks, and computes the run's
-// [Start, End) probe range. The replayed results are exposed via Replayed
-// so the caller can fold them into its aggregator (Aggregator.AddAll) —
-// the emitter does not own aggregation, only emission.
-func NewEmitter(cfg Config) (*Emitter, error) {
+// NewEmitter validates the config, loads the checkpoint when resuming,
+// opens the sinks, and computes the run's [Start, End) probe range. A
+// resume replays the emitted prefix as it opens the sinks (replayOutput),
+// folding each record into agg, the run's aggregator, on up to one
+// goroutine per shard, before any worker adds; a caller that keeps no
+// summary leaves agg out. The emitter does not own aggregation otherwise.
+func NewEmitter(cfg Config, agg ...*Aggregator) (*Emitter, error) {
 	cfg = cfg.defaults()
 	if len(cfg.Targets) == 0 {
 		return nil, fmt.Errorf("campaign: no targets")
 	}
 	fp := Fingerprint(cfg.Targets, cfg.Samples)
 	start := 0
-	var replayed []TargetResult
 	if cfg.Resume && cfg.CheckpointPath == "" {
 		// Without this guard a forgotten -checkpoint would silently fall
 		// through to a fresh run and truncate the prior output.
@@ -58,16 +58,21 @@ func NewEmitter(cfg Config) (*Emitter, error) {
 				return nil, fmt.Errorf("campaign: checkpoint %s says %d results emitted but the campaign has %d targets",
 					cfg.CheckpointPath, ck.Done, len(cfg.Targets))
 			}
-			replayed, err = replayOutput(cfg.OutputPath, cfg.Targets, ck.Done)
-			if err != nil {
-				return nil, err
-			}
 			start = ck.Done
 		} else if !os.IsNotExist(err) {
 			return nil, err
 		}
 	}
-	sinks, err := openSinks(cfg, replayed)
+	var sinks sinkSet
+	var err error
+	switch {
+	case start == 0:
+		sinks, err = openSinks(cfg)
+	case len(agg) > 0:
+		sinks, err = replayOutput(cfg, start, agg[0])
+	default:
+		sinks, err = replayOutput(cfg, start, NewAggregator(runtime.GOMAXPROCS(0)))
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -76,14 +81,13 @@ func NewEmitter(cfg Config) (*Emitter, error) {
 		end = start + cfg.StopAfter
 	}
 	return &Emitter{
-		cfg:      cfg,
-		fp:       fp,
-		start:    start,
-		end:      end,
-		replayed: replayed,
-		sinks:    sinks,
-		ck:       Checkpoint{Fingerprint: fp, Done: start},
-		emitted:  start,
+		cfg:     cfg,
+		fp:      fp,
+		start:   start,
+		end:     end,
+		sinks:   sinks,
+		ck:      Checkpoint{Fingerprint: fp, Done: start},
+		emitted: start,
 	}, nil
 }
 
@@ -106,9 +110,11 @@ func (e *Emitter) Fingerprint() uint64 { return e.fp }
 // workers must probe with for their fingerprints to match.
 func (e *Emitter) Samples() int { return e.cfg.Samples }
 
-// Replayed returns the results replayed from the output prefix on resume,
-// in index order.
-func (e *Emitter) Replayed() []TargetResult { return e.replayed }
+// Replayed has one empty element per record a resume replayed: the records
+// are folded and rendered as they decode, not kept.
+//
+// Deprecated: use Start. The benchmark's replay leg reads len(Replayed()).
+func (e *Emitter) Replayed() []struct{} { return make([]struct{}, e.start) }
 
 // HasJSONL reports whether a JSONL sink is configured — whether EmitSpan
 // expects rendered JSONL bytes.

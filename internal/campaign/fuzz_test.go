@@ -54,14 +54,15 @@ func FuzzLoadCheckpoint(f *testing.F) {
 			if err := os.WriteFile(out, jsonl, 0o644); err != nil {
 				t.Fatal(err)
 			}
+			agg := NewAggregator(1)
 			em, err := NewEmitter(Config{
 				Targets: targets, Samples: 4, OutputPath: out, CheckpointPath: ckpt, Resume: true,
-			})
+			}, agg)
 			if err != nil {
 				continue
 			}
-			if len(em.Replayed()) != ck.Done || em.Start() != ck.Done {
-				t.Fatalf("resume of %+v replayed %d, starts at %d", ck, len(em.Replayed()), em.Start())
+			if replayed := agg.Summary().Targets; replayed != ck.Done || em.Start() != ck.Done {
+				t.Fatalf("resume of %+v replayed %d, starts at %d", ck, replayed, em.Start())
 			}
 			if _, err := em.Finish(nil); err != nil {
 				t.Fatal(err)

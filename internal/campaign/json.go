@@ -117,7 +117,7 @@ var (
 // when present. A record with an invalid-UTF-8 byte in those two is
 // refused: AppendJSON wrote the byte as \ufffd, which no decoded string
 // renders back to, and replaying a different string would change the
-// rebuilt CSV.
+// resumed CSV.
 func (d *recordDecoder) decode(line []byte, t *Target, r *TargetResult) error {
 	d.c, d.wrongTarget = line, false
 	*r = TargetResult{

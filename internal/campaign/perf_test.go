@@ -329,14 +329,14 @@ func TestCSVRowAllocBudget(t *testing.T) {
 	}
 }
 
-// TestReplayAllocBudget pins replay at a fixed number of allocations — the
-// slab, the file and its size, one store for the decoders' blocks and
-// scratch, one per decoder goroutine — however many records it reads: zero
-// per record, so the same at 1 000 and 16 000 records once the one object
-// per decoder is counted out (the longer file may get more decoders), and at
-// most 8 + 2·GOMAXPROCS in total. testing.AllocsPerRun would count at
-// GOMAXPROCS=1, where the replay decodes inline, so the count is taken at
-// the test's own setting.
+// TestReplayAllocBudget pins a resume's replay at a fixed number of
+// allocations — the file, its size and its sink, one store for the
+// decoders' blocks and scratch and one for their results, one per decoder
+// goroutine — however many records it reads: zero per record, so the same
+// at 1 000 and 16 000 records once the one object per decoder is counted
+// out (the longer file may get more decoders), and at most 8 + 2·GOMAXPROCS
+// in total. testing.AllocsPerRun would count at GOMAXPROCS=1, where the
+// replay decodes inline, so the count is taken at the test's own setting.
 func TestReplayAllocBudget(t *testing.T) {
 	baseT, baseR := cleanSurvey(t, 1000)
 	budget := 8 + 2*runtime.GOMAXPROCS(0)
@@ -349,19 +349,25 @@ func TestReplayAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 		decoders := replayDecoders(fi.Size())
+		// Folded into the same shards each time: once the first replay has
+		// met every test, the fold allocates nothing.
+		agg := NewAggregator(decoders)
 		replay := func() {
-			got, err := replayOutput(path, targets, n)
-			if err != nil || len(got) != n {
-				t.Fatalf("replayed %d of %d records: %v", len(got), n, err)
+			sinks, err := replayOutput(Config{Targets: targets, OutputPath: path}, n, agg)
+			if err != nil {
+				t.Fatalf("replaying %d records: %v", n, err)
+			}
+			if err := sinks.close(); err != nil {
+				t.Fatal(err)
 			}
 		}
 		replay()
 		// The fewest of twenty runs. Each replay starts from nothing — a
-		// fresh slab, store and file — so an allocation of the replay's own
-		// shows in every run; a collection cycle the slab triggers wakes
-		// runtime goroutines that allocate a few objects of their own, and
-		// starting a goroutine finds the runtime's free list empty now and
-		// then, in some runs only.
+		// fresh store and file — so an allocation of the replay's own shows
+		// in every run; a collection cycle wakes runtime goroutines that
+		// allocate a few objects of their own, and starting a goroutine
+		// finds the runtime's free list empty now and then, in some runs
+		// only.
 		allocs := uint64(math.MaxUint64)
 		for i := 0; i < 20; i++ {
 			var before, after runtime.MemStats
@@ -383,8 +389,59 @@ func TestReplayAllocBudget(t *testing.T) {
 	}
 }
 
-// BenchmarkReplay measures a resume's set-up — checkpoint load, fingerprint,
-// JSONL replay and, with a CSV sink, the CSV rebuild — per replayed record.
+// TestResumeMemoryIndependentOfPrefix: opening a resume with a CSV sink and
+// an aggregator to fold into allocates within 256 KiB as many bytes for a
+// 20 000-record prefix as for a 2 000-record prefix of the same campaign. A
+// resume holds a block, its records and its rows per decoder, never a
+// record per replayed target, which would differ by 256 B × 18 000
+// (≈ 4.6 MB). Four shards cap the decoders at four, and both prefixes have
+// blocks for as many, so both pay the same fixed cost.
+func TestResumeMemoryIndependentOfPrefix(t *testing.T) {
+	baseT, baseR := cleanSurvey(t, 1000)
+	targets, results := tile(baseT, baseR, 20000)
+	data := renderRecords(results)
+	var allocated []uint64
+	for _, done := range []int{2000, 20000} {
+		dir := t.TempDir()
+		cfg := Config{
+			Targets: targets, Samples: 4, Resume: true,
+			OutputPath: filepath.Join(dir, "out.jsonl"), CSVPath: filepath.Join(dir, "out.csv"),
+			CheckpointPath: filepath.Join(dir, "ckpt"),
+		}
+		if err := os.WriteFile(cfg.OutputPath, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := (Checkpoint{Fingerprint: Fingerprint(targets, 4), Done: done}).Save(cfg.CheckpointPath); err != nil {
+			t.Fatal(err)
+		}
+		agg := NewAggregator(4)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		em, err := NewEmitter(cfg, agg)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := em.Finish(nil); err != nil {
+			t.Fatal(err)
+		}
+		if got := agg.Summary().Targets; got != done {
+			t.Fatalf("resume at %d folded %d records", done, got)
+		}
+		allocated = append(allocated, after.TotalAlloc-before.TotalAlloc)
+		t.Logf("GOMAXPROCS=%d: opening a resume of %d records allocates %d bytes",
+			runtime.GOMAXPROCS(0), done, allocated[len(allocated)-1])
+	}
+	if d := int64(allocated[1]) - int64(allocated[0]); d >= 256<<10 || d <= -256<<10 {
+		t.Errorf("resuming 20 000 records allocates %d bytes, 2 000 records %d: the difference is not bounded by 256 KiB",
+			allocated[1], allocated[0])
+	}
+}
+
+// BenchmarkReplay measures opening a resume — checkpoint load,
+// fingerprint, and the JSONL replay with its fold and, with a CSV sink, its
+// CSV — per replayed record, in time and in bytes allocated (the
+// aggregator it folds into included).
 func BenchmarkReplay(b *testing.B) {
 	const records = 4096
 	targets, results := cleanSurvey(b, records)
@@ -400,22 +457,31 @@ func BenchmarkReplay(b *testing.B) {
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
+			var agg *Aggregator
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
 			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				agg = NewAggregator(runtime.GOMAXPROCS(0))
+				b.StartTimer()
 				em, err := NewEmitter(Config{
 					Targets: targets, Samples: 4, OutputPath: jsonl, CSVPath: bc.csv,
 					CheckpointPath: ckpt, Resume: true,
-				})
+				}, agg)
 				if err != nil {
 					b.Fatal(err)
-				}
-				if len(em.Replayed()) != records {
-					b.Fatalf("replayed %d of %d records", len(em.Replayed()), records)
 				}
 				if _, err := em.Finish(nil); err != nil {
 					b.Fatal(err)
 				}
 			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			if got := agg.Summary().Targets; got != records {
+				b.Fatalf("replayed %d of %d records", got, records)
+			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/records, "ns/record")
+			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(b.N)/records, "B/record")
 		})
 	}
 }

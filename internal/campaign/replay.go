@@ -6,24 +6,21 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"runtime"
 	"slices"
 	"sync"
-	"sync/atomic"
 )
 
-// A resume replays the checkpointed JSONL prefix on every core, in three
-// stages, each a fixed number of goroutines and buffers however long the
-// prefix is, and each the same code run inline at GOMAXPROCS=1:
-//
-//   - replayOutput reads the file once, in blocks of whole lines, which up
-//     to GOMAXPROCS goroutines take in turn and decode and verify into the
-//     one results slab with recordDecoder;
-//   - openSinks re-renders the CSV from the verified slab (rebuildCSV):
-//     ranges rendered in parallel, written strictly in index order — after
-//     the replay succeeded, so a refused resume leaves the CSV file as it
-//     was;
-//   - Aggregator.AddAll folds the slab over the aggregator's shards.
+// A resume replays the checkpointed JSONL prefix in one pass, the way a
+// coordinator takes a worker's report (SpanDecoder), on a fixed number of
+// goroutines and buffers however long the prefix is (inline at
+// GOMAXPROCS=1). The file is read once, in blocks of whole lines, which up
+// to min(GOMAXPROCS, aggregator shards) decoders take in turn; each
+// verifies its block's records (decodeLines), folds them into its own shard
+// and renders their CSV rows, written in block order to <csv>.tmp. Only
+// when every record has verified is the JSONL truncated and the temp
+// renamed over the CSV, so a refused resume leaves every file as it was.
 //
 // Errors are the sequential loop's: the lowest-index record that fails is
 // reported, with the loop's text, and nothing is truncated.
@@ -37,46 +34,80 @@ const (
 	// decoderScratch is a decoder's scratch, sized so a record does not
 	// grow it.
 	decoderScratch = 1024
-	// replayRange is how many records the CSV rebuild and the fold hand a
-	// goroutine at a time.
-	replayRange = 512
 )
 
-// replayOutput reads the first done records back from the JSONL output of
-// an interrupted campaign — record i decoded against targets[i], see
-// recordDecoder — and truncates anything past them (a crash may have
-// written results the checkpoint never acknowledged; they are re-probed,
-// deterministically, to the same bytes). The caller has checked
-// done <= len(targets); the results share one slab.
-func replayOutput(path string, targets []Target, done int) ([]TargetResult, error) {
-	if done == 0 {
-		return nil, nil
+// replayOutput opens the sinks of a run resumed after done > 0 records:
+// it reads them back from the JSONL output (record i decoded against
+// cfg.Targets[i], see recordDecoder), folds them into agg, renders the CSV
+// afresh (a quoted field may hold a newline, so CSV rows cannot be
+// counted), and truncates the JSONL past them (a crash may have written
+// results the checkpoint never acknowledged; they are re-probed).
+func replayOutput(cfg Config, done int, agg *Aggregator) (sinkSet, error) {
+	if cfg.OutputPath == "" {
+		return sinkSet{}, fmt.Errorf("campaign: resume requires OutputPath (the checkpoint replays from it)")
 	}
-	if path == "" {
-		return nil, fmt.Errorf("campaign: resume requires OutputPath (the checkpoint replays from it)")
-	}
-	f, err := os.Open(path)
+	f, err := os.OpenFile(cfg.OutputPath, os.O_RDWR|os.O_APPEND, 0)
 	if err != nil {
-		return nil, err
+		return sinkSet{}, err
 	}
-	defer f.Close()
+	sinks := sinkSet{jsonl: NewJSONLSink(f)}
+	var csvPath, tmp string // the CSV's file, and the one its rows go to
+	fail := func(err error) (sinkSet, error) {
+		sinks.close()
+		if tmp != csvPath {
+			os.Remove(tmp)
+		}
+		return sinkSet{}, err
+	}
 	fi, err := f.Stat()
 	if err != nil {
-		return nil, err
+		return fail(err)
 	}
-	results, offset, err := replayRecords(f, path, targets, done, replayBlockBytes, replayDecoders(fi.Size()))
+	if cfg.CSVPath != "" {
+		csvPath, tmp = csvTarget(cfg.CSVPath)
+		cf, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+		if err != nil {
+			return fail(err)
+		}
+		sinks.csv = NewCSVSink(cf, hasTopology(cfg.Targets), hasScenario(cfg.Targets))
+	}
+	decoders := min(replayDecoders(fi.Size()), len(agg.shards))
+	offset, err := replayRecords(f, cfg.OutputPath, cfg.Targets, done, replayBlockBytes, decoders, agg, sinks.csv)
 	if err != nil {
-		return nil, err
+		return fail(err)
 	}
-	if err := os.Truncate(path, offset); err != nil {
-		return nil, err
+	if err := f.Truncate(offset); err != nil {
+		return fail(err)
 	}
-	return results, nil
+	if tmp != csvPath {
+		// The open temp becomes the run's CSV file, its rows the prefix's.
+		if err := os.Rename(tmp, csvPath); err != nil {
+			return fail(err)
+		}
+	}
+	return sinks, nil
 }
 
-// replayDecoders is how many decoders replayOutput puts on a file of size
-// bytes: one per whole block it holds, at least one and at most GOMAXPROCS,
-// so a prefix shorter than two blocks is decoded inline.
+// csvTarget returns the CSV's file — path, or the file a symlink at path
+// names, so the link stays — and the temp renamed over it once every record
+// has verified. A device or a pipe must not be replaced: it is its own tmp.
+func csvTarget(path string) (target, tmp string) {
+	fi, err := os.Lstat(path)
+	if err == nil && fi.Mode()&os.ModeSymlink != 0 {
+		if resolved, rerr := filepath.EvalSymlinks(path); rerr == nil {
+			path = resolved
+			fi, err = os.Stat(path)
+		}
+	}
+	if err == nil && !fi.Mode().IsRegular() {
+		return path, path
+	}
+	return path, path + ".tmp"
+}
+
+// replayDecoders is how many decoders a file of size bytes gets: one per
+// whole block it holds, at least one and at most GOMAXPROCS, so a prefix
+// shorter than two blocks is decoded inline.
 func replayDecoders(size int64) int {
 	return int(min(int64(runtime.GOMAXPROCS(0)), max(1, size/replayBlockBytes)))
 }
@@ -85,57 +116,91 @@ func replayDecoders(size int64) int {
 type replay struct {
 	name      string
 	targets   []Target
-	results   []TargetResult
-	store     []byte // the decoders' blocks and scratch
+	done      int
+	agg       *Aggregator // decoder g folds into shard g
+	csv       *CSVSink    // the records' rows go to it in index order; nil: none
 	blockSize int
+	rowBytes  int            // a decoder's room for its block's rows
+	perBlock  int            // a decoder's room for its block's records
+	store     []byte         // the decoders' blocks, scratch and rows
+	records   []TargetResult // the decoders' results buffers
 
-	mu     sync.Mutex // guards the rest: the read position and the first error
-	src    io.Reader
-	carry  []byte // the partial line the last block read ended with
-	n      int    // records handed out to decode
-	offset int64  // their bytes
-	eof    bool
-	errAt  int // index of the lowest failing record so far; len(results) when none
-	err    error
+	wg      sync.WaitGroup // the decoders on goroutines of their own
+	mu      sync.Mutex     // guards the rest: the read position, the CSV turn and the first error
+	turn    sync.Cond      // on mu: written moved on, or a record failed
+	src     io.Reader
+	carry   []byte // the partial line the last block read ended with
+	n       int    // records handed out to decode
+	offset  int64  // their bytes
+	eof     bool
+	written int // records whose rows are in csv
+	errAt   int // index of the lowest failing record so far; done when none
+	err     error
 }
 
-// replayBlock is a run of whole newline-terminated records and the index
-// of its first.
+// replayBlock is a decoder's run of whole newline-terminated records, the
+// index of its first, and the decoder's storage for them.
 type replayBlock struct {
-	buf   []byte // the decoder's storage, reused; lines is its prefix
-	lines []byte
-	first int
+	buf     []byte // the decoder's storage, reused; lines is its prefix
+	lines   []byte
+	first   int
+	count   int            // records in lines
+	results []TargetResult // the block's records, decoded
+	rows    []byte         // the block's CSV rows
 }
 
-// replayRecords decodes the first done newline-terminated records of src
-// into a fresh slab and returns it with the records' length in bytes. Each
-// of decoders goroutines (see parallel) owns one block of blockSize bytes
-// (blockSize > 0): it reads the next run of whole lines into it, in turn
-// with the others, then decodes it.
-func replayRecords(src io.Reader, name string, targets []Target, done, blockSize, decoders int) ([]TargetResult, int64, error) {
-	rp := &replay{name: name, targets: targets, results: make([]TargetResult, done), src: src, errAt: done,
-		// One allocation holds every decoder's block and scratch.
-		store: make([]byte, decoders*(blockSize+decoderScratch)), blockSize: blockSize}
-	parallel(decoders, rp.decoder)
+// replayRecords decodes and verifies the first done newline-terminated
+// records of src, folds each into agg and writes their rows to csv (when
+// not nil) in index order, and returns the records' length in bytes. Each
+// of decoders goroutines — decoder 0 the caller's, so one decoder runs
+// inline — owns one block of blockSize bytes (blockSize > 0): it reads the
+// next run of whole lines into it, in turn with the others, then decodes,
+// folds and renders it, and writes its rows when every earlier block's
+// are. agg has at least decoders shards.
+func replayRecords(src io.Reader, name string, targets []Target, done, blockSize, decoders int, agg *Aggregator, csv *CSVSink) (int64, error) {
+	rp := &replay{name: name, targets: targets, done: done, agg: agg, csv: csv, blockSize: blockSize,
+		perBlock: max(1, blockSize/256), src: src, errAt: done}
+	if csv != nil {
+		// A record's row is shorter than its line.
+		rp.rowBytes = blockSize
+	}
+	// One allocation holds every decoder's block, scratch and rows, and one
+	// more their results, with room for a block of typical records (a block
+	// of shorter ones grows its decoder's).
+	rp.store = make([]byte, decoders*(blockSize+decoderScratch+rp.rowBytes))
+	rp.records = make([]TargetResult, decoders*rp.perBlock)
+	rp.turn.L = &rp.mu
+	rp.wg.Add(decoders - 1)
+	for g := 1; g < decoders; g++ {
+		go func() {
+			defer rp.wg.Done()
+			rp.decoder(g)
+		}()
+	}
+	rp.decoder(0)
+	rp.wg.Wait()
 	if rp.err != nil {
-		return nil, 0, rp.err
+		return 0, rp.err
 	}
 	if rp.n < done {
-		return nil, 0, fmt.Errorf("campaign: %s has %d records but checkpoint says %d emitted",
+		return 0, fmt.Errorf("campaign: %s has %d records but checkpoint says %d emitted",
 			name, rp.n, done)
 	}
-	return rp.results, rp.offset, nil
+	return rp.offset, nil
 }
 
 // decoder is decoder g: it reads the next block into its own storage and
 // decodes it until there is none.
 func (rp *replay) decoder(g int) {
-	at := g * (rp.blockSize + decoderScratch)
+	at := g * (rp.blockSize + decoderScratch + rp.rowBytes)
 	b := replayBlock{buf: rp.store[at : at : at+rp.blockSize]}
 	at += rp.blockSize
 	dec := recordDecoder{scratch: rp.store[at : at : at+decoderScratch]}
+	at += decoderScratch
+	b.rows = rp.store[at : at : at+rp.rowBytes]
+	b.results = rp.records[g*rp.perBlock : g*rp.perBlock : (g+1)*rp.perBlock]
 	for rp.next(&b) {
-		rp.decode(&dec, &b)
+		rp.decode(&dec, &b, rp.agg.shards[g])
 	}
 }
 
@@ -145,7 +210,7 @@ func (rp *replay) decoder(g int) {
 func (rp *replay) next(b *replayBlock) bool {
 	rp.mu.Lock()
 	defer rp.mu.Unlock()
-	done := len(rp.results)
+	done := rp.done
 	if rp.n == done || rp.eof || rp.err != nil {
 		return false
 	}
@@ -164,7 +229,7 @@ func (rp *replay) next(b *replayBlock) bool {
 		k = done - rp.n
 		lines = lines[:lineEnd(lines, k)]
 	}
-	b.lines, b.first = lines, rp.n
+	b.lines, b.first, b.count = lines, rp.n, k
 	rp.n += k
 	rp.offset += int64(len(lines))
 	if err != nil && !rp.eof && rp.n < done {
@@ -204,12 +269,49 @@ func lineEnd(b []byte, k int) int {
 	return end
 }
 
-// decode decodes one block into the slab, stopping at its first failing
-// record.
-func (rp *replay) decode(dec *recordDecoder, b *replayBlock) {
-	if n, err := decodeLines(dec, b.lines, rp.targets[b.first:], rp.results[b.first:], b.first); err != nil {
+// decode decodes and verifies one block, stopping at its first failing
+// record, folds its records into shard, and renders and writes its CSV
+// rows.
+func (rp *replay) decode(dec *recordDecoder, b *replayBlock, shard *Shard) {
+	b.results = slices.Grow(b.results[:0], b.count)[:b.count]
+	if n, err := decodeLines(dec, b.lines, rp.targets[b.first:], b.results, b.first); err != nil {
 		rp.fail(n, fmt.Errorf("campaign: %s record %d %w", rp.name, n, err))
+		return
 	}
+	for i := range b.results {
+		shard.Add(&b.results[i])
+	}
+	if rp.csv != nil {
+		b.rows = b.rows[:0]
+		for i := range b.results {
+			b.rows = appendCSVRow(b.rows, &b.results[i], rp.csv.withTopo, rp.csv.withScn)
+		}
+		rp.write(b)
+	}
+}
+
+// write writes b's rows once every earlier block's are: the turn passes
+// from block to block in index order. Once a record has failed nothing more
+// is written.
+func (rp *replay) write(b *replayBlock) {
+	rp.mu.Lock()
+	for rp.written != b.first && rp.err == nil {
+		rp.turn.Wait()
+	}
+	failed := rp.err != nil
+	rp.mu.Unlock()
+	if failed {
+		return
+	}
+	// The turn is this block's alone until written moves on.
+	err := rp.csv.EmitBatch(b.rows)
+	rp.mu.Lock()
+	if err != nil {
+		rp.failLocked(b.first, err)
+	}
+	rp.written = b.first + b.count
+	rp.turn.Broadcast()
+	rp.mu.Unlock()
 }
 
 var (
@@ -306,90 +408,6 @@ func (rp *replay) failLocked(at int, err error) {
 	if at < rp.errAt {
 		rp.errAt, rp.err = at, err
 	}
-}
-
-// rebuildCSV writes the replayed prefix's rows to cs in index order. Up to
-// GOMAXPROCS goroutines each render replayRange records at a time into a
-// buffer of their own, and take turns at the sink in index order.
-func rebuildCSV(cs *CSVSink, replayed []TargetResult) error {
-	workers := rangeWorkers(len(replayed), runtime.GOMAXPROCS(0))
-	rb := &csvRebuild{bufs: make([][]byte, workers)}
-	rb.turn.L = &rb.mu
-	// One allocation holds every buffer, each sized for a range of typical
-	// rows; a longer range grows its own.
-	const rowBytes = 192
-	store := make([]byte, workers*replayRange*rowBytes)
-	for w := range rb.bufs {
-		at := w * replayRange * rowBytes
-		rb.bufs[w] = store[at : at : at+replayRange*rowBytes]
-	}
-	forRanges(len(replayed), workers, func(w, lo, hi int) {
-		buf := rb.bufs[w][:0]
-		for i := lo; i < hi; i++ {
-			buf = appendCSVRow(buf, &replayed[i], cs.withTopo, cs.withScn)
-		}
-		rb.bufs[w] = buf
-		rb.mu.Lock()
-		for rb.next != lo {
-			rb.turn.Wait()
-		}
-		rb.mu.Unlock()
-		// The turn is this range's alone until next moves on.
-		if rb.err == nil {
-			rb.err = cs.EmitBatch(buf)
-		}
-		rb.mu.Lock()
-		rb.next = hi
-		rb.turn.Broadcast()
-		rb.mu.Unlock()
-	})
-	return rb.err
-}
-
-// csvRebuild is one rebuildCSV call's shared state: the write turn passes
-// from range to range in index order.
-type csvRebuild struct {
-	bufs [][]byte
-	mu   sync.Mutex
-	turn sync.Cond
-	next int   // the first record not yet written; guarded by mu
-	err  error // the sink's first error; only the turn's holder touches it
-}
-
-// rangeWorkers is how many goroutines forRanges puts on n records: no
-// more than there are ranges, nor than limit.
-func rangeWorkers(n, limit int) int {
-	return min(limit, (n+replayRange-1)/replayRange)
-}
-
-// forRanges calls fn on consecutive ranges of at most replayRange of n
-// records, claimed in index order by up to workers goroutines (see
-// parallel), no more than there are ranges. worker, in [0, workers), names
-// the goroutine, so per-goroutine state needs no lock.
-func forRanges(n, workers int, fn func(worker, lo, hi int)) {
-	var next atomic.Int64
-	parallel(max(rangeWorkers(n, workers), 1), func(w int) {
-		for {
-			lo := int(next.Add(1)-1) * replayRange
-			if lo >= n {
-				return
-			}
-			fn(w, lo, min(lo+replayRange, n))
-		}
-	})
-}
-
-// parallel runs fn(0) … fn(workers-1) at once, fn(0) on the caller's
-// goroutine — alone, inline, when workers is 1 — and returns when all have.
-func parallel(workers int, fn func(worker int)) {
-	var wg sync.WaitGroup
-	wg.Add(workers - 1)
-	for w := 1; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			fn(w)
-		}()
-	}
-	fn(0)
-	wg.Wait()
+	// A decoder waiting for its turn to write stops waiting.
+	rp.turn.Broadcast()
 }

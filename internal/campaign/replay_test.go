@@ -70,9 +70,41 @@ func writeRecords(tb testing.TB, results []TargetResult) string {
 	return path
 }
 
+// renderCSV renders results as the CSV sink of a run over targets writes
+// them: the header, then one row each.
+func renderCSV(targets []Target, results []TargetResult) []byte {
+	var buf bytes.Buffer
+	cs := NewCSVSink(&buf, hasTopology(targets), hasScenario(targets))
+	for i := range results {
+		cs.EmitBatch(appendCSVRow(nil, &results[i], cs.withTopo, cs.withScn))
+	}
+	cs.Flush()
+	return buf.Bytes()
+}
+
+// replayFile replays the first done records of the JSONL file at path as a
+// resume does, with a CSV sink beside it, and returns the CSV it wrote.
+func replayFile(tb testing.TB, path string, targets []Target, done int) ([]byte, error) {
+	tb.Helper()
+	cfg := Config{Targets: targets, OutputPath: path, CSVPath: path + ".csv"}
+	sinks, err := replayOutput(cfg, done, NewAggregator(runtime.GOMAXPROCS(0)))
+	if err != nil {
+		return nil, err
+	}
+	if err := sinks.close(); err != nil {
+		tb.Fatal(err)
+	}
+	csv, err := os.ReadFile(cfg.CSVPath)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return csv, nil
+}
+
 // TestReplayMatchesUnmarshal holds the sequential decoder to the reflective
-// one it replaced: over a full mixed campaign the replayed slab equals
-// json.Unmarshal of the same lines, field for field.
+// one it replaced: over a full mixed campaign the replay's decode loop
+// reads json.Unmarshal's records from the same lines, field for field, and
+// the replay writes their CSV.
 func TestReplayMatchesUnmarshal(t *testing.T) {
 	targets, results := mixedCampaign(t)
 	var errs, excluded, topo, scn int
@@ -96,22 +128,26 @@ func TestReplayMatchesUnmarshal(t *testing.T) {
 			errs, excluded, topo, scn)
 	}
 
-	got, err := replayOutput(writeRecords(t, results), targets, len(targets))
+	got := make([]TargetResult, len(targets))
+	if n, err := decodeLines(&recordDecoder{}, renderRecords(results), targets, got, 0); err != nil || n != len(got) {
+		t.Fatalf("decoded %d of %d records: %v", n, len(got), err)
+	}
+	lines := bytes.Split(bytes.TrimSuffix(renderRecords(results), []byte("\n")), []byte("\n"))
+	want := make([]TargetResult, len(lines))
+	for i, line := range lines {
+		if err := json.Unmarshal(line, &want[i]); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Fatalf("record %d:\n decoder:        %+v\n json.Unmarshal: %+v", i, got[i], want[i])
+		}
+	}
+	csv, err := replayFile(t, writeRecords(t, results), targets, len(targets))
 	if err != nil {
 		t.Fatal(err)
 	}
-	lines := bytes.Split(bytes.TrimSuffix(renderRecords(results), []byte("\n")), []byte("\n"))
-	if len(got) != len(lines) {
-		t.Fatalf("replayed %d of %d records", len(got), len(lines))
-	}
-	for i, line := range lines {
-		var want TargetResult
-		if err := json.Unmarshal(line, &want); err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got[i], want) {
-			t.Fatalf("record %d:\n decoder:        %+v\n json.Unmarshal: %+v", i, got[i], want)
-		}
+	if !bytes.Equal(csv, renderCSV(targets, want)) {
+		t.Fatal("the replay's CSV differs from json.Unmarshal's records' rows")
 	}
 }
 
@@ -160,7 +196,7 @@ func TestReplayRefusals(t *testing.T) {
 			if err := os.WriteFile(path, data, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			_, err := replayOutput(path, list, len(list))
+			_, err := replayFile(t, path, list, len(list))
 			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("record %d ", at)) {
 				t.Fatalf("refusal does not name record %d: %v", at, err)
 			}
@@ -282,31 +318,51 @@ func tile(baseT []Target, baseR []TargetResult, n int) ([]Target, []TargetResult
 	return targets, results
 }
 
-// replayOutcome is everything a replay returns, errors as text.
+// replayOutcome is everything a replay gives: the records' CSV rows with
+// every optional column (so every field of every record), their summary,
+// their length, and errors as text.
 type replayOutcome struct {
-	results []TargetResult
-	offset  int64
-	err     string
-}
-
-func outcome(results []TargetResult, offset int64, err error) replayOutcome {
-	if err != nil {
-		return replayOutcome{err: err.Error()}
-	}
-	return replayOutcome{results: results, offset: offset}
+	csv    []byte
+	sum    *Summary
+	offset int64
+	err    string
 }
 
 // checkReplayMatches replays data through the parallel pipeline at several
 // block sizes and decoder counts and holds each to the sequential loop.
 func checkReplayMatches(t *testing.T, data []byte, targets []Target, done int, blocks []int) {
 	t.Helper()
-	want := outcome(sequentialReplay(bytes.NewReader(data), "out.jsonl", targets, done))
+	var want replayOutcome
+	results, offset, err := sequentialReplay(bytes.NewReader(data), "out.jsonl", targets, done)
+	if err != nil {
+		want.err = err.Error()
+	} else {
+		var csv bytes.Buffer
+		cs := NewCSVSink(&csv, true, true)
+		agg := NewAggregator(1)
+		for i := range results {
+			cs.EmitBatch(appendCSVRow(nil, &results[i], true, true))
+			agg.Shard(0).Add(&results[i])
+		}
+		cs.Flush()
+		want = replayOutcome{csv: csv.Bytes(), sum: agg.Summary(), offset: offset}
+	}
 	for _, block := range blocks {
 		for decoders := 1; decoders <= 4; decoders++ {
-			got := outcome(replayRecords(bytes.NewReader(data), "out.jsonl", targets, done, block, decoders))
-			if got.err != want.err || got.offset != want.offset || !reflect.DeepEqual(got.results, want.results) {
-				t.Fatalf("block %d, %d decoders: replay returned (%d results, length %d, %q), the sequential loop (%d, %d, %q)",
-					block, decoders, len(got.results), got.offset, got.err, len(want.results), want.offset, want.err)
+			var csv bytes.Buffer
+			cs := NewCSVSink(&csv, true, true)
+			agg := NewAggregator(decoders)
+			var got replayOutcome
+			if offset, err := replayRecords(bytes.NewReader(data), "out.jsonl", targets, done, block, decoders, agg, cs); err != nil {
+				got.err = err.Error()
+			} else {
+				cs.Flush()
+				got = replayOutcome{csv: csv.Bytes(), sum: agg.Summary(), offset: offset}
+			}
+			if got.err != want.err || got.offset != want.offset || !bytes.Equal(got.csv, want.csv) ||
+				!reflect.DeepEqual(got.sum, want.sum) {
+				t.Fatalf("block %d, %d decoders: replay returned (%d CSV bytes, length %d, %q), the sequential loop (%d, %d, %q)",
+					block, decoders, len(got.csv), got.offset, got.err, len(want.csv), want.offset, want.err)
 			}
 		}
 	}
@@ -387,9 +443,10 @@ func TestReplayCorruptionsMatchSequential(t *testing.T) {
 }
 
 // TestReplayParallelMatchesSequential resumes one mixed prefix at
-// GOMAXPROCS 1, 2, 4 and 7: the replayed records, the rebuilt CSV, the
-// summary and the truncated JSONL are the same at every setting and equal
-// what the sequential loop and a sequential CSV render and fold give.
+// GOMAXPROCS 1, 2, 4 and 7: the rebuilt CSV (every field of every record:
+// the list has topology and scenario targets), the summary and the
+// truncated JSONL are the same at every setting and equal what the
+// sequential loop and a sequential CSV render and fold give.
 func TestReplayParallelMatchesSequential(t *testing.T) {
 	const n, done = 5000, 4900
 	targets, results := tiledCampaign(t, n)
@@ -431,12 +488,11 @@ func TestReplayParallelMatchesSequential(t *testing.T) {
 		if err := (Checkpoint{Fingerprint: fp, Done: done}).Save(cfg.CheckpointPath); err != nil {
 			t.Fatal(err)
 		}
-		em, err := NewEmitter(cfg)
+		agg := NewAggregator(4)
+		em, err := NewEmitter(cfg, agg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		agg := NewAggregator(4)
-		agg.AddAll(em.Replayed())
 		if _, err := em.Finish(nil); err != nil {
 			t.Fatal(err)
 		}
@@ -451,8 +507,6 @@ func TestReplayParallelMatchesSequential(t *testing.T) {
 			t.Fatal(err)
 		}
 		switch {
-		case !reflect.DeepEqual(em.Replayed(), wantRes):
-			t.Fatalf("GOMAXPROCS=%d: replayed records differ from the sequential loop's", procs)
 		case !bytes.Equal(csvGot, csvWant.Bytes()):
 			t.Fatalf("GOMAXPROCS=%d: rebuilt CSV differs from the sequential render", procs)
 		case sum.String() != sumWant.String():
@@ -464,7 +518,8 @@ func TestReplayParallelMatchesSequential(t *testing.T) {
 }
 
 // TestRefusedResumeKeepsCSV: a resume refused by the replay writes
-// nothing — the CSV is rebuilt only from a prefix that verified.
+// nothing — the JSONL, the CSV and the checkpoint stay byte for byte as
+// they were, and the CSV the replay was writing, <csv>.tmp, is gone.
 func TestRefusedResumeKeepsCSV(t *testing.T) {
 	targets, results := tiledCampaign(t, 2000)
 	dir := t.TempDir()
@@ -484,12 +539,68 @@ func TestRefusedResumeKeepsCSV(t *testing.T) {
 	if err := (Checkpoint{Fingerprint: Fingerprint(targets, 4), Done: len(targets)}).Save(cfg.CheckpointPath); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewEmitter(cfg); err == nil || !strings.Contains(err.Error(), "record 1500 has index 1501") {
+	ckBefore, err := os.ReadFile(cfg.CheckpointPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewEmitter(cfg, NewAggregator(4)); err == nil || !strings.Contains(err.Error(), "record 1500 has index 1501") {
 		t.Fatalf("resume over a misnumbered record: %v", err)
 	}
-	for path, want := range map[string][]byte{cfg.OutputPath: data, cfg.CSVPath: csvBefore} {
+	for path, want := range map[string][]byte{cfg.OutputPath: data, cfg.CSVPath: csvBefore, cfg.CheckpointPath: ckBefore} {
 		if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, want) {
 			t.Fatalf("a refused resume changed %s (%v)", path, err)
+		}
+	}
+	if _, err := os.Stat(cfg.CSVPath + ".tmp"); !os.IsNotExist(err) {
+		t.Fatalf("a refused resume left %s.tmp behind (%v)", cfg.CSVPath, err)
+	}
+}
+
+// TestResumeKeepsCSVLinksAndDevices: a resume renders the CSV through a
+// temp renamed over the file the CSV path names. Through a symlink it
+// replaces the file linked to and the link stays; a device is written in
+// place, never replaced (the device is only asked about here, not
+// written).
+func TestResumeKeepsCSVLinksAndDevices(t *testing.T) {
+	if target, tmp := csvTarget(os.DevNull); target != os.DevNull || tmp != os.DevNull {
+		t.Fatalf("csvTarget(%s) = %q, %q: a device must be written in place", os.DevNull, target, tmp)
+	}
+	targets, results := tiledCampaign(t, 100)
+	dir, elsewhere := t.TempDir(), t.TempDir()
+	real := filepath.Join(elsewhere, "real.csv")
+	cfg := Config{
+		Targets: targets, Samples: 4, Resume: true,
+		OutputPath: filepath.Join(dir, "out.jsonl"), CSVPath: filepath.Join(dir, "out.csv"),
+		CheckpointPath: filepath.Join(dir, "ckpt"),
+	}
+	if err := os.WriteFile(cfg.OutputPath, renderRecords(results), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(real, []byte("the CSV of the interrupted run\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Symlink(real, cfg.CSVPath); err != nil {
+		t.Skip("no symlinks here:", err)
+	}
+	if err := (Checkpoint{Fingerprint: Fingerprint(targets, 4), Done: len(targets)}).Save(cfg.CheckpointPath); err != nil {
+		t.Fatal(err)
+	}
+	em, err := NewEmitter(cfg, NewAggregator(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := em.Finish(nil); err != nil {
+		t.Fatal(err)
+	}
+	if fi, err := os.Lstat(cfg.CSVPath); err != nil || fi.Mode()&os.ModeSymlink == 0 {
+		t.Fatalf("the resume replaced the CSV's symlink (%v)", err)
+	}
+	if got, err := os.ReadFile(real); err != nil || !bytes.Equal(got, renderCSV(targets, results)) {
+		t.Fatalf("the linked CSV does not hold the replayed rows (%v)", err)
+	}
+	for _, tmp := range []string{real + ".tmp", cfg.CSVPath + ".tmp"} {
+		if _, err := os.Stat(tmp); !os.IsNotExist(err) {
+			t.Errorf("the resume left %s behind (%v)", tmp, err)
 		}
 	}
 }

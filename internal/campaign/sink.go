@@ -64,8 +64,8 @@ func (s *JSONLSink) EmitBatch(records []byte) error {
 // CSVSink streams results as CSV in the same idiom as the experiment
 // reports (internal/experiments/csv.go): shortest-roundtrip floats, one
 // documented column set, encoding/csv's quoting. The header is written
-// before the first row; on resume the campaign rebuilds the file from the
-// replayed prefix rather than appending.
+// before the first row; on resume the replay renders the file afresh from
+// the verified prefix rather than appending.
 type CSVSink struct {
 	fileSink
 	wroteHead bool
@@ -95,9 +95,10 @@ func NewCSVSink(w io.Writer, withTopo, withScn bool) *CSVSink {
 
 // appendCSVRow appends r's row in csvHeader order (plus the optional
 // trailing topology and scenario columns) and its line terminator. It is
-// the one CSV renderer — the workers' ProbeStep, CSVRowEncoder and the
-// resume rebuild all call it — and its bytes equal encoding/csv's over the
-// same fields, which FuzzCSVRow holds it to.
+// the one CSV renderer — the workers' ProbeStep, CSVRowEncoder, the
+// coordinator's SpanDecoder and the resume's replay all call it — and its
+// bytes equal encoding/csv's over the same fields, which FuzzCSVRow holds
+// it to.
 func appendCSVRow(dst []byte, r *TargetResult, withTopo, withScn bool) []byte {
 	dst = strconv.AppendInt(dst, int64(r.Index), 10)
 	dst = append(dst, ',')

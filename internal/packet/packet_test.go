@@ -168,11 +168,17 @@ func TestDecodeErrors(t *testing.T) {
 
 func TestDecodeUnsupportedProtocol(t *testing.T) {
 	raw := mustEncodeTCP(t, &IPv4Header{Src: probeAddr, Dst: serverAddr}, &TCPHeader{SrcPort: 1, DstPort: 2}, nil)
-	raw = withByte(raw, 9, 17) // UDP
+	raw = withByte(raw, 9, 47) // GRE: neither decoder handles it
 	raw = rechecksum(raw)
-	if _, err := Decode(raw); !errors.Is(err, ErrBadHeader) {
-		t.Errorf("Decode(UDP) error = %v, want ErrBadHeader", err)
+	_, err := Decode(raw)
+	check := func(name string, err error) {
+		t.Helper()
+		if !errors.Is(err, ErrBadHeader) || !strings.Contains(err.Error(), "protocol 47") {
+			t.Errorf("%s(protocol 47) error = %v, want ErrBadHeader naming the protocol", name, err)
+		}
 	}
+	check("Decode", err)
+	check("DecodeInto", DecodeInto(&Packet{}, raw))
 }
 
 // withByte returns a copy of b with b[i] = v.
